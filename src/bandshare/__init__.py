@@ -38,8 +38,6 @@ from bandshare.payments import (
     MeanCI,
     PaymentOutcome,
     bks_settle,
-    expected_bks_payment,
-    fixed_price_eligibility,
     fixed_price_settle,
     resample_bid,
     vmm_epoch_charges,
@@ -48,15 +46,9 @@ from bandshare.pooling import (
     LedgerRow,
     PoolSettlement,
     SellerLedger,
-    seller_credit,
     settle_pool,
     tax_admissibility_estimate,
 )
-from bandshare.routing import (
-    EpochRequest,
-    allocate_fifo,
-    allocate_fq,
-    allocate_spq,
-)
+from bandshare.routing import maxmin, proportional, spq
 
 __version__ = "0.1.0"

@@ -224,7 +224,6 @@ class PoolType:
 @dataclass(frozen=True)
 class PoolConfig:
     types: tuple  # of PoolType
-    trials: int
     sessions_per_seller: int = 10  # auctions per accounting period
 
     @property
@@ -373,8 +372,7 @@ def parse_config(doc: Any, source: str = "<config>") -> ExperimentConfig:
     pool = None
     if doc.get("pool") is not None:
         ppath = f"{source}.pool"
-        _check_keys(doc["pool"], ["sellers", "trials", "types", "sessions_per_seller"], ppath)
-        trials = _integer(doc["pool"].get("trials", 100), f"{ppath}.trials", 1)
+        _check_keys(doc["pool"], ["sellers", "types", "sessions_per_seller"], ppath)
         sessions = _integer(
             doc["pool"].get("sessions_per_seller", 10), f"{ppath}.sessions_per_seller", 1
         )
@@ -408,7 +406,7 @@ def parse_config(doc: Any, source: str = "<config>") -> ExperimentConfig:
         else:
             sellers = _integer(_require(doc["pool"], "sellers", ppath), f"{ppath}.sellers", 2)
             types.append(PoolType("all", sellers, base))
-        pool = PoolConfig(tuple(types), trials, sessions)
+        pool = PoolConfig(tuple(types), sessions)
         if pool.total_sellers < 2:
             raise _err(ppath, "a pool needs at least 2 sellers")
 

@@ -7,10 +7,14 @@ Sessions are deterministic given the master seed, which feeds independent
 named streams for demand draws, priority tie-breaks, and bid resampling, so a
 counterfactual bid sweep replays the exact same world.
 
-Memoryless scenarios with straightforward buyers run through a vectorized
-path; anything stateful (buffered or impatient demand, padding, delaying, the
-threshold-hybrid policy) takes the epoch loop.  Both produce identical
-results.
+Memoryless scenarios with straightforward buyers and distinct priorities run
+through a vectorized path that applies the ``routing`` kernels to the whole
+(n, T) demand matrix; anything stateful (buffered or impatient demand,
+padding, delaying, the threshold-hybrid policy) or tied takes the epoch loop,
+which allocates one epoch at a time with the scalar ``_allocate_epoch``.
+Both produce identical results.  VMM charges depend only on bids and
+presented demand, so the loop records the demand it presents and both paths
+charge VMM once, after allocation.
 """
 
 from __future__ import annotations
@@ -29,12 +33,12 @@ from bandshare.payments import (
     PaymentOutcome,
     bks_settle,
     fixed_price_settle,
-    perturbed_bid_value,
+    resample_bid,
     summarize,
     vmm_epoch_charges,
 )
 from bandshare.pooling import LedgerRow, SellerLedger
-from bandshare.routing import EpochRequest, allocate_fifo, allocate_fq
+from bandshare.routing import maxmin, proportional, spq
 
 __all__ = [
     "BuyerSpec",
@@ -245,16 +249,9 @@ def _bid_records(
     for buyer in scenario.buyers:
         bid = float(override.get(buyer.buyer_id, buyer.submitted_bid()))
         if scenario.mechanism == "bks" and bid >= scenario.reserve:
-            coin = rng.random()
-            gamma = rng.random()
-            want = forced.get(buyer.buyer_id)
-            resampled = (coin < scenario.mu) if want is None else bool(want)
-            if resampled:
-                perturbed = perturbed_bid_value(bid, scenario.reserve, scenario.mu, gamma)
-            else:
-                perturbed = bid
-            records[buyer.buyer_id] = BidRecord(
-                buyer.buyer_id, bid, perturbed, resampled, scenario.reserve, scenario.mu
+            records[buyer.buyer_id] = resample_bid(
+                buyer.buyer_id, bid, scenario.reserve, scenario.mu, rng,
+                forced.get(buyer.buyer_id),
             )
         else:
             if scenario.mechanism == "bks":
@@ -274,18 +271,33 @@ def _eligible(scenario: Scenario, bid: float) -> bool:
 
 def _settle(
     scenario: Scenario,
-    buyer: BuyerSpec,
-    record: BidRecord,
-    billed: float,
-    vmm_accrued: float,
-) -> PaymentOutcome:
-    if scenario.mechanism == "bks":
-        return bks_settle(record, billed)
+    records: Dict[str, BidRecord],
+    x_billed: Sequence[float],
+    shown: Optional[np.ndarray],
+) -> Dict[str, PaymentOutcome]:
+    """Settle every buyer at departure.
+
+    VMM charges depend only on the bids and the (n, T) matrix ``shown`` of
+    demand presented to the router, never on the grants, so they are computed
+    once per session after allocation.
+    """
+    buyers = scenario.buyers
     if scenario.mechanism == "vmm":
-        return PaymentOutcome(buyer.buyer_id, billed, vmm_accrued, 0.0)
-    return PaymentOutcome(
-        buyer.buyer_id, billed, fixed_price_settle(billed, scenario.price), 0.0
-    )
+        bids = [records[b.buyer_id].bid for b in buyers]
+        charges = vmm_epoch_charges(shown, bids, scenario.capacity)
+    payments = {}
+    for i, buyer in enumerate(buyers):
+        x = float(x_billed[i])
+        if scenario.mechanism == "bks":
+            payment = bks_settle(records[buyer.buyer_id], x)
+        elif scenario.mechanism == "vmm":
+            payment = PaymentOutcome(buyer.buyer_id, x, float(charges[i]), 0.0)
+        else:
+            payment = PaymentOutcome(
+                buyer.buyer_id, x, fixed_price_settle(x, scenario.price), 0.0
+            )
+        payments[buyer.buyer_id] = payment
+    return payments
 
 
 def _can_vectorize(scenario: Scenario, realizations: Sequence[DemandRealization]) -> bool:
@@ -352,17 +364,14 @@ def _run_loop(
     queries = [r.query for r in realizations]
     x_real = [0.0] * n
     x_billed = [0.0] * n
-    vmm_accrued = [0.0] * n
     gen_history: List[Dict[int, float]] = [dict() for _ in range(n)]
     trace = np.zeros((T, n))
-    boost = scenario.hybrid if scenario.routing == "hybrid" else None
-    is_vmm = scenario.mechanism == "vmm"
+    # Presented demand, recorded only for the VMM charges after the loop.
+    shown = np.zeros((n, T)) if scenario.mechanism == "vmm" else None
 
     static_order: Optional[List[int]] = None
     if scenario.routing in ("spq", "hybrid") and len(set(priorities)) == n:
         static_order = sorted(range(n), key=lambda i: -priorities[i])
-    plain_spq = scenario.routing == "spq" and static_order is not None
-    capacity = scenario.capacity
 
     for t in range(1, T + 1):
         active: List[int] = []
@@ -390,28 +399,11 @@ def _run_loop(
                 presented[i] = d
 
         if active:
-            if plain_spq:
-                # Distinct static priorities: greedy fill, no tie draws needed.
-                grants = {}
-                remaining = capacity
-                for i in static_order:
-                    p = presented[i]
-                    take = p if p <= remaining else remaining
-                    grants[i] = take
-                    remaining -= take
-            else:
-                grants = _allocate_epoch(
-                    scenario, t, active, presented, priorities, x_real, boost,
-                    static_order, tie_rng,
-                )
-            if is_vmm:
-                charges = vmm_epoch_charges(
-                    {buyers[i].buyer_id: records[buyers[i].buyer_id].bid for i in active},
-                    {buyers[i].buyer_id: presented[i] for i in active},
-                    capacity,
-                )
-                for i in active:
-                    vmm_accrued[i] += charges[buyers[i].buyer_id]
+            grants = _allocate_epoch(
+                scenario, t, active, presented, priorities, x_real, static_order, tie_rng
+            )
+            if shown is not None:
+                shown[:, t - 1] = presented
             row = trace[t - 1]
             for i in active:
                 consumed = grants[i]
@@ -423,11 +415,11 @@ def _run_loop(
                 x_billed[i] += consumed
                 row[i] = consumed
 
-    payments = {
-        b.buyer_id: _settle(scenario, b, records[b.buyer_id], x_billed[i], vmm_accrued[i])
-        for i, b in enumerate(buyers)
-    }
-    return _finish(scenario, records, x_real, x_billed, payments, trace)
+    return _finish(scenario, records, x_real, x_billed, shown, trace)
+
+
+# Numeric floor for the fq water-filling rounds (KB).
+_FQ_EPS = 1e-9
 
 
 def _allocate_epoch(
@@ -437,46 +429,63 @@ def _allocate_epoch(
     presented: List[float],
     priorities: List[float],
     x_real: List[float],
-    boost: Optional[HybridBoost],
     static_order: Optional[List[int]],
     tie_rng: np.random.Generator,
-) -> Dict[int, float]:
-    """Grants for one epoch, keyed by buyer position."""
-    buyers = scenario.buyers
-    c = scenario.capacity
+) -> List[float]:
+    """Grants for one epoch by buyer position, zero outside ``active``.
 
-    if scenario.routing == "fifo":
-        reqs = [EpochRequest(buyers[i].buyer_id, presented[i]) for i in active]
-        by_id = allocate_fifo(reqs, c)
-        return {i: by_id[buyers[i].buyer_id] for i in active}
-    if scenario.routing == "fq":
-        reqs = [EpochRequest(buyers[i].buyer_id, presented[i]) for i in active]
-        by_id = allocate_fq(reqs, c)
-        return {i: by_id[buyers[i].buyer_id] for i in active}
+    The scalar form of the ``routing`` kernels for a single column.  Strict
+    priority follows ``static_order`` when the keys are distinct; otherwise
+    exact ties are broken by a fresh uniform draw per active buyer.
+    """
+    c = scenario.capacity
+    grants = [0.0] * len(presented)
+    routing = scenario.routing
+    if routing == "fifo":
+        total = sum(presented[i] for i in active)
+        for i in active:
+            grants[i] = presented[i] if total <= c else c * presented[i] / total
+        return grants
+    if routing == "fq":
+        # Max-min fair by rounds: every unsatisfied buyer takes an equal share
+        # of what is left, capped at her leftover demand.  Each round
+        # saturates a buyer or uses up the capacity, so the loop is finite.
+        need = list(presented)
+        remaining = c
+        unsatisfied = [i for i in active if need[i] > 0]
+        while unsatisfied and remaining > _FQ_EPS:
+            share = remaining / len(unsatisfied)
+            still = []
+            for i in unsatisfied:
+                take = min(share, need[i])
+                grants[i] += take
+                need[i] -= take
+                remaining -= take
+                if need[i] > _FQ_EPS:
+                    still.append(i)
+            if len(still) == len(unsatisfied):
+                break  # nobody saturated: all took the full share, capacity is gone
+            unsatisfied = still
+        return grants
 
     # spq / hybrid
-    demands = {i: presented[i] for i in active}
-    grants = {i: 0.0 for i in active}
     remaining = c
+    boost = scenario.hybrid if routing == "hybrid" else None
     if boost is not None and t <= boost.deadline:
-        bi = next(
-            (i for i in active if buyers[i].buyer_id == boost.buyer_id), None
-        )
+        buyers = scenario.buyers
+        bi = next((i for i in active if buyers[i].buyer_id == boost.buyer_id), None)
         if bi is not None and x_real[bi] < boost.target_bytes:
             pace = (boost.target_bytes - x_real[bi]) / (boost.deadline - t + 1)
-            reserved = min(pace, demands[bi], remaining)
-            grants[bi] += reserved
-            demands[bi] -= reserved
-            remaining -= reserved
-
-    if static_order is not None:
-        order = [i for i in static_order if i in demands]
+            grants[bi] = min(pace, presented[bi], remaining)
+            remaining -= grants[bi]
+    if static_order is None:
+        tie = dict(zip(active, tie_rng.random(len(active))))
+        order = sorted(active, key=lambda i: (-priorities[i], tie[i]))
     else:
-        tie = tie_rng.random(len(active))
-        pos = {i: k for k, i in enumerate(active)}
-        order = sorted(active, key=lambda i: (-priorities[i], tie[pos[i]]))
+        order = static_order
     for i in order:
-        take = demands[i] if demands[i] <= remaining else remaining
+        need = presented[i] - grants[i]
+        take = need if need <= remaining else remaining
         grants[i] += take
         remaining -= take
     return grants
@@ -485,8 +494,8 @@ def _allocate_epoch(
 def _demand_matrix(
     scenario: Scenario, realizations: Sequence[DemandRealization]
 ) -> np.ndarray:
-    """(n, T) presented-demand matrix for memoryless greedy buyers, masked to
-    each buyer's active window (eligibility is applied separately)."""
+    """(n, T) demand matrix of memoryless realizations, masked to each buyer's
+    active window (eligibility is applied separately)."""
     T = scenario.horizon
     demand = np.zeros((len(scenario.buyers), T))
     for i, (buyer, real) in enumerate(zip(scenario.buyers, realizations)):
@@ -510,7 +519,6 @@ def _run_vectorized(
     """
     buyers = scenario.buyers
     n = len(buyers)
-    T = scenario.horizon
     elig = [_eligible(scenario, records[b.buyer_id].bid) for b in buyers]
     priorities = [records[b.buyer_id].perturbed_bid for b in buyers]
 
@@ -522,64 +530,13 @@ def _run_vectorized(
 
     c = scenario.capacity
     if scenario.routing == "spq":
-        grants = _waterfall(demand, priorities, c)
+        grants = spq(demand, priorities, c)
     elif scenario.routing == "fifo":
-        total = demand.sum(axis=0)
-        scale = np.where(total > c, c / np.maximum(total, 1e-300), 1.0)
-        grants = demand * scale
+        grants = proportional(demand, c)
     else:  # fq
-        grants = _maxmin_columns(demand, c)
-
-    vmm_totals = np.zeros(n)
-    if scenario.mechanism == "vmm":
-        bids = [records[b.buyer_id].bid for b in buyers]
-        base = _waterfall(demand, bids, c)
-        values = np.array(bids)[:, None] * base
-        for i in range(n):
-            if not elig[i]:
-                continue
-            others = [j for j in range(n) if j != i]
-            sub = _waterfall(demand[others], [bids[j] for j in others], c)
-            v_without = (np.array([bids[j] for j in others])[:, None] * sub).sum(axis=0)
-            v_with = values[others].sum(axis=0)
-            vmm_totals[i] = np.maximum(0.0, v_without - v_with).sum()
-
-    x = grants.sum(axis=1)
-    payments = {}
-    for i, buyer in enumerate(buyers):
-        payments[buyer.buyer_id] = _settle(
-            scenario, buyer, records[buyer.buyer_id], float(x[i]), float(vmm_totals[i])
-        )
-    x_list = [float(v) for v in x]
-    return _finish(scenario, records, x_list, x_list, payments, grants.T.copy())
-
-
-def _waterfall(demand: np.ndarray, priorities: Sequence[float], c: float) -> np.ndarray:
-    """Strict-priority fill of each epoch column; priorities must be distinct."""
-    grants = np.zeros_like(demand)
-    remaining = np.full(demand.shape[1], float(c))
-    for i in sorted(range(demand.shape[0]), key=lambda j: -priorities[j]):
-        take = np.minimum(remaining, demand[i])
-        grants[i] = take
-        remaining -= take
-    return grants
-
-
-def _maxmin_columns(demand: np.ndarray, c: float) -> np.ndarray:
-    """Max-min fair split of every epoch column (vectorized water-filling)."""
-    n, T = demand.shape
-    order = np.argsort(demand, axis=0, kind="stable")
-    sorted_d = np.take_along_axis(demand, order, axis=0)
-    grants_sorted = np.zeros_like(sorted_d)
-    remaining = np.full(T, float(c))
-    for k in range(n):
-        share = remaining / (n - k)
-        take = np.minimum(sorted_d[k], share)
-        grants_sorted[k] = take
-        remaining -= take
-    grants = np.zeros_like(demand)
-    np.put_along_axis(grants, order, grants_sorted, axis=0)
-    return grants
+        grants = maxmin(demand, c)
+    x = [float(v) for v in grants.sum(axis=1)]
+    return _finish(scenario, records, x, x, demand, grants.T.copy())
 
 
 def _finish(
@@ -587,10 +544,11 @@ def _finish(
     records: Dict[str, BidRecord],
     x_real: Sequence[float],
     x_billed: Sequence[float],
-    payments: Dict[str, PaymentOutcome],
+    shown: Optional[np.ndarray],
     trace: np.ndarray,
 ) -> SessionOutcome:
     buyers = scenario.buyers
+    payments = _settle(scenario, records, x_billed, shown)
     ids = [b.buyer_id for b in buyers]
     real = {b.buyer_id: float(x_real[i]) for i, b in enumerate(buyers)}
     billed = {b.buyer_id: float(x_billed[i]) for i, b in enumerate(buyers)}
@@ -653,25 +611,9 @@ def offline_optimum(scenario: Scenario, seed: int) -> float:
     c = scenario.capacity
 
     if all(r.memoryless for r in realizations):
-        total = 0.0
         values = [b.value for b in buyers]
-        demand = np.zeros((len(buyers), T))
-        for i, (buyer, real) in enumerate(zip(buyers, realizations)):
-            lo, hi = max(1, buyer.arrival), min(T, buyer.departure)
-            if lo <= hi:
-                demand[i, lo - 1 : hi] = real.query_epochs(lo, hi)
-        if len(set(values)) == len(values):
-            grants = _waterfall(demand, values, c)
-            return float((np.array(values)[:, None] * grants).sum())
-        from bandshare.payments import _greedy_value_allocation
-
-        ids = [b.buyer_id for b in buyers]
-        for t in range(T):
-            alloc = _greedy_value_allocation(
-                dict(zip(ids, values)), dict(zip(ids, demand[:, t])), c
-            )
-            total += sum(values[i] * alloc[ids[i]] for i in range(len(ids)))
-        return total
+        grants = spq(_demand_matrix(scenario, realizations), values, c)
+        return float((np.array(values)[:, None] * grants).sum())
 
     if len(buyers) > _SEARCH_MAX_BUYERS or T > _SEARCH_MAX_EPOCHS:
         raise ValueError(

@@ -6,7 +6,11 @@ Three schemes are supported:
   participate and they pay the posted price per KB.
 * VCG-per-epoch -- each epoch, charge every buyer the externality she imposes
   within that epoch: the value others would get in the value-optimal split of
-  capacity without her, minus what they actually get with her present.
+  capacity without her, minus what they get in it with her present.  The
+  charges depend only on bids and presented demand, so ``vmm_epoch_charges``
+  takes a session's whole (n, T) presented-demand matrix at once; the
+  value-optimal split of each column is the ``routing.spq`` fill in
+  descending bid order.
 * resampling rebates -- each bid is randomly perturbed downward with
   probability ``mu`` before routing; buyers pay bid * bytes, and perturbed
   buyers get a rebate of bytes * (bid - reserve) / mu.  The rebate makes
@@ -22,19 +26,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from bandshare.routing import EpochRequest, allocate_fq
+from bandshare.routing import spq
 
 __all__ = [
     "BidRecord",
     "MeanCI",
     "PaymentOutcome",
     "bks_settle",
-    "expected_bks_payment",
-    "fixed_price_eligibility",
     "fixed_price_settle",
     "resample_bid",
     "summarize",
@@ -78,22 +80,20 @@ class PaymentOutcome:
         return self.gross - self.rebate
 
 
-def perturbed_bid_value(b: float, r: float, mu: float, gamma: float) -> float:
-    """The downward perturbation map: r + (b - r) * gamma^(1/(1-mu)).
-
-    With r = 0 this degrades gracefully to b * gamma^(1/(1-mu)).
-    """
-    return r + (b - r) * gamma ** (1.0 / (1.0 - mu))
-
-
 def resample_bid(
-    buyer_id: str, b: float, r: float, mu: float, rng: np.random.Generator
+    buyer_id: str,
+    b: float,
+    r: float,
+    mu: float,
+    rng: np.random.Generator,
+    force: Optional[bool] = None,
 ) -> BidRecord:
     """Perturb a bid downward with probability ``mu``.
 
     Draws the coin and gamma unconditionally (two uniforms per call) so that
     replays against a fixed stream stay aligned across counterfactual bid
-    values.
+    values.  ``force`` pins the coin's outcome while keeping both draws
+    (Rao-Blackwellized estimators rely on this).
     """
     if not 0 <= r <= b:
         raise ValueError(f"need 0 <= reserve <= bid, got r={r}, b={b}")
@@ -101,9 +101,9 @@ def resample_bid(
         raise ValueError(f"mu must be in (0, 1), got {mu}")
     coin = rng.random()
     gamma = rng.random()
-    if coin >= mu:
+    if not (coin < mu if force is None else force):
         return BidRecord(buyer_id, b, b, False, r, mu)
-    return BidRecord(buyer_id, b, perturbed_bid_value(b, r, mu, gamma), True, r, mu)
+    return BidRecord(buyer_id, b, r + (b - r) * gamma ** (1.0 / (1.0 - mu)), True, r, mu)
 
 
 def bks_settle(record: BidRecord, x: float) -> PaymentOutcome:
@@ -119,65 +119,26 @@ def bks_settle(record: BidRecord, x: float) -> PaymentOutcome:
     return PaymentOutcome(record.buyer_id, x, gross, rebate)
 
 
-def _greedy_value_allocation(
-    bids: Mapping[str, float], demands: Mapping[str, float], c: float
-) -> Dict[str, float]:
-    """Value-maximal within-epoch split: fill in descending bid order.
+def vmm_epoch_charges(demand: np.ndarray, bids: Sequence[float], c: float) -> np.ndarray:
+    """Each buyer's per-epoch VCG externality charges, summed over the epochs.
 
-    Valid as an optimum because values are linear per KB under a single
-    capacity constraint.  Buyers tied at the marginal bid share the leftover
-    capacity max-min fairly, keeping the result deterministic.
+    ``demand`` is the (n, T) matrix of presented demand.  In every epoch
+    column, charge_i = (others' value in the value-optimal split without i)
+                     - (others' value in the value-optimal split with i).
     """
-    grants = {b: 0.0 for b in bids}
-    remaining = c
-    for bid_value in sorted(set(bids.values()), reverse=True):
-        group = [b for b, v in bids.items() if v == bid_value]
-        group_demand = sum(demands[b] for b in group)
-        if group_demand <= remaining:
-            for b in group:
-                grants[b] = demands[b]
-            remaining -= group_demand
-        else:
-            # Equal shares capped at demand, spare redistributed within the tie.
-            reqs = [EpochRequest(b, demands[b]) for b in group]
-            grants.update(allocate_fq(reqs, remaining))
-            remaining = 0.0
-        if remaining <= 0:
-            break
-    return grants
-
-
-def vmm_epoch_charges(
-    bids: Mapping[str, float], demands: Mapping[str, float], c: float
-) -> Dict[str, float]:
-    """Per-epoch VCG externality charge for every buyer.
-
-    charge_i = (others' value in the optimal split without i)
-             - (others' value in the optimal split with i present).
-    """
-    if c < 0:
-        raise ValueError(f"capacity must be >= 0, got {c}")
-    if set(bids) != set(demands):
-        raise ValueError("bids and demands must cover the same buyers")
-    base = _greedy_value_allocation(bids, demands, c)
-    charges = {}
-    for i in bids:
-        others_with_i = sum(bids[j] * base[j] for j in bids if j != i)
-        without = _greedy_value_allocation(
-            {j: v for j, v in bids.items() if j != i},
-            {j: v for j, v in demands.items() if j != i},
-            c,
-        )
-        others_without_i = sum(bids[j] * without[j] for j in without)
-        charges[i] = max(0.0, others_without_i - others_with_i)
+    demand = np.asarray(demand, dtype=float)
+    bids = np.asarray(bids, dtype=float)
+    n = len(bids)
+    if demand.shape[0] != n:
+        raise ValueError(f"{n} bids for {demand.shape[0]} demand rows")
+    values = bids[:, None] * spq(demand, bids, c)
+    charges = np.zeros(n)
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        v_without = (bids[others, None] * spq(demand[others], bids[others], c)).sum(axis=0)
+        v_with = values[others].sum(axis=0)
+        charges[i] = np.maximum(0.0, v_without - v_with).sum()
     return charges
-
-
-def fixed_price_eligibility(bids: Mapping[str, float], p: float) -> set[str]:
-    """Buyers bidding at or above the posted price."""
-    if p < 0:
-        raise ValueError(f"posted price must be >= 0, got {p}")
-    return {b for b, v in bids.items() if v >= p}
 
 
 def fixed_price_settle(x: float, p: float) -> float:
@@ -211,21 +172,3 @@ def summarize(samples: Sequence[float]) -> MeanCI:
         return MeanCI(mean, mean, mean, 1)
     half = _Z95 * float(arr.std(ddof=1)) / math.sqrt(n)
     return MeanCI(mean, mean - half, mean + half, n)
-
-
-def expected_bks_payment(
-    run: Callable[[int], Mapping[str, float]], n_samples: int, seed: int
-) -> Dict[str, MeanCI]:
-    """Monte Carlo mean net payment per buyer over independent seeded runs.
-
-    ``run(seed)`` executes one full mechanism round and returns the net
-    payment per buyer.  Missing buyers in a run count as 0.
-    """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=n_samples)
-    results = [run(int(s)) for s in seeds]
-    buyers = sorted({b for r in results for b in r})
-    return {
-        b: summarize([float(r.get(b, 0.0)) for r in results]) for b in buyers
-    }

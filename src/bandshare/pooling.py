@@ -24,7 +24,6 @@ __all__ = [
     "LedgerRow",
     "PoolSettlement",
     "SellerLedger",
-    "seller_credit",
     "settle_pool",
     "tax_admissibility_estimate",
 ]
@@ -74,11 +73,6 @@ class SellerLedger:
     def buyer_payments(self) -> float:
         """Total net payments collected from this seller's buyers."""
         return sum(r.bid * r.bytes - r.rebate for r in self.rows)
-
-
-def seller_credit(ledger: SellerLedger) -> float:
-    """First-price credit at the perturbed bids: sum bytes * perturbed_bid."""
-    return sum(r.bytes * r.perturbed_bid for r in ledger.rows)
 
 
 def merge_ledgers(ledgers: Sequence[SellerLedger]) -> SellerLedger:

@@ -1,116 +1,86 @@
-"""Per-epoch capacity allocation policies.
+"""Capacity allocation kernels, one per routing policy.
 
-All three policies take the demands buyers present to the router in one epoch
-and split the router's capacity ``c`` (KB) among them:
+Each kernel takes an (n, T) matrix of the demands n buyers present in T
+epochs and splits each epoch column's capacity ``c`` (KB; a scalar, or one
+value per column) among the rows:
 
-* FIFO  -- proportional to within-epoch demand (the flow-level stand-in for a
-  first-in-first-out queue),
-* FQ    -- max-min fair sharing with recursive redistribution of unused shares,
-* SPQ   -- strict priority by key (highest first), random tie-break.
+* ``proportional`` -- FIFO: proportional to within-epoch demand (the
+  flow-level stand-in for a first-in-first-out queue),
+* ``maxmin``       -- FQ: max-min fair sharing (progressive filling),
+* ``spq``          -- strict priority by key, highest first; rows with equal
+  keys share what is left max-min fairly.
 
-Grants are real-valued KB; every policy is work-conserving, never grants more
-than demand, and never exceeds ``c`` in total.
+The ``spq`` split of capacity in descending bid order is also the
+value-optimal one, so VCG charges and the offline optimum use it too.
+Grants are real-valued KB; every kernel is work-conserving, never grants more
+than demand, and never exceeds the capacity of a column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Sequence
+import itertools
+from typing import Sequence, Union
 
 import numpy as np
 
-__all__ = [
-    "EpochAllocation",
-    "EpochRequest",
-    "allocate_fifo",
-    "allocate_fq",
-    "allocate_spq",
-]
+__all__ = ["maxmin", "proportional", "spq"]
 
-# One epoch's outcome: buyer id -> granted capacity (KB).  Every policy
-# guarantees grants >= 0, grants <= demand, total <= capacity, and full
-# service whenever total demand fits.
-EpochAllocation = Dict[str, float]
-
-# Numeric floor for the FQ water-filling loop (KB).
-_FQ_EPS = 1e-9
+Capacity = Union[float, np.ndarray]
 
 
-@dataclass(frozen=True)
-class EpochRequest:
-    """What one buyer offers the router this epoch.
+def _capacity(c: Capacity, T: int) -> np.ndarray:
+    """A fresh per-column copy of the capacity; negative capacity is rejected."""
+    if isinstance(c, (int, float)):
+        if c < 0:
+            raise ValueError(f"capacity must be >= 0, got {c}")
+        return np.full(T, float(c))
+    remaining = np.array(c, dtype=float)
+    if remaining.shape != (T,) or (remaining < 0).any():
+        raise ValueError(f"need {T} capacities >= 0, got {c}")
+    return remaining
 
-    ``priority`` is the key SPQ sorts on (the perturbed bid under resampling
-    mechanisms); FIFO and FQ ignore it.
+
+def proportional(demand: np.ndarray, c: Capacity) -> np.ndarray:
+    """Scale each over-demanded column down to its capacity."""
+    demand = np.asarray(demand, dtype=float)
+    cap = _capacity(c, demand.shape[1])
+    total = demand.sum(axis=0)
+    return demand * np.where(total > cap, cap / np.maximum(total, 1e-300), 1.0)
+
+
+def maxmin(demand: np.ndarray, c: Capacity) -> np.ndarray:
+    """Max-min fair split of each column.
+
+    Rows are served in ascending order of demand, each getting the smaller of
+    its demand and an equal share of what is left.
     """
-
-    buyer_id: str
-    demand: float
-    priority: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.demand < 0:
-            raise ValueError(f"presented demand must be >= 0, got {self.demand}")
-
-
-def allocate_fifo(requests: Sequence[EpochRequest], c: float) -> EpochAllocation:
-    """Split capacity proportionally to presented demand."""
-    if c < 0:
-        raise ValueError(f"capacity must be >= 0, got {c}")
-    total = sum(r.demand for r in requests)
-    if total <= c:
-        return {r.buyer_id: r.demand for r in requests}
-    return {r.buyer_id: c * r.demand / total for r in requests}
-
-
-def allocate_fq(requests: Sequence[EpochRequest], c: float) -> EpochAllocation:
-    """Max-min fair split: equal shares, unused capacity redistributed.
-
-    Repeatedly gives every unsatisfied buyer an equal share of the remaining
-    capacity, capped at her leftover demand, until everyone is satisfied or
-    the remainder falls below the numeric floor.  Each round saturates at
-    least one buyer (or exhausts capacity), so the loop is finite and the
-    result is the exact max-min fair allocation.
-    """
-    if c < 0:
-        raise ValueError(f"capacity must be >= 0, got {c}")
-    grants = {r.buyer_id: 0.0 for r in requests}
-    need = {r.buyer_id: r.demand for r in requests}
-    remaining = c
-    unsatisfied = [r.buyer_id for r in requests if need[r.buyer_id] > 0]
-    while unsatisfied and remaining > _FQ_EPS:
-        share = remaining / len(unsatisfied)
-        still = []
-        for bid in unsatisfied:
-            take = min(share, need[bid])
-            grants[bid] += take
-            need[bid] -= take
-            remaining -= take
-            if need[bid] > _FQ_EPS:
-                still.append(bid)
-        if len(still) == len(unsatisfied):
-            break  # nobody saturated: all took the full share, capacity is gone
-        unsatisfied = still
+    demand = np.asarray(demand, dtype=float)
+    n, T = demand.shape
+    remaining = _capacity(c, T)
+    order = np.argsort(demand, axis=0, kind="stable")
+    sorted_d = np.take_along_axis(demand, order, axis=0)
+    grants_sorted = np.empty_like(sorted_d)
+    for k in range(n):
+        take = np.minimum(sorted_d[k], remaining / (n - k))
+        grants_sorted[k] = take
+        remaining -= take
+    grants = np.empty_like(demand)
+    np.put_along_axis(grants, order, grants_sorted, axis=0)
     return grants
 
 
-def allocate_spq(
-    requests: Sequence[EpochRequest], c: float, rng: np.random.Generator
-) -> EpochAllocation:
-    """Serve buyers in descending priority order, each up to her demand.
-
-    Exact priority ties are broken by a uniformly random permutation drawn
-    from ``rng``; one draw is consumed per request, in request order, so
-    replays with a fixed stream stay aligned across counterfactual bids.
-    """
-    if c < 0:
-        raise ValueError(f"capacity must be >= 0, got {c}")
-    tiebreak = rng.random(len(requests))
-    order = sorted(range(len(requests)), key=lambda i: (-requests[i].priority, tiebreak[i]))
-    grants = {}
-    remaining = c
-    for i in order:
-        take = min(remaining, requests[i].demand)
-        grants[requests[i].buyer_id] = take
+def spq(demand: np.ndarray, keys: Sequence[float], c: Capacity) -> np.ndarray:
+    """Strict-priority fill of each column in descending key order."""
+    demand = np.asarray(demand, dtype=float)
+    grants = np.empty_like(demand)
+    remaining = _capacity(c, demand.shape[1])
+    order = sorted(range(len(keys)), key=lambda i: -keys[i])
+    for _, tied in itertools.groupby(order, key=keys.__getitem__):
+        rows = list(tied)
+        if len(rows) == 1:
+            take = grants[rows[0]] = np.minimum(remaining, demand[rows[0]])
+        else:
+            grants[rows] = maxmin(demand[rows], remaining)
+            take = np.minimum(grants[rows].sum(axis=0), remaining)
         remaining -= take
     return grants

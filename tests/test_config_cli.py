@@ -106,10 +106,16 @@ class TestParsing:
 
     def test_pool_block(self):
         doc = copy.deepcopy(MINI_DOC)
-        doc["pool"] = {"sellers": 4, "trials": 5, "sessions_per_seller": 2}
+        doc["pool"] = {"sellers": 4, "sessions_per_seller": 2}
         cfg = parse_config(doc)
         assert cfg.pool.total_sellers == 4
         assert cfg.pool.sessions_per_seller == 2
+
+    def test_pool_trials_key_rejected(self):
+        doc = copy.deepcopy(MINI_DOC)
+        doc["pool"] = {"sellers": 4, "trials": 5}
+        with pytest.raises(ConfigError, match="trials"):
+            parse_config(doc)
 
 
 class TestCli:
@@ -200,7 +206,7 @@ class TestCli:
 
     def test_pool_command(self, tmp_path):
         doc = copy.deepcopy(MINI_DOC)
-        doc["pool"] = {"sellers": 6, "trials": 3, "sessions_per_seller": 2}
+        doc["pool"] = {"sellers": 6, "sessions_per_seller": 2}
         config = write_config(tmp_path, doc)
         out = tmp_path / "o"
         code = self.run_cli("pool", "--config", config, "--out-dir", str(out))

@@ -2,18 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.optimize import linprog
 
+from bandshare.demand import DemandSpec
+from bandshare.engine import BuyerSpec, Scenario, run_session
 from bandshare.payments import (
     BidRecord,
     bks_settle,
-    expected_bks_payment,
-    fixed_price_eligibility,
     fixed_price_settle,
     resample_bid,
     summarize,
     vmm_epoch_charges,
 )
+from bandshare.routing import spq
 
 
 class ScriptedRng:
@@ -78,6 +82,15 @@ class TestResampleBid:
         rec = resample_bid("b", 10, 0, 0.2, rng)
         assert rec.resampled and len(rng.values) == 0
 
+    def test_force_pins_coin_and_keeps_draws(self):
+        rng = ScriptedRng([0.9, 0.5, 0.0, 0.5])
+        forced = resample_bid("b", 10, 2, 0.2, rng, force=True)
+        assert forced.resampled
+        assert forced.perturbed_bid == pytest.approx(2 + 8 * 0.5 ** 1.25)
+        kept = resample_bid("b", 10, 2, 0.2, rng, force=False)
+        assert not kept.resampled and kept.perturbed_bid == 10
+        assert len(rng.values) == 0
+
 
 class TestBksSettle:
     def test_resampled_rebate(self):
@@ -104,48 +117,108 @@ class TestBksSettle:
             BidRecord("b", 5, 4, False, 2, 0.2)  # kept but changed
 
 
+def lp_value(bids, demands, c):
+    """Value-optimal split of one epoch by linear programming: (value, grants)."""
+    if len(bids) == 0:
+        return 0.0, np.zeros(0)
+    res = linprog(
+        -np.asarray(bids),
+        A_ub=np.ones((1, len(bids))),
+        b_ub=[c],
+        bounds=[(0.0, d) for d in demands],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return -res.fun, res.x
+
+
 class TestVmmEpochCharges:
     def test_displaced_packet_charged_at_loser_value(self):
-        charges = vmm_epoch_charges({"a": 3, "b": 2}, {"a": 1, "b": 1}, 1)
-        assert charges == {"a": 2.0, "b": 0.0}
+        charges = vmm_epoch_charges([[1], [1]], [3, 2], 1)
+        assert list(charges) == [2.0, 0.0]
 
     def test_single_buyer_no_externality(self):
-        assert vmm_epoch_charges({"a": 3}, {"a": 17}, 5) == {"a": 0.0}
+        assert list(vmm_epoch_charges([[17]], [3], 5)) == [0.0]
 
     def test_capacity_for_all_no_charges(self):
-        charges = vmm_epoch_charges({"a": 3, "b": 2}, {"a": 1, "b": 1}, 2)
-        assert charges == {"a": 0.0, "b": 0.0}
+        assert list(vmm_epoch_charges([[1], [1]], [3, 2], 2)) == [0.0, 0.0]
+
+    def test_charges_summed_over_epochs(self):
+        # Epoch 1 displaces b's packet, epoch 2 has room for both, and in
+        # epoch 3 b presents nothing.
+        charges = vmm_epoch_charges([[1, 1, 1], [1, 0.5, 0]], [3, 2], [1, 2, 1])
+        assert list(charges) == [2.0, 0.0]
 
     def test_charges_bounded_by_bid_times_grant(self):
         rng = np.random.default_rng(17)
         for _ in range(300):
-            n = int(rng.integers(1, 6))
-            bids = {f"b{i}": float(rng.uniform(0, 10)) for i in range(n)}
-            demands = {f"b{i}": float(rng.uniform(0, 20)) for i in range(n)}
+            n, T = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            bids = rng.uniform(0, 10, size=n)
+            demand = rng.uniform(0, 20, size=(n, T))
             c = float(rng.uniform(0.1, 40))
-            charges = vmm_epoch_charges(bids, demands, c)
-            # Recompute the value-optimal split it charges against.
-            from bandshare.payments import _greedy_value_allocation
-
-            base = _greedy_value_allocation(bids, demands, c)
-            for b in bids:
-                assert charges[b] >= 0
-                assert charges[b] <= bids[b] * base[b] + 1e-9
+            charges = vmm_epoch_charges(demand, bids, c)
+            # The value-optimal split it charges against.
+            value = bids * spq(demand, bids, c).sum(axis=1)
+            assert np.all(charges >= 0)
+            assert np.all(charges <= value + 1e-9)
 
     def test_tied_bids_share_marginal_capacity(self):
         # Two equal bids competing for one unit: each gets half, and each is
         # charged the value the other loses (1 * tied bid / 2).
-        charges = vmm_epoch_charges({"a": 2, "b": 2}, {"a": 1, "b": 1}, 1)
-        assert charges["a"] == pytest.approx(1.0)
-        assert charges["b"] == pytest.approx(1.0)
+        charges = vmm_epoch_charges([[1], [1]], [2, 2], 1)
+        assert list(charges) == pytest.approx([1.0, 1.0])
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_vmm_charges_match_lp_oracle(data):
+    """Per epoch, charge_i = OPT(without i) - (OPT - b_i x_i) for distinct bids,
+    with every optimum solved as a linear program."""
+    n = data.draw(st.integers(1, 5))
+    T = data.draw(st.integers(1, 4))
+    bids = data.draw(st.lists(st.floats(0.5, 10), min_size=n, max_size=n, unique=True))
+    demand = np.array(
+        data.draw(st.lists(st.lists(st.floats(0, 20), min_size=T, max_size=T),
+                           min_size=n, max_size=n))
+    )
+    c = data.draw(st.floats(0.1, 40))
+    expected = np.zeros(n)
+    for t in range(T):
+        opt, x = lp_value(bids, demand[:, t], c)
+        for i in range(n):
+            others = [j for j in range(n) if j != i]
+            without, _ = lp_value([bids[j] for j in others], demand[others, t], c)
+            expected[i] += without - (opt - bids[i] * x[i])
+    charges = vmm_epoch_charges(demand, bids, c)
+    assert charges == pytest.approx(expected, rel=1e-6, abs=1e-6)
+
+
+def fixed_price_scenario(price):
+    """Three buyers with room for all; only bids at or above the price take part."""
+    return Scenario(
+        buyers=tuple(
+            BuyerSpec(b, v, DemandSpec.constant(1.0), 1, 5)
+            for b, v in (("a", 10.0), ("b", 4.0), ("c", 1.0))
+        ),
+        capacity=10.0,
+        mechanism="fixed",
+        price=price,
+        horizon=5,
+    )
+
+
+def served(outcome):
+    return {b for b, x in outcome.bytes.items() if x > 0}
 
 
 class TestFixedPrice:
     def test_eligibility_all(self):
-        assert fixed_price_eligibility({"a": 10, "b": 4, "c": 1}, 1) == {"a", "b", "c"}
+        assert served(run_session(fixed_price_scenario(1.0), seed=0)) == {"a", "b", "c"}
 
     def test_eligibility_threshold(self):
-        assert fixed_price_eligibility({"a": 10, "b": 4, "c": 1}, 2) == {"a", "b"}
+        out = run_session(fixed_price_scenario(2.0), seed=0)
+        assert served(out) == {"a", "b"}
+        assert out.payments["a"].net == 2.0 * 5
 
     def test_linear_settle(self):
         assert fixed_price_settle(100, 1) == 100
@@ -157,24 +230,18 @@ class TestExpectedBksPayment:
         """With no competition and r = 0, allocation is bid-independent, so the
         rebate exactly cancels the gross charge in expectation."""
         mu, b, x = 0.2, 3.0, 50.0
-
-        def run(seed):
-            rng = np.random.default_rng(seed)
-            rec = resample_bid("solo", b, 0.0, mu, rng)
-            return {"solo": bks_settle(rec, x).net}
-
-        stats_by_buyer = expected_bks_payment(run, 40_000, seed=7)
-        ci = stats_by_buyer["solo"]
+        seeds = np.random.default_rng(7).integers(0, 2**63 - 1, size=40_000)
+        ci = summarize([
+            bks_settle(resample_bid("solo", b, 0.0, mu, np.random.default_rng(int(s))), x).net
+            for s in seeds
+        ])
         assert ci.ci_low <= 0.0 <= ci.ci_high
         assert abs(ci.mean) < 3 * ci.half_width + 1e-9
 
     def test_degenerate_no_resampling_pays_bid(self):
-        def run(seed):
-            rec = BidRecord("solo", 3, 3, False, 0, 0.2)
-            return {"solo": bks_settle(rec, 10).net}
-
-        out = expected_bks_payment(run, 5, seed=1)
-        assert out["solo"].mean == 30 and out["solo"].half_width == 0
+        rec = BidRecord("solo", 3, 3, False, 0, 0.2)
+        ci = summarize([bks_settle(rec, 10).net for _ in range(5)])
+        assert ci.mean == 30 and ci.half_width == 0
 
     def test_summarize(self):
         ci = summarize([1.0, 2.0, 3.0])

@@ -9,7 +9,6 @@ from bandshare.pooling import (
     LedgerRow,
     SellerLedger,
     bootstrap_sampler,
-    seller_credit,
     settle_pool,
     tax_admissibility_estimate,
 )
@@ -20,16 +19,23 @@ def ledger(seller_id, reserve, rows):
 
 
 class TestSellerCredit:
+    """A seller's first-price credit, bytes * perturbed bid, splits into the
+    untaxed reserve revenue and the taxable credit above the reserve."""
+
+    def credit(self, led):
+        return led.reserve_revenue() + led.credit_above_reserve()
+
     def test_single_row(self):
-        led = ledger("s", 0, [("b", 100, 6, 5, 0)])
-        assert seller_credit(led) == 500
+        led = ledger("s", 2, [("b", 100, 6, 5, 0)])
+        assert led.reserve_revenue() == 200
+        assert led.credit_above_reserve() == 300
 
     def test_empty(self):
-        assert seller_credit(ledger("s", 0, [])) == 0
+        assert self.credit(ledger("s", 0, [])) == 0
 
     def test_sum_of_products(self):
         led = ledger("s", 0, [("b1", 100, 6, 5, 0), ("b2", 50, 4, 3, 0)])
-        assert seller_credit(led) == 650
+        assert self.credit(led) == 650
 
 
 class TestSettlePool:

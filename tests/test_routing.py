@@ -1,104 +1,94 @@
-"""Routing policy tests: worked examples plus feasibility/fairness properties."""
+"""Allocation kernel tests: worked examples plus feasibility/fairness properties."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandshare.routing import EpochRequest, allocate_fifo, allocate_fq, allocate_spq
+from bandshare.routing import maxmin, proportional, spq
 
 
-def reqs(demands, priorities=None):
-    priorities = priorities or [0.0] * len(demands)
-    return [
-        EpochRequest(f"b{i}", d, p) for i, (d, p) in enumerate(zip(demands, priorities))
-    ]
+def column(demands):
+    """One epoch's demands as an (n, 1) matrix."""
+    return np.asarray(demands, dtype=float)[:, None]
+
+
+def grants_of(matrix):
+    return list(matrix[:, 0])
 
 
 class TestFifo:
     def test_proportional_split(self):
-        grants = allocate_fifo(reqs([10, 30]), 20)
-        assert grants == {"b0": 5.0, "b1": 15.0}
+        assert grants_of(proportional(column([10, 30]), 20)) == [5.0, 15.0]
 
     def test_under_capacity(self):
-        assert allocate_fifo(reqs([10, 5]), 100) == {"b0": 10, "b1": 5}
+        assert grants_of(proportional(column([10, 5]), 100)) == [10.0, 5.0]
 
     def test_zero_demand(self):
-        assert allocate_fifo(reqs([0, 0]), 20) == {"b0": 0, "b1": 0}
+        assert grants_of(proportional(column([0, 0]), 20)) == [0.0, 0.0]
 
 
 class TestFq:
     def test_water_filling(self):
-        grants = allocate_fq(reqs([5, 20, 20]), 30)
-        assert grants["b0"] == pytest.approx(5)
-        assert grants["b1"] == pytest.approx(12.5)
-        assert grants["b2"] == pytest.approx(12.5)
+        grants = grants_of(maxmin(column([5, 20, 20]), 30))
+        assert grants == pytest.approx([5, 12.5, 12.5])
 
     def test_equal_saturation(self):
-        grants = allocate_fq(reqs([40, 40, 40]), 30)
-        assert all(g == pytest.approx(10) for g in grants.values())
+        grants = grants_of(maxmin(column([40, 40, 40]), 30))
+        assert grants == pytest.approx([10, 10, 10])
 
     def test_under_capacity(self):
-        assert allocate_fq(reqs([1, 2, 3]), 30) == {"b0": 1, "b1": 2, "b2": 3}
+        assert grants_of(maxmin(column([1, 2, 3]), 30)) == [1.0, 2.0, 3.0]
 
     def test_matches_sorted_progressive_filling(self):
-        # Independent max-min construction: fill in ascending-demand order,
-        # each buyer getting min(demand, remaining / buyers left).
+        # Independent max-min construction, one column at a time: fill in
+        # ascending-demand order, each buyer getting min(demand, remaining /
+        # buyers left).  Columns carry their own capacities.
         rng = np.random.default_rng(1)
         for _ in range(200):
-            n = int(rng.integers(1, 7))
-            demands = rng.uniform(0, 20, size=n)
-            c = float(rng.uniform(0, 40))
-            grants = allocate_fq(reqs(list(demands)), c)
-            order = np.argsort(demands)
-            remaining = c
-            expected = {}
-            for k, i in enumerate(order):
-                share = remaining / (n - k)
-                g = min(demands[i], share)
-                expected[f"b{i}"] = g
-                remaining -= g
-            for b, g in expected.items():
-                assert grants[b] == pytest.approx(g, abs=1e-9)
+            n, T = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+            demand = rng.uniform(0, 20, size=(n, T))
+            c = rng.uniform(0, 40, size=T)
+            grants = maxmin(demand, c)
+            for t in range(T):
+                remaining = c[t]
+                for k, i in enumerate(np.argsort(demand[:, t])):
+                    g = min(demand[i, t], remaining / (n - k))
+                    assert grants[i, t] == pytest.approx(g, abs=1e-9)
+                    remaining -= g
 
 
 class TestSpq:
     def test_highest_bid_first(self):
-        grants = allocate_spq(
-            reqs([1, 1], priorities=[3, 2]), 1, np.random.default_rng(0)
-        )
-        assert grants == {"b0": 1.0, "b1": 0.0}
+        assert grants_of(spq(column([1, 1]), [3, 2], 1)) == [1.0, 0.0]
 
     def test_greedy_fill_in_bid_order(self):
-        grants = allocate_spq(
-            reqs([10, 10, 30], priorities=[3, 2, 1]), 25, np.random.default_rng(0)
-        )
-        assert grants == {"b0": 10.0, "b1": 10.0, "b2": 5.0}
+        assert grants_of(spq(column([10, 10, 30]), [3, 2, 1], 25)) == [10.0, 10.0, 5.0]
 
-    def test_tie_break_is_uniform(self):
-        wins = 0
-        trials = 4000
-        for seed in range(trials):
-            grants = allocate_spq(
-                reqs([10, 10], priorities=[2, 2]), 10, np.random.default_rng(seed)
-            )
-            assert sorted(grants.values()) == [0.0, 10.0]
-            wins += grants["b0"] == 10.0
-        assert abs(wins / trials - 0.5) < 0.03
+    def test_equal_keys_share_max_min_fairly(self):
+        # The top key is served first; the tied pair splits the remaining 20
+        # max-min fairly, so the small demand is met and the rest goes to
+        # the other; the lowest key gets nothing.
+        grants = grants_of(spq(column([10, 4, 30, 5]), [3, 2, 2, 1], 30))
+        assert grants == pytest.approx([10, 4, 16, 0])
+
+    def test_per_column_capacity(self):
+        grants = spq(np.array([[3.0, 3.0], [3.0, 3.0]]), [2, 1], np.array([4.0, 2.0]))
+        np.testing.assert_array_equal(grants, [[3.0, 2.0], [1.0, 0.0]])
 
     def test_monotone_in_priority_per_epoch(self):
         # Raising one buyer's key weakly raises her grant, everything else fixed.
         rng = np.random.default_rng(5)
         for _ in range(300):
             n = int(rng.integers(2, 6))
-            demands = list(rng.uniform(0, 15, size=n))
+            demand = rng.uniform(0, 15, size=(n, 1))
             pri = list(rng.uniform(0, 10, size=n))
             c = float(rng.uniform(0, 30))
-            lo = allocate_spq(reqs(demands, pri), c, np.random.default_rng(0))
+            lo = spq(demand, pri, c)
             pri_hi = list(pri)
             pri_hi[0] += rng.uniform(0.01, 5)
-            hi = allocate_spq(reqs(demands, pri_hi), c, np.random.default_rng(0))
-            assert hi["b0"] >= lo["b0"] - 1e-12
+            hi = spq(demand, pri_hi, c)
+            assert hi[0, 0] >= lo[0, 0] - 1e-12
 
 
 @given(
@@ -109,27 +99,27 @@ class TestSpq:
 )
 @settings(max_examples=300, deadline=None)
 def test_allocation_invariants(demands, priorities, c, policy):
-    """Feasibility, demand capping, and work conservation for all policies."""
+    """Feasibility, demand capping, and work conservation for all kernels."""
     pri = priorities.draw(
         st.lists(
-            st.floats(0, 10), min_size=len(demands), max_size=len(demands)
+            st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0, 10),
+            min_size=len(demands),
+            max_size=len(demands),
         )
     )
-    requests = reqs(demands, pri)
     if policy == "fifo":
-        grants = allocate_fifo(requests, c)
+        grants = grants_of(proportional(column(demands), c))
     elif policy == "fq":
-        grants = allocate_fq(requests, c)
+        grants = grants_of(maxmin(column(demands), c))
     else:
-        grants = allocate_spq(requests, c, np.random.default_rng(0))
+        grants = grants_of(spq(column(demands), pri, c))
 
-    total = sum(grants.values())
+    total = sum(grants)
     assert total <= c + 1e-6
-    for r in requests:
-        assert -1e-12 <= grants[r.buyer_id] <= r.demand + 1e-9
+    for g, d in zip(grants, demands):
+        assert -1e-12 <= g <= d + 1e-9
     if sum(demands) <= c:
-        for r in requests:
-            assert grants[r.buyer_id] == pytest.approx(r.demand, abs=1e-9)
+        assert grants == pytest.approx(demands, abs=1e-9)
     else:
         # Work conservation: over-demanded capacity is fully used.
         assert total == pytest.approx(min(c, sum(demands)), abs=1e-6)
@@ -137,10 +127,10 @@ def test_allocation_invariants(demands, priorities, c, policy):
 
 def test_negative_inputs_rejected():
     with pytest.raises(ValueError):
-        EpochRequest("b", -1.0)
+        proportional(column([1.0]), -1)
     with pytest.raises(ValueError):
-        allocate_fifo([], -1)
+        maxmin(column([1.0]), -0.5)
     with pytest.raises(ValueError):
-        allocate_fq([], -0.5)
+        spq(column([1.0]), [0.0], -2)
     with pytest.raises(ValueError):
-        allocate_spq([], -2, np.random.default_rng(0))
+        maxmin(np.ones((1, 2)), np.array([1.0, -1.0]))
