@@ -70,7 +70,8 @@ def maxmin(demand: np.ndarray, c: Capacity) -> np.ndarray:
 
 
 def spq(demand: np.ndarray, keys: Sequence[float], c: Capacity) -> np.ndarray:
-    """Strict-priority fill of each column in descending key order."""
+    """Strict-priority fill of each column in descending key order; rows with
+    equal keys share what is left max-min fairly."""
     demand = np.asarray(demand, dtype=float)
     grants = np.empty_like(demand)
     remaining = _capacity(c, demand.shape[1])
