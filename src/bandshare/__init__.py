@@ -26,7 +26,9 @@ from bandshare.engine import (
     Scenario,
     SessionOutcome,
     offline_optimum,
+    replay,
     run_monte_carlo,
+    run_seeds,
     run_session,
     strategy_delay,
     strategy_greedy,

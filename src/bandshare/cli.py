@@ -24,19 +24,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from bandshare.config import (
-    ConfigError,
-    ExperimentConfig,
-    SweepConfig,
-    SWEEP_VARIABLES,
-    load_config,
-)
-from bandshare.engine import run_monte_carlo, run_session, build_ledger
+from bandshare.config import ConfigError, ExperimentConfig, SWEEP_VARIABLES, load_config
+from bandshare.engine import build_ledger, run_monte_carlo, run_seeds, run_session
 from bandshare.pooling import merge_ledgers, settle_pool
 from bandshare.verify import SUITES, run_suite
 
@@ -148,12 +142,18 @@ def _point_row(
 
 
 def _load(args) -> ExperimentConfig:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if getattr(args, "runs", None) is not None:
-        config = replace(config, runs=args.runs)
-    return config
+    """The config file with the command-line overrides, validated together."""
+    overrides = {"seed": args.seed, "runs": getattr(args, "runs", None)}
+    variable, values = getattr(args, "variable", None), getattr(args, "values", None)
+    if (variable is None) != (values is None):
+        raise ConfigError("--variable and --values must be given together")
+    if variable is not None:
+        try:
+            grid = [float(v) for v in values.split(",")]
+        except ValueError:
+            raise ConfigError(f"could not parse --values {values!r}") from None
+        overrides["sweep"] = {"variable": variable, "values": grid}
+    return load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
 
 
 def cmd_simulate(args) -> int:
@@ -167,10 +167,7 @@ def cmd_simulate(args) -> int:
 
     # Per-epoch trace of the first run under the first variant.
     scenario = config.scenario_for(config.variants[0])
-    first_seed = int(
-        np.random.default_rng(config.seed).integers(0, 2**63 - 1, size=1)[0]
-    )
-    outcome = run_session(scenario, first_seed)
+    outcome = run_session(scenario, run_seeds(config.seed, 1)[0])
     trace_path = os.path.join(args.out_dir, f"{config.experiment_id}_trace.csv")
     with open(trace_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -186,18 +183,6 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     config = _load(args)
     sweep = config.sweep
-    if args.variable is not None:
-        if args.variable not in SWEEP_VARIABLES:
-            raise ConfigError(
-                f"unknown sweep variable {args.variable!r}; one of {SWEEP_VARIABLES}"
-            )
-        if args.values is None:
-            raise ConfigError("--variable needs --values")
-        try:
-            values = tuple(float(v) for v in args.values.split(","))
-        except ValueError:
-            raise ConfigError(f"could not parse --values {args.values!r}") from None
-        sweep = SweepConfig(args.variable, values)
     if sweep is None:
         raise ConfigError(f"{args.config}: no sweep block and no --variable given")
 
@@ -238,7 +223,7 @@ def run_pool(config: ExperimentConfig) -> PoolRun:
             per_session = []
             unpooled = 0.0
             for _ in range(config.pool.sessions_per_seller):
-                outcome = run_session(ptype.scenario, int(rng.integers(0, 2**63 - 1)))
+                outcome = run_session(ptype.scenario, run_seeds(rng, 1)[0])
                 per_session.append(build_ledger(seller_id, outcome))
                 unpooled += outcome.seller_revenue
             ledgers.append(merge_ledgers(per_session))
@@ -319,10 +304,14 @@ def cmd_pool(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"need --seed >= 0, got {args.seed}")
     kwargs = {}
-    if args.runs is not None and args.suite == "truthfulness":
+    if args.suite == "truthfulness":
+        if args.runs < 2:
+            raise ConfigError(f"need --runs >= 2, got {args.runs}")
         kwargs["n_runs"] = args.runs
-    report = run_suite(args.suite, seed=args.seed or 0, **kwargs)
+    report = run_suite(args.suite, seed=args.seed, **kwargs)
     print(report.summary())
     for line in report.lines:
         print(line)
@@ -336,9 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="scenario config (YAML)")
+    def common(p, monte_carlo=True):
+        p.add_argument("--config", required=True, help="scenario config (YAML)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument(
             "--out-dir",
@@ -346,8 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"output directory (default: ${OUT_DIR_ENV} or ./out)",
         )
         p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--jobs", type=int, default=1, help="parallel sessions")
-        p.add_argument("--runs", type=int, default=None, help="override the run count")
+        if monte_carlo:
+            p.add_argument("--jobs", type=int, default=1, help="parallel sessions")
+            p.add_argument("--runs", type=int, default=None, help="override the run count")
         p.add_argument(
             "--budget", type=float, default=None, help="wall-clock budget in seconds"
         )
@@ -363,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_pool = sub.add_parser("pool", help="run and settle a multi-seller pool")
-    common(p_pool)
+    common(p_pool, monte_carlo=False)
     p_pool.set_defaults(func=cmd_pool)
 
     p_verify = sub.add_parser("verify", help="run a property suite")

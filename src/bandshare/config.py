@@ -14,6 +14,7 @@ the offending entry.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, replace
 from typing import Any, List, Mapping, Optional, Sequence
 
@@ -70,6 +71,8 @@ def _check_keys(mapping: Mapping, allowed: Sequence[str], path: str) -> None:
 def _number(value: Any, path: str, minimum: Optional[float] = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _err(path, f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints too big for a float
+        raise _err(path, f"expected a finite number, got {value}")
     if minimum is not None and value < minimum:
         raise _err(path, f"must be >= {minimum}, got {value}")
     return float(value)
@@ -246,6 +249,24 @@ class ExperimentConfig:
         return variant.apply(self.scenario)
 
 
+def _parse_sweep(node: Any, path: str) -> SweepConfig:
+    _check_keys(node, ["variable", "values"], path)
+    variable = _require(node, "variable", path)
+    if variable not in SWEEP_VARIABLES:
+        raise _err(
+            f"{path}.variable",
+            f"unknown sweep variable {variable!r}; one of {SWEEP_VARIABLES}",
+        )
+    values = _require(node, "values", path)
+    if not isinstance(values, list) or not values:
+        raise _err(f"{path}.values", "expected a nonempty list of numbers")
+    minimum = 1e-12 if variable == "capacity" else (1e-9 if variable == "mu" else 0.0)
+    parsed = tuple(_number(v, f"{path}.values[{i}]", minimum) for i, v in enumerate(values))
+    if variable == "mu" and any(v >= 1 for v in parsed):
+        raise _err(f"{path}.values", "mu values must be in (0, 1)")
+    return SweepConfig(variable, parsed)
+
+
 _TOP_KEYS = [
     "experiment",
     "seed",
@@ -309,6 +330,8 @@ def parse_config(doc: Any, source: str = "<config>") -> ExperimentConfig:
             horizon=horizon,
             hybrid=hybrid,
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise _err(source, str(exc)) from exc
 
@@ -350,24 +373,7 @@ def parse_config(doc: Any, source: str = "<config>") -> ExperimentConfig:
 
     sweep = None
     if doc.get("sweep") is not None:
-        spath = f"{source}.sweep"
-        _check_keys(doc["sweep"], ["variable", "values"], spath)
-        variable = _require(doc["sweep"], "variable", spath)
-        if variable not in SWEEP_VARIABLES:
-            raise _err(
-                f"{spath}.variable",
-                f"unknown sweep variable {variable!r}; one of {SWEEP_VARIABLES}",
-            )
-        values = _require(doc["sweep"], "values", spath)
-        if not isinstance(values, list) or not values:
-            raise _err(f"{spath}.values", "expected a nonempty list of numbers")
-        minimum = 1e-12 if variable == "capacity" else (1e-9 if variable == "mu" else 0.0)
-        parsed = tuple(
-            _number(v, f"{spath}.values[{i}]", minimum) for i, v in enumerate(values)
-        )
-        if variable == "mu" and any(v >= 1 for v in parsed):
-            raise _err(f"{spath}.values", "mu values must be in (0, 1)")
-        sweep = SweepConfig(variable, parsed)
+        sweep = _parse_sweep(doc["sweep"], f"{source}.sweep")
 
     pool = None
     if doc.get("pool") is not None:
@@ -415,14 +421,19 @@ def parse_config(doc: Any, source: str = "<config>") -> ExperimentConfig:
         scenario=base,
         variants=tuple(variants),
         runs=_integer(doc.get("runs", 1), f"{source}.runs", 1),
-        seed=_integer(doc.get("seed", 0), f"{source}.seed"),
+        seed=_integer(doc.get("seed", 0), f"{source}.seed", 0),
         sweep=sweep,
         pool=pool,
         source=source,
     )
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, overrides: Optional[Mapping[str, Any]] = None) -> ExperimentConfig:
+    """Load and validate a config file.
+
+    ``overrides`` replaces top-level keys of the document before validation,
+    so values given on the command line meet the same checks as the file's.
+    """
     try:
         with open(path, "r") as fh:
             doc = yaml.safe_load(fh)
@@ -432,6 +443,8 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if doc is None:
         raise ConfigError(f"{path}: empty config")
+    if overrides and isinstance(doc, dict):
+        doc = {**doc, **overrides}
     return parse_config(doc, source=path)
 
 

@@ -3,9 +3,16 @@
 ``run_session`` plays out one seller's market for ``horizon`` epochs: buyers
 arrive and depart, query their demand realizations, push traffic through the
 configured routing policy, and settle payments under the configured mechanism.
-Sessions are deterministic given the master seed, which feeds independent
-named streams for demand draws, priority tie-breaks, and bid resampling, so a
-counterfactual bid sweep replays the exact same world.
+
+This module owns the random-number layout.  A session seed spawns three
+streams: demand (one realization seed per buyer, in scenario order), priority
+tie-breaks, and bid resampling (two uniforms per buyer, in scenario order,
+whatever the bids).  ``replay(scenario, seed)`` materializes that world once
+and returns ``session(bid_override=None, force_resample=None)``, which plays
+it under any counterfactual bids or pinned resampling coins; ``run_session``
+is ``replay(scenario, seed)(bid_override, force_resample)``.  A Monte Carlo
+over ``n`` runs from a master seed uses the session seeds ``run_seeds(seed,
+n)``.
 
 Memoryless scenarios with straightforward buyers and distinct priorities run
 through a vectorized path that applies the ``routing`` kernels to the whole
@@ -49,7 +56,9 @@ __all__ = [
     "Strategy",
     "build_ledger",
     "offline_optimum",
+    "replay",
     "run_monte_carlo",
+    "run_seeds",
     "run_session",
     "strategy_delay",
     "strategy_greedy",
@@ -59,9 +68,6 @@ __all__ = [
 
 ROUTING_POLICIES = ("spq", "fq", "fifo", "hybrid")
 MECHANISMS = ("bks", "vmm", "fixed")
-
-PadSchedule = Union[float, Callable[[int], float]]
-
 
 @dataclass(frozen=True)
 class Strategy:
@@ -81,36 +87,31 @@ class Strategy:
     """
 
     kind: str
-    pad: PadSchedule = 0.0
+    pad: float = 0.0  # KB per epoch
     delay_epochs: int = 0
     bid_factor: float = 1.0
 
-    def pad_at(self, t: int) -> float:
-        amount = self.pad(t) if callable(self.pad) else self.pad
-        if amount < 0:
-            raise ValueError(f"pad schedule must be nonnegative, got {amount} at t={t}")
-        return float(amount)
+    def __post_init__(self) -> None:
+        if self.pad < 0 or self.delay_epochs < 0 or self.bid_factor < 0:
+            raise ValueError(
+                "pad, delay and bid factor must be nonnegative, got "
+                f"{self.pad}, {self.delay_epochs}, {self.bid_factor}"
+            )
 
 
 def strategy_greedy() -> Strategy:
     return Strategy("greedy")
 
 
-def strategy_pad(pad: PadSchedule) -> Strategy:
-    if not callable(pad) and pad < 0:
-        raise ValueError("pad schedule must be nonnegative")
+def strategy_pad(pad: float) -> Strategy:
     return Strategy("pad", pad=pad)
 
 
 def strategy_delay(delay_epochs: int) -> Strategy:
-    if delay_epochs < 0:
-        raise ValueError("delay must be nonnegative")
     return Strategy("delay", delay_epochs=delay_epochs)
 
 
 def strategy_misreport(bid_factor: float) -> Strategy:
-    if bid_factor < 0:
-        raise ValueError("bid factor must be nonnegative")
     return Strategy("misreport", bid_factor=bid_factor)
 
 
@@ -213,20 +214,25 @@ class SessionOutcome:
     trace: np.ndarray  # (horizon, n) consumed KB per epoch, column order = buyer_ids
     mechanism: str
     reserve: float
-    efficiency: Optional[float] = None
 
 
-def _root_streams(seed: int) -> tuple[np.random.SeedSequence, ...]:
-    return tuple(np.random.SeedSequence(seed).spawn(3))  # demand, ties, resampling
+def run_seeds(seed: Union[int, np.random.Generator], n: int) -> List[int]:
+    """Session seeds of runs 0..n-1 of a Monte Carlo from master ``seed``.
+
+    A ``Generator`` is drawn from in place, so callers that share one stream
+    with other draws take their session seeds from it in turn.
+    """
+    return [int(s) for s in np.random.default_rng(seed).integers(0, 2**63 - 1, size=n)]
 
 
-def _materialize_demands(
-    scenario: Scenario, demand_ss: np.random.SeedSequence
-) -> List[DemandRealization]:
+def _world(
+    scenario: Scenario, seed: int
+) -> Tuple[List[DemandRealization], np.random.SeedSequence, np.random.SeedSequence]:
+    """Demand realizations, tie-break stream and resampling stream of ``seed``."""
+    demand_ss, tie_ss, resample_ss = np.random.SeedSequence(seed).spawn(3)
     seeds = demand_ss.generate_state(len(scenario.buyers), dtype=np.uint64)
-    return [
-        buyer.demand.realize(int(s)) for buyer, s in zip(scenario.buyers, seeds)
-    ]
+    realizations = [b.demand.realize(int(s)) for b, s in zip(scenario.buyers, seeds)]
+    return realizations, tie_ss, resample_ss
 
 
 def _bid_records(
@@ -310,38 +316,49 @@ def _can_vectorize(scenario: Scenario, realizations: Sequence[DemandRealization]
     return True
 
 
+def replay(scenario: Scenario, seed: int) -> Callable[..., SessionOutcome]:
+    """The world drawn from ``seed``, replayable under counterfactual bids.
+
+    Materializes the demand realizations once and returns
+    ``session(bid_override=None, force_resample=None)``.  ``bid_override``
+    replaces buyers' submitted bids and ``force_resample`` pins buyers'
+    resampling coins (keeping their draws); every call sees the same demand,
+    tie-break and resampling streams.  Each call takes the vector path when
+    the world allows it and the eligible routing keys are distinct, and the
+    epoch loop otherwise; the demand matrix of the vector path is built at
+    most once.
+    """
+    realizations, tie_ss, resample_ss = _world(scenario, seed)
+    vectorizable = _can_vectorize(scenario, realizations)
+    demand = None
+
+    def session(
+        bid_override: Optional[Mapping[str, float]] = None,
+        force_resample: Optional[Mapping[str, bool]] = None,
+    ) -> SessionOutcome:
+        nonlocal demand
+        records = _bid_records(scenario, resample_ss, bid_override, force_resample)
+        if vectorizable:
+            keys = [r.perturbed_bid for r in records.values() if _eligible(scenario, r.bid)]
+            if len(set(keys)) == len(keys):  # ties need the per-epoch tie-break loop
+                if demand is None:
+                    demand = _demand_matrix(scenario, realizations)
+                return _run_vectorized(scenario, demand, records)
+        return _run_loop(scenario, realizations, records, tie_ss)
+
+    return session
+
+
 def run_session(
     scenario: Scenario,
     seed: int,
     *,
     bid_override: Optional[Mapping[str, float]] = None,
     force_resample: Optional[Mapping[str, bool]] = None,
-    compute_efficiency: bool = False,
 ) -> SessionOutcome:
-    """Simulate one session.  Deterministic in (scenario, seed, overrides).
-
-    ``bid_override`` replaces a buyer's submitted bid (for counterfactual
-    sweeps against the same world); ``force_resample`` pins a buyer's
-    resampling coin.  With ``compute_efficiency`` the outcome carries
-    welfare / offline optimum for the same world (see
-    :func:`offline_optimum` for the oracle's limits).
-    """
-    demand_ss, tie_ss, resample_ss = _root_streams(seed)
-    realizations = _materialize_demands(scenario, demand_ss)
-    records = _bid_records(scenario, resample_ss, bid_override, force_resample)
-    outcome = None
-    if _can_vectorize(scenario, realizations):
-        priorities = [records[b.buyer_id].perturbed_bid for b in scenario.buyers]
-        elig = [_eligible(scenario, records[b.buyer_id].bid) for b in scenario.buyers]
-        keys = [p for p, e in zip(priorities, elig) if e]
-        if len(set(keys)) == len(keys):  # ties need the per-epoch tie-break loop
-            outcome = _run_vectorized(scenario, realizations, records)
-    if outcome is None:
-        outcome = _run_loop(scenario, realizations, records, tie_ss)
-    if compute_efficiency:
-        optimum = offline_optimum(scenario, seed)
-        outcome.efficiency = outcome.welfare / optimum if optimum > 0 else 1.0
-    return outcome
+    """Simulate one session.  Deterministic in (scenario, seed, overrides);
+    see :func:`replay` for the overrides."""
+    return replay(scenario, seed)(bid_override, force_resample)
 
 
 def _run_loop(
@@ -394,7 +411,7 @@ def _run_loop(
                 gen_history[i][t] = d
                 presented[i] = gen_history[i].get(t - strategies[i].delay_epochs, 0.0)
             elif kind == "pad":
-                presented[i] = d + strategies[i].pad_at(t)
+                presented[i] = d + strategies[i].pad
             else:
                 presented[i] = d
 
@@ -507,25 +524,18 @@ def _demand_matrix(
 
 
 def _run_vectorized(
-    scenario: Scenario,
-    realizations: Sequence[DemandRealization],
-    records: Dict[str, BidRecord],
-    demand_base: Optional[np.ndarray] = None,
+    scenario: Scenario, demand: np.ndarray, records: Dict[str, BidRecord]
 ) -> SessionOutcome:
     """Vector path: memoryless demand, greedy presentation, static priorities.
 
-    ``demand_base`` lets counterfactual sweeps reuse one demand matrix across
-    many bid configurations of the same world.
+    ``demand`` is the world's ``_demand_matrix``; it is left unchanged, so
+    counterfactual replays can share it.
     """
     buyers = scenario.buyers
-    n = len(buyers)
-    elig = [_eligible(scenario, records[b.buyer_id].bid) for b in buyers]
     priorities = [records[b.buyer_id].perturbed_bid for b in buyers]
-
-    demand = (demand_base if demand_base is not None else
-              _demand_matrix(scenario, realizations)).copy()
-    for i in range(n):
-        if not elig[i]:
+    demand = demand.copy()
+    for i, b in enumerate(buyers):
+        if not _eligible(scenario, records[b.buyer_id].bid):
             demand[i] = 0.0
 
     c = scenario.capacity
@@ -604,8 +614,7 @@ def offline_optimum(scenario: Scenario, seed: int) -> float:
     every pure ordering on stateful demand, so there the value is a strong
     baseline rather than a true upper bound.
     """
-    demand_ss, _, _ = _root_streams(seed)
-    realizations = _materialize_demands(scenario, demand_ss)
+    realizations = _world(scenario, seed)[0]
     buyers = scenario.buyers
     T = scenario.horizon
     c = scenario.capacity
@@ -694,8 +703,7 @@ def run_monte_carlo(
     """
     if n_runs < 1:
         raise ValueError("need at least one run")
-    run_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=n_runs)
-    tasks = [(scenario, int(s)) for s in run_seeds]
+    tasks = [(scenario, s) for s in run_seeds(seed, n_runs)]
     if jobs > 1 and n_runs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_mc_worker, tasks, chunksize=max(1, n_runs // (jobs * 8))))

@@ -39,14 +39,12 @@ from bandshare.demand import (
 from bandshare.engine import (
     BuyerSpec,
     Scenario,
-    _bid_records,
-    _demand_matrix,
-    _materialize_demands,
-    _root_streams,
-    _run_vectorized,
     build_ledger,
+    replay,
+    run_seeds,
     run_session,
 )
+from bandshare.payments import bks_settle, resample_bid
 from bandshare.pooling import (
     LedgerRow,
     SellerLedger,
@@ -104,12 +102,10 @@ def _natural_on_random_triples(
 ) -> Optional[Tuple[int, float, float, float]]:
     for _ in range(n):
         t = int(rng.integers(1, 200))
-        x_lo, x_hi = sorted(rng.uniform(0, 1500, size=2))
-        c = float(rng.uniform(0, 80))
-        lhs = x_hi + min(c, d.query(t, x_hi))
-        rhs = x_lo + min(c, d.query(t, x_lo))
-        if lhs < rhs - 1e-9:
-            return (t, x_hi, x_lo, c)
+        xs = rng.uniform(0, 1500, size=2)
+        check = check_natural(d, [t], xs, [float(rng.uniform(0, 80))])
+        if not check:
+            return check.witness
     return None
 
 
@@ -209,23 +205,16 @@ def monotonicity_suite(
                 horizon=40,
             )
             world_seed = int(rng.integers(2**31))
-            cache: Dict[float, float] = {}
-
-            def bytes_at(bid: float) -> float:
-                if bid not in cache:
-                    cache[bid] = run_session(
-                        scenario, world_seed, bid_override={"probe": bid}
-                    ).bytes["probe"]
-                return cache[bid]
-
+            session = replay(scenario, world_seed)
             for _ in range(n_pairs):
                 lo, hi = sorted(rng.uniform(0.2, 12, size=2))
+                x_lo, x_hi = (session({"probe": b}).bytes["probe"] for b in (lo, hi))
                 checked += 1
-                if bytes_at(hi) < bytes_at(lo) - 1e-9:
+                if x_hi < x_lo - 1e-9:
                     violations += 1
                     lines.append(
-                        f"  VIOLATION {kind}: x({hi:.4f})={bytes_at(hi):.6f} < "
-                        f"x({lo:.4f})={bytes_at(lo):.6f} (seed {world_seed})"
+                        f"  VIOLATION {kind}: x({hi:.4f})={x_hi:.6f} < "
+                        f"x({lo:.4f})={x_lo:.6f} (seed {world_seed})"
                     )
     lines.append(
         f"  checked {checked} bid pairs across {len(MONOTONE_MODEL_KINDS)} models "
@@ -250,27 +239,19 @@ def expected_utilities_rb(
     For every run, the world (demand realizations, competitor resampling
     draws, the probed buyer's gamma) is fixed and both coin branches are
     evaluated; their mu-weighted average is an unbiased, much lower-variance
-    estimate of the run's expected utility.  Requires a scenario on the
-    vectorized path (memoryless demand, greedy presentation).
+    estimate of the run's expected utility.
     """
     if scenario.mechanism != "bks":
         raise ValueError("the conditioned estimator only applies to bid resampling")
-    run_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=n_runs)
     out = {float(b): np.empty(n_runs) for b in bids}
     mu = scenario.mu
-    for k, run_seed in enumerate(run_seeds):
-        demand_ss, _, resample_ss = _root_streams(int(run_seed))
-        realizations = _materialize_demands(scenario, demand_ss)
-        base = _demand_matrix(scenario, realizations)
+    for k, run_seed in enumerate(run_seeds(seed, n_runs)):
+        session = replay(scenario, run_seed)
         for b in out:
-            total = 0.0
-            for forced, weight in ((False, 1.0 - mu), (True, mu)):
-                records = _bid_records(
-                    scenario, resample_ss, {buyer_id: b}, {buyer_id: forced}
-                )
-                session = _run_vectorized(scenario, realizations, records, base)
-                total += weight * session.utilities[buyer_id]
-            out[b][k] = total
+            out[b][k] = sum(
+                weight * session({buyer_id: b}, {buyer_id: forced}).utilities[buyer_id]
+                for forced, weight in ((False, 1.0 - mu), (True, mu))
+            )
     return out
 
 
@@ -317,15 +298,11 @@ def _random_ledger(
     rows = []
     for j in range(int(rng.integers(0, 6))):
         bid = reserve + float(rng.uniform(0, 9))
-        resampled = rng.random() < mu
-        perturbed = (
-            reserve + (bid - reserve) * float(rng.random()) ** (1 / (1 - mu))
-            if resampled
-            else bid
+        record = resample_bid(f"{seller_id}-b{j}", bid, reserve, mu, rng)
+        paid = bks_settle(record, float(rng.uniform(0, 400)))
+        rows.append(
+            LedgerRow(record.buyer_id, paid.bytes, bid, record.perturbed_bid, paid.rebate)
         )
-        x = float(rng.uniform(0, 400))
-        rebate = x * (bid - reserve) / mu if resampled else 0.0
-        rows.append(LedgerRow(f"{seller_id}-b{j}", x, bid, perturbed, rebate))
     return SellerLedger(seller_id, reserve, rows)
 
 
@@ -369,10 +346,9 @@ def pooling_seller_observations(
     """(above-reserve credit, above-reserve payments) per simulated auction in
     the 200-similar-sellers pooling scenario."""
     scenario = scenario or load_config(builtin_config_path("pooling_similar")).scenario
-    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=n_sessions)
     obs = []
-    for s in seeds:
-        ledger = build_ledger("s", run_session(scenario, int(s)))
+    for s in run_seeds(seed, n_sessions):
+        ledger = build_ledger("s", run_session(scenario, s))
         obs.append((ledger.credit_above_reserve(), ledger.payments_above_reserve()))
     return obs
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 import yaml
 
+from bandshare import cli
 from bandshare.cli import main
 from bandshare.config import (
     ConfigError,
@@ -16,6 +17,7 @@ from bandshare.config import (
     load_config,
     parse_config,
 )
+from bandshare.verify import SuiteReport
 
 MINI_DOC = {
     "experiment": "mini",
@@ -111,6 +113,17 @@ class TestParsing:
         assert cfg.pool.total_sellers == 4
         assert cfg.pool.sessions_per_seller == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seed", -3), ("capacity", float("nan")), ("capacity", float("inf")),
+         ("capacity", 10**400)],
+    )
+    def test_bad_top_level_number_rejected(self, key, value):
+        doc = copy.deepcopy(MINI_DOC)
+        doc[key] = value
+        with pytest.raises(ConfigError, match=rf"conf\.yaml\.{key}: "):
+            parse_config(yaml.safe_load(yaml.safe_dump(doc)), source="conf.yaml")
+
     def test_pool_trials_key_rejected(self):
         doc = copy.deepcopy(MINI_DOC)
         doc["pool"] = {"sellers": 4, "trials": 5}
@@ -155,6 +168,57 @@ class TestCli:
         code = self.run_cli("simulate", "--config", config, "--out-dir", str(tmp_path / "o"))
         assert code == 1
         assert "routing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["simulate", "--runs", "0"], ".runs: must be >= 1"),
+            (["simulate", "--seed", "-3"], ".seed: must be >= 0"),
+            (["sweep", "--variable", "mu", "--values", "1.5"], ".sweep.values: mu values"),
+            (["sweep", "--variable", "capacity", "--values", "nan"], ".sweep.values[0]: "),
+            (["sweep", "--values", "8,16"], "--variable and --values"),
+            (["sweep", "--variable", "capacity", "--values", "abc"], "--values 'abc'"),
+        ],
+    )
+    def test_bad_override_is_a_config_error(self, tmp_path, capsys, argv, key):
+        config = write_config(tmp_path, MINI_DOC)
+        code = self.run_cli(*argv, "--config", config, "--out-dir", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: ") and key in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [("seed", -3), ("capacity", float("nan"))])
+    def test_bad_config_value_is_a_config_error(self, tmp_path, capsys, key, value):
+        doc = copy.deepcopy(MINI_DOC)
+        doc[key] = value
+        config = write_config(tmp_path, doc)
+        code = self.run_cli("simulate", "--config", config, "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"config error: {config}.{key}: ")
+
+    @pytest.mark.parametrize("flags", [["--seed", "-3"], ["--runs", "1"]])
+    def test_verify_bad_flag_is_a_config_error(self, capsys, flags):
+        code = self.run_cli("verify", "--suite", "truthfulness", *flags)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: ") and flags[0] in err
+
+    def test_verify_runs_ignored_outside_truthfulness(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(
+            cli, "run_suite", lambda suite, seed, **kw: calls.append(kw) or SuiteReport(suite, True, [])
+        )
+        assert self.run_cli("verify", "--suite", "balance", "--runs", "1") == 0
+        assert calls == [{}]
+
+    @pytest.mark.parametrize("flag", ["--runs", "--jobs"])
+    def test_pool_rejects_monte_carlo_flags(self, tmp_path, flag):
+        doc = copy.deepcopy(MINI_DOC)
+        doc["pool"] = {"sellers": 4, "sessions_per_seller": 1}
+        config = write_config(tmp_path, doc)
+        with pytest.raises(SystemExit):
+            self.run_cli("pool", "--config", config, flag, "2")
 
     def test_missing_config_file(self, tmp_path):
         code = self.run_cli(

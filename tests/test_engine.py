@@ -2,31 +2,37 @@
 
 Covers the worked VCG manipulation example, strategy identities, the isolation
 and monotonicity properties of strict-priority routing, the offline optimum
-oracle (against a brute-force enumerator), Monte Carlo determinism, and the
-equivalence of the vectorized and epoch-loop execution paths.
+oracle (against a brute-force enumerator), Monte Carlo determinism, the
+equivalence of the vectorized and epoch-loop execution paths, and world
+replay under counterfactual bids.
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bandshare.engine
 from bandshare.demand import DemandSpec
 from bandshare.engine import (
     BuyerSpec,
     HybridBoost,
     Scenario,
+    Strategy,
     _bid_records,
+    _demand_matrix,
     _eligible,
-    _materialize_demands,
-    _root_streams,
     _run_loop,
     _run_vectorized,
+    _world,
     build_ledger,
     offline_optimum,
+    replay,
     run_monte_carlo,
+    run_seeds,
     run_session,
     strategy_delay,
     strategy_greedy,
@@ -91,6 +97,14 @@ class TestStrategies:
         a = run_session(self.base(strategy_greedy()), seed=3)
         b = run_session(self.base(strategy_delay(0)), seed=3)
         assert a.bytes == b.bytes and a.utilities == b.utilities
+
+    @pytest.mark.parametrize(
+        "make", [lambda: strategy_pad(-1.0), lambda: strategy_delay(-1),
+                 lambda: strategy_misreport(-0.5), lambda: Strategy("pad", pad=-2.0)],
+    )
+    def test_negative_parameters_rejected(self, make):
+        with pytest.raises(ValueError, match="nonnegative"):
+            make()
 
     def test_misreport_scales_bid(self):
         out = run_session(self.base(strategy_misreport(0.5), mechanism="vmm"), seed=3)
@@ -398,13 +412,14 @@ class TestOfflineOptimum:
             mechanism="vmm",
             horizon=80,
         )
-        out = run_session(scenario, seed=3, compute_efficiency=True)
-        assert out.efficiency == pytest.approx(1.0)  # SPQ truthful, memoryless
+        out = run_session(scenario, seed=3)
+        # SPQ with truthful bids on memoryless demand is value-optimal.
+        assert out.welfare / offline_optimum(scenario, 3) == pytest.approx(1.0)
         resampled = Scenario(
             buyers=scenario.buyers, capacity=12.0, mechanism="bks", horizon=80
         )
-        out2 = run_session(resampled, seed=3, compute_efficiency=True)
-        assert 0.0 <= out2.efficiency <= 1.0
+        ratio = run_session(resampled, seed=3).welfare / offline_optimum(resampled, 3)
+        assert 0.0 <= ratio <= 1.0
 
     def test_search_limits_enforced(self):
         scenario = Scenario(
@@ -564,12 +579,11 @@ class TestPathEquivalence:
     def test_vectorized_matches_loop(self, scenario, seed):
         """The vector path reproduces the epoch loop, the reference semantics,
         on every field of the outcome."""
-        demand_ss, tie_ss, resample_ss = _root_streams(seed)
-        realizations = _materialize_demands(scenario, demand_ss)
+        realizations, tie_ss, resample_ss = _world(scenario, seed)
         records = _bid_records(scenario, resample_ss, None, None)
         keys = [r.perturbed_bid for r in records.values() if _eligible(scenario, r.bid)]
         assume(len(set(keys)) == len(keys))  # ties take the loop's random tie-break
-        fast = _run_vectorized(scenario, realizations, records)
+        fast = _run_vectorized(scenario, _demand_matrix(scenario, realizations), records)
         slow = _run_loop(scenario, realizations, records, tie_ss)
         close = lambda a: pytest.approx(a, abs=1e-9)
         assert fast.buyer_ids == slow.buyer_ids
@@ -582,10 +596,111 @@ class TestPathEquivalence:
             ), b
         assert fast.welfare == close(slow.welfare)
         assert fast.seller_revenue == close(slow.seller_revenue)
-        assert (fast.mechanism, fast.reserve, fast.efficiency) == (
-            slow.mechanism, slow.reserve, slow.efficiency
-        )
+        assert (fast.mechanism, fast.reserve) == (slow.mechanism, slow.reserve)
         np.testing.assert_allclose(fast.trace, slow.trace, rtol=0, atol=1e-9)
+
+
+def assert_same_outcome(a, b):
+    fields_a, fields_b = dict(vars(a)), dict(vars(b))
+    np.testing.assert_array_equal(fields_a.pop("trace"), fields_b.pop("trace"))
+    assert fields_a == fields_b
+
+
+REPLAY_SCENARIOS = {
+    "buffered": example1_scenario(horizon=40),
+    "impatient": Scenario(
+        buyers=(
+            BuyerSpec("b1", 3.0, DemandSpec.constant(8.0), 1, 30),
+            BuyerSpec("b2", 2.0, DemandSpec.impatient(10.0, 8, 40.0), 1, 40),
+        ),
+        capacity=12.0,
+        mechanism="bks",
+        horizon=40,
+    ),
+    "hybrid": Scenario(
+        buyers=(
+            BuyerSpec("b1", 3.0, DemandSpec.constant(10.0), 1, 40),
+            BuyerSpec("b2", 2.0, DemandSpec.impatient(12.0, 20, 100.0), 1, 40),
+        ),
+        capacity=14.0,
+        routing="hybrid",
+        mechanism="bks",
+        horizon=40,
+        hybrid=HybridBoost("b2", 120.0, 20),
+    ),
+    # b1's overrides 2.0 tie with b2 (epoch loop) and 1.0 / 3.0 do not (vector path).
+    "ties": Scenario(
+        buyers=(
+            BuyerSpec("b1", 3.0, DemandSpec.constant(8.0), 1, 30),
+            BuyerSpec("b2", 2.0, DemandSpec.flow_trace(8.0, 30), 1, 30),
+        ),
+        capacity=10.0,
+        mechanism="vmm",
+        horizon=30,
+    ),
+    "vector": Scenario(
+        buyers=(
+            BuyerSpec("b1", 3.0, DemandSpec.flow_trace(10.0, 50), 1, 50),
+            BuyerSpec("b2", 2.0, DemandSpec.flow_trace(10.0, 50), 5, 45),
+            BuyerSpec("b3", 1.8, DemandSpec.constant(6.0), 1, 50),
+        ),
+        capacity=15.0,
+        mechanism="bks",
+        reserve=1.5,  # b1's override 1.0 makes her ineligible
+        horizon=50,
+    ),
+}
+
+
+class TestReplay:
+    @pytest.mark.parametrize("name", sorted(REPLAY_SCENARIOS))
+    def test_replay_equals_run_session_in_mixed_bid_order(self, name):
+        """One replayed world gives run_session's outcome on every field,
+        whatever bids it was called with before."""
+        scenario = REPLAY_SCENARIOS[name]
+        calls = [
+            (bid, force)
+            for bid in (None, 1.0, 2.0, 3.0)
+            for force in (None, False, True)
+        ] * 2
+        random.Random(name).shuffle(calls)
+        for seed in (0, 11):
+            session = replay(scenario, seed)
+            for bid, force in calls:
+                override = None if bid is None else {"b1": bid}
+                forced = None if force is None else {"b1": force}
+                assert_same_outcome(
+                    session(override, forced),
+                    run_session(scenario, seed, bid_override=override, force_resample=forced),
+                )
+
+    def test_world_is_materialized_once(self, monkeypatch):
+        scenario = REPLAY_SCENARIOS["vector"]
+        counts = {"realize": 0, "matrix": 0}
+        realize, matrix = DemandSpec.realize, bandshare.engine._demand_matrix
+
+        def counted_realize(spec, seed=None):
+            counts["realize"] += 1
+            return realize(spec, seed)
+
+        def counted_matrix(*args):
+            counts["matrix"] += 1
+            return matrix(*args)
+
+        monkeypatch.setattr(DemandSpec, "realize", counted_realize)
+        monkeypatch.setattr(bandshare.engine, "_demand_matrix", counted_matrix)
+        session = replay(scenario, 4)
+        for bid in (0.5, 1.0, 2.5, 4.0, 0.5):
+            session({"b1": bid}, {"b1": True})
+        assert counts == {"realize": 3, "matrix": 1}
+
+    def test_run_seeds_are_the_monte_carlo_runs(self):
+        scenario = REPLAY_SCENARIOS["vector"]
+        seeds = run_seeds(8, 3)
+        assert seeds == run_seeds(8, 5)[:3]
+        stats = run_monte_carlo(scenario, 3, seed=8)
+        welfare = [run_session(scenario, s).welfare for s in seeds]
+        assert stats.welfare.mean == pytest.approx(np.mean(welfare), rel=1e-12)
 
 
 class TestMonteCarlo:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bandshare.demand import DemandSpec
-from bandshare.engine import BuyerSpec, Scenario
+from bandshare.engine import BuyerSpec, Scenario, run_seeds, run_session, strategy_pad
 from bandshare.verify import (
     balance_suite,
     expected_utilities_rb,
@@ -61,6 +61,32 @@ class TestConditionedEstimator:
         expected = 3.0 * 4.0 * 30
         for arr in utilities.values():
             np.testing.assert_allclose(arr, expected, rtol=1e-12)
+
+    def test_matches_run_session_with_a_padding_buyer(self):
+        """Padding forces the epoch loop; the estimator must take the same path
+        as run_session and equal its mu-weighted coin branches."""
+        scenario = Scenario(
+            buyers=(
+                BuyerSpec("probe", 3.0, DemandSpec.constant(6.0), 1, 30),
+                BuyerSpec("padder", 5.0, DemandSpec.constant(4.0), 1, 30, strategy_pad(5.0)),
+            ),
+            capacity=10.0,
+            mechanism="bks",
+            mu=0.2,
+            horizon=30,
+        )
+        bids = [1.0, 3.0, 6.0]
+        utilities = expected_utilities_rb(scenario, "probe", bids, 4, seed=2)
+        for k, run_seed in enumerate(run_seeds(2, 4)):
+            for b in bids:
+                branches = [
+                    run_session(
+                        scenario, run_seed, bid_override={"probe": b},
+                        force_resample={"probe": forced},
+                    ).utilities["probe"]
+                    for forced in (False, True)
+                ]
+                assert utilities[b][k] == pytest.approx(0.8 * branches[0] + 0.2 * branches[1])
 
     def test_requires_resampling_mechanism(self):
         scenario = Scenario(
