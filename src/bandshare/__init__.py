@@ -7,20 +7,7 @@ bid-resampling rebate scheme), strategic buyer agents, and multi-seller revenue
 pooling, plus a CLI for running the packaged experiment scenarios.
 """
 
-from bandshare.demand import (
-    DemandRealization,
-    DemandSpec,
-    FlowTraceParams,
-    buffered_demand,
-    check_natural,
-    cliff_demand,
-    constant_demand,
-    flow_trace_demand,
-    impatient_demand,
-    increasing_rate_demand,
-    increasing_total_demand,
-    time_varying_demand,
-)
+from bandshare.demand import DemandRealization, DemandSpec, check_natural
 from bandshare.engine import (
     BuyerSpec,
     Scenario,

@@ -318,8 +318,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_PROPERTY
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as config errors (exit 1), not argparse's exit 2."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bandshare",
         description="Flow-level simulator for truthful bandwidth prioritization",
     )
@@ -369,9 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

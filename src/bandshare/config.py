@@ -6,9 +6,10 @@ the mechanism and its parameters, the horizon, run count, and seed.  Optional
 blocks add mechanism variants to compare, a sweep over capacity / reserve /
 mu, and a multi-seller pool.
 
-Validation is strict: unknown keys, missing required keys, bad types, and
-unknown tags are all rejected with the file path and the dotted key path of
-the offending entry.
+Validation is strict: unknown keys (also keys that the chosen demand model or
+strategy does not read), missing required keys, bad types, unknown tags, and
+values that the scenario objects reject are all reported as a ``ConfigError``
+with the file path and the dotted key path of the offending entry.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass, replace
-from typing import Any, List, Mapping, Optional, Sequence
+from typing import Any, Callable, List, Mapping, Optional, Sequence
 
 import yaml
 
@@ -54,6 +55,12 @@ def _err(path: str, message: str) -> ConfigError:
     return ConfigError(f"{path}: {message}")
 
 
+def _mapping(node: Any, path: str) -> dict:
+    if not isinstance(node, dict):
+        raise _err(path, f"expected a mapping, got {type(node).__name__}")
+    return node
+
+
 def _require(mapping: Mapping, key: str, path: str) -> Any:
     if key not in mapping:
         raise _err(path, f"missing required key {key!r}")
@@ -61,11 +68,17 @@ def _require(mapping: Mapping, key: str, path: str) -> Any:
 
 
 def _check_keys(mapping: Mapping, allowed: Sequence[str], path: str) -> None:
-    if not isinstance(mapping, dict):
-        raise _err(path, f"expected a mapping, got {type(mapping).__name__}")
-    unknown = set(mapping) - set(allowed)
+    unknown = set(_mapping(mapping, path)) - set(allowed)
     if unknown:
         raise _err(path, f"unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}")
+
+
+def _build(path: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``make(*args, **kwargs)``, reporting its ``ValueError`` as a config error at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise _err(path, str(exc)) from exc
 
 
 def _number(value: Any, path: str, minimum: Optional[float] = None) -> float:
@@ -86,27 +99,42 @@ def _integer(value: Any, path: str, minimum: Optional[int] = None) -> int:
     return value
 
 
+def _tag(node: Any, key: str, tags: Mapping[str, Sequence[str]], what: str, path: str) -> str:
+    """The tag under ``key``, once the node holds only that tag's keys."""
+    tag = _require(_mapping(node, path), key, path)
+    if not isinstance(tag, str) or tag not in tags:
+        raise _err(f"{path}.{key}", f"unknown {what} {tag!r}; one of {', '.join(tags)}")
+    _check_keys(node, [key, *tags[tag]], path)
+    return tag
+
+
+# Config keys read by each demand model and each strategy kind.
+_DEMAND_KEYS = {
+    "constant": ["rate"],
+    "flow_trace": ["mean_rate", "mean_duration", "stddev_duration", "mean_interarrival"],
+    "impatient": ["rate", "patience", "min_bytes"],
+    "buffered": ["rate", "rates"],
+    "time_varying": ["rates"],
+}
+_STRATEGY_KEYS = {"greedy": [], "pad": ["rate"], "delay": ["epochs"], "misreport": ["factor"]}
+
+
+def _rates(node: Mapping, path: str) -> List[float]:
+    rates = _require(node, "rates", path)
+    if not isinstance(rates, list) or not rates:
+        raise _err(f"{path}.rates", "expected a nonempty list of numbers")
+    return [_number(v, f"{path}.rates[{i}]", 0) for i, v in enumerate(rates)]
+
+
 def _parse_demand(node: Any, path: str, horizon: int) -> DemandSpec:
-    _check_keys(
-        node,
-        [
-            "model",
-            "rate",
-            "rates",
-            "mean_rate",
-            "mean_duration",
-            "stddev_duration",
-            "mean_interarrival",
-            "patience",
-            "min_bytes",
-        ],
-        path,
-    )
-    model = _require(node, "model", path)
+    model = _tag(node, "model", _DEMAND_KEYS, "demand model", path)
     if model == "constant":
-        return DemandSpec.constant(_number(_require(node, "rate", path), f"{path}.rate", 0))
+        rate = _number(_require(node, "rate", path), f"{path}.rate", 0)
+        return _build(path, DemandSpec.constant, rate)
     if model == "flow_trace":
-        return DemandSpec.flow_trace(
+        return _build(
+            path,
+            DemandSpec.flow_trace,
             mean_rate=_number(_require(node, "mean_rate", path), f"{path}.mean_rate", 0),
             horizon=horizon,
             mean_duration=_number(node.get("mean_duration", 30.0), f"{path}.mean_duration", 1e-9),
@@ -116,40 +144,27 @@ def _parse_demand(node: Any, path: str, horizon: int) -> DemandSpec:
             ),
         )
     if model == "impatient":
-        return DemandSpec.impatient(
+        return _build(
+            path,
+            DemandSpec.impatient,
             k=_number(_require(node, "rate", path), f"{path}.rate", 0),
             p=_integer(_require(node, "patience", path), f"{path}.patience", 1),
             m=_number(_require(node, "min_bytes", path), f"{path}.min_bytes", 0),
         )
     if model == "buffered":
+        if "rate" in node and "rates" in node:
+            raise _err(path, "give either 'rate' or 'rates', not both")
         if "rates" in node:
-            rates = node["rates"]
-            if not isinstance(rates, list) or not rates:
-                raise _err(f"{path}.rates", "expected a nonempty list of numbers")
-            seq = [_number(v, f"{path}.rates[{i}]", 0) for i, v in enumerate(rates)]
-            return DemandSpec.buffered(seq)
+            return _build(path, DemandSpec.buffered, _rates(node, path))
         rate = _number(_require(node, "rate", path), f"{path}.rate", 0)
-        return DemandSpec("buffered", {"g": [rate] * horizon})
-    if model == "time_varying":
-        rates = _require(node, "rates", path)
-        if not isinstance(rates, list) or not rates:
-            raise _err(f"{path}.rates", "expected a nonempty list of numbers")
-        seq = [_number(v, f"{path}.rates[{i}]", 0) for i, v in enumerate(rates)]
-        return DemandSpec.time_varying(seq)
-    raise _err(
-        f"{path}.model",
-        f"unknown demand model {model!r}; config-declarable models: "
-        "constant, flow_trace, impatient, buffered, time_varying",
-    )
+        return _build(path, DemandSpec.buffered, [rate] * horizon)
+    return _build(path, DemandSpec.time_varying, _rates(node, path))
 
 
 def _parse_strategy(node: Any, path: str) -> Strategy:
     if node is None:
         return Strategy("greedy")
-    _check_keys(node, ["kind", "rate", "epochs", "factor"], path)
-    kind = _require(node, "kind", path)
-    if kind == "greedy":
-        return Strategy("greedy")
+    kind = _tag(node, "kind", _STRATEGY_KEYS, "strategy", path)
     if kind == "pad":
         return Strategy("pad", pad=_number(_require(node, "rate", path), f"{path}.rate", 0))
     if kind == "delay":
@@ -160,7 +175,7 @@ def _parse_strategy(node: Any, path: str) -> Strategy:
         return Strategy(
             "misreport", bid_factor=_number(_require(node, "factor", path), f"{path}.factor", 0)
         )
-    raise _err(f"{path}.kind", f"unknown strategy {kind!r}")
+    return Strategy("greedy")
 
 
 def _parse_buyer(node: Any, path: str, horizon: int) -> BuyerSpec:
@@ -168,7 +183,9 @@ def _parse_buyer(node: Any, path: str, horizon: int) -> BuyerSpec:
     buyer_id = _require(node, "id", path)
     if not isinstance(buyer_id, str) or not buyer_id:
         raise _err(f"{path}.id", "buyer id must be a nonempty string")
-    return BuyerSpec(
+    return _build(
+        path,
+        BuyerSpec,
         buyer_id=buyer_id,
         value=_number(_require(node, "value", path), f"{path}.value", 0),
         demand=_parse_demand(_require(node, "demand", path), f"{path}.demand", horizon),
@@ -305,7 +322,9 @@ def parse_config(doc: Any, source: str = "<config>") -> ExperimentConfig:
     if doc.get("hybrid") is not None:
         hpath = f"{source}.hybrid"
         _check_keys(doc["hybrid"], ["buyer", "bytes", "deadline"], hpath)
-        hybrid = HybridBoost(
+        hybrid = _build(
+            hpath,
+            HybridBoost,
             buyer_id=_require(doc["hybrid"], "buyer", hpath),
             target_bytes=_number(_require(doc["hybrid"], "bytes", hpath), f"{hpath}.bytes", 0),
             deadline=_integer(_require(doc["hybrid"], "deadline", hpath), f"{hpath}.deadline", 1),
@@ -318,22 +337,19 @@ def parse_config(doc: Any, source: str = "<config>") -> ExperimentConfig:
     if mechanism not in MECHANISMS:
         raise _err(f"{source}.mechanism", f"unknown mechanism {mechanism!r}")
 
-    try:
-        base = Scenario(
-            buyers=buyers,
-            capacity=_number(_require(doc, "capacity", source), f"{source}.capacity", 1e-12),
-            routing=routing,
-            mechanism=mechanism,
-            mu=_number(doc.get("mu", 0.2), f"{source}.mu"),
-            reserve=_number(doc.get("reserve", 0.0), f"{source}.reserve", 0),
-            price=_number(doc.get("price", 0.0), f"{source}.price", 0),
-            horizon=horizon,
-            hybrid=hybrid,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise _err(source, str(exc)) from exc
+    base = _build(
+        source,
+        Scenario,
+        buyers=buyers,
+        capacity=_number(_require(doc, "capacity", source), f"{source}.capacity", 1e-12),
+        routing=routing,
+        mechanism=mechanism,
+        mu=_number(doc.get("mu", 0.2), f"{source}.mu"),
+        reserve=_number(doc.get("reserve", 0.0), f"{source}.reserve", 0),
+        price=_number(doc.get("price", 0.0), f"{source}.price", 0),
+        horizon=horizon,
+        hybrid=hybrid,
+    )
 
     variants = []
     if doc.get("mechanisms") is not None:
@@ -366,10 +382,7 @@ def parse_config(doc: Any, source: str = "<config>") -> ExperimentConfig:
         variants.append(MechanismVariant(base.mechanism, base.mechanism, base.routing))
 
     for i, v in enumerate(variants):
-        try:
-            v.apply(base)
-        except ValueError as exc:
-            raise _err(f"{source}.mechanisms[{i}]", str(exc)) from exc
+        _build(f"{source}.mechanisms[{i}]", v.apply, base)
 
     sweep = None
     if doc.get("sweep") is not None:
@@ -391,23 +404,18 @@ def parse_config(doc: Any, source: str = "<config>") -> ExperimentConfig:
                 tpath = f"{ppath}.types[{i}]"
                 _check_keys(tdoc, ["name", "count", "capacity", "buyers"], tpath)
                 count = _integer(_require(tdoc, "count", tpath), f"{tpath}.count", 1)
-                scenario = base
+                changes = {}
                 if "capacity" in tdoc:
-                    scenario = replace(
-                        scenario,
-                        capacity=_number(tdoc["capacity"], f"{tpath}.capacity", 1e-12),
-                    )
+                    changes["capacity"] = _number(tdoc["capacity"], f"{tpath}.capacity", 1e-12)
                 if "buyers" in tdoc:
                     bnode = tdoc["buyers"]
                     if not isinstance(bnode, list) or not bnode:
                         raise _err(f"{tpath}.buyers", "expected a nonempty list")
-                    scenario = replace(
-                        scenario,
-                        buyers=tuple(
-                            _parse_buyer(b, f"{tpath}.buyers[{j}]", horizon)
-                            for j, b in enumerate(bnode)
-                        ),
+                    changes["buyers"] = tuple(
+                        _parse_buyer(b, f"{tpath}.buyers[{j}]", horizon)
+                        for j, b in enumerate(bnode)
                     )
+                scenario = _build(tpath, replace, base, **changes)
                 types.append(PoolType(tdoc.get("name", f"type{i}"), count, scenario))
         else:
             sellers = _integer(_require(doc["pool"], "sellers", ppath), f"{ppath}.sellers", 2)

@@ -68,6 +68,8 @@ __all__ = [
 
 ROUTING_POLICIES = ("spq", "fq", "fifo", "hybrid")
 MECHANISMS = ("bks", "vmm", "fixed")
+_STRATEGY_KINDS = ("greedy", "pad", "delay", "misreport")
+
 
 @dataclass(frozen=True)
 class Strategy:
@@ -92,6 +94,8 @@ class Strategy:
     bid_factor: float = 1.0
 
     def __post_init__(self) -> None:
+        if self.kind not in _STRATEGY_KINDS:
+            raise ValueError(f"unknown strategy {self.kind!r}; one of {_STRATEGY_KINDS}")
         if self.pad < 0 or self.delay_epochs < 0 or self.bid_factor < 0:
             raise ValueError(
                 "pad, delay and bid factor must be nonnegative, got "

@@ -207,26 +207,23 @@ SellerSampler = Callable[[np.random.Generator], Tuple[float, float]]
 
 
 def tax_admissibility_estimate(
-    samplers: Sequence[SellerSampler],
+    sampler: SellerSampler,
     m: int,
     n_trials: int,
     rng: np.random.Generator,
 ) -> float:
     """Monte Carlo estimate of Pr(some tax rate > 1) for pools of 2m sellers.
 
-    Each sampler draws one seller's (above-reserve credit, above-reserve buyer
-    payments) for an accounting period; sellers cycle through the given
-    samplers so a finite set of seller environments is represented evenly.
+    ``sampler`` draws one seller's (above-reserve credit, above-reserve buyer
+    payments) for an accounting period; each trial draws all 2m sellers from it.
     """
     if m < 1:
         raise ValueError("need at least one seller per half")
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    if not samplers:
-        raise ValueError("need at least one revenue sampler")
     exceed = 0
     for _ in range(n_trials):
-        draws = [samplers[i % len(samplers)](rng) for i in range(2 * m)]
+        draws = [sampler(rng) for _ in range(2 * m)]
         order = rng.permutation(2 * m)
         half1 = [draws[i] for i in order[:m]]
         half2 = [draws[i] for i in order[m:]]

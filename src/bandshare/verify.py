@@ -30,12 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from bandshare.config import load_config, builtin_config_path
-from bandshare.demand import (
-    DemandRealization,
-    DemandSpec,
-    check_natural,
-    cliff_demand,
-)
+from bandshare.demand import DemandRealization, DemandSpec, check_natural
 from bandshare.engine import (
     BuyerSpec,
     Scenario,
@@ -122,7 +117,7 @@ def natural_suite(seed: int = 0) -> SuiteReport:
             lines.append(f"  {d.model_id}: VIOLATION at (t, x, x', c) = {witness}")
 
     # The quota-cliff fixture must fail, with a concrete witness.
-    fixture = cliff_demand(10.0, 500.0)
+    fixture = DemandSpec.cliff(10.0, 500.0).realize()
     res = check_natural(
         fixture, range(1, 5), [0, 250, 499, 500, 501, 750], [0, 5, 10, 25]
     )
@@ -385,13 +380,13 @@ def admissibility_suite(
     )
     lines = []
 
-    p200 = tax_admissibility_estimate([sampler], m=100, n_trials=n_trials, rng=rng)
+    p200 = tax_admissibility_estimate(sampler, m=100, n_trials=n_trials, rng=rng)
     lines.append(
         f"  200-seller pools: Pr(tax > 1) = {p200:.4f} over {n_trials} trials"
     )
 
     trend = [
-        tax_admissibility_estimate([sampler], m=m, n_trials=trend_trials, rng=rng)
+        tax_admissibility_estimate(sampler, m=m, n_trials=trend_trials, rng=rng)
         for m in (5, 20, 80)
     ]
     lines.append(

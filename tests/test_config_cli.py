@@ -124,6 +124,49 @@ class TestParsing:
         with pytest.raises(ConfigError, match=rf"conf\.yaml\.{key}: "):
             parse_config(yaml.safe_load(yaml.safe_dump(doc)), source="conf.yaml")
 
+    @pytest.mark.parametrize(
+        "field, node, key",
+        [
+            ("demand", {"model": "constant", "rate": 5, "patience": 3, "mean_rate": 50}, "mean_rate"),
+            ("demand", {"model": "flow_trace", "mean_rate": 1, "rate": 5}, "rate"),
+            ("demand", {"model": "time_varying", "rates": [1], "min_bytes": 2}, "min_bytes"),
+            ("strategy", {"kind": "greedy", "factor": 3}, "factor"),
+        ],
+    )
+    def test_keys_not_read_are_rejected(self, field, node, key):
+        doc = copy.deepcopy(MINI_DOC)
+        doc["buyers"][0][field] = node
+        with pytest.raises(ConfigError, match=rf"buyers\[0\]\.{field}: unknown keys \['{key}'"):
+            parse_config(doc)
+
+    def test_buffered_rate_and_rates_rejected(self):
+        doc = copy.deepcopy(MINI_DOC)
+        doc["buyers"][0]["demand"] = {"model": "buffered", "rate": 1, "rates": [2]}
+        with pytest.raises(ConfigError, match=r"buyers\[0\]\.demand: .*'rate' or 'rates'"):
+            parse_config(doc)
+
+    def test_arrival_after_departure_is_a_config_error(self):
+        doc = copy.deepcopy(MINI_DOC)
+        doc["buyers"][0].update(arrival=10, departure=5)
+        with pytest.raises(ConfigError, match=r"conf\.yaml\.buyers\[0\]: need 0 <= arrival"):
+            parse_config(doc, source="conf.yaml")
+
+    def test_pool_type_with_duplicate_buyer_ids_is_a_config_error(self):
+        doc = copy.deepcopy(MINI_DOC)
+        buyer = {"id": "a", "value": 1, "demand": {"model": "constant", "rate": 1}}
+        doc["pool"] = {"types": [{"name": "t", "count": 2, "buyers": [buyer, buyer]}]}
+        with pytest.raises(ConfigError, match=r"conf\.yaml\.pool\.types\[0\]: duplicate buyer ids"):
+            parse_config(doc, source="conf.yaml")
+
+    def test_hybrid_pool_type_without_boosted_buyer_is_a_config_error(self):
+        doc = copy.deepcopy(MINI_DOC)
+        doc["routing"] = "hybrid"
+        doc["hybrid"] = {"buyer": "a", "bytes": 10, "deadline": 5}
+        buyer = {"id": "z", "value": 1, "demand": {"model": "constant", "rate": 1}}
+        doc["pool"] = {"types": [{"name": "t", "count": 2, "buyers": [buyer]}]}
+        with pytest.raises(ConfigError, match=r"conf\.yaml\.pool\.types\[0\]: boosted buyer 'a'"):
+            parse_config(doc, source="conf.yaml")
+
     def test_pool_trials_key_rejected(self):
         doc = copy.deepcopy(MINI_DOC)
         doc["pool"] = {"sellers": 4, "trials": 5}
@@ -178,6 +221,9 @@ class TestCli:
             (["sweep", "--variable", "capacity", "--values", "nan"], ".sweep.values[0]: "),
             (["sweep", "--values", "8,16"], "--variable and --values"),
             (["sweep", "--variable", "capacity", "--values", "abc"], "--values 'abc'"),
+            (["simulate", "--seed", "abc"], "argument --seed: invalid int value"),
+            (["simulate", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+            (["sweep", "--jobs", "two"], "argument --jobs: invalid int value"),
         ],
     )
     def test_bad_override_is_a_config_error(self, tmp_path, capsys, argv, key):
@@ -213,12 +259,19 @@ class TestCli:
         assert calls == [{}]
 
     @pytest.mark.parametrize("flag", ["--runs", "--jobs"])
-    def test_pool_rejects_monte_carlo_flags(self, tmp_path, flag):
+    def test_pool_rejects_monte_carlo_flags(self, tmp_path, capsys, flag):
         doc = copy.deepcopy(MINI_DOC)
         doc["pool"] = {"sellers": 4, "sessions_per_seller": 1}
         config = write_config(tmp_path, doc)
-        with pytest.raises(SystemExit):
-            self.run_cli("pool", "--config", config, flag, "2")
+        assert self.run_cli("pool", "--config", config, flag, "2") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and flag in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("simulate", "--help")
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
 
     def test_missing_config_file(self, tmp_path):
         code = self.run_cli(
@@ -292,9 +345,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert "[PASS] balance" in out
 
-    def test_verify_unknown_suite_rejected(self):
-        with pytest.raises(SystemExit):
-            self.run_cli("verify", "--suite", "vibes")
+    def test_verify_unknown_suite_rejected(self, capsys):
+        assert self.run_cli("verify", "--suite", "vibes") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "vibes" in err
 
     def test_budget_exceeded_exit_code(self, tmp_path):
         config = write_config(tmp_path, MINI_DOC)

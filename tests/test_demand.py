@@ -3,155 +3,143 @@
 import numpy as np
 import pytest
 
-from bandshare.demand import (
-    DemandSpec,
-    FlowTraceParams,
-    buffered_demand,
-    check_natural,
-    cliff_demand,
-    constant_demand,
-    flow_trace_demand,
-    impatient_demand,
-    increasing_rate_demand,
-    increasing_total_demand,
-    time_varying_demand,
-)
+import bandshare.demand
+from bandshare.demand import DemandSpec, check_natural
 
 
 class TestConstant:
     def test_basic(self):
-        d = constant_demand(10)
+        d = DemandSpec.constant(10).realize()
         assert d.query(1, 0) == 10
         assert d.query(500, 4000) == 10
 
     def test_zero(self):
-        d = constant_demand(0)
+        d = DemandSpec.constant(0).realize()
         assert d.query(3, 7.5) == 0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            constant_demand(-1)
+            DemandSpec.constant(-1)
 
     def test_flags(self):
-        d = constant_demand(10)
-        assert d.memoryless and d.natural
+        d = DemandSpec.constant(10).realize()
+        assert d.memoryless
 
 
 class TestBuffered:
     def test_accumulates(self):
-        d = buffered_demand(lambda p: 5.0)
+        d = DemandSpec.buffered(lambda p: 5.0).realize()
         assert d.query(3, 0) == 15  # 5 + 5 + 5
 
     def test_served_buffer_empty(self):
-        d = buffered_demand(lambda p: 5.0)
+        d = DemandSpec.buffered(lambda p: 5.0).realize()
         assert d.query(3, 15) == 0
 
     def test_clamped_at_zero_when_overserved(self):
         # x > cumulative generation is reachable only under padding; clamp.
-        d = buffered_demand(lambda p: 5.0)
+        d = DemandSpec.buffered(lambda p: 5.0).realize()
         assert d.query(3, 20) == 0
 
     def test_sequence_generation(self):
-        d = buffered_demand([1.0, 0.0, 0.0])
+        d = DemandSpec.buffered([1.0, 0.0, 0.0]).realize()
         assert d.query(1, 0) == 1
         assert d.query(5, 0) == 1  # beyond the sequence nothing new is generated
         assert d.query(5, 1) == 0
 
     def test_negative_generation_rejected(self):
-        d = buffered_demand(lambda p: -1.0)
+        d = DemandSpec.buffered(lambda p: -1.0).realize()
         with pytest.raises(ValueError):
             d.query(1, 0)
 
     def test_not_memoryless(self):
-        assert not buffered_demand(lambda p: 5.0).memoryless
+        assert not DemandSpec.buffered(lambda p: 5.0).realize().memoryless
 
 
 class TestImpatient:
     def test_branches(self):
-        d = impatient_demand(10, 60, 500)
+        d = DemandSpec.impatient(10, 60, 500).realize()
         assert d.query(30, 0) == 10  # t <= p
         assert d.query(61, 501) == 10  # x > m
         assert d.query(61, 400) == 0
 
     def test_threshold_is_strict(self):
-        d = impatient_demand(10, 60, 500)
+        d = DemandSpec.impatient(10, 60, 500).realize()
         assert d.query(61, 500) == 0
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            impatient_demand(10, 0, 500)
+            DemandSpec.impatient(10, 0, 500)
         with pytest.raises(ValueError):
-            impatient_demand(-1, 60, 500)
+            DemandSpec.impatient(-1, 60, 500)
 
 
 class TestFunctionalModels:
     def test_time_varying_passthrough(self):
-        d = time_varying_demand(lambda t: float(t))
+        d = DemandSpec.time_varying(lambda t: float(t)).realize()
         assert d.query(7, 0) == 7
         assert d.query(7, 999) == 7
 
     def test_increasing_total_passthrough(self):
-        d = increasing_total_demand(lambda x: x / 100)
+        d = DemandSpec.increasing_total(lambda x: x / 100).realize()
         assert d.query(1, 200) == 2
         assert d.query(50, 200) == 2
 
     def test_increasing_rate(self):
-        d = increasing_rate_demand(lambda z: 2 * z)
+        d = DemandSpec.increasing_rate(lambda z: 2 * z).realize()
         assert d.query(4, 8) == 4  # g(8/4) = g(2) = 4
 
     def test_nonmonotone_rejected(self):
         with pytest.raises(ValueError):
-            increasing_rate_demand(lambda z: -z)
+            DemandSpec.increasing_rate(lambda z: -z)
         with pytest.raises(ValueError):
-            increasing_total_demand(lambda x: np.sin(x))
+            DemandSpec.increasing_total(lambda x: np.sin(x))
 
 
 class TestFlowTrace:
-    def _params(self, seed, rate=10.0, horizon=600):
-        return FlowTraceParams(
+    def _spec(self, rate=10.0, horizon=600):
+        return DemandSpec.flow_trace(
+            mean_rate=rate,
+            horizon=horizon,
             mean_duration=30,
             stddev_duration=30,
             mean_interarrival=30,
-            mean_rate=rate,
-            horizon=horizon,
-            seed=seed,
         )
 
     def test_deterministic_given_seed(self):
-        a = flow_trace_demand(self._params(7))
-        b = flow_trace_demand(self._params(7))
+        a = self._spec().realize(7)
+        b = self._spec().realize(7)
         assert [a.query(t, 0) for t in range(1, 601)] == [
             b.query(t, 0) for t in range(1, 601)
         ]
 
     def test_independent_of_x(self):
-        d = flow_trace_demand(self._params(3))
+        d = self._spec().realize(3)
         assert d.memoryless
         for t in (1, 100, 599):
             assert d.query(t, 0) == d.query(t, 12345.6)
 
     def test_zero_rate_zero_trace(self):
-        d = flow_trace_demand(self._params(11, rate=0.0))
+        d = self._spec(rate=0.0).realize(11)
         assert all(d.query(t, 0) == 0 for t in range(1, 601))
 
     def test_mean_matches_flow_rate(self):
         # Time-average over many seeds approaches the mean flow rate (5% band).
         totals = []
         for seed in range(120):
-            d = flow_trace_demand(self._params(seed))
+            d = self._spec().realize(seed)
             totals.append(np.mean([d.query(t, 0) for t in range(1, 601)]))
         mean = float(np.mean(totals))
         assert abs(mean - 10.0) / 10.0 < 0.05
 
     def test_seed_required(self):
-        with pytest.raises(ValueError):
-            flow_trace_demand(self._params(None))
+        with pytest.raises(ValueError, match="seed"):
+            self._spec().realize()
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            FlowTraceParams(0, 30, 30, 10, 600, 1)
+            DemandSpec.flow_trace(mean_rate=10, horizon=600, mean_duration=0)
         with pytest.raises(ValueError):
-            FlowTraceParams(30, 30, 30, 10, 0, 1)
+            DemandSpec.flow_trace(mean_rate=10, horizon=0)
 
 
 class TestCheckNatural:
@@ -160,15 +148,16 @@ class TestCheckNatural:
     GRID_C = [0, 1, 5, 10, 25, 100]
 
     def test_constant_passes(self):
-        assert check_natural(constant_demand(10), self.GRID_T, self.GRID_X, self.GRID_C)
+        d = DemandSpec.constant(10).realize()
+        assert check_natural(d, self.GRID_T, self.GRID_X, self.GRID_C)
 
     def test_impatient_passes_across_threshold(self):
-        d = impatient_demand(10, 60, 500)
+        d = DemandSpec.impatient(10, 60, 500).realize()
         res = check_natural(d, self.GRID_T, self.GRID_X, self.GRID_C)
         assert res.passed and res.witness is None
 
     def test_cliff_fails_with_witness(self):
-        d = cliff_demand(10, 500)
+        d = DemandSpec.cliff(10, 500).realize()
         res = check_natural(d, self.GRID_T, self.GRID_X, self.GRID_C)
         assert not res.passed
         t, x_hi, x_lo, c = res.witness
@@ -181,12 +170,12 @@ class TestCheckNatural:
     def test_all_builtin_models_natural_on_random_grids(self):
         rng = np.random.default_rng(42)
         models = [
-            constant_demand(7.5),
-            time_varying_demand(lambda t: (t % 13) * 1.5),
-            buffered_demand(lambda p: (p % 5) * 2.0),
-            impatient_demand(10, 20, 150),
-            increasing_rate_demand(lambda z: 3 * z + 1),
-            increasing_total_demand(lambda x: np.sqrt(x)),
+            DemandSpec.constant(7.5).realize(),
+            DemandSpec.time_varying(lambda t: (t % 13) * 1.5).realize(),
+            DemandSpec.buffered(lambda p: (p % 5) * 2.0).realize(),
+            DemandSpec.impatient(10, 20, 150).realize(),
+            DemandSpec.increasing_rate(lambda z: 3 * z + 1).realize(),
+            DemandSpec.increasing_total(lambda x: np.sqrt(x)).realize(),
         ]
         for d in models:
             for _ in range(1000):
@@ -201,23 +190,21 @@ class TestCheckNatural:
 class TestMemorylessFlags:
     def test_expected_flags(self):
         flagged = {
-            "constant": constant_demand(1),
-            "time_varying": time_varying_demand(lambda t: 1.0),
-            "flow_trace": flow_trace_demand(
-                FlowTraceParams(30, 30, 30, 10, 10, seed=1)
-            ),
+            "constant": DemandSpec.constant(1).realize(),
+            "time_varying": DemandSpec.time_varying(lambda t: 1.0).realize(),
+            "flow_trace": DemandSpec.flow_trace(mean_rate=10, horizon=10).realize(1),
         }
         unflagged = {
-            "buffered": buffered_demand(lambda p: 1.0),
-            "impatient": impatient_demand(1, 5, 3),
-            "increasing_rate": increasing_rate_demand(lambda z: z),
-            "increasing_total": increasing_total_demand(lambda x: x),
+            "buffered": DemandSpec.buffered(lambda p: 1.0).realize(),
+            "impatient": DemandSpec.impatient(1, 5, 3).realize(),
+            "increasing_rate": DemandSpec.increasing_rate(lambda z: z).realize(),
+            "increasing_total": DemandSpec.increasing_total(lambda x: x).realize(),
         }
         assert all(d.memoryless for d in flagged.values())
         assert not any(d.memoryless for d in unflagged.values())
 
     def test_memoryless_means_x_invariant(self):
-        d = flow_trace_demand(FlowTraceParams(30, 30, 30, 10, 50, seed=9))
+        d = DemandSpec.flow_trace(mean_rate=10, horizon=50).realize(9)
         for t in range(1, 51):
             assert d.query(t, 0.0) == d.query(t, 777.7)
 
@@ -240,8 +227,55 @@ class TestDemandSpec:
         with pytest.raises(ValueError):
             DemandSpec("nope", {}).realize()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: DemandSpec.constant(-3), id="constant-negative"),
+            pytest.param(lambda: DemandSpec.constant(float("nan")), id="constant-nan"),
+            pytest.param(lambda: DemandSpec.time_varying([1.0, -2.0]), id="time_varying"),
+            pytest.param(lambda: DemandSpec.buffered([-1.0]), id="buffered"),
+            pytest.param(lambda: DemandSpec.impatient(10, 0, 500), id="impatient-patience"),
+            pytest.param(lambda: DemandSpec.impatient(10, 60, -1), id="impatient-min"),
+            pytest.param(lambda: DemandSpec.increasing_rate([1.0, 2.0]), id="increasing_rate"),
+            pytest.param(lambda: DemandSpec.increasing_total(lambda x: -x), id="increasing_total"),
+            pytest.param(lambda: DemandSpec.cliff(10, -1), id="cliff"),
+            pytest.param(lambda: DemandSpec.flow_trace(mean_rate=-1, horizon=10), id="flow_trace-rate"),
+            pytest.param(
+                lambda: DemandSpec.flow_trace(mean_rate=1, horizon=10, stddev_duration=-1),
+                id="flow_trace-stddev",
+            ),
+            pytest.param(
+                lambda: DemandSpec.flow_trace(mean_rate=1, horizon=10, mean_interarrival=0),
+                id="flow_trace-interarrival",
+            ),
+        ],
+    )
+    def test_constructors_check_parameters(self, build):
+        # Raised when the spec is built, not when a session realizes it.
+        with pytest.raises(ValueError):
+            build()
+
+    def test_monotone_probe_runs_once_at_build(self):
+        calls = []
+
+        def g(z):
+            calls.append(z)
+            return z
+
+        spec = DemandSpec.increasing_rate(g)
+        probed = len(calls)
+        assert probed > 0
+        spec.realize(1)
+        spec.realize(2)
+        assert len(calls) == probed
+
+    def test_public_names(self):
+        assert sorted(bandshare.demand.__all__) == [
+            "DemandRealization", "DemandSpec", "NaturalCheck", "check_natural"
+        ]
+
     def test_query_validation(self):
-        d = constant_demand(1)
+        d = DemandSpec.constant(1).realize()
         with pytest.raises(ValueError):
             d.query(0, 0)
         with pytest.raises(ValueError):

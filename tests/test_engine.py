@@ -106,6 +106,10 @@ class TestStrategies:
         with pytest.raises(ValueError, match="nonnegative"):
             make()
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="bluff"):
+            Strategy("bluff")
+
     def test_misreport_scales_bid(self):
         out = run_session(self.base(strategy_misreport(0.5), mechanism="vmm"), seed=3)
         assert out.bids["a"] == 2.5

@@ -178,7 +178,7 @@ class TestTaxAdmissibility:
             return (50.0, 50.0)
 
         p = tax_admissibility_estimate(
-            [sampler], m=1, n_trials=2000, rng=np.random.default_rng(0)
+            sampler, m=1, n_trials=2000, rng=np.random.default_rng(0)
         )
         assert p > 0.2
 
@@ -191,7 +191,7 @@ class TestTaxAdmissibility:
             return (50.0, 50.0)
 
         p = tax_admissibility_estimate(
-            [sampler], m=100, n_trials=500, rng=np.random.default_rng(1)
+            sampler, m=100, n_trials=500, rng=np.random.default_rng(1)
         )
         assert p == 0.0
 
@@ -203,7 +203,7 @@ class TestTaxAdmissibility:
 
         probs = [
             tax_admissibility_estimate(
-                [sampler], m=m, n_trials=2000, rng=np.random.default_rng(2)
+                sampler, m=m, n_trials=2000, rng=np.random.default_rng(2)
             )
             for m in (5, 20, 80)
         ]
@@ -211,7 +211,7 @@ class TestTaxAdmissibility:
 
     def test_all_zero_revenue_tax_is_zero(self):
         p = tax_admissibility_estimate(
-            [lambda rng: (0.0, 0.0)], m=3, n_trials=50, rng=np.random.default_rng(3)
+            lambda rng: (0.0, 0.0), m=3, n_trials=50, rng=np.random.default_rng(3)
         )
         assert p == 0.0
 
