@@ -12,15 +12,11 @@ from bandshare.engine import (
     BuyerSpec,
     Scenario,
     SessionOutcome,
-    offline_optimum,
+    Strategy,
     replay,
     run_monte_carlo,
     run_seeds,
     run_session,
-    strategy_delay,
-    strategy_greedy,
-    strategy_misreport,
-    strategy_pad,
 )
 from bandshare.payments import (
     BidRecord,

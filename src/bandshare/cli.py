@@ -308,9 +308,12 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"need --seed >= 0, got {args.seed}")
     kwargs = {}
     if args.suite == "truthfulness":
-        if args.runs < 2:
-            raise ConfigError(f"need --runs >= 2, got {args.runs}")
-        kwargs["n_runs"] = args.runs
+        runs = 2000 if args.runs is None else args.runs
+        if runs < 2:
+            raise ConfigError(f"need --runs >= 2, got {runs}")
+        kwargs["n_runs"] = runs
+    elif args.runs is not None:
+        raise ConfigError(f"--runs applies to the truthfulness suite only, not {args.suite!r}")
     report = run_suite(args.suite, seed=args.seed, **kwargs)
     print(report.summary())
     for line in report.lines:
@@ -366,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=sorted(SUITES), required=True)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument(
-        "--runs", type=int, default=2000,
-        help="Monte Carlo runs for the truthfulness suite",
+        "--runs", type=int, default=None,
+        help="Monte Carlo runs of the truthfulness suite (default 2000)",
     )
     p_verify.add_argument("--budget", type=float, default=None)
     p_verify.set_defaults(func=cmd_verify)

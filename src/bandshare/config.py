@@ -39,7 +39,6 @@ __all__ = [
     "PoolType",
     "SweepConfig",
     "builtin_config_path",
-    "builtin_configs",
     "load_config",
     "parse_config",
 ]
@@ -464,9 +463,3 @@ def builtin_config_path(name: str) -> str:
         raise ConfigError(f"no builtin config named {name!r}")
     return path
 
-
-def builtin_configs() -> List[str]:
-    here = os.path.join(os.path.dirname(__file__), "configs")
-    return sorted(
-        os.path.splitext(f)[0] for f in os.listdir(here) if f.endswith(".yaml")
-    )

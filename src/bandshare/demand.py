@@ -2,8 +2,8 @@
 
 A demand model answers "how many KB does this buyer want to move in epoch t,
 given that she has moved x KB so far?".  A model is named by a
-:class:`DemandSpec`, built with one of its static constructors, which check
-the model's parameters when called.  ``DemandSpec.realize(seed)`` draws a
+:class:`DemandSpec`, built with one of its static constructors; a spec's
+parameters are checked when it is built.  ``DemandSpec.realize(seed)`` draws a
 fixed :class:`DemandRealization` whose randomness (if any) is drawn once from
 the seed, so repeated queries are deterministic and a realization can be
 replayed across counterfactual simulations.
@@ -13,9 +13,11 @@ Units: one epoch is one second; demand and rates are KB per epoch.
 
 from __future__ import annotations
 
+import inspect
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -25,9 +27,6 @@ __all__ = [
     "NaturalCheck",
     "check_natural",
 ]
-
-GenFn = Callable[[int], float]
-Gen = Union[GenFn, Sequence[float]]
 
 # Probe grid used to spot-check monotonicity of user-supplied rate functions.
 _MONOTONE_PROBE_MAX = 1e4
@@ -39,14 +38,17 @@ class DemandRealization:
     """A fixed draw of a demand function d(t, x).
 
     ``query(t, x)`` returns the demand (KB) for epoch ``t >= 1`` given
-    cumulative real traffic ``x >= 0``.  ``memoryless`` is True when d(t, x)
-    does not depend on x at all.
+    cumulative real traffic ``x >= 0``.  A model is memoryless when d(t, x)
+    does not depend on x at all; exactly those models answer ``query_epochs``.
     """
 
     model_id: str
-    memoryless: bool
     _fn: Callable[[int, float], float] = field(repr=False)
     _bulk: Optional[Callable[[int, int], np.ndarray]] = field(default=None, repr=False)
+
+    @property
+    def memoryless(self) -> bool:
+        return self._bulk is not None
 
     def query(self, t: int, x: float) -> float:
         if t < 1:
@@ -63,16 +65,14 @@ class DemandRealization:
     def query_epochs(self, lo: int, hi: int) -> np.ndarray:
         """Demand at x = 0 for every epoch in [lo, hi].
 
-        Only meaningful for memoryless models (where demand does not depend on
-        x); a vectorized shortcut is used when the model provides one.
+        Only meaningful for memoryless models, where demand does not depend on
+        x; they answer it in one vectorized call.
         """
         if not self.memoryless:
             raise ValueError(f"model {self.model_id!r} depends on cumulative traffic")
         if lo < 1 or hi < lo:
             raise ValueError(f"bad epoch range [{lo}, {hi}]")
-        if self._bulk is not None:
-            return self._bulk(lo, hi)
-        return np.array([self.query(t, 0.0) for t in range(lo, hi + 1)])
+        return self._bulk(lo, hi)
 
 
 def _check(ok: bool, message: str) -> None:
@@ -81,71 +81,44 @@ def _check(ok: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _generation(g: Gen, name: str) -> Gen:
-    """A per-epoch generation callable as is, or a sequence as a float tuple.
-
-    Sequences are 1-indexed by epoch and yield 0 beyond their end (the
-    generation process has stopped); their entries must be >= 0.
-    """
-    if callable(g):
-        return g
-    seq = tuple(float(v) for v in g)
-    for p, v in enumerate(seq, start=1):
-        _check(v >= 0, f"{name}: generation at epoch {p} is negative ({v})")
-    return seq
-
-
-def _gen_fn(g: Gen) -> GenFn:
-    if callable(g):
-        return g
-    return lambda p: g[p - 1] if 1 <= p <= len(g) else 0.0
-
-
-def _weakly_increasing(g: Callable[[float], float], name: str) -> Callable[[float], float]:
-    """g, if a probe grid reveals no decrease.
-
-    For callables this is a spot check, not a proof; sequences passed to the
-    increasing variants are rejected outright (the argument is continuous).
-    """
-    _check(callable(g), f"{name}: g must be callable on a continuous argument")
-    zs = np.linspace(0.0, _MONOTONE_PROBE_MAX, _MONOTONE_PROBE_POINTS)
-    vals = [float(g(z)) for z in zs]
-    for a, b in zip(vals, vals[1:]):
-        _check(b >= a - 1e-12, f"{name}: rate function is not weakly increasing")
-    return g
-
-
-# -- models: parameters are checked by the DemandSpec constructors -----------
+# -- models: parameters are checked when a DemandSpec is built ---------------
 
 
 def _constant(k: float) -> DemandRealization:
     return DemandRealization(
         "constant",
-        memoryless=True,
         _fn=lambda t, x: k,
         _bulk=lambda lo, hi: np.full(hi - lo + 1, float(k)),
     )
 
 
-def _time_varying(g: Gen) -> DemandRealization:
-    fn = _gen_fn(g)
-    return DemandRealization("time_varying", memoryless=True, _fn=lambda t, x: fn(t))
+def _series(model_id: str, d: np.ndarray, values: Sequence[float]) -> DemandRealization:
+    """Memoryless demand d[t - 1] at epoch t, and 0 after the end of ``d``;
+    scalar queries read ``values``, which holds the same numbers as ``d``."""
+    n = len(d)
 
-
-def _buffered(g: Gen) -> DemandRealization:
-    fn = _gen_fn(g)
-    prefix: list[float] = [0.0]  # lazy prefix sums of the generation
-
-    def cum(t: int) -> float:
-        while len(prefix) <= t:
-            p = len(prefix)
-            v = float(fn(p))
-            _check(v >= 0, f"buffered: generation at epoch {p} is negative ({v})")
-            prefix.append(prefix[-1] + v)
-        return prefix[t]
+    def bulk(lo: int, hi: int) -> np.ndarray:
+        out = np.zeros(hi - lo + 1)
+        part = d[lo - 1 : hi]
+        out[: len(part)] = part
+        return out
 
     return DemandRealization(
-        "buffered", memoryless=False, _fn=lambda t, x: max(0.0, cum(t) - x)
+        model_id,
+        _fn=lambda t, x: values[t - 1] if t <= n else 0.0,
+        _bulk=bulk,
+    )
+
+
+def _time_varying(g: Sequence[float]) -> DemandRealization:
+    return _series("time_varying", np.array(g, dtype=float), g)  # a tuple indexes faster
+
+
+def _buffered(g: Sequence[float]) -> DemandRealization:
+    cum = list(itertools.accumulate(g, initial=0.0))  # cum[t]: generated by epoch t
+    last, total = len(g), cum[-1]
+    return DemandRealization(
+        "buffered", _fn=lambda t, x: max(0.0, (cum[t] if t <= last else total) - x)
     )
 
 
@@ -155,19 +128,19 @@ def _impatient(k: float, p: int, m: float) -> DemandRealization:
             return k
         return k if x > m else 0.0
 
-    return DemandRealization("impatient", memoryless=False, _fn=fn)
+    return DemandRealization("impatient", _fn=fn)
 
 
 def _increasing_rate(g: Callable[[float], float]) -> DemandRealization:
-    return DemandRealization("increasing_rate", memoryless=False, _fn=lambda t, x: g(x / t))
+    return DemandRealization("increasing_rate", _fn=lambda t, x: g(x / t))
 
 
 def _increasing_total(g: Callable[[float], float]) -> DemandRealization:
-    return DemandRealization("increasing_total", memoryless=False, _fn=lambda t, x: g(x))
+    return DemandRealization("increasing_total", _fn=lambda t, x: g(x))
 
 
 def _cliff(k: float, m: float) -> DemandRealization:
-    return DemandRealization("cliff", memoryless=False, _fn=lambda t, x: k if x < m else 0.0)
+    return DemandRealization("cliff", _fn=lambda t, x: k if x < m else 0.0)
 
 
 def _flow_trace(
@@ -201,21 +174,11 @@ def _flow_trace(
             continue
         demand[start : end + 1] += rng.poisson(mean_rate, size=end - start + 1)
 
-    def fn(t: int, x: float) -> float:
-        if t > horizon:
-            return 0.0
-        return float(demand[t])
-
-    def bulk(lo: int, hi: int) -> np.ndarray:
-        out = np.zeros(hi - lo + 1)
-        top = min(hi, horizon)
-        if top >= lo:
-            out[: top - lo + 1] = demand[lo : top + 1]
-        return out
-
-    return DemandRealization("flow_trace", memoryless=True, _fn=fn, _bulk=bulk)
+    return _series("flow_trace", demand[1:], demand[1:])  # no list copy: most reads are bulk
 
 
+# A spec's parameters are the parameters of its model's function (except the
+# realization seed, which flow_trace takes from ``realize``).
 _MODELS: dict[str, Callable[..., DemandRealization]] = {
     "constant": _constant,
     "time_varying": _time_varying,
@@ -273,16 +236,51 @@ def check_natural(
 class DemandSpec:
     """Tag + parameters naming a demand model; ``realize`` draws a realization.
 
-    Build specs with the static constructors, one per model; each checks its
-    parameters and raises ``ValueError`` when called.  Every model but
-    ``flow_trace`` is deterministic and ignores the realization seed.
+    Build specs with the static constructors, one per model.  The parameters
+    are checked when a spec is built, however it is built, and a bad one
+    raises ``ValueError`` naming the model.  Every model but ``flow_trace`` is
+    deterministic and ignores the realization seed.
     """
 
     kind: str
     params: Mapping[str, object]
 
     def __post_init__(self) -> None:
-        _check(self.kind in _MODELS, f"unknown demand model {self.kind!r}")
+        """Check the parameters of the model; store sequences as float tuples."""
+        kind = self.kind
+        _check(kind in _MODELS, f"unknown demand model {kind!r}; one of {', '.join(_MODELS)}")
+        names = [n for n in inspect.signature(_MODELS[kind]).parameters if n != "seed"]
+        params = dict(self.params)
+        _check(set(params) == set(names), f"{kind}: takes parameters {names}, got {list(params)}")
+        g = params.get("g")
+        if kind in ("time_varying", "buffered"):
+            is_sequence = isinstance(g, (list, tuple, np.ndarray))
+            _check(is_sequence, f"{kind}: generation must be a sequence, got {type(g).__name__}")
+            params["g"] = tuple(float(v) for v in g)
+            for p, v in enumerate(params["g"], start=1):
+                _check(v >= 0, f"{kind}: generation at epoch {p} is negative ({v})")
+        elif kind in ("increasing_rate", "increasing_total"):
+            # A spot check of g on a probe grid, not a proof of monotonicity.
+            _check(callable(g), f"{kind}: g must be callable on a continuous argument")
+            zs = np.linspace(0.0, _MONOTONE_PROBE_MAX, _MONOTONE_PROBE_POINTS)
+            vals = [float(g(z)) for z in zs]
+            for a, b in zip(vals, vals[1:]):
+                _check(b >= a - 1e-12, f"{kind}: rate function is not weakly increasing")
+        elif kind == "constant":
+            _check(params["k"] >= 0, f"constant: rate must be >= 0, got {params['k']}")
+        elif kind == "impatient":
+            _check(params["k"] >= 0, f"impatient: rate must be >= 0, got {params['k']}")
+            _check(params["p"] >= 1, f"impatient: patience epoch must be >= 1, got {params['p']}")
+            _check(params["m"] >= 0, f"impatient: minimum service must be >= 0, got {params['m']}")
+        elif kind == "cliff":
+            _check(params["k"] >= 0 and params["m"] >= 0, "cliff: rate and quota must be >= 0")
+        else:  # flow_trace
+            _check(params["mean_duration"] > 0, "flow_trace: mean flow duration must be > 0")
+            _check(params["stddev_duration"] >= 0, "flow_trace: flow duration stddev must be >= 0")
+            _check(params["mean_interarrival"] > 0, "flow_trace: mean inter-arrival must be > 0")
+            _check(params["mean_rate"] >= 0, "flow_trace: mean flow rate must be >= 0")
+            _check(params["horizon"] >= 1, "flow_trace: horizon must be >= 1 epoch")
+        object.__setattr__(self, "params", params)
 
     def realize(self, seed: Optional[int] = None) -> DemandRealization:
         params = self.params
@@ -294,41 +292,38 @@ class DemandSpec:
     @staticmethod
     def constant(k: float) -> "DemandSpec":
         """A buyer that wants to send at a constant rate k."""
-        _check(k >= 0, f"constant rate must be >= 0, got {k}")
         return DemandSpec("constant", {"k": k})
 
     @staticmethod
-    def time_varying(g: Gen) -> "DemandSpec":
-        """Data generated by g(t) that must be sent immediately: d(t, x) = g(t)."""
-        return DemandSpec("time_varying", {"g": _generation(g, "time_varying")})
+    def time_varying(g: Sequence[float]) -> "DemandSpec":
+        """Per-epoch data g that must be sent immediately: d(t, x) = g[t - 1], 0 after g ends."""
+        return DemandSpec("time_varying", {"g": g})
 
     @staticmethod
-    def buffered(g: Gen) -> "DemandSpec":
-        """Data generated by g(t) and buffered until sent: d(t, x) = sum_{p<=t} g(p) - x.
+    def buffered(g: Sequence[float]) -> "DemandSpec":
+        """Data generated in epochs 1, 2, ... by the sequence g (nothing after its
+        end) and buffered until sent: d(t, x) = sum_{p<=t} g[p - 1] - x.
 
         Clamped at 0 when x exceeds cumulative generation (reachable only under
         padding strategies, where billed traffic outruns real traffic).
         """
-        return DemandSpec("buffered", {"g": _generation(g, "buffered")})
+        return DemandSpec("buffered", {"g": g})
 
     @staticmethod
     def impatient(k: float, p: int, m: float) -> "DemandSpec":
         """A buyer who sends at rate k until epoch p, then gives up unless she has
         received strictly more than m KB of service by then."""
-        _check(k >= 0, f"rate must be >= 0, got {k}")
-        _check(p >= 1, f"patience epoch must be >= 1, got {p}")
-        _check(m >= 0, f"minimum service must be >= 0, got {m}")
         return DemandSpec("impatient", {"k": k, "p": p, "m": m})
 
     @staticmethod
     def increasing_rate(g: Callable[[float], float]) -> "DemandSpec":
         """Demand growing with the achieved average rate: d(t, x) = g(x / t), g weakly increasing."""
-        return DemandSpec("increasing_rate", {"g": _weakly_increasing(g, "increasing_rate")})
+        return DemandSpec("increasing_rate", {"g": g})
 
     @staticmethod
     def increasing_total(g: Callable[[float], float]) -> "DemandSpec":
         """Demand growing with the total already moved: d(t, x) = g(x), g weakly increasing."""
-        return DemandSpec("increasing_total", {"g": _weakly_increasing(g, "increasing_total")})
+        return DemandSpec("increasing_total", {"g": g})
 
     @staticmethod
     def cliff(k: float, m: float) -> "DemandSpec":
@@ -340,7 +335,6 @@ class DemandSpec:
         give-up behavior; it violates the naturalness inequality with an easy
         witness (x = m, x' = m - eps, c = k).
         """
-        _check(k >= 0 and m >= 0, "rate and quota must be >= 0")
         return DemandSpec("cliff", {"k": k, "m": m})
 
     @staticmethod
@@ -361,11 +355,6 @@ class DemandSpec:
         over the whole horizon; the time-averaged demand then matches the mean
         flow rate.
         """
-        _check(mean_duration > 0, "mean flow duration must be > 0")
-        _check(stddev_duration >= 0, "flow duration stddev must be >= 0")
-        _check(mean_interarrival > 0, "mean inter-arrival must be > 0")
-        _check(mean_rate >= 0, "mean flow rate must be >= 0")
-        _check(horizon >= 1, "horizon must be >= 1 epoch")
         return DemandSpec(
             "flow_trace",
             {

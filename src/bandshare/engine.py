@@ -26,9 +26,8 @@ charge VMM once, after allocation.
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -55,15 +54,10 @@ __all__ = [
     "SessionOutcome",
     "Strategy",
     "build_ledger",
-    "offline_optimum",
     "replay",
     "run_monte_carlo",
     "run_seeds",
     "run_session",
-    "strategy_delay",
-    "strategy_greedy",
-    "strategy_misreport",
-    "strategy_pad",
 ]
 
 ROUTING_POLICIES = ("spq", "fq", "fifo", "hybrid")
@@ -103,22 +97,6 @@ class Strategy:
             )
 
 
-def strategy_greedy() -> Strategy:
-    return Strategy("greedy")
-
-
-def strategy_pad(pad: float) -> Strategy:
-    return Strategy("pad", pad=pad)
-
-
-def strategy_delay(delay_epochs: int) -> Strategy:
-    return Strategy("delay", delay_epochs=delay_epochs)
-
-
-def strategy_misreport(bid_factor: float) -> Strategy:
-    return Strategy("misreport", bid_factor=bid_factor)
-
-
 @dataclass(frozen=True)
 class BuyerSpec:
     """One buyer: true per-KB value, demand model, allocation period, strategy."""
@@ -128,7 +106,7 @@ class BuyerSpec:
     demand: DemandSpec
     arrival: int = 1
     departure: int = 600
-    strategy: Strategy = field(default_factory=strategy_greedy)
+    strategy: Strategy = Strategy("greedy")
 
     def __post_init__(self) -> None:
         if self.value < 0:
@@ -600,74 +578,6 @@ def build_ledger(seller_id: str, outcome: SessionOutcome) -> SellerLedger:
         for bid in outcome.buyer_ids
     ]
     return SellerLedger(seller_id, outcome.reserve, rows)
-
-
-# -- offline optimum ---------------------------------------------------------
-
-_SEARCH_MAX_BUYERS = 4
-_SEARCH_MAX_EPOCHS = 60
-
-
-def offline_optimum(scenario: Scenario, seed: int) -> float:
-    """Best achievable total value for the world drawn from ``seed``.
-
-    For memoryless demand this is the per-epoch value-greedy allocation and is
-    exact (every realized welfare is bounded by it).  For stateful demand it
-    searches over per-epoch priority orderings (desk scale only: at most 4
-    buyers and 60 epochs); fractional pacing policies can in principle beat
-    every pure ordering on stateful demand, so there the value is a strong
-    baseline rather than a true upper bound.
-    """
-    realizations = _world(scenario, seed)[0]
-    buyers = scenario.buyers
-    T = scenario.horizon
-    c = scenario.capacity
-
-    if all(r.memoryless for r in realizations):
-        values = [b.value for b in buyers]
-        grants = spq(_demand_matrix(scenario, realizations), values, c)
-        return float((np.array(values)[:, None] * grants).sum())
-
-    if len(buyers) > _SEARCH_MAX_BUYERS or T > _SEARCH_MAX_EPOCHS:
-        raise ValueError(
-            "offline optimum for stateful demand supports at most "
-            f"{_SEARCH_MAX_BUYERS} buyers and {_SEARCH_MAX_EPOCHS} epochs"
-        )
-
-    n = len(buyers)
-    memo: Dict[tuple, float] = {}
-
-    def best(t: int, x: tuple) -> float:
-        if t > T:
-            return 0.0
-        key = (t, x)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        active = [
-            i for i in range(n) if buyers[i].arrival <= t <= buyers[i].departure
-        ]
-        if not active:
-            value = best(t + 1, x)
-            memo[key] = value
-            return value
-        demands = [realizations[i].query(t, x[i]) for i in active]
-        result = -np.inf
-        for perm in itertools.permutations(range(len(active))):
-            remaining = c
-            gained = 0.0
-            new_x = list(x)
-            for slot in perm:
-                i = active[slot]
-                take = min(remaining, demands[slot])
-                gained += buyers[i].value * take
-                new_x[i] = round(new_x[i] + take, 9)
-                remaining -= take
-            result = max(result, gained + best(t + 1, tuple(new_x)))
-        memo[key] = result
-        return result
-
-    return best(1, (0.0,) * n)
 
 
 # -- Monte Carlo -------------------------------------------------------------

@@ -105,12 +105,6 @@ class PoolSettlement:
     """
 
     split: Tuple[Tuple[str, ...], Tuple[str, ...]]
-    credit1: float
-    credit2: float
-    payments1: float
-    payments2: float
-    deficit1: float
-    deficit2: float
     raw_tax1: float
     raw_tax2: float
     tax1: float
@@ -188,12 +182,6 @@ def settle_pool(
 
     return PoolSettlement(
         split=(s1, s2),
-        credit1=credit1,
-        credit2=credit2,
-        payments1=payments1,
-        payments2=payments2,
-        deficit1=deficit1,
-        deficit2=deficit2,
         raw_tax1=raw_tax1,
         raw_tax2=raw_tax2,
         tax1=tax1,

@@ -78,14 +78,15 @@ class SuiteReport:
 
 # -- natural -----------------------------------------------------------------
 
-
 def _builtin_natural_models(rng: np.random.Generator):
     k = float(rng.uniform(2, 20))
     pattern = rng.uniform(0, 15, size=11)
+    # Every epoch that _natural_on_random_triples queries.
+    generated = [float(pattern[t % 11]) for t in range(1, 200)]
     return [
         DemandSpec.constant(k).realize(),
-        DemandSpec.time_varying(lambda t: float(pattern[t % 11])).realize(),
-        DemandSpec.buffered(lambda p: float(pattern[p % 11])).realize(),
+        DemandSpec.time_varying(generated).realize(),
+        DemandSpec.buffered(generated).realize(),
         DemandSpec.impatient(k, int(rng.integers(5, 50)), float(rng.uniform(20, 400))).realize(),
         DemandSpec.increasing_rate(lambda z: 1.0 + 0.5 * z).realize(),
         DemandSpec.increasing_total(lambda x: 2.0 + x / 40.0).realize(),
@@ -135,14 +136,15 @@ def natural_suite(seed: int = 0) -> SuiteReport:
 
 
 def _random_probe_spec(kind: str, rng: np.random.Generator) -> DemandSpec:
+    epochs = range(1, 41)  # the 40-epoch horizon of monotonicity_suite
     if kind == "constant":
         return DemandSpec.constant(float(rng.uniform(2, 15)))
     if kind == "time_varying":
         pattern = rng.uniform(0, 12, size=7)
-        return DemandSpec.time_varying(lambda t: float(pattern[t % 7]))
+        return DemandSpec.time_varying([float(pattern[t % 7]) for t in epochs])
     if kind == "buffered":
         rate = float(rng.uniform(1, 8))
-        return DemandSpec.buffered(lambda p: rate if p % 3 else 0.0)
+        return DemandSpec.buffered([rate if p % 3 else 0.0 for p in epochs])
     if kind == "impatient":
         return DemandSpec.impatient(
             float(rng.uniform(4, 15)),

@@ -2,18 +2,19 @@
 
 import copy
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 import yaml
 
+import bandshare.config
 from bandshare import cli
 from bandshare.cli import main
 from bandshare.config import (
     ConfigError,
     builtin_config_path,
-    builtin_configs,
     load_config,
     parse_config,
 )
@@ -49,7 +50,8 @@ class TestParsing:
         assert cfg.variants[0].name == "bks"
 
     def test_builtin_fixtures_all_parse(self):
-        names = builtin_configs()
+        configs = pathlib.Path(bandshare.config.__file__).parent / "configs"
+        names = sorted(p.stem for p in configs.glob("*.yaml"))
         assert {"welfare_capacity", "reserve_sweep", "impatient_deviation", "pooling_similar", "pooling_varied"} <= set(names)
         for name in names:
             cfg = load_config(builtin_config_path(name))
@@ -250,13 +252,26 @@ class TestCli:
         assert code == 1
         assert err.startswith("config error: ") and flags[0] in err
 
-    def test_verify_runs_ignored_outside_truthfulness(self, monkeypatch, capsys):
+    def test_verify_runs_rejected_outside_truthfulness(self, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(
             cli, "run_suite", lambda suite, seed, **kw: calls.append(kw) or SuiteReport(suite, True, [])
         )
-        assert self.run_cli("verify", "--suite", "balance", "--runs", "1") == 0
-        assert calls == [{}]
+        for suite in ("balance", "natural"):
+            assert self.run_cli("verify", "--suite", suite, "--runs", "5") == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and "--runs" in err and suite in err
+            assert self.run_cli("verify", "--suite", suite) == 0
+        assert calls == [{}, {}]
+
+    def test_verify_truthfulness_runs_default(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            cli, "run_suite", lambda suite, seed, **kw: calls.append(kw) or SuiteReport(suite, True, [])
+        )
+        assert self.run_cli("verify", "--suite", "truthfulness") == 0
+        assert self.run_cli("verify", "--suite", "truthfulness", "--runs", "7") == 0
+        assert calls == [{"n_runs": 2000}, {"n_runs": 7}]
 
     @pytest.mark.parametrize("flag", ["--runs", "--jobs"])
     def test_pool_rejects_monte_carlo_flags(self, tmp_path, capsys, flag):

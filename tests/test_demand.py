@@ -28,16 +28,21 @@ class TestConstant:
 
 class TestBuffered:
     def test_accumulates(self):
-        d = DemandSpec.buffered(lambda p: 5.0).realize()
+        d = DemandSpec.buffered([5.0, 5.0, 5.0]).realize()
         assert d.query(3, 0) == 15  # 5 + 5 + 5
+        # Past the end of the sequence: total generation - x, clamped at 0.
+        assert d.query(4, 0) == 15
+        assert d.query(50, 6) == 9
+        assert d.query(50, 15) == 0
+        assert d.query(50, 40) == 0
 
     def test_served_buffer_empty(self):
-        d = DemandSpec.buffered(lambda p: 5.0).realize()
+        d = DemandSpec.buffered([5.0] * 3).realize()
         assert d.query(3, 15) == 0
 
     def test_clamped_at_zero_when_overserved(self):
         # x > cumulative generation is reachable only under padding; clamp.
-        d = DemandSpec.buffered(lambda p: 5.0).realize()
+        d = DemandSpec.buffered([5.0] * 3).realize()
         assert d.query(3, 20) == 0
 
     def test_sequence_generation(self):
@@ -47,12 +52,11 @@ class TestBuffered:
         assert d.query(5, 1) == 0
 
     def test_negative_generation_rejected(self):
-        d = DemandSpec.buffered(lambda p: -1.0).realize()
-        with pytest.raises(ValueError):
-            d.query(1, 0)
+        with pytest.raises(ValueError, match="epoch 2"):
+            DemandSpec.buffered([1.0, -1.0])
 
     def test_not_memoryless(self):
-        assert not DemandSpec.buffered(lambda p: 5.0).realize().memoryless
+        assert not DemandSpec.buffered([5.0]).realize().memoryless
 
 
 class TestImpatient:
@@ -75,9 +79,10 @@ class TestImpatient:
 
 class TestFunctionalModels:
     def test_time_varying_passthrough(self):
-        d = DemandSpec.time_varying(lambda t: float(t)).realize()
+        d = DemandSpec.time_varying([float(t) for t in range(1, 11)]).realize()
         assert d.query(7, 0) == 7
         assert d.query(7, 999) == 7
+        assert d.query(11, 0) == 0  # nothing is generated after the sequence
 
     def test_increasing_total_passthrough(self):
         d = DemandSpec.increasing_total(lambda x: x / 100).realize()
@@ -171,8 +176,8 @@ class TestCheckNatural:
         rng = np.random.default_rng(42)
         models = [
             DemandSpec.constant(7.5).realize(),
-            DemandSpec.time_varying(lambda t: (t % 13) * 1.5).realize(),
-            DemandSpec.buffered(lambda p: (p % 5) * 2.0).realize(),
+            DemandSpec.time_varying([(t % 13) * 1.5 for t in range(1, 200)]).realize(),
+            DemandSpec.buffered([(p % 5) * 2.0 for p in range(1, 200)]).realize(),
             DemandSpec.impatient(10, 20, 150).realize(),
             DemandSpec.increasing_rate(lambda z: 3 * z + 1).realize(),
             DemandSpec.increasing_total(lambda x: np.sqrt(x)).realize(),
@@ -191,11 +196,11 @@ class TestMemorylessFlags:
     def test_expected_flags(self):
         flagged = {
             "constant": DemandSpec.constant(1).realize(),
-            "time_varying": DemandSpec.time_varying(lambda t: 1.0).realize(),
+            "time_varying": DemandSpec.time_varying([1.0]).realize(),
             "flow_trace": DemandSpec.flow_trace(mean_rate=10, horizon=10).realize(1),
         }
         unflagged = {
-            "buffered": DemandSpec.buffered(lambda p: 1.0).realize(),
+            "buffered": DemandSpec.buffered([1.0]).realize(),
             "impatient": DemandSpec.impatient(1, 5, 3).realize(),
             "increasing_rate": DemandSpec.increasing_rate(lambda z: z).realize(),
             "increasing_total": DemandSpec.increasing_total(lambda x: x).realize(),
@@ -254,6 +259,28 @@ class TestDemandSpec:
         # Raised when the spec is built, not when a session realizes it.
         with pytest.raises(ValueError):
             build()
+
+    @pytest.mark.parametrize(
+        "build, model",
+        [
+            (lambda: DemandSpec("constant", {"k": -3}), "constant"),
+            (lambda: DemandSpec("constant", {"q": 1}), "constant"),
+            (lambda: DemandSpec("impatient", {"k": 1, "p": 0, "m": 1}), "impatient"),
+            (lambda: DemandSpec("flow_trace", {"mean_rate": 1}), "flow_trace"),
+            (lambda: DemandSpec.time_varying(lambda t: 1.0), "time_varying"),
+            (lambda: DemandSpec.buffered(lambda p: 1.0), "buffered"),
+        ],
+        ids=["negative", "unknown-key", "impatient", "missing-keys", "callable-tv", "callable-buf"],
+    )
+    def test_raw_specs_checked(self, build, model):
+        # The dataclass constructor checks what the static constructors check.
+        with pytest.raises(ValueError, match=model):
+            build()
+
+    def test_raw_spec_stores_sequence_as_floats(self):
+        spec = DemandSpec("buffered", {"g": [1, 2]})
+        assert spec.params["g"] == (1.0, 2.0)
+        assert spec == DemandSpec.buffered((1.0, 2.0))
 
     def test_monotone_probe_runs_once_at_build(self):
         calls = []

@@ -1,8 +1,9 @@
 """Session engine tests.
 
 Covers the worked VCG manipulation example, strategy identities, the isolation
-and monotonicity properties of strict-priority routing, the offline optimum
-oracle (against a brute-force enumerator), Monte Carlo determinism, the
+and monotonicity properties of strict-priority routing, welfare against the
+offline optimum (value-ordered service for memoryless demand, a brute-force
+enumerator for stateful demand), Monte Carlo determinism, the
 equivalence of the vectorized and epoch-loop execution paths, and world
 replay under counterfactual bids.
 """
@@ -29,16 +30,12 @@ from bandshare.engine import (
     _run_vectorized,
     _world,
     build_ledger,
-    offline_optimum,
     replay,
     run_monte_carlo,
     run_seeds,
     run_session,
-    strategy_delay,
-    strategy_greedy,
-    strategy_misreport,
-    strategy_pad,
 )
+from bandshare.routing import spq
 
 
 def example1_scenario(horizon=600):
@@ -89,18 +86,23 @@ class TestStrategies:
         )
 
     def test_zero_pad_is_greedy(self):
-        a = run_session(self.base(strategy_greedy()), seed=3)
-        b = run_session(self.base(strategy_pad(0.0)), seed=3)
+        a = run_session(self.base(Strategy("greedy")), seed=3)
+        b = run_session(self.base(Strategy("pad", pad=0.0)), seed=3)
         assert a.bytes == b.bytes and a.utilities == b.utilities
 
     def test_zero_delay_is_greedy(self):
-        a = run_session(self.base(strategy_greedy()), seed=3)
-        b = run_session(self.base(strategy_delay(0)), seed=3)
+        a = run_session(self.base(Strategy("greedy")), seed=3)
+        b = run_session(self.base(Strategy("delay", delay_epochs=0)), seed=3)
         assert a.bytes == b.bytes and a.utilities == b.utilities
 
     @pytest.mark.parametrize(
-        "make", [lambda: strategy_pad(-1.0), lambda: strategy_delay(-1),
-                 lambda: strategy_misreport(-0.5), lambda: Strategy("pad", pad=-2.0)],
+        "make",
+        [
+            lambda: Strategy("pad", pad=-1.0),
+            lambda: Strategy("delay", delay_epochs=-1),
+            lambda: Strategy("misreport", bid_factor=-0.5),
+            lambda: Strategy("greedy", pad=-2.0),
+        ],
     )
     def test_negative_parameters_rejected(self, make):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -111,14 +113,14 @@ class TestStrategies:
             Strategy("bluff")
 
     def test_misreport_scales_bid(self):
-        out = run_session(self.base(strategy_misreport(0.5), mechanism="vmm"), seed=3)
+        out = run_session(self.base(Strategy("misreport", bid_factor=0.5), mechanism="vmm"), seed=3)
         assert out.bids["a"] == 2.5
 
     def test_padding_bills_but_adds_no_value(self):
         # Uncontended buyer: padding consumes spare capacity, is billed, and
         # leaves real traffic untouched.
         scenario = Scenario(
-            buyers=(BuyerSpec("a", 5.0, DemandSpec.constant(3.0), 1, 10, strategy_pad(2.0)),),
+            buyers=(BuyerSpec("a", 5.0, DemandSpec.constant(3.0), 1, 10, Strategy("pad", pad=2.0)),),
             capacity=10.0,
             mechanism="fixed",
             price=1.0,
@@ -135,7 +137,7 @@ class TestStrategies:
             buyers=(
                 BuyerSpec(
                     "a", 5.0, DemandSpec.time_varying([4.0, 0.0, 0.0, 0.0]), 1, 4,
-                    strategy_delay(2),
+                    Strategy("delay", delay_epochs=2),
                 ),
             ),
             capacity=10.0,
@@ -159,8 +161,8 @@ class TestStrategies:
                 horizon=120,
             )
 
-        greedy = run_session(scen(strategy_greedy()), seed=1)
-        delayed = run_session(scen(strategy_delay(10)), seed=1)
+        greedy = run_session(scen(Strategy("greedy")), seed=1)
+        delayed = run_session(scen(Strategy("delay", delay_epochs=10)), seed=1)
         assert delayed.bytes != greedy.bytes
 
 
@@ -169,7 +171,7 @@ class TestIsolation:
         return Scenario(
             buyers=(
                 BuyerSpec("hi", 9.0, DemandSpec.constant(5.0), 1, 40),
-                BuyerSpec("mid", 5.0, DemandSpec.buffered(lambda p: 3.0), 1, 40, mid_strategy),
+                BuyerSpec("mid", 5.0, DemandSpec.buffered([3.0] * 40), 1, 40, mid_strategy),
                 BuyerSpec("lo", 1.0, DemandSpec.constant(9.0), 1, 40),
             ),
             capacity=10.0,
@@ -178,22 +180,26 @@ class TestIsolation:
         )
 
     def test_higher_priority_grants_invariant_to_lower_behavior(self):
-        base = run_session(self.scen(strategy_greedy()), seed=7)
-        for strat in (strategy_delay(5), strategy_pad(4.0), strategy_misreport(0.9)):
+        base = run_session(self.scen(Strategy("greedy")), seed=7)
+        for strat in (
+            Strategy("delay", delay_epochs=5),
+            Strategy("pad", pad=4.0),
+            Strategy("misreport", bid_factor=0.9),
+        ):
             alt = run_session(self.scen(strat), seed=7)
             np.testing.assert_array_equal(base.trace[:, 0], alt.trace[:, 0])
 
     def test_lower_priority_grants_can_change(self):
-        base = run_session(self.scen(strategy_greedy()), seed=7)
-        alt = run_session(self.scen(strategy_delay(5)), seed=7)
+        base = run_session(self.scen(Strategy("greedy")), seed=7)
+        alt = run_session(self.scen(Strategy("delay", delay_epochs=5)), seed=7)
         assert not np.array_equal(base.trace[:, 2], alt.trace[:, 2])
 
     def test_own_past_consumption_does_not_change_grants(self):
         # Replay with the middle buyer delaying: her *available* capacity
         # (capacity left by the high buyer) is unchanged even though her own
         # history differs.
-        base = run_session(self.scen(strategy_greedy()), seed=7)
-        alt = run_session(self.scen(strategy_delay(3)), seed=7)
+        base = run_session(self.scen(Strategy("greedy")), seed=7)
+        alt = run_session(self.scen(Strategy("delay", delay_epochs=3)), seed=7)
         available_base = 10.0 - base.trace[:, 0]
         available_alt = 10.0 - alt.trace[:, 0]
         np.testing.assert_allclose(available_base, available_alt)
@@ -215,10 +221,11 @@ class TestEpochMonotonicity:
         assert np.all(hi.trace[:, 0] >= lo.trace[:, 0] - 1e-12)
 
 
+# Per-epoch generation covers the 40 epochs that the tests below query.
 NATURAL_SPECS = [
     DemandSpec.constant(9.0),
-    DemandSpec.time_varying(lambda t: (t % 7) * 2.0),
-    DemandSpec.buffered(lambda p: 4.0 if p % 3 else 0.0),
+    DemandSpec.time_varying([(t % 7) * 2.0 for t in range(1, 41)]),
+    DemandSpec.buffered([4.0 if p % 3 else 0.0 for p in range(1, 41)]),
     DemandSpec.impatient(8.0, 12, 40.0),
     DemandSpec.increasing_rate(lambda z: 2.0 + z),
     DemandSpec.increasing_total(lambda x: 1.0 + x / 50.0),
@@ -308,7 +315,7 @@ class TestStrategyDominance:
     def scen(self, strategy):
         return Scenario(
             buyers=(
-                BuyerSpec("agent", 5.0, DemandSpec.buffered(lambda p: 6.0), 1, 60, strategy),
+                BuyerSpec("agent", 5.0, DemandSpec.buffered([6.0] * 60), 1, 60, strategy),
                 BuyerSpec("rival", 3.0, DemandSpec.constant(7.0), 1, 60),
             ),
             capacity=10.0,
@@ -321,9 +328,9 @@ class TestStrategyDominance:
         """Expected utility of greedy >= pad/delay, paired worlds, 95% CI."""
         seeds = np.random.default_rng(21).integers(0, 2**63 - 1, size=400)
         greedy = np.array(
-            [run_session(self.scen(strategy_greedy()), int(s)).utilities["agent"] for s in seeds]
+            [run_session(self.scen(Strategy("greedy")), int(s)).utilities["agent"] for s in seeds]
         )
-        for strat in (strategy_pad(3.0), strategy_delay(4)):
+        for strat in (Strategy("pad", pad=3.0), Strategy("delay", delay_epochs=4)):
             other = np.array(
                 [run_session(self.scen(strat), int(s)).utilities["agent"] for s in seeds]
             )
@@ -346,6 +353,16 @@ class TestStrategyDominance:
                 assert out.payments["solo"].net == 0.0  # no externality
 
 
+def memoryless_optimum(scenario, seed):
+    """Best total value for the memoryless world drawn from ``seed``: each
+    epoch's capacity served in order of true value (exact, because demand
+    does not depend on past service)."""
+    realizations = _world(scenario, seed)[0]
+    values = [b.value for b in scenario.buyers]
+    grants = spq(_demand_matrix(scenario, realizations), values, scenario.capacity)
+    return float((np.array(values)[:, None] * grants).sum())
+
+
 class TestOfflineOptimum:
     def test_single_buyer(self):
         scenario = Scenario(
@@ -354,7 +371,7 @@ class TestOfflineOptimum:
             mechanism="vmm",
             horizon=20,
         )
-        assert offline_optimum(scenario, seed=0) == pytest.approx(5.0 * 6.0 * 20)
+        assert memoryless_optimum(scenario, seed=0) == pytest.approx(5.0 * 6.0 * 20)
 
     def test_memoryless_equals_spq_welfare_with_true_bids(self):
         scenario = Scenario(
@@ -368,7 +385,7 @@ class TestOfflineOptimum:
             horizon=120,
         )
         for seed in (0, 1, 2):
-            opt = offline_optimum(scenario, seed)
+            opt = memoryless_optimum(scenario, seed)
             out = run_session(scenario, seed)
             assert out.welfare == pytest.approx(opt, rel=1e-12)
 
@@ -384,11 +401,7 @@ class TestOfflineOptimum:
             mechanism="vmm",
             horizon=6,
         )
-        opt = offline_optimum(scenario, seed=0)
-        spq = run_session(scenario, seed=0).welfare
-        assert opt > spq + 1e-9
-
-        # Independent oracle: exhaustive enumeration over per-epoch orderings.
+        # Exhaustive search over per-epoch priority orders.
         demand_hi = DemandSpec.constant(10.0).realize()
         demand_imp = DemandSpec.impatient(10.0, 2, 15.0).realize()
         best = -1.0
@@ -404,7 +417,7 @@ class TestOfflineOptimum:
                     x[i] += take
                     remaining -= take
             best = max(best, value)
-        assert opt == pytest.approx(best)
+        assert best > run_session(scenario, seed=0).welfare + 1e-9
 
     def test_efficiency_ratio_on_session(self):
         scenario = Scenario(
@@ -418,24 +431,12 @@ class TestOfflineOptimum:
         )
         out = run_session(scenario, seed=3)
         # SPQ with truthful bids on memoryless demand is value-optimal.
-        assert out.welfare / offline_optimum(scenario, 3) == pytest.approx(1.0)
+        assert out.welfare / memoryless_optimum(scenario, 3) == pytest.approx(1.0)
         resampled = Scenario(
             buyers=scenario.buyers, capacity=12.0, mechanism="bks", horizon=80
         )
-        ratio = run_session(resampled, seed=3).welfare / offline_optimum(resampled, 3)
+        ratio = run_session(resampled, seed=3).welfare / memoryless_optimum(resampled, 3)
         assert 0.0 <= ratio <= 1.0
-
-    def test_search_limits_enforced(self):
-        scenario = Scenario(
-            buyers=tuple(
-                BuyerSpec(f"b{i}", 1.0, DemandSpec.impatient(1.0, 2, 1.0), 1, 600)
-                for i in range(5)
-            ),
-            capacity=1.0,
-            horizon=600,
-        )
-        with pytest.raises(ValueError):
-            offline_optimum(scenario, seed=0)
 
 
 class TestHybridRouting:
@@ -546,7 +547,8 @@ class TestWorkConservation:
 @st.composite
 def memoryless_scenarios(draw):
     """Scenarios the vector path can run: memoryless demand, greedy or
-    misreporting buyers, n <= 5, any routing, mechanism, reserve and windows."""
+    misreporting buyers, n <= 5, any routing, mechanism, reserve and windows,
+    and per-epoch demand lists from 1 to horizon + 5 epochs long."""
     horizon = draw(st.integers(1, 30))
     n = draw(st.integers(1, 5))
     values = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n, unique=True))
@@ -556,13 +558,15 @@ def memoryless_scenarios(draw):
         departure = draw(st.integers(arrival, horizon + 5))
         demand = draw(st.one_of(
             st.floats(0.0, 30.0).map(DemandSpec.constant),
-            st.lists(st.floats(0.0, 30.0), min_size=horizon, max_size=horizon).map(
+            # Shorter and longer than the horizon: demand is 0 after the list ends.
+            st.lists(st.floats(0.0, 30.0), min_size=1, max_size=horizon + 5).map(
                 DemandSpec.time_varying
             ),
             st.floats(0.0, 20.0).map(lambda rate: DemandSpec.flow_trace(rate, horizon)),
         ))
         strategy = draw(st.one_of(
-            st.just(strategy_greedy()), st.floats(0.0, 2.0).map(strategy_misreport)
+            st.just(Strategy("greedy")),
+            st.floats(0.0, 2.0).map(lambda f: Strategy("misreport", bid_factor=f)),
         ))
         buyers.append(BuyerSpec(f"b{k}", value, demand, arrival, departure, strategy))
     return Scenario(

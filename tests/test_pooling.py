@@ -58,12 +58,12 @@ class TestSettlePool:
         # as tax and the center absorbs the remaining 180.
         a = ledger("A", 0, [("ba", 10, 5, 3, 250)])
         b = ledger("B", 0, [("bb", 10, 5, 5, 0)])
+        assert a.credit_above_reserve() == pytest.approx(30)
+        assert a.payments_above_reserve() == pytest.approx(-200)
+        assert b.credit_above_reserve() == pytest.approx(50)
+        assert b.payments_above_reserve() == pytest.approx(50)
         out = settle_pool([a, b], np.random.default_rng(0), split=(["A"], ["B"]))
-        assert out.credit1 == pytest.approx(30)
-        assert out.payments1 == pytest.approx(-200)
-        assert out.deficit1 == pytest.approx(230)
-        assert out.credit2 == pytest.approx(50)
-        assert out.deficit2 == pytest.approx(0)
+        assert out.raw_tax1 == 0
         assert out.tax1 == 0
         assert out.raw_tax2 == pytest.approx(4.6)
         assert out.tax2 == 1.0

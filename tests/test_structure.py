@@ -9,6 +9,10 @@ Demand models live in ``bandshare.demand``: no other module may reach into
 its private names (the model table and the per-model functions) or construct
 a ``DemandRealization``, so every realization comes from
 ``DemandSpec.realize``.
+
+Every name in a module's ``__all__`` is used by the package itself or by the
+benchmark, not only by tests: the package re-exports in ``__init__.py`` do
+not count as a use.
 """
 
 import ast
@@ -16,7 +20,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "bandshare"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "bandshare"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "engine.py")
 NON_DEMAND_MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "demand.py")
 
@@ -94,3 +99,42 @@ def test_seed_bound_only_in_engine(path):
 def test_engine_has_the_seed_bound_once():
     tree = ast.parse((SRC / "engine.py").read_text())
     assert list(_seed_bounds(tree)) == ["2 ** 63 - 1"]
+
+
+def _public_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _used_names(tree):
+    """Names a module loads, reads as an attribute or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (a.name for a in node.names)
+
+
+USERS = [p for p in SRC.glob("*.py") if p.name != "__init__.py"] + list(ROOT.glob("bench/*.py"))
+USED = {name for p in USERS for name in _used_names(ast.parse(p.read_text()))}
+PUBLIC = [
+    (p.stem, name)
+    for p in sorted(SRC.glob("*.py"))
+    for name in _public_names(ast.parse(p.read_text()))
+]
+
+
+def test_public_names_found():
+    assert ("engine", "run_session") in PUBLIC and ("demand", "DemandSpec") in PUBLIC
+    assert {"run.py", "tracing.py", "workloads.py"} <= {p.name for p in USERS}
+
+
+@pytest.mark.parametrize("module, name", PUBLIC, ids=[f"{m}.{n}" for m, n in PUBLIC])
+def test_public_name_used_outside_tests(module, name):
+    assert name in USED, f"bandshare.{module}.{name} is public but only tests use it"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bandshare.demand import DemandSpec
-from bandshare.engine import BuyerSpec, Scenario, run_seeds, run_session, strategy_pad
+from bandshare.engine import BuyerSpec, Scenario, Strategy, run_seeds, run_session
 from bandshare.verify import (
     balance_suite,
     expected_utilities_rb,
@@ -68,7 +68,7 @@ class TestConditionedEstimator:
         scenario = Scenario(
             buyers=(
                 BuyerSpec("probe", 3.0, DemandSpec.constant(6.0), 1, 30),
-                BuyerSpec("padder", 5.0, DemandSpec.constant(4.0), 1, 30, strategy_pad(5.0)),
+                BuyerSpec("padder", 5.0, DemandSpec.constant(4.0), 1, 30, Strategy("pad", pad=5.0)),
             ),
             capacity=10.0,
             mechanism="bks",
