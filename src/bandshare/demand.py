@@ -16,6 +16,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -252,13 +253,20 @@ class DemandSpec:
         names = [n for n in inspect.signature(_MODELS[kind]).parameters if n != "seed"]
         params = dict(self.params)
         _check(set(params) == set(names), f"{kind}: takes parameters {names}, got {list(params)}")
+        for name, v in params.items():
+            if name != "g":
+                whole = name in ("p", "horizon")  # the parameters that count epochs
+                ok = isinstance(v, numbers.Integral if whole else numbers.Real)
+                what = "an integer" if whole else "a real number"
+                _check(ok and not isinstance(v, bool), f"{kind}: {name} must be {what}, got {v!r}")
         g = params.get("g")
         if kind in ("time_varying", "buffered"):
             is_sequence = isinstance(g, (list, tuple, np.ndarray))
             _check(is_sequence, f"{kind}: generation must be a sequence, got {type(g).__name__}")
+            for p, v in enumerate(g, start=1):
+                ok = isinstance(v, numbers.Real) and not isinstance(v, bool) and v >= 0
+                _check(ok, f"{kind}: generation at epoch {p} must be a number >= 0, got {v}")
             params["g"] = tuple(float(v) for v in g)
-            for p, v in enumerate(params["g"], start=1):
-                _check(v >= 0, f"{kind}: generation at epoch {p} is negative ({v})")
         elif kind in ("increasing_rate", "increasing_total"):
             # A spot check of g on a probe grid, not a proof of monotonicity.
             _check(callable(g), f"{kind}: g must be callable on a continuous argument")

@@ -4,28 +4,29 @@
 arrive and depart, query their demand realizations, push traffic through the
 configured routing policy, and settle payments under the configured mechanism.
 
-This module owns the random-number layout.  A session seed spawns three
-streams: demand (one realization seed per buyer, in scenario order), priority
-tie-breaks, and bid resampling (two uniforms per buyer, in scenario order,
-whatever the bids).  ``replay(scenario, seed)`` materializes that world once
-and returns ``session(bid_override=None, force_resample=None)``, which plays
-it under any counterfactual bids or pinned resampling coins; ``run_session``
-is ``replay(scenario, seed)(bid_override, force_resample)``.  A Monte Carlo
+This module owns the random-number layout.  A session seed spawns two live
+streams: demand (one realization seed per buyer, in scenario order) and bid
+resampling (two uniforms per buyer, in scenario order, whatever the bids).
+``replay(scenario, seed)`` materializes that world once and returns
+``session(bid_override=None, force_resample=None)``, which plays it under any
+counterfactual bids or pinned resampling coins; ``run_session`` is
+``replay(scenario, seed)(bid_override, force_resample)``.  A Monte Carlo
 over ``n`` runs from a master seed uses the session seeds ``run_seeds(seed,
 n)``.
 
-Memoryless scenarios with straightforward buyers and distinct priorities run
-through a vectorized path that applies the ``routing`` kernels to the whole
-(n, T) demand matrix; anything stateful (buffered or impatient demand,
-padding, delaying, the threshold-hybrid policy) or tied takes the epoch loop,
-which allocates one epoch at a time with the scalar ``_allocate_epoch``.
-Both produce identical results.  VMM charges depend only on bids and
-presented demand, so the loop records the demand it presents and both paths
-charge VMM once, after allocation.
+The path is chosen once per world.  Memoryless worlds with straightforward
+buyers run through a vectorized path that applies the ``routing`` kernels to
+the whole (n, T) demand matrix; anything stateful (buffered or impatient
+demand, padding, delaying, the threshold-hybrid policy) takes the epoch loop,
+which allocates one epoch at a time with ``_allocate_epoch``, the scalar form
+of the same kernels.  Both produce identical results.  VMM charges depend only
+on bids and presented demand, so the loop records the demand it presents and
+both paths charge VMM once, after allocation.
 """
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -90,7 +91,8 @@ class Strategy:
     def __post_init__(self) -> None:
         if self.kind not in _STRATEGY_KINDS:
             raise ValueError(f"unknown strategy {self.kind!r}; one of {_STRATEGY_KINDS}")
-        if self.pad < 0 or self.delay_epochs < 0 or self.bid_factor < 0:
+        # Checks are written as positive conditions so that NaN fails them too.
+        if not (self.pad >= 0 and self.delay_epochs >= 0 and self.bid_factor >= 0):
             raise ValueError(
                 "pad, delay and bid factor must be nonnegative, got "
                 f"{self.pad}, {self.delay_epochs}, {self.bid_factor}"
@@ -109,7 +111,7 @@ class BuyerSpec:
     strategy: Strategy = Strategy("greedy")
 
     def __post_init__(self) -> None:
-        if self.value < 0:
+        if not self.value >= 0:
             raise ValueError(f"value must be >= 0, got {self.value}")
         if not 0 <= self.arrival <= self.departure:
             raise ValueError(
@@ -136,9 +138,9 @@ class HybridBoost:
     deadline: int
 
     def __post_init__(self) -> None:
-        if self.target_bytes < 0:
+        if not self.target_bytes >= 0:
             raise ValueError("boost target must be >= 0")
-        if self.deadline < 1:
+        if not self.deadline >= 1:
             raise ValueError("boost deadline must be >= 1")
 
 
@@ -158,9 +160,9 @@ class Scenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "buyers", tuple(self.buyers))
-        if self.capacity <= 0:
+        if not self.capacity > 0:
             raise ValueError(f"capacity must be > 0, got {self.capacity}")
-        if self.horizon < 1:
+        if not self.horizon >= 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.routing not in ROUTING_POLICIES:
             raise ValueError(f"unknown routing policy {self.routing!r}")
@@ -168,7 +170,7 @@ class Scenario:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
         if not 0 < self.mu < 1:
             raise ValueError(f"mu must be in (0, 1), got {self.mu}")
-        if self.reserve < 0 or self.price < 0:
+        if not (self.reserve >= 0 and self.price >= 0):
             raise ValueError("reserve and price must be >= 0")
         ids = [b.buyer_id for b in self.buyers]
         if len(set(ids)) != len(ids):
@@ -209,12 +211,13 @@ def run_seeds(seed: Union[int, np.random.Generator], n: int) -> List[int]:
 
 def _world(
     scenario: Scenario, seed: int
-) -> Tuple[List[DemandRealization], np.random.SeedSequence, np.random.SeedSequence]:
-    """Demand realizations, tie-break stream and resampling stream of ``seed``."""
-    demand_ss, tie_ss, resample_ss = np.random.SeedSequence(seed).spawn(3)
+) -> Tuple[List[DemandRealization], np.random.SeedSequence]:
+    """Demand realizations and resampling stream of ``seed``."""
+    # The unused middle child keeps the resampling stream where it has always been.
+    demand_ss, _, resample_ss = np.random.SeedSequence(seed).spawn(3)
     seeds = demand_ss.generate_state(len(scenario.buyers), dtype=np.uint64)
     realizations = [b.demand.realize(int(s)) for b, s in zip(scenario.buyers, seeds)]
-    return realizations, tie_ss, resample_ss
+    return realizations, resample_ss
 
 
 def _bid_records(
@@ -304,29 +307,23 @@ def replay(scenario: Scenario, seed: int) -> Callable[..., SessionOutcome]:
     Materializes the demand realizations once and returns
     ``session(bid_override=None, force_resample=None)``.  ``bid_override``
     replaces buyers' submitted bids and ``force_resample`` pins buyers'
-    resampling coins (keeping their draws); every call sees the same demand,
-    tie-break and resampling streams.  Each call takes the vector path when
-    the world allows it and the eligible routing keys are distinct, and the
-    epoch loop otherwise; the demand matrix of the vector path is built at
-    most once.
+    resampling coins (keeping their draws); every call sees the same demand
+    and resampling streams.  The path is chosen once per world: a world the
+    vector path can run gets its demand matrix here and plays every call on
+    that path, and any other world plays every call in the epoch loop.
     """
-    realizations, tie_ss, resample_ss = _world(scenario, seed)
+    realizations, resample_ss = _world(scenario, seed)
     vectorizable = _can_vectorize(scenario, realizations)
-    demand = None
+    demand = _demand_matrix(scenario, realizations) if vectorizable else None
 
     def session(
         bid_override: Optional[Mapping[str, float]] = None,
         force_resample: Optional[Mapping[str, bool]] = None,
     ) -> SessionOutcome:
-        nonlocal demand
         records = _bid_records(scenario, resample_ss, bid_override, force_resample)
-        if vectorizable:
-            keys = [r.perturbed_bid for r in records.values() if _eligible(scenario, r.bid)]
-            if len(set(keys)) == len(keys):  # ties need the per-epoch tie-break loop
-                if demand is None:
-                    demand = _demand_matrix(scenario, realizations)
-                return _run_vectorized(scenario, demand, records)
-        return _run_loop(scenario, realizations, records, tie_ss)
+        if demand is not None:
+            return _run_vectorized(scenario, demand, records)
+        return _run_loop(scenario, realizations, records)
 
     return session
 
@@ -347,15 +344,13 @@ def _run_loop(
     scenario: Scenario,
     realizations: Sequence[DemandRealization],
     records: Dict[str, BidRecord],
-    tie_ss: np.random.SeedSequence,
 ) -> SessionOutcome:
     buyers = scenario.buyers
     n = len(buyers)
     T = scenario.horizon
-    tie_rng = np.random.default_rng(tie_ss)
 
     elig = [_eligible(scenario, records[b.buyer_id].bid) for b in buyers]
-    priorities = [records[b.buyer_id].perturbed_bid for b in buyers]
+    groups = _groups([records[b.buyer_id].perturbed_bid for b in buyers])
     arrivals = [b.arrival for b in buyers]
     departures = [b.departure for b in buyers]
     strategies = [b.strategy for b in buyers]
@@ -367,10 +362,6 @@ def _run_loop(
     trace = np.zeros((T, n))
     # Presented demand, recorded only for the VMM charges after the loop.
     shown = np.zeros((n, T)) if scenario.mechanism == "vmm" else None
-
-    static_order: Optional[List[int]] = None
-    if scenario.routing in ("spq", "hybrid") and len(set(priorities)) == n:
-        static_order = sorted(range(n), key=lambda i: -priorities[i])
 
     for t in range(1, T + 1):
         active: List[int] = []
@@ -398,9 +389,7 @@ def _run_loop(
                 presented[i] = d
 
         if active:
-            grants = _allocate_epoch(
-                scenario, t, active, presented, priorities, x_real, static_order, tie_rng
-            )
+            grants = _allocate_epoch(scenario, t, active, presented, x_real, groups)
             if shown is not None:
                 shown[:, t - 1] = presented
             row = trace[t - 1]
@@ -417,8 +406,10 @@ def _run_loop(
     return _finish(scenario, records, x_real, x_billed, shown, trace)
 
 
-# Numeric floor for the fq water-filling rounds (KB).
-_FQ_EPS = 1e-9
+def _groups(keys: Sequence[float]) -> List[List[int]]:
+    """Buyer positions grouped by equal key, highest first, as ``routing.spq`` groups rows."""
+    order = sorted(range(len(keys)), key=lambda i: -keys[i])
+    return [list(rows) for _, rows in itertools.groupby(order, key=keys.__getitem__)]
 
 
 def _allocate_epoch(
@@ -426,16 +417,13 @@ def _allocate_epoch(
     t: int,
     active: List[int],
     presented: List[float],
-    priorities: List[float],
     x_real: List[float],
-    static_order: Optional[List[int]],
-    tie_rng: np.random.Generator,
+    groups: List[List[int]],
 ) -> List[float]:
     """Grants for one epoch by buyer position, zero outside ``active``.
 
     The scalar form of the ``routing`` kernels for a single column.  Strict
-    priority follows ``static_order`` when the keys are distinct; otherwise
-    exact ties are broken by a fresh uniform draw per active buyer.
+    priority serves ``groups`` after the hybrid reservation, as ``spq`` does.
     """
     c = scenario.capacity
     grants = [0.0] * len(presented)
@@ -446,25 +434,7 @@ def _allocate_epoch(
             grants[i] = presented[i] if total <= c else c * presented[i] / total
         return grants
     if routing == "fq":
-        # Max-min fair by rounds: every unsatisfied buyer takes an equal share
-        # of what is left, capped at her leftover demand.  Each round
-        # saturates a buyer or uses up the capacity, so the loop is finite.
-        need = list(presented)
-        remaining = c
-        unsatisfied = [i for i in active if need[i] > 0]
-        while unsatisfied and remaining > _FQ_EPS:
-            share = remaining / len(unsatisfied)
-            still = []
-            for i in unsatisfied:
-                take = min(share, need[i])
-                grants[i] += take
-                need[i] -= take
-                remaining -= take
-                if need[i] > _FQ_EPS:
-                    still.append(i)
-            if len(still) == len(unsatisfied):
-                break  # nobody saturated: all took the full share, capacity is gone
-            unsatisfied = still
+        _share(active, presented, c, grants)
         return grants
 
     # spq / hybrid
@@ -477,17 +447,31 @@ def _allocate_epoch(
             pace = (boost.target_bytes - x_real[bi]) / (boost.deadline - t + 1)
             grants[bi] = min(pace, presented[bi], remaining)
             remaining -= grants[bi]
-    if static_order is None:
-        tie = dict(zip(active, tie_rng.random(len(active))))
-        order = sorted(active, key=lambda i: (-priorities[i], tie[i]))
-    else:
-        order = static_order
-    for i in order:
-        need = presented[i] - grants[i]
-        take = need if need <= remaining else remaining
-        grants[i] += take
-        remaining -= take
+    for rows in groups:
+        if len(rows) == 1:
+            i = rows[0]
+            need = presented[i] - grants[i]
+            take = need if need <= remaining else remaining
+            grants[i] += take
+            remaining -= take
+        else:
+            unmet = [p - g for p, g in zip(presented, grants)]
+            remaining = _share(rows, unmet, remaining, grants)
     return grants
+
+
+def _share(rows: List[int], need: Sequence[float], c: float, grants: List[float]) -> float:
+    """``routing.maxmin`` on one column: adds max-min fair shares of ``c`` to
+    ``grants`` for ``rows``, served in stable ascending order of ``need``, each
+    taking the smaller of its need and an equal share of what is left.  Returns
+    what is left."""
+    left = len(rows)
+    for i in sorted(rows, key=need.__getitem__):
+        take = min(need[i], c / left)
+        grants[i] += take
+        c -= take
+        left -= 1
+    return c
 
 
 def _demand_matrix(

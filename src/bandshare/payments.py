@@ -157,10 +157,6 @@ class MeanCI:
     ci_high: float
     n: int
 
-    @property
-    def half_width(self) -> float:
-        return (self.ci_high - self.ci_low) / 2.0
-
 
 def summarize(samples: Sequence[float]) -> MeanCI:
     arr = np.asarray(samples, dtype=float)

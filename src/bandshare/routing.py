@@ -11,7 +11,7 @@ value per column) among the rows:
   keys share what is left max-min fairly.
 
 The ``spq`` split of capacity in descending bid order is also the
-value-optimal one, so VCG charges and the offline optimum use it too.
+value-optimal one, so VCG charges use it too.
 Grants are real-valued KB; every kernel is work-conserving, never grants more
 than demand, and never exceeds the capacity of a column.
 """

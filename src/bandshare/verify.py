@@ -63,6 +63,8 @@ __all__ = [
 ]
 
 _Z95_ONE_SIDED = 1.6448536269514722
+# Bid deviations probed by the truthfulness suite, as multiples of the value.
+_DEVIATIONS = (0.5, 0.8, 1.2, 2.0)
 
 
 @dataclass
@@ -258,22 +260,17 @@ def welfare_capacity_bks_scenario(capacity: float = 25.0) -> Scenario:
     return replace(cfg.scenario_for(variant), capacity=capacity)
 
 
-def truthfulness_suite(
-    seed: int = 0,
-    n_runs: int = 10_000,
-    deviations: Sequence[float] = (0.5, 0.8, 1.2, 2.0),
-    scenario: Optional[Scenario] = None,
-) -> SuiteReport:
+def truthfulness_suite(seed: int = 0, n_runs: int = 10_000) -> SuiteReport:
     """Truthful bid beats each probed deviation in expectation, per buyer."""
-    scenario = scenario or welfare_capacity_bks_scenario()
+    scenario = welfare_capacity_bks_scenario()
     lines = []
     passed = True
     for buyer in scenario.buyers:
         v = buyer.value
-        bids = [v] + [f * v for f in deviations]
+        bids = [v] + [f * v for f in _DEVIATIONS]
         utilities = expected_utilities_rb(scenario, buyer.buyer_id, bids, n_runs, seed)
         truthful = utilities[v]
-        for f in deviations:
+        for f in _DEVIATIONS:
             diff = truthful - utilities[f * v]
             mean = float(diff.mean())
             half = _Z95_ONE_SIDED * float(diff.std(ddof=1)) / np.sqrt(len(diff))
@@ -338,11 +335,11 @@ def balance_suite(seed: int = 0, n_pools: int = 500) -> SuiteReport:
 
 
 def pooling_seller_observations(
-    n_sessions: int = 600, seed: int = 0, scenario: Optional[Scenario] = None
+    n_sessions: int = 600, seed: int = 0
 ) -> List[Tuple[float, float]]:
     """(above-reserve credit, above-reserve payments) per simulated auction in
     the 200-similar-sellers pooling scenario."""
-    scenario = scenario or load_config(builtin_config_path("pooling_similar")).scenario
+    scenario = load_config(builtin_config_path("pooling_similar")).scenario
     obs = []
     for s in run_seeds(seed, n_sessions):
         ledger = build_ledger("s", run_session(scenario, s))

@@ -269,8 +269,19 @@ class TestDemandSpec:
             (lambda: DemandSpec("flow_trace", {"mean_rate": 1}), "flow_trace"),
             (lambda: DemandSpec.time_varying(lambda t: 1.0), "time_varying"),
             (lambda: DemandSpec.buffered(lambda p: 1.0), "buffered"),
+            (lambda: DemandSpec("constant", {"k": "a"}), "constant"),
+            (lambda: DemandSpec.constant(True), "constant"),
+            (lambda: DemandSpec.cliff("x", 1), "cliff"),
+            (lambda: DemandSpec.time_varying([None]), "time_varying"),
+            (lambda: DemandSpec.buffered([1.0, False]), "buffered"),
+            (lambda: DemandSpec.impatient(1, 2.5, 3), "impatient"),
+            (lambda: DemandSpec.flow_trace(1, 10.5), "flow_trace"),
         ],
-        ids=["negative", "unknown-key", "impatient", "missing-keys", "callable-tv", "callable-buf"],
+        ids=[
+            "negative", "unknown-key", "impatient", "missing-keys", "callable-tv", "callable-buf",
+            "string", "bool", "cliff-string", "none-tv", "bool-buf", "fractional-patience",
+            "fractional-horizon",
+        ],
     )
     def test_raw_specs_checked(self, build, model):
         # The dataclass constructor checks what the static constructors check.

@@ -240,12 +240,12 @@ class TestExpectedBksPayment:
             for s in seeds
         ])
         assert ci.ci_low <= 0.0 <= ci.ci_high
-        assert abs(ci.mean) < 3 * ci.half_width + 1e-9
+        assert abs(ci.mean) < 3 * (ci.ci_high - ci.ci_low) / 2 + 1e-9
 
     def test_degenerate_no_resampling_pays_bid(self):
         rec = BidRecord("solo", 3, 3, False, 0, 0.2)
         ci = summarize([bks_settle(rec, 10).net for _ in range(5)])
-        assert ci.mean == 30 and ci.half_width == 0
+        assert ci.mean == 30 and (ci.ci_high - ci.ci_low) / 2 == 0
 
     def test_summarize(self):
         ci = summarize([1.0, 2.0, 3.0])

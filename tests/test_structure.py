@@ -3,7 +3,10 @@
 The session RNG layout lives in ``bandshare.engine``: no other module may
 reach into the engine's private names, and only the engine may write the
 session-seed bound ``2**63 - 1`` (the range that ``run_seeds`` draws session
-seeds from), however the draw is spelled.
+seeds from), however the draw is spelled.  Within the engine, only the
+functions that lay out the streams (``run_seeds``, ``_world`` and
+``_bid_records``) name ``np.random`` or draw from a ``Generator``, so the
+allocation code cannot grow a stream of its own.
 
 Demand models live in ``bandshare.demand``: no other module may reach into
 its private names (the model table and the per-model functions) or construct
@@ -18,6 +21,7 @@ not count as a use.
 import ast
 import pathlib
 
+import numpy as np
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -99,6 +103,41 @@ def test_seed_bound_only_in_engine(path):
 def test_engine_has_the_seed_bound_once():
     tree = ast.parse((SRC / "engine.py").read_text())
     assert list(_seed_bounds(tree)) == ["2 ** 63 - 1"]
+
+
+RNG_OWNERS = {"run_seeds", "_world", "_bid_records"}
+GENERATOR_DRAWS = {name for name in dir(np.random.Generator) if not name.startswith("_")}
+
+
+def _rng_uses(node):
+    """``np.random`` names, ``numpy.random`` imports and Generator draw calls
+    under ``node`` (a call on ``np`` itself, like ``np.power``, is no draw)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and ast.unparse(sub).startswith(
+            ("np.random", "numpy.random")
+        ):
+            yield ast.unparse(sub)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)) and "numpy.random" in ast.unparse(sub):
+            yield ast.unparse(sub)
+        elif (
+            isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Attribute)
+            and sub.func.attr in GENERATOR_DRAWS
+            and ast.unparse(sub.func.value) not in ("np", "numpy")
+        ):
+            yield ast.unparse(sub)
+
+
+def test_random_streams_only_in_rng_owners():
+    tree = ast.parse((SRC / "engine.py").read_text())
+    users = {
+        getattr(node, "name", f"line {node.lineno}"): list(_rng_uses(node))
+        for node in tree.body
+        if any(_rng_uses(node))
+    }
+    assert "run_seeds" in users  # the guard sees the streams that exist
+    strays = {name: uses for name, uses in users.items() if name not in RNG_OWNERS}
+    assert strays == {}, f"random streams outside {sorted(RNG_OWNERS)}: {strays}"
 
 
 def _public_names(tree):
