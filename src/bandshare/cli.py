@@ -31,7 +31,7 @@ import numpy as np
 
 from bandshare.config import ConfigError, ExperimentConfig, SWEEP_VARIABLES, load_config
 from bandshare.engine import build_ledger, run_monte_carlo, run_seeds, run_session
-from bandshare.pooling import merge_ledgers, settle_pool
+from bandshare.pooling import SellerLedger, settle_pool
 from bandshare.verify import SUITES, run_suite
 
 OUT_DIR_ENV = "BANDSHARE_OUT_DIR"
@@ -160,13 +160,12 @@ def cmd_simulate(args) -> int:
     config = _load(args)
     rows: List[ResultRow] = []
     for variant in config.variants:
-        scenario = config.scenario_for(variant)
-        stats = run_monte_carlo(scenario, config.runs, config.seed, jobs=args.jobs)
+        stats = run_monte_carlo(variant.scenario, config.runs, config.seed, jobs=args.jobs)
         rows.extend(_stat_rows(config, variant.name, "none", "", stats))
     path = _write_rows(rows, args.out_dir, f"{config.experiment_id}_results", args.format)
 
     # Per-epoch trace of the first run under the first variant.
-    scenario = config.scenario_for(config.variants[0])
+    scenario = config.variants[0].scenario
     outcome = run_session(scenario, run_seeds(config.seed, 1)[0])
     trace_path = os.path.join(args.out_dir, f"{config.experiment_id}_trace.csv")
     with open(trace_path, "w", newline="") as fh:
@@ -189,7 +188,7 @@ def cmd_sweep(args) -> int:
     rows: List[ResultRow] = []
     for value in sweep.values:
         for variant in config.variants:
-            scenario = sweep.apply(config.scenario_for(variant), value)
+            scenario = sweep.apply(variant.scenario, value)
             stats = run_monte_carlo(scenario, config.runs, config.seed, jobs=args.jobs)
             rows.extend(
                 _stat_rows(config, variant.name, sweep.variable, _fmt(value), stats)
@@ -211,22 +210,20 @@ class PoolRun:
 
 
 def run_pool(config: ExperimentConfig) -> PoolRun:
-    """Run every seller's sessions for one accounting period and settle."""
-    if config.pool is None:
-        raise ConfigError("config has no pool block")
+    """Run every seller's sessions of ``config.pool`` for one accounting period and settle."""
     rng = np.random.default_rng(config.seed)
     ledgers = []
     seller_rows = []
     for ptype in config.pool.types:
         for k in range(ptype.count):
             seller_id = f"{ptype.name}-{k:03d}"
-            per_session = []
+            rows = []
             unpooled = 0.0
             for _ in range(config.pool.sessions_per_seller):
                 outcome = run_session(ptype.scenario, run_seeds(rng, 1)[0])
-                per_session.append(build_ledger(seller_id, outcome))
+                rows.extend(build_ledger(seller_id, outcome).rows)
                 unpooled += outcome.seller_revenue
-            ledgers.append(merge_ledgers(per_session))
+            ledgers.append(SellerLedger(seller_id, ptype.scenario.reserve, rows))
             seller_rows.append((seller_id, ptype.name, unpooled))
     settlement = settle_pool(ledgers, rng)
     return PoolRun(seller_rows, ledgers, settlement)

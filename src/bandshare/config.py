@@ -194,26 +194,50 @@ def _parse_buyer(node: Any, path: str, horizon: int) -> BuyerSpec:
     )
 
 
+# Scenario fields set by the top level, by each mechanism variant and by each
+# pool type; a variant or pool type inherits every field it does not set.
+_SCENARIO_KEYS = ["buyers", "capacity", "routing", "mechanism", "mu", "reserve", "price"]
+_VARIANT_KEYS = ["mechanism", "routing", "mu", "reserve", "price"]
+_POOL_TYPE_KEYS = ["capacity", "buyers"]
+_MINIMUMS = {"capacity": 1e-12, "mu": None, "reserve": 0, "price": 0}
+_CHOICES = {"routing": ROUTING_POLICIES, "mechanism": MECHANISMS}
+
+
+def _scenario_fields(node: Mapping, path: str, keys: Sequence[str], horizon: int) -> dict:
+    """The ``Scenario`` fields among ``keys`` that ``node`` sets, each checked at its key path."""
+    fields = {}
+    for key in (k for k in keys if k in node):
+        value, kpath = node[key], f"{path}.{key}"
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise _err(kpath, f"unknown {key} {value!r}; one of {', '.join(_CHOICES[key])}")
+        if key == "buyers":
+            if not isinstance(value, list) or not value:
+                raise _err(kpath, "expected a nonempty list of buyers")
+            value = tuple(_parse_buyer(b, f"{kpath}[{i}]", horizon) for i, b in enumerate(value))
+        elif key in _MINIMUMS:
+            value = _number(value, kpath, _MINIMUMS[key])
+        fields[key] = value
+    return fields
+
+
+def _name(node: Mapping, path: str, default: str) -> str:
+    name = node.get("name", default)
+    if not isinstance(name, str) or not name:
+        raise _err(f"{path}.name", f"expected a nonempty string, got {name!r}")
+    return name
+
+
+def _check_unique(names: List[str], path: str, what: str) -> None:
+    if len(set(names)) != len(names):
+        raise _err(path, f"duplicate {what} names in {names}")
+
+
 @dataclass(frozen=True)
 class MechanismVariant:
     """One mechanism/routing combination compared by an experiment."""
 
     name: str
-    mechanism: str
-    routing: str
-    mu: Optional[float] = None
-    reserve: Optional[float] = None
-    price: Optional[float] = None
-
-    def apply(self, base: Scenario) -> Scenario:
-        return replace(
-            base,
-            mechanism=self.mechanism,
-            routing=self.routing,
-            mu=self.mu if self.mu is not None else base.mu,
-            reserve=self.reserve if self.reserve is not None else base.reserve,
-            price=self.price if self.price is not None else base.price,
-        )
+    scenario: Scenario
 
 
 @dataclass(frozen=True)
@@ -245,24 +269,19 @@ class PoolConfig:
     types: tuple  # of PoolType
     sessions_per_seller: int = 10  # auctions per accounting period
 
-    @property
-    def total_sellers(self) -> int:
-        return sum(t.count for t in self.types)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment_id: str
-    scenario: Scenario  # base scenario (first variant applied)
+    scenario: Scenario  # base scenario, from the top-level keys
     variants: tuple  # of MechanismVariant
     runs: int
     seed: int
     sweep: Optional[SweepConfig] = None
     pool: Optional[PoolConfig] = None
-    source: Optional[str] = None
 
     def scenario_for(self, variant: MechanismVariant) -> Scenario:
-        return variant.apply(self.scenario)
+        return variant.scenario
 
 
 def _parse_sweep(node: Any, path: str) -> SweepConfig:
@@ -283,22 +302,41 @@ def _parse_sweep(node: Any, path: str) -> SweepConfig:
     return SweepConfig(variable, parsed)
 
 
+def _parse_pool(node: Any, path: str, base: Scenario) -> PoolConfig:
+    _check_keys(node, ["sellers", "types", "sessions_per_seller"], path)
+    sessions = _integer(node.get("sessions_per_seller", 10), f"{path}.sessions_per_seller", 1)
+    if "types" not in node:
+        sellers = _integer(_require(node, "sellers", path), f"{path}.sellers", 2)
+        return PoolConfig((PoolType("all", sellers, base),), sessions)
+    if "sellers" in node:
+        raise _err(path, "give either 'sellers' or 'types', not both")
+    tnode = node["types"]
+    if not isinstance(tnode, list) or not tnode:
+        raise _err(f"{path}.types", "expected a nonempty list")
+    types = []
+    for i, tdoc in enumerate(tnode):
+        tpath = f"{path}.types[{i}]"
+        _check_keys(tdoc, ["name", "count", *_POOL_TYPE_KEYS], tpath)
+        count = _integer(_require(tdoc, "count", tpath), f"{tpath}.count", 1)
+        fields = _scenario_fields(tdoc, tpath, _POOL_TYPE_KEYS, base.horizon)
+        scenario = _build(tpath, replace, base, **fields)
+        types.append(PoolType(_name(tdoc, tpath, f"type{i}"), count, scenario))
+    _check_unique([t.name for t in types], f"{path}.types", "pool type")
+    if sum(t.count for t in types) < 2:
+        raise _err(path, "a pool needs at least 2 sellers")
+    return PoolConfig(tuple(types), sessions)
+
+
 _TOP_KEYS = [
     "experiment",
     "seed",
     "runs",
     "horizon",
-    "capacity",
-    "routing",
-    "mechanism",
-    "mu",
-    "reserve",
-    "price",
     "hybrid",
-    "buyers",
     "mechanisms",
     "sweep",
     "pool",
+    *_SCENARIO_KEYS,
 ]
 
 
@@ -309,13 +347,9 @@ def parse_config(doc: Any, source: str = "<config>") -> ExperimentConfig:
     if not isinstance(experiment, str) or not experiment:
         raise _err(f"{source}.experiment", "experiment id must be a nonempty string")
     horizon = _integer(doc.get("horizon", 600), f"{source}.horizon", 1)
-
-    buyers_node = _require(doc, "buyers", source)
-    if not isinstance(buyers_node, list) or not buyers_node:
-        raise _err(f"{source}.buyers", "expected a nonempty list of buyers")
-    buyers = tuple(
-        _parse_buyer(b, f"{source}.buyers[{i}]", horizon) for i, b in enumerate(buyers_node)
-    )
+    _require(doc, "buyers", source)
+    _require(doc, "capacity", source)
+    fields = _scenario_fields(doc, source, _SCENARIO_KEYS, horizon)
 
     hybrid = None
     if doc.get("hybrid") is not None:
@@ -328,60 +362,22 @@ def parse_config(doc: Any, source: str = "<config>") -> ExperimentConfig:
             target_bytes=_number(_require(doc["hybrid"], "bytes", hpath), f"{hpath}.bytes", 0),
             deadline=_integer(_require(doc["hybrid"], "deadline", hpath), f"{hpath}.deadline", 1),
         )
+    base = _build(source, Scenario, **fields, horizon=horizon, hybrid=hybrid)
 
-    routing = doc.get("routing", "spq")
-    if routing not in ROUTING_POLICIES:
-        raise _err(f"{source}.routing", f"unknown routing policy {routing!r}")
-    mechanism = doc.get("mechanism", "bks")
-    if mechanism not in MECHANISMS:
-        raise _err(f"{source}.mechanism", f"unknown mechanism {mechanism!r}")
-
-    base = _build(
-        source,
-        Scenario,
-        buyers=buyers,
-        capacity=_number(_require(doc, "capacity", source), f"{source}.capacity", 1e-12),
-        routing=routing,
-        mechanism=mechanism,
-        mu=_number(doc.get("mu", 0.2), f"{source}.mu"),
-        reserve=_number(doc.get("reserve", 0.0), f"{source}.reserve", 0),
-        price=_number(doc.get("price", 0.0), f"{source}.price", 0),
-        horizon=horizon,
-        hybrid=hybrid,
-    )
-
-    variants = []
+    variants = [MechanismVariant(base.mechanism, base)]
     if doc.get("mechanisms") is not None:
         node = doc["mechanisms"]
         if not isinstance(node, list) or not node:
             raise _err(f"{source}.mechanisms", "expected a nonempty list")
+        variants = []
         for i, v in enumerate(node):
             vpath = f"{source}.mechanisms[{i}]"
-            _check_keys(v, ["name", "mechanism", "routing", "mu", "reserve", "price"], vpath)
-            vmech = v.get("mechanism", base.mechanism)
-            vrouting = v.get("routing", base.routing)
-            if vmech not in MECHANISMS:
-                raise _err(f"{vpath}.mechanism", f"unknown mechanism {vmech!r}")
-            if vrouting not in ROUTING_POLICIES:
-                raise _err(f"{vpath}.routing", f"unknown routing policy {vrouting!r}")
-            variants.append(
-                MechanismVariant(
-                    name=v.get("name", f"{vmech}-{vrouting}"),
-                    mechanism=vmech,
-                    routing=vrouting,
-                    mu=None if "mu" not in v else _number(v["mu"], f"{vpath}.mu"),
-                    reserve=None if "reserve" not in v else _number(v["reserve"], f"{vpath}.reserve", 0),
-                    price=None if "price" not in v else _number(v["price"], f"{vpath}.price", 0),
-                )
-            )
-        names = [v.name for v in variants]
-        if len(set(names)) != len(names):
-            raise _err(f"{source}.mechanisms", f"duplicate variant names in {names}")
-    else:
-        variants.append(MechanismVariant(base.mechanism, base.mechanism, base.routing))
-
-    for i, v in enumerate(variants):
-        _build(f"{source}.mechanisms[{i}]", v.apply, base)
+            _check_keys(v, ["name", *_VARIANT_KEYS], vpath)
+            fields = _scenario_fields(v, vpath, _VARIANT_KEYS, horizon)
+            scenario = _build(vpath, replace, base, **fields)
+            name = _name(v, vpath, f"{scenario.mechanism}-{scenario.routing}")
+            variants.append(MechanismVariant(name, scenario))
+        _check_unique([v.name for v in variants], f"{source}.mechanisms", "variant")
 
     sweep = None
     if doc.get("sweep") is not None:
@@ -389,39 +385,7 @@ def parse_config(doc: Any, source: str = "<config>") -> ExperimentConfig:
 
     pool = None
     if doc.get("pool") is not None:
-        ppath = f"{source}.pool"
-        _check_keys(doc["pool"], ["sellers", "types", "sessions_per_seller"], ppath)
-        sessions = _integer(
-            doc["pool"].get("sessions_per_seller", 10), f"{ppath}.sessions_per_seller", 1
-        )
-        types: List[PoolType] = []
-        if doc["pool"].get("types") is not None:
-            tnode = doc["pool"]["types"]
-            if not isinstance(tnode, list) or not tnode:
-                raise _err(f"{ppath}.types", "expected a nonempty list")
-            for i, tdoc in enumerate(tnode):
-                tpath = f"{ppath}.types[{i}]"
-                _check_keys(tdoc, ["name", "count", "capacity", "buyers"], tpath)
-                count = _integer(_require(tdoc, "count", tpath), f"{tpath}.count", 1)
-                changes = {}
-                if "capacity" in tdoc:
-                    changes["capacity"] = _number(tdoc["capacity"], f"{tpath}.capacity", 1e-12)
-                if "buyers" in tdoc:
-                    bnode = tdoc["buyers"]
-                    if not isinstance(bnode, list) or not bnode:
-                        raise _err(f"{tpath}.buyers", "expected a nonempty list")
-                    changes["buyers"] = tuple(
-                        _parse_buyer(b, f"{tpath}.buyers[{j}]", horizon)
-                        for j, b in enumerate(bnode)
-                    )
-                scenario = _build(tpath, replace, base, **changes)
-                types.append(PoolType(tdoc.get("name", f"type{i}"), count, scenario))
-        else:
-            sellers = _integer(_require(doc["pool"], "sellers", ppath), f"{ppath}.sellers", 2)
-            types.append(PoolType("all", sellers, base))
-        pool = PoolConfig(tuple(types), sessions)
-        if pool.total_sellers < 2:
-            raise _err(ppath, "a pool needs at least 2 sellers")
+        pool = _parse_pool(doc["pool"], f"{source}.pool", base)
 
     return ExperimentConfig(
         experiment_id=experiment,
@@ -431,7 +395,6 @@ def parse_config(doc: Any, source: str = "<config>") -> ExperimentConfig:
         seed=_integer(doc.get("seed", 0), f"{source}.seed", 0),
         sweep=sweep,
         pool=pool,
-        source=source,
     )
 
 

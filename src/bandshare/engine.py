@@ -66,6 +66,11 @@ MECHANISMS = ("bks", "vmm", "fixed")
 _STRATEGY_KINDS = ("greedy", "pad", "delay", "misreport")
 
 
+def _whole(*values) -> bool:
+    """Whether every value is a whole number of epochs: an integer, not a bool."""
+    return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
+
+
 @dataclass(frozen=True)
 class Strategy:
     """How a buyer maps true demand and value to router-visible behavior.
@@ -91,6 +96,8 @@ class Strategy:
     def __post_init__(self) -> None:
         if self.kind not in _STRATEGY_KINDS:
             raise ValueError(f"unknown strategy {self.kind!r}; one of {_STRATEGY_KINDS}")
+        if not _whole(self.delay_epochs):
+            raise ValueError(f"delay must be whole epochs, got {self.delay_epochs!r}")
         # Checks are written as positive conditions so that NaN fails them too.
         if not (self.pad >= 0 and self.delay_epochs >= 0 and self.bid_factor >= 0):
             raise ValueError(
@@ -113,9 +120,10 @@ class BuyerSpec:
     def __post_init__(self) -> None:
         if not self.value >= 0:
             raise ValueError(f"value must be >= 0, got {self.value}")
-        if not 0 <= self.arrival <= self.departure:
+        if not (_whole(self.arrival, self.departure) and 0 <= self.arrival <= self.departure):
             raise ValueError(
-                f"need 0 <= arrival <= departure, got [{self.arrival}, {self.departure}]"
+                "need 0 <= arrival <= departure in whole epochs, "
+                f"got [{self.arrival}, {self.departure}]"
             )
 
     def submitted_bid(self) -> float:
@@ -140,8 +148,8 @@ class HybridBoost:
     def __post_init__(self) -> None:
         if not self.target_bytes >= 0:
             raise ValueError("boost target must be >= 0")
-        if not self.deadline >= 1:
-            raise ValueError("boost deadline must be >= 1")
+        if not (_whole(self.deadline) and self.deadline >= 1):
+            raise ValueError(f"boost deadline must be whole epochs >= 1, got {self.deadline!r}")
 
 
 @dataclass(frozen=True)
@@ -162,8 +170,8 @@ class Scenario:
         object.__setattr__(self, "buyers", tuple(self.buyers))
         if not self.capacity > 0:
             raise ValueError(f"capacity must be > 0, got {self.capacity}")
-        if not self.horizon >= 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if not (_whole(self.horizon) and self.horizon >= 1):
+            raise ValueError(f"horizon must be whole epochs >= 1, got {self.horizon!r}")
         if self.routing not in ROUTING_POLICIES:
             raise ValueError(f"unknown routing policy {self.routing!r}")
         if self.mechanism not in MECHANISMS:

@@ -16,7 +16,7 @@ sellers untaxed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -75,25 +75,6 @@ class SellerLedger:
         return sum(r.bid * r.bytes - r.rebate for r in self.rows)
 
 
-def merge_ledgers(ledgers: Sequence[SellerLedger]) -> SellerLedger:
-    """Combine one seller's per-auction ledgers into an accounting period.
-
-    An accounting period covers many auctions; settlement operates on the
-    merged rows.
-    """
-    if not ledgers:
-        raise ValueError("nothing to merge")
-    seller_id = ledgers[0].seller_id
-    reserve = ledgers[0].reserve
-    for led in ledgers[1:]:
-        if led.seller_id != seller_id:
-            raise ValueError(f"mixed sellers: {led.seller_id} vs {seller_id}")
-        if abs(led.reserve - reserve) > _SAME_RESERVE_TOL:
-            raise ValueError("a seller's reserve must not change within a period")
-    rows = [row for led in ledgers for row in led.rows]
-    return SellerLedger(seller_id, reserve, rows)
-
-
 @dataclass(frozen=True)
 class PoolSettlement:
     """Outcome of one accounting-period settlement.
@@ -125,16 +106,11 @@ def _tax_rate(own_credit: float, other_deficit: float) -> tuple[float, float]:
     return float("inf"), 1.0
 
 
-def settle_pool(
-    ledgers: Sequence[SellerLedger],
-    rng: np.random.Generator,
-    split: Optional[Tuple[Sequence[str], Sequence[str]]] = None,
-) -> PoolSettlement:
+def settle_pool(ledgers: Sequence[SellerLedger], rng: np.random.Generator) -> PoolSettlement:
     """Settle one accounting period for a pool of same-reserve sellers.
 
     The pool is split uniformly at random into halves differing in size by at
-    most one.  ``split`` overrides the random draw (audit replay and tests);
-    it must partition the sellers.
+    most one.
     """
     if len(ledgers) < 2:
         raise ValueError("a pool needs at least 2 sellers")
@@ -148,34 +124,25 @@ def settle_pool(
     if len(by_id) != len(ledgers):
         raise ValueError("duplicate seller ids in pool")
 
-    if split is None:
-        ids = list(by_id)
-        perm = rng.permutation(len(ids))
-        half = len(ids) // 2
-        s1 = tuple(ids[i] for i in perm[:half])
-        s2 = tuple(ids[i] for i in perm[half:])
-    else:
-        s1, s2 = tuple(split[0]), tuple(split[1])
-        if sorted(s1 + s2) != sorted(by_id):
-            raise ValueError("split must partition the pool's sellers")
+    ids = list(by_id)
+    perm = rng.permutation(len(ids))
+    half = len(ids) // 2
+    s1 = tuple(ids[i] for i in perm[:half])
+    s2 = tuple(ids[i] for i in perm[half:])
 
-    def totals(ids: Tuple[str, ...]) -> tuple[float, float]:
-        credit = sum(by_id[s].credit_above_reserve() for s in ids)
-        paid = sum(by_id[s].payments_above_reserve() for s in ids)
-        return credit, paid
-
-    credit1, payments1 = totals(s1)
-    credit2, payments2 = totals(s2)
-    deficit1 = credit1 - payments1
-    deficit2 = credit2 - payments2
+    credit = {s: led.credit_above_reserve() for s, led in by_id.items()}
+    paid = {s: led.payments_above_reserve() for s, led in by_id.items()}
+    credit1 = sum(credit[s] for s in s1)
+    credit2 = sum(credit[s] for s in s2)
+    deficit1 = credit1 - sum(paid[s] for s in s1)
+    deficit2 = credit2 - sum(paid[s] for s in s2)
     raw_tax1, tax1 = _tax_rate(credit1, deficit2)
     raw_tax2, tax2 = _tax_rate(credit2, deficit1)
 
     transfers = {}
     for ids, tax in ((s1, tax1), (s2, tax2)):
         for s in ids:
-            led = by_id[s]
-            transfers[s] = led.reserve_revenue() + (1.0 - tax) * led.credit_above_reserve()
+            transfers[s] = by_id[s].reserve_revenue() + (1.0 - tax) * credit[s]
 
     total_buyer_payments = sum(led.buyer_payments() for led in ledgers)
     center_residual = total_buyer_payments - sum(transfers.values())

@@ -257,7 +257,7 @@ def expected_utilities_rb(
 def welfare_capacity_bks_scenario(capacity: float = 25.0) -> Scenario:
     cfg = load_config(builtin_config_path("welfare_capacity"))
     variant = next(v for v in cfg.variants if v.name == "bks")
-    return replace(cfg.scenario_for(variant), capacity=capacity)
+    return replace(variant.scenario, capacity=capacity)
 
 
 def truthfulness_suite(seed: int = 0, n_runs: int = 10_000) -> SuiteReport:

@@ -112,7 +112,7 @@ class TestParsing:
         doc = copy.deepcopy(MINI_DOC)
         doc["pool"] = {"sellers": 4, "sessions_per_seller": 2}
         cfg = parse_config(doc)
-        assert cfg.pool.total_sellers == 4
+        assert [(t.name, t.count) for t in cfg.pool.types] == [("all", 4)]
         assert cfg.pool.sessions_per_seller == 2
 
     @pytest.mark.parametrize(
@@ -174,6 +174,50 @@ class TestParsing:
         doc["pool"] = {"sellers": 4, "trials": 5}
         with pytest.raises(ConfigError, match="trials"):
             parse_config(doc)
+
+    def test_pool_sellers_and_types_are_exclusive(self):
+        doc = copy.deepcopy(MINI_DOC)
+        doc["pool"] = {"sellers": 1, "types": [{"name": "t", "count": 2}]}
+        with pytest.raises(ConfigError, match=r"^conf\.yaml\.pool: give either 'sellers' or"):
+            parse_config(doc, source="conf.yaml")
+
+    @pytest.mark.parametrize(
+        "block, node, key",
+        [
+            ("mechanisms", [{"name": 7, "mechanism": "vmm"}], r"mechanisms\[0\]\.name"),
+            ("mechanisms", [{"name": "", "mechanism": "vmm"}], r"mechanisms\[0\]\.name"),
+            ("pool", {"types": [{"name": 7, "count": 2}]}, r"pool\.types\[0\]\.name"),
+        ],
+        ids=["variant-int", "variant-empty", "pool-type-int"],
+    )
+    def test_names_must_be_nonempty_strings(self, block, node, key):
+        doc = copy.deepcopy(MINI_DOC)
+        doc[block] = node
+        with pytest.raises(ConfigError, match=rf"^conf\.yaml\.{key}: expected a nonempty string"):
+            parse_config(doc, source="conf.yaml")
+
+    @pytest.mark.parametrize(
+        "block, node, key",
+        [
+            ("mechanisms", [{"name": "v", "mu": "x"}], r"mechanisms\[0\]\.mu"),
+            ("mechanisms", [{"name": "v", "routing": "carrier-pigeon"}],
+             r"mechanisms\[0\]\.routing"),
+            ("pool", {"types": [{"name": "t", "count": 2, "capacity": -1}]},
+             r"pool\.types\[0\]\.capacity"),
+        ],
+        ids=["variant-mu", "variant-routing", "pool-type-capacity"],
+    )
+    def test_bad_variant_or_pool_type_value_names_its_key_path(self, block, node, key):
+        doc = copy.deepcopy(MINI_DOC)
+        doc[block] = node
+        with pytest.raises(ConfigError, match=rf"^conf\.yaml\.{key}: "):
+            parse_config(doc, source="conf.yaml")
+
+    def test_variant_scenario_inherits_unset_fields(self):
+        cfg = load_config(builtin_config_path("welfare_capacity"))
+        fq = next(v.scenario for v in cfg.variants if v.name == "fq")
+        assert (fq.mechanism, fq.routing, fq.price) == ("fixed", "fq", 1.0)
+        assert (fq.capacity, fq.mu, fq.buyers) == (cfg.scenario.capacity, 0.2, cfg.scenario.buyers)
 
 
 class TestCli:
@@ -349,6 +393,15 @@ class TestCli:
         assert sorted(len(s) for s in audit["split"]) == [3, 3]
         pool_csv = (out / "mini_pool.csv").read_text()
         assert "balance_error" in pool_csv
+
+    def test_duplicate_pool_type_names_are_a_config_error(self, tmp_path, capsys):
+        doc = copy.deepcopy(MINI_DOC)
+        doc["pool"] = {"types": [{"name": "t", "count": 1}, {"name": "t", "count": 1}],
+                       "sessions_per_seller": 1}
+        config = write_config(tmp_path, doc)
+        assert self.run_cli("pool", "--config", config, "--out-dir", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {config}.pool.types: duplicate pool type names")
 
     def test_pool_requires_pool_block(self, tmp_path):
         config = write_config(tmp_path, MINI_DOC)

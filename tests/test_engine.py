@@ -189,6 +189,36 @@ def test_nan_parameters_rejected(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Strategy("delay", delay_epochs=2.5),
+        lambda: Strategy("delay", delay_epochs=True),
+        lambda: BuyerSpec("a", 1.0, DemandSpec.constant(5.0), arrival=1.5),
+        lambda: BuyerSpec("a", 1.0, DemandSpec.constant(5.0), departure=20.0),
+        lambda: BuyerSpec("a", 1.0, DemandSpec.constant(5.0), arrival=True),
+        lambda: HybridBoost("a", 10.0, 2.5),
+        lambda: HybridBoost("a", 10.0, True),
+        lambda: Scenario((), 10.0, horizon=2.5),
+    ],
+    ids=[
+        "delay", "delay-bool", "arrival", "departure", "arrival-bool", "deadline", "deadline-bool",
+        "horizon",
+    ],
+)
+def test_fractional_epoch_counts_rejected(build):
+    # A fractional delay used to present nothing all session, and a
+    # fractional arrival or horizon failed later with a TypeError.
+    with pytest.raises(ValueError, match="whole epochs"):
+        build()
+
+
+def test_numpy_integer_epoch_counts_accepted():
+    buyer = BuyerSpec("a", 1.0, DemandSpec.constant(5.0), np.int64(2), np.int64(20))
+    assert Strategy("delay", delay_epochs=np.int64(2)).delay_epochs == 2
+    assert (buyer.arrival, buyer.departure) == (2, 20)
+
+
 class TestIsolation:
     def scen(self, mid_strategy):
         return Scenario(
