@@ -24,14 +24,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from bandshare.config import ConfigError, ExperimentConfig, SWEEP_VARIABLES, load_config
 from bandshare.engine import build_ledger, run_monte_carlo, run_seeds, run_session
-from bandshare.pooling import SellerLedger, settle_pool
+from bandshare.pooling import PoolSettlement, SellerLedger, settle_pool
 from bandshare.verify import SUITES, run_suite
 
 OUT_DIR_ENV = "BANDSHARE_OUT_DIR"
@@ -58,87 +57,48 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-@dataclass
-class ResultRow:
-    experiment_id: str
-    sweep_var: str
-    sweep_value: str
-    mechanism: str
-    metric: str
-    mean: float
-    ci_low: float
-    ci_high: float
-    seed: int
+def _write(out_dir: str, name: str, content) -> None:
+    """Write one output file and report it as ``wrote <path>``.
 
-    def as_text(self) -> Dict[str, str]:
-        return {
-            "experiment_id": self.experiment_id,
-            "sweep_var": self.sweep_var,
-            "sweep_value": self.sweep_value,
-            "mechanism": self.mechanism,
-            "metric": self.metric,
-            "mean": _fmt(self.mean),
-            "ci_low": _fmt(self.ci_low),
-            "ci_high": _fmt(self.ci_high),
-            "seed": str(self.seed),
-        }
-
-
-def _write_rows(rows: List[ResultRow], out_dir: str, name: str, fmt: str) -> str:
+    A ``.csv`` name takes a list of text rows, header first; a ``.json`` name
+    takes any JSON value.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    if fmt == "csv":
-        path = os.path.join(out_dir, f"{name}.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row.as_text())
-    else:
-        path = os.path.join(out_dir, f"{name}.json")
-        with open(path, "w") as fh:
-            json.dump([row.as_text() for row in rows], fh, indent=2, sort_keys=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", newline="") as fh:
+        if name.endswith(".csv"):
+            csv.writer(fh).writerows(content)
+        else:
+            json.dump(content, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return path
+    print(f"wrote {path}")
 
 
-def _stat_rows(
-    config: ExperimentConfig,
-    mechanism: str,
-    sweep_var: str,
-    sweep_value: str,
-    stats,
-) -> List[ResultRow]:
-    def row(metric: str, ci) -> ResultRow:
-        return ResultRow(
-            config.experiment_id,
-            sweep_var,
-            sweep_value,
-            mechanism,
-            metric,
-            ci.mean,
-            ci.ci_low,
-            ci.ci_high,
-            config.seed,
-        )
-
-    rows = [row("welfare", stats.welfare), row("seller_revenue", stats.seller_revenue)]
-    for b in sorted(stats.bytes):
-        rows.append(row(f"bytes:{b}", stats.bytes[b]))
-    for b in sorted(stats.payments):
-        rows.append(row(f"payment:{b}", stats.payments[b]))
-    for b in sorted(stats.utilities):
-        rows.append(row(f"utility:{b}", stats.utilities[b]))
-    return rows
+def _write_rows(
+    config: ExperimentConfig, rows: List[tuple], out_dir: str, name: str, fmt: str
+) -> None:
+    """The result table, one row per ``(sweep_var, sweep_value, mechanism,
+    metric, mean, ci_low, ci_high)``; JSON rows are objects keyed by column."""
+    table = [
+        [config.experiment_id, *row[:4], *map(_fmt, row[4:]), str(config.seed)]
+        for row in rows
+    ]
+    if fmt == "csv":
+        _write(out_dir, f"{name}.csv", [RESULT_COLUMNS] + table)
+    else:
+        _write(out_dir, f"{name}.json", [dict(zip(RESULT_COLUMNS, row)) for row in table])
 
 
-def _point_row(
-    config: ExperimentConfig, mechanism: str, metric: str, value: float,
-    sweep_var: str = "none", sweep_value: str = "",
-) -> ResultRow:
-    return ResultRow(
-        config.experiment_id, sweep_var, sweep_value, mechanism, metric,
-        value, value, value, config.seed,
-    )
+def _stat_rows(mechanism: str, sweep_var: str, sweep_value: str, stats) -> List[tuple]:
+    metrics = [("welfare", stats.welfare), ("seller_revenue", stats.seller_revenue)]
+    for prefix, per_buyer in (
+        ("bytes", stats.bytes), ("payment", stats.payments), ("utility", stats.utilities)
+    ):
+        metrics += [(f"{prefix}:{b}", per_buyer[b]) for b in sorted(per_buyer)]
+    return [
+        (sweep_var, sweep_value, mechanism, metric, ci.mean, ci.ci_low, ci.ci_high)
+        for metric, ci in metrics
+    ]
 
 
 def _load(args) -> ExperimentConfig:
@@ -158,24 +118,20 @@ def _load(args) -> ExperimentConfig:
 
 def cmd_simulate(args) -> int:
     config = _load(args)
-    rows: List[ResultRow] = []
+    rows = []
     for variant in config.variants:
         stats = run_monte_carlo(variant.scenario, config.runs, config.seed, jobs=args.jobs)
-        rows.extend(_stat_rows(config, variant.name, "none", "", stats))
-    path = _write_rows(rows, args.out_dir, f"{config.experiment_id}_results", args.format)
+        rows.extend(_stat_rows(variant.name, "none", "", stats))
+    _write_rows(config, rows, args.out_dir, f"{config.experiment_id}_results", args.format)
 
     # Per-epoch trace of the first run under the first variant.
-    scenario = config.variants[0].scenario
-    outcome = run_session(scenario, run_seeds(config.seed, 1)[0])
-    trace_path = os.path.join(args.out_dir, f"{config.experiment_id}_trace.csv")
-    with open(trace_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch"] + [f"consumed:{b}" for b in outcome.buyer_ids])
-        for t in range(scenario.horizon):
-            writer.writerow([t + 1] + [_fmt(v) for v in outcome.trace[t]])
-
-    print(f"wrote {path}")
-    print(f"wrote {trace_path}")
+    outcome = run_session(config.variants[0].scenario, run_seeds(config.seed, 1)[0])
+    _write(
+        args.out_dir,
+        f"{config.experiment_id}_trace.csv",
+        [["epoch"] + [f"consumed:{b}" for b in outcome.buyer_ids]]
+        + [[str(t)] + [_fmt(v) for v in row] for t, row in enumerate(outcome.trace, 1)],
+    )
     return EXIT_OK
 
 
@@ -185,28 +141,23 @@ def cmd_sweep(args) -> int:
     if sweep is None:
         raise ConfigError(f"{args.config}: no sweep block and no --variable given")
 
-    rows: List[ResultRow] = []
+    rows = []
     for value in sweep.values:
         for variant in config.variants:
             scenario = sweep.apply(variant.scenario, value)
             stats = run_monte_carlo(scenario, config.runs, config.seed, jobs=args.jobs)
-            rows.extend(
-                _stat_rows(config, variant.name, sweep.variable, _fmt(value), stats)
-            )
-    path = _write_rows(
-        rows, args.out_dir, f"{config.experiment_id}_sweep_{sweep.variable}", args.format
-    )
-    print(f"wrote {path}")
+            rows.extend(_stat_rows(variant.name, sweep.variable, _fmt(value), stats))
+    name = f"{config.experiment_id}_sweep_{sweep.variable}"
+    _write_rows(config, rows, args.out_dir, name, args.format)
     return EXIT_OK
 
 
-@dataclass
-class PoolRun:
+class PoolRun(NamedTuple):
     """One accounting period for a whole pool: per-seller results + settlement."""
 
     seller_rows: List[tuple]  # (seller_id, type_name, unpooled_revenue)
-    ledgers: list
-    settlement: object
+    ledgers: List[SellerLedger]
+    settlement: PoolSettlement
 
 
 def run_pool(config: ExperimentConfig) -> PoolRun:
@@ -234,49 +185,37 @@ def cmd_pool(args) -> int:
     if config.pool is None:
         raise ConfigError(f"{args.config}: no pool block in config")
 
-    pool_run = run_pool(config)
-    seller_rows = pool_run.seller_rows
-    ledgers = pool_run.ledgers
-    settlement = pool_run.settlement
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    sellers_path = os.path.join(args.out_dir, f"{config.experiment_id}_sellers.csv")
-    with open(sellers_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seller", "type", "unpooled_revenue", "pooled_revenue"])
-        for seller_id, tname, unpooled in seller_rows:
-            writer.writerow(
-                [seller_id, tname, _fmt(unpooled), _fmt(settlement.transfers[seller_id])]
-            )
+    seller_rows, ledgers, settlement = run_pool(config)
+    eid = config.experiment_id
+    _write(
+        args.out_dir,
+        f"{eid}_sellers.csv",
+        [["seller", "type", "unpooled_revenue", "pooled_revenue"]]
+        + [[sid, tname, _fmt(unpooled), _fmt(settlement.transfers[sid])]
+           for sid, tname, unpooled in seller_rows],
+    )
 
     unpooled = np.array([r[2] for r in seller_rows])
     pooled = np.array([settlement.transfers[r[0]] for r in seller_rows])
-    rows = [
-        _point_row(config, "pool", "tax1", settlement.tax1),
-        _point_row(config, "pool", "tax2", settlement.tax2),
-        _point_row(config, "pool", "center_residual", settlement.center_residual),
-        _point_row(config, "pool", "unpooled_revenue_var", float(unpooled.var())),
-        _point_row(config, "pool", "pooled_revenue_var", float(pooled.var())),
-    ]
     buyer_total = sum(led.buyer_payments() for led in ledgers)
     imbalance = buyer_total - float(pooled.sum()) - settlement.center_residual
-    rows.append(_point_row(config, "pool", "balance_error", imbalance))
+    metrics = [
+        ("tax1", settlement.tax1),
+        ("tax2", settlement.tax2),
+        ("center_residual", settlement.center_residual),
+        ("unpooled_revenue_var", unpooled.var()),
+        ("pooled_revenue_var", pooled.var()),
+        ("balance_error", imbalance),
+    ]
     for ptype in config.pool.types:
         mask = [r[1] == ptype.name for r in seller_rows]
-        rows.append(
-            _point_row(
-                config, "pool", f"mean_unpooled:{ptype.name}", float(unpooled[mask].mean())
-            )
-        )
-        rows.append(
-            _point_row(
-                config, "pool", f"mean_pooled:{ptype.name}", float(pooled[mask].mean())
-            )
-        )
-    path = _write_rows(rows, args.out_dir, f"{config.experiment_id}_pool", args.format)
+        metrics.append((f"mean_unpooled:{ptype.name}", unpooled[mask].mean()))
+        metrics.append((f"mean_pooled:{ptype.name}", pooled[mask].mean()))
+    rows = [("none", "", "pool", metric, v, v, v) for metric, v in metrics]
+    _write_rows(config, rows, args.out_dir, f"{eid}_pool", args.format)
 
-    audit = {
-        "experiment": config.experiment_id,
+    _write(args.out_dir, f"{eid}_settlement.json", {
+        "experiment": eid,
         "seed": config.seed,
         "split": [list(settlement.split[0]), list(settlement.split[1])],
         "tax1": _fmt(settlement.tax1),
@@ -284,15 +223,7 @@ def cmd_pool(args) -> int:
         "raw_tax1": _fmt(settlement.raw_tax1),
         "raw_tax2": _fmt(settlement.raw_tax2),
         "center_residual": _fmt(settlement.center_residual),
-    }
-    audit_path = os.path.join(args.out_dir, f"{config.experiment_id}_settlement.json")
-    with open(audit_path, "w") as fh:
-        json.dump(audit, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    print(f"wrote {sellers_path}")
-    print(f"wrote {path}")
-    print(f"wrote {audit_path}")
+    })
     print(
         f"taxes: {_fmt(settlement.tax1)}, {_fmt(settlement.tax2)}; "
         f"balance error: {_fmt(imbalance)}"
