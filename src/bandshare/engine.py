@@ -27,6 +27,7 @@ both paths charge VMM once, after allocation.
 from __future__ import annotations
 
 import itertools
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -71,6 +72,13 @@ def _whole(*values) -> bool:
     return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
 
 
+def _real(**fields) -> None:
+    """Reject the first field that is not a real number; a bool is none."""
+    for name, v in fields.items():
+        if not isinstance(v, numbers.Real) or isinstance(v, bool):
+            raise ValueError(f"{name} must be a real number, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Strategy:
     """How a buyer maps true demand and value to router-visible behavior.
@@ -96,6 +104,7 @@ class Strategy:
     def __post_init__(self) -> None:
         if self.kind not in _STRATEGY_KINDS:
             raise ValueError(f"unknown strategy {self.kind!r}; one of {_STRATEGY_KINDS}")
+        _real(pad=self.pad, bid_factor=self.bid_factor)
         if not _whole(self.delay_epochs):
             raise ValueError(f"delay must be whole epochs, got {self.delay_epochs!r}")
         # Checks are written as positive conditions so that NaN fails them too.
@@ -118,6 +127,7 @@ class BuyerSpec:
     strategy: Strategy = Strategy("greedy")
 
     def __post_init__(self) -> None:
+        _real(value=self.value)
         if not self.value >= 0:
             raise ValueError(f"value must be >= 0, got {self.value}")
         if not (_whole(self.arrival, self.departure) and 0 <= self.arrival <= self.departure):
@@ -146,6 +156,7 @@ class HybridBoost:
     deadline: int
 
     def __post_init__(self) -> None:
+        _real(target_bytes=self.target_bytes)
         if not self.target_bytes >= 0:
             raise ValueError("boost target must be >= 0")
         if not (_whole(self.deadline) and self.deadline >= 1):
@@ -168,6 +179,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "buyers", tuple(self.buyers))
+        _real(capacity=self.capacity, mu=self.mu, reserve=self.reserve, price=self.price)
         if not self.capacity > 0:
             raise ValueError(f"capacity must be > 0, got {self.capacity}")
         if not (_whole(self.horizon) and self.horizon >= 1):
@@ -196,7 +208,6 @@ class SessionOutcome:
 
     buyer_ids: List[str]
     bytes: Dict[str, float]  # real (valued) traffic per buyer
-    billed_bytes: Dict[str, float]  # includes padding
     bids: Dict[str, float]  # submitted
     perturbed_bids: Dict[str, float]  # routing keys (equal to bids outside bks)
     payments: Dict[str, PaymentOutcome]
@@ -204,7 +215,6 @@ class SessionOutcome:
     welfare: float
     seller_revenue: float
     trace: np.ndarray  # (horizon, n) consumed KB per epoch, column order = buyer_ids
-    mechanism: str
     reserve: float
 
 
@@ -535,7 +545,6 @@ def _finish(
     payments = _settle(scenario, records, x_billed, shown)
     ids = [b.buyer_id for b in buyers]
     real = {b.buyer_id: float(x_real[i]) for i, b in enumerate(buyers)}
-    billed = {b.buyer_id: float(x_billed[i]) for i, b in enumerate(buyers)}
     utilities = {
         b.buyer_id: b.value * real[b.buyer_id] - payments[b.buyer_id].net for b in buyers
     }
@@ -544,7 +553,6 @@ def _finish(
     return SessionOutcome(
         buyer_ids=ids,
         bytes=real,
-        billed_bytes=billed,
         bids={bid: rec.bid for bid, rec in records.items()},
         perturbed_bids={bid: rec.perturbed_bid for bid, rec in records.items()},
         payments=payments,
@@ -552,7 +560,6 @@ def _finish(
         welfare=welfare,
         seller_revenue=revenue,
         trace=trace,
-        mechanism=scenario.mechanism,
         reserve=scenario.reserve,
     )
 
@@ -579,7 +586,6 @@ def build_ledger(seller_id: str, outcome: SessionOutcome) -> SellerLedger:
 class MonteCarloStats:
     """Aggregates over independent seeded sessions."""
 
-    n_runs: int
     welfare: MeanCI
     seller_revenue: MeanCI
     bytes: Dict[str, MeanCI]
@@ -620,7 +626,6 @@ def run_monte_carlo(
     welfare = summarize([r[0] for r in rows])
     revenue = summarize([r[1] for r in rows])
     return MonteCarloStats(
-        n_runs=n_runs,
         welfare=welfare,
         seller_revenue=revenue,
         bytes={b: summarize([r[2][b] for r in rows]) for b in ids},

@@ -155,7 +155,6 @@ class MeanCI:
     mean: float
     ci_low: float
     ci_high: float
-    n: int
 
 
 def summarize(samples: Sequence[float]) -> MeanCI:
@@ -165,6 +164,6 @@ def summarize(samples: Sequence[float]) -> MeanCI:
         raise ValueError("no samples")
     mean = float(arr.mean())
     if n == 1:
-        return MeanCI(mean, mean, mean, 1)
+        return MeanCI(mean, mean, mean)
     half = _Z95 * float(arr.std(ddof=1)) / math.sqrt(n)
-    return MeanCI(mean, mean - half, mean + half, n)
+    return MeanCI(mean, mean - half, mean + half)

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -428,9 +429,13 @@ class TestCli:
 
     def test_console_entry_point(self, tmp_path):
         config = write_config(tmp_path, MINI_DOC)
+        # The child imports the package this test imported, which pytest may
+        # have found through its ``pythonpath`` setting rather than PYTHONPATH.
+        src = str(pathlib.Path(bandshare.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "bandshare.cli", "simulate", "--config", config,
              "--out-dir", str(tmp_path / "o")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr

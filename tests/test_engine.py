@@ -4,7 +4,7 @@ Covers the worked VCG manipulation example, strategy identities, the isolation
 and monotonicity properties of strict-priority routing, welfare against the
 offline optimum (value-ordered service for memoryless demand, a brute-force
 enumerator for stateful demand), Monte Carlo determinism, the tie rule,
-parameter checks, the equivalence of the epoch loop's allocator and the
+parameter checks (NaN, non-numbers, bools, fractional epoch counts), the equivalence of the epoch loop's allocator and the
 routing kernels and of the vectorized and epoch-loop execution paths, and
 world replay under counterfactual bids.
 """
@@ -130,7 +130,7 @@ class TestStrategies:
         )
         out = run_session(scenario, seed=0)
         assert out.bytes["a"] == 30.0
-        assert out.billed_bytes["a"] == 50.0
+        assert out.payments["a"].bytes == 50.0
         assert out.payments["a"].net == 50.0
         assert out.utilities["a"] == pytest.approx(5 * 30 - 50)
 
@@ -186,6 +186,31 @@ NAN = float("nan")
 )
 def test_nan_parameters_rejected(build):
     with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "field,build",
+    [
+        ("pad", lambda: Strategy("pad", pad="a")),
+        ("bid_factor", lambda: Strategy("misreport", bid_factor=True)),
+        ("value", lambda: BuyerSpec("a", "x", DemandSpec.constant(1.0))),
+        ("value", lambda: BuyerSpec("a", True, DemandSpec.constant(1.0))),
+        ("target_bytes", lambda: HybridBoost("a", "x", 3)),
+        ("capacity", lambda: Scenario((), capacity="5")),
+        ("mu", lambda: Scenario((), capacity=5, mu="0.2")),
+        ("reserve", lambda: Scenario((), capacity=5, reserve=None)),
+        ("price", lambda: Scenario((), capacity=5, price=False)),
+    ],
+    ids=[
+        "pad-str", "bid_factor-bool", "value-str", "value-bool", "target_bytes-str",
+        "capacity-str", "mu-str", "reserve-none", "price-bool",
+    ],
+)
+def test_non_numeric_parameters_rejected(field, build):
+    # Strings and None used to raise a TypeError from a comparison, and bools
+    # were accepted as 0 and 1.
+    with pytest.raises(ValueError, match=f"^{field} must be a real number"):
         build()
 
 
@@ -645,7 +670,7 @@ class TestPathEquivalence:
         slow = _run_loop(scenario, realizations, records)
         close = lambda a: pytest.approx(a, abs=1e-9)
         assert fast.buyer_ids == slow.buyer_ids
-        for name in ("bytes", "billed_bytes", "bids", "perturbed_bids", "utilities"):
+        for name in ("bytes", "bids", "perturbed_bids", "utilities"):
             assert getattr(fast, name) == close(getattr(slow, name)), name
         for b in fast.buyer_ids:
             f, s = fast.payments[b], slow.payments[b]
@@ -654,7 +679,7 @@ class TestPathEquivalence:
             ), b
         assert fast.welfare == close(slow.welfare)
         assert fast.seller_revenue == close(slow.seller_revenue)
-        assert (fast.mechanism, fast.reserve) == (slow.mechanism, slow.reserve)
+        assert fast.reserve == slow.reserve
         np.testing.assert_allclose(fast.trace, slow.trace, rtol=0, atol=1e-9)
 
 
