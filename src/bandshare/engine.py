@@ -210,7 +210,7 @@ class SessionOutcome:
     bytes: Dict[str, float]  # real (valued) traffic per buyer
     bids: Dict[str, float]  # submitted
     perturbed_bids: Dict[str, float]  # routing keys (equal to bids outside bks)
-    payments: Dict[str, PaymentOutcome]
+    payments: Dict[str, PaymentOutcome]  # .bytes is billed traffic, padding included
     utilities: Dict[str, float]
     welfare: float
     seller_revenue: float
