@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -306,20 +307,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args: argparse.Namespace) -> None:
+    """Reject flag values that parse but mean nothing, before any work starts."""
+    jobs = getattr(args, "jobs", 1)
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+    budget = args.budget
+    if budget is not None and not (math.isfinite(budget) and budget > 0):
+        raise ConfigError(f"--budget must be a positive number of seconds, got {budget}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     started = time.monotonic()
     try:
         args = build_parser().parse_args(argv)
+        _check_flags(args)
         code = args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    budget = getattr(args, "budget", None)
-    if budget is not None and time.monotonic() - started > budget:
-        print(
-            f"runtime budget exceeded: {time.monotonic() - started:.1f}s > {budget}s",
-            file=sys.stderr,
-        )
+    elapsed = time.monotonic() - started
+    if args.budget is not None and elapsed > args.budget:
+        print(f"runtime budget exceeded: {elapsed:.1f}s > {args.budget}s", file=sys.stderr)
         return EXIT_BUDGET
     return code
 

@@ -18,7 +18,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,11 +41,16 @@ class DemandRealization:
     ``query(t, x)`` returns the demand (KB) for epoch ``t >= 1`` given
     cumulative real traffic ``x >= 0``.  A model is memoryless when d(t, x)
     does not depend on x at all; exactly those models answer ``query_epochs``.
+    The buffered and impatient models also ``serve`` a greedy buyer a whole
+    window of epochs at once.
     """
 
     model_id: str
     _fn: Callable[[int, float], float] = field(repr=False)
     _bulk: Optional[Callable[[int, int], np.ndarray]] = field(default=None, repr=False)
+    _serve: Optional[Callable[[np.ndarray, int], Tuple[np.ndarray, np.ndarray]]] = field(
+        default=None, repr=False
+    )
 
     @property
     def memoryless(self) -> bool:
@@ -74,6 +79,17 @@ class DemandRealization:
         if lo < 1 or hi < lo:
             raise ValueError(f"bad epoch range [{lo}, {hi}]")
         return self._bulk(lo, hi)
+
+    def serve(self, residual: np.ndarray, lo: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Presented demand and grants, epoch by epoch, of a greedy buyer who
+        arrives at epoch ``lo`` with nothing moved and may take up to
+        ``residual[j]`` KB in epoch ``lo + j``.
+
+        The same numbers as presenting ``query(t, x)`` and taking the smaller
+        of it and the residual in each epoch, up to rounding.  None for a
+        model without this vector form.
+        """
+        return None if self._serve is None else self._serve(residual, lo)
 
 
 def _check(ok: bool, message: str) -> None:
@@ -118,8 +134,27 @@ def _time_varying(g: Sequence[float]) -> DemandRealization:
 def _buffered(g: Sequence[float]) -> DemandRealization:
     cum = list(itertools.accumulate(g, initial=0.0))  # cum[t]: generated by epoch t
     last, total = len(g), cum[-1]
+    generated = np.array(g, dtype=float)
+
+    def serve(residual: np.ndarray, lo: int) -> Tuple[np.ndarray, np.ndarray]:
+        # The backlog left after epoch t follows Lindley's recursion
+        # B_t = max(0, B_{t-1} + g_t - r_t), from the data B_{lo-1} generated
+        # before arrival.  Its closed form is W_t - min(0, min_{s<=t} W_s)
+        # with W_t = B_{lo-1} + sum_{s=lo..t} (g_s - r_s).
+        presented = np.zeros(len(residual))
+        part = generated[lo - 1 : lo - 1 + len(residual)]
+        presented[: len(part)] = part
+        before = cum[min(lo - 1, last)]
+        walk = before + np.cumsum(presented - residual)
+        backlog = walk - np.minimum(0.0, np.minimum.accumulate(walk))
+        presented[0] += before
+        presented[1:] += backlog[:-1]  # B_{t-1} + g_t
+        return presented, np.minimum(presented, residual)
+
     return DemandRealization(
-        "buffered", _fn=lambda t, x: max(0.0, (cum[t] if t <= last else total) - x)
+        "buffered",
+        _fn=lambda t, x: max(0.0, (cum[t] if t <= last else total) - x),
+        _serve=serve,
     )
 
 
@@ -129,7 +164,19 @@ def _impatient(k: float, p: int, m: float) -> DemandRealization:
             return k
         return k if x > m else 0.0
 
-    return DemandRealization("impatient", _fn=fn)
+    def serve(residual: np.ndarray, lo: int) -> Tuple[np.ndarray, np.ndarray]:
+        # Rate k up to the patience epoch p; after it, rate k on if the
+        # traffic moved by then (summed in epoch order) exceeds m, else 0.
+        presented = np.full(len(residual), float(k))
+        grants = np.minimum(presented, residual)
+        patient = max(0, p - lo + 1)
+        moved = float(np.cumsum(grants[:patient])[-1]) if patient else 0.0
+        if not moved > m:
+            presented[patient:] = 0.0
+            grants[patient:] = 0.0
+        return presented, grants
+
+    return DemandRealization("impatient", _fn=fn, _serve=serve)
 
 
 def _increasing_rate(g: Callable[[float], float]) -> DemandRealization:

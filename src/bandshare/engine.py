@@ -14,19 +14,33 @@ counterfactual bids or pinned resampling coins; ``run_session`` is
 over ``n`` runs from a master seed uses the session seeds ``run_seeds(seed,
 n)``.
 
-The path is chosen once per world.  Memoryless worlds with straightforward
-buyers run through a vectorized path that applies the ``routing`` kernels to
-the whole (n, T) demand matrix; anything stateful (buffered or impatient
-demand, padding, delaying, the threshold-hybrid policy) takes the epoch loop,
-which allocates one epoch at a time with ``_allocate_epoch``, the scalar form
-of the same kernels.  Both produce identical results.  VMM charges depend only
-on bids and presented demand, so the loop records the demand it presents and
-both paths charge VMM once, after allocation.
+Three paths play a session, and ``replay`` picks one for each call.  A buyer
+is stateful when what she presents depends on her history: her demand model
+is not memoryless (buffered, impatient, increasing_*, cliff) or she pads or
+delays.
+
+* The priority sweep (``_run_sweep``) plays every strict-priority (``spq``)
+  session in which no stateful buyer ties another buyer's routing key.  It
+  visits the priority groups in descending key order and serves each from the
+  capacity the groups above it left: memoryless greedy rows from the world's
+  demand matrix, a greedy buffered or impatient buyer through her model's
+  vector form (``DemandRealization.serve``), anyone else epoch by epoch
+  through ``query``.
+* The vector path (``_run_vectorized``) plays fq and fifo sessions whose
+  buyers are all memoryless and greedy (or misreporting); it applies the
+  ``routing`` kernel to the whole (n, T) demand matrix.
+* The epoch loop (``_run_loop``) plays the rest: threshold-hybrid routing, fq
+  and fifo with a stateful buyer, and strict priority with a tied stateful
+  group.  It allocates one epoch at a time with ``_allocate_epoch``, the
+  scalar form of the same kernels, and it is the reference semantics that the
+  other two paths are tested against.
+
+VMM charges depend only on bids and presented demand, so every path records
+the demand it presents and charges VMM once, after allocation.
 """
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -46,7 +60,7 @@ from bandshare.payments import (
     vmm_epoch_charges,
 )
 from bandshare.pooling import LedgerRow, SellerLedger
-from bandshare.routing import maxmin, proportional, spq
+from bandshare.routing import fill_group, maxmin, priority_groups, proportional
 
 __all__ = [
     "BuyerSpec",
@@ -309,14 +323,10 @@ def _settle(
     return payments
 
 
-def _can_vectorize(scenario: Scenario, realizations: Sequence[DemandRealization]) -> bool:
-    if scenario.routing == "hybrid":
-        return False
-    if any(not r.memoryless for r in realizations):
-        return False
-    if any(b.strategy.kind in ("pad", "delay") for b in scenario.buyers):
-        return False
-    return True
+def _stateful(buyer: BuyerSpec, realization: DemandRealization) -> bool:
+    """Whether what a buyer presents depends on her history, so that she
+    cannot be read from the world's demand matrix."""
+    return not realization.memoryless or buyer.strategy.kind in ("pad", "delay")
 
 
 def replay(scenario: Scenario, seed: int) -> Callable[..., SessionOutcome]:
@@ -326,22 +336,29 @@ def replay(scenario: Scenario, seed: int) -> Callable[..., SessionOutcome]:
     ``session(bid_override=None, force_resample=None)``.  ``bid_override``
     replaces buyers' submitted bids and ``force_resample`` pins buyers'
     resampling coins (keeping their draws); every call sees the same demand
-    and resampling streams.  The path is chosen once per world: a world the
-    vector path can run gets its demand matrix here and plays every call on
-    that path, and any other world plays every call in the epoch loop.
+    and resampling streams.  This is the one place that picks a session's
+    path (see the module docstring): the world fixes it, except that strict
+    priority leaves a call to the loop when its routing keys tie a stateful
+    buyer with another buyer.
     """
     realizations, resample_ss = _world(scenario, seed)
-    vectorizable = _can_vectorize(scenario, realizations)
-    demand = _demand_matrix(scenario, realizations) if vectorizable else None
+    stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
+    looped = scenario.routing == "hybrid" or (scenario.routing != "spq" and any(stateful))
+    demand = None if looped else _demand_matrix(scenario, realizations)
 
     def session(
         bid_override: Optional[Mapping[str, float]] = None,
         force_resample: Optional[Mapping[str, bool]] = None,
     ) -> SessionOutcome:
         records = _bid_records(scenario, resample_ss, bid_override, force_resample)
-        if demand is not None:
+        if demand is None:
+            return _run_loop(scenario, realizations, records)
+        if scenario.routing != "spq":
             return _run_vectorized(scenario, demand, records)
-        return _run_loop(scenario, realizations, records)
+        groups = priority_groups([records[b.buyer_id].perturbed_bid for b in scenario.buyers])
+        if any(len(rows) > 1 and any(stateful[i] for i in rows) for rows in groups):
+            return _run_loop(scenario, realizations, records)
+        return _run_sweep(scenario, realizations, demand, records, groups, stateful)
 
     return session
 
@@ -368,7 +385,7 @@ def _run_loop(
     T = scenario.horizon
 
     elig = [_eligible(scenario, records[b.buyer_id].bid) for b in buyers]
-    groups = _groups([records[b.buyer_id].perturbed_bid for b in buyers])
+    groups = priority_groups([records[b.buyer_id].perturbed_bid for b in buyers])
     arrivals = [b.arrival for b in buyers]
     departures = [b.departure for b in buyers]
     strategies = [b.strategy for b in buyers]
@@ -392,10 +409,7 @@ def _run_loop(
             try:
                 d = queries[i](t, x_real[i])
             except Exception as exc:
-                raise RuntimeError(
-                    f"demand query failed for buyer {buyers[i].buyer_id!r} "
-                    f"at epoch {t}: {exc}"
-                ) from exc
+                raise _query_failed(buyers[i], t, exc) from exc
             truth[i] = d
             kind = kinds[i]
             if kind == "delay":
@@ -422,12 +436,6 @@ def _run_loop(
                 row[i] = consumed
 
     return _finish(scenario, records, x_real, x_billed, shown, trace)
-
-
-def _groups(keys: Sequence[float]) -> List[List[int]]:
-    """Buyer positions grouped by equal key, highest first, as ``routing.spq`` groups rows."""
-    order = sorted(range(len(keys)), key=lambda i: -keys[i])
-    return [list(rows) for _, rows in itertools.groupby(order, key=keys.__getitem__)]
 
 
 def _allocate_epoch(
@@ -495,42 +503,127 @@ def _share(rows: List[int], need: Sequence[float], c: float, grants: List[float]
 def _demand_matrix(
     scenario: Scenario, realizations: Sequence[DemandRealization]
 ) -> np.ndarray:
-    """(n, T) demand matrix of memoryless realizations, masked to each buyer's
-    active window (eligibility is applied separately)."""
+    """(n, T) demand matrix, masked to each buyer's active window, with a row
+    for every memoryless realization and zeros for the others (eligibility is
+    applied separately)."""
     T = scenario.horizon
     demand = np.zeros((len(scenario.buyers), T))
     for i, (buyer, real) in enumerate(zip(scenario.buyers, realizations)):
-        lo = max(1, buyer.arrival)
-        hi = min(T, buyer.departure)
-        if lo <= hi:
+        lo, hi = _window(scenario, buyer)
+        if lo <= hi and real.memoryless:
             demand[i, lo - 1 : hi] = real.query_epochs(lo, hi)
     return demand
+
+
+def _window(scenario: Scenario, buyer: BuyerSpec) -> Tuple[int, int]:
+    """First and last epoch in which ``buyer`` is active; empty when lo > hi."""
+    return max(1, buyer.arrival), min(scenario.horizon, buyer.departure)
+
+
+def _shown(scenario: Scenario, demand: np.ndarray, records: Dict[str, BidRecord]) -> np.ndarray:
+    """A copy of the world's ``demand`` with ineligible buyers' rows zeroed;
+    the world's matrix is left unchanged, so counterfactual replays share it."""
+    shown = demand.copy()
+    for i, b in enumerate(scenario.buyers):
+        if not _eligible(scenario, records[b.buyer_id].bid):
+            shown[i] = 0.0
+    return shown
 
 
 def _run_vectorized(
     scenario: Scenario, demand: np.ndarray, records: Dict[str, BidRecord]
 ) -> SessionOutcome:
-    """Vector path: memoryless demand, greedy presentation, static priorities.
+    """Vector path for fq and fifo: memoryless demand, greedy presentation."""
+    shown = _shown(scenario, demand, records)
+    kernel = maxmin if scenario.routing == "fq" else proportional
+    grants = kernel(shown, scenario.capacity)
+    x = grants.sum(axis=1)
+    return _finish(scenario, records, x, x, shown, grants.T.copy())
 
-    ``demand`` is the world's ``_demand_matrix``; it is left unchanged, so
-    counterfactual replays can share it.
+
+def _run_sweep(
+    scenario: Scenario,
+    realizations: Sequence[DemandRealization],
+    demand: np.ndarray,
+    records: Dict[str, BidRecord],
+    groups: List[List[int]],
+    stateful: Sequence[bool],
+) -> SessionOutcome:
+    """Strict priority played one priority group at a time, highest key first.
+
+    ``residual`` holds the capacity that the groups above have left in each
+    epoch.  A buyer without a tie takes her grants from it, and they depend
+    only on it and her own history.  Rows of memoryless greedy buyers, tied or
+    not, are read from ``demand`` and filled as ``routing.spq`` fills them.  A
+    stateful buyer (never in a tie: ``replay`` sends those calls to the loop)
+    is served by her demand model's vector form when she is greedy and the
+    model has one, and by ``_scan`` otherwise.
     """
     buyers = scenario.buyers
-    priorities = [records[b.buyer_id].perturbed_bid for b in buyers]
-    demand = demand.copy()
-    for i, b in enumerate(buyers):
-        if not _eligible(scenario, records[b.buyer_id].bid):
-            demand[i] = 0.0
+    shown = _shown(scenario, demand, records)
+    grants = np.zeros(shown.shape)
+    residual = np.full(scenario.horizon, float(scenario.capacity))
+    scanned: Dict[int, float] = {}  # real traffic of buyers played by _scan
+    for rows in groups:
+        i = rows[0]
+        if len(rows) > 1 or not stateful[i]:
+            fill_group(shown, rows, residual, grants)
+            continue
+        buyer, realization = buyers[i], realizations[i]
+        lo, hi = _window(scenario, buyer)
+        if lo > hi or not _eligible(scenario, records[buyer.buyer_id].bid):
+            continue
+        left = residual[lo - 1 : hi]  # a view: serving her reduces ``residual``
+        served = None
+        if buyer.strategy.kind in ("greedy", "misreport"):
+            served = realization.serve(left, lo)
+        if served is None:
+            presented, taken, scanned[i] = _scan(buyer, realization, left, lo)
+        else:
+            presented, taken = served
+        shown[i, lo - 1 : hi] = presented
+        grants[i, lo - 1 : hi] = taken
+        left -= taken
+    x_billed = grants.sum(axis=1).tolist()
+    x_real = [scanned.get(i, x) for i, x in enumerate(x_billed)]
+    return _finish(scenario, records, x_real, x_billed, shown, grants.T.copy())
 
-    c = scenario.capacity
-    if scenario.routing == "spq":
-        grants = spq(demand, priorities, c)
-    elif scenario.routing == "fifo":
-        grants = proportional(demand, c)
-    else:  # fq
-        grants = maxmin(demand, c)
-    x = [float(v) for v in grants.sum(axis=1)]
-    return _finish(scenario, records, x, x, demand, grants.T.copy())
+
+def _scan(
+    buyer: BuyerSpec, realization: DemandRealization, residual: np.ndarray, lo: int
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """One buyer played epoch by epoch through ``query``, as the epoch loop
+    plays her, against the capacity ``residual[j]`` left in epoch ``lo + j``.
+
+    Returns her presented demand, her grants and her real traffic.
+    """
+    strategy = buyer.strategy
+    kind = strategy.kind
+    truth: List[float] = []
+    presented: List[float] = []
+    grants: List[float] = []
+    x = 0.0
+    for j, r in enumerate(residual.tolist()):
+        try:
+            d = realization.query(lo + j, x)
+        except Exception as exc:
+            raise _query_failed(buyer, lo + j, exc) from exc
+        truth.append(d)
+        if kind == "delay":
+            shown = truth[j - strategy.delay_epochs] if j >= strategy.delay_epochs else 0.0
+        elif kind == "pad":
+            shown = d + strategy.pad
+        else:
+            shown = d
+        take = shown if shown <= r else r
+        x += take if take <= d else d
+        presented.append(shown)
+        grants.append(take)
+    return np.array(presented), np.array(grants), x
+
+
+def _query_failed(buyer: BuyerSpec, t: int, exc: Exception) -> RuntimeError:
+    return RuntimeError(f"demand query failed for buyer {buyer.buyer_id!r} at epoch {t}: {exc}")
 
 
 def _finish(

@@ -10,6 +10,10 @@ value per column) among the rows:
 * ``spq``          -- strict priority by key, highest first; rows with equal
   keys share what is left max-min fairly.
 
+``spq`` is built from two parts that the engine's strict-priority paths share:
+``priority_groups`` orders the rows into groups of equal key, highest first,
+and ``fill_group`` serves one group from the capacity the groups above it left.
+
 The ``spq`` split of capacity in descending bid order is also the
 value-optimal one, so VCG charges use it too.
 Grants are real-valued KB; every kernel is work-conserving, never grants more
@@ -19,11 +23,11 @@ than demand, and never exceeds the capacity of a column.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
-__all__ = ["maxmin", "proportional", "spq"]
+__all__ = ["fill_group", "maxmin", "priority_groups", "proportional", "spq"]
 
 Capacity = Union[float, np.ndarray]
 
@@ -69,19 +73,32 @@ def maxmin(demand: np.ndarray, c: Capacity) -> np.ndarray:
     return grants
 
 
+def priority_groups(keys: Sequence[float]) -> List[List[int]]:
+    """Row positions grouped by equal key, highest key first, in stable order."""
+    order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)  # stable
+    return [list(rows) for _, rows in itertools.groupby(order, key=keys.__getitem__)]
+
+
+def fill_group(
+    demand: np.ndarray, rows: List[int], remaining: np.ndarray, grants: np.ndarray
+) -> None:
+    """Fill ``grants[rows]``, one priority group's grants, from the per-column
+    capacity ``remaining`` and reduce it in place; tied rows share it max-min
+    fairly."""
+    if len(rows) == 1:
+        take = grants[rows[0]] = np.minimum(remaining, demand[rows[0]])
+    else:
+        grants[rows] = maxmin(demand[rows], remaining)
+        take = np.minimum(grants[rows].sum(axis=0), remaining)
+    remaining -= take
+
+
 def spq(demand: np.ndarray, keys: Sequence[float], c: Capacity) -> np.ndarray:
     """Strict-priority fill of each column in descending key order; rows with
     equal keys share what is left max-min fairly."""
     demand = np.asarray(demand, dtype=float)
     grants = np.empty_like(demand)
     remaining = _capacity(c, demand.shape[1])
-    order = sorted(range(len(keys)), key=lambda i: -keys[i])
-    for _, tied in itertools.groupby(order, key=keys.__getitem__):
-        rows = list(tied)
-        if len(rows) == 1:
-            take = grants[rows[0]] = np.minimum(remaining, demand[rows[0]])
-        else:
-            grants[rows] = maxmin(demand[rows], remaining)
-            take = np.minimum(grants[rows].sum(axis=0), remaining)
-        remaining -= take
+    for rows in priority_groups(keys):
+        fill_group(demand, rows, remaining, grants)
     return grants

@@ -281,6 +281,31 @@ class TestCli:
         assert err.startswith("config error: ") and key in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command, flags, key",
+        [
+            ("simulate", ["--jobs", "-2"], "--jobs must be >= 1, got -2"),
+            ("sweep", ["--jobs", "0"], "--jobs must be >= 1, got 0"),
+            ("simulate", ["--budget", "-1"], "--budget must be a positive number of seconds"),
+            ("simulate", ["--budget", "0"], "--budget must be a positive number of seconds"),
+            ("simulate", ["--budget", "nan"], "--budget must be a positive number of seconds"),
+            ("pool", ["--budget", "inf"], "--budget must be a positive number of seconds"),
+        ],
+    )
+    def test_bad_jobs_or_budget_is_a_config_error(self, tmp_path, capsys, command, flags, key):
+        """Rejected before any work starts: no output directory is made."""
+        config = write_config(tmp_path, MINI_DOC)
+        code = self.run_cli(command, *flags, "--config", config, "--out-dir", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: ") and key in err
+        assert not (tmp_path / "o").exists()
+
+    def test_verify_bad_budget_is_a_config_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_suite", lambda *a, **k: pytest.fail("suite ran"))
+        assert self.run_cli("verify", "--suite", "balance", "--budget", "nan") == 1
+        assert capsys.readouterr().err.startswith("config error: --budget must be")
+
     @pytest.mark.parametrize("key, value", [("seed", -3), ("capacity", float("nan"))])
     def test_bad_config_value_is_a_config_error(self, tmp_path, capsys, key, value):
         doc = copy.deepcopy(MINI_DOC)
@@ -423,7 +448,7 @@ class TestCli:
         config = write_config(tmp_path, MINI_DOC)
         code = self.run_cli(
             "simulate", "--config", config, "--out-dir", str(tmp_path / "o"),
-            "--budget", "0",
+            "--budget", "1e-9",
         )
         assert code == 3
 

@@ -5,8 +5,9 @@ and monotonicity properties of strict-priority routing, welfare against the
 offline optimum (value-ordered service for memoryless demand, a brute-force
 enumerator for stateful demand), Monte Carlo determinism, the tie rule,
 parameter checks (NaN, non-numbers, bools, fractional epoch counts), the equivalence of the epoch loop's allocator and the
-routing kernels and of the vectorized and epoch-loop execution paths, and
-world replay under counterfactual bids.
+routing kernels and of the priority sweep and the vector path with the epoch
+loop, which session takes which path, and world replay under counterfactual
+bids.
 """
 
 import itertools
@@ -14,10 +15,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bandshare.engine
+from bandshare.config import builtin_config_path, load_config
 from bandshare.demand import DemandSpec
 from bandshare.engine import (
     BuyerSpec,
@@ -27,9 +29,10 @@ from bandshare.engine import (
     _allocate_epoch,
     _bid_records,
     _demand_matrix,
-    _groups,
     _run_loop,
+    _run_sweep,
     _run_vectorized,
+    _stateful,
     _world,
     build_ledger,
     replay,
@@ -37,7 +40,7 @@ from bandshare.engine import (
     run_seeds,
     run_session,
 )
-from bandshare.routing import maxmin, proportional, spq
+from bandshare.routing import maxmin, priority_groups, proportional, spq
 
 
 def example1_scenario(horizon=600):
@@ -621,8 +624,8 @@ class TestWorkConservation:
 @st.composite
 def memoryless_scenarios(draw):
     """Scenarios the vector path can run: memoryless demand, greedy or
-    misreporting buyers, n <= 5, tied or distinct values, any routing,
-    mechanism, reserve and windows, and per-epoch demand lists from 1 to
+    misreporting buyers, n <= 5, tied or distinct values, fq or fifo routing,
+    any mechanism, reserve and windows, and per-epoch demand lists from 1 to
     horizon + 5 epochs long."""
     horizon = draw(st.integers(1, 30))
     n = draw(st.integers(1, 5))
@@ -649,13 +652,96 @@ def memoryless_scenarios(draw):
     return Scenario(
         buyers=tuple(buyers),
         capacity=draw(st.floats(0.5, 60.0)),
-        routing=draw(st.sampled_from(["spq", "fq", "fifo"])),
+        routing=draw(st.sampled_from(["fq", "fifo"])),
         mechanism=draw(st.sampled_from(["bks", "vmm", "fixed"])),
         mu=draw(st.floats(0.05, 0.95)),
         reserve=draw(st.sampled_from([0.0, 1.0, 4.0])),
         price=draw(st.sampled_from([0.0, 1.0, 4.0])),
         horizon=horizon,
     )
+
+
+def demand_models(horizon):
+    """Every demand model, with parameters small enough to contend for capacity."""
+    rate = st.floats(0.0, 30.0)
+    sequence = st.lists(rate, min_size=1, max_size=horizon + 5)
+    quota = st.one_of(st.sampled_from([0.0, 10.0]), st.floats(0.0, 100.0))
+    return st.one_of(
+        rate.map(DemandSpec.constant),
+        sequence.map(DemandSpec.time_varying),
+        st.floats(0.0, 20.0).map(lambda r: DemandSpec.flow_trace(r, horizon)),
+        sequence.map(DemandSpec.buffered),
+        st.builds(DemandSpec.impatient, rate, st.integers(1, horizon + 2), quota),
+        st.builds(DemandSpec.cliff, rate, quota),
+        st.floats(0.0, 10.0).map(
+            lambda a: DemandSpec.increasing_rate(lambda z: min(30.0, a + 0.5 * z))
+        ),
+        st.floats(0.0, 10.0).map(
+            lambda a: DemandSpec.increasing_total(lambda z: a + min(z, 100.0) / 10.0)
+        ),
+    )
+
+
+STRATEGIES = st.one_of(
+    st.just(Strategy("greedy")),
+    st.floats(0.0, 5.0).map(lambda pad: Strategy("pad", pad=pad)),
+    st.integers(0, 4).map(lambda k: Strategy("delay", delay_epochs=k)),
+    st.floats(0.0, 2.0).map(lambda f: Strategy("misreport", bid_factor=f)),
+)
+
+
+@st.composite
+def priority_scenarios(draw):
+    """Strict-priority scenarios: all 8 demand models, all 4 strategies, n <=
+    5, windows, reserves and prices, every mechanism.  Memoryless buyers often
+    tie on their value; stateful ones rarely do."""
+    horizon = draw(st.integers(1, 30))
+    n = draw(st.integers(1, 5))
+    buyers = []
+    for k in range(n):
+        demand = draw(demand_models(horizon))
+        common = demand.kind in ("constant", "time_varying", "flow_trace")
+        value = draw(st.one_of(st.sampled_from([1.0, 2.0, 4.0]), st.floats(0.0, 10.0))
+                     if common else st.floats(0.0, 10.0))
+        arrival = draw(st.integers(0, horizon + 2))
+        departure = draw(st.integers(arrival, horizon + 5))
+        buyers.append(BuyerSpec(f"b{k}", value, demand, arrival, departure, draw(STRATEGIES)))
+    return Scenario(
+        buyers=tuple(buyers),
+        capacity=draw(st.floats(0.5, 60.0)),
+        routing="spq",
+        mechanism=draw(st.sampled_from(["bks", "vmm", "fixed"])),
+        mu=draw(st.floats(0.05, 0.95)),
+        reserve=draw(st.sampled_from([0.0, 1.0, 4.0])),
+        price=draw(st.sampled_from([0.0, 1.0, 4.0])),
+        horizon=horizon,
+    )
+
+
+def assert_close_outcome(fast, slow):
+    """Every field of two outcomes agrees to 1e-9."""
+    close = lambda a: pytest.approx(a, abs=1e-9)
+    assert fast.buyer_ids == slow.buyer_ids
+    for name in ("bytes", "bids", "perturbed_bids", "utilities"):
+        assert getattr(fast, name) == close(getattr(slow, name)), name
+    for b in fast.buyer_ids:
+        f, s = fast.payments[b], slow.payments[b]
+        assert (f.buyer_id, f.bytes, f.gross, f.rebate) == close(
+            (s.buyer_id, s.bytes, s.gross, s.rebate)
+        ), b
+    assert fast.welfare == close(slow.welfare)
+    assert fast.seller_revenue == close(slow.seller_revenue)
+    assert fast.reserve == slow.reserve
+    np.testing.assert_allclose(fast.trace, slow.trace, rtol=0, atol=1e-9)
+
+
+def contest_scenarios():
+    """The strict-priority scenarios of the builtin contest configs."""
+    impatient = load_config(builtin_config_path("impatient_deviation"))
+    return {
+        name: load_config(builtin_config_path(name)).scenario
+        for name in ("packet_contest_resampling", "packet_contest_vcg")
+    } | {"impatient_deviation": next(v for v in impatient.variants if v.name == "spq").scenario}
 
 
 class TestPathEquivalence:
@@ -667,20 +753,93 @@ class TestPathEquivalence:
         realizations, resample_ss = _world(scenario, seed)
         records = _bid_records(scenario, resample_ss, None, None)
         fast = _run_vectorized(scenario, _demand_matrix(scenario, realizations), records)
-        slow = _run_loop(scenario, realizations, records)
-        close = lambda a: pytest.approx(a, abs=1e-9)
-        assert fast.buyer_ids == slow.buyer_ids
-        for name in ("bytes", "bids", "perturbed_bids", "utilities"):
-            assert getattr(fast, name) == close(getattr(slow, name)), name
-        for b in fast.buyer_ids:
-            f, s = fast.payments[b], slow.payments[b]
-            assert (f.buyer_id, f.bytes, f.gross, f.rebate) == close(
-                (s.buyer_id, s.bytes, s.gross, s.rebate)
-            ), b
-        assert fast.welfare == close(slow.welfare)
-        assert fast.seller_revenue == close(slow.seller_revenue)
-        assert fast.reserve == slow.reserve
-        np.testing.assert_allclose(fast.trace, slow.trace, rtol=0, atol=1e-9)
+        assert_close_outcome(fast, _run_loop(scenario, realizations, records))
+
+    @given(scenario=priority_scenarios(), seed=st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_sweep_matches_loop(self, scenario, seed):
+        """The priority sweep reproduces the epoch loop on every field of the
+        outcome whenever no stateful buyer ties another buyer's key."""
+        realizations, resample_ss = _world(scenario, seed)
+        records = _bid_records(scenario, resample_ss, None, None)
+        groups = priority_groups([records[b.buyer_id].perturbed_bid for b in scenario.buyers])
+        stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
+        assume(not any(len(rows) > 1 and any(stateful[i] for i in rows) for rows in groups))
+        demand = _demand_matrix(scenario, realizations)
+        fast = _run_sweep(scenario, realizations, demand, records, groups, stateful)
+        assert_close_outcome(fast, _run_loop(scenario, realizations, records))
+
+    @pytest.mark.parametrize("name", sorted(contest_scenarios()))
+    def test_contest_configs_sweep_exactly_as_loop(self, name):
+        """On the builtin contest configs the sweep is the loop, bit for bit,
+        with truthful bids and under the bid-1.9 deviation."""
+        scenario = contest_scenarios()[name]
+        first = scenario.buyers[0].buyer_id
+        for seed in run_seeds(7, 40):
+            session = replay(scenario, seed)
+            realizations, resample_ss = _world(scenario, seed)
+            for override in (None, {first: 1.9}):
+                records = _bid_records(scenario, resample_ss, override, None)
+                assert_same_outcome(session(override), _run_loop(scenario, realizations, records))
+
+
+@pytest.mark.parametrize("routing", ["spq", "fq"])
+def test_failing_query_names_buyer_and_epoch(routing):
+    """A demand query that raises stops the session, on the sweep and in the loop alike."""
+    # Steps of 1 KB per epoch reach x = 10 at epoch 11, between the spec's probe points.
+    g = lambda z: 1.0 / 0.0 if 9.5 < z < 10.5 else 1.0
+    buyer = BuyerSpec("a", 1.0, DemandSpec.increasing_total(g))
+    scenario = Scenario((buyer,), capacity=5.0, routing=routing, horizon=20)
+    with pytest.raises(RuntimeError, match="buyer 'a' at epoch 11: float division by zero"):
+        run_session(scenario, 0)
+
+
+class TestPathChoice:
+    """``replay`` picks each session's path, and no session reaches the loop unseen."""
+
+    @pytest.mark.parametrize("name", sorted(contest_scenarios()))
+    def test_strict_priority_contests_never_loop(self, monkeypatch, name):
+        def refuse(*args):
+            raise AssertionError("the session fell back to the epoch loop")
+
+        monkeypatch.setattr(bandshare.engine, "_run_loop", refuse)
+        scenario = contest_scenarios()[name]
+        for seed in range(20):
+            run_session(scenario, seed)
+            run_session(scenario, seed, bid_override={scenario.buyers[0].buyer_id: 1.9})
+
+    @staticmethod
+    def loop_calls(monkeypatch, scenario, **overrides):
+        calls = []
+        loop = bandshare.engine._run_loop
+
+        def counted(*args):
+            calls.append(args)
+            return loop(*args)
+
+        monkeypatch.setattr(bandshare.engine, "_run_loop", counted)
+        run_session(scenario, 0, **overrides)
+        return len(calls)
+
+    @pytest.mark.parametrize("variant", ["hybrid", "fq"])
+    def test_hybrid_and_stateful_fq_loop(self, monkeypatch, variant):
+        impatient = load_config(builtin_config_path("impatient_deviation"))
+        scenario = next(v for v in impatient.variants if v.name == variant).scenario
+        assert self.loop_calls(monkeypatch, scenario) == 1
+
+    def test_tied_stateful_group_loops(self, monkeypatch):
+        scenario = Scenario(
+            buyers=(
+                BuyerSpec("a", 2.0, DemandSpec.constant(5.0)),
+                BuyerSpec("b", 2.0, DemandSpec.buffered([3.0] * 10)),
+            ),
+            capacity=6.0,
+            mechanism="vmm",
+            horizon=20,
+        )
+        assert self.loop_calls(monkeypatch, scenario) == 1
+        # The same world with distinct keys takes the sweep.
+        assert self.loop_calls(monkeypatch, scenario, bid_override={"a": 3.0}) == 0
 
 
 @st.composite
@@ -707,7 +866,7 @@ class TestScalarKernels:
         n = len(keys)
         buyers = tuple(BuyerSpec(f"b{i}", 1.0, DemandSpec.constant(0.0)) for i in range(n))
         scenario = Scenario(buyers, capacity, routing=routing, horizon=1)
-        grants = _allocate_epoch(scenario, 1, active, presented, [0.0] * n, _groups(keys))
+        grants = _allocate_epoch(scenario, 1, active, presented, [0.0] * n, priority_groups(keys))
         demand = np.array(presented)[:, None]
         kernels = {
             "fifo": lambda: proportional(demand, capacity),
