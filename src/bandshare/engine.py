@@ -6,34 +6,34 @@ configured routing policy, and settle payments under the configured mechanism.
 
 This module owns the random-number layout.  A session seed spawns two live
 streams: demand (one realization seed per buyer, in scenario order) and bid
-resampling (two uniforms per buyer, in scenario order, whatever the bids).
-``replay(scenario, seed)`` materializes that world once and returns
-``session(bid_override=None, force_resample=None)``, which plays it under any
-counterfactual bids or pinned resampling coins; ``run_session`` is
-``replay(scenario, seed)(bid_override, force_resample)``.  A Monte Carlo
-over ``n`` runs from a master seed uses the session seeds ``run_seeds(seed,
-n)``.
+resampling (a coin and a gamma uniform per buyer, in scenario order, drawn
+once per world whatever the bids).  ``replay(scenario, seed)`` materializes
+that world once and returns ``session(bid_override=None,
+force_resample=None)``, which plays it under any counterfactual bids or pinned
+resampling coins; ``run_session`` is ``replay(scenario, seed)(bid_override,
+force_resample)``.  A Monte Carlo over ``n`` runs from a master seed uses the
+session seeds ``run_seeds(seed, n)``.
 
-Three paths play a session, and ``replay`` picks one for each call.  A buyer
-is stateful when what she presents depends on her history: her demand model
-is not memoryless (buffered, impatient, increasing_*, cliff) or she pads or
-delays.
+Three paths play a session, and ``replay`` picks one from the world alone.  A
+buyer is stateful when what she presents depends on her history: her demand
+model is not memoryless (buffered, impatient, increasing_*, cliff) or she pads
+or delays.  One stepper, ``_play``, plays priority groups epoch by epoch
+through ``query`` against a per-epoch capacity, allocating each epoch with
+``_allocate_epoch``, the scalar form of the ``routing`` kernels.
 
 * The priority sweep (``_run_sweep``) plays every strict-priority (``spq``)
-  session in which no stateful buyer ties another buyer's routing key.  It
-  visits the priority groups in descending key order and serves each from the
-  capacity the groups above it left: memoryless greedy rows from the world's
-  demand matrix, a greedy buffered or impatient buyer through her model's
-  vector form (``DemandRealization.serve``), anyone else epoch by epoch
-  through ``query``.
+  session.  It visits the priority groups in descending key order and serves
+  each from the capacity the groups above it left: memoryless greedy rows from
+  the world's demand matrix, a lone greedy buffered or impatient buyer through
+  her model's vector form (``DemandRealization.serve``), and any other group
+  with a stateful buyer, lone or tied, through ``_play``.
 * The vector path (``_run_vectorized``) plays fq and fifo sessions whose
   buyers are all memoryless and greedy (or misreporting); it applies the
   ``routing`` kernel to the whole (n, T) demand matrix.
-* The epoch loop (``_run_loop``) plays the rest: threshold-hybrid routing, fq
-  and fifo with a stateful buyer, and strict priority with a tied stateful
-  group.  It allocates one epoch at a time with ``_allocate_epoch``, the
-  scalar form of the same kernels, and it is the reference semantics that the
-  other two paths are tested against.
+* The epoch loop (``_run_loop``) plays the rest, threshold-hybrid routing and
+  fq and fifo with a stateful buyer: ``_play`` on every group at full
+  capacity.  It is the reference semantics that the other two paths are
+  tested against.
 
 VMM charges depend only on bids and presented demand, so every path records
 the demand it presents and charges VMM once, after allocation.
@@ -243,43 +243,43 @@ def run_seeds(seed: Union[int, np.random.Generator], n: int) -> List[int]:
 
 def _world(
     scenario: Scenario, seed: int
-) -> Tuple[List[DemandRealization], np.random.SeedSequence]:
-    """Demand realizations and resampling stream of ``seed``."""
+) -> Tuple[List[DemandRealization], List[List[float]]]:
+    """Demand realizations of ``seed`` and each buyer's resampling (coin,
+    gamma), drawn once for the world in scenario order whatever the bids."""
     # The unused middle child keeps the resampling stream where it has always been.
     demand_ss, _, resample_ss = np.random.SeedSequence(seed).spawn(3)
-    seeds = demand_ss.generate_state(len(scenario.buyers), dtype=np.uint64)
+    n = len(scenario.buyers)
+    seeds = demand_ss.generate_state(n, dtype=np.uint64)
     realizations = [b.demand.realize(int(s)) for b, s in zip(scenario.buyers, seeds)]
-    return realizations, resample_ss
+    return realizations, np.random.default_rng(resample_ss).random((n, 2)).tolist()
 
 
 def _bid_records(
     scenario: Scenario,
-    resample_ss: np.random.SeedSequence,
+    draws: Sequence[Sequence[float]],
     bid_override: Optional[Mapping[str, float]],
     force_resample: Optional[Mapping[str, bool]],
 ) -> Dict[str, BidRecord]:
     """Submitted and (for bks) perturbed bids, one record per buyer.
 
-    Resampling draws are consumed for every buyer in scenario order, even the
-    excluded ones, so counterfactual replays against the same seed see the
-    same coins.  ``force_resample`` overrides the coin while keeping the gamma
-    draw (Rao-Blackwellized estimators rely on this).
+    ``draws`` holds the world's (coin, gamma) per buyer, so every replay of
+    the world sees the same coins; ``force_resample`` pins a coin and keeps
+    gamma.  No draw is made here.
     """
     override = bid_override or {}
     forced = force_resample or {}
-    rng = np.random.default_rng(resample_ss)
+    unknown = sorted(set(override).union(forced) - {b.buyer_id for b in scenario.buyers})
+    if unknown:
+        raise ValueError(f"no buyer {', '.join(map(repr, unknown))} in the scenario")
     records = {}
-    for buyer in scenario.buyers:
+    for buyer, (coin, gamma) in zip(scenario.buyers, draws):
         bid = float(override.get(buyer.buyer_id, buyer.submitted_bid()))
         if scenario.mechanism == "bks" and bid >= scenario.reserve:
             records[buyer.buyer_id] = resample_bid(
-                buyer.buyer_id, bid, scenario.reserve, scenario.mu, rng,
+                buyer.buyer_id, bid, scenario.reserve, scenario.mu, coin, gamma,
                 forced.get(buyer.buyer_id),
             )
         else:
-            if scenario.mechanism == "bks":
-                rng.random()
-                rng.random()
             records[buyer.buyer_id] = BidRecord(
                 buyer.buyer_id, bid, bid, False, min(scenario.reserve, bid), scenario.mu
             )
@@ -332,16 +332,15 @@ def _stateful(buyer: BuyerSpec, realization: DemandRealization) -> bool:
 def replay(scenario: Scenario, seed: int) -> Callable[..., SessionOutcome]:
     """The world drawn from ``seed``, replayable under counterfactual bids.
 
-    Materializes the demand realizations once and returns
-    ``session(bid_override=None, force_resample=None)``.  ``bid_override``
-    replaces buyers' submitted bids and ``force_resample`` pins buyers'
-    resampling coins (keeping their draws); every call sees the same demand
-    and resampling streams.  This is the one place that picks a session's
-    path (see the module docstring): the world fixes it, except that strict
-    priority leaves a call to the loop when its routing keys tie a stateful
-    buyer with another buyer.
+    Materializes the demand realizations and resampling draws once and
+    returns ``session(bid_override=None, force_resample=None)``.
+    ``bid_override`` replaces buyers' submitted bids and ``force_resample``
+    pins buyers' resampling coins (keeping their gamma draws); every call sees
+    the same world, and an id that names no buyer is a ``ValueError``.  This
+    is the one place that picks a session's path (see the module docstring),
+    and the world alone fixes it.
     """
-    realizations, resample_ss = _world(scenario, seed)
+    realizations, draws = _world(scenario, seed)
     stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
     looped = scenario.routing == "hybrid" or (scenario.routing != "spq" and any(stateful))
     demand = None if looped else _demand_matrix(scenario, realizations)
@@ -350,15 +349,12 @@ def replay(scenario: Scenario, seed: int) -> Callable[..., SessionOutcome]:
         bid_override: Optional[Mapping[str, float]] = None,
         force_resample: Optional[Mapping[str, bool]] = None,
     ) -> SessionOutcome:
-        records = _bid_records(scenario, resample_ss, bid_override, force_resample)
+        records = _bid_records(scenario, draws, bid_override, force_resample)
         if demand is None:
             return _run_loop(scenario, realizations, records)
-        if scenario.routing != "spq":
-            return _run_vectorized(scenario, demand, records)
-        groups = priority_groups([records[b.buyer_id].perturbed_bid for b in scenario.buyers])
-        if any(len(rows) > 1 and any(stateful[i] for i in rows) for rows in groups):
-            return _run_loop(scenario, realizations, records)
-        return _run_sweep(scenario, realizations, demand, records, groups, stateful)
+        if scenario.routing == "spq":
+            return _run_sweep(scenario, realizations, demand, records, stateful)
+        return _run_vectorized(scenario, demand, records)
 
     return session
 
@@ -380,30 +376,57 @@ def _run_loop(
     realizations: Sequence[DemandRealization],
     records: Dict[str, BidRecord],
 ) -> SessionOutcome:
+    """Every buyer played epoch by epoch at full capacity, with the demand
+    they present recorded only for the VMM charges."""
+    n, T = len(scenario.buyers), scenario.horizon
+    grants = np.zeros((n, T))
+    shown = np.zeros((n, T)) if scenario.mechanism == "vmm" else None
+    groups = priority_groups([records[b.buyer_id].perturbed_bid for b in scenario.buyers])
+    capacity = np.full(T, float(scenario.capacity))
+    x_real, x_billed = _play(scenario, realizations, records, groups, capacity, grants, shown)
+    return _finish(scenario, records, x_real, x_billed, shown, grants.T.copy())
+
+
+def _play(
+    scenario: Scenario,
+    realizations: Sequence[DemandRealization],
+    records: Dict[str, BidRecord],
+    groups: List[List[int]],
+    capacity: np.ndarray,
+    grants: np.ndarray,
+    shown: Optional[np.ndarray],
+) -> Tuple[List[float], List[float]]:
+    """The buyers in ``groups`` played epoch by epoch through ``query``.
+
+    Each epoch ``t`` splits ``capacity[t - 1]`` among them with
+    ``_allocate_epoch``, which serves ``groups`` in order under strict
+    priority.  Writes their rows of ``grants`` and of ``shown`` (the demand
+    they present; None skips it), takes their grants off ``capacity``, and
+    returns every buyer's real and billed traffic, zero outside ``groups``.
+    """
     buyers = scenario.buyers
     n = len(buyers)
-    T = scenario.horizon
-
     elig = [_eligible(scenario, records[b.buyer_id].bid) for b in buyers]
-    groups = priority_groups([records[b.buyer_id].perturbed_bid for b in buyers])
+    rows = sorted(i for g in groups for i in g if elig[i])
     arrivals = [b.arrival for b in buyers]
     departures = [b.departure for b in buyers]
     strategies = [b.strategy for b in buyers]
     kinds = [s.kind for s in strategies]
     queries = [r.query for r in realizations]
+    cap = capacity.tolist()
     x_real = [0.0] * n
     x_billed = [0.0] * n
     gen_history: List[Dict[int, float]] = [dict() for _ in range(n)]
-    trace = np.zeros((T, n))
-    # Presented demand, recorded only for the VMM charges after the loop.
-    shown = np.zeros((n, T)) if scenario.mechanism == "vmm" else None
+    T = scenario.horizon
+    offered = {i: [0.0] * T for i in rows}
+    taken = {i: [0.0] * T for i in rows}
 
     for t in range(1, T + 1):
         active: List[int] = []
         presented = [0.0] * n
         truth = [0.0] * n
-        for i in range(n):
-            if not elig[i] or t < arrivals[i] or t > departures[i]:
+        for i in rows:
+            if t < arrivals[i] or t > departures[i]:
                 continue
             active.append(i)
             try:
@@ -419,39 +442,39 @@ def _run_loop(
                 presented[i] = d + strategies[i].pad
             else:
                 presented[i] = d
+        granted = _allocate_epoch(scenario, t, cap[t - 1], active, presented, x_real, groups)
+        for i in active:
+            consumed = granted[i]
+            # Only traffic backed by current true demand carries value and
+            # advances the demand model; padded or stale bytes are billed but
+            # worthless.
+            x_real[i] += consumed if consumed <= truth[i] else truth[i]
+            x_billed[i] += consumed
+            taken[i][t - 1] = consumed
+            offered[i][t - 1] = presented[i]
 
-        if active:
-            grants = _allocate_epoch(scenario, t, active, presented, x_real, groups)
-            if shown is not None:
-                shown[:, t - 1] = presented
-            row = trace[t - 1]
-            for i in active:
-                consumed = grants[i]
-                # Only traffic backed by current true demand carries value and
-                # advances the demand model; padded or stale bytes are billed
-                # but worthless.
-                real = consumed if consumed <= truth[i] else truth[i]
-                x_real[i] += real
-                x_billed[i] += consumed
-                row[i] = consumed
-
-    return _finish(scenario, records, x_real, x_billed, shown, trace)
+    for i in rows:
+        grants[i] = taken[i]
+        if shown is not None:
+            shown[i] = offered[i]
+    capacity -= np.minimum(grants[rows].sum(axis=0), capacity)
+    return x_real, x_billed
 
 
 def _allocate_epoch(
     scenario: Scenario,
     t: int,
+    c: float,
     active: List[int],
     presented: List[float],
     x_real: List[float],
     groups: List[List[int]],
 ) -> List[float]:
-    """Grants for one epoch by buyer position, zero outside ``active``.
+    """Grants of ``c`` in epoch ``t`` by buyer position, zero outside ``active``.
 
     The scalar form of the ``routing`` kernels for a single column.  Strict
     priority serves ``groups`` after the hybrid reservation, as ``spq`` does.
     """
-    c = scenario.capacity
     grants = [0.0] * len(presented)
     routing = scenario.routing
     if routing == "fifo":
@@ -546,80 +569,41 @@ def _run_sweep(
     realizations: Sequence[DemandRealization],
     demand: np.ndarray,
     records: Dict[str, BidRecord],
-    groups: List[List[int]],
     stateful: Sequence[bool],
 ) -> SessionOutcome:
     """Strict priority played one priority group at a time, highest key first.
 
     ``residual`` holds the capacity that the groups above have left in each
-    epoch.  A buyer without a tie takes her grants from it, and they depend
-    only on it and her own history.  Rows of memoryless greedy buyers, tied or
-    not, are read from ``demand`` and filled as ``routing.spq`` fills them.  A
-    stateful buyer (never in a tie: ``replay`` sends those calls to the loop)
-    is served by her demand model's vector form when she is greedy and the
-    model has one, and by ``_scan`` otherwise.
+    epoch, and a group's grants depend only on it and the group's own history.
+    A group with no eligible stateful buyer is read from ``demand`` and filled
+    as ``routing.spq`` fills it.  A lone greedy buyer whose model has a vector
+    form is served by it, and any other group that holds a stateful buyer is
+    played epoch by epoch by ``_play``, as the loop plays it.
     """
     buyers = scenario.buyers
     shown = _shown(scenario, demand, records)
     grants = np.zeros(shown.shape)
     residual = np.full(scenario.horizon, float(scenario.capacity))
-    scanned: Dict[int, float] = {}  # real traffic of buyers played by _scan
-    for rows in groups:
+    elig = [_eligible(scenario, records[b.buyer_id].bid) for b in buyers]
+    played: Dict[int, float] = {}  # real traffic of the buyers played by _play
+    for rows in priority_groups([records[b.buyer_id].perturbed_bid for b in buyers]):
+        if not any(stateful[i] and elig[i] for i in rows):
+            fill_group(shown, rows, residual, grants)  # ineligible rows of ``shown`` are zero
+            continue
         i = rows[0]
-        if len(rows) > 1 or not stateful[i]:
-            fill_group(shown, rows, residual, grants)
-            continue
-        buyer, realization = buyers[i], realizations[i]
-        lo, hi = _window(scenario, buyer)
-        if lo > hi or not _eligible(scenario, records[buyer.buyer_id].bid):
-            continue
-        left = residual[lo - 1 : hi]  # a view: serving her reduces ``residual``
+        lo, hi = _window(scenario, buyers[i])
         served = None
-        if buyer.strategy.kind in ("greedy", "misreport"):
-            served = realization.serve(left, lo)
+        if len(rows) == 1 and lo <= hi and buyers[i].strategy.kind in ("greedy", "misreport"):
+            served = realizations[i].serve(residual[lo - 1 : hi], lo)
         if served is None:
-            presented, taken, scanned[i] = _scan(buyer, realization, left, lo)
-        else:
-            presented, taken = served
-        shown[i, lo - 1 : hi] = presented
-        grants[i, lo - 1 : hi] = taken
-        left -= taken
+            x_real = _play(scenario, realizations, records, [rows], residual, grants, shown)[0]
+            played.update((j, x_real[j]) for j in rows)
+            continue
+        shown[i, lo - 1 : hi], grants[i, lo - 1 : hi] = served
+        residual[lo - 1 : hi] -= served[1]
     x_billed = grants.sum(axis=1).tolist()
-    x_real = [scanned.get(i, x) for i, x in enumerate(x_billed)]
+    x_real = [played.get(i, x) for i, x in enumerate(x_billed)]
     return _finish(scenario, records, x_real, x_billed, shown, grants.T.copy())
-
-
-def _scan(
-    buyer: BuyerSpec, realization: DemandRealization, residual: np.ndarray, lo: int
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """One buyer played epoch by epoch through ``query``, as the epoch loop
-    plays her, against the capacity ``residual[j]`` left in epoch ``lo + j``.
-
-    Returns her presented demand, her grants and her real traffic.
-    """
-    strategy = buyer.strategy
-    kind = strategy.kind
-    truth: List[float] = []
-    presented: List[float] = []
-    grants: List[float] = []
-    x = 0.0
-    for j, r in enumerate(residual.tolist()):
-        try:
-            d = realization.query(lo + j, x)
-        except Exception as exc:
-            raise _query_failed(buyer, lo + j, exc) from exc
-        truth.append(d)
-        if kind == "delay":
-            shown = truth[j - strategy.delay_epochs] if j >= strategy.delay_epochs else 0.0
-        elif kind == "pad":
-            shown = d + strategy.pad
-        else:
-            shown = d
-        take = shown if shown <= r else r
-        x += take if take <= d else d
-        presented.append(shown)
-        grants.append(take)
-    return np.array(presented), np.array(grants), x
 
 
 def _query_failed(buyer: BuyerSpec, t: int, exc: Exception) -> RuntimeError:

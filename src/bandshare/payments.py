@@ -85,22 +85,21 @@ def resample_bid(
     b: float,
     r: float,
     mu: float,
-    rng: np.random.Generator,
+    coin: float,
+    gamma: float,
     force: Optional[bool] = None,
 ) -> BidRecord:
-    """Perturb a bid downward with probability ``mu``.
+    """Perturb a bid downward when the uniform ``coin`` falls below ``mu``.
 
-    Draws the coin and gamma unconditionally (two uniforms per call) so that
-    replays against a fixed stream stay aligned across counterfactual bid
-    values.  ``force`` pins the coin's outcome while keeping both draws
-    (Rao-Blackwellized estimators rely on this).
+    ``coin`` and ``gamma`` are the buyer's two Uniform[0, 1) draws, made
+    whatever the bid so that replays of one world stay aligned across
+    counterfactual bid values.  ``force`` pins the coin's outcome and keeps
+    gamma (Rao-Blackwellized estimators rely on this).
     """
     if not 0 <= r <= b:
         raise ValueError(f"need 0 <= reserve <= bid, got r={r}, b={b}")
     if not 0 < mu < 1:
         raise ValueError(f"mu must be in (0, 1), got {mu}")
-    coin = rng.random()
-    gamma = rng.random()
     if not (coin < mu if force is None else force):
         return BidRecord(buyer_id, b, b, False, r, mu)
     return BidRecord(buyer_id, b, r + (b - r) * gamma ** (1.0 / (1.0 - mu)), True, r, mu)

@@ -15,7 +15,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bandshare.engine
@@ -750,8 +750,8 @@ class TestPathEquivalence:
     def test_vectorized_matches_loop(self, scenario, seed):
         """The vector path reproduces the epoch loop, the reference semantics,
         on every field of the outcome."""
-        realizations, resample_ss = _world(scenario, seed)
-        records = _bid_records(scenario, resample_ss, None, None)
+        realizations, draws = _world(scenario, seed)
+        records = _bid_records(scenario, draws, None, None)
         fast = _run_vectorized(scenario, _demand_matrix(scenario, realizations), records)
         assert_close_outcome(fast, _run_loop(scenario, realizations, records))
 
@@ -759,14 +759,12 @@ class TestPathEquivalence:
     @settings(max_examples=300, deadline=None)
     def test_sweep_matches_loop(self, scenario, seed):
         """The priority sweep reproduces the epoch loop on every field of the
-        outcome whenever no stateful buyer ties another buyer's key."""
-        realizations, resample_ss = _world(scenario, seed)
-        records = _bid_records(scenario, resample_ss, None, None)
-        groups = priority_groups([records[b.buyer_id].perturbed_bid for b in scenario.buyers])
+        outcome, tied stateful groups included."""
+        realizations, draws = _world(scenario, seed)
+        records = _bid_records(scenario, draws, None, None)
         stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
-        assume(not any(len(rows) > 1 and any(stateful[i] for i in rows) for rows in groups))
         demand = _demand_matrix(scenario, realizations)
-        fast = _run_sweep(scenario, realizations, demand, records, groups, stateful)
+        fast = _run_sweep(scenario, realizations, demand, records, stateful)
         assert_close_outcome(fast, _run_loop(scenario, realizations, records))
 
     @pytest.mark.parametrize("name", sorted(contest_scenarios()))
@@ -777,9 +775,9 @@ class TestPathEquivalence:
         first = scenario.buyers[0].buyer_id
         for seed in run_seeds(7, 40):
             session = replay(scenario, seed)
-            realizations, resample_ss = _world(scenario, seed)
+            realizations, draws = _world(scenario, seed)
             for override in (None, {first: 1.9}):
-                records = _bid_records(scenario, resample_ss, override, None)
+                records = _bid_records(scenario, draws, override, None)
                 assert_same_outcome(session(override), _run_loop(scenario, realizations, records))
 
 
@@ -827,7 +825,7 @@ class TestPathChoice:
         scenario = next(v for v in impatient.variants if v.name == variant).scenario
         assert self.loop_calls(monkeypatch, scenario) == 1
 
-    def test_tied_stateful_group_loops(self, monkeypatch):
+    def test_tied_stateful_group_sweeps(self, monkeypatch):
         scenario = Scenario(
             buyers=(
                 BuyerSpec("a", 2.0, DemandSpec.constant(5.0)),
@@ -837,8 +835,8 @@ class TestPathChoice:
             mechanism="vmm",
             horizon=20,
         )
-        assert self.loop_calls(monkeypatch, scenario) == 1
-        # The same world with distinct keys takes the sweep.
+        # The world fixes the path: tied keys and distinct ones both take the sweep.
+        assert self.loop_calls(monkeypatch, scenario) == 0
         assert self.loop_calls(monkeypatch, scenario, bid_override={"a": 3.0}) == 0
 
 
@@ -866,7 +864,8 @@ class TestScalarKernels:
         n = len(keys)
         buyers = tuple(BuyerSpec(f"b{i}", 1.0, DemandSpec.constant(0.0)) for i in range(n))
         scenario = Scenario(buyers, capacity, routing=routing, horizon=1)
-        grants = _allocate_epoch(scenario, 1, active, presented, [0.0] * n, priority_groups(keys))
+        groups = priority_groups(keys)
+        grants = _allocate_epoch(scenario, 1, capacity, active, presented, [0.0] * n, groups)
         demand = np.array(presented)[:, None]
         kernels = {
             "fifo": lambda: proportional(demand, capacity),
@@ -949,6 +948,26 @@ class TestReplay:
                     session(override, forced),
                     run_session(scenario, seed, bid_override=override, force_resample=forced),
                 )
+
+    def test_world_draws_each_coin_and_gamma_once(self):
+        """``_world`` draws buyer i's (coin, gamma) as uniforms 2i and 2i + 1 of
+        the resampling stream, the numbers two scalar draws per buyer give, so
+        every call of a replayed world sees the same coins."""
+        scenario = REPLAY_SCENARIOS["vector"]
+        for seed in (0, 4, 11):
+            rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
+            assert _world(scenario, seed)[1] == [[rng.random(), rng.random()] for _ in range(3)]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"bid_override": {"B1": 1.9, "b1": 1.9, "b9": 1.0}}, {"force_resample": {"B1": True}}],
+        ids=["bid_override", "force_resample"],
+    )
+    def test_unknown_buyer_ids_rejected(self, overrides):
+        # A misspelled id used to be ignored, and the session ran truthfully.
+        scenario = contest_scenarios()["packet_contest_vcg"]
+        with pytest.raises(ValueError, match="no buyer 'B1'"):
+            run_session(scenario, 0, **overrides)
 
     def test_world_is_materialized_once(self, monkeypatch):
         scenario = REPLAY_SCENARIOS["vector"]

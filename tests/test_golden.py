@@ -114,7 +114,7 @@ GOLDEN = {
     },
 }
 
-def argv(command, name, fmt, out_dir):
+def argv(command, name, fmt, out_dir, *extra):
     args = [
         command, "--config", builtin_config_path(name), "--out-dir", str(out_dir),
         "--format", fmt,
@@ -123,15 +123,15 @@ def argv(command, name, fmt, out_dir):
         args += ["--runs", str(SIMULATE_RUNS)]
     elif command == "sweep":
         args += ["--runs", str(SWEEP_RUNS)]
-    return args
+    return args + list(extra)
 
 
-def digests(command, name, fmt, out_dir):
+def digests(command, name, fmt, out_dir, *extra):
     """sha256 of every file one CLI invocation writes, by file name, and its
-    stdout under ``"stdout"``."""
+    stdout under ``"stdout"``; ``extra`` holds further CLI arguments."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(argv(command, name, fmt, out_dir)) == 0
+        assert main(argv(command, name, fmt, out_dir, *extra)) == 0
     found = {
         f: hashlib.sha256((out_dir / f).read_bytes()).hexdigest()
         for f in sorted(os.listdir(out_dir))
@@ -146,6 +146,12 @@ def digests(command, name, fmt, out_dir):
 )
 def test_cli_output_digest(command, name, fmt, tmp_path):
     assert digests(command, name, fmt, tmp_path) == GOLDEN[case_key(command, name, fmt)]
+
+
+def test_sweep_outputs_do_not_depend_on_jobs(tmp_path):
+    """Two worker processes write the same files as one."""
+    found = digests("sweep", "welfare_capacity", "csv", tmp_path, "--jobs", "2")
+    assert found == GOLDEN["sweep welfare_capacity"]
 
 
 if __name__ == "__main__":

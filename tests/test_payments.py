@@ -20,43 +20,33 @@ from bandshare.payments import (
 from bandshare.routing import spq
 
 
-class ScriptedRng:
-    """Feeds a fixed sequence of uniforms to code that calls rng.random()."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self):
-        return self.values.pop(0)
-
-
 class TestResampleBid:
     def test_keep_branch(self):
-        rec = resample_bid("b", 10, 2, 0.2, ScriptedRng([0.9, 0.5]))
+        rec = resample_bid("b", 10, 2, 0.2, 0.9, 0.5)
         assert rec.perturbed_bid == 10 and not rec.resampled
 
     def test_gamma_one_boundary(self):
-        rec = resample_bid("b", 10, 2, 0.2, ScriptedRng([0.0, 1.0]))
+        rec = resample_bid("b", 10, 2, 0.2, 0.0, 1.0)
         assert rec.resampled
         assert rec.perturbed_bid == pytest.approx(10)
 
     def test_step_formula(self):
-        rec = resample_bid("b", 10, 2, 0.2, ScriptedRng([0.0, 0.5]))
+        rec = resample_bid("b", 10, 2, 0.2, 0.0, 0.5)
         assert rec.resampled
         assert rec.perturbed_bid == pytest.approx(2 + 8 * 0.5 ** 1.25)
         assert rec.perturbed_bid == pytest.approx(5.363586, abs=1e-6)
 
     def test_bid_below_reserve_rejected(self):
         with pytest.raises(ValueError):
-            resample_bid("b", 1, 2, 0.2, ScriptedRng([0.0, 0.5]))
+            resample_bid("b", 1, 2, 0.2, 0.0, 0.5)
 
     def test_mu_bounds(self):
         for mu in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                resample_bid("b", 10, 2, mu, ScriptedRng([0.0, 0.5]))
+                resample_bid("b", 10, 2, mu, 0.0, 0.5)
 
     def test_bid_at_reserve_allowed(self):
-        rec = resample_bid("b", 2, 2, 0.2, ScriptedRng([0.0, 0.3]))
+        rec = resample_bid("b", 2, 2, 0.2, 0.0, 0.3)
         assert rec.resampled and rec.perturbed_bid == 2
 
     def test_support_and_conditional_cdf(self):
@@ -67,29 +57,19 @@ class TestResampleBid:
         n = 100_000
         draws = []
         while len(draws) < n:
-            rec = resample_bid("b", b, r, mu, rng)
+            rec = resample_bid("b", b, r, mu, rng.random(), rng.random())
             assert r - 1e-12 <= rec.perturbed_bid <= b + 1e-12
             if rec.resampled:
                 draws.append((rec.perturbed_bid - r) / (b - r))
         res = stats.kstest(draws, lambda z: np.power(z, 1 - mu))
         assert res.pvalue > 0.001, res
 
-    def test_rng_draws_fixed_per_call(self):
-        # Two uniforms consumed whether or not the bid is perturbed, so
-        # replays stay aligned across counterfactual bids.
-        rng = ScriptedRng([0.9, 0.5, 0.1, 0.5])
-        resample_bid("b", 10, 0, 0.2, rng)
-        rec = resample_bid("b", 10, 0, 0.2, rng)
-        assert rec.resampled and len(rng.values) == 0
-
     def test_force_pins_coin_and_keeps_draws(self):
-        rng = ScriptedRng([0.9, 0.5, 0.0, 0.5])
-        forced = resample_bid("b", 10, 2, 0.2, rng, force=True)
+        forced = resample_bid("b", 10, 2, 0.2, 0.9, 0.5, force=True)
         assert forced.resampled
         assert forced.perturbed_bid == pytest.approx(2 + 8 * 0.5 ** 1.25)
-        kept = resample_bid("b", 10, 2, 0.2, rng, force=False)
+        kept = resample_bid("b", 10, 2, 0.2, 0.0, 0.5, force=False)
         assert not kept.resampled and kept.perturbed_bid == 10
-        assert len(rng.values) == 0
 
 
 class TestBksSettle:
@@ -235,10 +215,12 @@ class TestExpectedBksPayment:
         rebate exactly cancels the gross charge in expectation."""
         mu, b, x = 0.2, 3.0, 50.0
         seeds = np.random.default_rng(7).integers(0, 2**63 - 1, size=40_000)
-        ci = summarize([
-            bks_settle(resample_bid("solo", b, 0.0, mu, np.random.default_rng(int(s))), x).net
-            for s in seeds
-        ])
+
+        def net(s):
+            coin, gamma = np.random.default_rng(int(s)).random(2).tolist()
+            return bks_settle(resample_bid("solo", b, 0.0, mu, coin, gamma), x).net
+
+        ci = summarize([net(s) for s in seeds])
         assert ci.ci_low <= 0.0 <= ci.ci_high
         assert abs(ci.mean) < 3 * (ci.ci_high - ci.ci_low) / 2 + 1e-9
 

@@ -4,9 +4,10 @@ The session RNG layout lives in ``bandshare.engine``: no other module may
 reach into the engine's private names, and only the engine may write the
 session-seed bound ``2**63 - 1`` (the range that ``run_seeds`` draws session
 seeds from), however the draw is spelled.  Within the engine, only the
-functions that lay out the streams (``run_seeds``, ``_world`` and
-``_bid_records``) name ``np.random`` or draw from a ``Generator``, so the
-allocation code cannot grow a stream of its own.
+functions that lay out the streams (``run_seeds`` and ``_world``, which draws
+every resampling coin and gamma of a world) name ``np.random`` or draw from a
+``Generator``, so bid records and the allocation code cannot grow a stream of
+their own; ``payments.py`` draws nothing at all.
 
 Demand models live in ``bandshare.demand``: no other module may reach into
 its private names (the model table and the per-model functions) or construct
@@ -16,9 +17,13 @@ a ``DemandRealization``, so every realization comes from
 Every name in a module's ``__all__`` is used by the package itself or by the
 benchmark, not only by tests: the package re-exports in ``__init__.py`` do
 not count as a use.
+
+The benchmark's tracer (``bench/tracing.py``) patches package names by
+attribute; it must find every one of them and put each original back.
 """
 
 import ast
+import importlib.util
 import pathlib
 
 import numpy as np
@@ -105,7 +110,7 @@ def test_engine_has_the_seed_bound_once():
     assert list(_seed_bounds(tree)) == ["2 ** 63 - 1"]
 
 
-RNG_OWNERS = {"run_seeds", "_world", "_bid_records"}
+RNG_OWNERS = {"run_seeds", "_world"}
 GENERATOR_DRAWS = {name for name in dir(np.random.Generator) if not name.startswith("_")}
 
 
@@ -138,6 +143,10 @@ def test_random_streams_only_in_rng_owners():
     assert "run_seeds" in users  # the guard sees the streams that exist
     strays = {name: uses for name, uses in users.items() if name not in RNG_OWNERS}
     assert strays == {}, f"random streams outside {sorted(RNG_OWNERS)}: {strays}"
+
+
+def test_payments_draw_nothing():
+    assert list(_rng_uses(ast.parse((SRC / "payments.py").read_text()))) == []
 
 
 def _public_names(tree):
@@ -177,3 +186,23 @@ def test_public_names_found():
 @pytest.mark.parametrize("module, name", PUBLIC, ids=[f"{m}.{n}" for m, n in PUBLIC])
 def test_public_name_used_outside_tests(module, name):
     assert name in USED, f"bandshare.{module}.{name} is public but only tests use it"
+
+
+def test_tracer_patches_and_restores_every_name():
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [
+        target
+        for layers in (tracing.SPAN_LAYERS, tracing.LEAF_LAYERS)
+        for owned in layers.values()
+        for target in owned
+    ] + [tracing.SAMPLER_FACTORY]
+    originals = {(owner, attr): vars(owner)[attr] for owner, attr in targets}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert all(vars(owner)[attr] is not fn for (owner, attr), fn in originals.items())
+    finally:
+        tracer.uninstall()
+    assert all(vars(owner)[attr] is fn for (owner, attr), fn in originals.items())
