@@ -35,8 +35,11 @@ through ``query`` against a per-epoch capacity, allocating each epoch with
   capacity.  It is the reference semantics that the other two paths are
   tested against.
 
-VMM charges depend only on bids and presented demand, so every path records
-the demand it presents and charges VMM once, after allocation.
+A session call decides bids, eligibility and priority order once, by buyer
+position: ``_bid_records`` lists bids and routing keys in scenario order, and
+``_groups`` groups the eligible buyers by key, highest first.  Every path
+serves only those groups and records the demand it presents, and ``_finish``
+settles every buyer once, after allocation.
 """
 
 from __future__ import annotations
@@ -259,8 +262,9 @@ def _bid_records(
     draws: Sequence[Sequence[float]],
     bid_override: Optional[Mapping[str, float]],
     force_resample: Optional[Mapping[str, bool]],
-) -> Dict[str, BidRecord]:
-    """Submitted and (for bks) perturbed bids, one record per buyer.
+) -> List[BidRecord]:
+    """Submitted and (for bks) perturbed bids, one record per buyer in
+    scenario order; ``_groups`` decides eligibility and priority from them.
 
     ``draws`` holds the world's (coin, gamma) per buyer, so every replay of
     the world sees the same coins; ``force_resample`` pins a coin and keeps
@@ -271,56 +275,29 @@ def _bid_records(
     unknown = sorted(set(override).union(forced) - {b.buyer_id for b in scenario.buyers})
     if unknown:
         raise ValueError(f"no buyer {', '.join(map(repr, unknown))} in the scenario")
-    records = {}
+    records = []
     for buyer, (coin, gamma) in zip(scenario.buyers, draws):
         bid = float(override.get(buyer.buyer_id, buyer.submitted_bid()))
         if scenario.mechanism == "bks" and bid >= scenario.reserve:
-            records[buyer.buyer_id] = resample_bid(
+            records.append(resample_bid(
                 buyer.buyer_id, bid, scenario.reserve, scenario.mu, coin, gamma,
                 forced.get(buyer.buyer_id),
-            )
+            ))
         else:
-            records[buyer.buyer_id] = BidRecord(
+            records.append(BidRecord(
                 buyer.buyer_id, bid, bid, False, min(scenario.reserve, bid), scenario.mu
-            )
+            ))
     return records
 
 
-def _eligible(scenario: Scenario, bid: float) -> bool:
-    if scenario.mechanism == "fixed":
-        return bid >= scenario.price
-    return bid >= scenario.reserve
-
-
-def _settle(
-    scenario: Scenario,
-    records: Dict[str, BidRecord],
-    x_billed: Sequence[float],
-    shown: Optional[np.ndarray],
-) -> Dict[str, PaymentOutcome]:
-    """Settle every buyer at departure.
-
-    VMM charges depend only on the bids and the (n, T) matrix ``shown`` of
-    demand presented to the router, never on the grants, so they are computed
-    once per session after allocation.
-    """
-    buyers = scenario.buyers
-    if scenario.mechanism == "vmm":
-        bids = [records[b.buyer_id].bid for b in buyers]
-        charges = vmm_epoch_charges(shown, bids, scenario.capacity)
-    payments = {}
-    for i, buyer in enumerate(buyers):
-        x = float(x_billed[i])
-        if scenario.mechanism == "bks":
-            payment = bks_settle(records[buyer.buyer_id], x)
-        elif scenario.mechanism == "vmm":
-            payment = PaymentOutcome(buyer.buyer_id, x, float(charges[i]), 0.0)
-        else:
-            payment = PaymentOutcome(
-                buyer.buyer_id, x, fixed_price_settle(x, scenario.price), 0.0
-            )
-        payments[buyer.buyer_id] = payment
-    return payments
+def _groups(scenario: Scenario, records: Sequence[BidRecord]) -> List[List[int]]:
+    """Positions of the eligible buyers, whose bid meets the reserve (the price
+    under ``fixed``), grouped by equal routing key, highest key first.  An
+    eligible key is at least that floor and an ineligible one, her bid, is
+    below it, so a group's first buyer decides for all of it."""
+    floor = scenario.price if scenario.mechanism == "fixed" else scenario.reserve
+    groups = priority_groups([r.perturbed_bid for r in records])
+    return [rows for rows in groups if records[rows[0]].bid >= floor]
 
 
 def _stateful(buyer: BuyerSpec, realization: DemandRealization) -> bool:
@@ -350,11 +327,12 @@ def replay(scenario: Scenario, seed: int) -> Callable[..., SessionOutcome]:
         force_resample: Optional[Mapping[str, bool]] = None,
     ) -> SessionOutcome:
         records = _bid_records(scenario, draws, bid_override, force_resample)
+        groups = _groups(scenario, records)
         if demand is None:
-            return _run_loop(scenario, realizations, records)
+            return _run_loop(scenario, realizations, records, groups)
         if scenario.routing == "spq":
-            return _run_sweep(scenario, realizations, demand, records, stateful)
-        return _run_vectorized(scenario, demand, records)
+            return _run_sweep(scenario, realizations, demand, records, groups, stateful)
+        return _run_vectorized(scenario, demand, records, groups)
 
     return session
 
@@ -374,29 +352,28 @@ def run_session(
 def _run_loop(
     scenario: Scenario,
     realizations: Sequence[DemandRealization],
-    records: Dict[str, BidRecord],
+    records: Sequence[BidRecord],
+    groups: List[List[int]],
 ) -> SessionOutcome:
-    """Every buyer played epoch by epoch at full capacity, with the demand
-    they present recorded only for the VMM charges."""
+    """Every eligible buyer played epoch by epoch at full capacity, with the
+    demand they present recorded only for the VMM charges."""
     n, T = len(scenario.buyers), scenario.horizon
     grants = np.zeros((n, T))
     shown = np.zeros((n, T)) if scenario.mechanism == "vmm" else None
-    groups = priority_groups([records[b.buyer_id].perturbed_bid for b in scenario.buyers])
     capacity = np.full(T, float(scenario.capacity))
-    x_real, x_billed = _play(scenario, realizations, records, groups, capacity, grants, shown)
-    return _finish(scenario, records, x_real, x_billed, shown, grants.T.copy())
+    x_real, x_billed = _play(scenario, realizations, groups, capacity, grants, shown)
+    return _finish(scenario, records, x_real, x_billed, shown, grants)
 
 
 def _play(
     scenario: Scenario,
     realizations: Sequence[DemandRealization],
-    records: Dict[str, BidRecord],
     groups: List[List[int]],
     capacity: np.ndarray,
     grants: np.ndarray,
     shown: Optional[np.ndarray],
 ) -> Tuple[List[float], List[float]]:
-    """The buyers in ``groups`` played epoch by epoch through ``query``.
+    """The eligible buyers in ``groups`` played epoch by epoch through ``query``.
 
     Each epoch ``t`` splits ``capacity[t - 1]`` among them with
     ``_allocate_epoch``, which serves ``groups`` in order under strict
@@ -406,8 +383,7 @@ def _play(
     """
     buyers = scenario.buyers
     n = len(buyers)
-    elig = [_eligible(scenario, records[b.buyer_id].bid) for b in buyers]
-    rows = sorted(i for g in groups for i in g if elig[i])
+    rows = sorted(i for g in groups for i in g)
     arrivals = [b.arrival for b in buyers]
     departures = [b.departure for b in buyers]
     strategies = [b.strategy for b in buyers]
@@ -432,7 +408,9 @@ def _play(
             try:
                 d = queries[i](t, x_real[i])
             except Exception as exc:
-                raise _query_failed(buyers[i], t, exc) from exc
+                raise RuntimeError(
+                    f"demand query failed for buyer {buyers[i].buyer_id!r} at epoch {t}: {exc}"
+                ) from exc
             truth[i] = d
             kind = kinds[i]
             if kind == "delay":
@@ -527,8 +505,7 @@ def _demand_matrix(
     scenario: Scenario, realizations: Sequence[DemandRealization]
 ) -> np.ndarray:
     """(n, T) demand matrix, masked to each buyer's active window, with a row
-    for every memoryless realization and zeros for the others (eligibility is
-    applied separately)."""
+    for every memoryless realization and zeros for the others."""
     T = scenario.horizon
     demand = np.zeros((len(scenario.buyers), T))
     for i, (buyer, real) in enumerate(zip(scenario.buyers, realizations)):
@@ -543,52 +520,54 @@ def _window(scenario: Scenario, buyer: BuyerSpec) -> Tuple[int, int]:
     return max(1, buyer.arrival), min(scenario.horizon, buyer.departure)
 
 
-def _shown(scenario: Scenario, demand: np.ndarray, records: Dict[str, BidRecord]) -> np.ndarray:
-    """A copy of the world's ``demand`` with ineligible buyers' rows zeroed;
-    the world's matrix is left unchanged, so counterfactual replays share it."""
+def _shown(demand: np.ndarray, groups: List[List[int]]) -> np.ndarray:
+    """A copy of the world's ``demand`` with the rows in no group zeroed; the
+    world's matrix is left unchanged, so counterfactual replays share it."""
     shown = demand.copy()
-    for i, b in enumerate(scenario.buyers):
-        if not _eligible(scenario, records[b.buyer_id].bid):
-            shown[i] = 0.0
+    for i in set(range(len(shown))).difference(*groups):
+        shown[i] = 0.0
     return shown
 
 
 def _run_vectorized(
-    scenario: Scenario, demand: np.ndarray, records: Dict[str, BidRecord]
+    scenario: Scenario,
+    demand: np.ndarray,
+    records: Sequence[BidRecord],
+    groups: List[List[int]],
 ) -> SessionOutcome:
     """Vector path for fq and fifo: memoryless demand, greedy presentation."""
-    shown = _shown(scenario, demand, records)
+    shown = _shown(demand, groups)
     kernel = maxmin if scenario.routing == "fq" else proportional
     grants = kernel(shown, scenario.capacity)
     x = grants.sum(axis=1)
-    return _finish(scenario, records, x, x, shown, grants.T.copy())
+    return _finish(scenario, records, x, x, shown, grants)
 
 
 def _run_sweep(
     scenario: Scenario,
     realizations: Sequence[DemandRealization],
     demand: np.ndarray,
-    records: Dict[str, BidRecord],
+    records: Sequence[BidRecord],
+    groups: List[List[int]],
     stateful: Sequence[bool],
 ) -> SessionOutcome:
-    """Strict priority played one priority group at a time, highest key first.
+    """Strict priority played one of ``groups`` at a time, highest key first.
 
     ``residual`` holds the capacity that the groups above have left in each
     epoch, and a group's grants depend only on it and the group's own history.
-    A group with no eligible stateful buyer is read from ``demand`` and filled
+    A group with no stateful buyer is read from ``demand`` and filled
     as ``routing.spq`` fills it.  A lone greedy buyer whose model has a vector
     form is served by it, and any other group that holds a stateful buyer is
     played epoch by epoch by ``_play``, as the loop plays it.
     """
     buyers = scenario.buyers
-    shown = _shown(scenario, demand, records)
+    shown = _shown(demand, groups)
     grants = np.zeros(shown.shape)
     residual = np.full(scenario.horizon, float(scenario.capacity))
-    elig = [_eligible(scenario, records[b.buyer_id].bid) for b in buyers]
     played: Dict[int, float] = {}  # real traffic of the buyers played by _play
-    for rows in priority_groups([records[b.buyer_id].perturbed_bid for b in buyers]):
-        if not any(stateful[i] and elig[i] for i in rows):
-            fill_group(shown, rows, residual, grants)  # ineligible rows of ``shown`` are zero
+    for rows in groups:
+        if not any(stateful[i] for i in rows):
+            fill_group(shown, rows, residual, grants)
             continue
         i = rows[0]
         lo, hi = _window(scenario, buyers[i])
@@ -596,31 +575,41 @@ def _run_sweep(
         if len(rows) == 1 and lo <= hi and buyers[i].strategy.kind in ("greedy", "misreport"):
             served = realizations[i].serve(residual[lo - 1 : hi], lo)
         if served is None:
-            x_real = _play(scenario, realizations, records, [rows], residual, grants, shown)[0]
+            x_real = _play(scenario, realizations, [rows], residual, grants, shown)[0]
             played.update((j, x_real[j]) for j in rows)
             continue
         shown[i, lo - 1 : hi], grants[i, lo - 1 : hi] = served
         residual[lo - 1 : hi] -= served[1]
     x_billed = grants.sum(axis=1).tolist()
     x_real = [played.get(i, x) for i, x in enumerate(x_billed)]
-    return _finish(scenario, records, x_real, x_billed, shown, grants.T.copy())
-
-
-def _query_failed(buyer: BuyerSpec, t: int, exc: Exception) -> RuntimeError:
-    return RuntimeError(f"demand query failed for buyer {buyer.buyer_id!r} at epoch {t}: {exc}")
+    return _finish(scenario, records, x_real, x_billed, shown, grants)
 
 
 def _finish(
     scenario: Scenario,
-    records: Dict[str, BidRecord],
+    records: Sequence[BidRecord],
     x_real: Sequence[float],
     x_billed: Sequence[float],
     shown: Optional[np.ndarray],
-    trace: np.ndarray,
+    grants: np.ndarray,
 ) -> SessionOutcome:
+    """Settle every buyer at departure and build the outcome, whose trace is
+    ``grants`` transposed.  VMM charges depend only on the bids and the (n, T)
+    matrix ``shown`` of presented demand, never on the grants; a buyer in no
+    group has no row in either and pays nothing."""
     buyers = scenario.buyers
-    payments = _settle(scenario, records, x_billed, shown)
-    ids = [b.buyer_id for b in buyers]
+    if scenario.mechanism == "vmm":
+        charges = vmm_epoch_charges(shown, [r.bid for r in records], scenario.capacity)
+    payments = {}
+    for i, rec in enumerate(records):
+        x = float(x_billed[i])
+        if scenario.mechanism == "bks":
+            payments[rec.buyer_id] = bks_settle(rec, x)
+        elif scenario.mechanism == "vmm":
+            payments[rec.buyer_id] = PaymentOutcome(rec.buyer_id, x, float(charges[i]), 0.0)
+        else:
+            gross = fixed_price_settle(x, scenario.price)
+            payments[rec.buyer_id] = PaymentOutcome(rec.buyer_id, x, gross, 0.0)
     real = {b.buyer_id: float(x_real[i]) for i, b in enumerate(buyers)}
     utilities = {
         b.buyer_id: b.value * real[b.buyer_id] - payments[b.buyer_id].net for b in buyers
@@ -628,15 +617,15 @@ def _finish(
     welfare = sum(b.value * real[b.buyer_id] for b in buyers)
     revenue = sum(p.net for p in payments.values())
     return SessionOutcome(
-        buyer_ids=ids,
+        buyer_ids=[b.buyer_id for b in buyers],
         bytes=real,
-        bids={bid: rec.bid for bid, rec in records.items()},
-        perturbed_bids={bid: rec.perturbed_bid for bid, rec in records.items()},
+        bids={r.buyer_id: r.bid for r in records},
+        perturbed_bids={r.buyer_id: r.perturbed_bid for r in records},
         payments=payments,
         utilities=utilities,
         welfare=welfare,
         seller_revenue=revenue,
-        trace=trace,
+        trace=grants.T.copy(),
         reserve=scenario.reserve,
     )
 

@@ -33,8 +33,9 @@ Capacity = Union[float, np.ndarray]
 
 
 def _capacity(c: Capacity, T: int) -> np.ndarray:
-    """A fresh per-column copy of the capacity; negative capacity is rejected."""
-    if isinstance(c, (int, float)):
+    """A fresh per-column copy of the capacity; negative capacity is rejected.
+    Any 0-d value, a numpy scalar included, is one capacity for every column."""
+    if np.ndim(c) == 0:
         if c < 0:
             raise ValueError(f"capacity must be >= 0, got {c}")
         return np.full(T, float(c))

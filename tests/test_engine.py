@@ -4,10 +4,11 @@ Covers the worked VCG manipulation example, strategy identities, the isolation
 and monotonicity properties of strict-priority routing, welfare against the
 offline optimum (value-ordered service for memoryless demand, a brute-force
 enumerator for stateful demand), Monte Carlo determinism, the tie rule,
-parameter checks (NaN, non-numbers, bools, fractional epoch counts), the equivalence of the epoch loop's allocator and the
+parameter checks (NaN, non-numbers, bools, fractional epoch counts), numpy
+scalar capacities, the equivalence of the epoch loop's allocator and the
 routing kernels and of the priority sweep and the vector path with the epoch
-loop, which session takes which path, and world replay under counterfactual
-bids.
+loop, which session takes which path, that an ineligible buyer is absent on
+every path, and world replay under counterfactual bids.
 """
 
 import itertools
@@ -29,6 +30,7 @@ from bandshare.engine import (
     _allocate_epoch,
     _bid_records,
     _demand_matrix,
+    _groups,
     _run_loop,
     _run_sweep,
     _run_vectorized,
@@ -245,6 +247,22 @@ def test_numpy_integer_epoch_counts_accepted():
     buyer = BuyerSpec("a", 1.0, DemandSpec.constant(5.0), np.int64(2), np.int64(20))
     assert Strategy("delay", delay_epochs=np.int64(2)).delay_epochs == 2
     assert (buyer.arrival, buyer.departure) == (2, 20)
+
+
+@pytest.mark.parametrize(
+    "routing, mechanism", [("spq", "bks"), ("fq", "bks"), ("fifo", "fixed"), ("spq", "vmm")]
+)
+def test_numpy_scalar_capacity_is_one_number(routing, mechanism):
+    # The routing kernels used to take a numpy integer capacity for a
+    # per-epoch vector: "need 10 capacities >= 0, got 4".
+    buyers = (
+        BuyerSpec("a", 3.0, DemandSpec.flow_trace(4.0, 10), 1, 10),
+        BuyerSpec("b", 2.0, DemandSpec.constant(3.0), 1, 10),
+    )
+    for capacity in (np.int64(4), np.float32(4.0)):
+        scenario = Scenario(buyers, capacity, routing, mechanism, price=1.0, horizon=10)
+        plain = Scenario(buyers, 4, routing, mechanism, price=1.0, horizon=10)
+        assert_same_outcome(run_session(scenario, 3), run_session(plain, 3))
 
 
 class TestIsolation:
@@ -752,8 +770,9 @@ class TestPathEquivalence:
         on every field of the outcome."""
         realizations, draws = _world(scenario, seed)
         records = _bid_records(scenario, draws, None, None)
-        fast = _run_vectorized(scenario, _demand_matrix(scenario, realizations), records)
-        assert_close_outcome(fast, _run_loop(scenario, realizations, records))
+        groups = _groups(scenario, records)
+        fast = _run_vectorized(scenario, _demand_matrix(scenario, realizations), records, groups)
+        assert_close_outcome(fast, _run_loop(scenario, realizations, records, groups))
 
     @given(scenario=priority_scenarios(), seed=st.integers(0, 2**32))
     @settings(max_examples=300, deadline=None)
@@ -762,10 +781,11 @@ class TestPathEquivalence:
         outcome, tied stateful groups included."""
         realizations, draws = _world(scenario, seed)
         records = _bid_records(scenario, draws, None, None)
+        groups = _groups(scenario, records)
         stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
         demand = _demand_matrix(scenario, realizations)
-        fast = _run_sweep(scenario, realizations, demand, records, stateful)
-        assert_close_outcome(fast, _run_loop(scenario, realizations, records))
+        fast = _run_sweep(scenario, realizations, demand, records, groups, stateful)
+        assert_close_outcome(fast, _run_loop(scenario, realizations, records, groups))
 
     @pytest.mark.parametrize("name", sorted(contest_scenarios()))
     def test_contest_configs_sweep_exactly_as_loop(self, name):
@@ -778,7 +798,8 @@ class TestPathEquivalence:
             realizations, draws = _world(scenario, seed)
             for override in (None, {first: 1.9}):
                 records = _bid_records(scenario, draws, override, None)
-                assert_same_outcome(session(override), _run_loop(scenario, realizations, records))
+                loop = _run_loop(scenario, realizations, records, _groups(scenario, records))
+                assert_same_outcome(session(override), loop)
 
 
 @pytest.mark.parametrize("routing", ["spq", "fq"])
@@ -838,6 +859,61 @@ class TestPathChoice:
         # The world fixes the path: tied keys and distinct ones both take the sweep.
         assert self.loop_calls(monkeypatch, scenario) == 0
         assert self.loop_calls(monkeypatch, scenario, bid_override={"a": 3.0}) == 0
+
+
+class TestEligibility:
+    """A buyer whose bid misses the floor (the reserve under vmm, the posted
+    price under fixed) is served on no path: she gets no bytes, no trace and
+    no charge, and the others play exactly as if she were absent.  Demand is
+    deterministic, so dropping her moves no random draw."""
+
+    PATHS = {  # case: (routing, stateful demand, the path it takes)
+        "sweep": ("spq", False, "_run_sweep"),
+        "sweep-stateful": ("spq", True, "_run_sweep"),
+        "vector": ("fq", False, "_run_vectorized"),
+        "loop-fq": ("fq", True, "_run_loop"),
+        "loop-hybrid": ("hybrid", True, "_run_loop"),
+    }
+
+    @staticmethod
+    def scenario(routing, stateful, mechanism, ineligible):
+        demand = (lambda k: DemandSpec.buffered([k] * 12)) if stateful else DemandSpec.constant
+        buyers = (
+            BuyerSpec("a", 3.0, DemandSpec.constant(4.0), 1, 12),
+            BuyerSpec("low", 0.5, demand(6.0), 1, 12),
+            BuyerSpec("b", 2.0, demand(5.0), 2, 12),
+        )
+        return Scenario(
+            buyers=buyers if ineligible else (buyers[0], buyers[2]),
+            capacity=7.0,
+            routing=routing,
+            mechanism=mechanism,
+            horizon=12,
+            hybrid=HybridBoost("b", 30.0, 8) if routing == "hybrid" else None,
+            # Only the mechanism's own floor is set, so the other one decides nothing.
+            **({"reserve": 1.0} if mechanism == "vmm" else {"price": 1.0}),
+        )
+
+    @pytest.mark.parametrize("mechanism", ["vmm", "fixed"])
+    @pytest.mark.parametrize("case", sorted(PATHS))
+    def test_ineligible_buyer_is_absent(self, monkeypatch, case, mechanism):
+        routing, stateful, path = self.PATHS[case]
+        taken = []
+        for name in ("_run_loop", "_run_sweep", "_run_vectorized"):
+            run = getattr(bandshare.engine, name)
+            monkeypatch.setattr(
+                bandshare.engine, name, lambda *a, run=run, name=name: taken.append(name) or run(*a)
+            )
+        out = run_session(self.scenario(routing, stateful, mechanism, True), 0)
+        alone = run_session(self.scenario(routing, stateful, mechanism, False), 0)
+        assert taken == [path, path]
+        assert out.bytes["low"] == 0.0 and out.payments["low"].net == 0.0
+        assert not out.trace[:, 1].any()
+        for name in ("bytes", "payments", "utilities"):
+            assert {b: v for b, v in getattr(out, name).items() if b != "low"} == getattr(alone, name)
+        np.testing.assert_array_equal(np.delete(out.trace, 1, axis=1), alone.trace)
+        assert (out.welfare, out.seller_revenue) == (alone.welfare, alone.seller_revenue)
+        assert alone.bytes["b"] > 0 and alone.payments["a"].bytes > 0
 
 
 @st.composite

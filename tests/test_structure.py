@@ -18,6 +18,10 @@ Every name in a module's ``__all__`` is used by the package itself or by the
 benchmark, not only by tests: the package re-exports in ``__init__.py`` do
 not count as a use.
 
+A session's eligibility and priority order are decided in one place: only
+one engine function calls ``priority_groups``, and it is the one that applies
+the eligibility floor (the reserve, or the posted price under ``fixed``).
+
 The benchmark's tracer (``bench/tracing.py``) patches package names by
 attribute; it must find every one of them and put each original back.
 """
@@ -147,6 +151,22 @@ def test_random_streams_only_in_rng_owners():
 
 def test_payments_draw_nothing():
     assert list(_rng_uses(ast.parse((SRC / "payments.py").read_text()))) == []
+
+
+def test_priority_and_eligibility_decided_in_one_engine_function():
+    tree = ast.parse((SRC / "engine.py").read_text())
+    callers = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(sub, ast.Call) and ast.unparse(sub.func) == "priority_groups"
+            for sub in ast.walk(node)
+        )
+    ]
+    assert len(callers) == 1, f"priority_groups called from {[f.name for f in callers]}"
+    reads = {sub.attr for sub in ast.walk(callers[0]) if isinstance(sub, ast.Attribute)}
+    assert {"bid", "reserve", "price"} <= reads, f"{callers[0].name} applies no eligibility floor"
 
 
 def _public_names(tree):
