@@ -5,7 +5,8 @@ Subcommands:
 * ``simulate`` -- run the configured scenario (Monte Carlo over ``runs``) and
   write a long-format result table plus a per-epoch trace of the first run.
 * ``sweep``    -- one Monte Carlo aggregate per sweep point per mechanism
-  variant (the sweep comes from the config or from ``--variable/--values``).
+  variant (the sweep comes from the config or from ``--variable/--values``),
+  all from one ``run_monte_carlo`` call, as ``simulate``'s variants are.
 * ``pool``     -- run every seller's session, settle the revenue pool, and
   write the settlement report (per-seller pooled vs. unpooled revenue, tax
   rates, balance check).
@@ -119,14 +120,13 @@ def _load(args) -> ExperimentConfig:
 
 def cmd_simulate(args) -> int:
     config = _load(args)
-    rows = []
-    for variant in config.variants:
-        stats = run_monte_carlo(variant.scenario, config.runs, config.seed, jobs=args.jobs)
-        rows.extend(_stat_rows(variant.name, "none", "", stats))
+    variants = config.variants
+    grid = run_monte_carlo([v.scenario for v in variants], config.runs, config.seed, args.jobs)
+    rows = [r for v, stats in zip(variants, grid) for r in _stat_rows(v.name, "none", "", stats)]
     _write_rows(config, rows, args.out_dir, f"{config.experiment_id}_results", args.format)
 
     # Per-epoch trace of the first run under the first variant.
-    outcome = run_session(config.variants[0].scenario, run_seeds(config.seed, 1)[0])
+    outcome = run_session(variants[0].scenario, run_seeds(config.seed, 1)[0])
     _write(
         args.out_dir,
         f"{config.experiment_id}_trace.csv",
@@ -142,12 +142,11 @@ def cmd_sweep(args) -> int:
     if sweep is None:
         raise ConfigError(f"{args.config}: no sweep block and no --variable given")
 
+    points = [(x, v) for x in sweep.values for v in config.variants]
+    grid = [sweep.apply(v.scenario, x) for x, v in points]
     rows = []
-    for value in sweep.values:
-        for variant in config.variants:
-            scenario = sweep.apply(variant.scenario, value)
-            stats = run_monte_carlo(scenario, config.runs, config.seed, jobs=args.jobs)
-            rows.extend(_stat_rows(variant.name, sweep.variable, _fmt(value), stats))
+    for (x, v), stats in zip(points, run_monte_carlo(grid, config.runs, config.seed, args.jobs)):
+        rows.extend(_stat_rows(v.name, sweep.variable, _fmt(x), stats))
     name = f"{config.experiment_id}_sweep_{sweep.variable}"
     _write_rows(config, rows, args.out_dir, name, args.format)
     return EXIT_OK

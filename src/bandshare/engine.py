@@ -7,12 +7,13 @@ configured routing policy, and settle payments under the configured mechanism.
 This module owns the random-number layout.  A session seed spawns two live
 streams: demand (one realization seed per buyer, in scenario order) and bid
 resampling (a coin and a gamma uniform per buyer, in scenario order, drawn
-once per world whatever the bids).  ``replay(scenario, seed)`` materializes
-that world once and returns ``session(bid_override=None,
-force_resample=None)``, which plays it under any counterfactual bids or pinned
-resampling coins; ``run_session`` is ``replay(scenario, seed)(bid_override,
-force_resample)``.  A Monte Carlo over ``n`` runs from a master seed uses the
-session seeds ``run_seeds(seed, n)``.
+once per world whatever the bids), so a world depends only on the buyers and
+the seed.  ``replay(scenario, seed)`` materializes that world once and returns
+``session(bid_override=None, force_resample=None)``, which plays it under any
+counterfactual bids or pinned resampling coins; ``run_session`` is
+``replay(scenario, seed)(bid_override, force_resample)``.  ``run_monte_carlo``
+plays a grid of scenarios that share their buyers and horizon on one world and
+demand matrix per session seed, ``run_seeds(seed, n)`` for n runs.
 
 Three paths play a session, and ``replay`` picks one from the world alone.  A
 buyer is stateful when what she presents depends on her history: her demand
@@ -47,6 +48,7 @@ from __future__ import annotations
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -245,15 +247,16 @@ def run_seeds(seed: Union[int, np.random.Generator], n: int) -> List[int]:
 
 
 def _world(
-    scenario: Scenario, seed: int
+    buyers: Sequence[BuyerSpec], seed: int
 ) -> Tuple[List[DemandRealization], List[List[float]]]:
     """Demand realizations of ``seed`` and each buyer's resampling (coin,
-    gamma), drawn once for the world in scenario order whatever the bids."""
+    gamma), drawn once for the world in buyer order whatever the bids; a
+    world depends on nothing else."""
     # The unused middle child keeps the resampling stream where it has always been.
     demand_ss, _, resample_ss = np.random.SeedSequence(seed).spawn(3)
-    n = len(scenario.buyers)
+    n = len(buyers)
     seeds = demand_ss.generate_state(n, dtype=np.uint64)
-    realizations = [b.demand.realize(int(s)) for b, s in zip(scenario.buyers, seeds)]
+    realizations = [b.demand.realize(int(s)) for b, s in zip(buyers, seeds)]
     return realizations, np.random.default_rng(resample_ss).random((n, 2)).tolist()
 
 
@@ -275,6 +278,11 @@ def _bid_records(
     unknown = sorted(set(override).union(forced) - {b.buyer_id for b in scenario.buyers})
     if unknown:
         raise ValueError(f"no buyer {', '.join(map(repr, unknown))} in the scenario")
+    for buyer_id, bid in override.items():
+        if isinstance(bid, bool) or not (isinstance(bid, numbers.Real) and 0 <= bid < np.inf):
+            raise ValueError(
+                f"bid override for buyer {buyer_id!r} must be a finite number >= 0, got {bid!r}"
+            )
     records = []
     for buyer, (coin, gamma) in zip(scenario.buyers, draws):
         bid = float(override.get(buyer.buyer_id, buyer.submitted_bid()))
@@ -311,18 +319,26 @@ def replay(scenario: Scenario, seed: int) -> Callable[..., SessionOutcome]:
 
     Materializes the demand realizations and resampling draws once and
     returns ``session(bid_override=None, force_resample=None)``.
-    ``bid_override`` replaces buyers' submitted bids and ``force_resample``
-    pins buyers' resampling coins (keeping their gamma draws); every call sees
-    the same world, and an id that names no buyer is a ``ValueError``.  This
-    is the one place that picks a session's path (see the module docstring),
-    and the world alone fixes it.
+    ``bid_override`` replaces buyers' submitted bids by finite numbers >= 0
+    and ``force_resample`` pins buyers' resampling coins (keeping their gamma
+    draws); every call sees the same world, and an id that names no buyer is
+    a ``ValueError``.
     """
-    realizations, draws = _world(scenario, seed)
-    stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
-    looped = scenario.routing == "hybrid" or (scenario.routing != "spq" and any(stateful))
-    demand = None if looped else _demand_matrix(scenario, realizations)
+    return _replays([scenario], seed)[0]
+
+
+def _replays(scenarios: Sequence[Scenario], seed: int) -> List[Callable[..., SessionOutcome]]:
+    """``replay`` of each of ``scenarios``, which share their buyers and horizon,
+    on one world and demand matrix.  The one place that picks a session's path."""
+    first = scenarios[0]
+    realizations, draws = _world(first.buyers, seed)
+    stateful = [_stateful(b, r) for b, r in zip(first.buyers, realizations)]
+    looped = [s.routing == "hybrid" or (s.routing != "spq" and any(stateful)) for s in scenarios]
+    matrix = None if all(looped) else _demand_matrix(first, realizations)
 
     def session(
+        scenario: Scenario,
+        demand: Optional[np.ndarray],  # None on the loop
         bid_override: Optional[Mapping[str, float]] = None,
         force_resample: Optional[Mapping[str, bool]] = None,
     ) -> SessionOutcome:
@@ -334,7 +350,7 @@ def replay(scenario: Scenario, seed: int) -> Callable[..., SessionOutcome]:
             return _run_sweep(scenario, realizations, demand, records, groups, stateful)
         return _run_vectorized(scenario, demand, records, groups)
 
-    return session
+    return [partial(session, s, None if loop else matrix) for s, loop in zip(scenarios, looped)]
 
 
 def run_session(
@@ -659,42 +675,51 @@ class MonteCarloStats:
     utilities: Dict[str, MeanCI]
 
 
-def _mc_worker(args: tuple) -> tuple:
-    scenario, run_seed = args
-    out = run_session(scenario, run_seed)
-    return (
-        out.welfare,
-        out.seller_revenue,
-        {b: out.bytes[b] for b in out.buyer_ids},
-        {b: out.payments[b].net for b in out.buyer_ids},
-        {b: out.utilities[b] for b in out.buyer_ids},
-    )
+def _mc_worker(scenarios: Sequence[Scenario], run_seed: int) -> List[List[float]]:
+    """Per scenario: welfare, revenue, then bytes, payments and utilities by buyer."""
+    rows = []
+    for session in _replays(scenarios, run_seed):
+        out = session()
+        ids = out.buyer_ids
+        rows.append([out.welfare, out.seller_revenue, *(out.bytes[b] for b in ids),
+                     *(out.payments[b].net for b in ids), *(out.utilities[b] for b in ids)])
+    return rows
 
 
 def run_monte_carlo(
-    scenario: Scenario, n_runs: int, seed: int, jobs: int = 1
-) -> MonteCarloStats:
-    """Mean and 95% CI of welfare, revenue, and per-buyer outcomes.
+    scenarios: Sequence[Scenario], n_runs: int, seed: int, jobs: int = 1
+) -> List[MonteCarloStats]:
+    """Mean and 95% CI of welfare, revenue, and per-buyer outcomes, per scenario.
 
-    Run seeds derive deterministically from ``seed``; the aggregation folds in
-    run-index order, so results are identical for any ``jobs``.
+    The scenarios must share their buyers and horizon: each run draws its
+    world once and plays every scenario on it.  Run seeds derive
+    deterministically from ``seed``; the aggregation folds in run-index
+    order, so results are identical for any ``jobs``.
     """
-    if n_runs < 1:
-        raise ValueError("need at least one run")
-    tasks = [(scenario, s) for s in run_seeds(seed, n_runs)]
+    if n_runs < 1 or not scenarios:
+        raise ValueError("need at least one run and one scenario")
+    shared = (scenarios[0].buyers, scenarios[0].horizon)
+    if any((s.buyers, s.horizon) != shared for s in scenarios):
+        raise ValueError("the scenarios of one Monte Carlo must share their buyers and horizon")
+    ids = [b.buyer_id for b in scenarios[0].buyers]
+    n = len(ids)
+    samples = np.empty((len(scenarios), 2 + 3 * n, n_runs))  # scenario, metric, run
+    worker, seeds = partial(_mc_worker, scenarios), run_seeds(seed, n_runs)
     if jobs > 1 and n_runs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_mc_worker, tasks, chunksize=max(1, n_runs // (jobs * 8))))
+            chunk = max(1, n_runs // (jobs * 8))
+            for k, rows in enumerate(pool.map(worker, seeds, chunksize=chunk)):
+                samples[:, :, k] = rows
     else:
-        rows = [_mc_worker(t) for t in tasks]
-
-    ids = [b.buyer_id for b in scenario.buyers]
-    welfare = summarize([r[0] for r in rows])
-    revenue = summarize([r[1] for r in rows])
-    return MonteCarloStats(
-        welfare=welfare,
-        seller_revenue=revenue,
-        bytes={b: summarize([r[2][b] for r in rows]) for b in ids},
-        payments={b: summarize([r[3][b] for r in rows]) for b in ids},
-        utilities={b: summarize([r[4][b] for r in rows]) for b in ids},
-    )
+        for k, run_seed in enumerate(seeds):
+            samples[:, :, k] = worker(run_seed)
+    return [
+        MonteCarloStats(
+            welfare=summarize(metric[0]),
+            seller_revenue=summarize(metric[1]),
+            bytes={b: summarize(metric[2 + i]) for i, b in enumerate(ids)},
+            payments={b: summarize(metric[2 + n + i]) for i, b in enumerate(ids)},
+            utilities={b: summarize(metric[2 + 2 * n + i]) for i, b in enumerate(ids)},
+        )
+        for metric in samples
+    ]

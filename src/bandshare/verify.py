@@ -25,7 +25,7 @@ The expensive estimators condition on the probed buyer's resampling coin
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -240,17 +240,25 @@ def expected_utilities_rb(
     evaluated; their mu-weighted average is an unbiased, much lower-variance
     estimate of the run's expected utility.
     """
+    return _conditioned_utilities(scenario, {buyer_id: bids}, n_runs, seed)[buyer_id]
+
+
+def _conditioned_utilities(
+    scenario: Scenario, probes: Mapping[str, Sequence[float]], n_runs: int, seed: int
+) -> Dict[str, Dict[float, np.ndarray]]:
+    """``expected_utilities_rb`` of each probed buyer, on one replay per run."""
     if scenario.mechanism != "bks":
         raise ValueError("the conditioned estimator only applies to bid resampling")
-    out = {float(b): np.empty(n_runs) for b in bids}
+    out = {buyer: {float(b): np.empty(n_runs) for b in bids} for buyer, bids in probes.items()}
     mu = scenario.mu
     for k, run_seed in enumerate(run_seeds(seed, n_runs)):
         session = replay(scenario, run_seed)
-        for b in out:
-            out[b][k] = sum(
-                weight * session({buyer_id: b}, {buyer_id: forced}).utilities[buyer_id]
-                for forced, weight in ((False, 1.0 - mu), (True, mu))
-            )
+        for buyer_id, utilities in out.items():
+            for b in utilities:
+                utilities[b][k] = sum(
+                    weight * session({buyer_id: b}, {buyer_id: forced}).utilities[buyer_id]
+                    for forced, weight in ((False, 1.0 - mu), (True, mu))
+                )
     return out
 
 
@@ -265,13 +273,12 @@ def truthfulness_suite(seed: int = 0, n_runs: int = 10_000) -> SuiteReport:
     scenario = welfare_capacity_bks_scenario()
     lines = []
     passed = True
+    probes = {b.buyer_id: [b.value] + [f * b.value for f in _DEVIATIONS] for b in scenario.buyers}
+    probed = _conditioned_utilities(scenario, probes, n_runs, seed)
     for buyer in scenario.buyers:
-        v = buyer.value
-        bids = [v] + [f * v for f in _DEVIATIONS]
-        utilities = expected_utilities_rb(scenario, buyer.buyer_id, bids, n_runs, seed)
-        truthful = utilities[v]
+        v, utilities = buyer.value, probed[buyer.buyer_id]
         for f in _DEVIATIONS:
-            diff = truthful - utilities[f * v]
+            diff = utilities[v] - utilities[f * v]
             mean = float(diff.mean())
             half = _Z95_ONE_SIDED * float(diff.std(ddof=1)) / np.sqrt(len(diff))
             ok = mean >= -half

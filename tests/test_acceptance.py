@@ -80,7 +80,7 @@ def test_criterion_2_example2_statistical():
     cfg = _config("packet_contest_resampling")
     scenario = cfg.scenario
     started = time.perf_counter()
-    stats = run_monte_carlo(scenario, 10_000, seed=cfg.seed)
+    stats = run_monte_carlo([scenario], 10_000, seed=cfg.seed)[0]
     elapsed = time.perf_counter() - started
     measured = stats.payments["b1"].mean
     half_width = (stats.payments["b1"].ci_high - stats.payments["b1"].ci_low) / 2
@@ -156,13 +156,12 @@ def test_criterion_5_welfare_ordering():
     mechanisms only converge within 2% near capacity ~95, not at 55.
     """
     cfg = _config("welfare_capacity")
-    means = {}
-    for cap in (10.0, 25.0, 40.0, 55.0):
-        for variant in cfg.variants:
-            scenario = cfg.sweep.apply(cfg.scenario_for(variant), cap)
-            means[(cap, variant.name)] = run_monte_carlo(
-                scenario, 1000, cfg.seed
-            ).welfare.mean
+    points = [(cap, variant) for cap in (10.0, 25.0, 40.0, 55.0) for variant in cfg.variants]
+    grid = [cfg.sweep.apply(cfg.scenario_for(variant), cap) for cap, variant in points]
+    means = {
+        (cap, variant.name): stats.welfare.mean
+        for (cap, variant), stats in zip(points, run_monte_carlo(grid, 1000, cfg.seed))
+    }
 
     ordering_ok = all(
         means[(c, "vmm")] >= means[(c, "bks")] >= means[(c, "fq")] >= means[(c, "fifo")]
@@ -198,16 +197,19 @@ def test_criterion_5_welfare_ordering():
 def test_criterion_6_reserve_sweep_improves_fq_fifo():
     """Some reserve in (1, 4] strictly beats r=0 for both FQ and FIFO."""
     cfg = _config("reserve_sweep")
+    variants = {v.name: v for v in cfg.variants}
+    points = [(name, r) for name in ("fq", "fifo") for r in cfg.sweep.values]
+    grid = [cfg.sweep.apply(cfg.scenario_for(variants[name]), r) for name, r in points]
+    welfare = {
+        point: stats.welfare.mean
+        for point, stats in zip(points, run_monte_carlo(grid, 1000, cfg.seed))
+    }
     improved = {}
     for name in ("fq", "fifo"):
-        variant = next(v for v in cfg.variants if v.name == name)
-        welfare = {}
-        for r in cfg.sweep.values:
-            scenario = cfg.sweep.apply(cfg.scenario_for(variant), r)
-            welfare[r] = run_monte_carlo(scenario, 1000, cfg.seed).welfare.mean
-        base = welfare[0.0]
+        base = welfare[(name, 0.0)]
         best_r, best = max(
-            ((r, w) for r, w in welfare.items() if 1 < r <= 4), key=lambda kv: kv[1]
+            ((r, welfare[(name, r)]) for r in cfg.sweep.values if 1 < r <= 4),
+            key=lambda kv: kv[1],
         )
         improved[name] = (best > base, base, best_r, best)
 
@@ -227,14 +229,15 @@ def test_criterion_6_reserve_sweep_improves_fq_fifo():
 def test_criterion_7_impatient_capacity_band():
     """Somewhere in the capacity sweep, FQ beats SPQ and the hybrid beats both."""
     cfg = _config("impatient_deviation")
+    points = [(cap, variant) for cap in cfg.sweep.values for variant in cfg.variants]
+    grid = [cfg.sweep.apply(cfg.scenario_for(variant), cap) for cap, variant in points]
+    means = {
+        (cap, variant.name): stats.welfare.mean
+        for (cap, variant), stats in zip(points, run_monte_carlo(grid, cfg.runs, cfg.seed))
+    }
     band = []
     for cap in cfg.sweep.values:
-        welfare = {}
-        for variant in cfg.variants:
-            scenario = cfg.sweep.apply(cfg.scenario_for(variant), cap)
-            welfare[variant.name] = run_monte_carlo(
-                scenario, cfg.runs, cfg.seed
-            ).welfare.mean
+        welfare = {variant.name: means[(cap, variant.name)] for variant in cfg.variants}
         if welfare["fq"] > welfare["spq"] and welfare["hybrid"] >= max(
             welfare["fq"], welfare["spq"]
         ):

@@ -456,7 +456,7 @@ def memoryless_optimum(scenario, seed):
     """Best total value for the memoryless world drawn from ``seed``: each
     epoch's capacity served in order of true value (exact, because demand
     does not depend on past service)."""
-    realizations = _world(scenario, seed)[0]
+    realizations = _world(scenario.buyers, seed)[0]
     values = [b.value for b in scenario.buyers]
     grants = spq(_demand_matrix(scenario, realizations), values, scenario.capacity)
     return float((np.array(values)[:, None] * grants).sum())
@@ -768,7 +768,7 @@ class TestPathEquivalence:
     def test_vectorized_matches_loop(self, scenario, seed):
         """The vector path reproduces the epoch loop, the reference semantics,
         on every field of the outcome."""
-        realizations, draws = _world(scenario, seed)
+        realizations, draws = _world(scenario.buyers, seed)
         records = _bid_records(scenario, draws, None, None)
         groups = _groups(scenario, records)
         fast = _run_vectorized(scenario, _demand_matrix(scenario, realizations), records, groups)
@@ -779,7 +779,7 @@ class TestPathEquivalence:
     def test_sweep_matches_loop(self, scenario, seed):
         """The priority sweep reproduces the epoch loop on every field of the
         outcome, tied stateful groups included."""
-        realizations, draws = _world(scenario, seed)
+        realizations, draws = _world(scenario.buyers, seed)
         records = _bid_records(scenario, draws, None, None)
         groups = _groups(scenario, records)
         stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
@@ -795,7 +795,7 @@ class TestPathEquivalence:
         first = scenario.buyers[0].buyer_id
         for seed in run_seeds(7, 40):
             session = replay(scenario, seed)
-            realizations, draws = _world(scenario, seed)
+            realizations, draws = _world(scenario.buyers, seed)
             for override in (None, {first: 1.9}):
                 records = _bid_records(scenario, draws, override, None)
                 loop = _run_loop(scenario, realizations, records, _groups(scenario, records))
@@ -1032,7 +1032,8 @@ class TestReplay:
         scenario = REPLAY_SCENARIOS["vector"]
         for seed in (0, 4, 11):
             rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
-            assert _world(scenario, seed)[1] == [[rng.random(), rng.random()] for _ in range(3)]
+            draws = [[rng.random(), rng.random()] for _ in range(3)]
+            assert _world(scenario.buyers, seed)[1] == draws
 
     @pytest.mark.parametrize(
         "overrides",
@@ -1044,6 +1045,18 @@ class TestReplay:
         scenario = contest_scenarios()["packet_contest_vcg"]
         with pytest.raises(ValueError, match="no buyer 'B1'"):
             run_session(scenario, 0, **overrides)
+
+    @pytest.mark.parametrize(
+        "bid", ["3", -1.0, float("nan"), float("inf"), True],
+        ids=["str", "negative", "nan", "inf", "bool"],
+    )
+    def test_bad_bid_override_rejected(self, bid):
+        # These used to play: "3" as 3, -1 as an ineligible bid, inf as NaN
+        # utilities under vmm and True as 1; NaN failed with a message about
+        # the perturbed bid that named no buyer.
+        scenario = contest_scenarios()["packet_contest_vcg"]
+        with pytest.raises(ValueError, match="bid override for buyer 'b1'"):
+            run_session(scenario, 0, bid_override={"b1": bid})
 
     def test_world_is_materialized_once(self, monkeypatch):
         scenario = REPLAY_SCENARIOS["vector"]
@@ -1065,11 +1078,36 @@ class TestReplay:
             session({"b1": bid}, {"b1": True})
         assert counts == {"realize": 3, "matrix": 1}
 
+    @pytest.mark.parametrize(
+        "argv,realized",
+        [
+            (["sweep", "--config", builtin_config_path("welfare_capacity"), "--runs", "3"], 9),
+            (["verify", "--suite", "truthfulness", "--runs", "4"], 12),
+        ],
+        ids=["sweep", "truthfulness"],
+    )
+    def test_cli_draws_each_world_once(self, argv, realized, monkeypatch, tmp_path):
+        """A sweep plays its 16 scenarios, and the truthfulness suite probes
+        its 3 buyers, on one world of 3 realizations per run seed."""
+        from bandshare.cli import OUT_DIR_ENV, main
+
+        calls = []
+        realize = DemandSpec.realize
+
+        def counted(spec, seed=None):
+            calls.append(seed)
+            return realize(spec, seed)
+
+        monkeypatch.setattr(DemandSpec, "realize", counted)
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        assert main(argv) in (0, 2)
+        assert len(calls) == realized
+
     def test_run_seeds_are_the_monte_carlo_runs(self):
         scenario = REPLAY_SCENARIOS["vector"]
         seeds = run_seeds(8, 3)
         assert seeds == run_seeds(8, 5)[:3]
-        stats = run_monte_carlo(scenario, 3, seed=8)
+        stats = run_monte_carlo([scenario], 3, seed=8)[0]
         welfare = [run_session(scenario, s).welfare for s in seeds]
         assert stats.welfare.mean == pytest.approx(np.mean(welfare), rel=1e-12)
 
@@ -1089,23 +1127,22 @@ class TestMonteCarlo:
 
     def test_single_run_equals_run_session(self):
         scenario = self.scenario("bks")
-        stats = run_monte_carlo(scenario, 1, seed=5)
+        stats = run_monte_carlo([scenario], 1, seed=5)[0]
         run_seed = int(np.random.default_rng(5).integers(0, 2**63 - 1, size=1)[0])
         out = run_session(scenario, run_seed)
         assert stats.welfare.mean == pytest.approx(out.welfare)
 
     def test_deterministic_given_seed(self):
         scenario = self.scenario("bks")
-        a = run_monte_carlo(scenario, 20, seed=9)
-        b = run_monte_carlo(scenario, 20, seed=9)
+        a = run_monte_carlo([scenario], 20, seed=9)[0]
+        b = run_monte_carlo([scenario], 20, seed=9)[0]
         assert a.welfare.mean == b.welfare.mean
         assert a.payments == b.payments
 
     def test_resampling_costs_welfare_vs_vcg_benchmark(self):
         # Same demand worlds: the true-bid priority allocation is optimal for
         # memoryless demand, resampling can only misorder.
-        vmm = run_monte_carlo(self.scenario("vmm"), 150, seed=3)
-        bks = run_monte_carlo(self.scenario("bks"), 150, seed=3)
+        vmm, bks = run_monte_carlo([self.scenario("vmm"), self.scenario("bks")], 150, seed=3)
         assert vmm.welfare.mean > bks.welfare.mean
 
     def test_welfare_weakly_decreasing_in_mu(self):
@@ -1113,13 +1150,38 @@ class TestMonteCarlo:
         # welfare is weakly decreasing across the mu grid.
         from dataclasses import replace
 
-        means = [
-            run_monte_carlo(
-                replace(self.scenario("bks"), mu=mu), 150, seed=3
-            ).welfare.mean
-            for mu in (0.05, 0.2, 0.5)
-        ]
+        grid = [replace(self.scenario("bks"), mu=mu) for mu in (0.05, 0.2, 0.5)]
+        means = [stats.welfare.mean for stats in run_monte_carlo(grid, 150, seed=3)]
         assert means[0] >= means[1] >= means[2], means
+
+    @pytest.mark.parametrize(
+        "name", ["welfare_capacity", "reserve_sweep", "impatient_deviation"]
+    )
+    def test_grid_equals_one_scenario_at_a_time(self, name):
+        """A config's whole grid played on one world per run seed gives every
+        scenario exactly the statistics of its own Monte Carlo."""
+        cfg = load_config(builtin_config_path(name))
+        grid = [
+            cfg.sweep.apply(variant.scenario, value)
+            for value in cfg.sweep.values
+            for variant in cfg.variants
+        ]
+        alone = [run_monte_carlo([scenario], 4, seed=6)[0] for scenario in grid]
+        assert run_monte_carlo(grid, 4, seed=6) == alone
+
+    @pytest.mark.parametrize("field", ["buyers", "horizon"])
+    def test_grid_rejects_scenarios_that_do_not_share_a_world(self, field):
+        from dataclasses import replace
+
+        base = self.scenario("bks")
+        other = replace(base, **{field: base.buyers[:2] if field == "buyers" else 90})
+        with pytest.raises(ValueError, match="share their buyers and horizon"):
+            run_monte_carlo([base, other], 3, seed=1)
+
+    @pytest.mark.parametrize("n_runs,n_scenarios", [(0, 1), (-2, 1), (3, 0)])
+    def test_needs_a_run_and_a_scenario(self, n_runs, n_scenarios):
+        with pytest.raises(ValueError, match="at least one run and one scenario"):
+            run_monte_carlo([self.scenario("bks")] * n_scenarios, n_runs, seed=1)
 
 
 class TestLedgerBridge:

@@ -148,10 +148,14 @@ def test_cli_output_digest(command, name, fmt, tmp_path):
     assert digests(command, name, fmt, tmp_path) == GOLDEN[case_key(command, name, fmt)]
 
 
-def test_sweep_outputs_do_not_depend_on_jobs(tmp_path):
+@pytest.mark.parametrize(
+    "command,name", [("sweep", "welfare_capacity"), ("simulate", "impatient_deviation")],
+    ids=["sweep-welfare_capacity", "simulate-impatient_deviation"],
+)
+def test_outputs_do_not_depend_on_jobs(command, name, tmp_path):
     """Two worker processes write the same files as one."""
-    found = digests("sweep", "welfare_capacity", "csv", tmp_path, "--jobs", "2")
-    assert found == GOLDEN["sweep welfare_capacity"]
+    found = digests(command, name, "csv", tmp_path, "--jobs", "2")
+    assert found == GOLDEN[case_key(command, name, "csv")]
 
 
 if __name__ == "__main__":

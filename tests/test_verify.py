@@ -7,11 +7,13 @@ import pytest
 from bandshare.demand import DemandSpec
 from bandshare.engine import BuyerSpec, Scenario, Strategy, run_seeds, run_session
 from bandshare.verify import (
+    _conditioned_utilities,
     balance_suite,
     expected_utilities_rb,
     monotonicity_suite,
     natural_suite,
     run_suite,
+    welfare_capacity_bks_scenario,
 )
 
 
@@ -87,6 +89,18 @@ class TestConditionedEstimator:
                     for forced in (False, True)
                 ]
                 assert utilities[b][k] == pytest.approx(0.8 * branches[0] + 0.2 * branches[1])
+
+    def test_buyers_probed_on_one_replay_equal_each_probed_alone(self):
+        """The truthfulness suite probes every buyer on one replay per run;
+        each buyer's utilities are bit-identical to probing her alone."""
+        scenario = welfare_capacity_bks_scenario()
+        probes = {b.buyer_id: [b.value, 0.5 * b.value, 2.0 * b.value] for b in scenario.buyers}
+        together = _conditioned_utilities(scenario, probes, 5, seed=3)
+        for buyer_id, bids in probes.items():
+            alone = expected_utilities_rb(scenario, buyer_id, bids, 5, seed=3)
+            assert together[buyer_id].keys() == alone.keys()
+            for b in bids:
+                assert np.array_equal(together[buyer_id][b], alone[b])
 
     def test_requires_resampling_mechanism(self):
         scenario = Scenario(
