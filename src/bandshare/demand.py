@@ -42,19 +42,23 @@ class DemandRealization:
     cumulative real traffic ``x >= 0``.  A model is memoryless when d(t, x)
     does not depend on x at all; exactly those models answer ``query_epochs``.
     The buffered and impatient models also ``serve`` a greedy buyer a whole
-    window of epochs at once.
+    window of epochs at once, and exactly those ``serves``.
     """
 
     model_id: str
     _fn: Callable[[int, float], float] = field(repr=False)
     _bulk: Optional[Callable[[int, int], np.ndarray]] = field(default=None, repr=False)
-    _serve: Optional[Callable[[np.ndarray, int], Tuple[np.ndarray, np.ndarray]]] = field(
+    _serve: Optional[Callable[[np.ndarray, int, float], Tuple[np.ndarray, np.ndarray]]] = field(
         default=None, repr=False
     )
 
     @property
     def memoryless(self) -> bool:
         return self._bulk is not None
+
+    @property
+    def serves(self) -> bool:
+        return self._serve is not None
 
     def query(self, t: int, x: float) -> float:
         if t < 1:
@@ -80,22 +84,29 @@ class DemandRealization:
             raise ValueError(f"bad epoch range [{lo}, {hi}]")
         return self._bulk(lo, hi)
 
-    def serve(self, residual: np.ndarray, lo: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    def serve(
+        self, residual: np.ndarray, lo: int, x0: float = 0.0
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Presented demand and grants, epoch by epoch, of a greedy buyer who
-        arrives at epoch ``lo`` with nothing moved and may take up to
+        has moved ``x0`` KB before epoch ``lo`` and may take up to
         ``residual[j]`` KB in epoch ``lo + j``.
 
-        The same numbers as presenting ``query(t, x)`` and taking the smaller
-        of it and the residual in each epoch, up to rounding.  None for a
-        model without this vector form.
+        The same numbers as presenting ``query(t, x)``, with x the running sum
+        ``x0 + g_lo + ...`` of her grants, and taking the smaller of it and
+        the residual in each epoch, up to rounding.  None for a model without
+        this vector form.
         """
-        return None if self._serve is None else self._serve(residual, lo)
+        return None if self._serve is None else self._serve(residual, lo, x0)
 
 
 def _check(ok: bool, message: str) -> None:
     # Written as a positive condition so that NaN parameters fail it too.
     if not ok:
         raise ValueError(message)
+
+
+def _finite(v: numbers.Real) -> bool:
+    return isinstance(v, numbers.Integral) or math.isfinite(v)
 
 
 # -- models: parameters are checked when a DemandSpec is built ---------------
@@ -136,15 +147,15 @@ def _buffered(g: Sequence[float]) -> DemandRealization:
     last, total = len(g), cum[-1]
     generated = np.array(g, dtype=float)
 
-    def serve(residual: np.ndarray, lo: int) -> Tuple[np.ndarray, np.ndarray]:
+    def serve(residual: np.ndarray, lo: int, x0: float) -> Tuple[np.ndarray, np.ndarray]:
         # The backlog left after epoch t follows Lindley's recursion
         # B_t = max(0, B_{t-1} + g_t - r_t), from the data B_{lo-1} generated
-        # before arrival.  Its closed form is W_t - min(0, min_{s<=t} W_s)
-        # with W_t = B_{lo-1} + sum_{s=lo..t} (g_s - r_s).
+        # before epoch lo and not yet moved.  Its closed form is
+        # W_t - min(0, min_{s<=t} W_s) with W_t = B_{lo-1} + sum_{s=lo..t} (g_s - r_s).
         presented = np.zeros(len(residual))
         part = generated[lo - 1 : lo - 1 + len(residual)]
         presented[: len(part)] = part
-        before = cum[min(lo - 1, last)]
+        before = max(0.0, cum[min(lo - 1, last)] - x0)
         walk = before + np.cumsum(presented - residual)
         backlog = walk - np.minimum(0.0, np.minimum.accumulate(walk))
         presented[0] += before
@@ -164,14 +175,14 @@ def _impatient(k: float, p: int, m: float) -> DemandRealization:
             return k
         return k if x > m else 0.0
 
-    def serve(residual: np.ndarray, lo: int) -> Tuple[np.ndarray, np.ndarray]:
+    def serve(residual: np.ndarray, lo: int, x0: float) -> Tuple[np.ndarray, np.ndarray]:
         # Rate k up to the patience epoch p; after it, rate k on if the
-        # traffic moved by then (summed in epoch order) exceeds m, else 0.
+        # traffic moved by then (x0 first, then the grants in epoch order)
+        # exceeds m, else 0.
         presented = np.full(len(residual), float(k))
         grants = np.minimum(presented, residual)
         patient = max(0, p - lo + 1)
-        moved = float(np.cumsum(grants[:patient])[-1]) if patient else 0.0
-        if not moved > m:
+        if not np.cumsum(np.concatenate(([x0], grants[:patient])))[-1] > m:
             presented[patient:] = 0.0
             grants[patient:] = 0.0
         return presented, grants
@@ -306,13 +317,15 @@ class DemandSpec:
                 ok = isinstance(v, numbers.Integral if whole else numbers.Real)
                 what = "an integer" if whole else "a real number"
                 _check(ok and not isinstance(v, bool), f"{kind}: {name} must be {what}, got {v!r}")
+                _check(_finite(v), f"{kind}: {name} must be finite, got {v!r}")
         g = params.get("g")
         if kind in ("time_varying", "buffered"):
             is_sequence = isinstance(g, (list, tuple, np.ndarray))
             _check(is_sequence, f"{kind}: generation must be a sequence, got {type(g).__name__}")
             for p, v in enumerate(g, start=1):
-                ok = isinstance(v, numbers.Real) and not isinstance(v, bool) and v >= 0
-                _check(ok, f"{kind}: generation at epoch {p} must be a number >= 0, got {v}")
+                ok = isinstance(v, numbers.Real) and not isinstance(v, bool)
+                ok = ok and _finite(v) and v >= 0
+                _check(ok, f"{kind}: generation at epoch {p} must be a finite number >= 0, got {v}")
             params["g"] = tuple(float(v) for v in g)
         elif kind in ("increasing_rate", "increasing_total"):
             # A spot check of g on a probe grid, not a proof of monotonicity.

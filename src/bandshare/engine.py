@@ -22,19 +22,24 @@ or delays.  One stepper, ``_play``, plays priority groups epoch by epoch
 through ``query`` against a per-epoch capacity, allocating each epoch with
 ``_allocate_epoch``, the scalar form of the ``routing`` kernels.
 
-* The priority sweep (``_run_sweep``) plays every strict-priority (``spq``)
-  session.  It visits the priority groups in descending key order and serves
-  each from the capacity the groups above it left: memoryless greedy rows from
-  the world's demand matrix, a lone greedy buffered or impatient buyer through
-  her model's vector form (``DemandRealization.serve``), and any other group
-  with a stateful buyer, lone or tied, through ``_play``.
+* The priority sweep (``_run_sweep``) plays strict-priority (``spq``)
+  sessions, and hybrid ones whose buyers other than the boosted one are
+  memoryless.  It visits the priority groups in descending key order and
+  serves each from the capacity the groups above it left: memoryless greedy
+  rows from the world's demand matrix, a lone greedy buffered or impatient
+  buyer through her model's vector form (``DemandRealization.serve``), and
+  any other group with a stateful buyer, lone or tied, through ``_play``.
+  Under hybrid routing ``_boost`` first scans the boosted buyer's reserved
+  epochs in scalar; after them hybrid is strict priority.
 * The vector path (``_run_vectorized``) plays fq and fifo sessions whose
-  buyers are all memoryless and greedy (or misreporting); it applies the
-  ``routing`` kernel to the whole (n, T) demand matrix.
-* The epoch loop (``_run_loop``) plays the rest, threshold-hybrid routing and
-  fq and fifo with a stateful buyer: ``_play`` on every group at full
-  capacity.  It is the reference semantics that the other two paths are
-  tested against.
+  buyers are greedy (or misreporting) with memoryless or impatient demand; it
+  applies the ``routing`` kernel to the (n, T) demand matrix, and again after
+  each patience epoch at which an impatient buyer quits.
+* The epoch loop (``_run_loop``) plays the rest, which no builtin config
+  reaches: hybrid with another stateful buyer, and fq and fifo with a
+  stateful buyer who is not a greedy impatient one.  It runs ``_play`` on
+  every group at full capacity, and it is the reference semantics that the
+  other two paths are tested against.
 
 A session call decides bids, eligibility and priority order once, by buyer
 position: ``_bid_records`` lists bids and routing keys in scenario order, and
@@ -45,6 +50,8 @@ settles every buyer once, after allocation.
 
 from __future__ import annotations
 
+import itertools
+import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -92,10 +99,12 @@ def _whole(*values) -> bool:
 
 
 def _real(**fields) -> None:
-    """Reject the first field that is not a real number; a bool is none."""
+    """Reject the first field that is not a finite real number; a bool is none."""
     for name, v in fields.items():
         if not isinstance(v, numbers.Real) or isinstance(v, bool):
             raise ValueError(f"{name} must be a real number, got {v!r}")
+        if not (isinstance(v, numbers.Integral) or math.isfinite(v)):
+            raise ValueError(f"{name} must be finite, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -314,6 +323,18 @@ def _stateful(buyer: BuyerSpec, realization: DemandRealization) -> bool:
     return not realization.memoryless or buyer.strategy.kind in ("pad", "delay")
 
 
+def _loops(scenario: Scenario, stateful: Sequence[bool]) -> bool:
+    """Whether a session needs the loop: a stateful buyer other than the boosted
+    one under hybrid, or other than a greedy impatient one under fq or fifo."""
+    if scenario.routing == "spq" or not any(stateful):
+        return False
+    if scenario.routing == "hybrid":
+        kept = [b.buyer_id == scenario.hybrid.buyer_id for b in scenario.buyers]
+    else:
+        kept = [b.demand.kind == "impatient" and _greedy(b) for b in scenario.buyers]
+    return any(s and not k for s, k in zip(stateful, kept))
+
+
 def replay(scenario: Scenario, seed: int) -> Callable[..., SessionOutcome]:
     """The world drawn from ``seed``, replayable under counterfactual bids.
 
@@ -333,7 +354,7 @@ def _replays(scenarios: Sequence[Scenario], seed: int) -> List[Callable[..., Ses
     first = scenarios[0]
     realizations, draws = _world(first.buyers, seed)
     stateful = [_stateful(b, r) for b, r in zip(first.buyers, realizations)]
-    looped = [s.routing == "hybrid" or (s.routing != "spq" and any(stateful)) for s in scenarios]
+    looped = [_loops(s, stateful) for s in scenarios]
     matrix = None if all(looped) else _demand_matrix(first, realizations)
 
     def session(
@@ -346,9 +367,9 @@ def _replays(scenarios: Sequence[Scenario], seed: int) -> List[Callable[..., Ses
         groups = _groups(scenario, records)
         if demand is None:
             return _run_loop(scenario, realizations, records, groups)
-        if scenario.routing == "spq":
-            return _run_sweep(scenario, realizations, demand, records, groups, stateful)
-        return _run_vectorized(scenario, demand, records, groups)
+        if scenario.routing in ("fq", "fifo"):
+            return _run_vectorized(scenario, demand, records, groups)
+        return _run_sweep(scenario, realizations, demand, records, groups, stateful)
 
     return [partial(session, s, None if loop else matrix) for s, loop in zip(scenarios, looped)]
 
@@ -393,9 +414,10 @@ def _play(
 
     Each epoch ``t`` splits ``capacity[t - 1]`` among them with
     ``_allocate_epoch``, which serves ``groups`` in order under strict
-    priority.  Writes their rows of ``grants`` and of ``shown`` (the demand
-    they present; None skips it), takes their grants off ``capacity``, and
-    returns every buyer's real and billed traffic, zero outside ``groups``.
+    priority.  Writes their grants and the demand they present (``shown``;
+    None skips it) in the epochs they are active, leaves in ``capacity`` what
+    they did not take, and returns every buyer's real and billed traffic,
+    zero outside ``groups``.
     """
     buyers = scenario.buyers
     n = len(buyers)
@@ -409,11 +431,7 @@ def _play(
     x_real = [0.0] * n
     x_billed = [0.0] * n
     gen_history: List[Dict[int, float]] = [dict() for _ in range(n)]
-    T = scenario.horizon
-    offered = {i: [0.0] * T for i in rows}
-    taken = {i: [0.0] * T for i in rows}
-
-    for t in range(1, T + 1):
+    for t in range(1, scenario.horizon + 1):
         active: List[int] = []
         presented = [0.0] * n
         truth = [0.0] * n
@@ -436,7 +454,9 @@ def _play(
                 presented[i] = d + strategies[i].pad
             else:
                 presented[i] = d
-        granted = _allocate_epoch(scenario, t, cap[t - 1], active, presented, x_real, groups)
+        granted, cap[t - 1] = _allocate_epoch(
+            scenario, t, cap[t - 1], active, presented, x_real, groups
+        )
         for i in active:
             consumed = granted[i]
             # Only traffic backed by current true demand carries value and
@@ -444,14 +464,10 @@ def _play(
             # worthless.
             x_real[i] += consumed if consumed <= truth[i] else truth[i]
             x_billed[i] += consumed
-            taken[i][t - 1] = consumed
-            offered[i][t - 1] = presented[i]
-
-    for i in rows:
-        grants[i] = taken[i]
-        if shown is not None:
-            shown[i] = offered[i]
-    capacity -= np.minimum(grants[rows].sum(axis=0), capacity)
+            grants[i, t - 1] = consumed
+            if shown is not None:
+                shown[i, t - 1] = presented[i]
+    capacity[:] = cap
     return x_real, x_billed
 
 
@@ -463,22 +479,23 @@ def _allocate_epoch(
     presented: List[float],
     x_real: List[float],
     groups: List[List[int]],
-) -> List[float]:
-    """Grants of ``c`` in epoch ``t`` by buyer position, zero outside ``active``.
+) -> Tuple[List[float], float]:
+    """Grants of ``c`` in epoch ``t`` by buyer position, zero outside
+    ``active``, and the capacity left.
 
-    The scalar form of the ``routing`` kernels for a single column.  Strict
-    priority serves ``groups`` after the hybrid reservation, as ``spq`` does.
+    The scalar form of the ``routing`` kernels for a single column, rounded
+    as they round.  Strict priority serves ``groups`` after the hybrid
+    reservation, as ``spq`` does.
     """
     grants = [0.0] * len(presented)
     routing = scenario.routing
     if routing == "fifo":
         total = sum(presented[i] for i in active)
         for i in active:
-            grants[i] = presented[i] if total <= c else c * presented[i] / total
-        return grants
+            grants[i] = presented[i] if total <= c else presented[i] * (c / total)
+        return grants, max(0.0, c - total)
     if routing == "fq":
-        _share(active, presented, c, grants)
-        return grants
+        return grants, _share(active, presented, c, grants)
 
     # spq / hybrid
     remaining = c
@@ -500,7 +517,7 @@ def _allocate_epoch(
         else:
             unmet = [p - g for p, g in zip(presented, grants)]
             remaining = _share(rows, unmet, remaining, grants)
-    return grants
+    return grants, remaining
 
 
 def _share(rows: List[int], need: Sequence[float], c: float, grants: List[float]) -> float:
@@ -551,12 +568,37 @@ def _run_vectorized(
     records: Sequence[BidRecord],
     groups: List[List[int]],
 ) -> SessionOutcome:
-    """Vector path for fq and fifo: memoryless demand, greedy presentation."""
+    """Vector path for fq and fifo: greedy buyers with memoryless or impatient
+    demand.  An impatient row is first her rate k; then, by increasing patience
+    epoch p (equal p together, as zeroing after p leaves the columns up to p),
+    a buyer who has moved no more than m by p is zeroed after it and the
+    kernel re-runs on those columns."""
+    buyers = scenario.buyers
     shown = _shown(demand, groups)
     kernel = maxmin if scenario.routing == "fq" else proportional
+    impatient = [i for rows in groups for i in rows if buyers[i].demand.kind == "impatient"]
+    tests = []  # (p, buyer, m) of the impatient buyers present after p
+    for i in impatient:
+        params, (lo, hi) = buyers[i].demand.params, _window(scenario, buyers[i])
+        shown[i, lo - 1 : hi] = params["k"]
+        if params["p"] < hi:
+            tests.append((params["p"], i, params["m"]))
     grants = kernel(shown, scenario.capacity)
-    x = grants.sum(axis=1)
+    if not impatient:  # one kernel call and pairwise totals
+        x = grants.sum(axis=1)
+        return _finish(scenario, records, x, x, shown, grants)
+    for p, batch in itertools.groupby(sorted(tests), key=lambda test: test[0]):
+        quit = [i for _, i, m in batch if not np.cumsum(grants[i, :p])[-1] > m]
+        if quit:
+            shown[quit, p:] = 0.0
+            grants[:, p:] = kernel(shown[:, p:], scenario.capacity)
+    x = _moved(grants)
     return _finish(scenario, records, x, x, shown, grants)
+
+
+def _moved(grants: np.ndarray) -> np.ndarray:
+    """Each row's total, added in epoch order as the loop's running sums add it."""
+    return np.cumsum(grants, axis=1)[:, -1]
 
 
 def _run_sweep(
@@ -574,31 +616,92 @@ def _run_sweep(
     A group with no stateful buyer is read from ``demand`` and filled
     as ``routing.spq`` fills it.  A lone greedy buyer whose model has a vector
     form is served by it, and any other group that holds a stateful buyer is
-    played epoch by epoch by ``_play``, as the loop plays it.
+    played epoch by epoch by ``_play``, as the loop plays it.  Under hybrid
+    routing ``_boost`` first serves the groups down to the boosted buyer's.
     """
     buyers = scenario.buyers
     shown = _shown(demand, groups)
     grants = np.zeros(shown.shape)
     residual = np.full(scenario.horizon, float(scenario.capacity))
-    played: Dict[int, float] = {}  # real traffic of the buyers played by _play
-    for rows in groups:
+    top, played = -1, {}  # played: real traffic where ``grants`` does not give it
+    if scenario.routing == "hybrid":
+        top, played = _boost(scenario, realizations, groups, stateful, residual, grants, shown)
+    for rows in groups[top + 1 :]:
         if not any(stateful[i] for i in rows):
             fill_group(shown, rows, residual, grants)
             continue
         i = rows[0]
         lo, hi = _window(scenario, buyers[i])
-        served = None
-        if len(rows) == 1 and lo <= hi and buyers[i].strategy.kind in ("greedy", "misreport"):
-            served = realizations[i].serve(residual[lo - 1 : hi], lo)
-        if served is None:
-            x_real = _play(scenario, realizations, [rows], residual, grants, shown)[0]
-            played.update((j, x_real[j]) for j in rows)
+        if len(rows) == 1 and _greedy(buyers[i]) and realizations[i].serves:
+            if lo <= hi:
+                served = realizations[i].serve(residual[lo - 1 : hi], lo)
+                shown[i, lo - 1 : hi], grants[i, lo - 1 : hi] = served
+                residual[lo - 1 : hi] -= served[1]
             continue
-        shown[i, lo - 1 : hi], grants[i, lo - 1 : hi] = served
-        residual[lo - 1 : hi] -= served[1]
-    x_billed = grants.sum(axis=1).tolist()
+        x_real = _play(scenario, realizations, [rows], residual, grants, shown)[0]
+        played.update((j, x_real[j]) for j in rows)
+    # Paced grants are fractions, so a hybrid session adds them in epoch order
+    # as the loop does; spq keeps its pairwise sums.
+    x_billed = (_moved(grants) if top >= 0 else grants.sum(axis=1)).tolist()
     x_real = [played.get(i, x) for i, x in enumerate(x_billed)]
     return _finish(scenario, records, x_real, x_billed, shown, grants)
+
+
+def _greedy(buyer: BuyerSpec) -> bool:
+    return buyer.strategy.kind in ("greedy", "misreport")
+
+
+def _boost(
+    scenario: Scenario,
+    realizations: Sequence[DemandRealization],
+    groups: List[List[int]],
+    stateful: Sequence[bool],
+    residual: np.ndarray,
+    grants: np.ndarray,
+    shown: np.ndarray,
+) -> Tuple[int, Dict[int, float]]:
+    """Serve a hybrid session's groups down to the boosted buyer's; return the
+    index of hers (-1 when she is in none, and the session is plain spq) and
+    the real traffic of her group's buyers whose ``grants`` do not give it.
+
+    The others are memoryless, and once her reservation is gone (target met,
+    deadline or departure past) hybrid is strict priority.  So the groups are
+    filled as under spq, her reserved epochs are scanned and overwritten with
+    ``_allocate_epoch``, and after them a stateful buyer is served from the
+    traffic she has moved.  A group of hers with no vector form is played by
+    ``_play`` over the whole horizon instead.
+    """
+    buyers, boost = scenario.buyers, scenario.hybrid
+    b = next(i for i, buyer in enumerate(buyers) if buyer.buyer_id == boost.buyer_id)
+    top = next((k for k, rows in enumerate(groups) if b in rows), -1)
+    if top < 0:
+        return -1, {}
+    upper = groups[: top + 1]
+    if stateful[b] and not (len(upper[-1]) == 1 and _greedy(buyers[b]) and realizations[b].serves):
+        x_real = _play(scenario, realizations, upper, residual, grants, shown)[0]
+        return top, {j: x_real[j] for j in upper[-1]}
+    for rows in upper:
+        fill_group(shown, rows, residual, grants)
+    lo, hi = _window(scenario, buyers[b])
+    c, x = float(scenario.capacity), [0.0] * len(buyers)
+    taken, offered = [], []
+    for t, col in enumerate(shown[:, lo - 1 : min(hi, boost.deadline)].T.tolist(), start=lo):
+        if stateful[b]:
+            col[b] = realizations[b].query(t, x[b])
+        if not x[b] < boost.target_bytes:
+            break
+        g, residual[t - 1] = _allocate_epoch(scenario, t, c, [b], col, x, upper)
+        x[b] += g[b] if g[b] <= col[b] else col[b]
+        taken.append(g)
+        offered.append(col[b])
+    end = lo - 1 + len(taken)  # the last epoch scanned
+    if taken:
+        grants[:, lo - 1 : end], shown[b, lo - 1 : end] = np.array(taken).T, offered
+    if stateful[b] and end < hi:
+        served = realizations[b].serve(residual[end:hi], end + 1, x[b])
+        shown[b, end:hi], grants[b, end:hi] = served
+        residual[end:hi] -= served[1]
+    return top, {b: np.cumsum(np.r_[x[b], grants[b, end:]])[-1]}
 
 
 def _finish(

@@ -4,15 +4,18 @@ Covers the worked VCG manipulation example, strategy identities, the isolation
 and monotonicity properties of strict-priority routing, welfare against the
 offline optimum (value-ordered service for memoryless demand, a brute-force
 enumerator for stateful demand), Monte Carlo determinism, the tie rule,
-parameter checks (NaN, non-numbers, bools, fractional epoch counts), numpy
-scalar capacities, the equivalence of the epoch loop's allocator and the
-routing kernels and of the priority sweep and the vector path with the epoch
+parameter checks (NaN, infinities, non-numbers, bools, fractional epoch
+counts), numpy scalar capacities, the equivalence of the epoch loop's
+allocator and the routing kernels and of the priority sweep (hybrid routing
+included) and the vector path (impatient buyers included) with the epoch
 loop, which session takes which path, that an ineligible buyer is absent on
 every path, and world replay under counterfactual bids.
 """
 
 import itertools
+import pathlib
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bandshare.engine
+from bandshare.cli import main
 from bandshare.config import builtin_config_path, load_config
 from bandshare.demand import DemandSpec
 from bandshare.engine import (
@@ -31,6 +35,7 @@ from bandshare.engine import (
     _bid_records,
     _demand_matrix,
     _groups,
+    _loops,
     _run_loop,
     _run_sweep,
     _run_vectorized,
@@ -191,6 +196,38 @@ NAN = float("nan")
 )
 def test_nan_parameters_rejected(build):
     with pytest.raises(ValueError):
+        build()
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "message,build",
+    [
+        ("^value must be finite", lambda: BuyerSpec("a", INF, DemandSpec.constant(1.0))),
+        ("^price must be finite", lambda: Scenario((), 10.0, mechanism="fixed", price=INF)),
+        ("^bid_factor must be finite", lambda: Strategy("misreport", bid_factor=INF)),
+        ("^capacity must be finite", lambda: Scenario((), INF)),
+        ("^reserve must be finite", lambda: Scenario((), 10.0, reserve=INF)),
+        ("^pad must be finite", lambda: Strategy("pad", pad=INF)),
+        ("^target_bytes must be finite", lambda: HybridBoost("a", INF, 10)),
+        ("^constant: k must be finite", lambda: DemandSpec.constant(INF)),
+        ("^impatient: m must be finite", lambda: DemandSpec.impatient(5.0, 3, INF)),
+        ("^flow_trace: mean_rate must be finite", lambda: DemandSpec.flow_trace(INF, 10)),
+        ("generation at epoch 2 must be a finite", lambda: DemandSpec.buffered([1.0, INF])),
+    ],
+    ids=[
+        "value", "price", "bid_factor", "capacity", "reserve", "pad", "target_bytes",
+        "constant-k", "impatient-m", "flow_trace-mean_rate", "buffered-generation",
+    ],
+)
+def test_infinite_parameters_rejected(message, build):
+    # Each was accepted: an infinite value, price or bid factor gave NaN or
+    # infinite utilities, an infinite capacity, reserve or pad played
+    # silently, and an infinite constant rate played on the sweep although
+    # ``query`` rejects it on the loop.
+    with pytest.raises(ValueError, match=message):
         build()
 
 
@@ -736,6 +773,93 @@ def priority_scenarios(draw):
     )
 
 
+MEMORYLESS_STRATEGIES = st.one_of(
+    st.just(Strategy("greedy")),
+    st.floats(0.0, 2.0).map(lambda f: Strategy("misreport", bid_factor=f)),
+)
+
+
+def memoryless_models(horizon):
+    rate = st.floats(0.0, 30.0)
+    return st.one_of(
+        rate.map(DemandSpec.constant),
+        st.lists(rate, min_size=1, max_size=horizon + 5).map(DemandSpec.time_varying),
+        st.floats(0.0, 20.0).map(lambda r: DemandSpec.flow_trace(r, horizon)),
+    )
+
+
+@st.composite
+def impatient_scenarios(draw):
+    """fq and fifo scenarios with 1-3 greedy or misreporting impatient buyers
+    (rate, patience epoch, minimum service and window all drawn, patience
+    before arrival included) beside up to 3 memoryless ones, with tied or
+    distinct values, any mechanism and floor."""
+    horizon = draw(st.integers(1, 30))
+    n_impatient, n_memoryless = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    quota = st.one_of(st.sampled_from([0.0, 10.0, 60.0]), st.floats(0.0, 200.0))
+    impatient = st.builds(
+        DemandSpec.impatient, st.floats(0.0, 30.0), st.integers(1, horizon + 2), quota
+    )
+    models = [draw(impatient) for _ in range(n_impatient)]
+    models += [draw(memoryless_models(horizon)) for _ in range(n_memoryless)]
+    buyers = []
+    for k, demand in enumerate(draw(st.permutations(models))):
+        value = draw(st.one_of(st.sampled_from([1.0, 2.0, 4.0]), st.floats(0.0, 10.0)))
+        arrival = draw(st.integers(0, horizon + 2))
+        departure = draw(st.integers(arrival, horizon + 5))
+        strategy = draw(MEMORYLESS_STRATEGIES)
+        buyers.append(BuyerSpec(f"b{k}", value, demand, arrival, departure, strategy))
+    return Scenario(
+        buyers=tuple(buyers),
+        capacity=draw(st.floats(0.5, 60.0)),
+        routing=draw(st.sampled_from(["fq", "fifo"])),
+        mechanism=draw(st.sampled_from(["bks", "vmm", "fixed"])),
+        mu=draw(st.floats(0.05, 0.95)),
+        reserve=draw(st.sampled_from([0.0, 1.0, 4.0])),
+        price=draw(st.sampled_from([0.0, 1.0, 4.0])),
+        horizon=horizon,
+    )
+
+
+@st.composite
+def hybrid_scenarios(draw):
+    """Hybrid scenarios whose buyers other than the boosted one are memoryless
+    and greedy or misreporting.  The boosted buyer is impatient, buffered or
+    memoryless, or now and then any other model or strategy; her value often
+    ties with another buyer's, and her target, deadline and place in the key
+    order are drawn."""
+    horizon = draw(st.integers(1, 30))
+    value = st.one_of(st.sampled_from([1.0, 2.0, 4.0]), st.floats(0.0, 10.0))
+    rate = st.floats(0.0, 30.0)
+    boosted_demand = draw(st.one_of(
+        st.builds(DemandSpec.impatient, rate, st.integers(1, horizon + 2), st.floats(0.0, 200.0)),
+        st.lists(rate, min_size=1, max_size=horizon + 5).map(DemandSpec.buffered),
+        memoryless_models(horizon),
+        demand_models(horizon),
+    ))
+    boosted_strategy = draw(st.one_of(MEMORYLESS_STRATEGIES, STRATEGIES))
+    demands = [draw(memoryless_models(horizon)) for _ in range(draw(st.integers(0, 3)))]
+    position = draw(st.integers(0, len(demands)))
+    buyers = []
+    for k, demand in enumerate(demands[:position] + [boosted_demand] + demands[position:]):
+        arrival = draw(st.integers(0, horizon + 2))
+        departure = draw(st.integers(arrival, horizon + 5))
+        strategy = boosted_strategy if k == position else draw(MEMORYLESS_STRATEGIES)
+        buyers.append(BuyerSpec(f"b{k}", draw(value), demand, arrival, departure, strategy))
+    target = draw(st.one_of(st.sampled_from([0.0, 50.0]), st.floats(0.0, 400.0)))
+    return Scenario(
+        buyers=tuple(buyers),
+        capacity=draw(st.floats(0.5, 60.0)),
+        routing="hybrid",
+        mechanism=draw(st.sampled_from(["bks", "vmm", "fixed"])),
+        mu=draw(st.floats(0.05, 0.95)),
+        reserve=draw(st.sampled_from([0.0, 1.0, 4.0])),
+        price=draw(st.sampled_from([0.0, 1.0, 4.0])),
+        horizon=horizon,
+        hybrid=HybridBoost(f"b{position}", target, draw(st.integers(1, horizon + 3))),
+    )
+
+
 def assert_close_outcome(fast, slow):
     """Every field of two outcomes agrees to 1e-9."""
     close = lambda a: pytest.approx(a, abs=1e-9)
@@ -760,6 +884,19 @@ def contest_scenarios():
         name: load_config(builtin_config_path(name)).scenario
         for name in ("packet_contest_resampling", "packet_contest_vcg")
     } | {"impatient_deviation": next(v for v in impatient.variants if v.name == "spq").scenario}
+
+
+def exact_cases():
+    """The contest configs' strict-priority scenarios, and impatient_deviation's
+    fq and hybrid variants at every capacity of its sweep."""
+    impatient = load_config(builtin_config_path("impatient_deviation"))
+    cases = {name: [scenario] for name, scenario in contest_scenarios().items()}
+    for variant in impatient.variants:
+        if variant.name != "spq":
+            cases[f"impatient_deviation-{variant.name}"] = [
+                impatient.sweep.apply(variant.scenario, c) for c in impatient.sweep.values
+            ]
+    return cases
 
 
 class TestPathEquivalence:
@@ -787,19 +924,99 @@ class TestPathEquivalence:
         fast = _run_sweep(scenario, realizations, demand, records, groups, stateful)
         assert_close_outcome(fast, _run_loop(scenario, realizations, records, groups))
 
-    @pytest.mark.parametrize("name", sorted(contest_scenarios()))
+    @given(scenario=impatient_scenarios(), seed=st.integers(0, 2**32), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_impatient_fq_fifo_match_loop(self, scenario, seed, data):
+        """The vector path plays fq and fifo with impatient buyers as the loop
+        does, on every field of the outcome.  Half the examples set one
+        impatient buyer's minimum service to exactly the traffic she has moved
+        by her patience epoch, so she must quit: the test is strict."""
+        realizations, draws = _world(scenario.buyers, seed)
+        records = _bid_records(scenario, draws, None, None)
+        groups = _groups(scenario, records)
+        tested = [
+            i for i, b in enumerate(scenario.buyers) if b.demand.kind == "impatient"
+            and b.demand.params["p"] < min(b.departure, scenario.horizon)
+        ]
+        if tested and data.draw(st.booleans()):
+            i = data.draw(st.sampled_from(tested))
+            k, p = (scenario.buyers[i].demand.params[name] for name in "kp")
+            moved = np.cumsum(_run_loop(scenario, realizations, records, groups).trace[:p, i])[-1]
+            buyers = list(scenario.buyers)
+            buyers[i] = replace(buyers[i], demand=DemandSpec.impatient(k, p, float(moved)))
+            scenario = replace(scenario, buyers=tuple(buyers))
+            realizations = _world(scenario.buyers, seed)[0]
+        stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
+        assert not _loops(scenario, stateful)
+        fast = _run_vectorized(scenario, _demand_matrix(scenario, realizations), records, groups)
+        assert_close_outcome(fast, _run_loop(scenario, realizations, records, groups))
+
+    @staticmethod
+    def vector_and_loop(scenario, seed=0):
+        realizations, draws = _world(scenario.buyers, seed)
+        records = _bid_records(scenario, draws, None, None)
+        groups = _groups(scenario, records)
+        fast = _run_vectorized(scenario, _demand_matrix(scenario, realizations), records, groups)
+        return fast, _run_loop(scenario, realizations, records, groups)
+
+    def test_impatient_buyers_are_tested_in_patience_order(self):
+        """"late" moves more than her minimum by epoch 4 only because "early"
+        quits at epoch 2: 5 + 5 + 10 + 10 = 30 > 25 KB, against 20 KB if
+        "early" were still there."""
+        scenario = Scenario(
+            buyers=(
+                BuyerSpec("early", 1.0, DemandSpec.impatient(10.0, 2, 1000.0), 1, 12),
+                BuyerSpec("late", 1.0, DemandSpec.impatient(10.0, 4, 25.0), 1, 12),
+            ),
+            capacity=10.0, routing="fq", mechanism="fixed", horizon=12,
+        )
+        fast, loop = self.vector_and_loop(scenario)
+        assert_same_outcome(fast, loop)
+        assert loop.bytes == {"early": 10.0, "late": 110.0}
+
+    def test_impatient_test_sums_in_epoch_order(self):
+        """A minimum service equal to the traffic moved by the patience epoch,
+        summed in epoch order as the loop sums it, makes the buyer quit.
+        Here her eight grants of 10/3 KB sum pairwise to one ulp more."""
+        others = tuple(BuyerSpec(b, 1.0, DemandSpec.constant(30.0), 1, 12) for b in "ab")
+        scenario = Scenario(others, 10.0, routing="fq", mechanism="fixed", horizon=12)
+        probe = BuyerSpec("imp", 1.0, DemandSpec.impatient(30.0, 8, 0.0), 1, 12)
+        moved = self.vector_and_loop(replace(scenario, buyers=(probe, *others)))[1].trace[:8, 0]
+        assert moved.sum() > np.cumsum(moved)[-1]
+        boundary = replace(probe, demand=DemandSpec.impatient(30.0, 8, np.cumsum(moved)[-1]))
+        fast, loop = self.vector_and_loop(replace(scenario, buyers=(boundary, *others)))
+        assert_same_outcome(fast, loop)
+        assert not loop.trace[8:, 0].any()
+
+    @given(scenario=hybrid_scenarios(), seed=st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_hybrid_sweep_matches_loop(self, scenario, seed):
+        """The priority sweep plays hybrid routing as the loop does, on every
+        field of the outcome, ties with the boosted buyer included."""
+        realizations, draws = _world(scenario.buyers, seed)
+        records = _bid_records(scenario, draws, None, None)
+        groups = _groups(scenario, records)
+        stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
+        assert not _loops(scenario, stateful)
+        demand = _demand_matrix(scenario, realizations)
+        fast = _run_sweep(scenario, realizations, demand, records, groups, stateful)
+        assert_close_outcome(fast, _run_loop(scenario, realizations, records, groups))
+
+    @pytest.mark.parametrize("name", sorted(exact_cases()))
     def test_contest_configs_sweep_exactly_as_loop(self, name):
-        """On the builtin contest configs the sweep is the loop, bit for bit,
-        with truthful bids and under the bid-1.9 deviation."""
-        scenario = contest_scenarios()[name]
-        first = scenario.buyers[0].buyer_id
-        for seed in run_seeds(7, 40):
-            session = replay(scenario, seed)
-            realizations, draws = _world(scenario.buyers, seed)
-            for override in (None, {first: 1.9}):
-                records = _bid_records(scenario, draws, override, None)
-                loop = _run_loop(scenario, realizations, records, _groups(scenario, records))
-                assert_same_outcome(session(override), loop)
+        """On the builtin contest configs, impatient_deviation's fq and hybrid
+        variants at each capacity of its sweep included, the fast paths are
+        the loop, bit for bit, with truthful bids and under the bid-1.9
+        deviation."""
+        for scenario in exact_cases()[name]:
+            first = scenario.buyers[0].buyer_id
+            for seed in run_seeds(7, 40):
+                session = replay(scenario, seed)
+                realizations, draws = _world(scenario.buyers, seed)
+                for override in (None, {first: 1.9}):
+                    records = _bid_records(scenario, draws, override, None)
+                    loop = _run_loop(scenario, realizations, records, _groups(scenario, records))
+                    assert_same_outcome(session(override), loop)
 
 
 @pytest.mark.parametrize("routing", ["spq", "fq"])
@@ -811,6 +1028,19 @@ def test_failing_query_names_buyer_and_epoch(routing):
     scenario = Scenario((buyer,), capacity=5.0, routing=routing, horizon=20)
     with pytest.raises(RuntimeError, match="buyer 'a' at epoch 11: float division by zero"):
         run_session(scenario, 0)
+
+
+def builtin_commands():
+    """(command, builtin config) for every CLI command that plays sessions."""
+    configs = pathlib.Path(builtin_config_path("welfare_capacity")).parent
+    for path in sorted(configs.glob("*.yaml")):
+        config = load_config(str(path))
+        yield from [(command, path.stem) for command, block in (
+            ("simulate", True), ("sweep", config.sweep), ("pool", config.pool)
+        ) if block]
+
+
+BUILTIN_COMMANDS = list(builtin_commands())
 
 
 class TestPathChoice:
@@ -840,11 +1070,48 @@ class TestPathChoice:
         run_session(scenario, 0, **overrides)
         return len(calls)
 
-    @pytest.mark.parametrize("variant", ["hybrid", "fq"])
-    def test_hybrid_and_stateful_fq_loop(self, monkeypatch, variant):
+    @pytest.mark.parametrize("command, name", BUILTIN_COMMANDS)
+    def test_builtin_configs_never_loop(self, monkeypatch, tmp_path, command, name):
+        """No session of any builtin config's simulate, sweep or pool run
+        reaches the epoch loop."""
+        def refuse(*args):
+            raise AssertionError("the session fell back to the epoch loop")
+
+        monkeypatch.setattr(bandshare.engine, "_run_loop", refuse)
+        argv = [command, "--config", builtin_config_path(name), "--out-dir", str(tmp_path)]
+        assert main(argv + (["--runs", "3"] if command != "pool" else [])) == 0
+
+    def test_hybrid_scans_only_the_reserved_epochs(self, monkeypatch):
+        """A hybrid session on the sweep steps epochs one by one only while the
+        boosted buyer's reservation can hold: in impatient_deviation, up to
+        her 60-epoch deadline, not over the 600-epoch horizon, also when her
+        target is out of reach."""
         impatient = load_config(builtin_config_path("impatient_deviation"))
-        scenario = next(v for v in impatient.variants if v.name == variant).scenario
-        assert self.loop_calls(monkeypatch, scenario) == 1
+        scenario = next(v for v in impatient.variants if v.name == "hybrid").scenario
+        epochs = []
+        allocate = bandshare.engine._allocate_epoch
+        monkeypatch.setattr(
+            bandshare.engine, "_allocate_epoch", lambda *a: epochs.append(a[1]) or allocate(*a)
+        )
+        for target in (520.0, 5000.0):
+            boosted = replace(scenario, hybrid=replace(scenario.hybrid, target_bytes=target))
+            for seed in range(5):
+                epochs.clear()
+                run_session(boosted, seed)
+                assert epochs and max(epochs) <= scenario.hybrid.deadline
+
+    def test_stateful_fq_and_hybrid_loop(self, monkeypatch):
+        """fq with buffered demand, and hybrid with a stateful buyer keyed
+        above the boosted one, have no column-wise form and take the loop."""
+        impatient = load_config(builtin_config_path("impatient_deviation"))
+        base = impatient.sweep.apply(
+            next(v for v in impatient.variants if v.name == "hybrid").scenario, 20
+        )
+        hi = replace(base.buyers[0], demand=DemandSpec.buffered([10.0] * 90))
+        stateful_above = replace(base, buyers=(hi, *base.buyers[1:]))
+        assert self.loop_calls(monkeypatch, stateful_above) == 1
+        assert self.loop_calls(monkeypatch, replace(stateful_above, routing="fq")) == 1
+        assert self.loop_calls(monkeypatch, base) == 0
 
     def test_tied_stateful_group_sweeps(self, monkeypatch):
         scenario = Scenario(
@@ -867,21 +1134,28 @@ class TestEligibility:
     no charge, and the others play exactly as if she were absent.  Demand is
     deterministic, so dropping her moves no random draw."""
 
-    PATHS = {  # case: (routing, stateful demand, the path it takes)
-        "sweep": ("spq", False, "_run_sweep"),
-        "sweep-stateful": ("spq", True, "_run_sweep"),
-        "vector": ("fq", False, "_run_vectorized"),
-        "loop-fq": ("fq", True, "_run_loop"),
-        "loop-hybrid": ("hybrid", True, "_run_loop"),
+    PATHS = {  # case: (routing, buyers with stateful demand, its kind, the path taken)
+        "sweep": ("spq", "", None, "_run_sweep"),
+        "sweep-stateful": ("spq", "low b", "buffered", "_run_sweep"),
+        "sweep-hybrid": ("hybrid", "b", "impatient", "_run_sweep"),  # the boosted buyer
+        "vector": ("fq", "", None, "_run_vectorized"),
+        "vector-impatient": ("fq", "low b", "impatient", "_run_vectorized"),
+        "loop-fq": ("fq", "low b", "buffered", "_run_loop"),
+        "loop-hybrid": ("hybrid", "a low b", "buffered", "_run_loop"),  # a is keyed above b
+    }
+    DEMANDS = {
+        None: DemandSpec.constant,
+        "buffered": lambda k: DemandSpec.buffered([k] * 12),
+        "impatient": lambda k: DemandSpec.impatient(k, 6, 10.0),
     }
 
-    @staticmethod
-    def scenario(routing, stateful, mechanism, ineligible):
-        demand = (lambda k: DemandSpec.buffered([k] * 12)) if stateful else DemandSpec.constant
+    @classmethod
+    def scenario(cls, routing, stateful, kind, mechanism, ineligible):
+        demand = lambda buyer, k: cls.DEMANDS[kind if buyer in stateful.split() else None](k)
         buyers = (
-            BuyerSpec("a", 3.0, DemandSpec.constant(4.0), 1, 12),
-            BuyerSpec("low", 0.5, demand(6.0), 1, 12),
-            BuyerSpec("b", 2.0, demand(5.0), 2, 12),
+            BuyerSpec("a", 3.0, demand("a", 4.0), 1, 12),
+            BuyerSpec("low", 0.5, demand("low", 6.0), 1, 12),
+            BuyerSpec("b", 2.0, demand("b", 5.0), 2, 12),
         )
         return Scenario(
             buyers=buyers if ineligible else (buyers[0], buyers[2]),
@@ -897,15 +1171,15 @@ class TestEligibility:
     @pytest.mark.parametrize("mechanism", ["vmm", "fixed"])
     @pytest.mark.parametrize("case", sorted(PATHS))
     def test_ineligible_buyer_is_absent(self, monkeypatch, case, mechanism):
-        routing, stateful, path = self.PATHS[case]
+        routing, stateful, kind, path = self.PATHS[case]
         taken = []
         for name in ("_run_loop", "_run_sweep", "_run_vectorized"):
             run = getattr(bandshare.engine, name)
             monkeypatch.setattr(
                 bandshare.engine, name, lambda *a, run=run, name=name: taken.append(name) or run(*a)
             )
-        out = run_session(self.scenario(routing, stateful, mechanism, True), 0)
-        alone = run_session(self.scenario(routing, stateful, mechanism, False), 0)
+        out = run_session(self.scenario(routing, stateful, kind, mechanism, True), 0)
+        alone = run_session(self.scenario(routing, stateful, kind, mechanism, False), 0)
         assert taken == [path, path]
         assert out.bytes["low"] == 0.0 and out.payments["low"].net == 0.0
         assert not out.trace[:, 1].any()
@@ -941,7 +1215,10 @@ class TestScalarKernels:
         buyers = tuple(BuyerSpec(f"b{i}", 1.0, DemandSpec.constant(0.0)) for i in range(n))
         scenario = Scenario(buyers, capacity, routing=routing, horizon=1)
         groups = priority_groups(keys)
-        grants = _allocate_epoch(scenario, 1, capacity, active, presented, [0.0] * n, groups)
+        grants, left = _allocate_epoch(
+            scenario, 1, capacity, active, presented, [0.0] * n, groups
+        )
+        assert left == pytest.approx(max(0.0, capacity - sum(grants)), abs=1e-9)
         demand = np.array(presented)[:, None]
         kernels = {
             "fifo": lambda: proportional(demand, capacity),
@@ -1148,8 +1425,6 @@ class TestMonteCarlo:
     def test_welfare_weakly_decreasing_in_mu(self):
         # More resampling means more misordering; with paired seeds the mean
         # welfare is weakly decreasing across the mu grid.
-        from dataclasses import replace
-
         grid = [replace(self.scenario("bks"), mu=mu) for mu in (0.05, 0.2, 0.5)]
         means = [stats.welfare.mean for stats in run_monte_carlo(grid, 150, seed=3)]
         assert means[0] >= means[1] >= means[2], means
@@ -1171,8 +1446,6 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("field", ["buyers", "horizon"])
     def test_grid_rejects_scenarios_that_do_not_share_a_world(self, field):
-        from dataclasses import replace
-
         base = self.scenario("bks")
         other = replace(base, **{field: base.buyers[:2] if field == "buyers" else 90})
         with pytest.raises(ValueError, match="share their buyers and horizon"):
