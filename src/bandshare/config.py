@@ -14,6 +14,7 @@ with the file path and the dotted key path of the offending entry.
 
 from __future__ import annotations
 
+import itertools
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -107,10 +108,12 @@ def _tag(node: Any, key: str, tags: Mapping[str, Sequence[str]], what: str, path
     return tag
 
 
+# The optional flow_trace keys and their minimums; the constructor holds their defaults.
+_FLOW_MINIMUMS = {"mean_duration": 1e-9, "stddev_duration": 0, "mean_interarrival": 1e-9}
 # Config keys read by each demand model and each strategy kind.
 _DEMAND_KEYS = {
     "constant": ["rate"],
-    "flow_trace": ["mean_rate", "mean_duration", "stddev_duration", "mean_interarrival"],
+    "flow_trace": ["mean_rate", *_FLOW_MINIMUMS],
     "impatient": ["rate", "patience", "min_bytes"],
     "buffered": ["rate", "rates"],
     "time_varying": ["rates"],
@@ -131,17 +134,10 @@ def _parse_demand(node: Any, path: str, horizon: int) -> DemandSpec:
         rate = _number(_require(node, "rate", path), f"{path}.rate", 0)
         return _build(path, DemandSpec.constant, rate)
     if model == "flow_trace":
-        return _build(
-            path,
-            DemandSpec.flow_trace,
-            mean_rate=_number(_require(node, "mean_rate", path), f"{path}.mean_rate", 0),
-            horizon=horizon,
-            mean_duration=_number(node.get("mean_duration", 30.0), f"{path}.mean_duration", 1e-9),
-            stddev_duration=_number(node.get("stddev_duration", 30.0), f"{path}.stddev_duration", 0),
-            mean_interarrival=_number(
-                node.get("mean_interarrival", 30.0), f"{path}.mean_interarrival", 1e-9
-            ),
-        )
+        rate = _number(_require(node, "mean_rate", path), f"{path}.mean_rate", 0)
+        given = [k for k in _FLOW_MINIMUMS if k in node]
+        optional = {k: _number(node[k], f"{path}.{k}", _FLOW_MINIMUMS[k]) for k in given}
+        return _build(path, DemandSpec.flow_trace, rate, horizon, **optional)
     if model == "impatient":
         return _build(
             path,
@@ -382,6 +378,8 @@ def parse_config(doc: Any, source: str = "<config>") -> ExperimentConfig:
     sweep = None
     if doc.get("sweep") is not None:
         sweep = _parse_sweep(doc["sweep"], f"{source}.sweep")
+        for (i, x), variant in itertools.product(enumerate(sweep.values), variants):
+            _build(f"{source}.sweep.values[{i}]", sweep.apply, variant.scenario, x)
 
     pool = None
     if doc.get("pool") is not None:

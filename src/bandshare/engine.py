@@ -43,9 +43,9 @@ through ``query`` against a per-epoch capacity, allocating each epoch with
 
 A session call decides bids, eligibility and priority order once, by buyer
 position: ``_bid_records`` lists bids and routing keys in scenario order, and
-``_groups`` groups the eligible buyers by key, highest first.  Every path
-serves only those groups and records the demand it presents, and ``_finish``
-settles every buyer once, after allocation.
+``_groups`` groups the eligible buyers by key, highest first.  The paths see
+only those groups, never a bid, and return grants, presented demand and real
+and billed traffic; the session then makes the one ``_finish`` call.
 """
 
 from __future__ import annotations
@@ -91,6 +91,7 @@ __all__ = [
 ROUTING_POLICIES = ("spq", "fq", "fifo", "hybrid")
 MECHANISMS = ("bks", "vmm", "fixed")
 _STRATEGY_KINDS = ("greedy", "pad", "delay", "misreport")
+Played = Tuple[np.ndarray, np.ndarray, Sequence[float], Sequence[float]]  # see _finish
 
 
 def _whole(*values) -> bool:
@@ -228,6 +229,16 @@ class Scenario:
                 raise ValueError("hybrid routing needs boost parameters")
             if self.hybrid.buyer_id not in ids:
                 raise ValueError(f"boosted buyer {self.hybrid.buyer_id!r} is not in the scenario")
+        for b in self.buyers:
+            if not _fits(self, max(b.value, b.submitted_bid())):
+                raise ValueError(f"buyer {b.buyer_id!r}: value or bid overflows the session's sums")
+
+
+def _fits(scenario: Scenario, per_kb: float) -> bool:
+    """Whether ``per_kb`` >= 0 keeps a session's sums finite: a charge or rebate
+    is at most per_kb x capacity x horizon / mu, a utility adds three, welfare n."""
+    n = 3 * len(scenario.buyers)
+    return 0 <= per_kb * scenario.capacity * scenario.horizon / scenario.mu * n < np.inf
 
 
 @dataclass
@@ -288,22 +299,18 @@ def _bid_records(
     if unknown:
         raise ValueError(f"no buyer {', '.join(map(repr, unknown))} in the scenario")
     for buyer_id, bid in override.items():
-        if isinstance(bid, bool) or not (isinstance(bid, numbers.Real) and 0 <= bid < np.inf):
+        if isinstance(bid, bool) or not (isinstance(bid, numbers.Real) and _fits(scenario, bid)):
             raise ValueError(
-                f"bid override for buyer {buyer_id!r} must be a finite number >= 0, got {bid!r}"
+                f"bid override for buyer {buyer_id!r} must be >= 0 and not overflow, got {bid!r}"
             )
     records = []
     for buyer, (coin, gamma) in zip(scenario.buyers, draws):
         bid = float(override.get(buyer.buyer_id, buyer.submitted_bid()))
-        if scenario.mechanism == "bks" and bid >= scenario.reserve:
-            records.append(resample_bid(
-                buyer.buyer_id, bid, scenario.reserve, scenario.mu, coin, gamma,
-                forced.get(buyer.buyer_id),
-            ))
-        else:
-            records.append(BidRecord(
-                buyer.buyer_id, bid, bid, False, min(scenario.reserve, bid), scenario.mu
-            ))
+        resampled = scenario.mechanism == "bks" and bid >= scenario.reserve
+        records.append(resample_bid(
+            buyer.buyer_id, bid, min(scenario.reserve, bid), scenario.mu, coin, gamma,
+            forced.get(buyer.buyer_id) if resampled else False,
+        ))
     return records
 
 
@@ -326,13 +333,11 @@ def _stateful(buyer: BuyerSpec, realization: DemandRealization) -> bool:
 def _loops(scenario: Scenario, stateful: Sequence[bool]) -> bool:
     """Whether a session needs the loop: a stateful buyer other than the boosted
     one under hybrid, or other than a greedy impatient one under fq or fifo."""
-    if scenario.routing == "spq" or not any(stateful):
-        return False
     if scenario.routing == "hybrid":
         kept = [b.buyer_id == scenario.hybrid.buyer_id for b in scenario.buyers]
     else:
         kept = [b.demand.kind == "impatient" and _greedy(b) for b in scenario.buyers]
-    return any(s and not k for s, k in zip(stateful, kept))
+    return scenario.routing != "spq" and any(s and not k for s, k in zip(stateful, kept))
 
 
 def replay(scenario: Scenario, seed: int) -> Callable[..., SessionOutcome]:
@@ -340,10 +345,10 @@ def replay(scenario: Scenario, seed: int) -> Callable[..., SessionOutcome]:
 
     Materializes the demand realizations and resampling draws once and
     returns ``session(bid_override=None, force_resample=None)``.
-    ``bid_override`` replaces buyers' submitted bids by finite numbers >= 0
-    and ``force_resample`` pins buyers' resampling coins (keeping their gamma
-    draws); every call sees the same world, and an id that names no buyer is
-    a ``ValueError``.
+    ``bid_override`` replaces buyers' submitted bids by numbers >= 0 whose
+    products with the session's traffic stay finite, and ``force_resample``
+    pins buyers' resampling coins (keeping their gamma draws); every call
+    sees the same world, and an id that names no buyer is a ``ValueError``.
     """
     return _replays([scenario], seed)[0]
 
@@ -366,10 +371,12 @@ def _replays(scenarios: Sequence[Scenario], seed: int) -> List[Callable[..., Ses
         records = _bid_records(scenario, draws, bid_override, force_resample)
         groups = _groups(scenario, records)
         if demand is None:
-            return _run_loop(scenario, realizations, records, groups)
-        if scenario.routing in ("fq", "fifo"):
-            return _run_vectorized(scenario, demand, records, groups)
-        return _run_sweep(scenario, realizations, demand, records, groups, stateful)
+            played = _run_loop(scenario, realizations, groups)
+        elif scenario.routing in ("fq", "fifo"):
+            played = _run_vectorized(scenario, demand, groups)
+        else:
+            played = _run_sweep(scenario, realizations, demand, groups, stateful)
+        return _finish(scenario, records, *played)
 
     return [partial(session, s, None if loop else matrix) for s, loop in zip(scenarios, looped)]
 
@@ -389,17 +396,16 @@ def run_session(
 def _run_loop(
     scenario: Scenario,
     realizations: Sequence[DemandRealization],
-    records: Sequence[BidRecord],
     groups: List[List[int]],
-) -> SessionOutcome:
+) -> Played:
     """Every eligible buyer played epoch by epoch at full capacity, with the
-    demand they present recorded only for the VMM charges."""
+    demand they present recorded for the VMM charges."""
     n, T = len(scenario.buyers), scenario.horizon
     grants = np.zeros((n, T))
-    shown = np.zeros((n, T)) if scenario.mechanism == "vmm" else None
+    shown = np.zeros((n, T))
     capacity = np.full(T, float(scenario.capacity))
-    x_real, x_billed = _play(scenario, realizations, groups, capacity, grants, shown)
-    return _finish(scenario, records, x_real, x_billed, shown, grants)
+    x_real = _play(scenario, realizations, groups, capacity, grants, shown)
+    return grants, shown, x_real, _moved(grants)
 
 
 def _play(
@@ -408,16 +414,16 @@ def _play(
     groups: List[List[int]],
     capacity: np.ndarray,
     grants: np.ndarray,
-    shown: Optional[np.ndarray],
-) -> Tuple[List[float], List[float]]:
+    shown: np.ndarray,
+) -> List[float]:
     """The eligible buyers in ``groups`` played epoch by epoch through ``query``.
 
     Each epoch ``t`` splits ``capacity[t - 1]`` among them with
     ``_allocate_epoch``, which serves ``groups`` in order under strict
-    priority.  Writes their grants and the demand they present (``shown``;
-    None skips it) in the epochs they are active, leaves in ``capacity`` what
-    they did not take, and returns every buyer's real and billed traffic,
-    zero outside ``groups``.
+    priority.  Writes their grants and the demand they present (``shown``) in
+    the epochs they are active, leaves in ``capacity`` what they did not
+    take, and returns every buyer's real traffic, zero outside ``groups``;
+    the billed traffic is the grants' own total.
     """
     buyers = scenario.buyers
     n = len(buyers)
@@ -429,7 +435,6 @@ def _play(
     queries = [r.query for r in realizations]
     cap = capacity.tolist()
     x_real = [0.0] * n
-    x_billed = [0.0] * n
     gen_history: List[Dict[int, float]] = [dict() for _ in range(n)]
     for t in range(1, scenario.horizon + 1):
         active: List[int] = []
@@ -463,12 +468,10 @@ def _play(
             # advances the demand model; padded or stale bytes are billed but
             # worthless.
             x_real[i] += consumed if consumed <= truth[i] else truth[i]
-            x_billed[i] += consumed
             grants[i, t - 1] = consumed
-            if shown is not None:
-                shown[i, t - 1] = presented[i]
+            shown[i, t - 1] = presented[i]
     capacity[:] = cap
-    return x_real, x_billed
+    return x_real
 
 
 def _allocate_epoch(
@@ -565,9 +568,8 @@ def _shown(demand: np.ndarray, groups: List[List[int]]) -> np.ndarray:
 def _run_vectorized(
     scenario: Scenario,
     demand: np.ndarray,
-    records: Sequence[BidRecord],
     groups: List[List[int]],
-) -> SessionOutcome:
+) -> Played:
     """Vector path for fq and fifo: greedy buyers with memoryless or impatient
     demand.  An impatient row is first her rate k; then, by increasing patience
     epoch p (equal p together, as zeroing after p leaves the columns up to p),
@@ -584,16 +586,13 @@ def _run_vectorized(
         if params["p"] < hi:
             tests.append((params["p"], i, params["m"]))
     grants = kernel(shown, scenario.capacity)
-    if not impatient:  # one kernel call and pairwise totals
-        x = grants.sum(axis=1)
-        return _finish(scenario, records, x, x, shown, grants)
     for p, batch in itertools.groupby(sorted(tests), key=lambda test: test[0]):
         quit = [i for _, i, m in batch if not np.cumsum(grants[i, :p])[-1] > m]
         if quit:
             shown[quit, p:] = 0.0
             grants[:, p:] = kernel(shown[:, p:], scenario.capacity)
-    x = _moved(grants)
-    return _finish(scenario, records, x, x, shown, grants)
+    x = _moved(grants) if impatient else grants.sum(axis=1)  # pairwise sums are cheaper
+    return grants, shown, x, x
 
 
 def _moved(grants: np.ndarray) -> np.ndarray:
@@ -605,10 +604,9 @@ def _run_sweep(
     scenario: Scenario,
     realizations: Sequence[DemandRealization],
     demand: np.ndarray,
-    records: Sequence[BidRecord],
     groups: List[List[int]],
     stateful: Sequence[bool],
-) -> SessionOutcome:
+) -> Played:
     """Strict priority played one of ``groups`` at a time, highest key first.
 
     ``residual`` holds the capacity that the groups above have left in each
@@ -638,13 +636,13 @@ def _run_sweep(
                 shown[i, lo - 1 : hi], grants[i, lo - 1 : hi] = served
                 residual[lo - 1 : hi] -= served[1]
             continue
-        x_real = _play(scenario, realizations, [rows], residual, grants, shown)[0]
+        x_real = _play(scenario, realizations, [rows], residual, grants, shown)
         played.update((j, x_real[j]) for j in rows)
     # Paced grants are fractions, so a hybrid session adds them in epoch order
     # as the loop does; spq keeps its pairwise sums.
     x_billed = (_moved(grants) if top >= 0 else grants.sum(axis=1)).tolist()
     x_real = [played.get(i, x) for i, x in enumerate(x_billed)]
-    return _finish(scenario, records, x_real, x_billed, shown, grants)
+    return grants, shown, x_real, x_billed
 
 
 def _greedy(buyer: BuyerSpec) -> bool:
@@ -678,7 +676,7 @@ def _boost(
         return -1, {}
     upper = groups[: top + 1]
     if stateful[b] and not (len(upper[-1]) == 1 and _greedy(buyers[b]) and realizations[b].serves):
-        x_real = _play(scenario, realizations, upper, residual, grants, shown)[0]
+        x_real = _play(scenario, realizations, upper, residual, grants, shown)
         return top, {j: x_real[j] for j in upper[-1]}
     for rows in upper:
         fill_group(shown, rows, residual, grants)
@@ -695,8 +693,7 @@ def _boost(
         taken.append(g)
         offered.append(col[b])
     end = lo - 1 + len(taken)  # the last epoch scanned
-    if taken:
-        grants[:, lo - 1 : end], shown[b, lo - 1 : end] = np.array(taken).T, offered
+    grants[:, lo - 1 : end], shown[b, lo - 1 : end] = np.array(taken).T, offered
     if stateful[b] and end < hi:
         served = realizations[b].serve(residual[end:hi], end + 1, x[b])
         shown[b, end:hi], grants[b, end:hi] = served
@@ -707,10 +704,10 @@ def _boost(
 def _finish(
     scenario: Scenario,
     records: Sequence[BidRecord],
+    grants: np.ndarray,
+    shown: np.ndarray,
     x_real: Sequence[float],
     x_billed: Sequence[float],
-    shown: Optional[np.ndarray],
-    grants: np.ndarray,
 ) -> SessionOutcome:
     """Settle every buyer at departure and build the outcome, whose trace is
     ``grants`` transposed.  VMM charges depend only on the bids and the (n, T)
@@ -730,10 +727,9 @@ def _finish(
             gross = fixed_price_settle(x, scenario.price)
             payments[rec.buyer_id] = PaymentOutcome(rec.buyer_id, x, gross, 0.0)
     real = {b.buyer_id: float(x_real[i]) for i, b in enumerate(buyers)}
-    utilities = {
-        b.buyer_id: b.value * real[b.buyer_id] - payments[b.buyer_id].net for b in buyers
-    }
-    welfare = sum(b.value * real[b.buyer_id] for b in buyers)
+    worth = {b.buyer_id: b.value * real[b.buyer_id] for b in buyers}
+    utilities = {b: w - payments[b].net for b, w in worth.items()}
+    welfare = sum(worth.values())
     revenue = sum(p.net for p in payments.values())
     return SessionOutcome(
         buyer_ids=[b.buyer_id for b in buyers],

@@ -106,6 +106,20 @@ def _tax_rate(own_credit: float, other_deficit: float) -> tuple[float, float]:
     return float("inf"), 1.0
 
 
+def _split_taxes(
+    credit: Sequence[float], paid: Sequence[float], rng: np.random.Generator
+) -> Tuple[Tuple[List[int], List[int]], Tuple[float, float], Tuple[float, float]]:
+    """Split sellers 0..n-1 into halves by one permutation (its first n // 2,
+    then the rest) and tax each half's above-reserve ``credit`` to recover the
+    other half's deficit, its credit minus what its buyers ``paid`` above
+    reserve.  Returns the halves and each half's (raw, capped) tax rate."""
+    order = rng.permutation(len(credit)).tolist()
+    halves = order[: len(order) // 2], order[len(order) // 2 :]
+    credits = [sum(credit[i] for i in half) for half in halves]
+    deficits = [c - sum(paid[i] for i in half) for c, half in zip(credits, halves)]
+    return halves, _tax_rate(credits[0], deficits[1]), _tax_rate(credits[1], deficits[0])
+
+
 def settle_pool(ledgers: Sequence[SellerLedger], rng: np.random.Generator) -> PoolSettlement:
     """Settle one accounting period for a pool of same-reserve sellers.
 
@@ -120,35 +134,23 @@ def settle_pool(ledgers: Sequence[SellerLedger], rng: np.random.Generator) -> Po
             raise ValueError(
                 f"mixed reserves in pool: {led.reserve} vs {reserve} (seller {led.seller_id})"
             )
-    by_id = {led.seller_id: led for led in ledgers}
-    if len(by_id) != len(ledgers):
+    if len({led.seller_id for led in ledgers}) != len(ledgers):
         raise ValueError("duplicate seller ids in pool")
 
-    ids = list(by_id)
-    perm = rng.permutation(len(ids))
-    half = len(ids) // 2
-    s1 = tuple(ids[i] for i in perm[:half])
-    s2 = tuple(ids[i] for i in perm[half:])
-
-    credit = {s: led.credit_above_reserve() for s, led in by_id.items()}
-    paid = {s: led.payments_above_reserve() for s, led in by_id.items()}
-    credit1 = sum(credit[s] for s in s1)
-    credit2 = sum(credit[s] for s in s2)
-    deficit1 = credit1 - sum(paid[s] for s in s1)
-    deficit2 = credit2 - sum(paid[s] for s in s2)
-    raw_tax1, tax1 = _tax_rate(credit1, deficit2)
-    raw_tax2, tax2 = _tax_rate(credit2, deficit1)
+    credit = [led.credit_above_reserve() for led in ledgers]
+    paid = [led.payments_above_reserve() for led in ledgers]
+    halves, (raw_tax1, tax1), (raw_tax2, tax2) = _split_taxes(credit, paid, rng)
 
     transfers = {}
-    for ids, tax in ((s1, tax1), (s2, tax2)):
-        for s in ids:
-            transfers[s] = by_id[s].reserve_revenue() + (1.0 - tax) * credit[s]
+    for half, tax in zip(halves, (tax1, tax2)):
+        for i in half:
+            transfers[ledgers[i].seller_id] = ledgers[i].reserve_revenue() + (1.0 - tax) * credit[i]
 
     total_buyer_payments = sum(led.buyer_payments() for led in ledgers)
     center_residual = total_buyer_payments - sum(transfers.values())
 
     return PoolSettlement(
-        split=(s1, s2),
+        split=tuple(tuple(ledgers[i].seller_id for i in half) for half in halves),
         raw_tax1=raw_tax1,
         raw_tax2=raw_tax2,
         tax1=tax1,
@@ -178,16 +180,8 @@ def tax_admissibility_estimate(
         raise ValueError("need at least one trial")
     exceed = 0
     for _ in range(n_trials):
-        draws = [sampler(rng) for _ in range(2 * m)]
-        order = rng.permutation(2 * m)
-        half1 = [draws[i] for i in order[:m]]
-        half2 = [draws[i] for i in order[m:]]
-        c1 = sum(d[0] for d in half1)
-        t1 = sum(d[1] for d in half1)
-        c2 = sum(d[0] for d in half2)
-        t2 = sum(d[1] for d in half2)
-        raw1, _ = _tax_rate(c1, c2 - t2)
-        raw2, _ = _tax_rate(c2, c1 - t1)
+        credit, paid = zip(*[sampler(rng) for _ in range(2 * m)])
+        _, (raw1, _), (raw2, _) = _split_taxes(credit, paid, rng)
         if max(raw1, raw2) > 1.0:
             exceed += 1
     return exceed / n_trials

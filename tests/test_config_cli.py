@@ -4,6 +4,7 @@ import copy
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -126,6 +127,26 @@ class TestParsing:
         doc[key] = value
         with pytest.raises(ConfigError, match=rf"conf\.yaml\.{key}: "):
             parse_config(yaml.safe_load(yaml.safe_dump(doc)), source="conf.yaml")
+
+    @pytest.mark.parametrize(
+        "block, node, path",
+        [
+            ("buyers", [{"id": "a", "value": 1e308, "demand": {"model": "constant", "rate": 8}}],
+             "conf.yaml"),
+            ("mechanisms", [{"mechanism": "bks", "mu": 1e-306}], "conf.yaml.mechanisms[0]"),
+            ("sweep", {"variable": "capacity", "values": [12, 1e306]}, "conf.yaml.sweep.values[1]"),
+        ],
+        ids=["value", "variant", "sweep-point"],
+    )
+    def test_overflowing_scenario_is_a_config_error(self, block, node, path):
+        """A value, a variant or a sweep point whose products with a session's
+        traffic overflow is rejected at its key path; each used to play to NaN
+        or infinite utilities."""
+        doc = copy.deepcopy(MINI_DOC)
+        doc[block] = node
+        message = rf"^{re.escape(path)}: buyer 'a': value or bid overflows"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(doc, source="conf.yaml")
 
     @pytest.mark.parametrize(
         "field, node, key",

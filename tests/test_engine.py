@@ -4,12 +4,14 @@ Covers the worked VCG manipulation example, strategy identities, the isolation
 and monotonicity properties of strict-priority routing, welfare against the
 offline optimum (value-ordered service for memoryless demand, a brute-force
 enumerator for stateful demand), Monte Carlo determinism, the tie rule,
-parameter checks (NaN, infinities, non-numbers, bools, fractional epoch
-counts), numpy scalar capacities, the equivalence of the epoch loop's
-allocator and the routing kernels and of the priority sweep (hybrid routing
-included) and the vector path (impatient buyers included) with the epoch
-loop, which session takes which path, that an ineligible buyer is absent on
-every path, and world replay under counterfactual bids.
+parameter checks (NaN, infinities, values and bids whose products overflow,
+non-numbers, bools, fractional epoch counts), numpy scalar capacities, the
+equivalence of the epoch loop's allocator and the routing kernels and of the
+priority sweep (hybrid routing included) and the vector path (impatient
+buyers included) with the epoch loop, which session takes which path, that
+an ineligible buyer is absent on every path, that bids reach the allocation
+only through the priority groups, and world replay under counterfactual
+bids.
 """
 
 import itertools
@@ -34,6 +36,7 @@ from bandshare.engine import (
     _allocate_epoch,
     _bid_records,
     _demand_matrix,
+    _finish,
     _groups,
     _loops,
     _run_loop,
@@ -229,6 +232,29 @@ def test_infinite_parameters_rejected(message, build):
     # ``query`` rejects it on the loop.
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("mechanism", ["bks", "vmm", "fixed"])
+@pytest.mark.parametrize(
+    "buyer",
+    [
+        BuyerSpec("a", 1e308, DemandSpec.constant(10.0), 1, 10),
+        BuyerSpec(
+            "a", 1e300, DemandSpec.constant(10.0), 1, 10, Strategy("misreport", bid_factor=1e8)
+        ),
+    ],
+    ids=["value", "bid"],
+)
+def test_overflowing_value_or_bid_rejected(buyer, mechanism):
+    # Finite but huge: a value of 1e308 beside a second buyer on capacity 1.5
+    # played, with utility NaN under bks and infinite welfare on every mechanism.
+    other = BuyerSpec("b", 1.0, DemandSpec.constant(10.0), 1, 10)
+    with pytest.raises(ValueError, match="^buyer 'a': value or bid overflows"):
+        Scenario((buyer, other), 1.5, mechanism=mechanism, horizon=10)
+    # A value of 1e300 passes, and the sums of its session stay finite.
+    near = replace(buyer, value=1e300, strategy=Strategy("greedy"))
+    out = run_session(Scenario((near, other), 1.5, mechanism=mechanism, horizon=10), 0)
+    assert all(np.isfinite([out.welfare, out.seller_revenue, *out.utilities.values()]))
 
 
 @pytest.mark.parametrize(
@@ -877,6 +903,11 @@ def assert_close_outcome(fast, slow):
     np.testing.assert_allclose(fast.trace, slow.trace, rtol=0, atol=1e-9)
 
 
+def settled(scenario, records, path, *args):
+    """A path's allocation settled by ``_finish``, as a replayed session settles it."""
+    return _finish(scenario, records, *path(scenario, *args))
+
+
 def contest_scenarios():
     """The strict-priority scenarios of the builtin contest configs."""
     impatient = load_config(builtin_config_path("impatient_deviation"))
@@ -908,8 +939,9 @@ class TestPathEquivalence:
         realizations, draws = _world(scenario.buyers, seed)
         records = _bid_records(scenario, draws, None, None)
         groups = _groups(scenario, records)
-        fast = _run_vectorized(scenario, _demand_matrix(scenario, realizations), records, groups)
-        assert_close_outcome(fast, _run_loop(scenario, realizations, records, groups))
+        demand = _demand_matrix(scenario, realizations)
+        fast = settled(scenario, records, _run_vectorized, demand, groups)
+        assert_close_outcome(fast, settled(scenario, records, _run_loop, realizations, groups))
 
     @given(scenario=priority_scenarios(), seed=st.integers(0, 2**32))
     @settings(max_examples=300, deadline=None)
@@ -921,8 +953,8 @@ class TestPathEquivalence:
         groups = _groups(scenario, records)
         stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
         demand = _demand_matrix(scenario, realizations)
-        fast = _run_sweep(scenario, realizations, demand, records, groups, stateful)
-        assert_close_outcome(fast, _run_loop(scenario, realizations, records, groups))
+        fast = settled(scenario, records, _run_sweep, realizations, demand, groups, stateful)
+        assert_close_outcome(fast, settled(scenario, records, _run_loop, realizations, groups))
 
     @given(scenario=impatient_scenarios(), seed=st.integers(0, 2**32), data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -941,23 +973,25 @@ class TestPathEquivalence:
         if tested and data.draw(st.booleans()):
             i = data.draw(st.sampled_from(tested))
             k, p = (scenario.buyers[i].demand.params[name] for name in "kp")
-            moved = np.cumsum(_run_loop(scenario, realizations, records, groups).trace[:p, i])[-1]
+            moved = np.cumsum(_run_loop(scenario, realizations, groups)[0][i, :p])[-1]
             buyers = list(scenario.buyers)
             buyers[i] = replace(buyers[i], demand=DemandSpec.impatient(k, p, float(moved)))
             scenario = replace(scenario, buyers=tuple(buyers))
             realizations = _world(scenario.buyers, seed)[0]
         stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
         assert not _loops(scenario, stateful)
-        fast = _run_vectorized(scenario, _demand_matrix(scenario, realizations), records, groups)
-        assert_close_outcome(fast, _run_loop(scenario, realizations, records, groups))
+        demand = _demand_matrix(scenario, realizations)
+        fast = settled(scenario, records, _run_vectorized, demand, groups)
+        assert_close_outcome(fast, settled(scenario, records, _run_loop, realizations, groups))
 
     @staticmethod
     def vector_and_loop(scenario, seed=0):
         realizations, draws = _world(scenario.buyers, seed)
         records = _bid_records(scenario, draws, None, None)
         groups = _groups(scenario, records)
-        fast = _run_vectorized(scenario, _demand_matrix(scenario, realizations), records, groups)
-        return fast, _run_loop(scenario, realizations, records, groups)
+        demand = _demand_matrix(scenario, realizations)
+        fast = settled(scenario, records, _run_vectorized, demand, groups)
+        return fast, settled(scenario, records, _run_loop, realizations, groups)
 
     def test_impatient_buyers_are_tested_in_patience_order(self):
         """"late" moves more than her minimum by epoch 4 only because "early"
@@ -999,8 +1033,8 @@ class TestPathEquivalence:
         stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
         assert not _loops(scenario, stateful)
         demand = _demand_matrix(scenario, realizations)
-        fast = _run_sweep(scenario, realizations, demand, records, groups, stateful)
-        assert_close_outcome(fast, _run_loop(scenario, realizations, records, groups))
+        fast = settled(scenario, records, _run_sweep, realizations, demand, groups, stateful)
+        assert_close_outcome(fast, settled(scenario, records, _run_loop, realizations, groups))
 
     @pytest.mark.parametrize("name", sorted(exact_cases()))
     def test_contest_configs_sweep_exactly_as_loop(self, name):
@@ -1015,7 +1049,8 @@ class TestPathEquivalence:
                 realizations, draws = _world(scenario.buyers, seed)
                 for override in (None, {first: 1.9}):
                     records = _bid_records(scenario, draws, override, None)
-                    loop = _run_loop(scenario, realizations, records, _groups(scenario, records))
+                    groups = _groups(scenario, records)
+                    loop = settled(scenario, records, _run_loop, realizations, groups)
                     assert_same_outcome(session(override), loop)
 
 
@@ -1191,6 +1226,85 @@ class TestEligibility:
 
 
 @st.composite
+def same_groups_bids(draw, path):
+    """A scenario of 2-4 buyers whose sessions take ``path``, and two bid
+    overrides that give the same eligible priority groups.  Each buyer draws
+    a rank; rank 0 (when the floor is above 0) bids anything below the floor,
+    and ranks 1-3 bid three increasing levels at or above it, drawn afresh
+    for each override, so ties and order agree and every bid moves."""
+    horizon = draw(st.integers(1, 20))
+    rate = st.floats(0.0, 20.0)
+    memoryless = rate.map(DemandSpec.constant)
+    buffered = st.lists(rate, min_size=1, max_size=horizon).map(DemandSpec.buffered)
+    impatient = st.builds(
+        DemandSpec.impatient, rate, st.integers(1, horizon + 1), st.floats(0.0, 80.0)
+    )
+    anything = st.one_of(memoryless, buffered, impatient)
+    routings, models = {
+        "sweep": (["spq"], [anything] * 4),
+        "boost": (["hybrid"], [anything] + [memoryless] * 3),  # b0 is the boosted buyer
+        "vector": (["fq", "fifo"], [st.one_of(memoryless, impatient)] * 4),
+        "loop": (["fq", "fifo", "hybrid"], [anything, buffered] + [anything] * 2),
+    }[path]
+    routing = draw(st.sampled_from(routings))
+    buyers = []
+    for k in range(draw(st.integers(2, 4))):
+        arrival = draw(st.integers(0, 3))
+        departure = draw(st.integers(arrival, horizon + 2))
+        buyers.append(BuyerSpec(f"b{k}", 1.0, draw(models[k]), arrival, departure))
+    mechanism = draw(st.sampled_from(["bks", "vmm", "fixed"]))
+    floor = draw(st.sampled_from([0.0, 1.0, 3.0]))
+    scenario = Scenario(
+        buyers=tuple(buyers),
+        capacity=draw(st.floats(0.5, 40.0)),
+        routing=routing,
+        mechanism=mechanism,
+        reserve=0.0 if mechanism == "fixed" else floor,
+        price=floor if mechanism == "fixed" else 0.0,
+        horizon=horizon,
+        hybrid=HybridBoost("b0", draw(st.floats(0.0, 150.0)), draw(st.integers(1, horizon + 2)))
+        if routing == "hybrid" else None,
+    )
+    ranks = [draw(st.integers(0 if floor > 0 else 1, 3)) for _ in buyers]
+
+    def bids():
+        levels = sorted(draw(st.lists(
+            st.floats(floor, floor + 10.0), min_size=3, max_size=3, unique=True
+        )))
+        below = st.floats(0.0, floor, exclude_max=True)
+        return {b.buyer_id: levels[r - 1] if r else draw(below) for b, r in zip(buyers, ranks)}
+
+    return scenario, bids(), bids()
+
+
+class TestBidBlindAllocation:
+    """Bids reach the allocation only through the eligible priority groups:
+    on one replayed world, two bid overrides that give the same groups give
+    the same trace and the same real and billed bytes on every path; only
+    payments and utilities may differ.  Under bks every resampling coin is
+    forced off, so the routing keys are the bids."""
+
+    @pytest.mark.parametrize("path", ["sweep", "boost", "vector", "loop"])
+    @given(data=st.data(), seed=st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_same_groups_give_the_same_allocation(self, path, data, seed):
+        scenario, first, second = data.draw(same_groups_bids(path))
+        realizations, draws = _world(scenario.buyers, seed)
+        stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
+        assert _loops(scenario, stateful) == (path == "loop")
+        forced = {b.buyer_id: False for b in scenario.buyers}
+        records = [_bid_records(scenario, draws, bids, forced) for bids in (first, second)]
+        assert _groups(scenario, records[0]) == _groups(scenario, records[1])
+        session = replay(scenario, seed)
+        one, two = session(first, forced), session(second, forced)
+        np.testing.assert_array_equal(one.trace, two.trace)
+        assert one.bytes == two.bytes
+        assert {b: p.bytes for b, p in one.payments.items()} == {
+            b: p.bytes for b, p in two.payments.items()
+        }
+
+
+@st.composite
 def epoch_columns(draw):
     """One epoch of n <= 6 buyers: tied or distinct keys, a random active
     subset, zero or positive demand for the active buyers, and a capacity."""
@@ -1324,13 +1438,13 @@ class TestReplay:
             run_session(scenario, 0, **overrides)
 
     @pytest.mark.parametrize(
-        "bid", ["3", -1.0, float("nan"), float("inf"), True],
-        ids=["str", "negative", "nan", "inf", "bool"],
+        "bid", ["3", -1.0, float("nan"), float("inf"), True, 1e308],
+        ids=["str", "negative", "nan", "inf", "bool", "overflow"],
     )
     def test_bad_bid_override_rejected(self, bid):
-        # These used to play: "3" as 3, -1 as an ineligible bid, inf as NaN
-        # utilities under vmm and True as 1; NaN failed with a message about
-        # the perturbed bid that named no buyer.
+        # These used to play: "3" as 3, -1 as an ineligible bid, inf and
+        # 1e308 as NaN or infinite utilities under vmm and True as 1; NaN
+        # failed with a message about the perturbed bid that named no buyer.
         scenario = contest_scenarios()["packet_contest_vcg"]
         with pytest.raises(ValueError, match="bid override for buyer 'b1'"):
             run_session(scenario, 0, bid_override={"b1": bid})

@@ -21,6 +21,9 @@ not count as a use.
 A session's eligibility and priority order are decided in one place: only
 one engine function calls ``priority_groups``, and it is the one that applies
 the eligibility floor (the reserve, or the posted price under ``fixed``).
+Allocation is bid-blind and settlement happens once: no allocation function
+takes the bid records or reads a bid, a routing key or a resampling flag, and
+one engine function, the replayed session, calls ``_finish``.
 
 The benchmark's tracer (``bench/tracing.py``) patches package names by
 attribute; it must find every one of them and put each original back.
@@ -167,6 +170,45 @@ def test_priority_and_eligibility_decided_in_one_engine_function():
     assert len(callers) == 1, f"priority_groups called from {[f.name for f in callers]}"
     reads = {sub.attr for sub in ast.walk(callers[0]) if isinstance(sub, ast.Attribute)}
     assert {"bid", "reserve", "price"} <= reads, f"{callers[0].name} applies no eligibility floor"
+
+
+ENGINE = ast.parse((SRC / "engine.py").read_text())
+ALLOCATION = [
+    "_run_loop", "_run_vectorized", "_run_sweep", "_boost", "_play", "_allocate_epoch", "_share"
+]
+BID_FIELDS = {"bid", "perturbed_bid", "resampled"}
+
+
+def _own_nodes(func):
+    """The nodes of ``func``'s body, without those of the functions defined in it."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_sessions_settle_in_one_place():
+    callers = [
+        func.name
+        for func in ast.walk(ENGINE)
+        if isinstance(func, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Call) and ast.unparse(node.func) == "_finish"
+            for node in _own_nodes(func)
+        )
+    ]
+    assert callers == ["session"], f"_finish called from {callers}"
+
+
+@pytest.mark.parametrize("name", ALLOCATION)
+def test_allocation_is_bid_blind(name):
+    func = next(f for f in ENGINE.body if isinstance(f, ast.FunctionDef) and f.name == name)
+    params = {a.arg for a in func.args.args + func.args.kwonlyargs}
+    assert "records" not in params, f"{name} takes the bid records"
+    reads = {n.attr for n in ast.walk(func) if isinstance(n, ast.Attribute)} & BID_FIELDS
+    assert not reads, f"{name} reads {sorted(reads)}"
 
 
 def _public_names(tree):
