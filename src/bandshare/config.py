@@ -7,30 +7,24 @@ blocks add mechanism variants to compare, a sweep over capacity / reserve /
 mu, and a multi-seller pool.
 
 Validation is strict: unknown keys (also keys that the chosen demand model or
-strategy does not read), missing required keys, bad types, unknown tags, and
-values that the scenario objects reject are all reported as a ``ConfigError``
-with the file path and the dotted key path of the offending entry.
+strategy does not read), missing required keys, unknown tags, and values that
+the scenario objects reject are all reported as a ``ConfigError`` with the
+file path and the dotted key path of the offending entry.  The constructors
+of those objects own every type and range check of the values they take;
+this module maps the field a constructor names to its key.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import sys
 from dataclasses import dataclass, replace
 from typing import Any, Callable, List, Mapping, Optional, Sequence
 
 import yaml
 
-from bandshare.demand import DemandSpec
-from bandshare.engine import (
-    MECHANISMS,
-    ROUTING_POLICIES,
-    BuyerSpec,
-    HybridBoost,
-    Scenario,
-    Strategy,
-)
+from bandshare.demand import DemandSpec, FieldError
+from bandshare.engine import BuyerSpec, HybridBoost, Scenario, Strategy
 
 __all__ = [
     "ConfigError",
@@ -73,28 +67,28 @@ def _check_keys(mapping: Mapping, allowed: Sequence[str], path: str) -> None:
         raise _err(path, f"unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
+# The config key of each constructor field whose name differs from its key.
+_KEYS = {"k": "rate", "p": "patience", "m": "min_bytes", "g": "rates", "pad": "rate",
+         "delay_epochs": "epochs", "bid_factor": "factor", "target_bytes": "bytes"}
+
+
 def _build(path: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-    """``make(*args, **kwargs)``, reporting its ``ValueError`` as a config error at ``path``."""
+    """``make(*args, **kwargs)``, reporting its ``ValueError`` as a config error:
+    at the key of the field it names when that field is one of ``kwargs``,
+    else at ``path``.  The constructors own every range check."""
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
+        if isinstance(exc, FieldError) and exc.field in kwargs:
+            path = f"{path}.{_KEYS.get(exc.field, exc.field)}"
         raise _err(path, str(exc)) from exc
 
 
-def _number(value: Any, path: str, minimum: Optional[float] = None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _err(path, f"expected a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints too big for a float
-        raise _err(path, f"expected a finite number, got {value}")
-    if minimum is not None and value < minimum:
-        raise _err(path, f"must be >= {minimum}, got {value}")
-    return float(value)
-
-
-def _integer(value: Any, path: str, minimum: Optional[int] = None) -> int:
+# Only for the keys that config reads itself: the horizon, runs, seed and the pool's counts.
+def _integer(value: Any, path: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise _err(path, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
+    if value < minimum:
         raise _err(path, f"must be >= {minimum}, got {value}")
     return value
 
@@ -108,69 +102,52 @@ def _tag(node: Any, key: str, tags: Mapping[str, Sequence[str]], what: str, path
     return tag
 
 
-# The optional flow_trace keys and their minimums; the constructor holds their defaults.
-_FLOW_MINIMUMS = {"mean_duration": 1e-9, "stddev_duration": 0, "mean_interarrival": 1e-9}
 # Config keys read by each demand model and each strategy kind.
 _DEMAND_KEYS = {
     "constant": ["rate"],
-    "flow_trace": ["mean_rate", *_FLOW_MINIMUMS],
+    "flow_trace": ["mean_rate", "mean_duration", "stddev_duration", "mean_interarrival"],
     "impatient": ["rate", "patience", "min_bytes"],
     "buffered": ["rate", "rates"],
     "time_varying": ["rates"],
 }
-_STRATEGY_KEYS = {"greedy": [], "pad": ["rate"], "delay": ["epochs"], "misreport": ["factor"]}
-
-
-def _rates(node: Mapping, path: str) -> List[float]:
-    rates = _require(node, "rates", path)
-    if not isinstance(rates, list) or not rates:
-        raise _err(f"{path}.rates", "expected a nonempty list of numbers")
-    return [_number(v, f"{path}.rates[{i}]", 0) for i, v in enumerate(rates)]
+# The field that each strategy kind sets, if any.
+_STRATEGY_FIELD = {"greedy": None, "pad": "pad", "delay": "delay_epochs", "misreport": "bid_factor"}
+_STRATEGY_KEYS = {kind: [_KEYS[f]] if f else [] for kind, f in _STRATEGY_FIELD.items()}
 
 
 def _parse_demand(node: Any, path: str, horizon: int) -> DemandSpec:
     model = _tag(node, "model", _DEMAND_KEYS, "demand model", path)
     if model == "constant":
-        rate = _number(_require(node, "rate", path), f"{path}.rate", 0)
-        return _build(path, DemandSpec.constant, rate)
+        return _build(path, DemandSpec.constant, k=_require(node, "rate", path))
     if model == "flow_trace":
-        rate = _number(_require(node, "mean_rate", path), f"{path}.mean_rate", 0)
-        given = [k for k in _FLOW_MINIMUMS if k in node]
-        optional = {k: _number(node[k], f"{path}.{k}", _FLOW_MINIMUMS[k]) for k in given}
-        return _build(path, DemandSpec.flow_trace, rate, horizon, **optional)
+        rate = _require(node, "mean_rate", path)
+        # The constructor holds the defaults of the keys a node leaves out.
+        given = {k: node[k] for k in _DEMAND_KEYS[model][1:] if k in node}
+        return _build(path, DemandSpec.flow_trace, mean_rate=rate, horizon=horizon, **given)
     if model == "impatient":
         return _build(
             path,
             DemandSpec.impatient,
-            k=_number(_require(node, "rate", path), f"{path}.rate", 0),
-            p=_integer(_require(node, "patience", path), f"{path}.patience", 1),
-            m=_number(_require(node, "min_bytes", path), f"{path}.min_bytes", 0),
+            k=_require(node, "rate", path),
+            p=_require(node, "patience", path),
+            m=_require(node, "min_bytes", path),
         )
     if model == "buffered":
         if "rate" in node and "rates" in node:
             raise _err(path, "give either 'rate' or 'rates', not both")
-        if "rates" in node:
-            return _build(path, DemandSpec.buffered, _rates(node, path))
-        rate = _number(_require(node, "rate", path), f"{path}.rate", 0)
-        return _build(path, DemandSpec.buffered, [rate] * horizon)
-    return _build(path, DemandSpec.time_varying, _rates(node, path))
+        if "rates" not in node:  # one rate for every epoch
+            rate = _require(node, "rate", path)
+            return _build(f"{path}.rate", DemandSpec.buffered, [rate] * horizon)
+    return _build(path, getattr(DemandSpec, model), g=_require(node, "rates", path))
 
 
 def _parse_strategy(node: Any, path: str) -> Strategy:
     if node is None:
         return Strategy("greedy")
     kind = _tag(node, "kind", _STRATEGY_KEYS, "strategy", path)
-    if kind == "pad":
-        return Strategy("pad", pad=_number(_require(node, "rate", path), f"{path}.rate", 0))
-    if kind == "delay":
-        return Strategy(
-            "delay", delay_epochs=_integer(_require(node, "epochs", path), f"{path}.epochs", 0)
-        )
-    if kind == "misreport":
-        return Strategy(
-            "misreport", bid_factor=_number(_require(node, "factor", path), f"{path}.factor", 0)
-        )
-    return Strategy("greedy")
+    field = _STRATEGY_FIELD[kind]
+    given = {field: _require(node, _KEYS[field], path)} if field else {}
+    return _build(path, Strategy, kind, **given)
 
 
 def _parse_buyer(node: Any, path: str, horizon: int) -> BuyerSpec:
@@ -182,10 +159,10 @@ def _parse_buyer(node: Any, path: str, horizon: int) -> BuyerSpec:
         path,
         BuyerSpec,
         buyer_id=buyer_id,
-        value=_number(_require(node, "value", path), f"{path}.value", 0),
+        value=_require(node, "value", path),
         demand=_parse_demand(_require(node, "demand", path), f"{path}.demand", horizon),
-        arrival=_integer(node.get("arrival", 1), f"{path}.arrival", 0),
-        departure=_integer(node.get("departure", horizon), f"{path}.departure", 0),
+        arrival=node.get("arrival", 1),
+        departure=node.get("departure", horizon),
         strategy=_parse_strategy(node.get("strategy"), f"{path}.strategy"),
     )
 
@@ -195,24 +172,18 @@ def _parse_buyer(node: Any, path: str, horizon: int) -> BuyerSpec:
 _SCENARIO_KEYS = ["buyers", "capacity", "routing", "mechanism", "mu", "reserve", "price"]
 _VARIANT_KEYS = ["mechanism", "routing", "mu", "reserve", "price"]
 _POOL_TYPE_KEYS = ["capacity", "buyers"]
-_MINIMUMS = {"capacity": 1e-12, "mu": None, "reserve": 0, "price": 0}
-_CHOICES = {"routing": ROUTING_POLICIES, "mechanism": MECHANISMS}
 
 
 def _scenario_fields(node: Mapping, path: str, keys: Sequence[str], horizon: int) -> dict:
-    """The ``Scenario`` fields among ``keys`` that ``node`` sets, each checked at its key path."""
-    fields = {}
-    for key in (k for k in keys if k in node):
-        value, kpath = node[key], f"{path}.{key}"
-        if key in _CHOICES and value not in _CHOICES[key]:
-            raise _err(kpath, f"unknown {key} {value!r}; one of {', '.join(_CHOICES[key])}")
-        if key == "buyers":
-            if not isinstance(value, list) or not value:
-                raise _err(kpath, "expected a nonempty list of buyers")
-            value = tuple(_parse_buyer(b, f"{kpath}[{i}]", horizon) for i, b in enumerate(value))
-        elif key in _MINIMUMS:
-            value = _number(value, kpath, _MINIMUMS[key])
-        fields[key] = value
+    """The ``Scenario`` fields among ``keys`` that ``node`` sets, its buyers parsed."""
+    fields = {key: node[key] for key in keys if key in node}
+    if "buyers" in fields:
+        buyers, bpath = fields["buyers"], f"{path}.buyers"
+        if not isinstance(buyers, list) or not buyers:
+            raise _err(bpath, "expected a nonempty list of buyers")
+        fields["buyers"] = tuple(
+            _parse_buyer(b, f"{bpath}[{i}]", horizon) for i, b in enumerate(buyers)
+        )
     return fields
 
 
@@ -280,7 +251,8 @@ class ExperimentConfig:
         return variant.scenario
 
 
-def _parse_sweep(node: Any, path: str) -> SweepConfig:
+def _parse_sweep(node: Any, path: str, variants: Sequence[MechanismVariant]) -> SweepConfig:
+    """The sweep, once each of its points builds every variant's scenario."""
     _check_keys(node, ["variable", "values"], path)
     variable = _require(node, "variable", path)
     if variable not in SWEEP_VARIABLES:
@@ -291,11 +263,10 @@ def _parse_sweep(node: Any, path: str) -> SweepConfig:
     values = _require(node, "values", path)
     if not isinstance(values, list) or not values:
         raise _err(f"{path}.values", "expected a nonempty list of numbers")
-    minimum = 1e-12 if variable == "capacity" else (1e-9 if variable == "mu" else 0.0)
-    parsed = tuple(_number(v, f"{path}.values[{i}]", minimum) for i, v in enumerate(values))
-    if variable == "mu" and any(v >= 1 for v in parsed):
-        raise _err(f"{path}.values", "mu values must be in (0, 1)")
-    return SweepConfig(variable, parsed)
+    sweep = SweepConfig(variable, tuple(values))
+    for (i, x), variant in itertools.product(enumerate(values), variants):
+        _build(f"{path}.values[{i}]", sweep.apply, variant.scenario, x)
+    return SweepConfig(variable, tuple(float(x) for x in values))  # each checked above
 
 
 def _parse_pool(node: Any, path: str, base: Scenario) -> PoolConfig:
@@ -349,14 +320,14 @@ def parse_config(doc: Any, source: str = "<config>") -> ExperimentConfig:
 
     hybrid = None
     if doc.get("hybrid") is not None:
-        hpath = f"{source}.hybrid"
-        _check_keys(doc["hybrid"], ["buyer", "bytes", "deadline"], hpath)
+        node, hpath = doc["hybrid"], f"{source}.hybrid"
+        _check_keys(node, ["buyer", "bytes", "deadline"], hpath)
         hybrid = _build(
             hpath,
             HybridBoost,
-            buyer_id=_require(doc["hybrid"], "buyer", hpath),
-            target_bytes=_number(_require(doc["hybrid"], "bytes", hpath), f"{hpath}.bytes", 0),
-            deadline=_integer(_require(doc["hybrid"], "deadline", hpath), f"{hpath}.deadline", 1),
+            buyer_id=_require(node, "buyer", hpath),
+            target_bytes=_require(node, "bytes", hpath),
+            deadline=_require(node, "deadline", hpath),
         )
     base = _build(source, Scenario, **fields, horizon=horizon, hybrid=hybrid)
 
@@ -374,12 +345,13 @@ def parse_config(doc: Any, source: str = "<config>") -> ExperimentConfig:
             name = _name(v, vpath, f"{scenario.mechanism}-{scenario.routing}")
             variants.append(MechanismVariant(name, scenario))
         _check_unique([v.name for v in variants], f"{source}.mechanisms", "variant")
+    routings = {base.routing, *(v.scenario.routing for v in variants)}
+    if hybrid is not None and "hybrid" not in routings:
+        raise _err(f"{source}.hybrid", "no scenario routes hybrid, so nothing reads this block")
 
     sweep = None
     if doc.get("sweep") is not None:
-        sweep = _parse_sweep(doc["sweep"], f"{source}.sweep")
-        for (i, x), variant in itertools.product(enumerate(sweep.values), variants):
-            _build(f"{source}.sweep.values[{i}]", sweep.apply, variant.scenario, x)
+        sweep = _parse_sweep(doc["sweep"], f"{source}.sweep", variants)
 
     pool = None
     if doc.get("pool") is not None:

@@ -17,6 +17,7 @@ import inspect
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -25,6 +26,7 @@ import numpy as np
 __all__ = [
     "DemandRealization",
     "DemandSpec",
+    "FieldError",
     "NaturalCheck",
     "check_natural",
 ]
@@ -99,14 +101,39 @@ class DemandRealization:
         return None if self._serve is None else self._serve(residual, lo, x0)
 
 
+class FieldError(ValueError):
+    """A bad value of one field of a spec; ``field`` names it as the spec's
+    constructor spells it."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(message)
+        self.field = field
+
+    @classmethod
+    def check(cls, ok: bool, field: str, rule: str, v: object, label: str = "") -> None:
+        """Unless ``ok``, raise "<label><field> must be <rule>, got <v>"; ``ok``
+        is a positive condition, so that NaN values fail it too."""
+        if not ok:
+            raise cls(field, f"{label}{field} must be {rule}, got {v!r}")
+
+    @classmethod
+    def number(cls, field: str, v: object, label: str = "", integer: bool = False) -> None:
+        """Reject ``v`` unless it is a finite real number (an integer if
+        ``integer``); a bool is neither."""
+        wanted = numbers.Integral if integer else numbers.Real
+        ok = isinstance(v, wanted) and not isinstance(v, bool)
+        cls.check(ok, field, "an integer" if integer else "a real number", v, label)
+        cls.check(_finite(v), field, "finite", v, label)
+
+
 def _check(ok: bool, message: str) -> None:
-    # Written as a positive condition so that NaN parameters fail it too.
     if not ok:
         raise ValueError(message)
 
 
 def _finite(v: numbers.Real) -> bool:
-    return isinstance(v, numbers.Integral) or math.isfinite(v)
+    """Whether ``v`` is a finite float; an int too large for a float is not."""
+    return abs(v) <= sys.float_info.max if isinstance(v, numbers.Integral) else math.isfinite(v)
 
 
 # -- models: parameters are checked when a DemandSpec is built ---------------
@@ -249,6 +276,11 @@ _MODELS: dict[str, Callable[..., DemandRealization]] = {
     "flow_trace": _flow_trace,
 }
 
+# Every parameter but g is a number >= 0, and these are > 0.  The ones that
+# count epochs are integers, the rest are stored as floats.
+_EPOCHS = ("p", "horizon")
+_POSITIVE = (*_EPOCHS, "mean_duration", "mean_interarrival")
+
 
 @dataclass(frozen=True)
 class NaturalCheck:
@@ -297,57 +329,44 @@ class DemandSpec:
 
     Build specs with the static constructors, one per model.  The parameters
     are checked when a spec is built, however it is built, and a bad one
-    raises ``ValueError`` naming the model.  Every model but ``flow_trace`` is
-    deterministic and ignores the realization seed.
+    raises a ``FieldError`` naming the model and the parameter.  Every model
+    but ``flow_trace`` is deterministic and ignores the realization seed.
     """
 
     kind: str
     params: Mapping[str, object]
 
     def __post_init__(self) -> None:
-        """Check the parameters of the model; store sequences as float tuples."""
+        """Check the parameters of the model; store real ones as floats and
+        sequences as float tuples."""
         kind = self.kind
         _check(kind in _MODELS, f"unknown demand model {kind!r}; one of {', '.join(_MODELS)}")
         names = [n for n in inspect.signature(_MODELS[kind]).parameters if n != "seed"]
         params = dict(self.params)
         _check(set(params) == set(names), f"{kind}: takes parameters {names}, got {list(params)}")
-        for name, v in params.items():
-            if name != "g":
-                whole = name in ("p", "horizon")  # the parameters that count epochs
-                ok = isinstance(v, numbers.Integral if whole else numbers.Real)
-                what = "an integer" if whole else "a real number"
-                _check(ok and not isinstance(v, bool), f"{kind}: {name} must be {what}, got {v!r}")
-                _check(_finite(v), f"{kind}: {name} must be finite, got {v!r}")
+        for name in (n for n in names if n != "g"):
+            v = params[name]
+            FieldError.number(name, v, f"{kind}: ", integer=name in _EPOCHS)
+            ok, rule = (v > 0, "> 0") if name in _POSITIVE else (v >= 0, ">= 0")
+            FieldError.check(ok, name, rule, v, f"{kind}: ")
+            params[name] = v if name in _EPOCHS else float(v)
         g = params.get("g")
         if kind in ("time_varying", "buffered"):
-            is_sequence = isinstance(g, (list, tuple, np.ndarray))
-            _check(is_sequence, f"{kind}: generation must be a sequence, got {type(g).__name__}")
+            ok = isinstance(g, (list, tuple, np.ndarray)) and len(g) > 0
+            FieldError.check(ok, "g", "a nonempty sequence of generated KB", g, f"{kind}: ")
             for p, v in enumerate(g, start=1):
                 ok = isinstance(v, numbers.Real) and not isinstance(v, bool)
-                ok = ok and _finite(v) and v >= 0
-                _check(ok, f"{kind}: generation at epoch {p} must be a finite number >= 0, got {v}")
+                if not (ok and _finite(v) and v >= 0):
+                    what = f"{kind}: generation at epoch {p}"
+                    raise FieldError("g", f"{what} must be a finite number >= 0, got {v}")
             params["g"] = tuple(float(v) for v in g)
         elif kind in ("increasing_rate", "increasing_total"):
             # A spot check of g on a probe grid, not a proof of monotonicity.
-            _check(callable(g), f"{kind}: g must be callable on a continuous argument")
+            FieldError.check(callable(g), "g", "callable on a continuous argument", g, f"{kind}: ")
             zs = np.linspace(0.0, _MONOTONE_PROBE_MAX, _MONOTONE_PROBE_POINTS)
             vals = [float(g(z)) for z in zs]
-            for a, b in zip(vals, vals[1:]):
-                _check(b >= a - 1e-12, f"{kind}: rate function is not weakly increasing")
-        elif kind == "constant":
-            _check(params["k"] >= 0, f"constant: rate must be >= 0, got {params['k']}")
-        elif kind == "impatient":
-            _check(params["k"] >= 0, f"impatient: rate must be >= 0, got {params['k']}")
-            _check(params["p"] >= 1, f"impatient: patience epoch must be >= 1, got {params['p']}")
-            _check(params["m"] >= 0, f"impatient: minimum service must be >= 0, got {params['m']}")
-        elif kind == "cliff":
-            _check(params["k"] >= 0 and params["m"] >= 0, "cliff: rate and quota must be >= 0")
-        else:  # flow_trace
-            _check(params["mean_duration"] > 0, "flow_trace: mean flow duration must be > 0")
-            _check(params["stddev_duration"] >= 0, "flow_trace: flow duration stddev must be >= 0")
-            _check(params["mean_interarrival"] > 0, "flow_trace: mean inter-arrival must be > 0")
-            _check(params["mean_rate"] >= 0, "flow_trace: mean flow rate must be >= 0")
-            _check(params["horizon"] >= 1, "flow_trace: horizon must be >= 1 epoch")
+            if not all(b >= a - 1e-12 for a, b in zip(vals, vals[1:])):
+                raise FieldError("g", f"{kind}: rate function is not weakly increasing")
         object.__setattr__(self, "params", params)
 
     def realize(self, seed: Optional[int] = None) -> DemandRealization:

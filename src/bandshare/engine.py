@@ -51,16 +51,15 @@ and billed traffic; the session then makes the one ``_finish`` call.
 from __future__ import annotations
 
 import itertools
-import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from bandshare.demand import DemandRealization, DemandSpec
+from bandshare.demand import DemandRealization, DemandSpec, FieldError
 from bandshare.payments import (
     BidRecord,
     MeanCI,
@@ -94,18 +93,21 @@ _STRATEGY_KINDS = ("greedy", "pad", "delay", "misreport")
 Played = Tuple[np.ndarray, np.ndarray, Sequence[float], Sequence[float]]  # see _finish
 
 
-def _whole(*values) -> bool:
-    """Whether every value is a whole number of epochs: an integer, not a bool."""
-    return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
-
-
-def _real(**fields) -> None:
-    """Reject the first field that is not a finite real number; a bool is none."""
-    for name, v in fields.items():
-        if not isinstance(v, numbers.Real) or isinstance(v, bool):
-            raise ValueError(f"{name} must be a real number, got {v!r}")
-        if not (isinstance(v, numbers.Integral) or math.isfinite(v)):
-            raise ValueError(f"{name} must be finite, got {v!r}")
+def _numbers(spec, positive: Sequence[str] = ()) -> None:
+    """Check each numeric field of ``spec`` by its declared type: an ``int`` is
+    a whole number of epochs, a ``float`` a real number, stored as a float.
+    Either is finite and nonnegative, and > 0 if it is named ``positive``."""
+    for f in fields(spec):
+        v = getattr(spec, f.name)
+        if f.type == "int":
+            ok = isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+            FieldError.check(ok, f.name, "whole epochs", v)
+        if f.type in ("int", "float"):
+            FieldError.number(f.name, v)
+            if f.type == "float":
+                object.__setattr__(spec, f.name, v := float(v))
+            ok, sign = (v > 0, "positive") if f.name in positive else (v >= 0, "nonnegative")
+            FieldError.check(ok, f.name, sign, v)
 
 
 @dataclass(frozen=True)
@@ -132,16 +134,8 @@ class Strategy:
 
     def __post_init__(self) -> None:
         if self.kind not in _STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy {self.kind!r}; one of {_STRATEGY_KINDS}")
-        _real(pad=self.pad, bid_factor=self.bid_factor)
-        if not _whole(self.delay_epochs):
-            raise ValueError(f"delay must be whole epochs, got {self.delay_epochs!r}")
-        # Checks are written as positive conditions so that NaN fails them too.
-        if not (self.pad >= 0 and self.delay_epochs >= 0 and self.bid_factor >= 0):
-            raise ValueError(
-                "pad, delay and bid factor must be nonnegative, got "
-                f"{self.pad}, {self.delay_epochs}, {self.bid_factor}"
-            )
+            raise FieldError("kind", f"unknown strategy {self.kind!r}; one of {_STRATEGY_KINDS}")
+        _numbers(self)
 
 
 @dataclass(frozen=True)
@@ -156,10 +150,8 @@ class BuyerSpec:
     strategy: Strategy = Strategy("greedy")
 
     def __post_init__(self) -> None:
-        _real(value=self.value)
-        if not self.value >= 0:
-            raise ValueError(f"value must be >= 0, got {self.value}")
-        if not (_whole(self.arrival, self.departure) and 0 <= self.arrival <= self.departure):
+        _numbers(self)
+        if not self.arrival <= self.departure:
             raise ValueError(
                 "need 0 <= arrival <= departure in whole epochs, "
                 f"got [{self.arrival}, {self.departure}]"
@@ -185,11 +177,7 @@ class HybridBoost:
     deadline: int
 
     def __post_init__(self) -> None:
-        _real(target_bytes=self.target_bytes)
-        if not self.target_bytes >= 0:
-            raise ValueError("boost target must be >= 0")
-        if not (_whole(self.deadline) and self.deadline >= 1):
-            raise ValueError(f"boost deadline must be whole epochs >= 1, got {self.deadline!r}")
+        _numbers(self, positive=("deadline",))
 
 
 @dataclass(frozen=True)
@@ -208,27 +196,20 @@ class Scenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "buyers", tuple(self.buyers))
-        _real(capacity=self.capacity, mu=self.mu, reserve=self.reserve, price=self.price)
-        if not self.capacity > 0:
-            raise ValueError(f"capacity must be > 0, got {self.capacity}")
-        if not (_whole(self.horizon) and self.horizon >= 1):
-            raise ValueError(f"horizon must be whole epochs >= 1, got {self.horizon!r}")
-        if self.routing not in ROUTING_POLICIES:
-            raise ValueError(f"unknown routing policy {self.routing!r}")
-        if self.mechanism not in MECHANISMS:
-            raise ValueError(f"unknown mechanism {self.mechanism!r}")
-        if not 0 < self.mu < 1:
-            raise ValueError(f"mu must be in (0, 1), got {self.mu}")
-        if not (self.reserve >= 0 and self.price >= 0):
-            raise ValueError("reserve and price must be >= 0")
+        _numbers(self, positive=("capacity", "mu", "horizon"))
+        FieldError.check(self.mu < 1, "mu", "in (0, 1)", self.mu)
+        for name, choices in (("routing", ROUTING_POLICIES), ("mechanism", MECHANISMS)):
+            v = getattr(self, name)
+            if v not in choices:
+                raise FieldError(name, f"unknown {name} {v!r}; one of {', '.join(choices)}")
         ids = [b.buyer_id for b in self.buyers]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate buyer ids")
-        if self.routing == "hybrid":
-            if self.hybrid is None:
-                raise ValueError("hybrid routing needs boost parameters")
-            if self.hybrid.buyer_id not in ids:
-                raise ValueError(f"boosted buyer {self.hybrid.buyer_id!r} is not in the scenario")
+        if self.routing == "hybrid" and self.hybrid is None:
+            raise ValueError("hybrid routing needs boost parameters")
+        if self.hybrid is not None and self.hybrid.buyer_id not in ids:
+            message = f"boosted buyer {self.hybrid.buyer_id!r} is not in the scenario"
+            raise FieldError("hybrid", message)
         for b in self.buyers:
             if not _fits(self, max(b.value, b.submitted_bid())):
                 raise ValueError(f"buyer {b.buyer_id!r}: value or bid overflows the session's sums")

@@ -161,8 +161,12 @@ def summarize(samples: Sequence[float]) -> MeanCI:
     n = arr.size
     if n == 0:
         raise ValueError("no samples")
+    # Work in units of a power of two at least the largest magnitude, so that
+    # squared deviations cannot overflow; the scaling is exact.
+    scale = math.ldexp(1.0, -math.frexp(np.abs(arr).max())[1])
+    arr = arr * scale
     mean = float(arr.mean())
     if n == 1:
-        return MeanCI(mean, mean, mean)
+        return MeanCI(mean / scale, mean / scale, mean / scale)
     half = _Z95 * float(arr.std(ddof=1)) / math.sqrt(n)
-    return MeanCI(mean, mean - half, mean + half)
+    return MeanCI(mean / scale, (mean - half) / scale, (mean + half) / scale)

@@ -20,6 +20,8 @@ from bandshare.config import (
     load_config,
     parse_config,
 )
+from bandshare.demand import DemandSpec, FieldError
+from bandshare.engine import BuyerSpec, HybridBoost, Scenario, Strategy
 from bandshare.verify import SuiteReport
 
 MINI_DOC = {
@@ -101,6 +103,24 @@ class TestParsing:
         doc["hybrid"] = {"buyer": "ghost", "bytes": 10, "deadline": 5}
         with pytest.raises(ConfigError, match="ghost"):
             parse_config(doc)
+
+    def test_hybrid_block_names_a_known_buyer_under_any_routing(self):
+        doc = copy.deepcopy(MINI_DOC)
+        doc["hybrid"] = {"buyer": "zzz", "bytes": 10, "deadline": 5}
+        message = r"^conf\.yaml\.hybrid: boosted buyer 'zzz' is not in the scenario"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(doc, source="conf.yaml")
+
+    def test_hybrid_block_without_hybrid_routing_is_rejected(self):
+        """A block that no scenario reads is an error, as ``pool.sellers``
+        next to ``pool.types`` is; a hybrid variant reads it."""
+        doc = copy.deepcopy(MINI_DOC)
+        doc["hybrid"] = {"buyer": "a", "bytes": 10, "deadline": 5}
+        doc["mechanisms"] = [{"name": "v", "mechanism": "vmm"}, {"name": "f", "routing": "fq"}]
+        with pytest.raises(ConfigError, match=r"^conf\.yaml\.hybrid: no scenario routes hybrid"):
+            parse_config(doc, source="conf.yaml")
+        doc["mechanisms"][1]["routing"] = "hybrid"
+        assert parse_config(doc).variants[1].scenario.hybrid.buyer_id == "a"
 
     def test_reserve_sweep_drives_price_for_fixed(self):
         doc = copy.deepcopy(MINI_DOC)
@@ -242,6 +262,157 @@ class TestParsing:
         assert (fq.capacity, fq.mu, fq.buyers) == (cfg.scenario.capacity, 0.2, cfg.scenario.buyers)
 
 
+BAD_NUMBERS = [
+    float("nan"), float("inf"), float("-inf"), 10**400, True, False, "1", -1, -2.5, 0, 1e-13,
+]
+ONE_RULE_DOC = {
+    "experiment": "one",
+    "horizon": 40,
+    "capacity": 12,
+    "buyers": [{"id": "a", "value": 5, "demand": {"model": "constant", "rate": 8}}],
+}
+
+
+def one_rule_scenario(value=5, demand=None, strategy=Strategy("greedy"), arrival=1,
+                      departure=40, **fields):
+    """The scenario of ``ONE_RULE_DOC``, built directly with the changes given."""
+    buyer = BuyerSpec("a", value, demand or DemandSpec.constant(8), arrival, departure, strategy)
+    return Scenario((buyer,), **{"capacity": 12, "horizon": 40, **fields})
+
+
+def top(key):
+    return lambda doc, value: doc.update({key: value})
+
+
+def buyer(key, node=lambda value: value):
+    """Put ``node(value)`` under ``key`` of the first buyer."""
+    return lambda doc, value: doc["buyers"][0].update({key: node(value)})
+
+
+def hybrid(key):
+    return lambda doc, value: doc.update(
+        routing="hybrid", hybrid={"buyer": "a", "bytes": 10, "deadline": 5, key: value}
+    )
+
+
+def sweep(variable):
+    return lambda doc, value: doc.update(sweep={"variable": variable, "values": [value]})
+
+
+ONE_RULE_CASES = [
+    # (dotted key path, where to put the value in the document, the direct build)
+    *[
+        pytest.param(key, top(key), lambda v, key=key: one_rule_scenario(**{key: v}), id=key)
+        for key in ("capacity", "mu", "reserve", "price")
+    ],
+    *[
+        pytest.param(
+            f"buyers[0].{key}", buyer(key), lambda v, key=key: one_rule_scenario(**{key: v}), id=key
+        )
+        for key in ("value", "arrival", "departure")
+    ],
+    pytest.param(
+        "buyers[0].demand.rate",
+        buyer("demand", lambda v: {"model": "constant", "rate": v}),
+        lambda v: DemandSpec.constant(v),
+        id="constant.rate",
+    ),
+    *[
+        pytest.param(
+            f"buyers[0].demand.{key}",
+            buyer("demand", lambda v, key=key: {"model": "flow_trace", "mean_rate": 6, key: v}),
+            lambda v, key=key: DemandSpec.flow_trace(**{"mean_rate": 6, "horizon": 40, key: v}),
+            id=f"flow_trace.{key}",
+        )
+        for key in ("mean_rate", "mean_duration", "stddev_duration", "mean_interarrival")
+    ],
+    *[
+        pytest.param(
+            f"buyers[0].demand.{key}",
+            buyer("demand", lambda v, key=key: {
+                "model": "impatient", "rate": 8, "patience": 5, "min_bytes": 10, key: v}),
+            lambda v, field=field: DemandSpec.impatient(**{"k": 8, "p": 5, "m": 10, field: v}),
+            id=f"impatient.{key}",
+        )
+        for key, field in (("rate", "k"), ("patience", "p"), ("min_bytes", "m"))
+    ],
+    pytest.param(
+        "buyers[0].demand.rate",
+        buyer("demand", lambda v: {"model": "buffered", "rate": v}),
+        lambda v: DemandSpec.buffered([v] * 40),
+        id="buffered.rate",
+    ),
+    *[
+        pytest.param(
+            "buyers[0].demand.rates",
+            buyer("demand", lambda v, model=model: {"model": model, "rates": [1, v]}),
+            lambda v, model=model: getattr(DemandSpec, model)([1, v]),
+            id=f"{model}.rates",
+        )
+        for model in ("buffered", "time_varying")
+    ],
+    *[
+        pytest.param(
+            f"buyers[0].strategy.{key}",
+            buyer("strategy", lambda v, kind=kind, key=key: {"kind": kind, key: v}),
+            lambda v, kind=kind, field=field: one_rule_scenario(
+                strategy=Strategy(kind, **{field: v})
+            ),
+            id=f"{kind}.{key}",
+        )
+        for kind, key, field in (
+            ("pad", "rate", "pad"), ("delay", "epochs", "delay_epochs"),
+            ("misreport", "factor", "bid_factor"),
+        )
+    ],
+    pytest.param(
+        "hybrid.bytes",
+        hybrid("bytes"),
+        lambda v: one_rule_scenario(routing="hybrid", hybrid=HybridBoost("a", v, 5)),
+        id="hybrid.bytes",
+    ),
+    pytest.param(
+        "hybrid.deadline",
+        hybrid("deadline"),
+        lambda v: one_rule_scenario(routing="hybrid", hybrid=HybridBoost("a", 10, v)),
+        id="hybrid.deadline",
+    ),
+    *[
+        pytest.param(
+            "sweep.values[0]",
+            sweep(variable),
+            lambda v, variable=variable: one_rule_scenario(**{variable: v}),
+            id=f"sweep.{variable}",
+        )
+        for variable in ("capacity", "reserve", "mu")
+    ],
+]
+
+
+@pytest.mark.parametrize("path, place, build", ONE_RULE_CASES)
+def test_each_number_has_one_rule(path, place, build):
+    """A config value is rejected exactly when the constructor that takes it
+    rejects it, with the constructor's message, at the key's dotted path.
+
+    The one rule spanning two fields, a departure before the arrival, is
+    reported at the buyer's path."""
+    for value in BAD_NUMBERS:
+        doc = copy.deepcopy(ONE_RULE_DOC)
+        place(doc, value)
+        try:
+            build(value)
+        except ValueError as exc:
+            where = path
+            if not isinstance(exc, FieldError):
+                assert str(exc).startswith("need 0 <= arrival <= departure"), (value, exc)
+                where = path.rsplit(".", 1)[0]
+            with pytest.raises(ConfigError) as info:
+                parse_config(doc, source="conf.yaml")
+            assert str(info.value) == f"conf.yaml.{where}: {exc}", value
+        else:
+            parse_config(doc, source="conf.yaml")
+
+
 class TestCli:
     def run_cli(self, *argv):
         return main(list(argv))
@@ -285,7 +456,8 @@ class TestCli:
         [
             (["simulate", "--runs", "0"], ".runs: must be >= 1"),
             (["simulate", "--seed", "-3"], ".seed: must be >= 0"),
-            (["sweep", "--variable", "mu", "--values", "1.5"], ".sweep.values: mu values"),
+            (["sweep", "--variable", "mu", "--values", "1.5"],
+             ".sweep.values[0]: mu must be in (0, 1)"),
             (["sweep", "--variable", "capacity", "--values", "nan"], ".sweep.values[0]: "),
             (["sweep", "--values", "8,16"], "--variable and --values"),
             (["sweep", "--variable", "capacity", "--values", "abc"], "--values 'abc'"),

@@ -309,7 +309,7 @@ class TestDemandSpec:
 
     def test_public_names(self):
         assert sorted(bandshare.demand.__all__) == [
-            "DemandRealization", "DemandSpec", "NaturalCheck", "check_natural"
+            "DemandRealization", "DemandSpec", "FieldError", "NaturalCheck", "check_natural"
         ]
 
     def test_query_validation(self):

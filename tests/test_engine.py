@@ -18,6 +18,7 @@ import itertools
 import pathlib
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 import bandshare.engine
 from bandshare.cli import main
 from bandshare.config import builtin_config_path, load_config
-from bandshare.demand import DemandSpec
+from bandshare.demand import DemandSpec, FieldError
 from bandshare.engine import (
     BuyerSpec,
     HybridBoost,
@@ -232,6 +233,67 @@ def test_infinite_parameters_rejected(message, build):
     # ``query`` rejects it on the loop.
     with pytest.raises(ValueError, match=message):
         build()
+
+
+HUGE = 10**400  # an int too large for a float
+
+
+@pytest.mark.parametrize(
+    "field,build",
+    [
+        ("value", lambda: BuyerSpec("a", HUGE, DemandSpec.constant(1.0))),
+        ("arrival", lambda: BuyerSpec("a", 1.0, DemandSpec.constant(1.0), HUGE, HUGE)),
+        ("capacity", lambda: Scenario((), HUGE)),
+        ("mu", lambda: Scenario((), 10.0, mu=HUGE)),
+        ("reserve", lambda: Scenario((), 10.0, reserve=HUGE)),
+        ("price", lambda: Scenario((), 10.0, price=HUGE)),
+        ("horizon", lambda: Scenario((), 10.0, horizon=HUGE)),
+        ("pad", lambda: Strategy("pad", pad=HUGE)),
+        ("delay_epochs", lambda: Strategy("delay", delay_epochs=HUGE)),
+        ("bid_factor", lambda: Strategy("misreport", bid_factor=HUGE)),
+        ("target_bytes", lambda: HybridBoost("a", HUGE, 3)),
+        ("deadline", lambda: HybridBoost("a", 1.0, HUGE)),
+        ("k", lambda: DemandSpec.constant(HUGE)),
+        ("g", lambda: DemandSpec.time_varying([1.0, HUGE])),
+        ("g", lambda: DemandSpec.buffered([HUGE])),
+        ("k", lambda: DemandSpec.impatient(HUGE, 3, 1.0)),
+        ("p", lambda: DemandSpec.impatient(1.0, HUGE, 1.0)),
+        ("m", lambda: DemandSpec.impatient(1.0, 3, HUGE)),
+        ("g", lambda: DemandSpec.increasing_rate(HUGE)),
+        ("g", lambda: DemandSpec.increasing_total(HUGE)),
+        ("k", lambda: DemandSpec.cliff(HUGE, 1.0)),
+        ("m", lambda: DemandSpec.cliff(1.0, HUGE)),
+        ("mean_rate", lambda: DemandSpec.flow_trace(HUGE, 10)),
+        ("horizon", lambda: DemandSpec.flow_trace(1.0, HUGE)),
+        ("mean_duration", lambda: DemandSpec.flow_trace(1.0, 10, mean_duration=HUGE)),
+        ("stddev_duration", lambda: DemandSpec.flow_trace(1.0, 10, stddev_duration=HUGE)),
+        ("mean_interarrival", lambda: DemandSpec.flow_trace(1.0, 10, mean_interarrival=HUGE)),
+    ],
+    ids=[
+        "value", "arrival", "capacity", "mu", "reserve", "price", "horizon", "pad", "delay",
+        "bid_factor", "target_bytes", "deadline", "constant", "time_varying", "buffered",
+        "impatient-k", "impatient-p", "impatient-m", "increasing_rate", "increasing_total",
+        "cliff-k", "cliff-m", "flow_trace-mean_rate", "flow_trace-horizon",
+        "flow_trace-mean_duration", "flow_trace-stddev_duration", "flow_trace-mean_interarrival",
+    ],
+)
+def test_int_too_large_for_a_float_is_a_value_error_naming_its_field(field, build):
+    # Each was accepted or raised an OverflowError from a float conversion.
+    with pytest.raises(FieldError) as info:
+        build()
+    assert info.value.field == field
+
+
+def test_real_fields_are_stored_as_floats():
+    # An int value that a float holds still overflows the session's sums; as
+    # an int it made the overflow check raise an OverflowError.
+    strategy = Strategy("misreport", bid_factor=Fraction(1, 2))
+    buyer = BuyerSpec("a", 10**308, DemandSpec.constant(10), 1, 10, strategy)
+    assert type(buyer.value) is float and type(buyer.strategy.bid_factor) is float
+    with pytest.raises(ValueError, match="^buyer 'a': value or bid overflows"):
+        Scenario((buyer,), 12, horizon=10)
+    scenario = Scenario((), 12, mu=np.float32(0.5), reserve=1, price=np.int64(2))
+    assert {type(getattr(scenario, f)) for f in ("capacity", "mu", "reserve", "price")} == {float}
 
 
 @pytest.mark.parametrize("mechanism", ["bks", "vmm", "fixed"])
@@ -650,6 +712,12 @@ class TestHybridRouting:
     def test_unknown_boost_buyer_rejected(self):
         with pytest.raises(ValueError):
             self.impatient_scenario("hybrid", HybridBoost("nobody", 10.0, 60))
+
+    @pytest.mark.parametrize("routing", ["spq", "fq", "fifo"])
+    def test_unknown_boost_buyer_rejected_under_any_routing(self, routing):
+        # Boost parameters set beside another routing used to go unchecked.
+        with pytest.raises(FieldError, match="^boosted buyer 'nobody' is not in the scenario"):
+            self.impatient_scenario(routing, HybridBoost("nobody", 10.0, 60))
 
     def test_paced_boost_keeps_impatient_buyer(self):
         # At capacity 26 plain SPQ leaves b3 below her 500 KB threshold and she
@@ -1564,6 +1632,26 @@ class TestMonteCarlo:
         other = replace(base, **{field: base.buyers[:2] if field == "buyers" else 90})
         with pytest.raises(ValueError, match="share their buyers and horizon"):
             run_monte_carlo([base, other], 3, seed=1)
+
+    @pytest.mark.parametrize("mechanism", ["bks", "vmm", "fixed"])
+    def test_confidence_intervals_stay_finite_near_the_overflow_bound(self, mechanism):
+        # A buyer valued at 1e300 passes the per-session overflow bound, but
+        # squaring its welfare deviations overflowed: ci_low = -inf.
+        scenario = Scenario(
+            buyers=(
+                BuyerSpec("a", 1e300, DemandSpec.flow_trace(8.0, 10), 1, 10),
+                BuyerSpec("b", 1.0, DemandSpec.constant(10.0), 1, 10),
+            ),
+            capacity=1.5,
+            mechanism=mechanism,
+            horizon=10,
+        )
+        with np.errstate(over="raise"):
+            stats = run_monte_carlo([scenario], 20, seed=0)[0]
+        for ci in [stats.welfare, stats.seller_revenue, stats.utilities["a"], stats.payments["a"]]:
+            assert np.isfinite([ci.ci_low, ci.mean, ci.ci_high]).all(), ci
+            assert ci.ci_low <= ci.mean <= ci.ci_high
+        assert stats.welfare.ci_low < stats.welfare.ci_high
 
     @pytest.mark.parametrize("n_runs,n_scenarios", [(0, 1), (-2, 1), (3, 0)])
     def test_needs_a_run_and_a_scenario(self, n_runs, n_scenarios):

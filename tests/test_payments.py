@@ -11,6 +11,7 @@ from bandshare.demand import DemandSpec
 from bandshare.engine import BuyerSpec, Scenario, run_session
 from bandshare.payments import (
     BidRecord,
+    MeanCI,
     bks_settle,
     fixed_price_settle,
     resample_bid,
@@ -235,3 +236,19 @@ class TestExpectedBksPayment:
         assert ci.ci_low < 2.0 < ci.ci_high
         with pytest.raises(ValueError):
             summarize([])
+
+    @given(
+        samples=st.lists(
+            st.floats(-1e6, 1e6).filter(lambda x: x == 0 or abs(x) > 1e-100),
+            min_size=1,
+            max_size=30,
+        ),
+        power=st.integers(0, 990),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_summarize_scales_exactly_by_powers_of_two(self, samples, power):
+        """Scaling the samples by 2**power scales the mean and both CI bounds
+        by exactly 2**power, so samples near 1e300 keep a finite interval."""
+        ci = summarize(samples)
+        scaled = summarize([x * 2.0**power for x in samples])
+        assert scaled == MeanCI(*(v * 2.0**power for v in (ci.mean, ci.ci_low, ci.ci_high)))
