@@ -314,6 +314,8 @@ def parse_config(doc: Any, source: str = "<config>") -> ExperimentConfig:
     if not isinstance(experiment, str) or not experiment:
         raise _err(f"{source}.experiment", "experiment id must be a nonempty string")
     horizon = _integer(doc.get("horizon", 600), f"{source}.horizon", 1)
+    # Buyers depart at the horizon by default, so it is checked before they are.
+    _build(f"{source}.horizon", FieldError.number, "horizon", horizon)
     _require(doc, "buyers", source)
     _require(doc, "capacity", source)
     fields = _scenario_fields(doc, source, _SCENARIO_KEYS, horizon)

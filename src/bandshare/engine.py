@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
@@ -217,9 +218,12 @@ class Scenario:
 
 def _fits(scenario: Scenario, per_kb: float) -> bool:
     """Whether ``per_kb`` >= 0 keeps a session's sums finite: a charge or rebate
-    is at most per_kb x capacity x horizon / mu, a utility adds three, welfare n."""
+    is at most per_kb x capacity x horizon / mu, a utility adds three, welfare n.
+    An int too large for a float does not, and is never multiplied."""
     n = 3 * len(scenario.buyers)
-    return 0 <= per_kb * scenario.capacity * scenario.horizon / scenario.mu * n < np.inf
+    return 0 <= per_kb <= sys.float_info.max and (
+        per_kb * scenario.capacity * scenario.horizon / scenario.mu * n < np.inf
+    )
 
 
 @dataclass

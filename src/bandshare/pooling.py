@@ -160,19 +160,21 @@ def settle_pool(ledgers: Sequence[SellerLedger], rng: np.random.Generator) -> Po
     )
 
 
-SellerSampler = Callable[[np.random.Generator], Tuple[float, float]]
+PeriodSampler = Callable[[np.random.Generator, int, int], Tuple[List[float], List[float]]]
 
 
 def tax_admissibility_estimate(
-    sampler: SellerSampler,
+    sampler: PeriodSampler,
     m: int,
     n_trials: int,
     rng: np.random.Generator,
+    sessions_per_seller: int = 1,
 ) -> float:
     """Monte Carlo estimate of Pr(some tax rate > 1) for pools of 2m sellers.
 
-    ``sampler`` draws one seller's (above-reserve credit, above-reserve buyer
-    payments) for an accounting period; each trial draws all 2m sellers from it.
+    Each trial calls ``sampler(rng, 2 * m, sessions_per_seller)`` once for
+    the 2m sellers' accounting periods: their above-reserve credits and
+    above-reserve buyer payments, each the total of that many auctions.
     """
     if m < 1:
         raise ValueError("need at least one seller per half")
@@ -180,22 +182,30 @@ def tax_admissibility_estimate(
         raise ValueError("need at least one trial")
     exceed = 0
     for _ in range(n_trials):
-        credit, paid = zip(*[sampler(rng) for _ in range(2 * m)])
+        credit, paid = sampler(rng, 2 * m, sessions_per_seller)
         _, (raw1, _), (raw2, _) = _split_taxes(credit, paid, rng)
         if max(raw1, raw2) > 1.0:
             exceed += 1
     return exceed / n_trials
 
 
-def bootstrap_sampler(
-    observations: Sequence[Tuple[float, float]]
-) -> SellerSampler:
-    """Resample observed (credit, payments) pairs with replacement."""
-    obs: List[Tuple[float, float]] = [(float(c), float(t)) for c, t in observations]
-    if not obs:
+def bootstrap_sampler(observations: Sequence[Tuple[float, float]]) -> PeriodSampler:
+    """Period sampler that resamples observed (credit, payments) pairs with
+    replacement, one pair per session."""
+    obs = np.array([(float(c), float(t)) for c, t in observations]).reshape(-1, 2)
+    if not len(obs):
         raise ValueError("no observations to bootstrap from")
+    credit_obs, paid_obs = obs.T
 
-    def sample(rng: np.random.Generator) -> Tuple[float, float]:
-        return obs[int(rng.integers(len(obs)))]
+    def sample(rng: np.random.Generator, sellers: int, sessions: int):
+        # One seller-major draw takes the indices of sellers x sessions scalar
+        # draws.  Totals add column by column, as running sums in session
+        # order do; a row sum adds pairwise and can move one by an ulp.
+        idx = rng.integers(len(obs), size=(sellers, sessions))
+        credit, paid = np.zeros(sellers), np.zeros(sellers)
+        for j in range(sessions):
+            credit += credit_obs[idx[:, j]]
+            paid += paid_obs[idx[:, j]]
+        return credit.tolist(), paid.tolist()
 
     return sample

@@ -57,7 +57,6 @@ __all__ = [
     "natural_suite",
     "pooling_seller_observations",
     "run_suite",
-    "seller_period_sampler",
     "truthfulness_suite",
     "welfare_capacity_bks_scenario",
 ]
@@ -354,25 +353,6 @@ def pooling_seller_observations(
     return obs
 
 
-def seller_period_sampler(
-    observations: Sequence[Tuple[float, float]], sessions_per_seller: int
-):
-    """Sampler of one seller's accounting period: the sum of several
-    independently drawn auction outcomes."""
-    draw_one = bootstrap_sampler(observations)
-
-    def sample(rng: np.random.Generator) -> Tuple[float, float]:
-        credit = 0.0
-        payments = 0.0
-        for _ in range(sessions_per_seller):
-            c, t = draw_one(rng)
-            credit += c
-            payments += t
-        return credit, payments
-
-    return sample
-
-
 def admissibility_suite(
     seed: int = 0,
     n_sessions: int = 600,
@@ -381,18 +361,16 @@ def admissibility_suite(
     sessions_per_seller: int = 10,
 ) -> SuiteReport:
     rng = np.random.default_rng(seed)
-    sampler = seller_period_sampler(
-        pooling_seller_observations(n_sessions, seed), sessions_per_seller
-    )
+    sampler = bootstrap_sampler(pooling_seller_observations(n_sessions, seed))
     lines = []
 
-    p200 = tax_admissibility_estimate(sampler, m=100, n_trials=n_trials, rng=rng)
+    p200 = tax_admissibility_estimate(sampler, 100, n_trials, rng, sessions_per_seller)
     lines.append(
         f"  200-seller pools: Pr(tax > 1) = {p200:.4f} over {n_trials} trials"
     )
 
     trend = [
-        tax_admissibility_estimate(sampler, m=m, n_trials=trend_trials, rng=rng)
+        tax_admissibility_estimate(sampler, m, trend_trials, rng, sessions_per_seller)
         for m in (5, 20, 80)
     ]
     lines.append(

@@ -140,7 +140,7 @@ class TestParsing:
     @pytest.mark.parametrize(
         "key, value",
         [("seed", -3), ("capacity", float("nan")), ("capacity", float("inf")),
-         ("capacity", 10**400)],
+         ("capacity", 10**400), ("horizon", 10**400)],
     )
     def test_bad_top_level_number_rejected(self, key, value):
         doc = copy.deepcopy(MINI_DOC)

@@ -1506,13 +1506,14 @@ class TestReplay:
             run_session(scenario, 0, **overrides)
 
     @pytest.mark.parametrize(
-        "bid", ["3", -1.0, float("nan"), float("inf"), True, 1e308],
-        ids=["str", "negative", "nan", "inf", "bool", "overflow"],
+        "bid", ["3", -1.0, float("nan"), float("inf"), True, 1e308, 10**400],
+        ids=["str", "negative", "nan", "inf", "bool", "overflow", "huge-int"],
     )
     def test_bad_bid_override_rejected(self, bid):
         # These used to play: "3" as 3, -1 as an ineligible bid, inf and
         # 1e308 as NaN or infinite utilities under vmm and True as 1; NaN
-        # failed with a message about the perturbed bid that named no buyer.
+        # failed with a message about the perturbed bid that named no buyer,
+        # and an int too large for a float with an OverflowError.
         scenario = contest_scenarios()["packet_contest_vcg"]
         with pytest.raises(ValueError, match="bid override for buyer 'b1'"):
             run_session(scenario, 0, bid_override={"b1": bid})

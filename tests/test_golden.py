@@ -2,9 +2,10 @@
 
 Every refactor of the engine must keep these files byte-identical, and the
 CLI's stdout too (the ``wrote`` lines in write order, with the output directory
-shown as ``OUT``).  A change that alters an RNG stream or a result on purpose
-updates the digests here and says so in CHANGES.md.  Regenerate with
-``python tests/test_golden.py``.
+shown as ``OUT``).  The stdout of ``verify`` for the pool suites is pinned
+verbatim in ``VERIFY_STDOUT``.  A change that alters an RNG stream or a result
+on purpose updates the digests here and says so in CHANGES.md.  Regenerate
+with ``python tests/test_golden.py``.
 """
 
 import contextlib
@@ -114,6 +115,26 @@ GOLDEN = {
     },
 }
 
+# ``bandshare verify`` stdout for the suites the pool layer serves.
+VERIFY_STDOUT = {
+    "--suite admissibility": (
+        "[PASS] admissibility\n"
+        "  200-seller pools: Pr(tax > 1) = 0.0000 over 100 trials\n"
+        "  Pr(tax > 1) over pool halves {5, 20, 80}: 0.1860, 0.0155, 0.0000\n"
+    ),
+    "--suite admissibility --seed 3": (
+        "[PASS] admissibility\n"
+        "  200-seller pools: Pr(tax > 1) = 0.0000 over 100 trials\n"
+        "  Pr(tax > 1) over pool halves {5, 20, 80}: 0.3145, 0.0720, 0.0020\n"
+    ),
+    "--suite balance --seed 3": (
+        "[PASS] balance\n"
+        "  500 random pools: max relative imbalance 0.000e+00\n"
+        "  residual when no cap binds: max relative 7.540e-16 (352 pools hit the cap)\n"
+    ),
+}
+
+
 def argv(command, name, fmt, out_dir, *extra):
     args = [
         command, "--config", builtin_config_path(name), "--out-dir", str(out_dir),
@@ -158,6 +179,18 @@ def test_outputs_do_not_depend_on_jobs(command, name, tmp_path):
     assert found == GOLDEN[case_key(command, name, "csv")]
 
 
+def verify_stdout(flags):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", *flags.split()]) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("flags", sorted(VERIFY_STDOUT))
+def test_verify_stdout(flags):
+    assert verify_stdout(flags) == VERIFY_STDOUT[flags]
+
+
 if __name__ == "__main__":
     import json
     import pathlib
@@ -170,3 +203,5 @@ if __name__ == "__main__":
         for f, h in found.items():
             print(f'        "{f}": {json.dumps(h)},')
         print("    },")
+    for flags in VERIFY_STDOUT:
+        print(f'    "{flags}": {json.dumps(verify_stdout(flags))},')

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bandshare.pooling import (
     LedgerRow,
+    _split_taxes,
     SellerLedger,
     bootstrap_sampler,
     settle_pool,
@@ -163,14 +164,42 @@ class TestBudgetBalance:
         )
 
 
+def two_point_sampler(p, resampled, kept):
+    """Batch sampler whose every session is the (credit, payments) pair
+    ``resampled`` with probability p and ``kept`` otherwise."""
+
+    def sample(rng, sellers, sessions):
+        hit = rng.random((sellers, sessions)) < p
+        return [np.where(hit, r, k).sum(axis=1).tolist() for r, k in zip(resampled, kept)]
+
+    return sample
+
+
+def scalar_period_sampler(observations):
+    """Reference batch sampler: one scalar draw per session, in seller-major
+    order, and each seller's totals summed in a Python loop."""
+    obs = [(float(c), float(t)) for c, t in observations]
+
+    def sample(rng, sellers, sessions):
+        credit, paid = [], []
+        for _ in range(sellers):
+            c_total = t_total = 0.0
+            for _ in range(sessions):
+                c, t = obs[int(rng.integers(len(obs)))]
+                c_total += c
+                t_total += t
+            credit.append(c_total)
+            paid.append(t_total)
+        return credit, paid
+
+    return sample
+
+
 class TestTaxAdmissibility:
     def test_degenerate_single_seller_pools_often_inadmissible(self):
         # One high-rebate seller per half blows through tax = 1 regularly.
-        def sampler(rng):
-            if rng.random() < 0.5:
-                return (30.0, -200.0)  # resampled: credit 30, payments -200
-            return (50.0, 50.0)
-
+        # Resampled: credit 30, payments -200.
+        sampler = two_point_sampler(0.5, (30.0, -200.0), (50.0, 50.0))
         p = tax_admissibility_estimate(
             sampler, m=1, n_trials=2000, rng=np.random.default_rng(0)
         )
@@ -179,22 +208,14 @@ class TestTaxAdmissibility:
     def test_large_pools_admissible(self):
         # E[credit] = 46, E[deficit] = 26: mean tax ~ 0.57, so concentration
         # keeps every trial under 1 once halves hold 100 sellers.
-        def sampler(rng):
-            if rng.random() < 0.2:
-                return (30.0, -100.0)
-            return (50.0, 50.0)
-
+        sampler = two_point_sampler(0.2, (30.0, -100.0), (50.0, 50.0))
         p = tax_admissibility_estimate(
             sampler, m=100, n_trials=500, rng=np.random.default_rng(1)
         )
         assert p == 0.0
 
     def test_probability_decreases_with_pool_size(self):
-        def sampler(rng):
-            if rng.random() < 0.2:
-                return (30.0, -150.0)
-            return (50.0, 50.0)
-
+        sampler = two_point_sampler(0.2, (30.0, -150.0), (50.0, 50.0))
         probs = [
             tax_admissibility_estimate(
                 sampler, m=m, n_trials=2000, rng=np.random.default_rng(2)
@@ -205,12 +226,63 @@ class TestTaxAdmissibility:
 
     def test_all_zero_revenue_tax_is_zero(self):
         p = tax_admissibility_estimate(
-            lambda rng: (0.0, 0.0), m=3, n_trials=50, rng=np.random.default_rng(3)
+            lambda rng, sellers, sessions: ([0.0] * sellers, [0.0] * sellers),
+            m=3,
+            n_trials=50,
+            rng=np.random.default_rng(3),
         )
         assert p == 0.0
 
     def test_bootstrap_sampler_cycles_observations(self):
         sampler = bootstrap_sampler([(1.0, 2.0), (3.0, 4.0)])
-        rng = np.random.default_rng(0)
-        seen = {sampler(rng) for _ in range(50)}
-        assert seen == {(1.0, 2.0), (3.0, 4.0)}
+        credit, paid = sampler(np.random.default_rng(0), 50, 1)
+        assert set(zip(credit, paid)) == {(1.0, 2.0), (3.0, 4.0)}
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+class TestBootstrapStream:
+    """The one-call array sampler draws and adds exactly what one scalar draw
+    per session, summed in session order, does; a numpy release that changes
+    the batch-versus-scalar stream fails here."""
+
+    @given(
+        observations=st.lists(st.tuples(finite, finite), min_size=1, max_size=700),
+        sellers=st.integers(1, 201),
+        sessions=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sampler_matches_scalar_draws(self, observations, sellers, sessions, seed):
+        # Odd draw counts leave half a 64-bit word buffered for the
+        # permutation that follows; it must see the same state either way.
+        streams = []
+        for make in (bootstrap_sampler, scalar_period_sampler):
+            rng = np.random.default_rng(seed)
+            streams.append((make(observations)(rng, sellers, sessions), rng.permutation(sellers)))
+        (batch, perm), (scalar, scalar_perm) = streams
+        assert batch == scalar
+        assert perm.tolist() == scalar_perm.tolist()
+
+    @given(
+        observations=st.lists(st.tuples(finite, finite), min_size=1, max_size=700),
+        m=st.integers(1, 100),
+        k=st.integers(1, 12),
+        n_trials=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_estimate_matches_scalar_draws(self, observations, m, k, n_trials, seed):
+        taxes, exceedance = [], []
+        for make in (bootstrap_sampler, scalar_period_sampler):
+            sampler = make(observations)
+            rng = np.random.default_rng(seed)
+            taxes.append([_split_taxes(*sampler(rng, 2 * m, k), rng) for _ in range(n_trials)])
+            exceedance.append(
+                tax_admissibility_estimate(
+                    sampler, m, n_trials, np.random.default_rng(seed), sessions_per_seller=k
+                )
+            )
+        assert taxes[0] == taxes[1]
+        assert exceedance[0] == exceedance[1]
