@@ -34,6 +34,9 @@ __all__ = [
 # Probe grid used to spot-check monotonicity of user-supplied rate functions.
 _MONOTONE_PROBE_MAX = 1e4
 _MONOTONE_PROBE_POINTS = 512
+# flow_trace: warm-up before epoch 1 in mean durations; the most flows a spec may expect.
+_WARMUP_DURATIONS = 20
+_MAX_FLOWS = 10**6
 
 
 @dataclass(frozen=True)
@@ -132,8 +135,8 @@ def _check(ok: bool, message: str) -> None:
 
 
 def _finite(v: numbers.Real) -> bool:
-    """Whether ``v`` is a finite float; an int too large for a float is not."""
-    return abs(v) <= sys.float_info.max if isinstance(v, numbers.Integral) else math.isfinite(v)
+    """Whether ``v`` is a finite float; a rational too large for a float is not."""
+    return abs(v) <= sys.float_info.max if isinstance(v, numbers.Rational) else math.isfinite(v)
 
 
 # -- models: parameters are checked when a DemandSpec is built ---------------
@@ -241,26 +244,22 @@ def _flow_trace(
     # Underlying normal parameters for a lognormal with the given moments.
     sigma2 = math.log(1.0 + (stddev_duration / mean_duration) ** 2)
     mu = math.log(mean_duration) - sigma2 / 2.0
-    sigma = math.sqrt(sigma2)
 
-    # Warm-start margin: generous multiple of the mean duration so flows that
-    # straddle epoch 1 are represented.
-    warmup = 20.0 * mean_duration
-    demand = np.zeros(horizon + 1)  # index by epoch, entry 0 unused
-
-    t_arr = -warmup
-    while True:
-        t_arr += rng.exponential(mean_interarrival)
-        if t_arr > horizon:
-            break
-        duration = math.ceil(rng.lognormal(mu, sigma))  # whole epochs, >= 1
-        start = max(1, math.floor(t_arr) + 1)  # first whole epoch after arrival
-        end = min(horizon, math.floor(t_arr) + duration)
-        if end < start or mean_rate == 0:
-            continue
-        demand[start : end + 1] += rng.poisson(mean_rate, size=end - start + 1)
-
-    return _series("flow_trace", demand[1:], demand[1:])  # no list copy: most reads are bulk
+    # A Poisson process of arrivals on (-warmup, horizon]: a Poisson count, each uniform.
+    warmup = _WARMUP_DURATIONS * mean_duration
+    count = rng.poisson((horizon + warmup) / mean_interarrival)
+    arrived = np.floor(rng.uniform(-warmup, horizon, count))
+    duration = np.ceil(rng.lognormal(mu, math.sqrt(sigma2), count))  # whole epochs, >= 1
+    # A flow is active from the first whole epoch after its arrival for
+    # ``duration`` epochs, clipped to [1, horizon]; ``stop`` is one past its last.
+    start = np.maximum(1.0, arrived + 1)
+    stop = np.maximum(np.minimum(horizon, arrived + duration) + 1, start)
+    edges = [np.bincount(e.astype(np.intp), minlength=horizon + 2) for e in (start, stop)]
+    active = np.cumsum(edges[0] - edges[1])[1 : horizon + 1]
+    # Each active flow sends Poisson(mean_rate) KB per epoch, independently:
+    # one Poisson(mean_rate x active) draw per epoch has the same law.
+    demand = rng.poisson(mean_rate * active).astype(float)
+    return _series("flow_trace", demand, demand)  # no list copy: most reads are bulk
 
 
 # A spec's parameters are the parameters of its model's function (except the
@@ -367,6 +366,10 @@ class DemandSpec:
             vals = [float(g(z)) for z in zs]
             if not all(b >= a - 1e-12 for a, b in zip(vals, vals[1:])):
                 raise FieldError("g", f"{kind}: rate function is not weakly increasing")
+        elif kind == "flow_trace":
+            least = (params["horizon"] + _WARMUP_DURATIONS * params["mean_duration"]) / _MAX_FLOWS
+            v, rule = params["mean_interarrival"], f">= {least:g}, for at most {_MAX_FLOWS} flows"
+            FieldError.check(v >= least, "mean_interarrival", rule, v, f"{kind}: ")
         object.__setattr__(self, "params", params)
 
     def realize(self, seed: Optional[int] = None) -> DemandRealization:
@@ -436,11 +439,12 @@ class DemandSpec:
         durations, and per-epoch Poisson demand for each active flow.
 
         Durations and the inter-arrival gap are in epochs, the rate in
-        KB/epoch.  Each seed draws the whole trace at realization (one array
-        entry per epoch), so queries are O(1) and independent of x.  Arrivals
-        start well before epoch 1 so the flow population is in steady state
-        over the whole horizon; the time-averaged demand then matches the mean
-        flow rate.
+        KB/epoch.  Each seed draws the whole trace at realization: a Poisson
+        count of arrivals, uniform on the horizon and a warm-up of 20 mean
+        durations before it (so the flow population is in steady state from
+        epoch 1), a lognormal duration each, in whole epochs, and one Poisson
+        draw per epoch with mean ``mean_rate`` times the active flows.  At most
+        10**6 arrivals may be expected.  Queries are O(1) and independent of x.
         """
         return DemandSpec(
             "flow_trace",

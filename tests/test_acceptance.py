@@ -4,8 +4,8 @@ One test per criterion, each printing a single ``[PASS]/[FAIL] criterion N``
 line with the measured values (run ``pytest tests/test_acceptance.py -s -v``
 to see every line).
 
-Three assertions are expected to stay red; each failure message carries the
-full analysis:
+Two assertions are expected to stay red, and a third may be; each failure
+message carries the full analysis:
 
 * criterion 2 -- the expected total payment in the resampling mechanism at
   mu = 0.2 is 3 (1 - mu) (2/3)^(1-mu) (0.8 + 0.1) ~= 1.56, not 2; the $2
@@ -14,9 +14,11 @@ full analysis:
   welfare converges within 2% only near capacity ~95, far above mean demand
   (50); at capacity 55 the spread is ~12%.
 * criterion 10 -- expected auction payments fall with capacity while
-  first-price credits rise with it, so the strict four-type mean ordering
-  can never match between pooled and unpooled revenue for any buyer
-  population; the significant (population-level) separations are preserved.
+  first-price credits rise with it, so the expected strict four-type
+  orderings of pooled and unpooled revenue disagree; the sample means of the
+  c60-d70 and c40-d70 sellers are a near-tie, so the strict clause passes or
+  fails with Monte Carlo noise.  The significant (population-level)
+  separations are preserved.
 """
 
 import time
@@ -293,7 +295,7 @@ def test_criterion_9_tax_admissibility():
 
 def test_criterion_10_pooling_variance_and_ordering():
     """Pooling cuts seller-revenue variance; the strict four-type ordering
-    clause is expected red (see module docstring)."""
+    clause may be red (see module docstring)."""
     similar = run_pool(_config("pooling_similar"))
     unpooled6 = np.array([r[2] for r in similar.seller_rows])
     pooled6 = np.array([similar.settlement.transfers[r[0]] for r in similar.seller_rows])
@@ -344,7 +346,7 @@ def test_criterion_10_pooling_variance_and_ordering():
         f"The strict target is unattainable for any buyer population: expected "
         f"auction payments (unpooled revenue) strictly fall as capacity rises "
         f"40 -> 60 while first-price credits (pooled revenue) strictly rise, "
-        f"so the two orderings provably disagree on same-population capacity "
+        f"so the two expected orderings disagree on same-population capacity "
         f"pairs. The separations the experiment actually resolves (the buyer "
         f"population classes) are preserved: {preserved}."
     )

@@ -148,6 +148,17 @@ class TestParsing:
         with pytest.raises(ConfigError, match=rf"conf\.yaml\.{key}: "):
             parse_config(yaml.safe_load(yaml.safe_dump(doc)), source="conf.yaml")
 
+    def test_flow_count_bound_is_reported_at_its_key(self):
+        # Built only: a trace of about 1e11 flows would not fit in memory.
+        doc = copy.deepcopy(MINI_DOC)
+        doc["buyers"][0]["demand"] = {
+            "model": "flow_trace", "mean_rate": 6, "mean_interarrival": 1e-9
+        }
+        path = re.escape("conf.yaml.buyers[0].demand.mean_interarrival")
+        message = rf"^{path}: flow_trace: mean_interarrival must be >= "
+        with pytest.raises(ConfigError, match=message):
+            parse_config(doc, source="conf.yaml")
+
     @pytest.mark.parametrize(
         "block, node, path",
         [

@@ -1,10 +1,13 @@
 """Demand model tests: pointwise oracles, naturalness, trace statistics."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 
 import bandshare.demand
-from bandshare.demand import DemandSpec, check_natural
+from bandshare.demand import DemandSpec, FieldError, check_natural
 
 
 class TestConstant:
@@ -145,6 +148,88 @@ class TestFlowTrace:
             DemandSpec.flow_trace(mean_rate=10, horizon=600, mean_duration=0)
         with pytest.raises(ValueError):
             DemandSpec.flow_trace(mean_rate=10, horizon=0)
+
+    @pytest.mark.parametrize("gap", [1e-9, 1e-13])
+    def test_expected_flow_count_is_bounded(self, gap):
+        # About (600 + 20 x 30) / gap arrivals: the array draws would take
+        # that much memory at realization.  Built only, never realized.
+        with pytest.raises(FieldError, match=r"mean_interarrival must be >= 0\.0012, ") as info:
+            DemandSpec.flow_trace(mean_rate=10, horizon=600, mean_interarrival=gap)
+        assert info.value.field == "mean_interarrival"
+        DemandSpec.flow_trace(mean_rate=10, horizon=600, mean_interarrival=0.0012)
+
+
+def loop_flow_trace(seed, mean_rate, horizon, mean_duration=30.0, stddev_duration=30.0,
+                    mean_interarrival=30.0, warmup=None):
+    """Reference generator: the per-flow loop that ``flow_trace`` replaced.
+
+    One exponential gap, one lognormal duration and one Poisson block per
+    flow, from a warm-up of 20 mean durations unless ``warmup`` is given."""
+    rng = np.random.default_rng(seed)
+    sigma2 = math.log(1.0 + (stddev_duration / mean_duration) ** 2)
+    mu, sigma = math.log(mean_duration) - sigma2 / 2.0, math.sqrt(sigma2)
+    demand = np.zeros(horizon + 1)  # index by epoch, entry 0 unused
+    t_arr = -(20.0 * mean_duration if warmup is None else warmup)
+    while True:
+        t_arr += rng.exponential(mean_interarrival)
+        if t_arr > horizon:
+            return demand[1:]
+        duration = math.ceil(rng.lognormal(mu, sigma))
+        start = max(1, math.floor(t_arr) + 1)
+        end = min(horizon, math.floor(t_arr) + duration)
+        if end >= start:
+            demand[start : end + 1] += rng.poisson(mean_rate, size=end - start + 1)
+
+
+def trace_statistics(traces):
+    """Per-trace mean, idle fraction, variance and first-epoch demand: one
+    sample per trace, since the epochs of one trace are correlated."""
+    traces = np.asarray(traces)
+    return {
+        "mean": traces.mean(axis=1),
+        "idle": (traces == 0).mean(axis=1),
+        "variance": traces.var(axis=1),
+        "epoch 1": traces[:, 0],
+    }
+
+
+FLOW_TRACE_LAWS = {
+    "default": dict(mean_rate=10.0, horizon=600),
+    # A mean of 2 flows that last 100 epochs: most demand at epoch 1 comes
+    # from flows that arrived during the warm-up.
+    "long flows": dict(mean_rate=3.0, horizon=300, mean_duration=100.0, stddev_duration=100.0,
+                       mean_interarrival=50.0),
+    "short horizon": dict(mean_rate=10.0, horizon=20),
+}
+TRACES = 2000
+
+
+@pytest.mark.parametrize("law", sorted(FLOW_TRACE_LAWS))
+def test_flow_trace_has_the_law_of_the_per_flow_loop(law):
+    """The array draws and the reference loop give traces with the same law:
+    each per-trace statistic has the same mean (within 4 standard errors)
+    and passes a two-sample KS test, over fixed seeds."""
+    params = FLOW_TRACE_LAWS[law]
+    spec = DemandSpec.flow_trace(**params)
+    horizon = params["horizon"]
+    drawn = trace_statistics([spec.realize(s).query_epochs(1, horizon) for s in range(TRACES)])
+    loop = trace_statistics([loop_flow_trace(10**6 + s, **params) for s in range(TRACES)])
+    for name in drawn:
+        a, b = drawn[name], loop[name]
+        se = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
+        assert abs(a.mean() - b.mean()) <= 4 * se, (law, name, a.mean(), b.mean())
+        assert stats.ks_2samp(a, b).pvalue > 0.01, (law, name)
+
+
+def test_flow_trace_law_check_rejects_a_trace_without_warm_up():
+    # The check has power where warm-up matters: without it, the loop's
+    # first epochs see almost no flows.
+    params = FLOW_TRACE_LAWS["long flows"]
+    spec = DemandSpec.flow_trace(**params)
+    drawn = trace_statistics([spec.realize(s).query_epochs(1, 300) for s in range(TRACES)])
+    cold = [loop_flow_trace(10**6 + s, **params, warmup=0.0) for s in range(TRACES)]
+    cold = trace_statistics(cold)
+    assert stats.ks_2samp(drawn["epoch 1"], cold["epoch 1"]).pvalue < 1e-6
 
 
 class TestCheckNatural:

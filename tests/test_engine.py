@@ -242,6 +242,7 @@ HUGE = 10**400  # an int too large for a float
     "field,build",
     [
         ("value", lambda: BuyerSpec("a", HUGE, DemandSpec.constant(1.0))),
+        ("value", lambda: BuyerSpec("a", Fraction(HUGE), DemandSpec.constant(1.0), 1, 10)),
         ("arrival", lambda: BuyerSpec("a", 1.0, DemandSpec.constant(1.0), HUGE, HUGE)),
         ("capacity", lambda: Scenario((), HUGE)),
         ("mu", lambda: Scenario((), 10.0, mu=HUGE)),
@@ -270,15 +271,16 @@ HUGE = 10**400  # an int too large for a float
         ("mean_interarrival", lambda: DemandSpec.flow_trace(1.0, 10, mean_interarrival=HUGE)),
     ],
     ids=[
-        "value", "arrival", "capacity", "mu", "reserve", "price", "horizon", "pad", "delay",
-        "bid_factor", "target_bytes", "deadline", "constant", "time_varying", "buffered",
-        "impatient-k", "impatient-p", "impatient-m", "increasing_rate", "increasing_total",
+        "value", "value-fraction", "arrival", "capacity", "mu", "reserve", "price", "horizon",
+        "pad", "delay", "bid_factor", "target_bytes", "deadline", "constant", "time_varying",
+        "buffered", "impatient-k", "impatient-p", "impatient-m", "increasing_rate", "increasing_total",
         "cliff-k", "cliff-m", "flow_trace-mean_rate", "flow_trace-horizon",
         "flow_trace-mean_duration", "flow_trace-stddev_duration", "flow_trace-mean_interarrival",
     ],
 )
 def test_int_too_large_for_a_float_is_a_value_error_naming_its_field(field, build):
-    # Each was accepted or raised an OverflowError from a float conversion.
+    # Each was accepted or raised an OverflowError from a float conversion
+    # (a Fraction too, as a non-integral rational).
     with pytest.raises(FieldError) as info:
         build()
     assert info.value.field == field

@@ -44,8 +44,8 @@ def case_key(command, name, fmt):
 
 GOLDEN = {
     "simulate impatient_deviation": {
-        "impatient_deviation_results.csv": "53bd23038a725a715554346ca460f8e6dc6f676b7be3f03cc0a9b71a1546aa62",
-        "impatient_deviation_trace.csv": "19c72019621cf91bd1e3e6f5ee10e4f27a7dc49194cc621a4f3792b1d4bb4999",
+        "impatient_deviation_results.csv": "ae50f766bff7697aae29cfa78055328a5268e1cc8e57d1c81dd97ebab238dc0a",
+        "impatient_deviation_trace.csv": "d756d42a54abfb9bd3e75a4b55736058c12935f6233bbffb1f139165aac7655a",
         "stdout": "wrote OUT/impatient_deviation_results.csv\nwrote OUT/impatient_deviation_trace.csv\n",
     },
     "simulate packet_contest_resampling": {
@@ -59,59 +59,59 @@ GOLDEN = {
         "stdout": "wrote OUT/packet_contest_vcg_results.csv\nwrote OUT/packet_contest_vcg_trace.csv\n",
     },
     "simulate pooling_similar": {
-        "pooling_similar_results.csv": "30f1978870d6c0006ac4e6d32f359afceb8e87d95f82677ad0c8e34d80c6eebb",
-        "pooling_similar_trace.csv": "10db5a8794594cd5b5e8a5f274b68ca65bae456196b7a0b24eb3e0096977b978",
+        "pooling_similar_results.csv": "c236b7626779b1b4876e9b6020e26613af5061e6012513475de4bac0b27cc08c",
+        "pooling_similar_trace.csv": "cffd577008b7e2f2dd5db116d2a58f01c8bdbff2c1a634823abbe0dcf077b54a",
         "stdout": "wrote OUT/pooling_similar_results.csv\nwrote OUT/pooling_similar_trace.csv\n",
     },
     "simulate pooling_varied": {
-        "pooling_varied_results.csv": "70c5de9a2092a073770026a44734aa2dc53c545c96665a93cdf19de88be0d7ba",
-        "pooling_varied_trace.csv": "10db5a8794594cd5b5e8a5f274b68ca65bae456196b7a0b24eb3e0096977b978",
+        "pooling_varied_results.csv": "bf7a38080023d29e90df1f9d7d3e77ae4ebc50f0dff0cf2010a2dab9e6e466e3",
+        "pooling_varied_trace.csv": "cffd577008b7e2f2dd5db116d2a58f01c8bdbff2c1a634823abbe0dcf077b54a",
         "stdout": "wrote OUT/pooling_varied_results.csv\nwrote OUT/pooling_varied_trace.csv\n",
     },
     "simulate reserve_sweep": {
-        "reserve_sweep_results.csv": "9a130ea7d5af81453183af5d5de1de31fd9fda1b4389fdafb40428320bc8fc37",
-        "reserve_sweep_trace.csv": "9afc1311db6ec7e42e1d8325c81c9617be31e3c031d67f0406eaf66e3c8d21d3",
+        "reserve_sweep_results.csv": "aa249d9f81791e258a5e1af7b7382e587f37bd9826d128f53bba4b7d18f5a3ff",
+        "reserve_sweep_trace.csv": "e4d14ba0a8ffa08844a0d8490678dc696e610d5bd7469b9f04daaa936e05f578",
         "stdout": "wrote OUT/reserve_sweep_results.csv\nwrote OUT/reserve_sweep_trace.csv\n",
     },
     "simulate welfare_capacity": {
-        "welfare_capacity_results.csv": "0c3c3f8b2258c91ca0c21f04809bf10f6ae6119f8f05c7bf0e936dec28cdab1b",
-        "welfare_capacity_trace.csv": "9afc1311db6ec7e42e1d8325c81c9617be31e3c031d67f0406eaf66e3c8d21d3",
+        "welfare_capacity_results.csv": "d2a679562c4906dd8f4e97a1c8183290751f6d782853a424e33fbd3c1dcd9f1a",
+        "welfare_capacity_trace.csv": "e4d14ba0a8ffa08844a0d8490678dc696e610d5bd7469b9f04daaa936e05f578",
         "stdout": "wrote OUT/welfare_capacity_results.csv\nwrote OUT/welfare_capacity_trace.csv\n",
     },
     "sweep impatient_deviation": {
-        "impatient_deviation_sweep_capacity.csv": "9ff3fc86e3ec570ff8d5745f3b3ce64d798540c82eadc622e1ddcaa1e8db36ad",
+        "impatient_deviation_sweep_capacity.csv": "6277ae573484b2bbc5681f3ea93c81a4ed7959a8077e9fb16181923db64c7d9d",
         "stdout": "wrote OUT/impatient_deviation_sweep_capacity.csv\n",
     },
     "sweep reserve_sweep": {
-        "reserve_sweep_sweep_reserve.csv": "2c8d60be8ccde4e7252b78c9c1205900ee1c2af31c87d2438cafb36164f4d9c1",
+        "reserve_sweep_sweep_reserve.csv": "550f4ce8100e49543f97708ceaa1c5f4502b5bbe631409974719f12d1e6f1975",
         "stdout": "wrote OUT/reserve_sweep_sweep_reserve.csv\n",
     },
     "sweep welfare_capacity": {
-        "welfare_capacity_sweep_capacity.csv": "c32c4e1928dc656cd14218329fdb1b6afbc347b26db859d43b55ccfa4fb0d12b",
+        "welfare_capacity_sweep_capacity.csv": "28a79f85754ca77f2f601d51ae7dba3aceb190c1fa08e80e04a5c9704cddfc2c",
         "stdout": "wrote OUT/welfare_capacity_sweep_capacity.csv\n",
     },
     "pool pooling_similar": {
-        "pooling_similar_pool.csv": "4649601be2149abd7d4a0f48d3eff490823fb93ffa070b01b4804b3851c234d3",
-        "pooling_similar_sellers.csv": "5ff64a3444648f7d460379e7d83b338d499979b0ef625eb5e05ae7089b566900",
-        "pooling_similar_settlement.json": "07dea7222fc9e454f194444da4a7109bbee706d1e99882d941914bc6af1a9741",
-        "stdout": "wrote OUT/pooling_similar_sellers.csv\nwrote OUT/pooling_similar_pool.csv\nwrote OUT/pooling_similar_settlement.json\ntaxes: 0.762057705029, 0.806827110539; balance error: 3.72529029846e-09\n",
+        "pooling_similar_pool.csv": "2487de26d762fafb37c6b60bfd31667d3e57865986ee13885a752eb867ee1bd6",
+        "pooling_similar_sellers.csv": "0bf36c6855ee371a119389f8ddbb263ada1bdea4f102f62a8a99f582a7f8e24e",
+        "pooling_similar_settlement.json": "7eaaa7ed28c7d46bfde97fec77164a14ccfcaf135cc5321ba5d0cc9e321f00ae",
+        "stdout": "wrote OUT/pooling_similar_sellers.csv\nwrote OUT/pooling_similar_pool.csv\nwrote OUT/pooling_similar_settlement.json\ntaxes: 0.751017965708, 0.81981962254; balance error: -1.49011611938e-08\n",
     },
     "pool pooling_varied": {
-        "pooling_varied_pool.csv": "e3c0efa589fd00e803cf0d0ecd2ef4c10f5e4521b3702ba0bc9997cba9cfa882",
-        "pooling_varied_sellers.csv": "ecb784c86cb88deab2976e1f203f7dadabe0a38d7b3f49c7bc0f6049f9f360d9",
-        "pooling_varied_settlement.json": "b462609d4eed2a5b56432588767a07e294eebf50f88472ad5b43187a652a1a81",
-        "stdout": "wrote OUT/pooling_varied_sellers.csv\nwrote OUT/pooling_varied_pool.csv\nwrote OUT/pooling_varied_settlement.json\ntaxes: 0.739623674454, 0.794705766169; balance error: 0\n",
+        "pooling_varied_pool.csv": "f43ea79f49079be8911fafc14909b5478cfbd7233a410ee28be96589b1fb3d5a",
+        "pooling_varied_sellers.csv": "bb4fc80dc9ed810b5ca2ec0c0b7fd9ed0d01f370d183d5ffed8bcbf357238992",
+        "pooling_varied_settlement.json": "6fa663bd178f063acfc2da34a065ce1957e6a2e6d451578e3ce36e7db103fe8d",
+        "stdout": "wrote OUT/pooling_varied_sellers.csv\nwrote OUT/pooling_varied_pool.csv\nwrote OUT/pooling_varied_settlement.json\ntaxes: 0.728132866035, 0.809747578611; balance error: -2.98023223877e-08\n",
     },
     "simulate reserve_sweep json": {
-        "reserve_sweep_results.json": "99f38ece75b203f2d461dd3b2fdf600cfb9d4b0c31ada39673adb6b4cdf8ecef",
-        "reserve_sweep_trace.csv": "9afc1311db6ec7e42e1d8325c81c9617be31e3c031d67f0406eaf66e3c8d21d3",
+        "reserve_sweep_results.json": "3c939d67875cc414a62c9b62438055c9d8de4a2bd6ecf8cc6754ed54338e5464",
+        "reserve_sweep_trace.csv": "e4d14ba0a8ffa08844a0d8490678dc696e610d5bd7469b9f04daaa936e05f578",
         "stdout": "wrote OUT/reserve_sweep_results.json\nwrote OUT/reserve_sweep_trace.csv\n",
     },
     "pool pooling_varied json": {
-        "pooling_varied_pool.json": "2efe7335c3db79c958bc5be4a9475448281b34402c717becc8f0504146c3b484",
-        "pooling_varied_sellers.csv": "ecb784c86cb88deab2976e1f203f7dadabe0a38d7b3f49c7bc0f6049f9f360d9",
-        "pooling_varied_settlement.json": "b462609d4eed2a5b56432588767a07e294eebf50f88472ad5b43187a652a1a81",
-        "stdout": "wrote OUT/pooling_varied_sellers.csv\nwrote OUT/pooling_varied_pool.json\nwrote OUT/pooling_varied_settlement.json\ntaxes: 0.739623674454, 0.794705766169; balance error: 0\n",
+        "pooling_varied_pool.json": "ac340c5bd5c843706d3530b60a90662214aaa89ad0880fa439a14606de273625",
+        "pooling_varied_sellers.csv": "bb4fc80dc9ed810b5ca2ec0c0b7fd9ed0d01f370d183d5ffed8bcbf357238992",
+        "pooling_varied_settlement.json": "6fa663bd178f063acfc2da34a065ce1957e6a2e6d451578e3ce36e7db103fe8d",
+        "stdout": "wrote OUT/pooling_varied_sellers.csv\nwrote OUT/pooling_varied_pool.json\nwrote OUT/pooling_varied_settlement.json\ntaxes: 0.728132866035, 0.809747578611; balance error: -2.98023223877e-08\n",
     },
 }
 
@@ -120,12 +120,12 @@ VERIFY_STDOUT = {
     "--suite admissibility": (
         "[PASS] admissibility\n"
         "  200-seller pools: Pr(tax > 1) = 0.0000 over 100 trials\n"
-        "  Pr(tax > 1) over pool halves {5, 20, 80}: 0.1860, 0.0155, 0.0000\n"
+        "  Pr(tax > 1) over pool halves {5, 20, 80}: 0.1675, 0.0065, 0.0000\n"
     ),
     "--suite admissibility --seed 3": (
         "[PASS] admissibility\n"
         "  200-seller pools: Pr(tax > 1) = 0.0000 over 100 trials\n"
-        "  Pr(tax > 1) over pool halves {5, 20, 80}: 0.3145, 0.0720, 0.0020\n"
+        "  Pr(tax > 1) over pool halves {5, 20, 80}: 0.3170, 0.0835, 0.0025\n"
     ),
     "--suite balance --seed 3": (
         "[PASS] balance\n"
