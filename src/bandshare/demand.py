@@ -37,6 +37,8 @@ _MONOTONE_PROBE_POINTS = 512
 # flow_trace: warm-up before epoch 1 in mean durations; the most flows a spec may expect.
 _WARMUP_DURATIONS = 20
 _MAX_FLOWS = 10**6
+# flow_trace: the largest stddev / mean duration whose square is a finite float.
+_MAX_SPREAD = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -370,6 +372,9 @@ class DemandSpec:
             least = (params["horizon"] + _WARMUP_DURATIONS * params["mean_duration"]) / _MAX_FLOWS
             v, rule = params["mean_interarrival"], f">= {least:g}, for at most {_MAX_FLOWS} flows"
             FieldError.check(v >= least, "mean_interarrival", rule, v, f"{kind}: ")
+            v, rule = params["stddev_duration"], f"at most {_MAX_SPREAD:g} mean durations"
+            ok = v / params["mean_duration"] <= _MAX_SPREAD
+            FieldError.check(ok, "stddev_duration", rule, v, f"{kind}: ")
         object.__setattr__(self, "params", params)
 
     def realize(self, seed: Optional[int] = None) -> DemandRealization:

@@ -22,24 +22,25 @@ or delays.  One stepper, ``_play``, plays priority groups epoch by epoch
 through ``query`` against a per-epoch capacity, allocating each epoch with
 ``_allocate_epoch``, the scalar form of the ``routing`` kernels.
 
-* The priority sweep (``_run_sweep``) plays strict-priority (``spq``)
-  sessions, and hybrid ones whose buyers other than the boosted one are
-  memoryless.  It visits the priority groups in descending key order and
-  serves each from the capacity the groups above it left: memoryless greedy
-  rows from the world's demand matrix, a lone greedy buffered or impatient
-  buyer through her model's vector form (``DemandRealization.serve``), and
-  any other group with a stateful buyer, lone or tied, through ``_play``.
-  Under hybrid routing ``_boost`` first scans the boosted buyer's reserved
-  epochs in scalar; after them hybrid is strict priority.
+* The priority sweep (``_run_sweep``) plays every strict-priority (``spq``)
+  and hybrid session.  It visits the priority groups in descending key order
+  and serves each from the capacity the groups above it left: memoryless
+  greedy rows from the world's demand matrix, a lone greedy buffered or
+  impatient buyer through her model's vector form
+  (``DemandRealization.serve``), and any other group with a stateful buyer,
+  lone or tied, through ``_play``.  Under hybrid routing ``_boost`` first
+  serves the groups down to the boosted buyer's: it scans her reserved epochs
+  in scalar, after which hybrid is strict priority, or plays them all with
+  ``_play`` when they hold a stateful buyer other than her, lone and greedy
+  with a vector form.
 * The vector path (``_run_vectorized``) plays fq and fifo sessions whose
   buyers are greedy (or misreporting) with memoryless or impatient demand; it
   applies the ``routing`` kernel to the (n, T) demand matrix, and again after
   each patience epoch at which an impatient buyer quits.
 * The epoch loop (``_run_loop``) plays the rest, which no builtin config
-  reaches: hybrid with another stateful buyer, and fq and fifo with a
-  stateful buyer who is not a greedy impatient one.  It runs ``_play`` on
-  every group at full capacity, and it is the reference semantics that the
-  other two paths are tested against.
+  reaches: fq and fifo sessions with a stateful buyer who is not a greedy
+  impatient one.  It runs ``_play`` on every group at full capacity, and it
+  is the reference semantics that the other two paths are tested against.
 
 A session call decides bids, eligibility and priority order once, by buyer
 position: ``_bid_records`` lists bids and routing keys in scenario order, and
@@ -316,13 +317,10 @@ def _stateful(buyer: BuyerSpec, realization: DemandRealization) -> bool:
 
 
 def _loops(scenario: Scenario, stateful: Sequence[bool]) -> bool:
-    """Whether a session needs the loop: a stateful buyer other than the boosted
-    one under hybrid, or other than a greedy impatient one under fq or fifo."""
-    if scenario.routing == "hybrid":
-        kept = [b.buyer_id == scenario.hybrid.buyer_id for b in scenario.buyers]
-    else:
-        kept = [b.demand.kind == "impatient" and _greedy(b) for b in scenario.buyers]
-    return scenario.routing != "spq" and any(s and not k for s, k in zip(stateful, kept))
+    """Whether a session needs the loop: fq or fifo with a stateful buyer who
+    is not a greedy impatient one."""
+    kept = [b.demand.kind == "impatient" and _greedy(b) for b in scenario.buyers]
+    return scenario.routing in ("fq", "fifo") and any(s and not k for s, k in zip(stateful, kept))
 
 
 def replay(scenario: Scenario, seed: int) -> Callable[..., SessionOutcome]:
@@ -645,14 +643,14 @@ def _boost(
 ) -> Tuple[int, Dict[int, float]]:
     """Serve a hybrid session's groups down to the boosted buyer's; return the
     index of hers (-1 when she is in none, and the session is plain spq) and
-    the real traffic of her group's buyers whose ``grants`` do not give it.
+    the real traffic of the buyers whose ``grants`` do not give it.
 
-    The others are memoryless, and once her reservation is gone (target met,
-    deadline or departure past) hybrid is strict priority.  So the groups are
-    filled as under spq, her reserved epochs are scanned and overwritten with
-    ``_allocate_epoch``, and after them a stateful buyer is served from the
-    traffic she has moved.  A group of hers with no vector form is played by
-    ``_play`` over the whole horizon instead.
+    Once her reservation is gone (target met, deadline or departure past)
+    hybrid is strict priority.  So when those groups hold no stateful buyer
+    but her, lone, greedy and with a vector form, they are filled as under
+    spq, her reserved epochs are scanned and overwritten with
+    ``_allocate_epoch``, and after them she is served from the traffic she
+    has moved.  Otherwise ``_play`` plays them over the whole horizon.
     """
     buyers, boost = scenario.buyers, scenario.hybrid
     b = next(i for i, buyer in enumerate(buyers) if buyer.buyer_id == boost.buyer_id)
@@ -660,9 +658,10 @@ def _boost(
     if top < 0:
         return -1, {}
     upper = groups[: top + 1]
-    if stateful[b] and not (len(upper[-1]) == 1 and _greedy(buyers[b]) and realizations[b].serves):
+    vector = len(upper[-1]) == 1 and _greedy(buyers[b]) and realizations[b].serves
+    if any(stateful[j] and not (j == b and vector) for rows in upper for j in rows):
         x_real = _play(scenario, realizations, upper, residual, grants, shown)
-        return top, {j: x_real[j] for j in upper[-1]}
+        return top, {j: x_real[j] for rows in upper for j in rows}
     for rows in upper:
         fill_group(shown, rows, residual, grants)
     lo, hi = _window(scenario, buyers[b])

@@ -12,7 +12,8 @@ and reports human-readable evidence:
 * truthfulness  -- under bid resampling, the truthful bid maximizes expected
                    utility against the probed deviations, per buyer, within
                    Monte Carlo confidence.
-* balance       -- pool settlements balance exactly; the center residual is
+* balance       -- pool settlements balance exactly: the center residual is
+                   what the taxes collect minus the halves' deficits, and
                    zero whenever no tax cap binds.
 * admissibility -- pooled tax rates stay below 1 for large pools and the
                    exceedance probability shrinks with pool size.
@@ -24,7 +25,7 @@ The expensive estimators condition on the probed buyer's resampling coin
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -261,10 +262,9 @@ def _conditioned_utilities(
     return out
 
 
-def welfare_capacity_bks_scenario(capacity: float = 25.0) -> Scenario:
+def welfare_capacity_bks_scenario() -> Scenario:
     cfg = load_config(builtin_config_path("welfare_capacity"))
-    variant = next(v for v in cfg.variants if v.name == "bks")
-    return replace(variant.scenario, capacity=capacity)
+    return next(v for v in cfg.variants if v.name == "bks").scenario
 
 
 def truthfulness_suite(seed: int = 0, n_runs: int = 10_000) -> SuiteReport:
@@ -307,6 +307,9 @@ def _random_ledger(
 
 
 def balance_suite(seed: int = 0, n_pools: int = 500) -> SuiteReport:
+    """Random pool settlements against ``center_residual = tax1 C1 + tax2 C2 -
+    D1 - D2``, with half h's credit C_h and deficit D_h summed here from its
+    ledgers, and with a zero residual when no tax cap binds."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_uncapped_residual = 0.0
@@ -317,11 +320,14 @@ def balance_suite(seed: int = 0, n_pools: int = 500) -> SuiteReport:
         pool = [_random_ledger(rng, f"s{i}", reserve) for i in range(n)]
         out = settle_pool(pool, rng)
         buyer_total = sum(led.buyer_payments() for led in pool)
-        transfer_total = sum(out.transfers.values())
-        scale = max(1.0, abs(buyer_total), abs(transfer_total))
-        worst = max(
-            worst, abs(buyer_total - transfer_total - out.center_residual) / scale
-        )
+        scale = max(1.0, abs(buyer_total), abs(sum(out.transfers.values())))
+        ledgers = {led.seller_id: led for led in pool}
+        halves = [[ledgers[s] for s in half] for half in out.split]
+        credits = [sum(led.credit_above_reserve() for led in half) for half in halves]
+        deficits = [c - sum(led.payments_above_reserve() for led in half)
+                    for c, half in zip(credits, halves)]
+        taxed = out.tax1 * credits[0] + out.tax2 * credits[1]
+        worst = max(worst, abs(taxed - deficits[0] - deficits[1] - out.center_residual) / scale)
         if out.raw_tax1 <= 1 and out.raw_tax2 <= 1:
             worst_uncapped_residual = max(
                 worst_uncapped_residual, abs(out.center_residual) / scale
@@ -330,7 +336,7 @@ def balance_suite(seed: int = 0, n_pools: int = 500) -> SuiteReport:
             capped += 1
     passed = worst < 1e-9 and worst_uncapped_residual < 1e-9
     lines = [
-        f"  {n_pools} random pools: max relative imbalance {worst:.3e}",
+        f"  {n_pools} random pools: max relative settlement-identity error {worst:.3e}",
         f"  residual when no cap binds: max relative {worst_uncapped_residual:.3e} "
         f"({capped} pools hit the cap)",
     ]
@@ -341,11 +347,10 @@ def balance_suite(seed: int = 0, n_pools: int = 500) -> SuiteReport:
 
 
 def pooling_seller_observations(
-    n_sessions: int = 600, seed: int = 0
+    scenario: Scenario, n_sessions: int = 600, seed: int = 0
 ) -> List[Tuple[float, float]]:
-    """(above-reserve credit, above-reserve payments) per simulated auction in
-    the 200-similar-sellers pooling scenario."""
-    scenario = load_config(builtin_config_path("pooling_similar")).scenario
+    """(above-reserve credit, above-reserve payments) per simulated auction of
+    one seller in ``scenario``."""
     obs = []
     for s in run_seeds(seed, n_sessions):
         ledger = build_ledger("s", run_session(scenario, s))
@@ -358,19 +363,20 @@ def admissibility_suite(
     n_sessions: int = 600,
     n_trials: int = 100,
     trend_trials: int = 2000,
-    sessions_per_seller: int = 10,
 ) -> SuiteReport:
+    config = load_config(builtin_config_path("pooling_similar"))
+    sellers, sessions = sum(t.count for t in config.pool.types), config.pool.sessions_per_seller
     rng = np.random.default_rng(seed)
-    sampler = bootstrap_sampler(pooling_seller_observations(n_sessions, seed))
+    sampler = bootstrap_sampler(pooling_seller_observations(config.scenario, n_sessions, seed))
     lines = []
 
-    p200 = tax_admissibility_estimate(sampler, 100, n_trials, rng, sessions_per_seller)
+    p_pool = tax_admissibility_estimate(sampler, sellers // 2, n_trials, rng, sessions)
     lines.append(
-        f"  200-seller pools: Pr(tax > 1) = {p200:.4f} over {n_trials} trials"
+        f"  {sellers}-seller pools: Pr(tax > 1) = {p_pool:.4f} over {n_trials} trials"
     )
 
     trend = [
-        tax_admissibility_estimate(sampler, m, trend_trials, rng, sessions_per_seller)
+        tax_admissibility_estimate(sampler, m, trend_trials, rng, sessions)
         for m in (5, 20, 80)
     ]
     lines.append(
@@ -378,7 +384,7 @@ def admissibility_suite(
         + ", ".join(f"{p:.4f}" for p in trend)
     )
     monotone = trend[0] >= trend[1] >= trend[2]
-    passed = p200 == 0.0 and monotone
+    passed = p_pool == 0.0 and monotone
     if not monotone:
         lines.append("  BAD: exceedance probability is not weakly decreasing")
     return SuiteReport("admissibility", passed, lines)

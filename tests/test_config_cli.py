@@ -159,6 +159,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match=message):
             parse_config(doc, source="conf.yaml")
 
+    def test_duration_spread_bound_is_reported_at_its_key(self):
+        doc = copy.deepcopy(MINI_DOC)
+        doc["buyers"][0]["demand"] = {
+            "model": "flow_trace", "mean_rate": 6, "mean_duration": 1, "stddev_duration": 1e155
+        }
+        path = re.escape("conf.yaml.buyers[0].demand.stddev_duration")
+        message = rf"^{path}: flow_trace: stddev_duration must be at most "
+        with pytest.raises(ConfigError, match=message):
+            parse_config(doc, source="conf.yaml")
+
     @pytest.mark.parametrize(
         "block, node, path",
         [

@@ -158,6 +158,23 @@ class TestFlowTrace:
         assert info.value.field == "mean_interarrival"
         DemandSpec.flow_trace(mean_rate=10, horizon=600, mean_interarrival=0.0012)
 
+    @pytest.mark.parametrize("params", [
+        dict(mean_rate=1.0, horizon=10, mean_duration=1, stddev_duration=1e155),
+        dict(mean_rate=10.0, horizon=600, mean_duration=1e-300, stddev_duration=1e10,
+             mean_interarrival=1.0),
+    ])
+    def test_duration_spread_must_square_to_a_float(self, params):
+        # The lognormal's sigma^2 is log(1 + (stddev / mean)^2): at realization
+        # the first spec overflowed and the second cast NaNs to flow counts.
+        message = r"stddev_duration must be at most 1\.34078e\+154 mean durations, "
+        with pytest.raises(FieldError, match=message) as info:
+            DemandSpec.flow_trace(**params)
+        assert info.value.field == "stddev_duration"
+
+    def test_a_wide_duration_spread_still_realizes(self):
+        spec = DemandSpec.flow_trace(1.0, 10, mean_duration=1, stddev_duration=1e153)
+        assert len(spec.realize(0).query_epochs(1, 10)) == 10
+
 
 def loop_flow_trace(seed, mean_rate, horizon, mean_duration=30.0, stddev_duration=30.0,
                     mean_interarrival=30.0, warmup=None):

@@ -10,8 +10,9 @@ equivalence of the epoch loop's allocator and the routing kernels and of the
 priority sweep (hybrid routing included) and the vector path (impatient
 buyers included) with the epoch loop, which session takes which path, that
 an ineligible buyer is absent on every path, that bids reach the allocation
-only through the priority groups, and world replay under counterfactual
-bids.
+only through the priority groups, that doubling every value, reserve and
+price exactly doubles every payment on every path, and world replay under
+counterfactual bids.
 """
 
 import itertools
@@ -812,9 +813,9 @@ def memoryless_scenarios(draw):
     )
 
 
-def demand_models(horizon):
-    """Every demand model, with parameters small enough to contend for capacity."""
-    rate = st.floats(0.0, 30.0)
+def demand_models(horizon, rate=st.floats(0.0, 30.0)):
+    """Every demand model, with parameters small enough to contend for
+    capacity; ``rate`` draws the rates (a third of one for increasing_*)."""
     sequence = st.lists(rate, min_size=1, max_size=horizon + 5)
     quota = st.one_of(st.sampled_from([0.0, 10.0]), st.floats(0.0, 100.0))
     return st.one_of(
@@ -824,12 +825,8 @@ def demand_models(horizon):
         sequence.map(DemandSpec.buffered),
         st.builds(DemandSpec.impatient, rate, st.integers(1, horizon + 2), quota),
         st.builds(DemandSpec.cliff, rate, quota),
-        st.floats(0.0, 10.0).map(
-            lambda a: DemandSpec.increasing_rate(lambda z: min(30.0, a + 0.5 * z))
-        ),
-        st.floats(0.0, 10.0).map(
-            lambda a: DemandSpec.increasing_total(lambda z: a + min(z, 100.0) / 10.0)
-        ),
+        rate.map(lambda k: DemandSpec.increasing_rate(lambda z: min(30.0, k / 3 + 0.5 * z))),
+        rate.map(lambda k: DemandSpec.increasing_total(lambda z: k / 3 + min(z, 100.0) / 10.0)),
     )
 
 
@@ -875,8 +872,7 @@ MEMORYLESS_STRATEGIES = st.one_of(
 )
 
 
-def memoryless_models(horizon):
-    rate = st.floats(0.0, 30.0)
+def memoryless_models(horizon, rate=st.floats(0.0, 30.0)):
     return st.one_of(
         rate.map(DemandSpec.constant),
         st.lists(rate, min_size=1, max_size=horizon + 5).map(DemandSpec.time_varying),
@@ -919,11 +915,10 @@ def impatient_scenarios(draw):
 
 @st.composite
 def hybrid_scenarios(draw):
-    """Hybrid scenarios whose buyers other than the boosted one are memoryless
-    and greedy or misreporting.  The boosted buyer is impatient, buffered or
-    memoryless, or now and then any other model or strategy; her value often
-    ties with another buyer's, and her target, deadline and place in the key
-    order are drawn."""
+    """Hybrid scenarios in which every buyer draws any demand model and
+    strategy.  The boosted buyer is more often impatient, buffered or
+    memoryless and greedy or misreporting; her value often ties with another
+    buyer's, and her target, deadline and place in the key order are drawn."""
     horizon = draw(st.integers(1, 30))
     value = st.one_of(st.sampled_from([1.0, 2.0, 4.0]), st.floats(0.0, 10.0))
     rate = st.floats(0.0, 30.0)
@@ -934,13 +929,13 @@ def hybrid_scenarios(draw):
         demand_models(horizon),
     ))
     boosted_strategy = draw(st.one_of(MEMORYLESS_STRATEGIES, STRATEGIES))
-    demands = [draw(memoryless_models(horizon)) for _ in range(draw(st.integers(0, 3)))]
+    demands = [draw(demand_models(horizon)) for _ in range(draw(st.integers(0, 3)))]
     position = draw(st.integers(0, len(demands)))
     buyers = []
     for k, demand in enumerate(demands[:position] + [boosted_demand] + demands[position:]):
         arrival = draw(st.integers(0, horizon + 2))
         departure = draw(st.integers(arrival, horizon + 5))
-        strategy = boosted_strategy if k == position else draw(MEMORYLESS_STRATEGIES)
+        strategy = boosted_strategy if k == position else draw(STRATEGIES)
         buyers.append(BuyerSpec(f"b{k}", draw(value), demand, arrival, departure, strategy))
     target = draw(st.one_of(st.sampled_from([0.0, 50.0]), st.floats(0.0, 400.0)))
     return Scenario(
@@ -1095,8 +1090,9 @@ class TestPathEquivalence:
     @given(scenario=hybrid_scenarios(), seed=st.integers(0, 2**32))
     @settings(max_examples=300, deadline=None)
     def test_hybrid_sweep_matches_loop(self, scenario, seed):
-        """The priority sweep plays hybrid routing as the loop does, on every
-        field of the outcome, ties with the boosted buyer included."""
+        """The priority sweep plays every hybrid session as the loop does, on
+        every field of the outcome, ties with the boosted buyer and stateful
+        buyers above, beside and below her included."""
         realizations, draws = _world(scenario.buyers, seed)
         records = _bid_records(scenario, draws, None, None)
         groups = _groups(scenario, records)
@@ -1205,16 +1201,17 @@ class TestPathChoice:
                 run_session(boosted, seed)
                 assert epochs and max(epochs) <= scenario.hybrid.deadline
 
-    def test_stateful_fq_and_hybrid_loop(self, monkeypatch):
-        """fq with buffered demand, and hybrid with a stateful buyer keyed
-        above the boosted one, have no column-wise form and take the loop."""
+    def test_stateful_fq_loops_and_hybrid_sweeps(self, monkeypatch):
+        """fq with buffered demand has no column-wise form and takes the loop;
+        hybrid with a stateful buyer keyed above the boosted one takes the
+        sweep, which plays them both with ``_play``."""
         impatient = load_config(builtin_config_path("impatient_deviation"))
         base = impatient.sweep.apply(
             next(v for v in impatient.variants if v.name == "hybrid").scenario, 20
         )
         hi = replace(base.buyers[0], demand=DemandSpec.buffered([10.0] * 90))
         stateful_above = replace(base, buyers=(hi, *base.buyers[1:]))
-        assert self.loop_calls(monkeypatch, stateful_above) == 1
+        assert self.loop_calls(monkeypatch, stateful_above) == 0
         assert self.loop_calls(monkeypatch, replace(stateful_above, routing="fq")) == 1
         assert self.loop_calls(monkeypatch, base) == 0
 
@@ -1246,7 +1243,7 @@ class TestEligibility:
         "vector": ("fq", "", None, "_run_vectorized"),
         "vector-impatient": ("fq", "low b", "impatient", "_run_vectorized"),
         "loop-fq": ("fq", "low b", "buffered", "_run_loop"),
-        "loop-hybrid": ("hybrid", "a low b", "buffered", "_run_loop"),  # a is keyed above b
+        "sweep-hybrid-stateful": ("hybrid", "a low b", "buffered", "_run_sweep"),  # a above b
     }
     DEMANDS = {
         None: DemandSpec.constant,
@@ -1312,9 +1309,9 @@ def same_groups_bids(draw, path):
     anything = st.one_of(memoryless, buffered, impatient)
     routings, models = {
         "sweep": (["spq"], [anything] * 4),
-        "boost": (["hybrid"], [anything] + [memoryless] * 3),  # b0 is the boosted buyer
+        "boost": (["hybrid"], [anything] * 4),  # b0 is the boosted buyer
         "vector": (["fq", "fifo"], [st.one_of(memoryless, impatient)] * 4),
-        "loop": (["fq", "fifo", "hybrid"], [anything, buffered] + [anything] * 2),
+        "loop": (["fq", "fifo"], [anything, buffered] + [anything] * 2),
     }[path]
     routing = draw(st.sampled_from(routings))
     buyers = []
@@ -1372,6 +1369,88 @@ class TestBidBlindAllocation:
         assert {b: p.bytes for b, p in one.payments.items()} == {
             b: p.bytes for b, p in two.payments.items()
         }
+
+
+def sizable(hi):
+    """0, a small whole number or a float in [1e-50, hi].  Products of a few
+    of these stay far from the subnormals, such as 5e-324, where doubling a
+    product is not exact."""
+    return st.one_of(st.sampled_from([0.0, 1.0, 2.0, 4.0]), st.floats(1e-50, hi))
+
+
+@st.composite
+def money_scenarios(draw):
+    """Scenarios of every routing policy, mechanism, demand model and strategy,
+    whose money (values, bid factors, reserve, price), rates and boost target
+    are ``sizable``.  Half of them keep every buyer memoryless and greedy or
+    misreporting, so that fq and fifo reach the vector path."""
+    horizon = draw(st.integers(1, 20))
+    plain = draw(st.booleans())
+    models = (memoryless_models if plain else demand_models)(horizon, sizable(30.0))
+    buyers = []
+    for k in range(n := draw(st.integers(1, 4))):
+        arrival = draw(st.integers(0, horizon + 2))
+        departure = draw(st.integers(arrival, horizon + 5))
+        strategy = draw(MEMORYLESS_STRATEGIES if plain else STRATEGIES)
+        if strategy.kind == "misreport":
+            strategy = Strategy("misreport", bid_factor=draw(sizable(2.0)))
+        value = draw(sizable(10.0))
+        buyers.append(BuyerSpec(f"b{k}", value, draw(models), arrival, departure, strategy))
+    routing = draw(st.sampled_from(["spq", "hybrid", "fq", "fifo"]))
+    boost = HybridBoost(
+        f"b{draw(st.integers(0, n - 1))}", draw(sizable(400.0)),
+        draw(st.integers(1, horizon + 3)),
+    )
+    return Scenario(
+        buyers=tuple(buyers),
+        capacity=draw(st.floats(0.5, 60.0)),
+        routing=routing,
+        mechanism=draw(st.sampled_from(["bks", "vmm", "fixed"])),
+        mu=draw(st.floats(0.05, 0.95)),
+        reserve=draw(sizable(10.0)),
+        price=draw(sizable(10.0)),
+        horizon=horizon,
+        hybrid=boost if routing == "hybrid" else None,
+    )
+
+
+def test_doubling_money_doubles_every_payment_on_every_path():
+    """Doubling every value, the reserve and the price leaves the allocation
+    as it is and exactly doubles every bid and payment, utility, welfare and
+    revenue.  The relation needs no reference path, so it checks the loop
+    too; the examples reach the sweep (hybrid with a stateful buyer besides
+    the boosted one included), the vector path and the loop."""
+    reached = set()
+
+    @given(scenario=money_scenarios(), seed=st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def doubles(scenario, seed):
+        buyers = tuple(replace(b, value=2 * b.value) for b in scenario.buyers)
+        doubled = replace(scenario, buyers=buyers, reserve=2 * scenario.reserve,
+                          price=2 * scenario.price)
+        one, two = run_session(scenario, seed), run_session(doubled, seed)
+        np.testing.assert_array_equal(two.trace, one.trace)
+        assert two.bytes == one.bytes
+        for name in ("bids", "perturbed_bids", "utilities"):
+            assert getattr(two, name) == {b: 2 * v for b, v in getattr(one, name).items()}, name
+        for b, p in one.payments.items():
+            q = two.payments[b]
+            assert (q.bytes, q.gross, q.rebate, q.net) == (
+                p.bytes, 2 * p.gross, 2 * p.rebate, 2 * p.net
+            ), b
+        assert (two.welfare, two.seller_revenue) == (2 * one.welfare, 2 * one.seller_revenue)
+        stateful = [_stateful(b, r) for b, r in zip(buyers, _world(buyers, seed)[0])]
+        if _loops(scenario, stateful):
+            reached.add("loop")
+        elif scenario.routing in ("fq", "fifo"):
+            reached.add("vector")
+        elif scenario.routing == "spq":
+            reached.add("sweep")
+        elif any(s and b.buyer_id != scenario.hybrid.buyer_id for b, s in zip(buyers, stateful)):
+            reached.add("sweep-hybrid-stateful")
+
+    doubles()
+    assert reached == {"sweep", "sweep-hybrid-stateful", "vector", "loop"}
 
 
 @st.composite

@@ -129,7 +129,7 @@ VERIFY_STDOUT = {
     ),
     "--suite balance --seed 3": (
         "[PASS] balance\n"
-        "  500 random pools: max relative imbalance 0.000e+00\n"
+        "  500 random pools: max relative settlement-identity error 1.151e-15\n"
         "  residual when no cap binds: max relative 7.540e-16 (352 pools hit the cap)\n"
     ),
 }
