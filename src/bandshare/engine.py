@@ -45,8 +45,9 @@ through ``query`` against a per-epoch capacity, allocating each epoch with
 A session call decides bids, eligibility and priority order once, by buyer
 position: ``_bid_records`` lists bids and routing keys in scenario order, and
 ``_groups`` groups the eligible buyers by key, highest first.  The paths see
-only those groups, never a bid, and return grants, presented demand and real
-and billed traffic; the session then makes the one ``_finish`` call.
+only those groups, never a bid, and return grants, presented demand and the
+real traffic of buyers who pad or delay; ``_finish`` bills each buyer her
+grants' pairwise row total, which is her real traffic if she does neither.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ __all__ = [
 ROUTING_POLICIES = ("spq", "fq", "fifo", "hybrid")
 MECHANISMS = ("bks", "vmm", "fixed")
 _STRATEGY_KINDS = ("greedy", "pad", "delay", "misreport")
-Played = Tuple[np.ndarray, np.ndarray, Sequence[float], Sequence[float]]  # see _finish
+Played = Tuple[np.ndarray, np.ndarray, Dict[int, float]]  # see _finish
 
 
 def _numbers(spec, positive: Sequence[str] = ()) -> None:
@@ -289,6 +290,9 @@ def _bid_records(
             raise ValueError(
                 f"bid override for buyer {buyer_id!r} must be >= 0 and not overflow, got {bid!r}"
             )
+    for buyer_id, coin in forced.items():
+        if not isinstance(coin, (bool, np.bool_)):
+            raise ValueError(f"force_resample for buyer {buyer_id!r} must be a bool, got {coin!r}")
     records = []
     for buyer, (coin, gamma) in zip(scenario.buyers, draws):
         bid = float(override.get(buyer.buyer_id, buyer.submitted_bid()))
@@ -330,8 +334,8 @@ def replay(scenario: Scenario, seed: int) -> Callable[..., SessionOutcome]:
     returns ``session(bid_override=None, force_resample=None)``.
     ``bid_override`` replaces buyers' submitted bids by numbers >= 0 whose
     products with the session's traffic stay finite, and ``force_resample``
-    pins buyers' resampling coins (keeping their gamma draws); every call
-    sees the same world, and an id that names no buyer is a ``ValueError``.
+    pins buyers' resampling coins with bools (keeping their gamma draws); every
+    call sees the same world, and an unknown id or a non-bool pin is a ``ValueError``.
     """
     return _replays([scenario], seed)[0]
 
@@ -387,8 +391,8 @@ def _run_loop(
     grants = np.zeros((n, T))
     shown = np.zeros((n, T))
     capacity = np.full(T, float(scenario.capacity))
-    x_real = _play(scenario, realizations, groups, capacity, grants, shown)
-    return grants, shown, x_real, _moved(grants)
+    played = _play(scenario, realizations, groups, capacity, grants, shown)
+    return grants, shown, played
 
 
 def _play(
@@ -398,15 +402,15 @@ def _play(
     capacity: np.ndarray,
     grants: np.ndarray,
     shown: np.ndarray,
-) -> List[float]:
+) -> Dict[int, float]:
     """The eligible buyers in ``groups`` played epoch by epoch through ``query``.
 
     Each epoch ``t`` splits ``capacity[t - 1]`` among them with
     ``_allocate_epoch``, which serves ``groups`` in order under strict
     priority.  Writes their grants and the demand they present (``shown``) in
     the epochs they are active, leaves in ``capacity`` what they did not
-    take, and returns every buyer's real traffic, zero outside ``groups``;
-    the billed traffic is the grants' own total.
+    take, and returns the real traffic of those who pad or delay; any other
+    buyer's real traffic is her grants' total.
     """
     buyers = scenario.buyers
     n = len(buyers)
@@ -454,7 +458,7 @@ def _play(
             grants[i, t - 1] = consumed
             shown[i, t - 1] = presented[i]
     capacity[:] = cap
-    return x_real
+    return {i: x_real[i] for i in rows if kinds[i] in ("pad", "delay")}
 
 
 def _allocate_epoch(
@@ -574,13 +578,7 @@ def _run_vectorized(
         if quit:
             shown[quit, p:] = 0.0
             grants[:, p:] = kernel(shown[:, p:], scenario.capacity)
-    x = _moved(grants) if impatient else grants.sum(axis=1)  # pairwise sums are cheaper
-    return grants, shown, x, x
-
-
-def _moved(grants: np.ndarray) -> np.ndarray:
-    """Each row's total, added in epoch order as the loop's running sums add it."""
-    return np.cumsum(grants, axis=1)[:, -1]
+    return grants, shown, {}
 
 
 def _run_sweep(
@@ -604,7 +602,7 @@ def _run_sweep(
     shown = _shown(demand, groups)
     grants = np.zeros(shown.shape)
     residual = np.full(scenario.horizon, float(scenario.capacity))
-    top, played = -1, {}  # played: real traffic where ``grants`` does not give it
+    top, played = -1, {}  # played: real traffic of the buyers who pad or delay
     if scenario.routing == "hybrid":
         top, played = _boost(scenario, realizations, groups, stateful, residual, grants, shown)
     for rows in groups[top + 1 :]:
@@ -619,13 +617,8 @@ def _run_sweep(
                 shown[i, lo - 1 : hi], grants[i, lo - 1 : hi] = served
                 residual[lo - 1 : hi] -= served[1]
             continue
-        x_real = _play(scenario, realizations, [rows], residual, grants, shown)
-        played.update((j, x_real[j]) for j in rows)
-    # Paced grants are fractions, so a hybrid session adds them in epoch order
-    # as the loop does; spq keeps its pairwise sums.
-    x_billed = (_moved(grants) if top >= 0 else grants.sum(axis=1)).tolist()
-    x_real = [played.get(i, x) for i, x in enumerate(x_billed)]
-    return grants, shown, x_real, x_billed
+        played.update(_play(scenario, realizations, [rows], residual, grants, shown))
+    return grants, shown, played
 
 
 def _greedy(buyer: BuyerSpec) -> bool:
@@ -643,7 +636,7 @@ def _boost(
 ) -> Tuple[int, Dict[int, float]]:
     """Serve a hybrid session's groups down to the boosted buyer's; return the
     index of hers (-1 when she is in none, and the session is plain spq) and
-    the real traffic of the buyers whose ``grants`` do not give it.
+    the real traffic that ``_play`` kept for the buyers who pad or delay.
 
     Once her reservation is gone (target met, deadline or departure past)
     hybrid is strict priority.  So when those groups hold no stateful buyer
@@ -660,8 +653,7 @@ def _boost(
     upper = groups[: top + 1]
     vector = len(upper[-1]) == 1 and _greedy(buyers[b]) and realizations[b].serves
     if any(stateful[j] and not (j == b and vector) for rows in upper for j in rows):
-        x_real = _play(scenario, realizations, upper, residual, grants, shown)
-        return top, {j: x_real[j] for rows in upper for j in rows}
+        return top, _play(scenario, realizations, upper, residual, grants, shown)
     for rows in upper:
         fill_group(shown, rows, residual, grants)
     lo, hi = _window(scenario, buyers[b])
@@ -682,7 +674,7 @@ def _boost(
         served = realizations[b].serve(residual[end:hi], end + 1, x[b])
         shown[b, end:hi], grants[b, end:hi] = served
         residual[end:hi] -= served[1]
-    return top, {b: np.cumsum(np.r_[x[b], grants[b, end:]])[-1]}
+    return top, {}
 
 
 def _finish(
@@ -690,31 +682,28 @@ def _finish(
     records: Sequence[BidRecord],
     grants: np.ndarray,
     shown: np.ndarray,
-    x_real: Sequence[float],
-    x_billed: Sequence[float],
+    played: Mapping[int, float],
 ) -> SessionOutcome:
     """Settle every buyer at departure and build the outcome, whose trace is
     ``grants`` transposed.  VMM charges depend only on the bids and the (n, T)
     matrix ``shown`` of presented demand, never on the grants; a buyer in no
-    group has no row in either and pays nothing."""
+    group has no row in either and pays nothing.  A buyer is billed her grants'
+    pairwise row total, her real traffic too unless she pads or delays (``played``)."""
     buyers = scenario.buyers
+    billed = grants.sum(axis=1).tolist()
     if scenario.mechanism == "vmm":
-        charges = vmm_epoch_charges(shown, [r.bid for r in records], scenario.capacity)
+        gross = vmm_epoch_charges(shown, [r.bid for r in records], scenario.capacity).tolist()
+    elif scenario.mechanism == "fixed":
+        gross = [fixed_price_settle(x, scenario.price) for x in billed]
     payments = {}
     for i, rec in enumerate(records):
-        x = float(x_billed[i])
         if scenario.mechanism == "bks":
-            payments[rec.buyer_id] = bks_settle(rec, x)
-        elif scenario.mechanism == "vmm":
-            payments[rec.buyer_id] = PaymentOutcome(rec.buyer_id, x, float(charges[i]), 0.0)
+            payments[rec.buyer_id] = bks_settle(rec, billed[i])
         else:
-            gross = fixed_price_settle(x, scenario.price)
-            payments[rec.buyer_id] = PaymentOutcome(rec.buyer_id, x, gross, 0.0)
-    real = {b.buyer_id: float(x_real[i]) for i, b in enumerate(buyers)}
+            payments[rec.buyer_id] = PaymentOutcome(rec.buyer_id, billed[i], gross[i], 0.0)
+    real = {b.buyer_id: float(played.get(i, billed[i])) for i, b in enumerate(buyers)}
     worth = {b.buyer_id: b.value * real[b.buyer_id] for b in buyers}
     utilities = {b: w - payments[b].net for b, w in worth.items()}
-    welfare = sum(worth.values())
-    revenue = sum(p.net for p in payments.values())
     return SessionOutcome(
         buyer_ids=[b.buyer_id for b in buyers],
         bytes=real,
@@ -722,8 +711,8 @@ def _finish(
         perturbed_bids={r.buyer_id: r.perturbed_bid for r in records},
         payments=payments,
         utilities=utilities,
-        welfare=welfare,
-        seller_revenue=revenue,
+        welfare=sum(worth.values()),
+        seller_revenue=sum(p.net for p in payments.values()),
         trace=grants.T.copy(),
         reserve=scenario.reserve,
     )

@@ -80,21 +80,6 @@ class SuiteReport:
 
 # -- natural -----------------------------------------------------------------
 
-def _builtin_natural_models(rng: np.random.Generator):
-    k = float(rng.uniform(2, 20))
-    pattern = rng.uniform(0, 15, size=11)
-    # Every epoch that _natural_on_random_triples queries.
-    generated = [float(pattern[t % 11]) for t in range(1, 200)]
-    return [
-        DemandSpec.constant(k).realize(),
-        DemandSpec.time_varying(generated).realize(),
-        DemandSpec.buffered(generated).realize(),
-        DemandSpec.impatient(k, int(rng.integers(5, 50)), float(rng.uniform(20, 400))).realize(),
-        DemandSpec.increasing_rate(lambda z: 1.0 + 0.5 * z).realize(),
-        DemandSpec.increasing_total(lambda x: 2.0 + x / 40.0).realize(),
-    ]
-
-
 def _natural_on_random_triples(
     d: DemandRealization, rng: np.random.Generator, n: int = 1000
 ) -> Optional[Tuple[int, float, float, float]]:
@@ -111,7 +96,9 @@ def natural_suite(seed: int = 0) -> SuiteReport:
     rng = np.random.default_rng(seed)
     lines = []
     passed = True
-    for d in _builtin_natural_models(rng):
+    for kind in MONOTONE_MODEL_KINDS:
+        # Every epoch that _natural_on_random_triples queries.
+        d = _random_probe_spec(kind, rng, range(1, 200)).realize()
         witness = _natural_on_random_triples(d, rng)
         if witness is None:
             lines.append(f"  {d.model_id}: natural on 1000 random triples")
@@ -137,8 +124,7 @@ def natural_suite(seed: int = 0) -> SuiteReport:
 # -- monotonicity ------------------------------------------------------------
 
 
-def _random_probe_spec(kind: str, rng: np.random.Generator) -> DemandSpec:
-    epochs = range(1, 41)  # the 40-epoch horizon of monotonicity_suite
+def _random_probe_spec(kind: str, rng: np.random.Generator, epochs: range) -> DemandSpec:
     if kind == "constant":
         return DemandSpec.constant(float(rng.uniform(2, 15)))
     if kind == "time_varying":
@@ -182,7 +168,7 @@ def monotonicity_suite(
     checked = 0
     for kind in MONOTONE_MODEL_KINDS:
         for _ in range(n_scenarios):
-            probe = _random_probe_spec(kind, rng)
+            probe = _random_probe_spec(kind, rng, range(1, 41))  # the 40-epoch horizon
             n_comp = int(rng.integers(1, 3))
             buyers = [BuyerSpec("probe", 5.0, probe, 1, 40)]
             for j in range(n_comp):

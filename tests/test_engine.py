@@ -10,9 +10,10 @@ equivalence of the epoch loop's allocator and the routing kernels and of the
 priority sweep (hybrid routing included) and the vector path (impatient
 buyers included) with the epoch loop, which session takes which path, that
 an ineligible buyer is absent on every path, that bids reach the allocation
-only through the priority groups, that doubling every value, reserve and
-price exactly doubles every payment on every path, and world replay under
-counterfactual bids.
+only through the priority groups, three exact relations on every path
+(doubling every value, reserve and price doubles every payment; doubling
+every KB quantity doubles traffic and payments; idle epochs in front shift
+the trace), and world replay under counterfactual bids and pinned coins.
 """
 
 import itertools
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bandshare.engine
@@ -1381,9 +1382,9 @@ def sizable(hi):
 @st.composite
 def money_scenarios(draw):
     """Scenarios of every routing policy, mechanism, demand model and strategy,
-    whose money (values, bid factors, reserve, price), rates and boost target
-    are ``sizable``.  Half of them keep every buyer memoryless and greedy or
-    misreporting, so that fq and fifo reach the vector path."""
+    whose money (values, bid factors, reserve, price), rates, pads and boost
+    target are ``sizable``.  Half of them keep every buyer memoryless and
+    greedy or misreporting, so that fq and fifo reach the vector path."""
     horizon = draw(st.integers(1, 20))
     plain = draw(st.booleans())
     models = (memoryless_models if plain else demand_models)(horizon, sizable(30.0))
@@ -1394,6 +1395,8 @@ def money_scenarios(draw):
         strategy = draw(MEMORYLESS_STRATEGIES if plain else STRATEGIES)
         if strategy.kind == "misreport":
             strategy = Strategy("misreport", bid_factor=draw(sizable(2.0)))
+        elif strategy.kind == "pad":
+            strategy = Strategy("pad", pad=draw(sizable(5.0)))
         value = draw(sizable(10.0))
         buyers.append(BuyerSpec(f"b{k}", value, draw(models), arrival, departure, strategy))
     routing = draw(st.sampled_from(["spq", "hybrid", "fq", "fifo"]))
@@ -1414,6 +1417,72 @@ def money_scenarios(draw):
     )
 
 
+PATHS = {"sweep", "sweep-hybrid-stateful", "vector", "loop"}
+# One scenario per path, with buyers who pad or delay from the first epoch
+# where the path plays them, so that every run reaches every path.
+PATH_EXAMPLES = [
+    Scenario(
+        buyers=(
+            BuyerSpec("b0", 3.0, DemandSpec.constant(6.0), 1, 8),
+            BuyerSpec("b1", 2.0, DemandSpec.buffered([4.0, 0.0, 5.0]), 2, 9,
+                      Strategy("delay", delay_epochs=1)),
+        ),
+        capacity=7.5, routing="spq", mechanism="vmm", horizon=10,
+    ),
+    Scenario(
+        buyers=(
+            BuyerSpec("b0", 3.0, DemandSpec.time_varying([5.0, 9.0, 2.0]), 1, 6),
+            BuyerSpec("b1", 1.5, DemandSpec.impatient(4.0, 3, 6.0), 1, 8),
+        ),
+        capacity=7.0, routing="fq", mechanism="bks", horizon=10,
+    ),
+    Scenario(
+        buyers=(
+            BuyerSpec("b0", 2.0, DemandSpec.constant(5.0), 1, 9, Strategy("pad", pad=1.5)),
+            BuyerSpec("b1", 2.0, DemandSpec.cliff(6.0, 20.0), 0, 10,
+                      Strategy("delay", delay_epochs=2)),
+        ),
+        capacity=8.0, routing="fifo", mechanism="fixed", price=1.0, horizon=10,
+    ),
+    Scenario(
+        buyers=(
+            BuyerSpec("b0", 1.0, DemandSpec.impatient(6.0, 4, 10.0), 1, 10),
+            BuyerSpec("b1", 4.0, DemandSpec.buffered([6.0] * 5), 1, 10,
+                      Strategy("delay", delay_epochs=1)),
+            BuyerSpec("b2", 2.0, DemandSpec.constant(3.0), 3, 10, Strategy("pad", pad=1.0)),
+        ),
+        capacity=8.0, routing="hybrid", mechanism="bks", reserve=0.5, horizon=10,
+        hybrid=HybridBoost("b0", 30.0, 6),
+    ),
+]
+
+
+def on_every_path(**arguments):
+    """Add each of ``PATH_EXAMPLES`` at seed 0, with ``arguments``, to a
+    hypothesis test's examples."""
+    def add(test):
+        for scenario in PATH_EXAMPLES:
+            test = example(scenario=scenario, seed=0, **arguments)(test)
+        return test
+    return add
+
+
+def path_reached(scenario, seed):
+    """The path a session of ``scenario`` takes, with hybrid sessions told
+    apart by whether a buyer besides the boosted one is stateful."""
+    buyers = scenario.buyers
+    stateful = [_stateful(b, r) for b, r in zip(buyers, _world(buyers, seed)[0])]
+    if _loops(scenario, stateful):
+        return "loop"
+    if scenario.routing in ("fq", "fifo"):
+        return "vector"
+    if scenario.routing == "spq":
+        return "sweep"
+    boosted = scenario.hybrid.buyer_id
+    others = any(s and b.buyer_id != boosted for b, s in zip(buyers, stateful))
+    return "sweep-hybrid-stateful" if others else "sweep-hybrid"
+
+
 def test_doubling_money_doubles_every_payment_on_every_path():
     """Doubling every value, the reserve and the price leaves the allocation
     as it is and exactly doubles every bid and payment, utility, welfare and
@@ -1422,6 +1491,7 @@ def test_doubling_money_doubles_every_payment_on_every_path():
     the boosted one included), the vector path and the loop."""
     reached = set()
 
+    @on_every_path()
     @given(scenario=money_scenarios(), seed=st.integers(0, 2**32))
     @settings(max_examples=200, deadline=None)
     def doubles(scenario, seed):
@@ -1439,18 +1509,129 @@ def test_doubling_money_doubles_every_payment_on_every_path():
                 p.bytes, 2 * p.gross, 2 * p.rebate, 2 * p.net
             ), b
         assert (two.welfare, two.seller_revenue) == (2 * one.welfare, 2 * one.seller_revenue)
-        stateful = [_stateful(b, r) for b, r in zip(buyers, _world(buyers, seed)[0])]
-        if _loops(scenario, stateful):
-            reached.add("loop")
-        elif scenario.routing in ("fq", "fifo"):
-            reached.add("vector")
-        elif scenario.routing == "spq":
-            reached.add("sweep")
-        elif any(s and b.buyer_id != scenario.hybrid.buyer_id for b, s in zip(buyers, stateful)):
-            reached.add("sweep-hybrid-stateful")
+        reached.add(path_reached(scenario, seed))
 
     doubles()
-    assert reached == {"sweep", "sweep-hybrid-stateful", "vector", "loop"}
+    assert PATHS <= reached
+
+
+def untraced(scenario, seed):
+    """``scenario`` with each flow_trace demand replaced by its realization in
+    ``seed``'s world as a time_varying series: a Poisson draw per horizon
+    cannot be scaled or shifted, but the numbers it drew can."""
+    buyers = [
+        replace(b, demand=DemandSpec.time_varying(
+            b.demand.realize(seed).query_epochs(1, scenario.horizon).tolist()
+        )) if b.demand.kind == "flow_trace" else b
+        for b in scenario.buyers
+    ]
+    return replace(scenario, buyers=tuple(buyers))
+
+
+def doubled_kb(spec):
+    """``spec`` with every KB quantity doubled: rates, series and quotas, and
+    for increasing_* a g' with g'(2z) = 2 g(z), as x doubles."""
+    params = dict(spec.params)
+    if callable(g := params.get("g")):
+        params["g"] = lambda z: 2 * g(z / 2)
+    elif g is not None:
+        params["g"] = [2 * v for v in g]
+    params.update({name: 2 * params[name] for name in ("k", "m") if name in params})
+    return DemandSpec(spec.kind, params)
+
+
+def test_doubling_kb_doubles_traffic_and_payments_on_every_path():
+    """Doubling the capacity, every demand quantity in KB, each pad and the
+    hybrid target exactly doubles the trace, every buyer's real and billed
+    bytes, every payment, utility, welfare and revenue, and leaves the bids
+    as they are, on every path."""
+    reached = set()
+
+    @on_every_path()
+    @given(scenario=money_scenarios(), seed=st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def doubles(scenario, seed):
+        scenario = untraced(scenario, seed)
+        buyers = tuple(
+            replace(b, demand=doubled_kb(b.demand),
+                    strategy=replace(b.strategy, pad=2 * b.strategy.pad))
+            for b in scenario.buyers
+        )
+        hybrid = scenario.hybrid and replace(
+            scenario.hybrid, target_bytes=2 * scenario.hybrid.target_bytes
+        )
+        doubled = replace(scenario, buyers=buyers, capacity=2 * scenario.capacity, hybrid=hybrid)
+        one, two = run_session(scenario, seed), run_session(doubled, seed)
+        np.testing.assert_array_equal(two.trace, 2 * one.trace)
+        assert two.bytes == {b: 2 * x for b, x in one.bytes.items()}
+        assert (two.bids, two.perturbed_bids) == (one.bids, one.perturbed_bids)
+        assert two.utilities == {b: 2 * u for b, u in one.utilities.items()}
+        for b, p in one.payments.items():
+            q = two.payments[b]
+            assert (q.bytes, q.gross, q.rebate, q.net) == (
+                2 * p.bytes, 2 * p.gross, 2 * p.rebate, 2 * p.net
+            ), b
+        assert (two.welfare, two.seller_revenue) == (2 * one.welfare, 2 * one.seller_revenue)
+        reached.add(path_reached(scenario, seed))
+
+    doubles()
+    assert PATHS <= reached
+
+
+def shifted(buyer, k):
+    """``buyer`` arriving, departing and losing patience ``k`` epochs later,
+    with ``k`` zeros in front of her series.  Arrival 0 acts as 1, and a buyer
+    who departs at 0 is never active and stays as she is."""
+    if not buyer.departure:
+        return buyer
+    params = dict(buyer.demand.params)
+    if isinstance(params.get("g"), tuple):
+        params["g"] = (0.0,) * k + params["g"]
+    if "p" in params:
+        params["p"] += k
+    return replace(buyer, demand=DemandSpec(buyer.demand.kind, params),
+                   arrival=max(1, buyer.arrival) + k, departure=buyer.departure + k)
+
+
+def test_shifting_time_shifts_the_trace_on_every_path():
+    """Putting ``k`` idle epochs in front of a session (arrivals, departures,
+    patience epochs, the hybrid deadline and the horizon k later, series
+    prefixed by k zeros) shifts its trace exactly and leaves the bids and the
+    real traffic of every buyer who pads or delays, which ``_play`` sums in
+    epoch order, exactly as they are.  The pairwise row totals regroup, so
+    billed bytes, the other real bytes, charges, rebates and welfare agree to
+    1e-9 relative.  increasing_rate reads x / t, which a shift changes."""
+    reached = set()
+
+    @on_every_path(k=3)
+    @given(scenario=money_scenarios(), seed=st.integers(0, 2**32), k=st.integers(1, 9))
+    @settings(max_examples=150, deadline=None)
+    def shifts(scenario, seed, k):
+        scenario = untraced(scenario, seed)
+        assume(all(b.demand.kind != "increasing_rate" for b in scenario.buyers))
+        hybrid = scenario.hybrid and replace(
+            scenario.hybrid, deadline=scenario.hybrid.deadline + k
+        )
+        later = replace(scenario, buyers=tuple(shifted(b, k) for b in scenario.buyers),
+                        horizon=scenario.horizon + k, hybrid=hybrid)
+        one, two = run_session(scenario, seed), run_session(later, seed)
+        np.testing.assert_array_equal(two.trace[k:], one.trace)
+        assert not two.trace[:k].any()
+        assert (two.bids, two.perturbed_bids) == (one.bids, one.perturbed_bids)
+        close = lambda a: pytest.approx(a, rel=1e-9, abs=0)
+        for b in scenario.buyers:
+            i = b.buyer_id
+            p, q = one.payments[i], two.payments[i]
+            assert (q.bytes, q.gross, q.rebate) == close((p.bytes, p.gross, p.rebate)), i
+            if b.strategy.kind in ("pad", "delay"):
+                assert two.bytes[i] == one.bytes[i], i
+            else:
+                assert two.bytes[i] == close(one.bytes[i]), i
+        assert two.welfare == close(one.welfare)
+        reached.add(path_reached(scenario, seed))
+
+    shifts()
+    assert PATHS <= reached
 
 
 @st.composite
@@ -1598,6 +1779,21 @@ class TestReplay:
         scenario = contest_scenarios()["packet_contest_vcg"]
         with pytest.raises(ValueError, match="bid override for buyer 'b1'"):
             run_session(scenario, 0, bid_override={"b1": bid})
+
+    @pytest.mark.parametrize("coin", ["no", None, 0, 1.0])
+    def test_bad_force_resample_rejected(self, coin):
+        # These used to play: "no" and 1.0 as a forced resample, None and 0
+        # as no pin.
+        scenario = contest_scenarios()["packet_contest_resampling"]
+        with pytest.raises(ValueError, match="force_resample for buyer 'b1'"):
+            run_session(scenario, 0, force_resample={"b1": coin})
+
+    def test_numpy_bool_pins_a_coin(self):
+        scenario = contest_scenarios()["packet_contest_resampling"]
+        assert_same_outcome(
+            run_session(scenario, 0, force_resample={"b1": np.True_}),
+            run_session(scenario, 0, force_resample={"b1": True}),
+        )
 
     def test_world_is_materialized_once(self, monkeypatch):
         scenario = REPLAY_SCENARIOS["vector"]

@@ -25,6 +25,12 @@ Allocation is bid-blind and settlement happens once: no allocation function
 takes the bid records or reads a bid, a routing key or a resampling flag, and
 one engine function, the replayed session, calls ``_finish``.
 
+Traffic totals are formed in one place: ``_finish`` is the only engine
+function that sums or accumulates a row of ``grants``, apart from the
+impatient quit test's prefix ``cumsum`` (a decision, not a reported total),
+and the loop, the vector path and the sweep each return a 3-tuple of their
+grants, the presented demand and the real traffic ``_play`` kept.
+
 The benchmark's tracer (``bench/tracing.py``) patches package names by
 attribute; it must find every one of them and put each original back.
 """
@@ -209,6 +215,38 @@ def test_allocation_is_bid_blind(name):
     assert "records" not in params, f"{name} takes the bid records"
     reads = {n.attr for n in ast.walk(func) if isinstance(n, ast.Attribute)} & BID_FIELDS
     assert not reads, f"{name} reads {sorted(reads)}"
+
+
+QUIT_TEST = "np.cumsum(grants[i, :p])"  # in _run_vectorized
+
+
+def _grant_totals(func):
+    """The ``sum`` and ``cumsum`` calls in ``func`` that read ``grants``."""
+    for node in _own_nodes(func):
+        if (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] in ("sum", "cumsum")
+            and "grants" in ast.unparse(node)
+        ):
+            yield ast.unparse(node)
+
+
+def test_traffic_totals_formed_only_in_finish():
+    totals = {
+        func.name: totals
+        for func in ast.walk(ENGINE)
+        if isinstance(func, ast.FunctionDef) and (totals := list(_grant_totals(func)))
+    }
+    assert totals == {"_finish": ["grants.sum(axis=1)"], "_run_vectorized": [QUIT_TEST]}
+
+
+@pytest.mark.parametrize("name", ["_run_loop", "_run_vectorized", "_run_sweep"])
+def test_paths_return_three_tuples(name):
+    func = next(f for f in ENGINE.body if isinstance(f, ast.FunctionDef) and f.name == name)
+    returns = [node.value for node in _own_nodes(func) if isinstance(node, ast.Return)]
+    assert returns and all(
+        isinstance(value, ast.Tuple) and len(value.elts) == 3 for value in returns
+    ), f"{name} returns {[ast.unparse(v) for v in returns]}"
 
 
 def _public_names(tree):
