@@ -19,7 +19,6 @@ from bandshare.engine import (
     run_session,
 )
 from bandshare.payments import (
-    BidRecord,
     MeanCI,
     PaymentOutcome,
     bks_settle,

@@ -43,11 +43,11 @@ through ``query`` against a per-epoch capacity, allocating each epoch with
   is the reference semantics that the other two paths are tested against.
 
 A session call decides bids, eligibility and priority order once, by buyer
-position: ``_bid_records`` lists bids and routing keys in scenario order, and
-``_groups`` groups the eligible buyers by key, highest first.  The paths see
-only those groups, never a bid, and return grants, presented demand and the
-real traffic of buyers who pad or delay; ``_finish`` bills each buyer her
-grants' pairwise row total, which is her real traffic if she does neither.
+position: ``_bid_records`` lists bids, routing keys and resampling flags in
+scenario order, and ``_groups`` groups the eligible buyers by key.  The paths
+see only those groups, never a bid, and return grants, presented demand and
+the real traffic of buyers who pad or delay; ``_finish`` settles each buyer on
+her grants' pairwise row total, which is her real traffic if she does neither.
 """
 
 from __future__ import annotations
@@ -58,13 +58,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from bandshare.demand import DemandRealization, DemandSpec, FieldError
 from bandshare.payments import (
-    BidRecord,
     MeanCI,
     PaymentOutcome,
     bks_settle,
@@ -267,14 +266,22 @@ def _world(
     return realizations, np.random.default_rng(resample_ss).random((n, 2)).tolist()
 
 
+class Bids(NamedTuple):
+    """Submitted bids, routing keys and resampling flags by buyer position."""
+
+    bid: List[float]
+    perturbed_bid: List[float]  # equal to bid unless resampled
+    resampled: List[bool]
+
+
 def _bid_records(
     scenario: Scenario,
     draws: Sequence[Sequence[float]],
     bid_override: Optional[Mapping[str, float]],
     force_resample: Optional[Mapping[str, bool]],
-) -> List[BidRecord]:
-    """Submitted and (for bks) perturbed bids, one record per buyer in
-    scenario order; ``_groups`` decides eligibility and priority from them.
+) -> Bids:
+    """Submitted and (for bks) perturbed bids in scenario order; ``_groups``
+    decides eligibility and priority from them.
 
     ``draws`` holds the world's (coin, gamma) per buyer, so every replay of
     the world sees the same coins; ``force_resample`` pins a coin and keeps
@@ -293,25 +300,23 @@ def _bid_records(
     for buyer_id, coin in forced.items():
         if not isinstance(coin, (bool, np.bool_)):
             raise ValueError(f"force_resample for buyer {buyer_id!r} must be a bool, got {coin!r}")
-    records = []
-    for buyer, (coin, gamma) in zip(scenario.buyers, draws):
-        bid = float(override.get(buyer.buyer_id, buyer.submitted_bid()))
-        resampled = scenario.mechanism == "bks" and bid >= scenario.reserve
-        records.append(resample_bid(
-            buyer.buyer_id, bid, min(scenario.reserve, bid), scenario.mu, coin, gamma,
-            forced.get(buyer.buyer_id) if resampled else False,
-        ))
-    return records
+    r, bks = scenario.reserve, scenario.mechanism == "bks"
+    bids = [float(override.get(b.buyer_id, b.submitted_bid())) for b in scenario.buyers]
+    keyed = [
+        resample_bid(bid, min(r, bid), scenario.mu, coin, gamma,
+                     forced.get(buyer.buyer_id) if bks and bid >= r else False)
+        for buyer, bid, (coin, gamma) in zip(scenario.buyers, bids, draws)
+    ]
+    return Bids(bids, [key for key, _ in keyed], [flag for _, flag in keyed])
 
 
-def _groups(scenario: Scenario, records: Sequence[BidRecord]) -> List[List[int]]:
+def _groups(scenario: Scenario, bids: Bids) -> List[List[int]]:
     """Positions of the eligible buyers, whose bid meets the reserve (the price
     under ``fixed``), grouped by equal routing key, highest key first.  An
     eligible key is at least that floor and an ineligible one, her bid, is
     below it, so a group's first buyer decides for all of it."""
     floor = scenario.price if scenario.mechanism == "fixed" else scenario.reserve
-    groups = priority_groups([r.perturbed_bid for r in records])
-    return [rows for rows in groups if records[rows[0]].bid >= floor]
+    return [rows for rows in priority_groups(bids.perturbed_bid) if bids.bid[rows[0]] >= floor]
 
 
 def _stateful(buyer: BuyerSpec, realization: DemandRealization) -> bool:
@@ -355,15 +360,15 @@ def _replays(scenarios: Sequence[Scenario], seed: int) -> List[Callable[..., Ses
         bid_override: Optional[Mapping[str, float]] = None,
         force_resample: Optional[Mapping[str, bool]] = None,
     ) -> SessionOutcome:
-        records = _bid_records(scenario, draws, bid_override, force_resample)
-        groups = _groups(scenario, records)
+        bids = _bid_records(scenario, draws, bid_override, force_resample)
+        groups = _groups(scenario, bids)
         if demand is None:
             played = _run_loop(scenario, realizations, groups)
         elif scenario.routing in ("fq", "fifo"):
             played = _run_vectorized(scenario, demand, groups)
         else:
             played = _run_sweep(scenario, realizations, demand, groups, stateful)
-        return _finish(scenario, records, *played)
+        return _finish(scenario, bids, *played)
 
     return [partial(session, s, None if loop else matrix) for s, loop in zip(scenarios, looped)]
 
@@ -679,42 +684,38 @@ def _boost(
 
 def _finish(
     scenario: Scenario,
-    records: Sequence[BidRecord],
+    bids: Bids,
     grants: np.ndarray,
     shown: np.ndarray,
     played: Mapping[int, float],
 ) -> SessionOutcome:
-    """Settle every buyer at departure and build the outcome, whose trace is
-    ``grants`` transposed.  VMM charges depend only on the bids and the (n, T)
-    matrix ``shown`` of presented demand, never on the grants; a buyer in no
-    group has no row in either and pays nothing.  A buyer is billed her grants'
+    """Settle every buyer at departure by position and build the outcome, whose
+    trace is ``grants`` transposed.  VMM charges depend only on the bids and the
+    (n, T) matrix ``shown`` of presented demand, never on the grants; a buyer in
+    no group has no row in either and pays nothing.  A buyer is billed her grants'
     pairwise row total, her real traffic too unless she pads or delays (``played``)."""
-    buyers = scenario.buyers
+    buyers, r, mu = scenario.buyers, scenario.reserve, scenario.mu
+    ids = [b.buyer_id for b in buyers]
     billed = grants.sum(axis=1).tolist()
-    if scenario.mechanism == "vmm":
-        gross = vmm_epoch_charges(shown, [r.bid for r in records], scenario.capacity).tolist()
-    elif scenario.mechanism == "fixed":
-        gross = [fixed_price_settle(x, scenario.price) for x in billed]
-    payments = {}
-    for i, rec in enumerate(records):
-        if scenario.mechanism == "bks":
-            payments[rec.buyer_id] = bks_settle(rec, billed[i])
-        else:
-            payments[rec.buyer_id] = PaymentOutcome(rec.buyer_id, billed[i], gross[i], 0.0)
-    real = {b.buyer_id: float(played.get(i, billed[i])) for i, b in enumerate(buyers)}
-    worth = {b.buyer_id: b.value * real[b.buyer_id] for b in buyers}
-    utilities = {b: w - payments[b].net for b, w in worth.items()}
+    if scenario.mechanism == "bks":
+        settled = [bks_settle(x, b, r, mu, f) for x, b, f in zip(billed, bids.bid, bids.resampled)]
+    elif scenario.mechanism == "vmm":
+        settled = [(g, 0.0) for g in vmm_epoch_charges(shown, bids.bid, scenario.capacity).tolist()]
+    else:
+        settled = [(fixed_price_settle(x, scenario.price), 0.0) for x in billed]
+    real = [float(played[i]) if i in played else x for i, x in enumerate(billed)]
+    worth = [b.value * x for b, x in zip(buyers, real)]
     return SessionOutcome(
-        buyer_ids=[b.buyer_id for b in buyers],
-        bytes=real,
-        bids={r.buyer_id: r.bid for r in records},
-        perturbed_bids={r.buyer_id: r.perturbed_bid for r in records},
-        payments=payments,
-        utilities=utilities,
-        welfare=sum(worth.values()),
-        seller_revenue=sum(p.net for p in payments.values()),
+        buyer_ids=ids,
+        bytes=dict(zip(ids, real)),
+        bids=dict(zip(ids, bids.bid)),
+        perturbed_bids=dict(zip(ids, bids.perturbed_bid)),
+        payments={i: PaymentOutcome(i, x, g, rb) for i, x, (g, rb) in zip(ids, billed, settled)},
+        utilities={i: w - (g - rb) for i, w, (g, rb) in zip(ids, worth, settled)},
+        welfare=sum(worth),
+        seller_revenue=sum([g - rb for g, rb in settled]),
         trace=grants.T.copy(),
-        reserve=scenario.reserve,
+        reserve=r,
     )
 
 
@@ -778,7 +779,7 @@ def run_monte_carlo(
     samples = np.empty((len(scenarios), 2 + 3 * n, n_runs))  # scenario, metric, run
     worker, seeds = partial(_mc_worker, scenarios), run_seeds(seed, n_runs)
     if jobs > 1 and n_runs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, n_runs)) as pool:
             chunk = max(1, n_runs // (jobs * 8))
             for k, rows in enumerate(pool.map(worker, seeds, chunksize=chunk)):
                 samples[:, :, k] = rows

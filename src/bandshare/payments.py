@@ -20,20 +20,25 @@ Three schemes are supported:
 The perturbation map is b~ = r + (b - r) * gamma^(1/(1-mu)) with
 gamma ~ Uniform[0,1], so conditional on being perturbed,
 Pr(b~ <= a) = ((a - r)/(b - r))^(1-mu).
+
+Settlement works on one buyer's plain numbers: ``resample_bid(b, r, mu,
+coin, gamma)`` gives her routing key and resampling flag,
+``bks_settle(x, b, r, mu, resampled)`` her (gross, rebate) on x billed KB and
+``fixed_price_settle(x, p)`` her charge.  The engine calls them by buyer
+position.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from bandshare.routing import spq
 
 __all__ = [
-    "BidRecord",
     "MeanCI",
     "PaymentOutcome",
     "bks_settle",
@@ -44,26 +49,6 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-
-
-@dataclass(frozen=True)
-class BidRecord:
-    """A submitted bid together with its (possibly perturbed) routing key."""
-
-    buyer_id: str
-    bid: float
-    perturbed_bid: float
-    resampled: bool
-    reserve: float
-    mu: float
-
-    def __post_init__(self) -> None:
-        if not (self.reserve - 1e-12 <= self.perturbed_bid <= self.bid + 1e-12):
-            raise ValueError(
-                f"perturbed bid {self.perturbed_bid} outside [{self.reserve}, {self.bid}]"
-            )
-        if not self.resampled and self.perturbed_bid != self.bid:
-            raise ValueError("unperturbed record must keep the submitted bid")
 
 
 @dataclass(frozen=True)
@@ -81,41 +66,32 @@ class PaymentOutcome:
 
 
 def resample_bid(
-    buyer_id: str,
-    b: float,
-    r: float,
-    mu: float,
-    coin: float,
-    gamma: float,
-    force: Optional[bool] = None,
-) -> BidRecord:
-    """Perturb a bid downward when the uniform ``coin`` falls below ``mu``.
-
-    ``coin`` and ``gamma`` are the buyer's two Uniform[0, 1) draws, made
-    whatever the bid so that replays of one world stay aligned across
-    counterfactual bid values.  ``force`` pins the coin's outcome and keeps
-    gamma (Rao-Blackwellized estimators rely on this).
-    """
+    b: float, r: float, mu: float, coin: float, gamma: float, force: Optional[bool] = None
+) -> Tuple[float, bool]:
+    """A bid's routing key and whether it was resampled: r + (b - r) *
+    gamma^(1/(1-mu)), in [r, b], when the uniform ``coin`` falls below ``mu``,
+    else the bid.  ``coin`` and ``gamma`` are the buyer's two Uniform[0, 1)
+    draws, made whatever the bid so that replays of one world stay aligned
+    across counterfactual bids.  ``force`` pins the coin's outcome and keeps
+    gamma (Rao-Blackwellized estimators rely on this)."""
     if not 0 <= r <= b:
         raise ValueError(f"need 0 <= reserve <= bid, got r={r}, b={b}")
     if not 0 < mu < 1:
         raise ValueError(f"mu must be in (0, 1), got {mu}")
+    if not (0 <= coin <= 1 and 0 <= gamma <= 1):
+        raise ValueError(f"coin and gamma must be in [0, 1], got coin={coin}, gamma={gamma}")
     if not (coin < mu if force is None else force):
-        return BidRecord(buyer_id, b, b, False, r, mu)
-    return BidRecord(buyer_id, b, r + (b - r) * gamma ** (1.0 / (1.0 - mu)), True, r, mu)
+        return b, False
+    return r + (b - r) * gamma ** (1.0 / (1.0 - mu)), True
 
 
-def bks_settle(record: BidRecord, x: float) -> PaymentOutcome:
-    """Settle a buyer at departure: gross b*x, rebate x*(b-r)/mu if perturbed.
-
-    Rebates routinely exceed the gross charge; negative net payments are
-    expected and are what the multi-seller revenue pool absorbs.
-    """
+def bks_settle(x: float, b: float, r: float, mu: float, resampled: bool) -> Tuple[float, float]:
+    """A buyer's (gross, rebate) on x billed bytes: b*x, and x*(b-r)/mu if her
+    bid was resampled.  Rebates routinely exceed the gross charge; negative net
+    payments are expected and are what the multi-seller revenue pool absorbs."""
     if x < 0:
         raise ValueError(f"total bytes must be >= 0, got {x}")
-    gross = record.bid * x
-    rebate = x * (record.bid - record.reserve) / record.mu if record.resampled else 0.0
-    return PaymentOutcome(record.buyer_id, x, gross, rebate)
+    return b * x, x * (b - r) / mu if resampled else 0.0
 
 
 def vmm_epoch_charges(demand: np.ndarray, bids: Sequence[float], c: float) -> np.ndarray:

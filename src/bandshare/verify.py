@@ -284,11 +284,10 @@ def _random_ledger(
     rows = []
     for j in range(int(rng.integers(0, 6))):
         bid = reserve + float(rng.uniform(0, 9))
-        record = resample_bid(f"{seller_id}-b{j}", bid, reserve, mu, rng.random(), rng.random())
-        paid = bks_settle(record, float(rng.uniform(0, 400)))
-        rows.append(
-            LedgerRow(record.buyer_id, paid.bytes, bid, record.perturbed_bid, paid.rebate)
-        )
+        key, resampled = resample_bid(bid, reserve, mu, rng.random(), rng.random())
+        x = float(rng.uniform(0, 400))
+        rebate = bks_settle(x, bid, reserve, mu, resampled)[1]
+        rows.append(LedgerRow(f"{seller_id}-b{j}", x, bid, key, rebate))
     return SellerLedger(seller_id, reserve, rows)
 
 

@@ -1,7 +1,8 @@
 """Session engine tests.
 
 Covers the worked VCG manipulation example, strategy identities, the isolation
-and monotonicity properties of strict-priority routing, welfare against the
+and monotonicity properties of strict-priority routing (monotonicity in a
+buyer's own bid checked exactly per generated world), welfare against the
 offline optimum (value-ordered service for memoryless demand, a brute-force
 enumerator for stateful demand), Monte Carlo determinism, the tie rule,
 parameter checks (NaN, infinities, values and bids whose products overflow,
@@ -13,7 +14,9 @@ an ineligible buyer is absent on every path, that bids reach the allocation
 only through the priority groups, three exact relations on every path
 (doubling every value, reserve and price doubles every payment; doubling
 every KB quantity doubles traffic and payments; idle epochs in front shift
-the trace), and world replay under counterfactual bids and pinned coins.
+the trace), settlement by buyer position against each mechanism's per-buyer
+definition, a process pool no larger than the runs, and world replay under
+counterfactual bids and pinned coins.
 """
 
 import itertools
@@ -53,6 +56,8 @@ from bandshare.engine import (
     run_seeds,
     run_session,
 )
+from bandshare.payments import resample_bid, vmm_epoch_charges
+from bandshare.verify import MONOTONE_MODEL_KINDS
 from bandshare.routing import maxmin, priority_groups, proportional, spq
 
 
@@ -486,6 +491,135 @@ class TestBidMonotonicity:
                 ]
                 for x_lo, x_hi in zip(xs, xs[1:]):
                     assert x_hi >= x_lo - 1e-9, (spec.kind, bids, xs)
+
+
+def probe_models(kind, horizon):
+    """Demand models of ``kind`` for the probe of an exact monotonicity check."""
+    rate = st.floats(1.0, 15.0)
+    series = st.lists(st.floats(0.0, 12.0), min_size=1, max_size=horizon)
+    return {
+        "constant": rate.map(DemandSpec.constant),
+        "time_varying": series.map(DemandSpec.time_varying),
+        "buffered": series.map(DemandSpec.buffered),
+        "impatient": st.builds(
+            DemandSpec.impatient, rate, st.integers(1, horizon), st.floats(0.0, 120.0)
+        ),
+        "increasing_rate": rate.map(
+            lambda k: DemandSpec.increasing_rate(lambda z: min(30.0, k / 3 + 0.5 * z))
+        ),
+        "increasing_total": rate.map(
+            lambda k: DemandSpec.increasing_total(lambda x: k / 3 + min(x, 100.0) / 10.0)
+        ),
+        "cliff": st.builds(DemandSpec.cliff, rate, st.floats(5.0, 60.0)),
+    }[kind]
+
+
+@st.composite
+def probe_worlds(draw):
+    """A greedy probe of a natural demand model or the cliff beside 1-3 greedy
+    competitors of any model, value, window and pinned or free coin, under
+    spq or hybrid routing (boosting any buyer) with bks resampling; the
+    probe's coin is pinned off, so her routing key is her bid."""
+    horizon = draw(st.integers(5, 40))
+    kind = draw(st.sampled_from(MONOTONE_MODEL_KINDS + ("cliff",)))
+    arrival = draw(st.integers(0, 3))
+    buyers = [BuyerSpec("probe", 5.0, draw(probe_models(kind, horizon)), arrival, horizon)]
+    value = st.one_of(st.sampled_from([1.0, 2.0, 4.0]), st.floats(0.0, 10.0))
+    for j in range(draw(st.integers(1, 3))):
+        arrival = draw(st.integers(0, horizon))
+        departure = draw(st.integers(arrival, horizon + 2))
+        demand = draw(demand_models(horizon))
+        buyers.append(BuyerSpec(f"c{j}", draw(value), demand, arrival, departure))
+    ids = [b.buyer_id for b in buyers]
+    routing = draw(st.sampled_from(["spq", "hybrid"]))
+    boost = HybridBoost(
+        draw(st.sampled_from(ids)), draw(st.floats(0.0, 200.0)), draw(st.integers(1, horizon))
+    )
+    scenario = Scenario(
+        buyers=tuple(buyers),
+        capacity=draw(st.floats(2.0, 40.0)),
+        routing=routing,
+        mu=draw(st.floats(0.05, 0.6)),
+        reserve=draw(st.sampled_from([0.0, 1.0, 3.0])),
+        horizon=horizon,
+        hybrid=boost if routing == "hybrid" else None,
+    )
+    pins = draw(st.dictionaries(st.sampled_from(ids[1:]), st.booleans()))
+    return scenario, {"probe": False, **pins}
+
+
+# Below the competitor's key the cliff probe moves 7 KB an epoch and stops at
+# 56 KB; above it she moves 10 KB an epoch and stops at 50.
+CLIFF_WORLD = (
+    Scenario(
+        buyers=(
+            BuyerSpec("probe", 5.0, DemandSpec.cliff(10.0, 50.0), 1, 40),
+            BuyerSpec("c0", 2.0, DemandSpec.constant(3.0), 1, 40),
+        ),
+        capacity=10.0, horizon=40,
+    ),
+    {"probe": False, "c0": False},
+)
+# Hybrid, with a stateful competitor tied with the boosted one.
+TIED_HYBRID_WORLD = (
+    Scenario(
+        buyers=(
+            BuyerSpec("probe", 5.0, DemandSpec.constant(6.0), 1, 20),
+            BuyerSpec("c0", 3.0, DemandSpec.buffered([5.0] * 10), 1, 20),
+            BuyerSpec("c1", 3.0, DemandSpec.constant(4.0), 1, 20),
+        ),
+        capacity=12.0, routing="hybrid", reserve=1.0, horizon=20,
+        hybrid=HybridBoost("c1", 30.0, 10),
+    ),
+    {"probe": False, "c0": False, "c1": False},
+)
+MEMORYLESS_KINDS = {"constant", "time_varying", "flow_trace"}
+
+
+def test_bytes_monotone_in_own_bid_exactly_per_world():
+    """In a fixed world, the probe's bytes change only where her key crosses
+    the reserve or a competitor's key, so evaluating her at 0, at the
+    reserve, at each eligible competitor key (a tie) and at one bid in each
+    gap above them (at most 2m + 3 sessions for m competitors) checks
+    monotonicity in her own bid exactly.  Every natural probe is monotone, and
+    the cliff, which is not natural, is not monotone in some world.  Bytes may
+    differ by rounding where a tie moves a stateful probe from her vector form
+    to the epoch stepper, so a drop of 1e-9 relative is allowed."""
+    reached, cliff_violations = set(), []
+
+    @example(world=CLIFF_WORLD, seed=0)
+    @example(world=TIED_HYBRID_WORLD, seed=0)
+    @given(world=probe_worlds(), seed=st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def monotone(world, seed):
+        scenario, pins = world
+        session, r = replay(scenario, seed), scenario.reserve
+        at_zero = session({"probe": 0.0}, pins)
+        keys = [k for b, k in at_zero.perturbed_bids.items() if b != "probe" and k >= r]
+        levels = sorted({r, *keys})
+        bids = {0.0}
+        for lo, hi in zip(levels, levels[1:] + [levels[-1] + 1.0]):
+            bids |= {lo, (lo + hi) / 2}
+        bids = sorted(bids)
+        assert len(bids) <= 2 * (len(scenario.buyers) - 1) + 3
+        x = [at_zero.bytes["probe"]] + [
+            session({"probe": b}, pins).bytes["probe"] for b in bids[1:]
+        ]
+        ok = all(hi >= lo - 1e-9 * max(1.0, lo) for lo, hi in zip(x, x[1:]))
+        kind = scenario.buyers[0].demand.kind
+        if kind == "cliff":
+            cliff_violations.append(not ok)
+        else:
+            assert ok, (kind, bids, x)
+        reached.add(scenario.routing)
+        if len(set(keys)) < len(keys):
+            reached.add("tie")
+        if any(b.demand.kind not in MEMORYLESS_KINDS for b in scenario.buyers[1:]):
+            reached.add("stateful competitor")
+
+    monotone()
+    assert any(cliff_violations)
+    assert reached == {"spq", "hybrid", "tie", "stateful competitor"}
 
 
 class TestGreedyMaximality:
@@ -1515,6 +1649,62 @@ def test_doubling_money_doubles_every_payment_on_every_path():
     assert PATHS <= reached
 
 
+def test_settlement_follows_the_per_buyer_definitions(monkeypatch):
+    """Each buyer is settled on her own row, under bid overrides and pinned
+    coins.  Her routing key and resampling flag are ``resample_bid`` on her
+    own (coin, gamma), pinned only under bks at an eligible bid.  She is billed
+    her grants' row total x, her gross and rebate are (b x, x (b - r) / mu if
+    resampled) under bks, (p x, 0) under fixed and (her row of
+    ``vmm_epoch_charges``, 0) under vmm, and welfare and revenue are the sums
+    in buyer order.  ``_finish`` is spied on for the grants and the presented
+    demand; the rest is formed here from the scenario and the world."""
+    spied, finish = [], bandshare.engine._finish
+    monkeypatch.setattr(
+        bandshare.engine, "_finish", lambda *args: spied.append(args) or finish(*args)
+    )
+    reached = set()
+
+    @given(scenario=money_scenarios(), seed=st.integers(0, 2**32), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def settles(scenario, seed, data):
+        ids = [b.buyer_id for b in scenario.buyers]
+        override = data.draw(st.dictionaries(st.sampled_from(ids), sizable(10.0)))
+        forced = data.draw(st.dictionaries(st.sampled_from(ids), st.booleans()))
+        spied.clear()
+        out = replay(scenario, seed)(override, forced)
+        ((_, bids, grants, shown, played),) = spied
+        np.testing.assert_array_equal(out.trace, grants.T)
+        r, mu, mechanism = scenario.reserve, scenario.mu, scenario.mechanism
+        buyers, draws = scenario.buyers, _world(scenario.buyers, seed)[1]
+        submitted = [float(override.get(i, b.submitted_bid())) for i, b in zip(ids, buyers)]
+        charges = vmm_epoch_charges(shown, submitted, scenario.capacity)
+        welfare = revenue = 0.0
+        for k, (i, b, (coin, gamma)) in enumerate(zip(ids, submitted, draws)):
+            pin = forced.get(i) if mechanism == "bks" and b >= r else False
+            key, flag = resample_bid(b, min(r, b), mu, coin, gamma, pin)
+            assert (bids.bid[k], bids.perturbed_bid[k], bids.resampled[k]) == (b, key, flag), i
+            assert (out.bids[i], out.perturbed_bids[i]) == (b, key), i
+            x = grants[k].sum()
+            gross, rebate = {
+                "bks": (b * x, x * (b - r) / mu if flag else 0.0),
+                "fixed": (scenario.price * x, 0.0),
+                "vmm": (charges[k], 0.0),
+            }[mechanism]
+            paid = out.payments[i]
+            assert (paid.buyer_id, paid.bytes, paid.gross, paid.rebate) == (i, x, gross, rebate), i
+            real = played.get(k, x)
+            assert out.bytes[i] == real, i
+            value = buyers[k].value
+            assert out.utilities[i] == value * real - (gross - rebate), i
+            welfare += value * real
+            revenue += gross - rebate
+            reached.add((mechanism, flag and x > 0 and b > r))
+        assert (out.welfare, out.seller_revenue) == (welfare, revenue)
+
+    settles()
+    assert {(m, False) for m in ("bks", "vmm", "fixed")} | {("bks", True)} <= reached
+
+
 def untraced(scenario, seed):
     """``scenario`` with each flow_trace demand replaced by its realization in
     ``seed``'s world as a time_varying series: a Poisson draw per horizon
@@ -1930,6 +2120,32 @@ class TestMonteCarlo:
             assert np.isfinite([ci.ci_low, ci.mean, ci.ci_high]).all(), ci
             assert ci.ci_low <= ci.mean <= ci.ci_high
         assert stats.welfare.ci_low < stats.welfare.ci_high
+
+    @pytest.mark.parametrize("n_runs, jobs, workers", [(3, 32, 3), (5, 2, 2), (2, 3, 2)])
+    def test_pool_asks_for_no_more_workers_than_runs(self, monkeypatch, n_runs, jobs, workers):
+        """A pool forks all its workers at the first submit, so it is sized to
+        the runs it has; the stand-in executor maps in this process and starts
+        none.  Its results are those of the serial loop."""
+        asked = []
+
+        class InProcess:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(bandshare.engine, "ProcessPoolExecutor", InProcess)
+        scenario = self.scenario("bks")
+        pooled = run_monte_carlo([scenario], n_runs, seed=4, jobs=jobs)
+        assert asked == [workers]
+        assert pooled == run_monte_carlo([scenario], n_runs, seed=4)
 
     @pytest.mark.parametrize("n_runs,n_scenarios", [(0, 1), (-2, 1), (3, 0)])
     def test_needs_a_run_and_a_scenario(self, n_runs, n_scenarios):

@@ -10,7 +10,6 @@ from scipy.optimize import linprog
 from bandshare.demand import DemandSpec
 from bandshare.engine import BuyerSpec, Scenario, run_session
 from bandshare.payments import (
-    BidRecord,
     MeanCI,
     bks_settle,
     fixed_price_settle,
@@ -23,32 +22,46 @@ from bandshare.routing import spq
 
 class TestResampleBid:
     def test_keep_branch(self):
-        rec = resample_bid("b", 10, 2, 0.2, 0.9, 0.5)
-        assert rec.perturbed_bid == 10 and not rec.resampled
+        assert resample_bid(10, 2, 0.2, 0.9, 0.5) == (10, False)
 
     def test_gamma_one_boundary(self):
-        rec = resample_bid("b", 10, 2, 0.2, 0.0, 1.0)
-        assert rec.resampled
-        assert rec.perturbed_bid == pytest.approx(10)
+        key, resampled = resample_bid(10, 2, 0.2, 0.0, 1.0)
+        assert resampled
+        assert key == pytest.approx(10)
 
     def test_step_formula(self):
-        rec = resample_bid("b", 10, 2, 0.2, 0.0, 0.5)
-        assert rec.resampled
-        assert rec.perturbed_bid == pytest.approx(2 + 8 * 0.5 ** 1.25)
-        assert rec.perturbed_bid == pytest.approx(5.363586, abs=1e-6)
+        key, resampled = resample_bid(10, 2, 0.2, 0.0, 0.5)
+        assert resampled
+        assert key == pytest.approx(2 + 8 * 0.5 ** 1.25)
+        assert key == pytest.approx(5.363586, abs=1e-6)
 
     def test_bid_below_reserve_rejected(self):
         with pytest.raises(ValueError):
-            resample_bid("b", 1, 2, 0.2, 0.0, 0.5)
+            resample_bid(1, 2, 0.2, 0.0, 0.5)
 
     def test_mu_bounds(self):
         for mu in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                resample_bid("b", 10, 2, mu, 0.0, 0.5)
+                resample_bid(10, 2, mu, 0.0, 0.5)
+
+    @pytest.mark.parametrize("bad", [-1e-12, -0.5, 1.0 + 1e-12, 2.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("which", ["coin", "gamma"])
+    def test_coin_and_gamma_outside_unit_interval_rejected(self, which, bad):
+        """A coin or gamma outside [0, 1] could put the key outside [r, b]."""
+        draws = {"coin": 0.0, "gamma": 0.5, which: bad}
+        with pytest.raises(ValueError, match="coin and gamma must be in"):
+            resample_bid(10, 2, 0.2, **draws)
+        with pytest.raises(ValueError, match="coin and gamma must be in"):
+            resample_bid(10, 2, 0.2, **draws, force=False)
+
+    def test_unit_interval_ends_accepted(self):
+        for coin in (0.0, 1.0):
+            for gamma in (0.0, 1.0):
+                key, _ = resample_bid(10, 2, 0.2, coin, gamma)
+                assert 2 <= key <= 10
 
     def test_bid_at_reserve_allowed(self):
-        rec = resample_bid("b", 2, 2, 0.2, 0.0, 0.3)
-        assert rec.resampled and rec.perturbed_bid == 2
+        assert resample_bid(2, 2, 0.2, 0.0, 0.3) == (2, True)
 
     def test_support_and_conditional_cdf(self):
         """b~ stays in [r, b]; conditional on resampling,
@@ -58,44 +71,37 @@ class TestResampleBid:
         n = 100_000
         draws = []
         while len(draws) < n:
-            rec = resample_bid("b", b, r, mu, rng.random(), rng.random())
-            assert r - 1e-12 <= rec.perturbed_bid <= b + 1e-12
-            if rec.resampled:
-                draws.append((rec.perturbed_bid - r) / (b - r))
+            key, resampled = resample_bid(b, r, mu, rng.random(), rng.random())
+            assert r <= key <= b
+            assert resampled or key == b
+            if resampled:
+                draws.append((key - r) / (b - r))
         res = stats.kstest(draws, lambda z: np.power(z, 1 - mu))
         assert res.pvalue > 0.001, res
 
     def test_force_pins_coin_and_keeps_draws(self):
-        forced = resample_bid("b", 10, 2, 0.2, 0.9, 0.5, force=True)
-        assert forced.resampled
-        assert forced.perturbed_bid == pytest.approx(2 + 8 * 0.5 ** 1.25)
-        kept = resample_bid("b", 10, 2, 0.2, 0.0, 0.5, force=False)
-        assert not kept.resampled and kept.perturbed_bid == 10
+        key, resampled = resample_bid(10, 2, 0.2, 0.9, 0.5, force=True)
+        assert resampled
+        assert key == pytest.approx(2 + 8 * 0.5 ** 1.25)
+        assert resample_bid(10, 2, 0.2, 0.0, 0.5, force=False) == (10, False)
 
 
 class TestBksSettle:
     def test_resampled_rebate(self):
-        rec = BidRecord("b", 5, 3, True, 2, 0.2)
-        out = bks_settle(rec, 100)
-        assert out.gross == 500
-        assert out.rebate == pytest.approx(5 * 100 * 3)  # (1/mu) * x * (b - r)
-        assert out.net == pytest.approx(-1000)
+        gross, rebate = bks_settle(100, 5, 2, 0.2, True)
+        assert gross == 500
+        assert rebate == pytest.approx(5 * 100 * 3)  # (1/mu) * x * (b - r)
+        assert gross - rebate == pytest.approx(-1000)
 
     def test_kept_no_rebate(self):
-        out = bks_settle(BidRecord("b", 5, 5, False, 2, 0.2), 100)
-        assert out.rebate == 0 and out.net == 500
+        assert bks_settle(100, 5, 2, 0.2, False) == (500, 0)
 
     def test_zero_bytes(self):
-        out = bks_settle(BidRecord("b", 5, 3, True, 2, 0.2), 0)
-        assert out.net == 0
+        assert bks_settle(0, 5, 2, 0.2, True) == (0, 0)
 
-    def test_record_invariants(self):
+    def test_negative_bytes_rejected(self):
         with pytest.raises(ValueError):
-            BidRecord("b", 5, 6, True, 2, 0.2)  # perturbed above bid
-        with pytest.raises(ValueError):
-            BidRecord("b", 5, 1, True, 2, 0.2)  # perturbed below reserve
-        with pytest.raises(ValueError):
-            BidRecord("b", 5, 4, False, 2, 0.2)  # kept but changed
+            bks_settle(-1, 5, 2, 0.2, False)
 
 
 def lp_value(bids, demands, c):
@@ -219,15 +225,15 @@ class TestExpectedBksPayment:
 
         def net(s):
             coin, gamma = np.random.default_rng(int(s)).random(2).tolist()
-            return bks_settle(resample_bid("solo", b, 0.0, mu, coin, gamma), x).net
+            gross, rebate = bks_settle(x, b, 0.0, mu, resample_bid(b, 0.0, mu, coin, gamma)[1])
+            return gross - rebate
 
         ci = summarize([net(s) for s in seeds])
         assert ci.ci_low <= 0.0 <= ci.ci_high
         assert abs(ci.mean) < 3 * (ci.ci_high - ci.ci_low) / 2 + 1e-9
 
     def test_degenerate_no_resampling_pays_bid(self):
-        rec = BidRecord("solo", 3, 3, False, 0, 0.2)
-        ci = summarize([bks_settle(rec, 10).net for _ in range(5)])
+        ci = summarize([bks_settle(10, 3, 0, 0.2, False)[0] for _ in range(5)])
         assert ci.mean == 30 and (ci.ci_high - ci.ci_low) / 2 == 0
 
     def test_summarize(self):

@@ -23,7 +23,8 @@ one engine function calls ``priority_groups``, and it is the one that applies
 the eligibility floor (the reserve, or the posted price under ``fixed``).
 Allocation is bid-blind and settlement happens once: no allocation function
 takes the bid records or reads a bid, a routing key or a resampling flag, and
-one engine function, the replayed session, calls ``_finish``.
+one engine function, the replayed session, calls ``_finish``, and only
+``_finish`` calls the settlement functions.
 
 Traffic totals are formed in one place: ``_finish`` is the only engine
 function that sums or accumulates a row of ``grants``, apart from the
@@ -206,6 +207,25 @@ def test_sessions_settle_in_one_place():
         )
     ]
     assert callers == ["session"], f"_finish called from {callers}"
+
+
+SETTLEMENT = {"bks_settle", "fixed_price_settle", "vmm_epoch_charges"}
+
+
+def _settlements(tree):
+    """The calls under ``tree`` of a settlement function, however it is reached."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in SETTLEMENT
+    ]
+
+
+def test_only_finish_settles():
+    finish = next(f for f in ENGINE.body if isinstance(f, ast.FunctionDef) and f.name == "_finish")
+    inside = _settlements(finish)
+    assert {ast.unparse(node.func) for node in inside} == SETTLEMENT
+    outside = [ast.unparse(node) for node in _settlements(ENGINE) if node not in inside]
+    assert outside == [], f"settlement outside _finish: {outside}"
 
 
 @pytest.mark.parametrize("name", ALLOCATION)
