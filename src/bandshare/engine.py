@@ -15,39 +15,31 @@ counterfactual bids or pinned resampling coins; ``run_session`` is
 plays a grid of scenarios that share their buyers and horizon on one world and
 demand matrix per session seed, ``run_seeds(seed, n)`` for n runs.
 
-Three paths play a session, and ``replay`` picks one from the world alone.  A
-buyer is stateful when what she presents depends on her history: her demand
-model is not memoryless (buffered, impatient, increasing_*, cliff) or she pads
-or delays.  One stepper, ``_play``, plays priority groups epoch by epoch
-through ``query`` against a per-epoch capacity, allocating each epoch with
-``_allocate_epoch``, the scalar form of the ``routing`` kernels.
-
-* The priority sweep (``_run_sweep``) plays every strict-priority (``spq``)
-  and hybrid session.  It visits the priority groups in descending key order
-  and serves each from the capacity the groups above it left: memoryless
-  greedy rows from the world's demand matrix, a lone greedy buffered or
-  impatient buyer through her model's vector form
-  (``DemandRealization.serve``), and any other group with a stateful buyer,
-  lone or tied, through ``_play``.  Under hybrid routing ``_boost`` first
-  serves the groups down to the boosted buyer's: it scans her reserved epochs
-  in scalar, after which hybrid is strict priority, or plays them all with
-  ``_play`` when they hold a stateful buyer other than her, lone and greedy
-  with a vector form.
-* The vector path (``_run_vectorized``) plays fq and fifo sessions whose
-  buyers are greedy (or misreporting) with memoryless or impatient demand; it
-  applies the ``routing`` kernel to the (n, T) demand matrix, and again after
-  each patience epoch at which an impatient buyer quits.
-* The epoch loop (``_run_loop``) plays the rest, which no builtin config
-  reaches: fq and fifo sessions with a stateful buyer who is not a greedy
-  impatient one.  It runs ``_play`` on every group at full capacity, and it
-  is the reference semantics that the other two paths are tested against.
+One path, the priority sweep (``_run_sweep``), plays every session.  It visits
+the priority groups in descending key order and serves each from the capacity
+the groups above it left; under fq and fifo every key ties, so the eligible
+buyers are one group, shared max-min fairly or in proportion to demand.  A
+buyer is stateful when she pads or delays or her demand model is not memoryless
+(buffered, impatient, increasing_*, cliff).  A group whose stateful buyers, if
+any, are greedy impatient ones is filled column-wise by ``routing.fill_group``,
+and again after each patience epoch at which one of them quits.  Under spq and
+hybrid a lone greedy buffered or impatient buyer is served through her model's
+vector form (``DemandRealization.serve``).  Any other group is played epoch by
+epoch by ``_play``, which allocates each epoch with ``_allocate_epoch``, the
+scalar form of ``fill_group``.  Under hybrid routing ``_boost`` first serves
+the groups down to the boosted buyer's: it scans her reserved epochs in scalar,
+after which hybrid is strict priority, or plays them all with ``_play`` when
+they hold a stateful buyer other than her, lone and greedy with a vector form.
+The epoch loop (``_run_loop``), ``_play`` on every group at full capacity, is
+the reference semantics the tests hold the sweep to; no session calls it.
 
 A session call decides bids, eligibility and priority order once, by buyer
 position: ``_bid_records`` lists bids, routing keys and resampling flags in
-scenario order, and ``_groups`` groups the eligible buyers by key.  The paths
-see only those groups, never a bid, and return grants, presented demand and
-the real traffic of buyers who pad or delay; ``_finish`` settles each buyer on
-her grants' pairwise row total, which is her real traffic if she does neither.
+scenario order, and ``_groups`` groups the eligible buyers by key.  The sweep
+and the loop see only those groups, never a bid, and return grants, presented
+demand and the real traffic of buyers who pad or delay; ``_finish`` settles
+each buyer on her grants' pairwise row total, which is her real traffic if she
+does neither.
 """
 
 from __future__ import annotations
@@ -314,22 +306,18 @@ def _groups(scenario: Scenario, bids: Bids) -> List[List[int]]:
     """Positions of the eligible buyers, whose bid meets the reserve (the price
     under ``fixed``), grouped by equal routing key, highest key first.  An
     eligible key is at least that floor and an ineligible one, her bid, is
-    below it, so a group's first buyer decides for all of it."""
+    below it, so a group's first buyer decides for all of it.  Under fq and
+    fifo every eligible key ties, at 1 above the ineligible ones' 0."""
     floor = scenario.price if scenario.mechanism == "fixed" else scenario.reserve
-    return [rows for rows in priority_groups(bids.perturbed_bid) if bids.bid[rows[0]] >= floor]
+    tied = scenario.routing in ("fq", "fifo")
+    keys = [float(b >= floor) for b in bids.bid] if tied else bids.perturbed_bid
+    return [rows for rows in priority_groups(keys) if bids.bid[rows[0]] >= floor]
 
 
 def _stateful(buyer: BuyerSpec, realization: DemandRealization) -> bool:
     """Whether what a buyer presents depends on her history, so that she
     cannot be read from the world's demand matrix."""
     return not realization.memoryless or buyer.strategy.kind in ("pad", "delay")
-
-
-def _loops(scenario: Scenario, stateful: Sequence[bool]) -> bool:
-    """Whether a session needs the loop: fq or fifo with a stateful buyer who
-    is not a greedy impatient one."""
-    kept = [b.demand.kind == "impatient" and _greedy(b) for b in scenario.buyers]
-    return scenario.routing in ("fq", "fifo") and any(s and not k for s, k in zip(stateful, kept))
 
 
 def replay(scenario: Scenario, seed: int) -> Callable[..., SessionOutcome]:
@@ -347,30 +335,22 @@ def replay(scenario: Scenario, seed: int) -> Callable[..., SessionOutcome]:
 
 def _replays(scenarios: Sequence[Scenario], seed: int) -> List[Callable[..., SessionOutcome]]:
     """``replay`` of each of ``scenarios``, which share their buyers and horizon,
-    on one world and demand matrix.  The one place that picks a session's path."""
+    on one world and demand matrix, each session played on the priority sweep."""
     first = scenarios[0]
     realizations, draws = _world(first.buyers, seed)
     stateful = [_stateful(b, r) for b, r in zip(first.buyers, realizations)]
-    looped = [_loops(s, stateful) for s in scenarios]
-    matrix = None if all(looped) else _demand_matrix(first, realizations)
+    demand = _demand_matrix(first, realizations)
 
     def session(
         scenario: Scenario,
-        demand: Optional[np.ndarray],  # None on the loop
         bid_override: Optional[Mapping[str, float]] = None,
         force_resample: Optional[Mapping[str, bool]] = None,
     ) -> SessionOutcome:
         bids = _bid_records(scenario, draws, bid_override, force_resample)
-        groups = _groups(scenario, bids)
-        if demand is None:
-            played = _run_loop(scenario, realizations, groups)
-        elif scenario.routing in ("fq", "fifo"):
-            played = _run_vectorized(scenario, demand, groups)
-        else:
-            played = _run_sweep(scenario, realizations, demand, groups, stateful)
+        played = _run_sweep(scenario, realizations, demand, _groups(scenario, bids), stateful)
         return _finish(scenario, bids, *played)
 
-    return [partial(session, s, None if loop else matrix) for s, loop in zip(scenarios, looped)]
+    return [partial(session, s) for s in scenarios]
 
 
 def run_session(
@@ -391,10 +371,9 @@ def _run_loop(
     groups: List[List[int]],
 ) -> Played:
     """Every eligible buyer played epoch by epoch at full capacity, with the
-    demand they present recorded for the VMM charges."""
+    demand they present recorded for the VMM charges; the tests' reference."""
     n, T = len(scenario.buyers), scenario.horizon
-    grants = np.zeros((n, T))
-    shown = np.zeros((n, T))
+    grants, shown = np.zeros((2, n, T))
     capacity = np.full(T, float(scenario.capacity))
     played = _play(scenario, realizations, groups, capacity, grants, shown)
     return grants, shown, played
@@ -478,23 +457,13 @@ def _allocate_epoch(
     """Grants of ``c`` in epoch ``t`` by buyer position, zero outside
     ``active``, and the capacity left.
 
-    The scalar form of the ``routing`` kernels for a single column, rounded
-    as they round.  Strict priority serves ``groups`` after the hybrid
-    reservation, as ``spq`` does.
+    The scalar form of ``routing.fill_group`` for a single column, rounded as
+    it rounds: ``groups`` are served in order after the hybrid reservation,
+    each shared max-min fairly, or in proportion to demand under fifo.
     """
     grants = [0.0] * len(presented)
-    routing = scenario.routing
-    if routing == "fifo":
-        total = sum(presented[i] for i in active)
-        for i in active:
-            grants[i] = presented[i] if total <= c else presented[i] * (c / total)
-        return grants, max(0.0, c - total)
-    if routing == "fq":
-        return grants, _share(active, presented, c, grants)
-
-    # spq / hybrid
-    remaining = c
-    boost = scenario.hybrid if routing == "hybrid" else None
+    remaining, fifo = c, scenario.routing == "fifo"
+    boost = scenario.hybrid if scenario.routing == "hybrid" else None
     if boost is not None and t <= boost.deadline:
         buyers = scenario.buyers
         bi = next((i for i in active if buyers[i].buyer_id == boost.buyer_id), None)
@@ -503,7 +472,7 @@ def _allocate_epoch(
             grants[bi] = min(pace, presented[bi], remaining)
             remaining -= grants[bi]
     for rows in groups:
-        if len(rows) == 1:
+        if len(rows) == 1 and not fifo:
             i = rows[0]
             need = presented[i] - grants[i]
             take = need if need <= remaining else remaining
@@ -511,7 +480,7 @@ def _allocate_epoch(
             remaining -= take
         else:
             unmet = [p - g for p, g in zip(presented, grants)]
-            remaining = _share(rows, unmet, remaining, grants)
+            remaining = (_prorate if fifo else _share)(rows, unmet, remaining, grants)
     return grants, remaining
 
 
@@ -527,6 +496,15 @@ def _share(rows: List[int], need: Sequence[float], c: float, grants: List[float]
         c -= take
         left -= 1
     return c
+
+
+def _prorate(rows: List[int], need: Sequence[float], c: float, grants: List[float]) -> float:
+    """``routing.proportional`` on one column: adds ``need`` to ``grants`` for
+    ``rows``, scaled down to ``c`` if they need more.  Returns what is left."""
+    total = sum(need[i] for i in rows)
+    for i in rows:
+        grants[i] += need[i] if total <= c else need[i] * (c / total)
+    return max(0.0, c - total)
 
 
 def _demand_matrix(
@@ -557,35 +535,6 @@ def _shown(demand: np.ndarray, groups: List[List[int]]) -> np.ndarray:
     return shown
 
 
-def _run_vectorized(
-    scenario: Scenario,
-    demand: np.ndarray,
-    groups: List[List[int]],
-) -> Played:
-    """Vector path for fq and fifo: greedy buyers with memoryless or impatient
-    demand.  An impatient row is first her rate k; then, by increasing patience
-    epoch p (equal p together, as zeroing after p leaves the columns up to p),
-    a buyer who has moved no more than m by p is zeroed after it and the
-    kernel re-runs on those columns."""
-    buyers = scenario.buyers
-    shown = _shown(demand, groups)
-    kernel = maxmin if scenario.routing == "fq" else proportional
-    impatient = [i for rows in groups for i in rows if buyers[i].demand.kind == "impatient"]
-    tests = []  # (p, buyer, m) of the impatient buyers present after p
-    for i in impatient:
-        params, (lo, hi) = buyers[i].demand.params, _window(scenario, buyers[i])
-        shown[i, lo - 1 : hi] = params["k"]
-        if params["p"] < hi:
-            tests.append((params["p"], i, params["m"]))
-    grants = kernel(shown, scenario.capacity)
-    for p, batch in itertools.groupby(sorted(tests), key=lambda test: test[0]):
-        quit = [i for _, i, m in batch if not np.cumsum(grants[i, :p])[-1] > m]
-        if quit:
-            shown[quit, p:] = 0.0
-            grants[:, p:] = kernel(shown[:, p:], scenario.capacity)
-    return grants, shown, {}
-
-
 def _run_sweep(
     scenario: Scenario,
     realizations: Sequence[DemandRealization],
@@ -593,17 +542,14 @@ def _run_sweep(
     groups: List[List[int]],
     stateful: Sequence[bool],
 ) -> Played:
-    """Strict priority played one of ``groups`` at a time, highest key first.
-
-    ``residual`` holds the capacity that the groups above have left in each
-    epoch, and a group's grants depend only on it and the group's own history.
-    A group with no stateful buyer is read from ``demand`` and filled
-    as ``routing.spq`` fills it.  A lone greedy buyer whose model has a vector
-    form is served by it, and any other group that holds a stateful buyer is
-    played epoch by epoch by ``_play``, as the loop plays it.  Under hybrid
-    routing ``_boost`` first serves the groups down to the boosted buyer's.
-    """
-    buyers = scenario.buyers
+    """Priority played one of ``groups`` at a time, highest key first, as the
+    module docstring sets out.  ``residual`` holds the capacity that the groups
+    above have left in each epoch, and a group's grants depend only on it and
+    the group's own history.  By increasing patience epoch p (equal p together,
+    as zeroing after p leaves the columns up to p), an impatient buyer who has
+    moved no more than m by p is zeroed after it."""
+    buyers, share = scenario.buyers, proportional if scenario.routing == "fifo" else maxmin
+    strict = scenario.routing in ("spq", "hybrid")  # a lone fq or fifo group plays as in the loop
     shown = _shown(demand, groups)
     grants = np.zeros(shown.shape)
     residual = np.full(scenario.horizon, float(scenario.capacity))
@@ -611,18 +557,35 @@ def _run_sweep(
     if scenario.routing == "hybrid":
         top, played = _boost(scenario, realizations, groups, stateful, residual, grants, shown)
     for rows in groups[top + 1 :]:
-        if not any(stateful[i] for i in rows):
-            fill_group(shown, rows, residual, grants)
+        held = [i for i in rows if stateful[i]]
+        if not held:
+            fill_group(shown, rows, residual, grants, share)
             continue
         i = rows[0]
         lo, hi = _window(scenario, buyers[i])
-        if len(rows) == 1 and _greedy(buyers[i]) and realizations[i].serves:
+        if len(rows) == 1 and strict and _greedy(buyers[i]) and realizations[i].serves:
             if lo <= hi:
                 served = realizations[i].serve(residual[lo - 1 : hi], lo)
                 shown[i, lo - 1 : hi], grants[i, lo - 1 : hi] = served
                 residual[lo - 1 : hi] -= served[1]
             continue
-        played.update(_play(scenario, realizations, [rows], residual, grants, shown))
+        if any(buyers[i].demand.kind != "impatient" or not _greedy(buyers[i]) for i in held):
+            played.update(_play(scenario, realizations, [rows], residual, grants, shown))
+            continue
+        tests = []  # (p, buyer, m) of the impatient buyers present after p
+        for i in held:
+            params, (lo, hi) = buyers[i].demand.params, _window(scenario, buyers[i])
+            shown[i, lo - 1 : hi] = params["k"]
+            if params["p"] < hi:
+                tests.append((params["p"], i, params["m"]))
+        above = residual.copy()
+        fill_group(shown, rows, residual, grants, share)
+        for p, batch in itertools.groupby(sorted(tests), key=lambda test: test[0]):
+            quit = [i for _, i, m in batch if not np.cumsum(grants[i, :p])[-1] > m]
+            if quit:
+                shown[quit, p:] = 0.0
+                residual[p:] = above[p:]
+                fill_group(shown[:, p:], rows, residual[p:], grants[:, p:], share)
     return grants, shown, played
 
 

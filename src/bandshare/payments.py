@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,8 +51,7 @@ __all__ = [
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
-@dataclass(frozen=True)
-class PaymentOutcome:
+class PaymentOutcome(NamedTuple):
     """Settled payment for one buyer: net = gross - rebate."""
 
     buyer_id: str

@@ -10,9 +10,11 @@ value per column) among the rows:
 * ``spq``          -- strict priority by key, highest first; rows with equal
   keys share what is left max-min fairly.
 
-``spq`` is built from two parts that the engine's strict-priority paths share:
-``priority_groups`` orders the rows into groups of equal key, highest first,
-and ``fill_group`` serves one group from the capacity the groups above it left.
+The engine's priority sweep plays every policy from two parts, as ``spq``
+does: ``priority_groups`` orders the rows into groups of equal key, highest
+first, and ``fill_group`` serves one group from the capacity the groups above
+it left, by the group's sharing rule.  fq and fifo are the case where every
+key ties: one group, shared by ``maxmin`` or ``proportional``.
 
 The ``spq`` split of capacity in descending bid order is also the
 value-optimal one, so VCG charges use it too.
@@ -23,7 +25,7 @@ than demand, and never exceeds the capacity of a column.
 from __future__ import annotations
 
 import itertools
-from typing import List, Sequence, Union
+from typing import Callable, List, Sequence, Union
 
 import numpy as np
 
@@ -48,9 +50,15 @@ def _capacity(c: Capacity, T: int) -> np.ndarray:
 def proportional(demand: np.ndarray, c: Capacity) -> np.ndarray:
     """Scale each over-demanded column down to its capacity."""
     demand = np.asarray(demand, dtype=float)
-    cap = _capacity(c, demand.shape[1])
+    return _proportional(demand, _capacity(c, demand.shape[1]))
+
+
+def _proportional(demand: np.ndarray, remaining: np.ndarray) -> np.ndarray:
+    """``proportional`` of ``demand`` within ``remaining``, which it reduces in place."""
     total = demand.sum(axis=0)
-    return demand * np.where(total > cap, cap / np.maximum(total, 1e-300), 1.0)
+    grants = demand * np.where(total > remaining, remaining / np.maximum(total, 1e-300), 1.0)
+    remaining -= np.minimum(total, remaining)
+    return grants
 
 
 def maxmin(demand: np.ndarray, c: Capacity) -> np.ndarray:
@@ -60,17 +68,19 @@ def maxmin(demand: np.ndarray, c: Capacity) -> np.ndarray:
     its demand and an equal share of what is left.
     """
     demand = np.asarray(demand, dtype=float)
-    n, T = demand.shape
-    remaining = _capacity(c, T)
+    return _maxmin(demand, _capacity(c, demand.shape[1]))
+
+
+def _maxmin(demand: np.ndarray, remaining: np.ndarray) -> np.ndarray:
+    """``maxmin`` of ``demand`` within ``remaining``, which it reduces in place."""
+    n = len(demand)
     order = np.argsort(demand, axis=0, kind="stable")
-    sorted_d = np.take_along_axis(demand, order, axis=0)
-    grants_sorted = np.empty_like(sorted_d)
+    taken = np.take_along_axis(demand, order, axis=0)
     for k in range(n):
-        take = np.minimum(sorted_d[k], remaining / (n - k))
-        grants_sorted[k] = take
-        remaining -= take
+        taken[k] = np.minimum(taken[k], remaining / (n - k))
+        remaining -= taken[k]
     grants = np.empty_like(demand)
-    np.put_along_axis(grants, order, grants_sorted, axis=0)
+    np.put_along_axis(grants, order, taken, axis=0)
     return grants
 
 
@@ -81,17 +91,24 @@ def priority_groups(keys: Sequence[float]) -> List[List[int]]:
 
 
 def fill_group(
-    demand: np.ndarray, rows: List[int], remaining: np.ndarray, grants: np.ndarray
+    demand: np.ndarray,
+    rows: List[int],
+    remaining: np.ndarray,
+    grants: np.ndarray,
+    share: Callable[[np.ndarray, Capacity], np.ndarray] = maxmin,
 ) -> None:
     """Fill ``grants[rows]``, one priority group's grants, from the per-column
-    capacity ``remaining`` and reduce it in place; tied rows share it max-min
-    fairly."""
-    if len(rows) == 1:
+    capacity ``remaining`` and reduce it in place.  The rows share it by the
+    group's rule, ``maxmin`` or ``proportional``; a lone row under
+    ``proportional`` too, so that it is rounded as that kernel rounds it."""
+    fill = _proportional if share is proportional else _maxmin
+    if len(rows) == 1 and fill is _maxmin:
         take = grants[rows[0]] = np.minimum(remaining, demand[rows[0]])
+        remaining -= take
+    elif len(rows) == len(demand):  # every row, without a gathered copy
+        grants[:] = fill(demand, remaining)
     else:
-        grants[rows] = maxmin(demand[rows], remaining)
-        take = np.minimum(grants[rows].sum(axis=0), remaining)
-    remaining -= take
+        grants[rows] = fill(demand[rows], remaining)
 
 
 def spq(demand: np.ndarray, keys: Sequence[float], c: Capacity) -> np.ndarray:

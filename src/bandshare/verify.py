@@ -162,6 +162,8 @@ def monotonicity_suite(
     seed: int = 0, n_scenarios: int = 20, n_pairs: int = 50
 ) -> SuiteReport:
     """Bid-monotonicity of total bytes under SPQ + greedy, world replayed."""
+    if n_scenarios < 1 or n_pairs < 1:
+        raise ValueError(f"need n_scenarios and n_pairs >= 1, got {n_scenarios} and {n_pairs}")
     rng = np.random.default_rng(seed)
     lines = []
     violations = 0
@@ -255,6 +257,8 @@ def welfare_capacity_bks_scenario() -> Scenario:
 
 def truthfulness_suite(seed: int = 0, n_runs: int = 10_000) -> SuiteReport:
     """Truthful bid beats each probed deviation in expectation, per buyer."""
+    if n_runs < 2:
+        raise ValueError(f"need n_runs >= 2 for a confidence interval, got {n_runs}")
     scenario = welfare_capacity_bks_scenario()
     lines = []
     passed = True
@@ -295,6 +299,8 @@ def balance_suite(seed: int = 0, n_pools: int = 500) -> SuiteReport:
     """Random pool settlements against ``center_residual = tax1 C1 + tax2 C2 -
     D1 - D2``, with half h's credit C_h and deficit D_h summed here from its
     ledgers, and with a zero residual when no tax cap binds."""
+    if n_pools < 1:
+        raise ValueError(f"need n_pools >= 1, got {n_pools}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_uncapped_residual = 0.0

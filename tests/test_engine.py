@@ -8,8 +8,9 @@ enumerator for stateful demand), Monte Carlo determinism, the tie rule,
 parameter checks (NaN, infinities, values and bids whose products overflow,
 non-numbers, bools, fractional epoch counts), numpy scalar capacities, the
 equivalence of the epoch loop's allocator and the routing kernels and of the
-priority sweep (hybrid routing included) and the vector path (impatient
-buyers included) with the epoch loop, which session takes which path, that
+priority sweep (fq, fifo and hybrid routing, impatient buyers included) with
+the epoch loop, a per-column certificate of each spq, fq and fifo allocation
+against the policy's definition, that every session takes the sweep, that
 an ineligible buyer is absent on every path, that bids reach the allocation
 only through the priority groups, three exact relations on every path
 (doubling every value, reserve and price doubles every payment; doubling
@@ -44,10 +45,8 @@ from bandshare.engine import (
     _demand_matrix,
     _finish,
     _groups,
-    _loops,
     _run_loop,
     _run_sweep,
-    _run_vectorized,
     _stateful,
     _world,
     build_ledger,
@@ -910,7 +909,7 @@ class TestWorkConservation:
 
 @st.composite
 def memoryless_scenarios(draw):
-    """Scenarios the vector path can run: memoryless demand, greedy or
+    """fq and fifo scenarios the sweep fills column-wise: memoryless demand, greedy or
     misreporting buyers, n <= 5, tied or distinct values, fq or fifo routing,
     any mechanism, reserve and windows, and per-epoch demand lists from 1 to
     horizon + 5 epochs long."""
@@ -1103,9 +1102,50 @@ def assert_close_outcome(fast, slow):
     np.testing.assert_allclose(fast.trace, slow.trace, rtol=0, atol=1e-9)
 
 
+def assert_certified(scenario, bids, grants, shown):
+    """An spq, fq or fifo allocation checked column by column against the
+    definition of its routing policy, with no engine or routing code: only the
+    eligible rows are served, no row gets more than it presents, and then
+    * fifo: each row gets g = p min(1, c / sum p);
+    * fq: one group of every eligible row; spq: groups of equal routing key,
+      highest first, each from what the groups above left.  A group takes
+      at most what is left, all of it unless it presents less (work
+      conservation), and a row that gets less than it presents gets the most
+      in its group (the max-min bottleneck condition).
+    """
+    c = scenario.capacity
+    tol = 1e-9 * max(1.0, c)
+    floor = scenario.price if scenario.mechanism == "fixed" else scenario.reserve
+    eligible = [i for i, b in enumerate(bids.bid) if b >= floor]
+    others = [i for i in range(len(grants)) if i not in eligible]
+    assert not grants[others].any() and not shown[others].any(), "an ineligible row is served"
+    assert (grants >= 0).all() and (grants <= shown + tol).all(), "a grant exceeds its demand"
+    if not eligible:
+        return
+    if scenario.routing == "fifo":
+        scale = c / np.maximum(shown.sum(axis=0), c)  # min(1, c / sum p), as c > 0
+        np.testing.assert_allclose(grants, shown * scale, rtol=0, atol=tol, err_msg="fifo")
+        return
+    tied = scenario.routing == "fq"  # every key ties
+    keys = [0.0 if tied else bids.perturbed_bid[i] for i in eligible]
+    left = np.full(grants.shape[1], c)
+    for key in sorted(set(keys), reverse=True):
+        rows = [i for i, k in zip(eligible, keys) if k == key]
+        g, p = grants[rows], shown[rows]
+        served = g.sum(axis=0)
+        assert (served <= left + tol).all(), f"group {rows} takes more than is left"
+        assert (served >= np.minimum(left, p.sum(axis=0)) - tol).all(), f"group {rows} idles"
+        assert ((g >= p - tol) | (g >= g.max(axis=0) - tol)).all(), f"group {rows} not max-min"
+        left = left - served
+
+
 def settled(scenario, records, path, *args):
-    """A path's allocation settled by ``_finish``, as a replayed session settles it."""
-    return _finish(scenario, records, *path(scenario, *args))
+    """A path's allocation, certified if it is spq, fq or fifo, and settled by
+    ``_finish`` as a replayed session settles it."""
+    played = path(scenario, *args)
+    if scenario.routing != "hybrid":
+        assert_certified(scenario, records, *played[:2])
+    return _finish(scenario, records, *played)
 
 
 def contest_scenarios():
@@ -1134,20 +1174,24 @@ class TestPathEquivalence:
     @given(scenario=memoryless_scenarios(), seed=st.integers(0, 2**32))
     @settings(max_examples=150, deadline=None)
     def test_vectorized_matches_loop(self, scenario, seed):
-        """The vector path reproduces the epoch loop, the reference semantics,
-        on every field of the outcome."""
+        """The sweep's column-wise fill of memoryless fq and fifo sessions
+        reproduces the epoch loop, the reference semantics, on every field of
+        the outcome, and both meet the policy's definition."""
         realizations, draws = _world(scenario.buyers, seed)
         records = _bid_records(scenario, draws, None, None)
         groups = _groups(scenario, records)
+        assert path_reached(scenario, seed) == "vector"
+        stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
         demand = _demand_matrix(scenario, realizations)
-        fast = settled(scenario, records, _run_vectorized, demand, groups)
+        fast = settled(scenario, records, _run_sweep, realizations, demand, groups, stateful)
         assert_close_outcome(fast, settled(scenario, records, _run_loop, realizations, groups))
 
     @given(scenario=priority_scenarios(), seed=st.integers(0, 2**32))
     @settings(max_examples=300, deadline=None)
     def test_sweep_matches_loop(self, scenario, seed):
         """The priority sweep reproduces the epoch loop on every field of the
-        outcome, tied stateful groups included."""
+        outcome, tied stateful groups included, and both meet the definition
+        of strict priority."""
         realizations, draws = _world(scenario.buyers, seed)
         records = _bid_records(scenario, draws, None, None)
         groups = _groups(scenario, records)
@@ -1159,8 +1203,9 @@ class TestPathEquivalence:
     @given(scenario=impatient_scenarios(), seed=st.integers(0, 2**32), data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_impatient_fq_fifo_match_loop(self, scenario, seed, data):
-        """The vector path plays fq and fifo with impatient buyers as the loop
-        does, on every field of the outcome.  Half the examples set one
+        """The sweep plays fq and fifo with impatient buyers as the loop does,
+        on every field of the outcome, and both meet the policy's definition.
+        Half the examples set one
         impatient buyer's minimum service to exactly the traffic she has moved
         by her patience epoch, so she must quit: the test is strict."""
         realizations, draws = _world(scenario.buyers, seed)
@@ -1179,9 +1224,9 @@ class TestPathEquivalence:
             scenario = replace(scenario, buyers=tuple(buyers))
             realizations = _world(scenario.buyers, seed)[0]
         stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
-        assert not _loops(scenario, stateful)
+        assert path_reached(scenario, seed) in ("vector", "vector-impatient")
         demand = _demand_matrix(scenario, realizations)
-        fast = settled(scenario, records, _run_vectorized, demand, groups)
+        fast = settled(scenario, records, _run_sweep, realizations, demand, groups, stateful)
         assert_close_outcome(fast, settled(scenario, records, _run_loop, realizations, groups))
 
     @staticmethod
@@ -1189,8 +1234,9 @@ class TestPathEquivalence:
         realizations, draws = _world(scenario.buyers, seed)
         records = _bid_records(scenario, draws, None, None)
         groups = _groups(scenario, records)
+        stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
         demand = _demand_matrix(scenario, realizations)
-        fast = settled(scenario, records, _run_vectorized, demand, groups)
+        fast = settled(scenario, records, _run_sweep, realizations, demand, groups, stateful)
         return fast, settled(scenario, records, _run_loop, realizations, groups)
 
     def test_impatient_buyers_are_tested_in_patience_order(self):
@@ -1232,7 +1278,6 @@ class TestPathEquivalence:
         records = _bid_records(scenario, draws, None, None)
         groups = _groups(scenario, records)
         stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
-        assert not _loops(scenario, stateful)
         demand = _demand_matrix(scenario, realizations)
         fast = settled(scenario, records, _run_sweep, realizations, demand, groups, stateful)
         assert_close_outcome(fast, settled(scenario, records, _run_loop, realizations, groups))
@@ -1280,7 +1325,8 @@ BUILTIN_COMMANDS = list(builtin_commands())
 
 
 class TestPathChoice:
-    """``replay`` picks each session's path, and no session reaches the loop unseen."""
+    """Every session takes the priority sweep: none reaches the loop, which is
+    only the reference the tests hold the sweep to."""
 
     @pytest.mark.parametrize("name", sorted(contest_scenarios()))
     def test_strict_priority_contests_never_loop(self, monkeypatch, name):
@@ -1337,18 +1383,25 @@ class TestPathChoice:
                 assert epochs and max(epochs) <= scenario.hybrid.deadline
 
     def test_stateful_fq_loops_and_hybrid_sweeps(self, monkeypatch):
-        """fq with buffered demand has no column-wise form and takes the loop;
-        hybrid with a stateful buyer keyed above the boosted one takes the
-        sweep, which plays them both with ``_play``."""
+        """fq with buffered demand has no column-wise form: the sweep plays its
+        one group with ``_play`` from the full capacity, which is the loop bit
+        for bit.  Hybrid with a stateful buyer keyed above the boosted one
+        plays them both with ``_play`` too; neither reaches the loop."""
         impatient = load_config(builtin_config_path("impatient_deviation"))
         base = impatient.sweep.apply(
             next(v for v in impatient.variants if v.name == "hybrid").scenario, 20
         )
         hi = replace(base.buyers[0], demand=DemandSpec.buffered([10.0] * 90))
         stateful_above = replace(base, buyers=(hi, *base.buyers[1:]))
-        assert self.loop_calls(monkeypatch, stateful_above) == 0
-        assert self.loop_calls(monkeypatch, replace(stateful_above, routing="fq")) == 1
-        assert self.loop_calls(monkeypatch, base) == 0
+        buffered_fq = replace(stateful_above, routing="fq")
+        for scenario in (stateful_above, buffered_fq, base):
+            assert self.loop_calls(monkeypatch, scenario) == 0
+        assert path_reached(buffered_fq, 0) == "loop"
+        realizations, draws = _world(buffered_fq.buyers, 0)
+        records = _bid_records(buffered_fq, draws, None, None)
+        groups = _groups(buffered_fq, records)
+        loop = settled(buffered_fq, records, _run_loop, realizations, groups)
+        assert_same_outcome(run_session(buffered_fq, 0), loop)
 
     def test_tied_stateful_group_sweeps(self, monkeypatch):
         scenario = Scenario(
@@ -1371,14 +1424,14 @@ class TestEligibility:
     no charge, and the others play exactly as if she were absent.  Demand is
     deterministic, so dropping her moves no random draw."""
 
-    PATHS = {  # case: (routing, buyers with stateful demand, its kind, the path taken)
-        "sweep": ("spq", "", None, "_run_sweep"),
-        "sweep-stateful": ("spq", "low b", "buffered", "_run_sweep"),
-        "sweep-hybrid": ("hybrid", "b", "impatient", "_run_sweep"),  # the boosted buyer
-        "vector": ("fq", "", None, "_run_vectorized"),
-        "vector-impatient": ("fq", "low b", "impatient", "_run_vectorized"),
-        "loop-fq": ("fq", "low b", "buffered", "_run_loop"),
-        "sweep-hybrid-stateful": ("hybrid", "a low b", "buffered", "_run_sweep"),  # a above b
+    PATHS = {  # case: (routing, buyers with stateful demand, its kind, ``path_reached``)
+        "sweep": ("spq", "", None, "sweep"),
+        "sweep-stateful": ("spq", "low b", "buffered", "sweep"),
+        "sweep-hybrid": ("hybrid", "b", "impatient", "sweep-hybrid"),  # the boosted buyer
+        "vector": ("fq", "", None, "vector"),
+        "vector-impatient": ("fq", "low b", "impatient", "vector-impatient"),
+        "loop-fq": ("fq", "low b", "buffered", "loop"),
+        "sweep-hybrid-stateful": ("hybrid", "a low b", "buffered", "sweep-hybrid-stateful"),
     }
     DEMANDS = {
         None: DemandSpec.constant,
@@ -1407,17 +1460,11 @@ class TestEligibility:
 
     @pytest.mark.parametrize("mechanism", ["vmm", "fixed"])
     @pytest.mark.parametrize("case", sorted(PATHS))
-    def test_ineligible_buyer_is_absent(self, monkeypatch, case, mechanism):
+    def test_ineligible_buyer_is_absent(self, case, mechanism):
         routing, stateful, kind, path = self.PATHS[case]
-        taken = []
-        for name in ("_run_loop", "_run_sweep", "_run_vectorized"):
-            run = getattr(bandshare.engine, name)
-            monkeypatch.setattr(
-                bandshare.engine, name, lambda *a, run=run, name=name: taken.append(name) or run(*a)
-            )
-        out = run_session(self.scenario(routing, stateful, kind, mechanism, True), 0)
-        alone = run_session(self.scenario(routing, stateful, kind, mechanism, False), 0)
-        assert taken == [path, path]
+        scenarios = [self.scenario(routing, stateful, kind, mechanism, e) for e in (True, False)]
+        assert [path_reached(scenario, 0) for scenario in scenarios] == [path, path]
+        out, alone = (run_session(scenario, 0) for scenario in scenarios)
         assert out.bytes["low"] == 0.0 and out.payments["low"].net == 0.0
         assert not out.trace[:, 1].any()
         for name in ("bytes", "payments", "utilities"):
@@ -1429,11 +1476,12 @@ class TestEligibility:
 
 @st.composite
 def same_groups_bids(draw, path):
-    """A scenario of 2-4 buyers whose sessions take ``path``, and two bid
-    overrides that give the same eligible priority groups.  Each buyer draws
-    a rank; rank 0 (when the floor is above 0) bids anything below the floor,
-    and ranks 1-3 bid three increasing levels at or above it, drawn afresh
-    for each override, so ties and order agree and every bid moves."""
+    """A scenario of 2-4 buyers whose sessions reach ``path`` (see
+    ``REACHES``), and two bid overrides that give the same eligible priority
+    groups.  Each buyer draws a rank; rank 0 (when the floor is above 0) bids
+    anything below the floor, and ranks 1-3 bid three increasing levels at or
+    above it, drawn afresh for each override, so ties and order agree and
+    every bid moves.  On the loop path, b1 is buffered and eligible."""
     horizon = draw(st.integers(1, 20))
     rate = st.floats(0.0, 20.0)
     memoryless = rate.map(DemandSpec.constant)
@@ -1467,7 +1515,8 @@ def same_groups_bids(draw, path):
         hybrid=HybridBoost("b0", draw(st.floats(0.0, 150.0)), draw(st.integers(1, horizon + 2)))
         if routing == "hybrid" else None,
     )
-    ranks = [draw(st.integers(0 if floor > 0 else 1, 3)) for _ in buyers]
+    ranks = [draw(st.integers(0 if floor > 0 and (path, k) != ("loop", 1) else 1, 3))
+             for k in range(len(buyers))]
 
     def bids():
         levels = sorted(draw(st.lists(
@@ -1477,6 +1526,15 @@ def same_groups_bids(draw, path):
         return {b.buyer_id: levels[r - 1] if r else draw(below) for b, r in zip(buyers, ranks)}
 
     return scenario, bids(), bids()
+
+
+# What ``path_reached`` reads for the sessions of each ``same_groups_bids`` path.
+REACHES = {
+    "sweep": {"sweep"},
+    "boost": {"sweep-hybrid", "sweep-hybrid-stateful"},
+    "vector": {"vector", "vector-impatient"},
+    "loop": {"loop"},
+}
 
 
 class TestBidBlindAllocation:
@@ -1492,9 +1550,8 @@ class TestBidBlindAllocation:
     def test_same_groups_give_the_same_allocation(self, path, data, seed):
         scenario, first, second = data.draw(same_groups_bids(path))
         realizations, draws = _world(scenario.buyers, seed)
-        stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
-        assert _loops(scenario, stateful) == (path == "loop")
         forced = {b.buyer_id: False for b in scenario.buyers}
+        assert path_reached(scenario, seed, first, forced) in REACHES[path]
         records = [_bid_records(scenario, draws, bids, forced) for bids in (first, second)]
         assert _groups(scenario, records[0]) == _groups(scenario, records[1])
         session = replay(scenario, seed)
@@ -1518,7 +1575,7 @@ def money_scenarios(draw):
     """Scenarios of every routing policy, mechanism, demand model and strategy,
     whose money (values, bid factors, reserve, price), rates, pads and boost
     target are ``sizable``.  Half of them keep every buyer memoryless and
-    greedy or misreporting, so that fq and fifo reach the vector path."""
+    greedy or misreporting, so that fq and fifo reach the column-wise fill."""
     horizon = draw(st.integers(1, 20))
     plain = draw(st.booleans())
     models = (memoryless_models if plain else demand_models)(horizon, sizable(30.0))
@@ -1551,10 +1608,17 @@ def money_scenarios(draw):
     )
 
 
-PATHS = {"sweep", "sweep-hybrid-stateful", "vector", "loop"}
+PATHS = {"sweep", "sweep-hybrid-stateful", "vector", "vector-impatient", "loop"}
 # One scenario per path, with buyers who pad or delay from the first epoch
 # where the path plays them, so that every run reaches every path.
 PATH_EXAMPLES = [
+    Scenario(
+        buyers=(
+            BuyerSpec("b0", 2.0, DemandSpec.time_varying([3.0, 7.0, 1.0]), 1, 9),
+            BuyerSpec("b1", 1.0, DemandSpec.constant(4.0), 2, 10),
+        ),
+        capacity=6.0, routing="fifo", mechanism="vmm", horizon=10,
+    ),
     Scenario(
         buyers=(
             BuyerSpec("b0", 3.0, DemandSpec.constant(6.0), 1, 8),
@@ -1601,28 +1665,38 @@ def on_every_path(**arguments):
     return add
 
 
-def path_reached(scenario, seed):
-    """The path a session of ``scenario`` takes, with hybrid sessions told
-    apart by whether a buyer besides the boosted one is stateful."""
+def path_reached(scenario, seed, bid_override=None, force_resample=None):
+    """How the priority sweep serves a session of ``scenario``, read from its
+    eligible buyers.  The one fq or fifo group is filled column-wise
+    (``vector``), with greedy impatient buyers (``vector-impatient``), or
+    played by ``_play`` from the full capacity, as the loop plays it
+    (``loop``).  Hybrid sessions are told apart by whether a buyer besides the
+    boosted one is stateful."""
     buyers = scenario.buyers
-    stateful = [_stateful(b, r) for b, r in zip(buyers, _world(buyers, seed)[0])]
-    if _loops(scenario, stateful):
-        return "loop"
+    realizations, draws = _world(buyers, seed)
+    bids = _bid_records(scenario, draws, bid_override, force_resample)
+    held = [
+        buyers[i] for rows in _groups(scenario, bids) for i in rows
+        if _stateful(buyers[i], realizations[i])
+    ]
     if scenario.routing in ("fq", "fifo"):
-        return "vector"
+        greedy = ("greedy", "misreport")
+        if any(b.demand.kind != "impatient" or b.strategy.kind not in greedy for b in held):
+            return "loop"
+        return "vector-impatient" if held else "vector"
     if scenario.routing == "spq":
         return "sweep"
     boosted = scenario.hybrid.buyer_id
-    others = any(s and b.buyer_id != boosted for b, s in zip(buyers, stateful))
+    others = any(b.buyer_id != boosted for b in held)
     return "sweep-hybrid-stateful" if others else "sweep-hybrid"
 
 
 def test_doubling_money_doubles_every_payment_on_every_path():
     """Doubling every value, the reserve and the price leaves the allocation
     as it is and exactly doubles every bid and payment, utility, welfare and
-    revenue.  The relation needs no reference path, so it checks the loop
-    too; the examples reach the sweep (hybrid with a stateful buyer besides
-    the boosted one included), the vector path and the loop."""
+    revenue.  The relation needs no reference path; the examples reach spq,
+    hybrid with a stateful buyer besides the boosted one, and fq or fifo
+    filled column-wise, with impatient buyers and played by ``_play``."""
     reached = set()
 
     @on_every_path()
@@ -1848,7 +1922,8 @@ class TestScalarKernels:
         n = len(keys)
         buyers = tuple(BuyerSpec(f"b{i}", 1.0, DemandSpec.constant(0.0)) for i in range(n))
         scenario = Scenario(buyers, capacity, routing=routing, horizon=1)
-        groups = priority_groups(keys)
+        # Under fq and fifo every key ties: one group of every buyer.
+        groups = priority_groups(keys if routing == "spq" else [0.0] * n)
         grants, left = _allocate_epoch(
             scenario, 1, capacity, active, presented, [0.0] * n, groups
         )
@@ -1890,7 +1965,7 @@ REPLAY_SCENARIOS = {
         horizon=40,
         hybrid=HybridBoost("b2", 120.0, 20),
     ),
-    # b1's override 2.0 ties with b2 and 1.0 / 3.0 do not; both take the vector path.
+    # b1's override 2.0 ties with b2 and 1.0 / 3.0 do not; both fill column-wise.
     "ties": Scenario(
         buyers=(
             BuyerSpec("b1", 3.0, DemandSpec.constant(8.0), 1, 30),

@@ -28,9 +28,11 @@ one engine function, the replayed session, calls ``_finish``, and only
 
 Traffic totals are formed in one place: ``_finish`` is the only engine
 function that sums or accumulates a row of ``grants``, apart from the
-impatient quit test's prefix ``cumsum`` (a decision, not a reported total),
-and the loop, the vector path and the sweep each return a 3-tuple of their
-grants, the presented demand and the real traffic ``_play`` kept.
+impatient quit test's prefix ``cumsum`` in the sweep (a decision, not a
+reported total), and the loop and the sweep each return a 3-tuple of their
+grants, the presented demand and the real traffic ``_play`` kept.  Every
+session plays the sweep: the replayed session calls ``_run_sweep`` and no
+other path, and nothing in the package calls the loop, the tests' reference.
 
 The benchmark's tracer (``bench/tracing.py``) patches package names by
 attribute; it must find every one of them and put each original back.
@@ -180,9 +182,8 @@ def test_priority_and_eligibility_decided_in_one_engine_function():
 
 
 ENGINE = ast.parse((SRC / "engine.py").read_text())
-ALLOCATION = [
-    "_run_loop", "_run_vectorized", "_run_sweep", "_boost", "_play", "_allocate_epoch", "_share"
-]
+PATHS = ["_run_loop", "_run_sweep"]
+ALLOCATION = PATHS + ["_boost", "_play", "_allocate_epoch", "_share", "_prorate"]
 BID_FIELDS = {"bid", "perturbed_bid", "resampled"}
 
 
@@ -237,7 +238,7 @@ def test_allocation_is_bid_blind(name):
     assert not reads, f"{name} reads {sorted(reads)}"
 
 
-QUIT_TEST = "np.cumsum(grants[i, :p])"  # in _run_vectorized
+QUIT_TEST = "np.cumsum(grants[i, :p])"  # in _run_sweep
 
 
 def _grant_totals(func):
@@ -257,16 +258,33 @@ def test_traffic_totals_formed_only_in_finish():
         for func in ast.walk(ENGINE)
         if isinstance(func, ast.FunctionDef) and (totals := list(_grant_totals(func)))
     }
-    assert totals == {"_finish": ["grants.sum(axis=1)"], "_run_vectorized": [QUIT_TEST]}
+    assert totals == {"_finish": ["grants.sum(axis=1)"], "_run_sweep": [QUIT_TEST]}
 
 
-@pytest.mark.parametrize("name", ["_run_loop", "_run_vectorized", "_run_sweep"])
+@pytest.mark.parametrize("name", PATHS)
 def test_paths_return_three_tuples(name):
     func = next(f for f in ENGINE.body if isinstance(f, ast.FunctionDef) and f.name == name)
     returns = [node.value for node in _own_nodes(func) if isinstance(node, ast.Return)]
     assert returns and all(
         isinstance(value, ast.Tuple) and len(value.elts) == 3 for value in returns
     ), f"{name} returns {[ast.unparse(v) for v in returns]}"
+
+
+def test_sessions_take_only_the_sweep():
+    """Every session call plays the priority sweep: ``_replays`` calls
+    ``_run_sweep`` and no other path, and nothing in the package calls the
+    loop, which only the tests hold the sweep to."""
+    calls = [
+        (func.name, ast.unparse(node.func))
+        for path in SRC.glob("*.py")
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, ast.FunctionDef)
+        for node in _own_nodes(func)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).startswith("_run_")
+    ]
+    assert calls == [("session", "_run_sweep")], calls
+    replays = next(f for f in ENGINE.body if isinstance(f, ast.FunctionDef) and f.name == "_replays")
+    assert "session" in {f.name for f in ast.walk(replays) if isinstance(f, ast.FunctionDef)}
 
 
 def _public_names(tree):

@@ -39,6 +39,27 @@ class TestBalanceSuite:
         assert report.passed
 
 
+class TestSuitesThatCheckNothing:
+    """A suite asked for no work raises instead of printing a vacuous PASS, and
+    the truthfulness suite needs two runs for its confidence half-width."""
+
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [
+            ("truthfulness", {"n_runs": 1}),
+            ("truthfulness", {"n_runs": 0}),
+            ("monotonicity", {"n_scenarios": 0}),
+            ("monotonicity", {"n_pairs": 0}),
+            ("balance", {"n_pools": 0}),
+        ],
+        ids=["truthfulness-1", "truthfulness-0", "monotonicity-scenarios", "monotonicity-pairs",
+             "balance"],
+    )
+    def test_rejected(self, name, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            run_suite(name, seed=1, **kwargs)
+
+
 class TestRunSuite:
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
