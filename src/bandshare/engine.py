@@ -39,7 +39,8 @@ scenario order, and ``_groups`` groups the eligible buyers by key.  The sweep
 and the loop see only those groups, never a bid, and return grants, presented
 demand and the real traffic of buyers who pad or delay; ``_finish`` settles
 each buyer on her grants' pairwise row total, which is her real traffic if she
-does neither.
+does neither.  So a replayed world plays each distinct grouping once; it keeps
+at most 2n allocations for n buyers, one per rank and tie of one probed buyer.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -329,13 +331,15 @@ def replay(scenario: Scenario, seed: int) -> Callable[..., SessionOutcome]:
     products with the session's traffic stay finite, and ``force_resample``
     pins buyers' resampling coins with bools (keeping their gamma draws); every
     call sees the same world, and an unknown id or a non-bool pin is a ``ValueError``.
+    Each distinct priority grouping is played once and kept, up to 2n for n buyers.
     """
-    return _replays([scenario], seed)[0]
+    return next(_replays([scenario], seed))
 
 
-def _replays(scenarios: Sequence[Scenario], seed: int) -> List[Callable[..., SessionOutcome]]:
+def _replays(scenarios: Sequence[Scenario], seed: int) -> Iterator[Callable[..., SessionOutcome]]:
     """``replay`` of each of ``scenarios``, which share their buyers and horizon,
-    on one world and demand matrix, each session played on the priority sweep."""
+    on one world and demand matrix, each session played on the priority sweep.
+    Made one at a time, so a Monte Carlo run keeps no allocation past its session."""
     first = scenarios[0]
     realizations, draws = _world(first.buyers, seed)
     stateful = [_stateful(b, r) for b, r in zip(first.buyers, realizations)]
@@ -343,14 +347,24 @@ def _replays(scenarios: Sequence[Scenario], seed: int) -> List[Callable[..., Ses
 
     def session(
         scenario: Scenario,
+        memo: List[Tuple[List[List[int]], Played]],
         bid_override: Optional[Mapping[str, float]] = None,
         force_resample: Optional[Mapping[str, bool]] = None,
     ) -> SessionOutcome:
         bids = _bid_records(scenario, draws, bid_override, force_resample)
-        played = _run_sweep(scenario, realizations, demand, _groups(scenario, bids), stateful)
+        groups = _groups(scenario, bids)
+        for seen, played in memo:  # _finish only reads what it is given
+            if seen == groups:
+                break
+        else:
+            if len(memo) == 2 * len(stateful):
+                memo.clear()
+            played = _run_sweep(scenario, realizations, demand, groups, stateful)
+            memo.append((groups, played))
         return _finish(scenario, bids, *played)
 
-    return [partial(session, s) for s in scenarios]
+    for s in scenarios:
+        yield partial(session, s, [])
 
 
 def run_session(

@@ -9,15 +9,17 @@ parameter checks (NaN, infinities, values and bids whose products overflow,
 non-numbers, bools, fractional epoch counts), numpy scalar capacities, the
 equivalence of the epoch loop's allocator and the routing kernels and of the
 priority sweep (fq, fifo and hybrid routing, impatient buyers included) with
-the epoch loop, a per-column certificate of each spq, fq and fifo allocation
-against the policy's definition, that every session takes the sweep, that
-an ineligible buyer is absent on every path, that bids reach the allocation
-only through the priority groups, three exact relations on every path
-(doubling every value, reserve and price doubles every payment; doubling
-every KB quantity doubles traffic and payments; idle epochs in front shift
-the trace), settlement by buyer position against each mechanism's per-buyer
-definition, a process pool no larger than the runs, and world replay under
-counterfactual bids and pinned coins.
+the epoch loop, a certificate of every allocation against the definitions
+(the policy per column, the hybrid reservation, presented demand and real
+traffic) on the equivalence and relation tests, that every session takes
+the sweep, that an ineligible buyer is absent on every path, that bids
+reach the allocation only through the priority groups, three exact
+relations on every path (doubling every value, reserve and price doubles
+every payment; doubling every KB quantity doubles traffic and payments;
+idle epochs in front shift the trace), settlement by buyer position
+against each mechanism's per-buyer definition, a process pool no larger
+than the runs, and world replay under counterfactual bids and pinned coins,
+each distinct priority grouping of a replayed world played once.
 """
 
 import itertools
@@ -1052,7 +1054,9 @@ def hybrid_scenarios(draw):
     """Hybrid scenarios in which every buyer draws any demand model and
     strategy.  The boosted buyer is more often impatient, buffered or
     memoryless and greedy or misreporting; her value often ties with another
-    buyer's, and her target, deadline and place in the key order are drawn."""
+    buyer's, and her target, deadline and place in the key order are drawn.
+    In half of them she is paced under 1 KB/epoch below a buyer who would
+    take all the capacity, so that her reservation binds."""
     horizon = draw(st.integers(1, 30))
     value = st.one_of(st.sampled_from([1.0, 2.0, 4.0]), st.floats(0.0, 10.0))
     rate = st.floats(0.0, 30.0)
@@ -1071,7 +1075,11 @@ def hybrid_scenarios(draw):
         departure = draw(st.integers(arrival, horizon + 5))
         strategy = boosted_strategy if k == position else draw(STRATEGIES)
         buyers.append(BuyerSpec(f"b{k}", draw(value), demand, arrival, departure, strategy))
+    deadline = draw(st.integers(1, horizon + 3))
     target = draw(st.one_of(st.sampled_from([0.0, 50.0]), st.floats(0.0, 400.0)))
+    if draw(st.booleans()):
+        buyers.append(BuyerSpec(f"b{len(buyers)}", 10.0, DemandSpec.constant(60.0)))
+        target = draw(st.floats(0.0, 1.0, exclude_max=True)) * deadline
     return Scenario(
         buyers=tuple(buyers),
         capacity=draw(st.floats(0.5, 60.0)),
@@ -1081,7 +1089,7 @@ def hybrid_scenarios(draw):
         reserve=draw(st.sampled_from([0.0, 1.0, 4.0])),
         price=draw(st.sampled_from([0.0, 1.0, 4.0])),
         horizon=horizon,
-        hybrid=HybridBoost(f"b{position}", target, draw(st.integers(1, horizon + 3))),
+        hybrid=HybridBoost(f"b{position}", target, deadline),
     )
 
 
@@ -1102,24 +1110,61 @@ def assert_close_outcome(fast, slow):
     np.testing.assert_allclose(fast.trace, slow.trace, rtol=0, atol=1e-9)
 
 
-def assert_certified(scenario, bids, grants, shown):
-    """An spq, fq or fifo allocation checked column by column against the
-    definition of its routing policy, with no engine or routing code: only the
-    eligible rows are served, no row gets more than it presents, and then
+def assert_certified(scenario, realizations, bids, out, grants, shown):
+    """A session's allocation checked against the definitions, with no engine
+    or routing code.  In each epoch of her window an eligible buyer presents
+    her true demand d(t, X) at her real traffic X so far, plus her pad, or
+    what she generated ``delay`` epochs before; her reported bytes are X, the
+    sum of min(grant, d) in epoch order (exactly so if she pads or delays).
+    Column by column only the eligible rows are served, no row gets more than
+    it presents, and then
     * fifo: each row gets g = p min(1, c / sum p);
     * fq: one group of every eligible row; spq: groups of equal routing key,
       highest first, each from what the groups above left.  A group takes
       at most what is left, all of it unless it presents less (work
       conservation), and a row that gets less than it presents gets the most
-      in its group (the max-min bottleneck condition).
+      in its group (the max-min bottleneck condition);
+    * hybrid: spq after the boosted buyer's reservation, which in each epoch
+      t up to the deadline in which her X is below the target is
+      min((target - X) / (deadline - t + 1), presented, c).
     """
-    c = scenario.capacity
+    c, T = scenario.capacity, scenario.horizon
     tol = 1e-9 * max(1.0, c)
     floor = scenario.price if scenario.mechanism == "fixed" else scenario.reserve
     eligible = [i for i, b in enumerate(bids.bid) if b >= floor]
     others = [i for i in range(len(grants)) if i not in eligible]
     assert not grants[others].any() and not shown[others].any(), "an ineligible row is served"
     assert (grants >= 0).all() and (grants <= shown + tol).all(), "a grant exceeds its demand"
+    boost = scenario.hybrid if scenario.routing == "hybrid" else None
+    reserved = np.zeros_like(grants)
+    for i in eligible:
+        buyer, real = scenario.buyers[i], realizations[i]
+        lo, hi = max(1, buyer.arrival), min(T, buyer.departure)
+        for rows in (grants, shown):
+            assert not rows[i, : lo - 1].any() and not rows[i, hi:].any(), f"row {i} idle"
+        if lo > hi:
+            continue
+        g, p = grants[i, lo - 1 : hi], shown[i, lo - 1 : hi]
+        if real.memoryless:
+            truth = real.query_epochs(lo, hi)
+        else:
+            truth, x = np.empty(len(g)), 0.0
+            for j in range(len(g)):
+                truth[j] = real.query(lo + j, x)
+                x += min(g[j], truth[j])
+        moved = np.cumsum(np.minimum(g, truth))
+        wait, pad = buyer.strategy.delay_epochs, buyer.strategy.pad
+        presented = np.concatenate((np.zeros(wait), truth))[: len(truth)] + pad
+        assert (abs(p - presented) <= tol + 1e-9 * presented).all(), f"row {i} presents"
+        x, exact = out.bytes[buyer.buyer_id], buyer.strategy.kind in ("pad", "delay")
+        ok = x == moved[-1] if exact else abs(x - moved[-1]) <= tol + 1e-9 * x
+        assert ok, f"row {i} moves"
+        if boost is not None and buyer.buyer_id == boost.buyer_id:
+            t, before = np.arange(lo, hi + 1), np.concatenate(([0.0], moved[:-1]))
+            due = (t <= boost.deadline) & (before < boost.target_bytes)
+            pace = (boost.target_bytes - before) / np.maximum(boost.deadline - t + 1, 1)
+            reserved[i, lo - 1 : hi] = np.where(due, np.minimum(np.minimum(pace, p), c), 0.0)
+    assert (grants >= reserved - tol).all(), "the boosted buyer gets less than her reservation"
     if not eligible:
         return
     if scenario.routing == "fifo":
@@ -1128,10 +1173,10 @@ def assert_certified(scenario, bids, grants, shown):
         return
     tied = scenario.routing == "fq"  # every key ties
     keys = [0.0 if tied else bids.perturbed_bid[i] for i in eligible]
-    left = np.full(grants.shape[1], c)
+    left = c - reserved.sum(axis=0)
     for key in sorted(set(keys), reverse=True):
         rows = [i for i, k in zip(eligible, keys) if k == key]
-        g, p = grants[rows], shown[rows]
+        g, p = grants[rows] - reserved[rows], shown[rows] - reserved[rows]
         served = g.sum(axis=0)
         assert (served <= left + tol).all(), f"group {rows} takes more than is left"
         assert (served >= np.minimum(left, p.sum(axis=0)) - tol).all(), f"group {rows} idles"
@@ -1140,12 +1185,26 @@ def assert_certified(scenario, bids, grants, shown):
 
 
 def settled(scenario, records, path, *args):
-    """A path's allocation, certified if it is spq, fq or fifo, and settled by
-    ``_finish`` as a replayed session settles it."""
+    """A path's allocation, settled by ``_finish`` as a replayed session
+    settles it and certified; ``args[0]`` holds the world's realizations."""
     played = path(scenario, *args)
-    if scenario.routing != "hybrid":
-        assert_certified(scenario, records, *played[:2])
-    return _finish(scenario, records, *played)
+    out = _finish(scenario, records, *played)
+    assert_certified(scenario, args[0], records, out, *played[:2])
+    return out
+
+
+def certified_run(scenario, seed):
+    """``run_session``, its allocation certified from the grants and the
+    presented demand that a spy on ``_finish`` reads."""
+    spied, finish = [], bandshare.engine._finish
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            bandshare.engine, "_finish", lambda *args: spied.append(args) or finish(*args)
+        )
+        out = run_session(scenario, seed)
+    ((_, bids, grants, shown, _),) = spied
+    assert_certified(scenario, _world(scenario.buyers, seed)[0], bids, out, grants, shown)
+    return out
 
 
 def contest_scenarios():
@@ -1539,10 +1598,12 @@ REACHES = {
 
 class TestBidBlindAllocation:
     """Bids reach the allocation only through the eligible priority groups:
-    on one replayed world, two bid overrides that give the same groups give
-    the same trace and the same real and billed bytes on every path; only
-    payments and utilities may differ.  Under bks every resampling coin is
-    forced off, so the routing keys are the bids."""
+    on one world, two bid overrides that give the same groups give the same
+    trace and the same real and billed bytes on every path; only payments and
+    utilities may differ.  Under bks every resampling coin is forced off, so
+    the routing keys are the bids.  Each override is played on a fresh replay,
+    because one replay plays a grouping once and settles every later call
+    with the same groups on that allocation."""
 
     @pytest.mark.parametrize("path", ["sweep", "boost", "vector", "loop"])
     @given(data=st.data(), seed=st.integers(0, 2**32))
@@ -1554,8 +1615,7 @@ class TestBidBlindAllocation:
         assert path_reached(scenario, seed, first, forced) in REACHES[path]
         records = [_bid_records(scenario, draws, bids, forced) for bids in (first, second)]
         assert _groups(scenario, records[0]) == _groups(scenario, records[1])
-        session = replay(scenario, seed)
-        one, two = session(first, forced), session(second, forced)
+        one, two = (replay(scenario, seed)(bids, forced) for bids in (first, second))
         np.testing.assert_array_equal(one.trace, two.trace)
         assert one.bytes == two.bytes
         assert {b: p.bytes for b, p in one.payments.items()} == {
@@ -1575,7 +1635,9 @@ def money_scenarios(draw):
     """Scenarios of every routing policy, mechanism, demand model and strategy,
     whose money (values, bid factors, reserve, price), rates, pads and boost
     target are ``sizable``.  Half of them keep every buyer memoryless and
-    greedy or misreporting, so that fq and fifo reach the column-wise fill."""
+    greedy or misreporting, so that fq and fifo reach the column-wise fill.
+    In half the hybrid ones the boosted buyer is paced under 1 KB/epoch below
+    a buyer who would take all the capacity, so that her reservation binds."""
     horizon = draw(st.integers(1, 20))
     plain = draw(st.booleans())
     models = (memoryless_models if plain else demand_models)(horizon, sizable(30.0))
@@ -1595,6 +1657,10 @@ def money_scenarios(draw):
         f"b{draw(st.integers(0, n - 1))}", draw(sizable(400.0)),
         draw(st.integers(1, horizon + 3)),
     )
+    if routing == "hybrid" and draw(st.booleans()):
+        buyers.append(BuyerSpec(f"b{n}", 10.0, DemandSpec.constant(60.0)))
+        pace = draw(st.floats(1e-50, 1.0, exclude_max=True))
+        boost = replace(boost, target_bytes=pace * boost.deadline)
     return Scenario(
         buyers=tuple(buyers),
         capacity=draw(st.floats(0.5, 60.0)),
@@ -1696,7 +1762,8 @@ def test_doubling_money_doubles_every_payment_on_every_path():
     as it is and exactly doubles every bid and payment, utility, welfare and
     revenue.  The relation needs no reference path; the examples reach spq,
     hybrid with a stateful buyer besides the boosted one, and fq or fifo
-    filled column-wise, with impatient buyers and played by ``_play``."""
+    filled column-wise, with impatient buyers and played by ``_play``.  Every
+    session is certified."""
     reached = set()
 
     @on_every_path()
@@ -1706,7 +1773,7 @@ def test_doubling_money_doubles_every_payment_on_every_path():
         buyers = tuple(replace(b, value=2 * b.value) for b in scenario.buyers)
         doubled = replace(scenario, buyers=buyers, reserve=2 * scenario.reserve,
                           price=2 * scenario.price)
-        one, two = run_session(scenario, seed), run_session(doubled, seed)
+        one, two = certified_run(scenario, seed), certified_run(doubled, seed)
         np.testing.assert_array_equal(two.trace, one.trace)
         assert two.bytes == one.bytes
         for name in ("bids", "perturbed_bids", "utilities"):
@@ -1731,19 +1798,28 @@ def test_settlement_follows_the_per_buyer_definitions(monkeypatch):
     resampled) under bks, (p x, 0) under fixed and (her row of
     ``vmm_epoch_charges``, 0) under vmm, and welfare and revenue are the sums
     in buyer order.  ``_finish`` is spied on for the grants and the presented
-    demand; the rest is formed here from the scenario and the world."""
+    demand; the rest is formed here from the scenario and the world.  Pins and
+    overrides are drawn for the ids ``money_scenarios`` can give and kept for
+    the buyers the scenario has; the example makes a resampled bks buyer
+    certain."""
     spied, finish = [], bandshare.engine._finish
     monkeypatch.setattr(
         bandshare.engine, "_finish", lambda *args: spied.append(args) or finish(*args)
     )
     reached = set()
+    some = st.sampled_from([f"b{k}" for k in range(5)])
+    resampled = Scenario((BuyerSpec("b0", 2.0, DemandSpec.constant(5.0), 1, 10),), 10.0,
+                         mechanism="bks", reserve=0.5, horizon=10)
 
-    @given(scenario=money_scenarios(), seed=st.integers(0, 2**32), data=st.data())
+    @example(scenario=resampled, seed=0, override={}, forced={"b0": True})
+    @given(scenario=money_scenarios(), seed=st.integers(0, 2**32),
+           override=st.dictionaries(some, sizable(10.0)),
+           forced=st.dictionaries(some, st.booleans()))
     @settings(max_examples=150, deadline=None)
-    def settles(scenario, seed, data):
+    def settles(scenario, seed, override, forced):
         ids = [b.buyer_id for b in scenario.buyers]
-        override = data.draw(st.dictionaries(st.sampled_from(ids), sizable(10.0)))
-        forced = data.draw(st.dictionaries(st.sampled_from(ids), st.booleans()))
+        override = {i: v for i, v in override.items() if i in ids}
+        forced = {i: v for i, v in forced.items() if i in ids}
         spied.clear()
         out = replay(scenario, seed)(override, forced)
         ((_, bids, grants, shown, played),) = spied
@@ -1808,7 +1884,7 @@ def test_doubling_kb_doubles_traffic_and_payments_on_every_path():
     """Doubling the capacity, every demand quantity in KB, each pad and the
     hybrid target exactly doubles the trace, every buyer's real and billed
     bytes, every payment, utility, welfare and revenue, and leaves the bids
-    as they are, on every path."""
+    as they are, on every path.  Every session is certified."""
     reached = set()
 
     @on_every_path()
@@ -1825,7 +1901,7 @@ def test_doubling_kb_doubles_traffic_and_payments_on_every_path():
             scenario.hybrid, target_bytes=2 * scenario.hybrid.target_bytes
         )
         doubled = replace(scenario, buyers=buyers, capacity=2 * scenario.capacity, hybrid=hybrid)
-        one, two = run_session(scenario, seed), run_session(doubled, seed)
+        one, two = certified_run(scenario, seed), certified_run(doubled, seed)
         np.testing.assert_array_equal(two.trace, 2 * one.trace)
         assert two.bytes == {b: 2 * x for b, x in one.bytes.items()}
         assert (two.bids, two.perturbed_bids) == (one.bids, one.perturbed_bids)
@@ -1864,7 +1940,8 @@ def test_shifting_time_shifts_the_trace_on_every_path():
     real traffic of every buyer who pads or delays, which ``_play`` sums in
     epoch order, exactly as they are.  The pairwise row totals regroup, so
     billed bytes, the other real bytes, charges, rebates and welfare agree to
-    1e-9 relative.  increasing_rate reads x / t, which a shift changes."""
+    1e-9 relative.  increasing_rate reads x / t, which a shift changes.  Every
+    session is certified."""
     reached = set()
 
     @on_every_path(k=3)
@@ -1878,7 +1955,7 @@ def test_shifting_time_shifts_the_trace_on_every_path():
         )
         later = replace(scenario, buyers=tuple(shifted(b, k) for b in scenario.buyers),
                         horizon=scenario.horizon + k, hybrid=hybrid)
-        one, two = run_session(scenario, seed), run_session(later, seed)
+        one, two = certified_run(scenario, seed), certified_run(later, seed)
         np.testing.assert_array_equal(two.trace[k:], one.trace)
         assert not two.trace[:k].any()
         assert (two.bids, two.perturbed_bids) == (one.bids, one.perturbed_bids)
@@ -2112,6 +2189,67 @@ class TestReplay:
         stats = run_monte_carlo([scenario], 3, seed=8)[0]
         welfare = [run_session(scenario, s).welfare for s in seeds]
         assert stats.welfare.mean == pytest.approx(np.mean(welfare), rel=1e-12)
+
+
+CALL = st.tuples(st.integers(0, 4), st.none() | sizable(10.0), st.none() | st.booleans())
+PROBE_CALLS = [(0, None, None), (0, 0.0, True), (0, 9.0, False), (0, None, None), (0, 0.0, True)]
+# More groupings than buyers, each played again: b1 ineligible, first, between
+# b2 and b3, last, tied with b2 (see REPLAY_SCENARIOS["vector"]), then again.
+RANK_CALLS = [(0, bid, False) for bid in (1.0, 2.5, 1.9, 1.7, 2.0, 1.0, 2.5, 1.9, 1.7, 2.0)]
+# Eight groupings, more than the memo holds: b2 and b3 move too.
+FREE_CALLS = RANK_CALLS[:5] + [(1, 1.0, False), (1, 1.7, False), (2, 1.0, False)]
+
+
+def test_replay_plays_each_grouping_once(monkeypatch):
+    """A replayed world plays each distinct priority grouping once and settles
+    every call on that allocation.  Any sequence of bid overrides and pinned
+    coins gives what a fresh ``run_session`` gives, on every path and with
+    buyers who pad or delay, whose real traffic is kept with the grants, and
+    a write into a returned trace reaches no later call.  The memo holds at
+    most 2n allocations, one per rank and tie of one probed buyer against
+    fixed competitor keys; when any buyer's bid may move it may replay a
+    grouping, one sweep per call at most."""
+    sweeps, sweep = [], bandshare.engine._run_sweep
+    monkeypatch.setattr(
+        bandshare.engine, "_run_sweep", lambda *args: sweeps.append(args[3]) or sweep(*args)
+    )
+    reached = set()
+
+    @on_every_path(probe=1, free=False, calls=PROBE_CALLS)
+    @example(scenario=REPLAY_SCENARIOS["hybrid"], seed=0, probe=0, free=False, calls=PROBE_CALLS)
+    @example(scenario=REPLAY_SCENARIOS["vector"], seed=0, probe=0, free=False, calls=RANK_CALLS)
+    @example(scenario=REPLAY_SCENARIOS["vector"], seed=0, probe=0, free=True, calls=FREE_CALLS)
+    @given(scenario=money_scenarios(), seed=st.integers(0, 2**32), probe=st.integers(0, 4),
+           free=st.booleans(), calls=st.lists(CALL, min_size=1, max_size=10))
+    @settings(max_examples=100, deadline=None)
+    def plays_once(scenario, seed, probe, free, calls):
+        ids = [b.buyer_id for b in scenario.buyers]
+        draws = _world(scenario.buyers, seed)[1]
+        session = replay(scenario, seed)
+        memo = session.args[1]
+        played, seen = [], []
+        for k, bid, coin in calls:
+            buyer = ids[(k if free else probe) % len(ids)]
+            override = {} if bid is None else {buyer: bid}
+            forced = {} if coin is None else {buyer: coin}
+            sweeps.clear()
+            out = session(override, forced)
+            played += sweeps
+            assert len(sweeps) <= 1 and len(memo) <= 2 * len(ids)
+            assert_same_outcome(out, run_session(scenario, seed, bid_override=override,
+                                                 force_resample=forced))
+            out.trace[:] = np.nan
+            groups = _groups(scenario, _bid_records(scenario, draws, override, forced))
+            if groups in seen:
+                kinds = {scenario.buyers[i].strategy.kind for rows in groups for i in rows}
+                reached.add(path_reached(scenario, seed, override, forced))
+                reached.update(kinds & {"pad", "delay"})
+            else:
+                seen.append(groups)
+        assert played == seen if not free else all(g in seen for g in played)
+
+    plays_once()
+    assert PATHS | {"sweep-hybrid", "pad", "delay"} <= reached
 
 
 class TestMonteCarlo:
