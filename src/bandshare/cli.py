@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -130,10 +131,19 @@ def cmd_simulate(args) -> int:
     _write(
         args.out_dir,
         f"{config.experiment_id}_trace.csv",
-        [["epoch"] + [f"consumed:{b}" for b in outcome.buyer_ids]]
-        + [[str(t)] + [_fmt(v) for v in row] for t, row in enumerate(outcome.trace, 1)],
+        [["epoch"] + [f"consumed:{b}" for b in outcome.buyer_ids]] + _trace_rows(outcome.trace),
     )
     return EXIT_OK
+
+
+def _trace_rows(trace: np.ndarray) -> List[List[str]]:
+    """One row per epoch of an (epochs, buyers) trace: the epoch number from 1,
+    then each value in ``_fmt``'s text.  ``tolist`` gives Python floats, which
+    format with no numpy scalar conversion per value."""
+    return [
+        [str(t)] + [format(v, ".12g") for v in row]
+        for t, row in enumerate(trace.tolist(), 1)
+    ]
 
 
 def cmd_sweep(args) -> int:
@@ -256,7 +266,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use.  It holds
+    no environment value: ``main`` resolves ``--out-dir``'s default per call."""
     parser = _Parser(
         prog="bandshare",
         description="Flow-level simulator for truthful bandwidth prioritization",
@@ -268,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument(
             "--out-dir",
-            default=os.environ.get(OUT_DIR_ENV, "out"),
+            default=None,
             help=f"output directory (default: ${OUT_DIR_ENV} or ./out)",
         )
         p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -320,6 +333,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     started = time.monotonic()
     try:
         args = build_parser().parse_args(argv)
+        if "out_dir" in args and args.out_dir is None:
+            args.out_dir = os.environ.get(OUT_DIR_ENV, "out")
         _check_flags(args)
         code = args.func(args)
     except ConfigError as exc:

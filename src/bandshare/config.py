@@ -40,6 +40,10 @@ __all__ = [
 
 SWEEP_VARIABLES = ("capacity", "reserve", "mu")
 
+# SafeLoader's constructor on libyaml's C parser where PyYAML was built with
+# it (several times faster), the pure-Python parser otherwise.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ConfigError(ValueError):
     """A scenario config failed validation; the message carries the key path."""
@@ -377,8 +381,9 @@ def load_config(path: str, overrides: Optional[Mapping[str, Any]] = None) -> Exp
     so values given on the command line meet the same checks as the file's.
     """
     try:
-        with open(path, "r") as fh:
-            doc = yaml.safe_load(fh)
+        # Bytes, so that the parser decodes them and reports bad encodings.
+        with open(path, "rb") as fh:
+            doc = yaml.load(fh, Loader=_LOADER)
     except FileNotFoundError:
         raise ConfigError(f"{path}: no such config file") from None
     except yaml.YAMLError as exc:

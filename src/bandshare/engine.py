@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -755,9 +756,13 @@ def run_monte_carlo(
     n = len(ids)
     samples = np.empty((len(scenarios), 2 + 3 * n, n_runs))  # scenario, metric, run
     worker, seeds = partial(_mc_worker, scenarios), run_seeds(seed, n_runs)
-    if jobs > 1 and n_runs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, n_runs)) as pool:
-            chunk = max(1, n_runs // (jobs * 8))
+    # The pool forks all its workers at the first submit: no more than the
+    # runs, nor than the CPUs this process may use.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, n_runs, cpus or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, n_runs // (workers * 8))
             for k, rows in enumerate(pool.map(worker, seeds, chunksize=chunk)):
                 samples[:, :, k] = rows
     else:

@@ -2,12 +2,14 @@
 
 import copy
 import json
+import math
 import os
 import pathlib
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
@@ -60,6 +62,16 @@ class TestParsing:
         for name in names:
             cfg = load_config(builtin_config_path(name))
             assert cfg.experiment_id == name
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    def test_c_loader_reads_every_builtin_as_the_pure_loader_does(self):
+        configs = pathlib.Path(bandshare.config.__file__).parent / "configs"
+        assert bandshare.config._LOADER is yaml.CSafeLoader
+        for path in sorted(configs.glob("*.yaml")):
+            text = path.read_text()
+            assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(
+                text, Loader=yaml.SafeLoader
+            ), path.name
 
     def test_unknown_top_level_key_rejected(self):
         doc = copy.deepcopy(MINI_DOC)
@@ -571,6 +583,40 @@ class TestCli:
             self.run_cli("simulate", "--help")
         assert exc.value.code == 0
         assert "--config" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("loader", ["in use", "pure"])
+    @pytest.mark.parametrize("text", [b"a: [1, 2\n", b"a: b\n\tc: d\n", b"a: \x01\n", b"a: \xff\n"])
+    def test_malformed_yaml_is_a_config_error(self, tmp_path, capsys, monkeypatch, loader, text):
+        if loader == "pure":
+            monkeypatch.setattr(bandshare.config, "_LOADER", yaml.SafeLoader)
+        path = tmp_path / "broken.yaml"
+        path.write_bytes(text)
+        code = self.run_cli("simulate", "--config", str(path), "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"config error: {path}: invalid YAML: ")
+
+    def test_out_dir_default_is_read_on_every_call(self, tmp_path, monkeypatch):
+        """The parser is built once per process, so ``$BANDSHARE_OUT_DIR`` must
+        be read when a command runs, not when the parser was built."""
+        config = write_config(tmp_path, MINI_DOC)
+        for name in ("env1", "env2"):
+            monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / name))
+            assert self.run_cli("simulate", "--config", config) == 0
+        assert self.run_cli("simulate", "--config", config, "--out-dir", str(tmp_path / "flag")) == 0
+        monkeypatch.delenv(cli.OUT_DIR_ENV)
+        monkeypatch.chdir(tmp_path)
+        assert self.run_cli("simulate", "--config", config) == 0
+        for name in ("env1", "env2", "flag", "out"):
+            assert sorted(os.listdir(tmp_path / name)) == ["mini_results.csv", "mini_trace.csv"]
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_trace_rows_read_as_fmt_writes_each_value(self):
+        values = [-0.0, 5e-324, 1e300, 0.1 + 0.2, 600.0, math.inf, -math.inf, math.nan,
+                  -1 / 3, 123456789012.5, 2.0 ** 53 + 2]
+        trace = np.array([values, values[::-1], [0.0] * len(values)])
+        assert cli._trace_rows(trace) == [
+            [str(t)] + [cli._fmt(v) for v in row] for t, row in enumerate(trace, 1)
+        ]
 
     def test_missing_config_file(self, tmp_path):
         code = self.run_cli(

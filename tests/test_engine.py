@@ -23,6 +23,7 @@ each distinct priority grouping of a replayed world played once.
 """
 
 import itertools
+import os
 import pathlib
 import random
 from dataclasses import replace
@@ -2334,12 +2335,16 @@ class TestMonteCarlo:
             assert ci.ci_low <= ci.mean <= ci.ci_high
         assert stats.welfare.ci_low < stats.welfare.ci_high
 
-    @pytest.mark.parametrize("n_runs, jobs, workers", [(3, 32, 3), (5, 2, 2), (2, 3, 2)])
+    @pytest.mark.parametrize(
+        "n_runs, jobs, workers", [(3, 32, 3), (5, 2, 2), (2, 3, 2), (6, 5000, 4)]
+    )
     def test_pool_asks_for_no_more_workers_than_runs(self, monkeypatch, n_runs, jobs, workers):
         """A pool forks all its workers at the first submit, so it is sized to
-        the runs it has; the stand-in executor maps in this process and starts
-        none.  Its results are those of the serial loop."""
+        the runs it has and to the 4 CPUs the process is told it may use; the
+        stand-in executor maps in this process and starts none.  Its results
+        are those of the serial loop."""
         asked = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
 
         class InProcess:
             def __init__(self, max_workers):
