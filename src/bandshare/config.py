@@ -24,7 +24,7 @@ from typing import Any, Callable, List, Mapping, Optional, Sequence
 import yaml
 
 from bandshare.demand import DemandSpec, FieldError
-from bandshare.engine import BuyerSpec, HybridBoost, Scenario, Strategy
+from bandshare.engine import STRATEGY_FIELDS, BuyerSpec, HybridBoost, Scenario, Strategy
 
 __all__ = [
     "ConfigError",
@@ -114,9 +114,7 @@ _DEMAND_KEYS = {
     "buffered": ["rate", "rates"],
     "time_varying": ["rates"],
 }
-# The field that each strategy kind sets, if any.
-_STRATEGY_FIELD = {"greedy": None, "pad": "pad", "delay": "delay_epochs", "misreport": "bid_factor"}
-_STRATEGY_KEYS = {kind: [_KEYS[f]] if f else [] for kind, f in _STRATEGY_FIELD.items()}
+_STRATEGY_KEYS = {kind: [_KEYS[f]] if f else [] for kind, f in STRATEGY_FIELDS.items()}
 
 
 def _parse_demand(node: Any, path: str, horizon: int) -> DemandSpec:
@@ -149,7 +147,7 @@ def _parse_strategy(node: Any, path: str) -> Strategy:
     if node is None:
         return Strategy("greedy")
     kind = _tag(node, "kind", _STRATEGY_KEYS, "strategy", path)
-    field = _STRATEGY_FIELD[kind]
+    field = STRATEGY_FIELDS[kind]
     given = {field: _require(node, _KEYS[field], path)} if field else {}
     return _build(path, Strategy, kind, **given)
 
@@ -173,8 +171,8 @@ def _parse_buyer(node: Any, path: str, horizon: int) -> BuyerSpec:
 
 # Scenario fields set by the top level, by each mechanism variant and by each
 # pool type; a variant or pool type inherits every field it does not set.
-_SCENARIO_KEYS = ["buyers", "capacity", "routing", "mechanism", "mu", "reserve", "price"]
-_VARIANT_KEYS = ["mechanism", "routing", "mu", "reserve", "price"]
+_SCENARIO_KEYS = ["buyers", "capacity", "routing", "mechanism", "mu", "reserve"]
+_VARIANT_KEYS = ["mechanism", "routing", "mu", "reserve"]
 _POOL_TYPE_KEYS = ["capacity", "buyers"]
 
 
@@ -217,15 +215,7 @@ class SweepConfig:
     values: tuple
 
     def apply(self, scenario: Scenario, value: float) -> Scenario:
-        if self.variable == "capacity":
-            return replace(scenario, capacity=value)
-        if self.variable == "mu":
-            return replace(scenario, mu=value)
-        # Reserve: for the posted-price mechanism the reserve lever *is* the
-        # posted price; for the others it is the auction reserve.
-        if scenario.mechanism == "fixed":
-            return replace(scenario, reserve=value, price=value)
-        return replace(scenario, reserve=value)
+        return replace(scenario, **{self.variable: value})
 
 
 @dataclass(frozen=True)
@@ -275,6 +265,9 @@ def _parse_sweep(node: Any, path: str, variants: Sequence[MechanismVariant]) -> 
 
 def _parse_pool(node: Any, path: str, base: Scenario) -> PoolConfig:
     _check_keys(node, ["sellers", "types", "sessions_per_seller"], path)
+    # The pool settles what its buyers paid: bid x bytes - rebate, which only bks charges.
+    if base.mechanism != "bks":
+        raise _err(path, f"a pool settles bks sessions only, not {base.mechanism!r}")
     sessions = _integer(node.get("sessions_per_seller", 10), f"{path}.sessions_per_seller", 1)
     if "types" not in node:
         sellers = _integer(_require(node, "sellers", path), f"{path}.sellers", 2)
@@ -386,6 +379,8 @@ def load_config(path: str, overrides: Optional[Mapping[str, Any]] = None) -> Exp
             doc = yaml.load(fh, Loader=_LOADER)
     except FileNotFoundError:
         raise ConfigError(f"{path}: no such config file") from None
+    except OSError as exc:  # a directory, or a file it may not read
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if doc is None:

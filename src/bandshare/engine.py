@@ -86,7 +86,8 @@ __all__ = [
 
 ROUTING_POLICIES = ("spq", "fq", "fifo", "hybrid")
 MECHANISMS = ("bks", "vmm", "fixed")
-_STRATEGY_KINDS = ("greedy", "pad", "delay", "misreport")
+# The field that each strategy kind reads, if any; it leaves the others at their defaults.
+STRATEGY_FIELDS = {"greedy": None, "pad": "pad", "delay": "delay_epochs", "misreport": "bid_factor"}
 Played = Tuple[np.ndarray, np.ndarray, Dict[int, float]]  # see _finish
 
 
@@ -130,9 +131,14 @@ class Strategy:
     bid_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in _STRATEGY_KINDS:
-            raise FieldError("kind", f"unknown strategy {self.kind!r}; one of {_STRATEGY_KINDS}")
+        if self.kind not in STRATEGY_FIELDS:
+            kinds = tuple(STRATEGY_FIELDS)
+            raise FieldError("kind", f"unknown strategy {self.kind!r}; one of {kinds}")
         _numbers(self)
+        for f in fields(self)[1:]:
+            v = getattr(self, f.name)
+            ok = f.name == STRATEGY_FIELDS[self.kind] or v == f.default
+            FieldError.check(ok, f.name, f"{f.default} under strategy {self.kind!r}", v)
 
 
 @dataclass(frozen=True)
@@ -179,7 +185,8 @@ class HybridBoost:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete market configuration for one seller."""
+    """A complete market configuration for one seller.  ``reserve`` is its per-KB
+    floor: a bid below it is not served, and under ``fixed`` it is the charge per KB."""
 
     buyers: Tuple[BuyerSpec, ...]
     capacity: float
@@ -187,7 +194,6 @@ class Scenario:
     mechanism: str = "bks"
     mu: float = 0.2
     reserve: float = 0.0
-    price: float = 0.0
     horizon: int = 600
     hybrid: Optional[HybridBoost] = None
 
@@ -306,13 +312,12 @@ def _bid_records(
 
 
 def _groups(scenario: Scenario, bids: Bids) -> List[List[int]]:
-    """Positions of the eligible buyers, whose bid meets the reserve (the price
-    under ``fixed``), grouped by equal routing key, highest key first.  An
+    """Positions of the eligible buyers, whose bid meets the reserve under
+    every mechanism, grouped by equal routing key, highest key first.  An
     eligible key is at least that floor and an ineligible one, her bid, is
     below it, so a group's first buyer decides for all of it.  Under fq and
     fifo every eligible key ties, at 1 above the ineligible ones' 0."""
-    floor = scenario.price if scenario.mechanism == "fixed" else scenario.reserve
-    tied = scenario.routing in ("fq", "fifo")
+    floor, tied = scenario.reserve, scenario.routing in ("fq", "fifo")
     keys = [float(b >= floor) for b in bids.bid] if tied else bids.perturbed_bid
     return [rows for rows in priority_groups(keys) if bids.bid[rows[0]] >= floor]
 
@@ -680,7 +685,7 @@ def _finish(
     elif scenario.mechanism == "vmm":
         settled = [(g, 0.0) for g in vmm_epoch_charges(shown, bids.bid, scenario.capacity).tolist()]
     else:
-        settled = [(fixed_price_settle(x, scenario.price), 0.0) for x in billed]
+        settled = [(fixed_price_settle(x, r), 0.0) for x in billed]
     real = [float(played[i]) if i in played else x for i, x in enumerate(billed)]
     worth = [b.value * x for b, x in zip(buyers, real)]
     return SessionOutcome(

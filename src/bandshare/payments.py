@@ -1,9 +1,9 @@
 """Payment mechanisms.
 
-Three schemes are supported:
+Three schemes are supported; under each, a bid below the reserve is not served.
 
-* fixed price  -- a posted per-KB price; only buyers bidding at or above it
-  participate and they pay the posted price per KB.
+* fixed price  -- the reserve is the posted per-KB price, which every served
+  buyer pays per KB.
 * VCG-per-epoch -- each epoch, charge every buyer the externality she imposes
   within that epoch: the value others would get in the value-optimal split of
   capacity without her, minus what they get in it with her present.  The

@@ -90,6 +90,10 @@ def priority_groups(keys: Sequence[float]) -> List[List[int]]:
     return [list(rows) for _, rows in itertools.groupby(order, key=keys.__getitem__)]
 
 
+# The in-place form of each sharing rule that ``fill_group`` takes.
+_FILLS = {maxmin: _maxmin, proportional: _proportional}
+
+
 def fill_group(
     demand: np.ndarray,
     rows: List[int],
@@ -100,8 +104,11 @@ def fill_group(
     """Fill ``grants[rows]``, one priority group's grants, from the per-column
     capacity ``remaining`` and reduce it in place.  The rows share it by the
     group's rule, ``maxmin`` or ``proportional``; a lone row under
-    ``proportional`` too, so that it is rounded as that kernel rounds it."""
-    fill = _proportional if share is proportional else _maxmin
+    ``proportional`` too, so that it is rounded as that kernel rounds it; any
+    other ``share`` is a ``ValueError``."""
+    fill = _FILLS.get(share)
+    if fill is None:
+        raise ValueError(f"share must be maxmin or proportional, got {share!r}")
     if len(rows) == 1 and fill is _maxmin:
         take = grants[rows[0]] = np.minimum(remaining, demand[rows[0]])
         remaining -= take

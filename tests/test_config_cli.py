@@ -23,7 +23,7 @@ from bandshare.config import (
     parse_config,
 )
 from bandshare.demand import DemandSpec, FieldError
-from bandshare.engine import BuyerSpec, HybridBoost, Scenario, Strategy
+from bandshare.engine import BuyerSpec, HybridBoost, Scenario, Strategy, run_session
 from bandshare.verify import SuiteReport
 
 MINI_DOC = {
@@ -78,6 +78,25 @@ class TestParsing:
         doc["capcity"] = 10
         with pytest.raises(ConfigError, match="capcity"):
             parse_config(doc)
+
+    @pytest.mark.parametrize("where", ["top", "variant"])
+    def test_price_key_rejected(self, tmp_path, capsys, where):
+        """``reserve`` is the one per-KB floor, the posted price under
+        ``fixed``; a ``price`` key is unknown at every node."""
+        doc = copy.deepcopy(MINI_DOC)
+        if where == "top":
+            doc.update(mechanism="fixed", price=1.0)
+            node, allowed = "", bandshare.config._TOP_KEYS
+        else:
+            doc["mechanisms"] = [{"mechanism": "fixed", "routing": "fq", "price": 1.0}]
+            node, allowed = ".mechanisms[0]", ["name", *bandshare.config._VARIANT_KEYS]
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", config, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {config}{node}: unknown keys ['price']; allowed: {sorted(allowed)}\n"
+        )
+        assert "price" not in allowed and not out.exists()
 
     def test_unknown_demand_model_rejected(self):
         doc = copy.deepcopy(MINI_DOC)
@@ -135,12 +154,20 @@ class TestParsing:
         assert parse_config(doc).variants[1].scenario.hybrid.buyer_id == "a"
 
     def test_reserve_sweep_drives_price_for_fixed(self):
+        """Under ``fixed`` the reserve is the posted price: every served buyer
+        pays it per KB, and a buyer bidding below it is not served."""
         doc = copy.deepcopy(MINI_DOC)
-        doc["mechanisms"] = [{"name": "fifo", "mechanism": "fixed", "routing": "fifo", "price": 1.0}]
-        doc["sweep"] = {"variable": "reserve", "values": [0.0, 2.0]}
+        doc["mechanisms"] = [{"mechanism": "fixed", "routing": "fifo", "reserve": 1.0}]
+        doc["sweep"] = {"variable": "reserve", "values": [0.0, 2.0, 3.0]}
         cfg = parse_config(doc)
-        sc = cfg.sweep.apply(cfg.scenario_for(cfg.variants[0]), 2.0)
-        assert sc.price == 2.0 and sc.reserve == 2.0
+        assert cfg.variants[0].scenario.reserve == 1.0
+        for price, served in ((2.0, {"a", "b"}), (3.0, {"a"})):
+            sc = cfg.sweep.apply(cfg.scenario_for(cfg.variants[0]), price)
+            assert (sc.mechanism, sc.reserve) == ("fixed", price)
+            out = run_session(sc, seed=1)
+            assert {b for b, x in out.bytes.items() if x > 0} == served
+            for p in out.payments.values():
+                assert (p.gross, p.rebate) == (price * p.bytes, 0.0)
 
     def test_pool_block(self):
         doc = copy.deepcopy(MINI_DOC)
@@ -291,7 +318,7 @@ class TestParsing:
     def test_variant_scenario_inherits_unset_fields(self):
         cfg = load_config(builtin_config_path("welfare_capacity"))
         fq = next(v.scenario for v in cfg.variants if v.name == "fq")
-        assert (fq.mechanism, fq.routing, fq.price) == ("fixed", "fq", 1.0)
+        assert (fq.mechanism, fq.routing, fq.reserve) == ("fixed", "fq", 1.0)
         assert (fq.capacity, fq.mu, fq.buyers) == (cfg.scenario.capacity, 0.2, cfg.scenario.buyers)
 
 
@@ -336,7 +363,7 @@ ONE_RULE_CASES = [
     # (dotted key path, where to put the value in the document, the direct build)
     *[
         pytest.param(key, top(key), lambda v, key=key: one_rule_scenario(**{key: v}), id=key)
-        for key in ("capacity", "mu", "reserve", "price")
+        for key in ("capacity", "mu", "reserve")
     ],
     *[
         pytest.param(
@@ -624,6 +651,13 @@ class TestCli:
         )
         assert code == 1
 
+    def test_config_path_that_cannot_be_read_is_a_config_error(self, tmp_path, capsys):
+        # A directory used to end in an IsADirectoryError traceback.
+        out = tmp_path / "o"
+        assert self.run_cli("simulate", "--config", str(tmp_path), "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err == f"config error: {tmp_path}: Is a directory\n"
+        assert not out.exists()
+
     def test_sweep_flag_override(self, tmp_path):
         config = write_config(tmp_path, MINI_DOC)
         out = tmp_path / "o"
@@ -688,6 +722,19 @@ class TestCli:
         assert self.run_cli("pool", "--config", config, "--out-dir", str(tmp_path / "o")) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {config}.pool.types: duplicate pool type names")
+
+    @pytest.mark.parametrize("mechanism", ["vmm", "fixed"])
+    def test_pool_of_non_bks_sessions_is_a_config_error(self, tmp_path, capsys, mechanism):
+        """The pool settles bid x bytes - rebate, what bks buyers pay; VCG and
+        posted-price buyers pay otherwise, so their pooled revenue was made up."""
+        doc = copy.deepcopy(MINI_DOC)
+        doc.update(mechanism=mechanism, pool={"sellers": 4, "sessions_per_seller": 2})
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert self.run_cli("pool", "--config", config, "--out-dir", str(out)) == 1
+        message = f"a pool settles bks sessions only, not {mechanism!r}"
+        assert capsys.readouterr().err == f"config error: {config}.pool: {message}\n"
+        assert not out.exists()
 
     def test_pool_requires_pool_block(self, tmp_path):
         config = write_config(tmp_path, MINI_DOC)

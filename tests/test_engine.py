@@ -6,20 +6,20 @@ buyer's own bid checked exactly per generated world), welfare against the
 offline optimum (value-ordered service for memoryless demand, a brute-force
 enumerator for stateful demand), Monte Carlo determinism, the tie rule,
 parameter checks (NaN, infinities, values and bids whose products overflow,
-non-numbers, bools, fractional epoch counts), numpy scalar capacities, the
-equivalence of the epoch loop's allocator and the routing kernels and of the
-priority sweep (fq, fifo and hybrid routing, impatient buyers included) with
-the epoch loop, a certificate of every allocation against the definitions
-(the policy per column, the hybrid reservation, presented demand and real
-traffic) on the equivalence and relation tests, that every session takes
-the sweep, that an ineligible buyer is absent on every path, that bids
-reach the allocation only through the priority groups, three exact
-relations on every path (doubling every value, reserve and price doubles
-every payment; doubling every KB quantity doubles traffic and payments;
-idle epochs in front shift the trace), settlement by buyer position
-against each mechanism's per-buyer definition, a process pool no larger
-than the runs, and world replay under counterfactual bids and pinned coins,
-each distinct priority grouping of a replayed world played once.
+non-numbers, bools, fractional epoch counts, a strategy field its kind does
+not read), numpy scalar capacities, the equivalence of the epoch loop's
+allocator and the routing kernels and of the priority sweep (fq, fifo and
+hybrid routing, impatient buyers included) with the epoch loop, a certificate
+of every allocation against the definitions (the policy per column, the hybrid
+reservation, presented demand and real traffic) on the equivalence and
+relation tests, that every session takes the sweep, that an ineligible buyer
+is absent on every path, that bids reach the allocation only through the
+priority groups, three exact relations on every path (doubling every value and
+the reserve doubles every payment; doubling every KB quantity doubles traffic
+and payments; idle epochs in front shift the trace), settlement by buyer
+position against each mechanism's per-buyer definition, a process pool no
+larger than the runs, and world replay under counterfactual bids and pinned
+coins, each distinct priority grouping of a replayed world played once.
 """
 
 import itertools
@@ -137,6 +137,32 @@ class TestStrategies:
         with pytest.raises(ValueError, match="bluff"):
             Strategy("bluff")
 
+    @pytest.mark.parametrize(
+        "kind,field,v",
+        [
+            ("greedy", "pad", 5.0),
+            ("greedy", "delay_epochs", 2),
+            ("greedy", "bid_factor", 3.0),
+            ("pad", "bid_factor", 3.0),
+            ("pad", "delay_epochs", 1),
+            ("delay", "pad", 1.0),
+            ("delay", "bid_factor", 0.5),
+            ("misreport", "pad", 2.0),
+            ("misreport", "delay_epochs", 3),
+        ],
+    )
+    def test_field_its_kind_does_not_read_rejected(self, kind, field, v):
+        # Each was accepted: greedy with a pad played greedy, and pad with a
+        # bid factor padded and misreported at once, which no config expresses.
+        message = f"^{field} must be .* under strategy '{kind}'"
+        with pytest.raises(FieldError, match=message) as info:
+            Strategy(kind, **{field: v})
+        assert info.value.field == field
+
+    def test_default_of_an_unread_field_accepted(self):
+        assert Strategy("pad", pad=2.0, delay_epochs=0, bid_factor=1.0).pad == 2.0
+        assert Strategy("misreport", bid_factor=np.float64(2.0), pad=0).bid_factor == 2.0
+
     def test_misreport_scales_bid(self):
         out = run_session(self.base(Strategy("misreport", bid_factor=0.5), mechanism="vmm"), seed=3)
         assert out.bids["a"] == 2.5
@@ -148,7 +174,7 @@ class TestStrategies:
             buyers=(BuyerSpec("a", 5.0, DemandSpec.constant(3.0), 1, 10, Strategy("pad", pad=2.0)),),
             capacity=10.0,
             mechanism="fixed",
-            price=1.0,
+            reserve=1.0,
             horizon=10,
         )
         out = run_session(scenario, seed=0)
@@ -167,7 +193,6 @@ class TestStrategies:
             ),
             capacity=10.0,
             mechanism="fixed",
-            price=0.0,
             horizon=4,
         )
         out = run_session(scenario, seed=0)
@@ -199,13 +224,12 @@ NAN = float("nan")
     [
         lambda: Scenario((), NAN),
         lambda: Scenario((), 10.0, reserve=NAN),
-        lambda: Scenario((), 10.0, mechanism="fixed", price=NAN),
         lambda: BuyerSpec("a", NAN, DemandSpec.constant(1.0)),
         lambda: Strategy("pad", pad=NAN),
         lambda: Strategy("misreport", bid_factor=NAN),
         lambda: HybridBoost("a", NAN, 10),
     ],
-    ids=["capacity", "reserve", "price", "value", "pad", "bid_factor", "target_bytes"],
+    ids=["capacity", "reserve", "value", "pad", "bid_factor", "target_bytes"],
 )
 def test_nan_parameters_rejected(build):
     with pytest.raises(ValueError):
@@ -219,7 +243,6 @@ INF = float("inf")
     "message,build",
     [
         ("^value must be finite", lambda: BuyerSpec("a", INF, DemandSpec.constant(1.0))),
-        ("^price must be finite", lambda: Scenario((), 10.0, mechanism="fixed", price=INF)),
         ("^bid_factor must be finite", lambda: Strategy("misreport", bid_factor=INF)),
         ("^capacity must be finite", lambda: Scenario((), INF)),
         ("^reserve must be finite", lambda: Scenario((), 10.0, reserve=INF)),
@@ -231,7 +254,7 @@ INF = float("inf")
         ("generation at epoch 2 must be a finite", lambda: DemandSpec.buffered([1.0, INF])),
     ],
     ids=[
-        "value", "price", "bid_factor", "capacity", "reserve", "pad", "target_bytes",
+        "value", "bid_factor", "capacity", "reserve", "pad", "target_bytes",
         "constant-k", "impatient-m", "flow_trace-mean_rate", "buffered-generation",
     ],
 )
@@ -256,7 +279,6 @@ HUGE = 10**400  # an int too large for a float
         ("capacity", lambda: Scenario((), HUGE)),
         ("mu", lambda: Scenario((), 10.0, mu=HUGE)),
         ("reserve", lambda: Scenario((), 10.0, reserve=HUGE)),
-        ("price", lambda: Scenario((), 10.0, price=HUGE)),
         ("horizon", lambda: Scenario((), 10.0, horizon=HUGE)),
         ("pad", lambda: Strategy("pad", pad=HUGE)),
         ("delay_epochs", lambda: Strategy("delay", delay_epochs=HUGE)),
@@ -280,7 +302,7 @@ HUGE = 10**400  # an int too large for a float
         ("mean_interarrival", lambda: DemandSpec.flow_trace(1.0, 10, mean_interarrival=HUGE)),
     ],
     ids=[
-        "value", "value-fraction", "arrival", "capacity", "mu", "reserve", "price", "horizon",
+        "value", "value-fraction", "arrival", "capacity", "mu", "reserve", "horizon",
         "pad", "delay", "bid_factor", "target_bytes", "deadline", "constant", "time_varying",
         "buffered", "impatient-k", "impatient-p", "impatient-m", "increasing_rate", "increasing_total",
         "cliff-k", "cliff-m", "flow_trace-mean_rate", "flow_trace-horizon",
@@ -303,8 +325,8 @@ def test_real_fields_are_stored_as_floats():
     assert type(buyer.value) is float and type(buyer.strategy.bid_factor) is float
     with pytest.raises(ValueError, match="^buyer 'a': value or bid overflows"):
         Scenario((buyer,), 12, horizon=10)
-    scenario = Scenario((), 12, mu=np.float32(0.5), reserve=1, price=np.int64(2))
-    assert {type(getattr(scenario, f)) for f in ("capacity", "mu", "reserve", "price")} == {float}
+    scenario = Scenario((), 12, mu=np.float32(0.5), reserve=np.int64(2))
+    assert {type(getattr(scenario, f)) for f in ("capacity", "mu", "reserve")} == {float}
 
 
 @pytest.mark.parametrize("mechanism", ["bks", "vmm", "fixed"])
@@ -341,11 +363,10 @@ def test_overflowing_value_or_bid_rejected(buyer, mechanism):
         ("capacity", lambda: Scenario((), capacity="5")),
         ("mu", lambda: Scenario((), capacity=5, mu="0.2")),
         ("reserve", lambda: Scenario((), capacity=5, reserve=None)),
-        ("price", lambda: Scenario((), capacity=5, price=False)),
     ],
     ids=[
         "pad-str", "bid_factor-bool", "value-str", "value-bool", "target_bytes-str",
-        "capacity-str", "mu-str", "reserve-none", "price-bool",
+        "capacity-str", "mu-str", "reserve-none",
     ],
 )
 def test_non_numeric_parameters_rejected(field, build):
@@ -396,8 +417,8 @@ def test_numpy_scalar_capacity_is_one_number(routing, mechanism):
         BuyerSpec("b", 2.0, DemandSpec.constant(3.0), 1, 10),
     )
     for capacity in (np.int64(4), np.float32(4.0)):
-        scenario = Scenario(buyers, capacity, routing, mechanism, price=1.0, horizon=10)
-        plain = Scenario(buyers, 4, routing, mechanism, price=1.0, horizon=10)
+        scenario = Scenario(buyers, capacity, routing, mechanism, reserve=1.0, horizon=10)
+        plain = Scenario(buyers, 4, routing, mechanism, reserve=1.0, horizon=10)
         assert_same_outcome(run_session(scenario, 3), run_session(plain, 3))
 
 
@@ -945,7 +966,6 @@ def memoryless_scenarios(draw):
         mechanism=draw(st.sampled_from(["bks", "vmm", "fixed"])),
         mu=draw(st.floats(0.05, 0.95)),
         reserve=draw(st.sampled_from([0.0, 1.0, 4.0])),
-        price=draw(st.sampled_from([0.0, 1.0, 4.0])),
         horizon=horizon,
     )
 
@@ -978,7 +998,7 @@ STRATEGIES = st.one_of(
 @st.composite
 def priority_scenarios(draw):
     """Strict-priority scenarios: all 8 demand models, all 4 strategies, n <=
-    5, windows, reserves and prices, every mechanism.  Memoryless buyers often
+    5, windows, reserves, every mechanism.  Memoryless buyers often
     tie on their value; stateful ones rarely do."""
     horizon = draw(st.integers(1, 30))
     n = draw(st.integers(1, 5))
@@ -998,7 +1018,6 @@ def priority_scenarios(draw):
         mechanism=draw(st.sampled_from(["bks", "vmm", "fixed"])),
         mu=draw(st.floats(0.05, 0.95)),
         reserve=draw(st.sampled_from([0.0, 1.0, 4.0])),
-        price=draw(st.sampled_from([0.0, 1.0, 4.0])),
         horizon=horizon,
     )
 
@@ -1045,7 +1064,6 @@ def impatient_scenarios(draw):
         mechanism=draw(st.sampled_from(["bks", "vmm", "fixed"])),
         mu=draw(st.floats(0.05, 0.95)),
         reserve=draw(st.sampled_from([0.0, 1.0, 4.0])),
-        price=draw(st.sampled_from([0.0, 1.0, 4.0])),
         horizon=horizon,
     )
 
@@ -1088,7 +1106,6 @@ def hybrid_scenarios(draw):
         mechanism=draw(st.sampled_from(["bks", "vmm", "fixed"])),
         mu=draw(st.floats(0.05, 0.95)),
         reserve=draw(st.sampled_from([0.0, 1.0, 4.0])),
-        price=draw(st.sampled_from([0.0, 1.0, 4.0])),
         horizon=horizon,
         hybrid=HybridBoost(f"b{position}", target, deadline),
     )
@@ -1131,8 +1148,7 @@ def assert_certified(scenario, realizations, bids, out, grants, shown):
     """
     c, T = scenario.capacity, scenario.horizon
     tol = 1e-9 * max(1.0, c)
-    floor = scenario.price if scenario.mechanism == "fixed" else scenario.reserve
-    eligible = [i for i, b in enumerate(bids.bid) if b >= floor]
+    eligible = [i for i, b in enumerate(bids.bid) if b >= scenario.reserve]
     others = [i for i in range(len(grants)) if i not in eligible]
     assert not grants[others].any() and not shown[others].any(), "an ineligible row is served"
     assert (grants >= 0).all() and (grants <= shown + tol).all(), "a grant exceeds its demand"
@@ -1479,10 +1495,10 @@ class TestPathChoice:
 
 
 class TestEligibility:
-    """A buyer whose bid misses the floor (the reserve under vmm, the posted
-    price under fixed) is served on no path: she gets no bytes, no trace and
-    no charge, and the others play exactly as if she were absent.  Demand is
-    deterministic, so dropping her moves no random draw."""
+    """A buyer whose bid misses the reserve (the auction reserve under vmm,
+    the posted price under fixed) is served on no path: she gets no bytes, no
+    trace and no charge, and the others play exactly as if she were absent.
+    Demand is deterministic, so dropping her moves no random draw."""
 
     PATHS = {  # case: (routing, buyers with stateful demand, its kind, ``path_reached``)
         "sweep": ("spq", "", None, "sweep"),
@@ -1514,8 +1530,7 @@ class TestEligibility:
             mechanism=mechanism,
             horizon=12,
             hybrid=HybridBoost("b", 30.0, 8) if routing == "hybrid" else None,
-            # Only the mechanism's own floor is set, so the other one decides nothing.
-            **({"reserve": 1.0} if mechanism == "vmm" else {"price": 1.0}),
+            reserve=1.0,
         )
 
     @pytest.mark.parametrize("mechanism", ["vmm", "fixed"])
@@ -1569,8 +1584,7 @@ def same_groups_bids(draw, path):
         capacity=draw(st.floats(0.5, 40.0)),
         routing=routing,
         mechanism=mechanism,
-        reserve=0.0 if mechanism == "fixed" else floor,
-        price=floor if mechanism == "fixed" else 0.0,
+        reserve=floor,
         horizon=horizon,
         hybrid=HybridBoost("b0", draw(st.floats(0.0, 150.0)), draw(st.integers(1, horizon + 2)))
         if routing == "hybrid" else None,
@@ -1634,7 +1648,7 @@ def sizable(hi):
 @st.composite
 def money_scenarios(draw):
     """Scenarios of every routing policy, mechanism, demand model and strategy,
-    whose money (values, bid factors, reserve, price), rates, pads and boost
+    whose money (values, bid factors, reserve), rates, pads and boost
     target are ``sizable``.  Half of them keep every buyer memoryless and
     greedy or misreporting, so that fq and fifo reach the column-wise fill.
     In half the hybrid ones the boosted buyer is paced under 1 KB/epoch below
@@ -1669,7 +1683,6 @@ def money_scenarios(draw):
         mechanism=draw(st.sampled_from(["bks", "vmm", "fixed"])),
         mu=draw(st.floats(0.05, 0.95)),
         reserve=draw(sizable(10.0)),
-        price=draw(sizable(10.0)),
         horizon=horizon,
         hybrid=boost if routing == "hybrid" else None,
     )
@@ -1707,7 +1720,7 @@ PATH_EXAMPLES = [
             BuyerSpec("b1", 2.0, DemandSpec.cliff(6.0, 20.0), 0, 10,
                       Strategy("delay", delay_epochs=2)),
         ),
-        capacity=8.0, routing="fifo", mechanism="fixed", price=1.0, horizon=10,
+        capacity=8.0, routing="fifo", mechanism="fixed", reserve=1.0, horizon=10,
     ),
     Scenario(
         buyers=(
@@ -1759,7 +1772,7 @@ def path_reached(scenario, seed, bid_override=None, force_resample=None):
 
 
 def test_doubling_money_doubles_every_payment_on_every_path():
-    """Doubling every value, the reserve and the price leaves the allocation
+    """Doubling every value and the reserve leaves the allocation
     as it is and exactly doubles every bid and payment, utility, welfare and
     revenue.  The relation needs no reference path; the examples reach spq,
     hybrid with a stateful buyer besides the boosted one, and fq or fifo
@@ -1772,8 +1785,7 @@ def test_doubling_money_doubles_every_payment_on_every_path():
     @settings(max_examples=200, deadline=None)
     def doubles(scenario, seed):
         buyers = tuple(replace(b, value=2 * b.value) for b in scenario.buyers)
-        doubled = replace(scenario, buyers=buyers, reserve=2 * scenario.reserve,
-                          price=2 * scenario.price)
+        doubled = replace(scenario, buyers=buyers, reserve=2 * scenario.reserve)
         one, two = certified_run(scenario, seed), certified_run(doubled, seed)
         np.testing.assert_array_equal(two.trace, one.trace)
         assert two.bytes == one.bytes
@@ -1838,7 +1850,7 @@ def test_settlement_follows_the_per_buyer_definitions(monkeypatch):
             x = grants[k].sum()
             gross, rebate = {
                 "bks": (b * x, x * (b - r) / mu if flag else 0.0),
-                "fixed": (scenario.price * x, 0.0),
+                "fixed": (r * x, 0.0),
                 "vmm": (charges[k], 0.0),
             }[mechanism]
             paid = out.payments[i]

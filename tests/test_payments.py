@@ -185,7 +185,8 @@ def test_vmm_charges_match_lp_oracle(data):
 
 
 def fixed_price_scenario(price):
-    """Three buyers with room for all; only bids at or above the price take part."""
+    """Three buyers with room for all; only bids at or above the price, the
+    scenario's reserve, take part."""
     return Scenario(
         buyers=tuple(
             BuyerSpec(b, v, DemandSpec.constant(1.0), 1, 5)
@@ -193,7 +194,7 @@ def fixed_price_scenario(price):
         ),
         capacity=10.0,
         mechanism="fixed",
-        price=price,
+        reserve=price,
         horizon=5,
     )
 

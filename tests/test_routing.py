@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandshare.routing import maxmin, proportional, spq
+from bandshare.routing import fill_group, maxmin, proportional, spq
 
 
 def column(demands):
@@ -134,3 +134,12 @@ def test_negative_inputs_rejected():
         spq(column([1.0]), [0.0], -2)
     with pytest.raises(ValueError):
         maxmin(np.ones((1, 2)), np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("share", [lambda a, c: a, spq, None])
+def test_fill_group_rejects_a_share_other_than_its_two_rules(share):
+    # Any other share used to be taken for maxmin: two demands of 5 on 6 KB got 3 and 3.
+    grants, remaining = np.full((2, 1), -1.0), np.array([6.0])
+    with pytest.raises(ValueError, match="^share must be maxmin or proportional"):
+        fill_group(column([5.0, 5.0]), [0, 1], remaining, grants, share=share)
+    assert (grants == -1.0).all() and remaining[0] == 6.0

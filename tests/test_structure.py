@@ -20,7 +20,7 @@ not count as a use.
 
 A session's eligibility and priority order are decided in one place: only
 one engine function calls ``priority_groups``, and it is the one that applies
-the eligibility floor (the reserve, or the posted price under ``fixed``).
+the eligibility floor (the reserve, which is the posted price under ``fixed``).
 Allocation is bid-blind and settlement happens once: no allocation function
 takes the bid records or reads a bid, a routing key or a resampling flag, and
 one engine function, the replayed session, calls ``_finish``, and only
@@ -34,16 +34,23 @@ grants, the presented demand and the real traffic ``_play`` kept.  Every
 session plays the sweep: the replayed session calls ``_run_sweep`` and no
 other path, and nothing in the package calls the loop, the tests' reference.
 
+Every sweep variable is a ``Scenario`` field, since ``SweepConfig.apply``
+sets it by name.
+
 The benchmark's tracer (``bench/tracing.py``) patches package names by
 attribute; it must find every one of them and put each original back.
 """
 
 import ast
+import dataclasses
 import importlib.util
 import pathlib
 
 import numpy as np
 import pytest
+
+from bandshare.config import SWEEP_VARIABLES
+from bandshare.engine import Scenario
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "bandshare"
@@ -178,7 +185,13 @@ def test_priority_and_eligibility_decided_in_one_engine_function():
     ]
     assert len(callers) == 1, f"priority_groups called from {[f.name for f in callers]}"
     reads = {sub.attr for sub in ast.walk(callers[0]) if isinstance(sub, ast.Attribute)}
-    assert {"bid", "reserve", "price"} <= reads, f"{callers[0].name} applies no eligibility floor"
+    assert {"bid", "reserve"} <= reads, f"{callers[0].name} applies no eligibility floor"
+
+
+def test_sweep_variables_are_scenario_fields():
+    # A name that is not a field would make ``replace`` raise a TypeError,
+    # which the config loader does not report as a config error.
+    assert set(SWEEP_VARIABLES) <= {f.name for f in dataclasses.fields(Scenario)}
 
 
 ENGINE = ast.parse((SRC / "engine.py").read_text())
