@@ -342,7 +342,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_CONFIG
     elapsed = time.monotonic() - started
     if args.budget is not None and elapsed > args.budget:
-        print(f"runtime budget exceeded: {elapsed:.1f}s > {args.budget}s", file=sys.stderr)
+        # The fewest significant digits at which the two differ; 17 always do.
+        p = next(p for p in range(2, 18) if f"{elapsed:.{p}g}" != f"{args.budget:.{p}g}")
+        print(f"runtime budget exceeded: {elapsed:.{p}g}s > {args.budget:.{p}g}s", file=sys.stderr)
         return EXIT_BUDGET
     return code
 

@@ -97,6 +97,21 @@ def _integer(value: Any, path: str, minimum: int) -> int:
     return value
 
 
+# A session holds four float64 (buyers, horizon) arrays: grants, shown and
+# presented demand, and the trace.  Their bytes are capped at 1 GiB.
+_SESSION_BYTES_CAP = 2**30
+
+
+def _check_session_size(buyers: Any, horizon: int, path: str) -> None:
+    """Reject, before any buyer is parsed, a horizon at which the session
+    arrays of the list ``buyers`` would pass the cap."""
+    n = len(buyers) if isinstance(buyers, list) else 1
+    need = 4 * 8 * n * horizon
+    if need > _SESSION_BYTES_CAP:
+        raise _err(path, f"{n} buyers over {horizon} epochs need {need} bytes of session "
+                         f"arrays, over the cap of {_SESSION_BYTES_CAP} (1 GiB)")
+
+
 def _tag(node: Any, key: str, tags: Mapping[str, Sequence[str]], what: str, path: str) -> str:
     """The tag under ``key``, once the node holds only that tag's keys."""
     tag = _require(_mapping(node, path), key, path)
@@ -282,6 +297,7 @@ def _parse_pool(node: Any, path: str, base: Scenario) -> PoolConfig:
         tpath = f"{path}.types[{i}]"
         _check_keys(tdoc, ["name", "count", *_POOL_TYPE_KEYS], tpath)
         count = _integer(_require(tdoc, "count", tpath), f"{tpath}.count", 1)
+        _check_session_size(tdoc.get("buyers"), base.horizon, f"{tpath}.buyers")
         fields = _scenario_fields(tdoc, tpath, _POOL_TYPE_KEYS, base.horizon)
         scenario = _build(tpath, replace, base, **fields)
         types.append(PoolType(_name(tdoc, tpath, f"type{i}"), count, scenario))
@@ -313,6 +329,7 @@ def parse_config(doc: Any, source: str = "<config>") -> ExperimentConfig:
     horizon = _integer(doc.get("horizon", 600), f"{source}.horizon", 1)
     # Buyers depart at the horizon by default, so it is checked before they are.
     _build(f"{source}.horizon", FieldError.number, "horizon", horizon)
+    _check_session_size(doc.get("buyers"), horizon, f"{source}.horizon")
     _require(doc, "buyers", source)
     _require(doc, "capacity", source)
     fields = _scenario_fields(doc, source, _SCENARIO_KEYS, horizon)

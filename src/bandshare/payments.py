@@ -5,12 +5,11 @@ Three schemes are supported; under each, a bid below the reserve is not served.
 * fixed price  -- the reserve is the posted per-KB price, which every served
   buyer pays per KB.
 * VCG-per-epoch -- each epoch, charge every buyer the externality she imposes
-  within that epoch: the value others would get in the value-optimal split of
-  capacity without her, minus what they get in it with her present.  The
-  charges depend only on bids and presented demand, so ``vmm_epoch_charges``
-  takes a session's whole (n, T) presented-demand matrix at once; the
-  value-optimal split of each column is the ``routing.spq`` fill in
-  descending bid order.
+  within that epoch: the value others would gain in the value-optimal split of
+  capacity without her.  That split is the ``routing.spq`` fill in descending
+  bid order, so ``vmm_epoch_charges`` fills a session's (n, T) presented-demand
+  matrix once and charges each buyer the value of her grant flowing down the
+  unmet demand at or below her bid: her tied peers first, then lower groups.
 * resampling rebates -- each bid is randomly perturbed downward with
   probability ``mu`` before routing; buyers pay bid * bytes, and perturbed
   buyers get a rebate of bytes * (bid - reserve) / mu.  The rebate makes
@@ -36,7 +35,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from bandshare.routing import spq
+from bandshare.routing import priority_groups, spq
 
 __all__ = [
     "MeanCI",
@@ -99,19 +98,27 @@ def vmm_epoch_charges(demand: np.ndarray, bids: Sequence[float], c: float) -> np
     ``demand`` is the (n, T) matrix of presented demand.  In every epoch
     column, charge_i = (others' value in the value-optimal split without i)
                      - (others' value in the value-optimal split with i).
+    Without i, her grant in the one ``spq`` fill flows down the unmet demand of
+    her tied peers, then of the groups below, in priority order: each row q
+    takes min(unmet_q, what is still free), and charge_i sums b_q times that.
     """
     demand = np.asarray(demand, dtype=float)
-    bids = np.asarray(bids, dtype=float)
-    n = len(bids)
+    keys = np.asarray(bids, dtype=float).tolist()
+    n = len(keys)
     if demand.shape[0] != n:
         raise ValueError(f"{n} bids for {demand.shape[0]} demand rows")
-    values = bids[:, None] * spq(demand, bids, c)
+    grants = spq(demand, keys, c)
+    unmet = demand - grants
     charges = np.zeros(n)
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        v_without = (bids[others, None] * spq(demand[others], bids[others], c)).sum(axis=0)
-        v_with = values[others].sum(axis=0)
-        charges[i] = np.maximum(0.0, v_without - v_with).sum()
+    below = []  # the rows of the groups below, in priority order
+    for rows in reversed(priority_groups(keys)):
+        for i in rows:
+            freed = grants[i]  # a view: no other buyer reads row i, so it is spent in place
+            for q in [j for j in rows if j != i] + below:
+                take = np.minimum(unmet[q], freed)
+                freed -= take
+                charges[i] += keys[q] * take.sum()
+        below = rows + below
     return charges
 
 

@@ -73,15 +73,16 @@ def maxmin(demand: np.ndarray, c: Capacity) -> np.ndarray:
 
 def _maxmin(demand: np.ndarray, remaining: np.ndarray) -> np.ndarray:
     """``maxmin`` of ``demand`` within ``remaining``, which it reduces in place."""
-    n = len(demand)
-    order = np.argsort(demand, axis=0, kind="stable")
-    taken = np.take_along_axis(demand, order, axis=0)
+    n, T = demand.shape
+    # The flat (C-order) positions of each column's entries, by ascending demand.
+    flat = np.argsort(demand, axis=0, kind="stable") * T + np.arange(T)
+    taken = demand.take(flat)
     for k in range(n):
         taken[k] = np.minimum(taken[k], remaining / (n - k))
         remaining -= taken[k]
-    grants = np.empty_like(demand)
-    np.put_along_axis(grants, order, taken, axis=0)
-    return grants
+    grants = np.empty(n * T)
+    grants[flat] = taken
+    return grants.reshape(n, T)
 
 
 def priority_groups(keys: Sequence[float]) -> List[List[int]]:

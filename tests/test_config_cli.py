@@ -187,6 +187,30 @@ class TestParsing:
         with pytest.raises(ConfigError, match=rf"conf\.yaml\.{key}: "):
             parse_config(yaml.safe_load(yaml.safe_dump(doc)), source="conf.yaml")
 
+    def test_huge_horizon_is_reported_at_its_key_before_any_buyer(self):
+        # Built only: 2 buyers over 10**9 epochs would need 64 GB of session
+        # arrays.  The buyers are malformed, so the cap is checked before any
+        # of them is parsed.
+        doc = {**MINI_DOC, "horizon": 10**9, "buyers": [{}, {}]}
+        message = r"^conf\.yaml\.horizon: 2 buyers over 1000000000 epochs need 64000000000 bytes"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(doc, source="conf.yaml")
+
+    def test_session_size_cap_is_four_float64_arrays_of_1_gib(self):
+        buyers = [{"id": b, "value": 1, "demand": {"model": "constant", "rate": 1}} for b in "ab"]
+        doc = {**MINI_DOC, "buyers": buyers, "horizon": 2**24}
+        assert parse_config(doc).scenario.horizon == 2**24
+        message = r"^conf\.yaml\.horizon: .* over the cap of 1073741824 \(1 GiB\)$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config({**doc, "horizon": 2**24 + 1}, source="conf.yaml")
+
+    def test_pool_type_buyers_are_held_to_the_session_size_cap(self):
+        doc = {**MINI_DOC, "horizon": 2**20}
+        doc["pool"] = {"types": [{"name": "big", "count": 2, "buyers": [{}] * 40}]}
+        message = r"^conf\.yaml\.pool\.types\[0\]\.buyers: 40 buyers over 1048576 epochs"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(doc, source="conf.yaml")
+
     def test_flow_count_bound_is_reported_at_its_key(self):
         # Built only: a trace of about 1e11 flows would not fit in memory.
         doc = copy.deepcopy(MINI_DOC)
@@ -758,6 +782,23 @@ class TestCli:
             "--budget", "1e-9",
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "elapsed, shown",
+        [(0.54, "0.54s > 0.5s"), (0.5004, "0.5004s > 0.5s"), (3.31, "3.3s > 0.5s")],
+    )
+    def test_budget_message_tells_the_two_times_apart(
+        self, tmp_path, monkeypatch, capsys, elapsed, shown
+    ):
+        # The clock reads 100 when main starts and 100 + elapsed after.
+        clock = iter([100.0])
+        monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock, 100.0 + elapsed))
+        config = write_config(tmp_path, MINI_DOC)
+        code = self.run_cli(
+            "simulate", "--config", config, "--out-dir", str(tmp_path / "o"), "--budget", "0.5"
+        )
+        assert code == 3
+        assert capsys.readouterr().err == f"runtime budget exceeded: {shown}\n"
 
     def test_console_entry_point(self, tmp_path):
         config = write_config(tmp_path, MINI_DOC)

@@ -184,6 +184,50 @@ def test_vmm_charges_match_lp_oracle(data):
     assert charges == pytest.approx(expected, rel=1e-6, abs=1e-6)
 
 
+def refill_charges(demand, bids, c):
+    """The VCG charges by their definition, the reference: n + 1 ``spq``
+    fills, one with every buyer and one without each."""
+    demand, bids = np.asarray(demand, dtype=float), np.asarray(bids, dtype=float)
+    n = len(bids)
+    values = bids[:, None] * spq(demand, bids, c)
+    charges = np.zeros(n)
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        v_without = (bids[others, None] * spq(demand[others], bids[others], c)).sum(axis=0)
+        v_with = values[others].sum(axis=0)
+        charges[i] = np.maximum(0.0, v_without - v_with).sum()
+    return charges
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_vmm_charges_with_tied_bids_and_column_capacities(data):
+    """Bids from a small grid, so that ties occur, and one capacity per column,
+    0 among them.  The charges match the n + 1-fill definition to 1e-12 of the
+    session's value at stake, and the LP oracle as in the test above."""
+    n = data.draw(st.integers(1, 5))
+    T = data.draw(st.integers(1, 4))
+    grid = st.sampled_from([0.5, 1.0, 2.0, 3.0])
+    bids = np.array(data.draw(st.lists(grid, min_size=n, max_size=n)))
+    demand = np.array(
+        data.draw(st.lists(st.lists(st.floats(0, 20), min_size=T, max_size=T),
+                           min_size=n, max_size=n))
+    )
+    c = np.array(data.draw(st.lists(st.just(0.0) | st.floats(0, 40), min_size=T, max_size=T)))
+    charges = vmm_epoch_charges(demand, bids, c)
+    stake = float(bids @ demand.sum(axis=1))
+    assert charges == pytest.approx(refill_charges(demand, bids, c), rel=1e-12, abs=1e-12 * stake)
+    grants = spq(demand, bids, c)
+    expected = np.zeros(n)
+    for t in range(T):
+        opt, _ = lp_value(bids, demand[:, t], c[t])
+        for i in range(n):
+            others = [j for j in range(n) if j != i]
+            without, _ = lp_value(bids[others], demand[others, t], c[t])
+            expected[i] += without - (opt - bids[i] * grants[i, t])
+    assert charges == pytest.approx(expected, rel=1e-6, abs=1e-6)
+
+
 def fixed_price_scenario(price):
     """Three buyers with room for all; only bids at or above the price, the
     scenario's reserve, take part."""

@@ -34,6 +34,9 @@ grants, the presented demand and the real traffic ``_play`` kept.  Every
 session plays the sweep: the replayed session calls ``_run_sweep`` and no
 other path, and nothing in the package calls the loop, the tests' reference.
 
+VCG charges come from one priority fill: ``payments.vmm_epoch_charges``
+calls ``spq`` once and never in a loop, so no per-buyer re-fill comes back.
+
 Every sweep variable is a ``Scenario`` field, since ``SweepConfig.apply``
 sets it by name.
 
@@ -170,6 +173,25 @@ def test_random_streams_only_in_rng_owners():
 
 def test_payments_draw_nothing():
     assert list(_rng_uses(ast.parse((SRC / "payments.py").read_text()))) == []
+
+
+def test_vcg_charges_fill_the_columns_once():
+    """``payments.vmm_epoch_charges`` names ``spq`` once, in a call outside
+    any loop or comprehension, so the charges cannot re-fill per buyer."""
+    tree = ast.parse((SRC / "payments.py").read_text())
+    func = next(
+        f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "vmm_epoch_charges"
+    )
+    refs = [
+        node for node in ast.walk(func)
+        if (isinstance(node, ast.Name) and node.id == "spq")
+        or (isinstance(node, ast.Attribute) and node.attr == "spq")
+    ]
+    calls = [node for node in ast.walk(func) if isinstance(node, ast.Call) and node.func in refs]
+    assert len(refs) == len(calls) == 1, [ast.unparse(node) for node in refs]
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    looped = [node for loop in ast.walk(func) if isinstance(loop, loops) for node in ast.walk(loop)]
+    assert calls[0] not in looped, f"spq filled in a loop: {ast.unparse(calls[0])}"
 
 
 def test_priority_and_eligibility_decided_in_one_engine_function():
