@@ -15,6 +15,10 @@ Subcommands:
 Outputs are deterministic: the same config and seed reproduce byte-identical
 files (numeric text fixed at 12 significant digits).  Exit codes: 0 success,
 1 validation error, 2 property-suite failure, 3 runtime budget exceeded.
+``--budget`` is a deadline: ``simulate`` and ``sweep`` hand it to
+``run_monte_carlo``, which stops between batches of runs once it has passed,
+and then exit 3 having written no file; ``pool`` and ``verify`` are held to
+it only when they have finished.
 """
 
 from __future__ import annotations
@@ -122,7 +126,8 @@ def _load(args) -> ExperimentConfig:
 def cmd_simulate(args) -> int:
     config = _load(args)
     variants = config.variants
-    grid = run_monte_carlo([v.scenario for v in variants], config.runs, config.seed, args.jobs)
+    scenarios = [v.scenario for v in variants]
+    grid = run_monte_carlo(scenarios, config.runs, config.seed, args.jobs, args.deadline)
     rows = [r for v, stats in zip(variants, grid) for r in _stat_rows(v.name, "none", "", stats)]
     _write_rows(config, rows, args.out_dir, f"{config.experiment_id}_results", args.format)
 
@@ -155,7 +160,8 @@ def cmd_sweep(args) -> int:
     points = [(x, v) for x in sweep.values for v in config.variants]
     grid = [sweep.apply(v.scenario, x) for x, v in points]
     rows = []
-    for (x, v), stats in zip(points, run_monte_carlo(grid, config.runs, config.seed, args.jobs)):
+    stats_grid = run_monte_carlo(grid, config.runs, config.seed, args.jobs, args.deadline)
+    for (x, v), stats in zip(points, stats_grid):
         rows.extend(_stat_rows(v.name, sweep.variable, _fmt(x), stats))
     name = f"{config.experiment_id}_sweep_{sweep.variable}"
     _write_rows(config, rows, args.out_dir, name, args.format)
@@ -336,14 +342,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         if "out_dir" in args and args.out_dir is None:
             args.out_dir = os.environ.get(OUT_DIR_ENV, "out")
         _check_flags(args)
+        args.deadline = None if args.budget is None else started + args.budget
         code = args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except TimeoutError:  # the Monte Carlo stopped at the deadline, before any file was written
+        code = EXIT_BUDGET
     elapsed = time.monotonic() - started
-    if args.budget is not None and elapsed > args.budget:
-        # The fewest significant digits at which the two differ; 17 always do.
-        p = next(p for p in range(2, 18) if f"{elapsed:.{p}g}" != f"{args.budget:.{p}g}")
+    if args.budget is not None and (elapsed > args.budget or code == EXIT_BUDGET):
+        # The fewest significant digits at which the two differ; 17 unless equal.
+        digits = (p for p in range(2, 18) if f"{elapsed:.{p}g}" != f"{args.budget:.{p}g}")
+        p = next(digits, 17)
         print(f"runtime budget exceeded: {elapsed:.{p}g}s > {args.budget:.{p}g}s", file=sys.stderr)
         return EXIT_BUDGET
     return code

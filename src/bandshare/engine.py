@@ -15,6 +15,17 @@ counterfactual bids or pinned resampling coins; ``run_session`` is
 plays a grid of scenarios that share their buyers and horizon on one world and
 demand matrix per session seed, ``run_seeds(seed, n)`` for n runs.
 
+A grid whose buyers are none of them stateful (see below) and whose
+scenarios do not route hybrid is played in batches of runs (``_mc_batch``):
+the runs' demand matrices lie side by side on the epoch axis, and the runs of
+a scenario that share a priority grouping are filled by one sweep, since
+every kernel fills each epoch column from its own capacity.  So each run gets
+its own session's numbers bit for bit, from its own world and streams.  A
+batch holds at most ``BATCH_BYTES`` of stacked demand, and at least one run,
+so that memory does not grow with the runs or the horizon.  Any other grid
+plays each run's sessions one by one (``_mc_worker``).  A deadline, if
+given, is checked between batches.
+
 One path, the priority sweep (``_run_sweep``), plays every session.  It visits
 the priority groups in descending key order and serves each from the capacity
 the groups above it left; under fq and fifo every key ties, so the eligible
@@ -49,11 +60,12 @@ import itertools
 import numbers
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import (Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -89,6 +101,7 @@ MECHANISMS = ("bks", "vmm", "fixed")
 # The field that each strategy kind reads, if any; it leaves the others at their defaults.
 STRATEGY_FIELDS = {"greedy": None, "pad": "pad", "delay": "delay_epochs", "misreport": "bid_factor"}
 Played = Tuple[np.ndarray, np.ndarray, Dict[int, float]]  # see _finish
+World = Tuple[List[DemandRealization], List[List[float]]]  # see _world
 
 
 def _numbers(spec, positive: Sequence[str] = ()) -> None:
@@ -253,9 +266,7 @@ def run_seeds(seed: Union[int, np.random.Generator], n: int) -> List[int]:
     return [int(s) for s in np.random.default_rng(seed).integers(0, 2**63 - 1, size=n)]
 
 
-def _world(
-    buyers: Sequence[BuyerSpec], seed: int
-) -> Tuple[List[DemandRealization], List[List[float]]]:
+def _world(buyers: Sequence[BuyerSpec], seed: int) -> World:
     """Demand realizations of ``seed`` and each buyer's resampling (coin,
     gamma), drawn once for the world in buyer order whatever the bids; a
     world depends on nothing else."""
@@ -301,8 +312,19 @@ def _bid_records(
     for buyer_id, coin in forced.items():
         if not isinstance(coin, (bool, np.bool_)):
             raise ValueError(f"force_resample for buyer {buyer_id!r} must be a bool, got {coin!r}")
-    r, bks = scenario.reserve, scenario.mechanism == "bks"
     bids = [float(override.get(b.buyer_id, b.submitted_bid())) for b in scenario.buyers]
+    return _keyed(scenario, bids, draws, forced)
+
+
+def _keyed(
+    scenario: Scenario,
+    bids: List[float],
+    draws: Sequence[Sequence[float]],
+    forced: Mapping[str, bool],
+) -> Bids:
+    """The records of checked ``bids``: under bks a bid that meets the reserve
+    is resampled by its (coin, gamma) draw, or as ``forced`` pins its coin."""
+    r, bks = scenario.reserve, scenario.mechanism == "bks"
     keyed = [
         resample_bid(bid, min(r, bid), scenario.mu, coin, gamma,
                      forced.get(buyer.buyer_id) if bks and bid >= r else False)
@@ -339,15 +361,17 @@ def replay(scenario: Scenario, seed: int) -> Callable[..., SessionOutcome]:
     call sees the same world, and an unknown id or a non-bool pin is a ``ValueError``.
     Each distinct priority grouping is played once and kept, up to 2n for n buyers.
     """
-    return next(_replays([scenario], seed))
+    return next(_replays([scenario], _world(scenario.buyers, seed)))
 
 
-def _replays(scenarios: Sequence[Scenario], seed: int) -> Iterator[Callable[..., SessionOutcome]]:
+def _replays(
+    scenarios: Sequence[Scenario], world: World
+) -> Iterator[Callable[..., SessionOutcome]]:
     """``replay`` of each of ``scenarios``, which share their buyers and horizon,
     on one world and demand matrix, each session played on the priority sweep.
     Made one at a time, so a Monte Carlo run keeps no allocation past its session."""
     first = scenarios[0]
-    realizations, draws = _world(first.buyers, seed)
+    realizations, draws = world
     stateful = [_stateful(b, r) for b, r in zip(first.buyers, realizations)]
     demand = _demand_matrix(first, realizations)
 
@@ -567,12 +591,14 @@ def _run_sweep(
     above have left in each epoch, and a group's grants depend only on it and
     the group's own history.  By increasing patience epoch p (equal p together,
     as zeroing after p leaves the columns up to p), an impatient buyer who has
-    moved no more than m by p is zeroed after it."""
+    moved no more than m by p is zeroed after it.  ``demand`` may hold several
+    runs' epochs side by side when no buyer is stateful (see ``_mc_batch``):
+    each column is filled from its own capacity."""
     buyers, share = scenario.buyers, proportional if scenario.routing == "fifo" else maxmin
     strict = scenario.routing in ("spq", "hybrid")  # a lone fq or fifo group plays as in the loop
     shown = _shown(demand, groups)
     grants = np.zeros(shown.shape)
-    residual = np.full(scenario.horizon, float(scenario.capacity))
+    residual = np.full(shown.shape[1], float(scenario.capacity))
     top, played = -1, {}  # played: real traffic of the buyers who pad or delay
     if scenario.routing == "hybrid":
         top, played = _boost(scenario, realizations, groups, stateful, residual, grants, shown)
@@ -731,10 +757,18 @@ class MonteCarloStats:
     utilities: Dict[str, MeanCI]
 
 
-def _mc_worker(scenarios: Sequence[Scenario], run_seed: int) -> List[List[float]]:
+# The byte size of one batch's stacked (n, runs, T) demand matrix, which holds
+# at least one run: a batch's other arrays are a few times it, so the memory a
+# Monte Carlo takes does not grow with its runs or its horizon.  welfare_capacity
+# (3 x 600) plays 2 runs per batch; 8 were about 20% faster but held 1.1 MB at
+# once against 0.3 MB.
+BATCH_BYTES = 2**15
+
+
+def _mc_worker(scenarios: Sequence[Scenario], world: World) -> List[List[float]]:
     """Per scenario: welfare, revenue, then bytes, payments and utilities by buyer."""
     rows = []
-    for session in _replays(scenarios, run_seed):
+    for session in _replays(scenarios, world):
         out = session()
         ids = out.buyer_ids
         rows.append([out.welfare, out.seller_revenue, *(out.bytes[b] for b in ids),
@@ -742,8 +776,89 @@ def _mc_worker(scenarios: Sequence[Scenario], run_seed: int) -> List[List[float]
     return rows
 
 
+def _batched(scenarios: Sequence[Scenario], realizations: Sequence[DemandRealization]) -> bool:
+    """Whether a grid's runs are played side by side by ``_mc_batch``: when no
+    buyer is stateful and no scenario routes hybrid, every session is column
+    fills of its world's demand matrix."""
+    stateful = map(_stateful, scenarios[0].buyers, realizations)
+    return not any(stateful) and all(s.routing != "hybrid" for s in scenarios)
+
+
+def _mc_batch(scenarios: Sequence[Scenario], worlds: Iterable[World]) -> np.ndarray:
+    """``_mc_worker``'s rows of every run of ``worlds`` as a (scenario, metric,
+    run) array, for a grid that ``_batched`` admits.
+
+    The runs' demand matrices are stacked (n, B, T).  A scenario's runs are
+    bucketed by priority grouping, which only bks keys vary by run, and each
+    bucket is one ``_run_sweep`` of its (n, B' x T) view: the kernels fill each
+    column from its own capacity, so a run's columns get the grants of its own
+    session.  Each run then settles as ``_finish`` settles it, on (n, B) arrays."""
+    first = scenarios[0]
+    matrices, draws = [], []
+    for realizations, drawn in worlds:  # each world's realizations go once its matrix is made
+        matrices.append(_demand_matrix(first, realizations))
+        draws.append(drawn)
+    demand = np.stack(matrices, axis=1)
+    matrices.clear()
+    n, B, T = demand.shape
+    values = np.array([b.value for b in first.buyers]).reshape(n, 1)
+    plain = [False] * n  # no buyer is stateful
+    out = np.empty((len(scenarios), 2 + 3 * n, B))
+    for s, scenario in enumerate(scenarios):
+        submitted = [float(b.submitted_bid()) for b in scenario.buyers]
+        runs = [_keyed(scenario, submitted, drawn, {}) for drawn in draws]
+        buckets: Dict[str, Tuple[List[List[int]], List[int]]] = {}
+        for k, bids in enumerate(runs):
+            groups = _groups(scenario, bids)
+            buckets.setdefault(repr(groups), (groups, []))[1].append(k)
+        billed, gross = np.empty((2, n, B))
+        for groups, ks in buckets.values():
+            view = (demand if len(ks) == B else demand[:, ks]).reshape(n, len(ks) * T)
+            grants, shown, _ = _run_sweep(scenario, (), view, groups, plain)
+            billed[:, ks] = grants.reshape(n, len(ks), T).sum(-1)
+            if scenario.mechanism == "vmm":
+                shown = shown.reshape(n, len(ks), T)
+                gross[:, ks] = vmm_epoch_charges(shown, submitted, scenario.capacity)
+        rebate = 0.0
+        if scenario.mechanism == "bks":  # as bks_settle
+            bid = np.array(submitted).reshape(n, 1)
+            resampled = np.array([bids.resampled for bids in runs]).T
+            gross = bid * billed
+            rebate = np.where(resampled, billed * (bid - scenario.reserve) / scenario.mu, 0.0)
+        elif scenario.mechanism == "fixed":  # as fixed_price_settle
+            gross = scenario.reserve * billed
+        net = gross - rebate
+        worth = values * billed
+        # Summed over buyers as ``_finish`` sums them, by Python's ``sum``.
+        out[s, :2] = [[sum(run) for run in m.T.tolist()] for m in (worth, net)]
+        out[s, 2:] = np.concatenate([billed, net, worth - net])
+    return out
+
+
+def _mc_runs(scenarios: Sequence[Scenario], batched: bool, worlds: Iterable[World]) -> np.ndarray:
+    """The (scenario, metric, run) samples of the runs of ``worlds``: side by
+    side if ``batched``, else one ``_mc_worker`` call each."""
+    if batched:
+        return _mc_batch(scenarios, worlds)
+    return np.stack([_mc_worker(scenarios, world) for world in worlds], axis=-1)
+
+
+def _mc_task(scenarios: Sequence[Scenario], batched: bool, seeds: Sequence[int]) -> np.ndarray:
+    """One pool task: ``_mc_runs`` of the worlds of ``seeds``, drawn as played."""
+    buyers = scenarios[0].buyers
+    return _mc_runs(scenarios, batched, (_world(buyers, seed) for seed in seeds))
+
+
+def _expired(deadline: Optional[float]) -> bool:
+    return deadline is not None and time.monotonic() > deadline
+
+
 def run_monte_carlo(
-    scenarios: Sequence[Scenario], n_runs: int, seed: int, jobs: int = 1
+    scenarios: Sequence[Scenario],
+    n_runs: int,
+    seed: int,
+    jobs: int = 1,
+    deadline: Optional[float] = None,
 ) -> List[MonteCarloStats]:
     """Mean and 95% CI of welfare, revenue, and per-buyer outcomes, per scenario.
 
@@ -751,35 +866,55 @@ def run_monte_carlo(
     world once and plays every scenario on it.  Run seeds derive
     deterministically from ``seed``; the aggregation folds in run-index
     order, so results are identical for any ``jobs``.
+
+    The runs are played in batches: of up to ``BATCH_BYTES`` of demand matrix
+    side by side when ``_batched`` admits the grid, else of one run (a chunk
+    of runs under the pool).  ``deadline``, a ``time.monotonic()`` reading, is
+    checked after each batch, and under the pool after each completed task,
+    which then cancels the pending ones; once it has passed, a
+    ``TimeoutError`` is raised.
     """
     if n_runs < 1 or not scenarios:
         raise ValueError("need at least one run and one scenario")
     shared = (scenarios[0].buyers, scenarios[0].horizon)
     if any((s.buyers, s.horizon) != shared for s in scenarios):
         raise ValueError("the scenarios of one Monte Carlo must share their buyers and horizon")
-    ids = [b.buyer_id for b in scenarios[0].buyers]
+    buyers, horizon = shared
+    ids = [b.buyer_id for b in buyers]
     n = len(ids)
-    samples = np.empty((len(scenarios), 2 + 3 * n, n_runs))  # scenario, metric, run
-    worker, seeds = partial(_mc_worker, scenarios), run_seeds(seed, n_runs)
+    seeds = run_seeds(seed, n_runs)
+    first = _world(buyers, seeds[0])  # it decides the path, and plays run 0 when serial
+    batched = _batched(scenarios, first[0])
     # The pool forks all its workers at the first submit: no more than the
     # runs, nor than the CPUs this process may use.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(jobs, n_runs, cpus or 1)
+    if batched:
+        size = max(1, BATCH_BYTES // (8 * max(1, n * horizon)))
+    else:
+        size = 1 if workers == 1 else max(1, n_runs // (workers * 8))
+    count = max(workers, -(-n_runs // size))  # batches of near-equal size
+    bounds = [n_runs * k // count for k in range(count + 1)]
+    spans = list(zip(bounds, bounds[1:]))
+    samples = np.empty((len(scenarios), 2 + 3 * n, n_runs))  # scenario, metric, run
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, n_runs // (workers * 8))
-            for k, rows in enumerate(pool.map(worker, seeds, chunksize=chunk)):
-                samples[:, :, k] = rows
+            task = partial(_mc_task, scenarios, batched)
+            blocks = pool.map(task, [seeds[lo:hi] for lo, hi in spans])
+            for (lo, hi), block in zip(spans, blocks):
+                samples[:, :, lo:hi] = block
+                if _expired(deadline):
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    raise TimeoutError(f"deadline passed after {hi} of {n_runs} runs")
     else:
-        for k, run_seed in enumerate(seeds):
-            samples[:, :, k] = worker(run_seed)
-    return [
-        MonteCarloStats(
-            welfare=summarize(metric[0]),
-            seller_revenue=summarize(metric[1]),
-            bytes={b: summarize(metric[2 + i]) for i, b in enumerate(ids)},
-            payments={b: summarize(metric[2 + n + i]) for i, b in enumerate(ids)},
-            utilities={b: summarize(metric[2 + 2 * n + i]) for i, b in enumerate(ids)},
-        )
-        for metric in samples
-    ]
+        worlds = itertools.chain([first], (_world(buyers, s) for s in seeds[1:]))
+        for lo, hi in spans:
+            samples[:, :, lo:hi] = _mc_runs(scenarios, batched, itertools.islice(worlds, hi - lo))
+            if _expired(deadline):
+                raise TimeoutError(f"deadline passed after {hi} of {n_runs} runs")
+    stats, summary = [], summarize(samples)
+    for means, lows, highs in zip(summary.mean, summary.ci_low, summary.ci_high):
+        cis = [MeanCI(*v) for v in zip(means, lows, highs)]
+        per_buyer = [dict(zip(ids, cis[k : k + n])) for k in (2, 2 + n, 2 + 2 * n)]
+        stats.append(MonteCarloStats(cis[0], cis[1], *per_buyer))
+    return stats

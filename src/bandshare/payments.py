@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -101,15 +101,19 @@ def vmm_epoch_charges(demand: np.ndarray, bids: Sequence[float], c: float) -> np
     Without i, her grant in the one ``spq`` fill flows down the unmet demand of
     her tied peers, then of the groups below, in priority order: each row q
     takes min(unmet_q, what is still free), and charge_i sums b_q times that.
+
+    An (n, B, T) ``demand`` is B sessions side by side under the same bids:
+    their columns are filled as one (n, B x T) matrix, and the charges come
+    back (n, B), each summed over its own session's epochs.
     """
     demand = np.asarray(demand, dtype=float)
     keys = np.asarray(bids, dtype=float).tolist()
     n = len(keys)
     if demand.shape[0] != n:
         raise ValueError(f"{n} bids for {demand.shape[0]} demand rows")
-    grants = spq(demand, keys, c)
+    grants = spq(demand.reshape(n, math.prod(demand.shape[1:])), keys, c).reshape(demand.shape)
     unmet = demand - grants
-    charges = np.zeros(n)
+    charges = np.zeros(demand.shape[:-1])
     below = []  # the rows of the groups below, in priority order
     for rows in reversed(priority_groups(keys)):
         for i in rows:
@@ -117,7 +121,7 @@ def vmm_epoch_charges(demand: np.ndarray, bids: Sequence[float], c: float) -> np
             for q in [j for j in rows if j != i] + below:
                 take = np.minimum(unmet[q], freed)
                 freed -= take
-                charges[i] += keys[q] * take.sum()
+                charges[i] += keys[q] * take.sum(axis=-1)
         below = rows + below
     return charges
 
@@ -138,17 +142,21 @@ class MeanCI:
     ci_high: float
 
 
-def summarize(samples: Sequence[float]) -> MeanCI:
+def summarize(samples: Union[Sequence[float], np.ndarray]) -> MeanCI:
+    """Mean and 95% CI of ``samples`` along its last axis: floats for a 1-D
+    sequence, nested lists of the leading shape for an array of samples."""
     arr = np.asarray(samples, dtype=float)
-    n = arr.size
+    n = arr.shape[-1]
     if n == 0:
         raise ValueError("no samples")
     # Work in units of a power of two at least the largest magnitude, so that
     # squared deviations cannot overflow; the scaling is exact.
-    scale = math.ldexp(1.0, -math.frexp(np.abs(arr).max())[1])
-    arr = arr * scale
-    mean = float(arr.mean())
+    scale = np.ldexp(1.0, -np.frexp(np.abs(arr).max(axis=-1))[1])
+    arr = arr * scale[..., None]
+    mean = arr.mean(axis=-1)
     if n == 1:
-        return MeanCI(mean / scale, mean / scale, mean / scale)
-    half = _Z95 * float(arr.std(ddof=1)) / math.sqrt(n)
-    return MeanCI(mean / scale, (mean - half) / scale, (mean + half) / scale)
+        bounds = (mean, mean, mean)
+    else:
+        half = _Z95 * arr.std(axis=-1, ddof=1) / math.sqrt(n)
+        bounds = (mean, mean - half, mean + half)
+    return MeanCI(*((v / scale).tolist() for v in bounds))

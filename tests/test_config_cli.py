@@ -800,6 +800,42 @@ class TestCli:
         assert code == 3
         assert capsys.readouterr().err == f"runtime budget exceeded: {shown}\n"
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_budget_stops_the_monte_carlo_and_writes_no_file(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        """The clock reads 100 when main starts and 110 after: the Monte Carlo
+        stops after its first batch, and no result or trace file is written."""
+        readings = []
+
+        def clock():
+            readings.append(None)
+            return 100.0 if len(readings) == 1 else 110.0
+
+        monkeypatch.setattr(cli.time, "monotonic", clock)
+        doc = dict(MINI_DOC, runs=50, sweep={"variable": "capacity", "values": [8, 16]})
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        code = self.run_cli(command, "--config", config, "--out-dir", str(out), "--budget", "0.5")
+        assert code == 3
+        assert capsys.readouterr().err == "runtime budget exceeded: 10s > 0.5s\n"
+        assert not out.exists()
+        assert len(readings) == 3  # main's start, after the one batch, main's end
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_budget_not_reached_leaves_the_files_unchanged(self, tmp_path, monkeypatch, command):
+        doc = dict(MINI_DOC, runs=5, sweep={"variable": "capacity", "values": [8, 16]})
+        config = write_config(tmp_path, doc)
+        free, budgeted = tmp_path / "free", tmp_path / "budgeted"
+        assert self.run_cli(command, "--config", config, "--out-dir", str(free)) == 0
+        monkeypatch.setattr(cli.time, "monotonic", lambda: 100.0)
+        argv = ["--config", config, "--out-dir", str(budgeted), "--budget", "0.5"]
+        assert self.run_cli(command, *argv) == 0
+        names = sorted(os.listdir(free))
+        assert names == sorted(os.listdir(budgeted)) and names
+        for name in names:
+            assert (free / name).read_bytes() == (budgeted / name).read_bytes()
+
     def test_console_entry_point(self, tmp_path):
         config = write_config(tmp_path, MINI_DOC)
         # The child imports the package this test imported, which pytest may

@@ -1493,6 +1493,40 @@ class TestPathChoice:
         assert self.loop_calls(monkeypatch, scenario) == 0
         assert self.loop_calls(monkeypatch, scenario, bid_override={"a": 3.0}) == 0
 
+    @staticmethod
+    def monte_carlo_paths(monkeypatch, grid):
+        """The Monte Carlo paths that a 4-run ``grid`` takes: "batch" for each
+        ``_mc_batch`` call, "run" for each ``_mc_worker`` call."""
+        taken = []
+        for name, path in (("_mc_batch", "batch"), ("_mc_worker", "run")):
+            fn = getattr(bandshare.engine, name)
+            monkeypatch.setattr(
+                bandshare.engine, name, lambda *a, fn=fn, path=path: taken.append(path) or fn(*a)
+            )
+        run_monte_carlo(grid, 4, seed=1)
+        return taken
+
+    @pytest.mark.parametrize("name", ["impatient_deviation", "packet_contest_vcg"])
+    def test_stateful_or_hybrid_grids_play_run_by_run(self, monkeypatch, name):
+        """impatient_deviation has an impatient buyer and a hybrid variant,
+        packet_contest_vcg a buffered buyer: each run is one ``_mc_worker``."""
+        cfg = load_config(builtin_config_path(name))
+        grid = [v.scenario for v in cfg.variants]
+        assert self.monte_carlo_paths(monkeypatch, grid) == ["run"] * 4
+
+    def test_one_hybrid_scenario_or_stateful_buyer_unbatches_a_grid(self, monkeypatch):
+        plain = BATCH_GRIDS["welfare_capacity"][:4]
+        assert set(self.monte_carlo_paths(monkeypatch, plain)) == {"batch"}
+        hi = plain[0].buyers[0]
+        hybrid = replace(plain[1], routing="hybrid", hybrid=HybridBoost(hi.buyer_id, 50.0, 30))
+        monkeypatch.undo()
+        assert self.monte_carlo_paths(monkeypatch, plain + [hybrid]) == ["run"] * 4
+        for strategy in (Strategy("pad", pad=1.0), Strategy("delay", delay_epochs=2)):
+            buyers = (replace(hi, strategy=strategy), *plain[0].buyers[1:])
+            monkeypatch.undo()
+            grid = [replace(s, buyers=buyers) for s in plain]
+            assert self.monte_carlo_paths(monkeypatch, grid) == ["run"] * 4
+
 
 class TestEligibility:
     """A buyer whose bid misses the reserve (the auction reserve under vmm,
@@ -2381,6 +2415,235 @@ class TestMonteCarlo:
     def test_needs_a_run_and_a_scenario(self, n_runs, n_scenarios):
         with pytest.raises(ValueError, match="at least one run and one scenario"):
             run_monte_carlo([self.scenario("bks")] * n_scenarios, n_runs, seed=1)
+
+
+@st.composite
+def batch_grids(draw):
+    """Grids that ``_batched`` admits: n <= 4 memoryless buyers, greedy or
+    misreporting, with windows and often tied values, and up to 6 scenarios
+    on them under spq, fq or fifo and any mechanism, with reserves that
+    often exceed some bids."""
+    horizon = draw(st.integers(1, 25))
+    buyers = []
+    for k in range(draw(st.integers(1, 4))):
+        value = draw(st.one_of(st.sampled_from([1.0, 2.0, 4.0]), st.floats(0.0, 10.0)))
+        arrival = draw(st.integers(0, horizon + 2))
+        departure = draw(st.integers(arrival, horizon + 5))
+        demand = draw(memoryless_models(horizon))
+        strategy = draw(MEMORYLESS_STRATEGIES)
+        buyers.append(BuyerSpec(f"b{k}", value, demand, arrival, departure, strategy))
+    return [
+        Scenario(
+            buyers=tuple(buyers),
+            capacity=draw(st.floats(0.5, 60.0)),
+            routing=draw(st.sampled_from(["spq", "fq", "fifo"])),
+            mechanism=draw(st.sampled_from(["bks", "vmm", "fixed"])),
+            mu=draw(st.sampled_from([0.2, 0.5, 0.9])),
+            reserve=draw(st.sampled_from([0.0, 1.0, 2.0, 4.0])),
+            horizon=horizon,
+        )
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+
+
+BATCH_GRIDS = {
+    name: [cfg.sweep.apply(v.scenario, x) for x in cfg.sweep.values for v in cfg.variants]
+    for name in ("welfare_capacity", "reserve_sweep")
+    for cfg in [load_config(builtin_config_path(name))]
+}
+
+
+def per_run(scenarios, worlds):
+    """The (scenario, metric, run) samples of ``_mc_worker``, one run at a time."""
+    return np.stack([bandshare.engine._mc_worker(scenarios, world) for world in worlds], axis=-1)
+
+
+def batch_sizes(monkeypatch):
+    """The number of runs of each ``_mc_batch`` call, as the calls are made."""
+    sizes, batch = [], bandshare.engine._mc_batch
+
+    def counted(grid, worlds):
+        worlds = list(worlds)
+        sizes.append(len(worlds))
+        return batch(grid, worlds)
+
+    monkeypatch.setattr(bandshare.engine, "_mc_batch", counted)
+    return sizes
+
+
+class TestBatchedMonteCarlo:
+    """A batchable grid's runs, played side by side in one priority fill per
+    grouping, give bit for bit what one ``_mc_worker`` call per run gives."""
+
+    @given(grid=batch_grids(), seed=st.integers(0, 2**32), runs=st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_batch_equals_one_run_at_a_time(self, grid, seed, runs):
+        worlds = [_world(grid[0].buyers, s) for s in run_seeds(seed, runs)]
+        assert bandshare.engine._batched(grid, worlds[0][0])
+        batch = bandshare.engine._mc_batch(grid, worlds)
+        assert batch.tobytes() == per_run(grid, worlds).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(BATCH_GRIDS))
+    def test_builtin_grids_batch_exactly(self, name):
+        """welfare_capacity (vmm, bks, fq and fifo) and reserve_sweep (bids
+        below the reserve) at 13 runs, whose bks runs fall in many groupings."""
+        grid = BATCH_GRIDS[name]
+        worlds = [_world(grid[0].buyers, s) for s in run_seeds(11, 13)]
+        batch = bandshare.engine._mc_batch(grid, worlds)
+        assert batch.tobytes() == per_run(grid, worlds).tobytes()
+
+    def test_tied_bids_and_a_reserve_above_some(self):
+        """Tied values, misreports tying with them, windows and a reserve
+        that shuts out two buyers, under every mechanism and policy."""
+        buyers = (
+            BuyerSpec("a", 2.0, DemandSpec.flow_trace(8.0, 40), 1, 40),
+            BuyerSpec("b", 2.0, DemandSpec.constant(6.0), 5, 30),
+            BuyerSpec("c", 4.0, DemandSpec.flow_trace(9.0, 40), 3, 38,
+                      Strategy("misreport", bid_factor=0.5)),
+            BuyerSpec("d", 1.0, DemandSpec.time_varying([5.0] * 20), 0, 60),
+            BuyerSpec("e", 3.0, DemandSpec.constant(4.0), 10, 12,
+                      Strategy("misreport", bid_factor=0.25)),
+        )
+        grid = [
+            Scenario(buyers, capacity=c, routing=routing, mechanism=mechanism, reserve=r,
+                     horizon=40, mu=0.5)
+            for routing in ("spq", "fq", "fifo")
+            for mechanism in ("bks", "vmm", "fixed")
+            for c, r in ((9.0, 0.0), (14.0, 1.5))
+        ]
+        worlds = [_world(buyers, s) for s in run_seeds(3, 17)]
+        batch = bandshare.engine._mc_batch(grid, worlds)
+        assert batch.tobytes() == per_run(grid, worlds).tobytes()
+
+    def test_a_grid_with_no_buyers(self):
+        grid = [
+            Scenario((), capacity=5.0, routing=routing, mechanism=mechanism, horizon=10)
+            for routing in ("spq", "fq", "fifo")
+            for mechanism in ("bks", "vmm", "fixed")
+        ]
+        worlds = [_world((), s) for s in run_seeds(2, 3)]
+        batch = bandshare.engine._mc_batch(grid, worlds)
+        assert batch.shape == (9, 2, 3)
+        assert batch.tobytes() == per_run(grid, worlds).tobytes()
+
+    @pytest.mark.parametrize("runs, size", [(7, 3), (10, 4), (5, 1), (9, 9), (6, 20)])
+    def test_batch_sizes_that_do_not_divide_the_runs(self, monkeypatch, runs, size):
+        """``BATCH_BYTES`` caps a batch at ``size`` runs of welfare_capacity's
+        3 x 600 matrix; the runs split into batches that differ by one at
+        most, and the statistics are those of the per-run path."""
+        grid = BATCH_GRIDS["welfare_capacity"]
+        monkeypatch.setattr(bandshare.engine, "BATCH_BYTES", size * 8 * 3 * 600 + 7)
+        sizes = batch_sizes(monkeypatch)
+        batched = run_monte_carlo(grid, runs, seed=5)
+        count = -(-runs // size)
+        assert sum(sizes) == runs and len(sizes) == count and max(sizes) - min(sizes) <= 1
+        monkeypatch.setattr(bandshare.engine, "_batched", lambda *args: False)
+        assert batched == run_monte_carlo(grid, runs, seed=5)
+
+    def test_batch_bytes_bound_the_batch_not_the_runs(self, monkeypatch):
+        """A batch holds at least one run, however large its matrix, and no
+        more than ``BATCH_BYTES`` of matrix, however many runs there are."""
+        sizes = batch_sizes(monkeypatch)
+        scenario = TestMonteCarlo().scenario("vmm")  # 3 buyers x 100 epochs
+        monkeypatch.setattr(bandshare.engine, "BATCH_BYTES", 100)
+        run_monte_carlo([scenario], 3, seed=1)
+        assert sizes == [1, 1, 1]
+        sizes.clear()
+        monkeypatch.setattr(bandshare.engine, "BATCH_BYTES", 8 * 3 * 100 * 4)
+        run_monte_carlo([scenario], 41, seed=1)
+        assert len(sizes) == 11 and max(sizes) <= 4
+
+    def test_jobs_give_identical_csv_across_batches(self, monkeypatch, tmp_path):
+        """A sweep split into several batches writes the same bytes serially
+        and under a pool of at most 2 workers (fewer if the process may use
+        fewer CPUs), whose tasks are batches of near-equal size."""
+        monkeypatch.setattr(bandshare.engine, "BATCH_BYTES", 8 * 3 * 600 * 2)
+        config = builtin_config_path("welfare_capacity")
+        written = []
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            argv = ["sweep", "--config", config, "--runs", "9", "--jobs", jobs]
+            argv += ["--out-dir", str(out)]
+            assert main(argv) == 0
+            written.append((out / "welfare_capacity_sweep_capacity.csv").read_bytes())
+        assert written[0] == written[1]
+
+
+class TestDeadline:
+    """``run_monte_carlo`` reads the clock after each batch, and under the pool
+    after each task, and stops with a ``TimeoutError`` once the deadline has
+    passed.  The clock is a stand-in that moves past it at a chosen reading."""
+
+    @staticmethod
+    def clock(monkeypatch, expire_at):
+        """``time.monotonic`` reads 0 until its ``expire_at``-th reading, 100 from then on."""
+        readings = []
+        monkeypatch.setattr(
+            bandshare.engine.time, "monotonic",
+            lambda: readings.append(None) or (100.0 if len(readings) >= expire_at else 0.0),
+        )
+        return readings
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls, fn = [], getattr(bandshare.engine, name)
+        monkeypatch.setattr(bandshare.engine, name, lambda *a: calls.append(a) or fn(*a))
+        return calls
+
+    def test_serial_batches_stop_at_the_deadline(self, monkeypatch):
+        monkeypatch.setattr(bandshare.engine, "BATCH_BYTES", 8 * 3 * 100 * 2)
+        batches = self.counted(monkeypatch, "_mc_batch")
+        readings = self.clock(monkeypatch, expire_at=3)
+        with pytest.raises(TimeoutError, match="after 6 of 10 runs"):
+            run_monte_carlo([TestMonteCarlo().scenario("bks")], 10, seed=2, deadline=50.0)
+        assert len(batches) == 3 and len(readings) == 3
+
+    def test_serial_runs_stop_at_the_deadline(self, monkeypatch):
+        """A grid with a stateful buyer plays one run per batch."""
+        base = TestMonteCarlo().scenario("bks")
+        scenario = replace(base, buyers=(
+            replace(base.buyers[0], demand=DemandSpec.buffered([5.0] * 50)), *base.buyers[1:]
+        ))
+        runs = self.counted(monkeypatch, "_mc_worker")
+        self.clock(monkeypatch, expire_at=4)
+        with pytest.raises(TimeoutError, match="after 4 of 9 runs"):
+            run_monte_carlo([scenario], 9, seed=2, deadline=50.0)
+        assert len(runs) == 4
+
+    def test_no_deadline_hit_leaves_the_results_alone(self, monkeypatch):
+        scenario = TestMonteCarlo().scenario("vmm")
+        free = run_monte_carlo([scenario], 6, seed=4)
+        self.clock(monkeypatch, expire_at=10**9)
+        assert run_monte_carlo([scenario], 6, seed=4, deadline=50.0) == free
+
+    def test_pool_stops_between_tasks_and_cancels_the_rest(self, monkeypatch):
+        """The stand-in pool plays its tasks lazily in this process and starts
+        no worker; the tasks after the expired one are cancelled unplayed."""
+        played, shut = [], []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        class InProcess:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return (played.append(len(seeds)) or fn(seeds) for seeds in tasks)
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                shut.append((wait, cancel_futures))
+
+        monkeypatch.setattr(bandshare.engine, "ProcessPoolExecutor", InProcess)
+        monkeypatch.setattr(bandshare.engine, "BATCH_BYTES", 8 * 3 * 100 * 3)
+        self.clock(monkeypatch, expire_at=2)
+        with pytest.raises(TimeoutError, match="after 6 of 12 runs"):
+            run_monte_carlo([TestMonteCarlo().scenario("vmm")], 12, seed=2, jobs=2, deadline=50.0)
+        assert played == [3, 3] and shut == [(False, True)]
 
 
 class TestLedgerBridge:

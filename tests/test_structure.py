@@ -24,15 +24,23 @@ the eligibility floor (the reserve, which is the posted price under ``fixed``).
 Allocation is bid-blind and settlement happens once: no allocation function
 takes the bid records or reads a bid, a routing key or a resampling flag, and
 one engine function, the replayed session, calls ``_finish``, and only
-``_finish`` calls the settlement functions.
+``_finish`` calls the settlement functions.  The one other settler is the
+Monte Carlo batch (``_mc_batch``), which settles the runs it plays side by
+side: it calls ``vmm_epoch_charges`` once, and no other settlement function.
 
-Traffic totals are formed in one place: ``_finish`` is the only engine
-function that sums or accumulates a row of ``grants``, apart from the
-impatient quit test's prefix ``cumsum`` in the sweep (a decision, not a
-reported total), and the loop and the sweep each return a 3-tuple of their
-grants, the presented demand and the real traffic ``_play`` kept.  Every
-session plays the sweep: the replayed session calls ``_run_sweep`` and no
+Traffic totals are formed in two places, one per session and one per batch:
+``_finish`` and ``_mc_batch`` are the only engine functions that sum or
+accumulate a row of ``grants``, each once, apart from the impatient quit
+test's prefix ``cumsum`` in the sweep (a decision, not a reported total),
+and the loop and the sweep each return a 3-tuple of their grants, the
+presented demand and the real traffic ``_play`` kept.  Every session plays
+the sweep: the replayed session and the batch call ``_run_sweep`` and no
 other path, and nothing in the package calls the loop, the tests' reference.
+
+A Monte Carlo grid is batched by what it plays and nothing else: one engine
+function, ``_batched``, decides it from ``_stateful`` and the scenarios'
+routing; only ``run_monte_carlo`` calls it, with no flag of its own, and the
+engine reads no environment variable.
 
 VCG charges come from one priority fill: ``payments.vmm_epoch_charges``
 calls ``spq`` once and never in a loop, so no per-buyer re-fill comes back.
@@ -256,12 +264,18 @@ def _settlements(tree):
     ]
 
 
+def _engine_function(name):
+    return next(f for f in ENGINE.body if isinstance(f, ast.FunctionDef) and f.name == name)
+
+
 def test_only_finish_settles():
-    finish = next(f for f in ENGINE.body if isinstance(f, ast.FunctionDef) and f.name == "_finish")
-    inside = _settlements(finish)
+    """Only ``_finish`` settles a session, and ``_mc_batch`` a batch of runs."""
+    inside = _settlements(_engine_function("_finish"))
     assert {ast.unparse(node.func) for node in inside} == SETTLEMENT
-    outside = [ast.unparse(node) for node in _settlements(ENGINE) if node not in inside]
-    assert outside == [], f"settlement outside _finish: {outside}"
+    batch = _settlements(_engine_function("_mc_batch"))
+    assert [ast.unparse(node.func) for node in batch] == ["vmm_epoch_charges"]
+    outside = [ast.unparse(node) for node in _settlements(ENGINE) if node not in inside + batch]
+    assert outside == [], f"settlement outside _finish and _mc_batch: {outside}"
 
 
 @pytest.mark.parametrize("name", ALLOCATION)
@@ -293,7 +307,11 @@ def test_traffic_totals_formed_only_in_finish():
         for func in ast.walk(ENGINE)
         if isinstance(func, ast.FunctionDef) and (totals := list(_grant_totals(func)))
     }
-    assert totals == {"_finish": ["grants.sum(axis=1)"], "_run_sweep": [QUIT_TEST]}
+    assert totals == {
+        "_finish": ["grants.sum(axis=1)"],
+        "_mc_batch": ["grants.reshape(n, len(ks), T).sum(-1)"],
+        "_run_sweep": [QUIT_TEST],
+    }
 
 
 @pytest.mark.parametrize("name", PATHS)
@@ -306,9 +324,9 @@ def test_paths_return_three_tuples(name):
 
 
 def test_sessions_take_only_the_sweep():
-    """Every session call plays the priority sweep: ``_replays`` calls
-    ``_run_sweep`` and no other path, and nothing in the package calls the
-    loop, which only the tests hold the sweep to."""
+    """Every session call plays the priority sweep: ``_replays`` and the
+    Monte Carlo batch call ``_run_sweep`` and no other path, and nothing in
+    the package calls the loop, which only the tests hold the sweep to."""
     calls = [
         (func.name, ast.unparse(node.func))
         for path in SRC.glob("*.py")
@@ -317,7 +335,7 @@ def test_sessions_take_only_the_sweep():
         for node in _own_nodes(func)
         if isinstance(node, ast.Call) and ast.unparse(node.func).startswith("_run_")
     ]
-    assert calls == [("session", "_run_sweep")], calls
+    assert sorted(calls) == [("_mc_batch", "_run_sweep"), ("session", "_run_sweep")], calls
     replays = next(f for f in ENGINE.body if isinstance(f, ast.FunctionDef) and f.name == "_replays")
     assert "session" in {f.name for f in ast.walk(replays) if isinstance(f, ast.FunctionDef)}
 
@@ -379,3 +397,27 @@ def test_tracer_patches_and_restores_every_name():
     finally:
         tracer.uninstall()
     assert all(vars(owner)[attr] is fn for (owner, attr), fn in originals.items())
+
+
+def test_batch_chosen_only_by_statefulness_and_routing():
+    """``_batched`` reads buyers' statefulness through ``_stateful`` and the
+    scenarios' routing and nothing else; ``run_monte_carlo`` alone calls it
+    and takes no batching flag, and the engine reads no environment variable."""
+    func = _engine_function("_batched")
+    reads = {n.attr for n in ast.walk(func) if isinstance(n, ast.Attribute)}
+    assert reads == {"buyers", "routing"}, reads
+    called = {ast.unparse(n.func) for n in ast.walk(func) if isinstance(n, ast.Call)}
+    assert called == {"map", "any", "all"}, called
+    assert "_stateful" in {n.id for n in ast.walk(func) if isinstance(n, ast.Name)}
+    callers = [
+        f.name for f in ENGINE.body if isinstance(f, ast.FunctionDef)
+        and any(isinstance(n, ast.Call) and ast.unparse(n.func) == "_batched" for n in ast.walk(f))
+    ]
+    assert callers == ["run_monte_carlo"], callers
+    params = [a.arg for a in _engine_function("run_monte_carlo").args.args]
+    assert params == ["scenarios", "n_runs", "seed", "jobs", "deadline"], params
+    environ = [
+        ast.unparse(n) for n in ast.walk(ENGINE)
+        if isinstance(n, ast.Attribute) and n.attr in ("environ", "getenv", "environb")
+    ]
+    assert environ == [], environ
