@@ -10,11 +10,13 @@ pooling, plus a CLI for running the packaged experiment scenarios.
 from bandshare.demand import DemandRealization, DemandSpec, check_natural
 from bandshare.engine import (
     BuyerSpec,
+    Probe,
     Scenario,
     SessionOutcome,
     Strategy,
     replay,
     run_monte_carlo,
+    run_probes,
     run_seeds,
     run_session,
 )

@@ -15,10 +15,11 @@ Subcommands:
 Outputs are deterministic: the same config and seed reproduce byte-identical
 files (numeric text fixed at 12 significant digits).  Exit codes: 0 success,
 1 validation error, 2 property-suite failure, 3 runtime budget exceeded.
-``--budget`` is a deadline: ``simulate`` and ``sweep`` hand it to
-``run_monte_carlo``, which stops between batches of runs once it has passed,
-and then exit 3 having written no file; ``pool`` and ``verify`` are held to
-it only when they have finished.
+``--budget`` is a deadline: ``simulate``, ``sweep`` and ``verify --suite
+truthfulness`` hand it to the engine's Monte Carlo, which stops between
+batches of runs once it has passed, and then exit 3 having written no file
+and printed no verdict; ``pool`` and the other suites are held to it only
+when they have finished.
 """
 
 from __future__ import annotations
@@ -256,6 +257,7 @@ def cmd_verify(args) -> int:
         if runs < 2:
             raise ConfigError(f"need --runs >= 2, got {runs}")
         kwargs["n_runs"] = runs
+        kwargs["deadline"] = args.deadline
     elif args.runs is not None:
         raise ConfigError(f"--runs applies to the truthfulness suite only, not {args.suite!r}")
     report = run_suite(args.suite, seed=args.seed, **kwargs)
@@ -347,7 +349,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except TimeoutError:  # the Monte Carlo stopped at the deadline, before any file was written
+    except TimeoutError:  # the Monte Carlo stopped at the deadline, before any output
         code = EXIT_BUDGET
     elapsed = time.monotonic() - started
     if args.budget is not None and (elapsed > args.budget or code == EXIT_BUDGET):

@@ -131,6 +131,31 @@ class FieldError(ValueError):
         cls.check(_finite(v), field, "finite", v, label)
 
 
+def _generation(kind: str, g: Sequence[object]) -> Tuple[float, ...]:
+    """``g`` as a tuple of floats if every entry is a real number, not a
+    bool, finite and >= 0; else a ``FieldError`` names the first bad epoch.
+    Entries that are all floats and ints, or an array of real numbers, are
+    checked in one pass through numpy; anything else, or a failure there,
+    is checked entry by entry."""
+    if isinstance(g, np.ndarray):
+        plain = g.dtype.kind in "fiu"
+    else:
+        plain = set(map(type, g)) <= {float, int}
+    if plain:
+        try:
+            values = np.asarray(g, dtype=float)
+        except OverflowError:  # an int too large for a float
+            values = np.array([np.nan])
+        if values.ndim == 1 and np.isfinite(values).all() and (values >= 0).all():
+            return tuple(values.tolist())
+    for p, v in enumerate(g, start=1):
+        ok = isinstance(v, numbers.Real) and not isinstance(v, bool)
+        if not (ok and _finite(v) and v >= 0):
+            what = f"{kind}: generation at epoch {p}"
+            raise FieldError("g", f"{what} must be a finite number >= 0, got {v}")
+    return tuple(float(v) for v in g)
+
+
 def _check(ok: bool, message: str) -> None:
     if not ok:
         raise ValueError(message)
@@ -355,12 +380,7 @@ class DemandSpec:
         if kind in ("time_varying", "buffered"):
             ok = isinstance(g, (list, tuple, np.ndarray)) and len(g) > 0
             FieldError.check(ok, "g", "a nonempty sequence of generated KB", g, f"{kind}: ")
-            for p, v in enumerate(g, start=1):
-                ok = isinstance(v, numbers.Real) and not isinstance(v, bool)
-                if not (ok and _finite(v) and v >= 0):
-                    what = f"{kind}: generation at epoch {p}"
-                    raise FieldError("g", f"{what} must be a finite number >= 0, got {v}")
-            params["g"] = tuple(float(v) for v in g)
+            params["g"] = _generation(kind, g)
         elif kind in ("increasing_rate", "increasing_total"):
             # A spot check of g on a probe grid, not a proof of monotonicity.
             FieldError.check(callable(g), "g", "callable on a continuous argument", g, f"{kind}: ")

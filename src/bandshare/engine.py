@@ -11,20 +11,26 @@ once per world whatever the bids), so a world depends only on the buyers and
 the seed.  ``replay(scenario, seed)`` materializes that world once and returns
 ``session(bid_override=None, force_resample=None)``, which plays it under any
 counterfactual bids or pinned resampling coins; ``run_session`` is
-``replay(scenario, seed)(bid_override, force_resample)``.  ``run_monte_carlo``
-plays a grid of scenarios that share their buyers and horizon on one world and
-demand matrix per session seed, ``run_seeds(seed, n)`` for n runs.
+``replay(scenario, seed)(bid_override, force_resample)``.
 
-A grid whose buyers are none of them stateful (see below) and whose
-scenarios do not route hybrid is played in batches of runs (``_mc_batch``):
-the runs' demand matrices lie side by side on the epoch axis, and the runs of
-a scenario that share a priority grouping are filled by one sweep, since
-every kernel fills each epoch column from its own capacity.  So each run gets
-its own session's numbers bit for bit, from its own world and streams.  A
-batch holds at most ``BATCH_BYTES`` of stacked demand, and at least one run,
-so that memory does not grow with the runs or the horizon.  Any other grid
-plays each run's sessions one by one (``_mc_worker``).  A deadline, if
-given, is checked between batches.
+``run_probes`` plays a list of probes, each a scenario with an optional bid
+override and pinned coins, on one world and demand matrix per session seed
+(``run_seeds(seed, n)`` for n runs), and returns every run's numbers;
+``run_monte_carlo`` is ``run_probes`` on a grid of scenarios, each a probe
+with neither, and the truthfulness suite's estimator is ``run_probes`` on
+its (buyer, bid, coin) probes.  A probe's overrides are checked once, before
+any run.  When no buyer is stateful (see below) and no scenario routes
+hybrid, the runs are played in batches (``_mc_batch``): the runs' demand
+matrices lie side by side on the epoch axis, every (probe, run) pair is
+keyed, and the pairs of one scenario that share a priority grouping, across
+all probes, are filled by one sweep over the union of their runs' columns,
+since every kernel fills each epoch column from its own capacity.  So each
+pair gets its own session's numbers bit for bit, from its own world and
+streams.  A batch holds at most ``BATCH_BYTES`` of stacked demand, and at
+least one run, so that memory does not grow with the runs or the horizon.
+Otherwise each run plays its probes one by one on ``_replays``' sessions
+(``_mc_worker``), the probes of one scenario on one session and its memo.
+A deadline, if given, is checked between batches.
 
 One path, the priority sweep (``_run_sweep``), plays every session.  It visits
 the priority groups in descending key order and serves each from the capacity
@@ -45,13 +51,14 @@ The epoch loop (``_run_loop``), ``_play`` on every group at full capacity, is
 the reference semantics the tests hold the sweep to; no session calls it.
 
 A session call decides bids, eligibility and priority order once, by buyer
-position: ``_bid_records`` lists bids, routing keys and resampling flags in
-scenario order, and ``_groups`` groups the eligible buyers by key.  The sweep
-and the loop see only those groups, never a bid, and return grants, presented
-demand and the real traffic of buyers who pad or delay; ``_finish`` settles
-each buyer on her grants' pairwise row total, which is her real traffic if she
-does neither.  So a replayed world plays each distinct grouping once; it keeps
-at most 2n allocations for n buyers, one per rank and tie of one probed buyer.
+position: ``_checked`` lists the bids in scenario order, ``_keyed`` their
+routing keys and resampling flags, and ``_groups`` groups the eligible
+buyers by key.  The sweep and the loop see only those groups, never a bid,
+and return grants, presented demand and the real traffic of buyers who pad
+or delay; ``_finish`` settles each buyer on her grants' pairwise row total,
+which is her real traffic if she does neither.  So a replayed world plays
+each distinct grouping once; it keeps at most 2n allocations for n buyers,
+one per rank and tie of one probed buyer.
 """
 
 from __future__ import annotations
@@ -86,12 +93,14 @@ __all__ = [
     "BuyerSpec",
     "HybridBoost",
     "MonteCarloStats",
+    "Probe",
     "Scenario",
     "SessionOutcome",
     "Strategy",
     "build_ledger",
     "replay",
     "run_monte_carlo",
+    "run_probes",
     "run_seeds",
     "run_session",
 ]
@@ -286,21 +295,26 @@ class Bids(NamedTuple):
     resampled: List[bool]
 
 
-def _bid_records(
-    scenario: Scenario,
-    draws: Sequence[Sequence[float]],
-    bid_override: Optional[Mapping[str, float]],
-    force_resample: Optional[Mapping[str, bool]],
-) -> Bids:
-    """Submitted and (for bks) perturbed bids in scenario order; ``_groups``
-    decides eligibility and priority from them.
+class Probe(NamedTuple):
+    """A scenario played on each run's world under counterfactual bids and
+    pinned resampling coins, as ``replay``'s session takes them; a Monte Carlo
+    grid's scenario is a probe with neither."""
 
-    ``draws`` holds the world's (coin, gamma) per buyer, so every replay of
-    the world sees the same coins; ``force_resample`` pins a coin and keeps
-    gamma.  No draw is made here.
-    """
-    override = bid_override or {}
-    forced = force_resample or {}
+    scenario: Scenario
+    bid_override: Optional[Mapping[str, float]] = None
+    force_resample: Optional[Mapping[str, bool]] = None
+
+
+Checked = Tuple[Scenario, List[float], Mapping[str, bool]]  # see _checked
+
+
+def _checked(probe: Probe) -> Checked:
+    """A probe's scenario, submitted bids in scenario order and pinned coins,
+    checked once for all the runs that play it: an unknown id, a bid override
+    that is not a number >= 0 whose products with the session's traffic stay
+    finite, or a pin that is not a bool is a ``ValueError``."""
+    scenario = probe.scenario
+    override, forced = probe.bid_override or {}, probe.force_resample or {}
     unknown = sorted(set(override).union(forced) - {b.buyer_id for b in scenario.buyers})
     if unknown:
         raise ValueError(f"no buyer {', '.join(map(repr, unknown))} in the scenario")
@@ -313,7 +327,7 @@ def _bid_records(
         if not isinstance(coin, (bool, np.bool_)):
             raise ValueError(f"force_resample for buyer {buyer_id!r} must be a bool, got {coin!r}")
     bids = [float(override.get(b.buyer_id, b.submitted_bid())) for b in scenario.buyers]
-    return _keyed(scenario, bids, draws, forced)
+    return scenario, bids, forced
 
 
 def _keyed(
@@ -321,16 +335,25 @@ def _keyed(
     bids: List[float],
     draws: Sequence[Sequence[float]],
     forced: Mapping[str, bool],
+    rows: Optional[Sequence[int]] = None,
+    base: Optional[Bids] = None,
 ) -> Bids:
-    """The records of checked ``bids``: under bks a bid that meets the reserve
-    is resampled by its (coin, gamma) draw, or as ``forced`` pins its coin."""
-    r, bks = scenario.reserve, scenario.mechanism == "bks"
-    keyed = [
-        resample_bid(bid, min(r, bid), scenario.mu, coin, gamma,
-                     forced.get(buyer.buyer_id) if bks and bid >= r else False)
-        for buyer, bid, (coin, gamma) in zip(scenario.buyers, bids, draws)
-    ]
-    return Bids(bids, [key for key, _ in keyed], [flag for _, flag in keyed])
+    """The bids, routing keys and resampling flags of ``_checked`` bids: under
+    bks a bid that meets the reserve is resampled by its (coin, gamma) draw,
+    or as ``forced`` pins its coin.  ``_groups`` decides eligibility and
+    priority from them; no draw is made here.  Given ``rows`` and ``base``,
+    the records of the same world under bids and pins that differ from these
+    only at ``rows``, only the buyers at ``rows`` are keyed again."""
+    r, bks, buyers = scenario.reserve, scenario.mechanism == "bks", scenario.buyers
+    if base is None:
+        rows, keys, flags = range(len(bids)), [0.0] * len(bids), [False] * len(bids)
+    else:
+        keys, flags = base.perturbed_bid.copy(), base.resampled.copy()
+    for j in rows:
+        bid, (coin, gamma) = bids[j], draws[j]
+        force = forced.get(buyers[j].buyer_id) if bks and bid >= r else False
+        keys[j], flags[j] = resample_bid(bid, min(r, bid), scenario.mu, coin, gamma, force)
+    return Bids(bids, keys, flags)
 
 
 def _groups(scenario: Scenario, bids: Bids) -> List[List[int]]:
@@ -361,15 +384,27 @@ def replay(scenario: Scenario, seed: int) -> Callable[..., SessionOutcome]:
     call sees the same world, and an unknown id or a non-bool pin is a ``ValueError``.
     Each distinct priority grouping is played once and kept, up to 2n for n buyers.
     """
-    return next(_replays([scenario], _world(scenario.buyers, seed)))
+    return partial(_checking, next(_replays([scenario], _world(scenario.buyers, seed))), scenario)
+
+
+def _checking(
+    session: Callable[[List[float], Mapping[str, bool]], SessionOutcome],
+    scenario: Scenario,
+    bid_override: Optional[Mapping[str, float]] = None,
+    force_resample: Optional[Mapping[str, bool]] = None,
+) -> SessionOutcome:
+    """One of ``_replays``' sessions under the ``_checked`` overrides."""
+    _, bids, forced = _checked(Probe(scenario, bid_override, force_resample))
+    return session(bids, forced)
 
 
 def _replays(
     scenarios: Sequence[Scenario], world: World
-) -> Iterator[Callable[..., SessionOutcome]]:
-    """``replay`` of each of ``scenarios``, which share their buyers and horizon,
-    on one world and demand matrix, each session played on the priority sweep.
-    Made one at a time, so a Monte Carlo run keeps no allocation past its session."""
+) -> Iterator[Callable[[List[float], Mapping[str, bool]], SessionOutcome]]:
+    """The session of each of ``scenarios``, which share their buyers and
+    horizon, on one world and demand matrix, each played on the priority sweep
+    under ``_checked`` bids and pins.  Made one at a time, so a Monte Carlo run
+    keeps no allocation past its session."""
     first = scenarios[0]
     realizations, draws = world
     stateful = [_stateful(b, r) for b, r in zip(first.buyers, realizations)]
@@ -378,11 +413,11 @@ def _replays(
     def session(
         scenario: Scenario,
         memo: List[Tuple[List[List[int]], Played]],
-        bid_override: Optional[Mapping[str, float]] = None,
-        force_resample: Optional[Mapping[str, bool]] = None,
+        bids: List[float],
+        forced: Mapping[str, bool],
     ) -> SessionOutcome:
-        bids = _bid_records(scenario, draws, bid_override, force_resample)
-        groups = _groups(scenario, bids)
+        keyed = _keyed(scenario, bids, draws, forced)
+        groups = _groups(scenario, keyed)
         for seen, played in memo:  # _finish only reads what it is given
             if seen == groups:
                 break
@@ -391,7 +426,7 @@ def _replays(
                 memo.clear()
             played = _run_sweep(scenario, realizations, demand, groups, stateful)
             memo.append((groups, played))
-        return _finish(scenario, bids, *played)
+        return _finish(scenario, keyed, *played)
 
     for s in scenarios:
         yield partial(session, s, [])
@@ -765,14 +800,18 @@ class MonteCarloStats:
 BATCH_BYTES = 2**15
 
 
-def _mc_worker(scenarios: Sequence[Scenario], world: World) -> List[List[float]]:
-    """Per scenario: welfare, revenue, then bytes, payments and utilities by buyer."""
+def _mc_worker(probes: Sequence[Checked], world: World) -> List[List[float]]:
+    """Per probe: welfare, revenue, then bytes, payments and utilities by
+    buyer.  Consecutive probes of one scenario share its session, and so the
+    groupings it has played."""
     rows = []
-    for session in _replays(scenarios, world):
-        out = session()
-        ids = out.buyer_ids
-        rows.append([out.welfare, out.seller_revenue, *(out.bytes[b] for b in ids),
-                     *(out.payments[b].net for b in ids), *(out.utilities[b] for b in ids)])
+    spans = [list(same) for _, same in itertools.groupby(probes, key=lambda p: id(p[0]))]
+    for session, same in zip(_replays([same[0][0] for same in spans], world), spans):
+        for _, bids, forced in same:
+            out = session(bids, forced)
+            ids = out.buyer_ids
+            rows.append([out.welfare, out.seller_revenue, *(out.bytes[b] for b in ids),
+                         *(out.payments[b].net for b in ids), *(out.utilities[b] for b in ids)])
     return rows
 
 
@@ -784,16 +823,18 @@ def _batched(scenarios: Sequence[Scenario], realizations: Sequence[DemandRealiza
     return not any(stateful) and all(s.routing != "hybrid" for s in scenarios)
 
 
-def _mc_batch(scenarios: Sequence[Scenario], worlds: Iterable[World]) -> np.ndarray:
-    """``_mc_worker``'s rows of every run of ``worlds`` as a (scenario, metric,
-    run) array, for a grid that ``_batched`` admits.
+def _mc_batch(probes: Sequence[Checked], worlds: Iterable[World]) -> np.ndarray:
+    """``_mc_worker``'s rows of every run of ``worlds`` as a (probe, metric,
+    run) array, for probes whose scenarios ``_batched`` admits.
 
-    The runs' demand matrices are stacked (n, B, T).  A scenario's runs are
-    bucketed by priority grouping, which only bks keys vary by run, and each
-    bucket is one ``_run_sweep`` of its (n, B' x T) view: the kernels fill each
-    column from its own capacity, so a run's columns get the grants of its own
-    session.  Each run then settles as ``_finish`` settles it, on (n, B) arrays."""
-    first = scenarios[0]
+    The runs' demand matrices are stacked (n, B, T).  Every (probe, run) pair
+    is keyed and grouped, and the pairs are bucketed by scenario and priority
+    grouping across all probes: only bks keys and bid overrides vary the
+    grouping.  Each bucket is one ``_run_sweep`` of the (n, B' x T) view of
+    the union of its runs, since the kernels fill each column from its own
+    capacity, so each pair gets the grants of its own session.  The pairs then
+    settle as ``_finish`` settles them, on (probe, n, B) arrays."""
+    first = probes[0][0]
     matrices, draws = [], []
     for realizations, drawn in worlds:  # each world's realizations go once its matrix is made
         matrices.append(_demand_matrix(first, realizations))
@@ -801,90 +842,115 @@ def _mc_batch(scenarios: Sequence[Scenario], worlds: Iterable[World]) -> np.ndar
     demand = np.stack(matrices, axis=1)
     matrices.clear()
     n, B, T = demand.shape
-    values = np.array([b.value for b in first.buyers]).reshape(n, 1)
+    P = len(probes)
+    billed, charges = np.zeros((2, P, n, B))
+    flags = []  # by probe, then run
+    buckets: Dict[Tuple[int, str], Tuple[Scenario, List[List[int]], Dict[int, List[int]]]] = {}
+    unprobed: Dict[int, Tuple[List[float], List[Bids]]] = {}  # by scenario: bids, runs' records
+    for p, (scenario, bids, forced) in enumerate(probes):
+        if id(scenario) not in unprobed:
+            submitted = [float(b.submitted_bid()) for b in scenario.buyers]
+            unprobed[id(scenario)] = submitted, [_keyed(scenario, submitted, d, {}) for d in draws]
+        submitted, bases = unprobed[id(scenario)]
+        # A buyer whose bid is her submitted one and whose coin is free keeps
+        # her unprobed key and flag: the same numbers, but that a bid of -0.0
+        # may keep a key of 0.0, which is grouped as -0.0 is.
+        rows = [j for j, b in enumerate(scenario.buyers)
+                if bids[j] != submitted[j] or b.buyer_id in forced]
+        for k, drawn in enumerate(draws):
+            keyed = _keyed(scenario, bids, drawn, forced, rows, bases[k])
+            flags.append(keyed.resampled)
+            groups = _groups(scenario, keyed)
+            bucket = buckets.setdefault((id(scenario), repr(groups)), (scenario, groups, {}))
+            bucket[2].setdefault(k, []).append(p)  # the probes of run k in the bucket
     plain = [False] * n  # no buyer is stateful
-    out = np.empty((len(scenarios), 2 + 3 * n, B))
-    for s, scenario in enumerate(scenarios):
-        submitted = [float(b.submitted_bid()) for b in scenario.buyers]
-        runs = [_keyed(scenario, submitted, drawn, {}) for drawn in draws]
-        buckets: Dict[str, Tuple[List[List[int]], List[int]]] = {}
-        for k, bids in enumerate(runs):
-            groups = _groups(scenario, bids)
-            buckets.setdefault(repr(groups), (groups, []))[1].append(k)
-        billed, gross = np.empty((2, n, B))
-        for groups, ks in buckets.values():
-            view = (demand if len(ks) == B else demand[:, ks]).reshape(n, len(ks) * T)
-            grants, shown, _ = _run_sweep(scenario, (), view, groups, plain)
-            billed[:, ks] = grants.reshape(n, len(ks), T).sum(-1)
-            if scenario.mechanism == "vmm":
-                shown = shown.reshape(n, len(ks), T)
-                gross[:, ks] = vmm_epoch_charges(shown, submitted, scenario.capacity)
-        rebate = 0.0
-        if scenario.mechanism == "bks":  # as bks_settle
-            bid = np.array(submitted).reshape(n, 1)
-            resampled = np.array([bids.resampled for bids in runs]).T
-            gross = bid * billed
-            rebate = np.where(resampled, billed * (bid - scenario.reserve) / scenario.mu, 0.0)
-        elif scenario.mechanism == "fixed":  # as fixed_price_settle
-            gross = scenario.reserve * billed
-        net = gross - rebate
-        worth = values * billed
-        # Summed over buyers as ``_finish`` sums them, by Python's ``sum``.
-        out[s, :2] = [[sum(run) for run in m.T.tolist()] for m in (worth, net)]
-        out[s, 2:] = np.concatenate([billed, net, worth - net])
+    for scenario, groups, members in buckets.values():
+        ks = sorted(members)
+        view = (demand if len(ks) == B else demand[:, ks]).reshape(n, len(ks) * T)
+        grants, shown, _ = _run_sweep(scenario, (), view, groups, plain)
+        totals = grants.reshape(n, len(ks), T).sum(-1)
+        pairs = [(p, k, j) for j, k in enumerate(ks) for p in members[k]]
+        ps, at, js = map(list, zip(*pairs))
+        billed[ps, :, at] = totals[:, js].T
+        if scenario.mechanism == "vmm":  # under each probe's own bids
+            shown = shown.reshape(n, len(ks), T)
+            for p in dict.fromkeys(ps):
+                mine = [j for q, _, j in pairs if q == p]
+                own = vmm_epoch_charges(shown[:, mine], probes[p][1], scenario.capacity)
+                charges[p][:, [ks[j] for j in mine]] = own
+    scenarios = [scenario for scenario, _, _ in probes]
+    bid = np.array([bids for _, bids, _ in probes]).reshape(P, n, 1)
+    r, mu = np.array([[s.reserve, s.mu] for s in scenarios]).T.reshape(2, P, 1, 1)
+    mechanism = np.array([s.mechanism for s in scenarios]).reshape(P, 1, 1)
+    # As bks_settle, fixed_price_settle and vmm_epoch_charges settle one buyer.
+    gross = np.where(mechanism == "bks", bid * billed,
+                     np.where(mechanism == "fixed", r * billed, charges))
+    resampled = np.array(flags, dtype=bool).reshape(P, B, n).transpose(0, 2, 1)
+    rebate = np.where(resampled, billed * (bid - r) / mu, 0.0)  # only bks resamples
+    net = gross - rebate
+    worth = np.array([b.value for b in first.buyers]).reshape(n, 1) * billed
+    out = np.empty((P, 2 + 3 * n, B))
+    # Summed over buyers as ``_finish`` sums them, by Python's ``sum``.
+    out[:, 0], out[:, 1] = (
+        [[sum(run) for run in runs] for runs in m.transpose(0, 2, 1).tolist()] for m in (worth, net)
+    )
+    out[:, 2:] = np.concatenate([billed, net, worth - net], axis=1)
     return out
 
 
-def _mc_runs(scenarios: Sequence[Scenario], batched: bool, worlds: Iterable[World]) -> np.ndarray:
-    """The (scenario, metric, run) samples of the runs of ``worlds``: side by
+def _mc_runs(probes: Sequence[Checked], batched: bool, worlds: Iterable[World]) -> np.ndarray:
+    """The (probe, metric, run) samples of the runs of ``worlds``: side by
     side if ``batched``, else one ``_mc_worker`` call each."""
     if batched:
-        return _mc_batch(scenarios, worlds)
-    return np.stack([_mc_worker(scenarios, world) for world in worlds], axis=-1)
+        return _mc_batch(probes, worlds)
+    return np.stack([_mc_worker(probes, world) for world in worlds], axis=-1)
 
 
-def _mc_task(scenarios: Sequence[Scenario], batched: bool, seeds: Sequence[int]) -> np.ndarray:
+def _mc_task(probes: Sequence[Checked], batched: bool, seeds: Sequence[int]) -> np.ndarray:
     """One pool task: ``_mc_runs`` of the worlds of ``seeds``, drawn as played."""
-    buyers = scenarios[0].buyers
-    return _mc_runs(scenarios, batched, (_world(buyers, seed) for seed in seeds))
+    buyers = probes[0][0].buyers
+    return _mc_runs(probes, batched, (_world(buyers, seed) for seed in seeds))
 
 
 def _expired(deadline: Optional[float]) -> bool:
     return deadline is not None and time.monotonic() > deadline
 
 
-def run_monte_carlo(
-    scenarios: Sequence[Scenario],
+def run_probes(
+    probes: Sequence[Probe],
     n_runs: int,
     seed: int,
     jobs: int = 1,
     deadline: Optional[float] = None,
-) -> List[MonteCarloStats]:
-    """Mean and 95% CI of welfare, revenue, and per-buyer outcomes, per scenario.
+) -> np.ndarray:
+    """Per-run samples of each probe, as a (probe, metric, run) array whose
+    metrics are welfare, revenue, then bytes, net payments and utilities by
+    buyer, each run's numbers those of ``replay(scenario, seed)(bid_override,
+    force_resample)`` bit for bit.
 
-    The scenarios must share their buyers and horizon: each run draws its
-    world once and plays every scenario on it.  Run seeds derive
-    deterministically from ``seed``; the aggregation folds in run-index
-    order, so results are identical for any ``jobs``.
+    The probes' scenarios must share their buyers and horizon: each run
+    draws its world once and plays every probe on it.  Run seeds derive
+    deterministically from ``seed``, and the samples do not depend on
+    ``jobs``.  Each probe is checked once, before any world is drawn.
 
     The runs are played in batches: of up to ``BATCH_BYTES`` of demand matrix
-    side by side when ``_batched`` admits the grid, else of one run (a chunk
-    of runs under the pool).  ``deadline``, a ``time.monotonic()`` reading, is
-    checked after each batch, and under the pool after each completed task,
-    which then cancels the pending ones; once it has passed, a
-    ``TimeoutError`` is raised.
+    side by side when ``_batched`` admits the scenarios, else of one run (a
+    chunk of runs under the pool).  ``deadline``, a ``time.monotonic()``
+    reading, is checked after each batch, and under the pool after each
+    completed task, which then cancels the pending ones; once it has passed,
+    a ``TimeoutError`` is raised.
     """
-    if n_runs < 1 or not scenarios:
+    if n_runs < 1 or not probes:
         raise ValueError("need at least one run and one scenario")
-    shared = (scenarios[0].buyers, scenarios[0].horizon)
-    if any((s.buyers, s.horizon) != shared for s in scenarios):
+    shared = (probes[0].scenario.buyers, probes[0].scenario.horizon)
+    if any((p.scenario.buyers, p.scenario.horizon) != shared for p in probes):
         raise ValueError("the scenarios of one Monte Carlo must share their buyers and horizon")
     buyers, horizon = shared
-    ids = [b.buyer_id for b in buyers]
-    n = len(ids)
+    checked = [_checked(p) for p in probes]
+    n = len(buyers)
     seeds = run_seeds(seed, n_runs)
     first = _world(buyers, seeds[0])  # it decides the path, and plays run 0 when serial
-    batched = _batched(scenarios, first[0])
+    batched = _batched([p.scenario for p in probes], first[0])
     # The pool forks all its workers at the first submit: no more than the
     # runs, nor than the CPUs this process may use.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -896,10 +962,10 @@ def run_monte_carlo(
     count = max(workers, -(-n_runs // size))  # batches of near-equal size
     bounds = [n_runs * k // count for k in range(count + 1)]
     spans = list(zip(bounds, bounds[1:]))
-    samples = np.empty((len(scenarios), 2 + 3 * n, n_runs))  # scenario, metric, run
+    samples = np.empty((len(probes), 2 + 3 * n, n_runs))  # probe, metric, run
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            task = partial(_mc_task, scenarios, batched)
+            task = partial(_mc_task, checked, batched)
             blocks = pool.map(task, [seeds[lo:hi] for lo, hi in spans])
             for (lo, hi), block in zip(spans, blocks):
                 samples[:, :, lo:hi] = block
@@ -909,9 +975,28 @@ def run_monte_carlo(
     else:
         worlds = itertools.chain([first], (_world(buyers, s) for s in seeds[1:]))
         for lo, hi in spans:
-            samples[:, :, lo:hi] = _mc_runs(scenarios, batched, itertools.islice(worlds, hi - lo))
+            samples[:, :, lo:hi] = _mc_runs(checked, batched, itertools.islice(worlds, hi - lo))
             if _expired(deadline):
                 raise TimeoutError(f"deadline passed after {hi} of {n_runs} runs")
+    return samples
+
+
+def run_monte_carlo(
+    scenarios: Sequence[Scenario],
+    n_runs: int,
+    seed: int,
+    jobs: int = 1,
+    deadline: Optional[float] = None,
+) -> List[MonteCarloStats]:
+    """Mean and 95% CI of welfare, revenue, and per-buyer outcomes, per scenario.
+
+    The samples are those of ``run_probes`` with each scenario a probe, under
+    the same seed, ``jobs`` and ``deadline``; the aggregation folds in
+    run-index order, so results are identical for any ``jobs``.
+    """
+    samples = run_probes([Probe(s) for s in scenarios], n_runs, seed, jobs, deadline)
+    ids = [b.buyer_id for b in scenarios[0].buyers]
+    n = len(ids)
     stats, summary = [], summarize(samples)
     for means, lows, highs in zip(summary.mean, summary.ci_low, summary.ci_high):
         cis = [MeanCI(*v) for v in zip(means, lows, highs)]

@@ -18,9 +18,12 @@ and reports human-readable evidence:
 * admissibility -- pooled tax rates stay below 1 for large pools and the
                    exceedance probability shrinks with pool size.
 
-The expensive estimators condition on the probed buyer's resampling coin
+The truthfulness estimators condition on the probed buyer's resampling coin
 (evaluating both branches and weighting by mu), which removes the rebate's
-1/mu variance without biasing the mean.
+1/mu variance without biasing the mean.  Each (buyer, bid, coin) is one
+probe of the engine's ``run_probes``, which plays all of them on each run's
+world, side by side on its Monte Carlo batch, and returns every run's
+utilities; the suite weights the two coin branches of each run.
 """
 
 from __future__ import annotations
@@ -34,9 +37,11 @@ from bandshare.config import load_config, builtin_config_path
 from bandshare.demand import DemandRealization, DemandSpec, check_natural
 from bandshare.engine import (
     BuyerSpec,
+    Probe,
     Scenario,
     build_ledger,
     replay,
+    run_probes,
     run_seeds,
     run_session,
 )
@@ -232,21 +237,28 @@ def expected_utilities_rb(
 
 
 def _conditioned_utilities(
-    scenario: Scenario, probes: Mapping[str, Sequence[float]], n_runs: int, seed: int
+    scenario: Scenario,
+    probes: Mapping[str, Sequence[float]],
+    n_runs: int,
+    seed: int,
+    deadline: Optional[float] = None,
 ) -> Dict[str, Dict[float, np.ndarray]]:
-    """``expected_utilities_rb`` of each probed buyer, on one replay per run."""
+    """``expected_utilities_rb`` of each probed buyer: every (buyer, bid, coin)
+    is one probe of ``run_probes``, which plays them all on each run's world."""
     if scenario.mechanism != "bks":
         raise ValueError("the conditioned estimator only applies to bid resampling")
-    out = {buyer: {float(b): np.empty(n_runs) for b in bids} for buyer, bids in probes.items()}
+    cases = [(buyer, float(b)) for buyer, bids in probes.items() for b in bids]
+    played = [Probe(scenario, {buyer: b}, {buyer: coin}) for buyer, b in cases
+              for coin in (False, True)]
+    samples = run_probes(played, n_runs, seed, deadline=deadline)
+    # The utility rows of run_probes' metrics: welfare, revenue, bytes, payments, utilities.
+    ids = [b.buyer_id for b in scenario.buyers]
+    utilities = samples[:, 2 + 2 * len(ids) :]
+    out: Dict[str, Dict[float, np.ndarray]] = {buyer: {} for buyer in probes}
     mu = scenario.mu
-    for k, run_seed in enumerate(run_seeds(seed, n_runs)):
-        session = replay(scenario, run_seed)
-        for buyer_id, utilities in out.items():
-            for b in utilities:
-                utilities[b][k] = sum(
-                    weight * session({buyer_id: b}, {buyer_id: forced}).utilities[buyer_id]
-                    for forced, weight in ((False, 1.0 - mu), (True, mu))
-                )
+    for k, (buyer, b) in enumerate(cases):
+        u_false, u_true = utilities[2 * k : 2 * k + 2, ids.index(buyer)]
+        out[buyer][b] = (1.0 - mu) * u_false + mu * u_true
     return out
 
 
@@ -255,15 +267,18 @@ def welfare_capacity_bks_scenario() -> Scenario:
     return next(v for v in cfg.variants if v.name == "bks").scenario
 
 
-def truthfulness_suite(seed: int = 0, n_runs: int = 10_000) -> SuiteReport:
-    """Truthful bid beats each probed deviation in expectation, per buyer."""
+def truthfulness_suite(
+    seed: int = 0, n_runs: int = 10_000, deadline: Optional[float] = None
+) -> SuiteReport:
+    """Truthful bid beats each probed deviation in expectation, per buyer.
+    ``deadline`` bounds its Monte Carlo as it bounds ``run_monte_carlo``'s."""
     if n_runs < 2:
         raise ValueError(f"need n_runs >= 2 for a confidence interval, got {n_runs}")
     scenario = welfare_capacity_bks_scenario()
     lines = []
     passed = True
     probes = {b.buyer_id: [b.value] + [f * b.value for f in _DEVIATIONS] for b in scenario.buyers}
-    probed = _conditioned_utilities(scenario, probes, n_runs, seed)
+    probed = _conditioned_utilities(scenario, probes, n_runs, seed, deadline)
     for buyer in scenario.buyers:
         v, utilities = buyer.value, probed[buyer.buyer_id]
         for f in _DEVIATIONS:

@@ -618,7 +618,7 @@ class TestCli:
         )
         assert self.run_cli("verify", "--suite", "truthfulness") == 0
         assert self.run_cli("verify", "--suite", "truthfulness", "--runs", "7") == 0
-        assert calls == [{"n_runs": 2000}, {"n_runs": 7}]
+        assert calls == [{"n_runs": 2000, "deadline": None}, {"n_runs": 7, "deadline": None}]
 
     @pytest.mark.parametrize("flag", ["--runs", "--jobs"])
     def test_pool_rejects_monte_carlo_flags(self, tmp_path, capsys, flag):
@@ -835,6 +835,42 @@ class TestCli:
         assert names == sorted(os.listdir(budgeted)) and names
         for name in names:
             assert (free / name).read_bytes() == (budgeted / name).read_bytes()
+
+    def test_budget_stops_the_truthfulness_suite_and_prints_no_verdict(
+        self, monkeypatch, capsys
+    ):
+        """The clock reads 100 when main starts and 110 after: the suite's
+        Monte Carlo stops after its first batch of 2 runs of the 2000, and
+        ``verify`` exits 3 with no verdict line."""
+        readings = []
+
+        def clock():
+            readings.append(None)
+            return 100.0 if len(readings) == 1 else 110.0
+
+        monkeypatch.setattr(cli.time, "monotonic", clock)
+        code = self.run_cli("verify", "--suite", "truthfulness", "--seed", "3", "--budget", "0.5")
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "runtime budget exceeded: 10s > 0.5s\n"
+        assert len(readings) == 3  # main's start, after the one batch, main's end
+
+    def test_budget_not_reached_leaves_the_verdict_unchanged(self, monkeypatch, capsys):
+        argv = ["verify", "--suite", "truthfulness", "--seed", "3", "--runs", "6"]
+        assert self.run_cli(*argv) == 0
+        free = capsys.readouterr()
+        monkeypatch.setattr(cli.time, "monotonic", lambda: 100.0)
+        assert self.run_cli(*argv, "--budget", "0.5") == 0
+        assert capsys.readouterr() == free
+
+    def test_other_suites_are_held_to_the_budget_at_the_end(self, monkeypatch, capsys):
+        """``balance`` takes no deadline: it runs to the end, prints its
+        verdict, and then exits 3 for the time it took."""
+        clock = iter([100.0])
+        monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock, 110.0))
+        assert self.run_cli("verify", "--suite", "balance", "--budget", "0.5") == 3
+        out, err = capsys.readouterr()
+        assert "[PASS] balance" in out and err == "runtime budget exceeded: 10s > 0.5s\n"
 
     def test_console_entry_point(self, tmp_path):
         config = write_config(tmp_path, MINI_DOC)

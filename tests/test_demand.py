@@ -1,9 +1,14 @@
 """Demand model tests: pointwise oracles, naturalness, trace statistics."""
 
 import math
+import numbers
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import bandshare.demand
@@ -394,6 +399,53 @@ class TestDemandSpec:
         spec = DemandSpec("buffered", {"g": [1, 2]})
         assert spec.params["g"] == (1.0, 2.0)
         assert spec == DemandSpec.buffered((1.0, 2.0))
+
+    @staticmethod
+    def generation_by_entry(kind, g):
+        """The per-entry check of a ``g`` sequence, the reference for the
+        one-pass check: its tuple of floats, or its error message."""
+        for p, v in enumerate(g, start=1):
+            ok = isinstance(v, numbers.Real) and not isinstance(v, bool)
+            if not (ok and bandshare.demand._finite(v) and v >= 0):
+                return f"{kind}: generation at epoch {p} must be a finite number >= 0, got {v}"
+        return tuple(float(v) for v in g)
+
+    ENTRIES = st.one_of(
+        st.floats(0.0, 1e6),
+        st.integers(0, 2**70),
+        st.sampled_from([-0.0, 0, 2**1100, -1, -1e-300, math.nan, math.inf, -math.inf, True,
+                         False, None, "2", 1 + 0j, np.float64(3.0), np.float64(-3.0),
+                         np.int64(7), Fraction(1, 3), [1.0]]),
+    )
+
+    @given(kind=st.sampled_from(["buffered", "time_varying"]),
+           g=st.lists(ENTRIES, min_size=1, max_size=12), as_array=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_sequence_checked_as_entry_by_entry(self, kind, g, as_array):
+        """Every entry that is a bool, not a real number, NaN, infinite or
+        negative is rejected with the message and first epoch of the per-entry
+        check, whether it comes in a list or a numpy array."""
+        if as_array:
+            try:
+                g = np.array(g)
+            except (ValueError, OverflowError):
+                assume(False)
+        expected = self.generation_by_entry(kind, g)
+        if isinstance(expected, str):
+            with pytest.raises(FieldError, match=f"^{re.escape(expected)}$"):
+                DemandSpec(kind, {"g": g})
+        else:
+            stored = DemandSpec(kind, {"g": g}).params["g"]
+            assert type(stored) is tuple and all(type(v) is float for v in stored)
+            assert np.array(stored).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("bad", [True, math.nan, math.inf, -math.inf, -2.0, "x", 2**1100])
+    def test_bad_entry_deep_in_a_long_sequence(self, bad):
+        g = [3.0] * 70_000
+        g[65_535] = bad
+        message = f"at epoch 65536 must be a finite number >= 0, got {re.escape(str(bad))}$"
+        with pytest.raises(FieldError, match=message):
+            DemandSpec.buffered(g)
 
     def test_monotone_probe_runs_once_at_build(self):
         calls = []

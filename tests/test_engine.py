@@ -41,13 +41,15 @@ from bandshare.demand import DemandSpec, FieldError
 from bandshare.engine import (
     BuyerSpec,
     HybridBoost,
+    Probe,
     Scenario,
     Strategy,
     _allocate_epoch,
-    _bid_records,
+    _checked,
     _demand_matrix,
     _finish,
     _groups,
+    _keyed,
     _run_loop,
     _run_sweep,
     _stateful,
@@ -55,12 +57,19 @@ from bandshare.engine import (
     build_ledger,
     replay,
     run_monte_carlo,
+    run_probes,
     run_seeds,
     run_session,
 )
 from bandshare.payments import resample_bid, vmm_epoch_charges
 from bandshare.verify import MONOTONE_MODEL_KINDS
 from bandshare.routing import maxmin, priority_groups, proportional, spq
+
+
+def _bid_records(scenario, draws, bid_override, force_resample):
+    """What a replayed session keys its bids by: ``_checked`` bids, keyed."""
+    _, bids, forced = _checked(Probe(scenario, bid_override, force_resample))
+    return _keyed(scenario, bids, draws, forced)
 
 
 def example1_scenario(horizon=600):
@@ -2273,7 +2282,7 @@ def test_replay_plays_each_grouping_once(monkeypatch):
         ids = [b.buyer_id for b in scenario.buyers]
         draws = _world(scenario.buyers, seed)[1]
         session = replay(scenario, seed)
-        memo = session.args[1]
+        memo = session.args[0].args[1]
         played, seen = [], []
         for k, bid, coin in calls:
             buyer = ids[(k if free else probe) % len(ids)]
@@ -2453,9 +2462,15 @@ BATCH_GRIDS = {
 }
 
 
+def checked(scenarios):
+    """Each of ``scenarios`` as a checked probe with no override or pin."""
+    return [_checked(Probe(s)) for s in scenarios]
+
+
 def per_run(scenarios, worlds):
     """The (scenario, metric, run) samples of ``_mc_worker``, one run at a time."""
-    return np.stack([bandshare.engine._mc_worker(scenarios, world) for world in worlds], axis=-1)
+    probes = checked(scenarios)
+    return np.stack([bandshare.engine._mc_worker(probes, world) for world in worlds], axis=-1)
 
 
 def batch_sizes(monkeypatch):
@@ -2480,7 +2495,7 @@ class TestBatchedMonteCarlo:
     def test_batch_equals_one_run_at_a_time(self, grid, seed, runs):
         worlds = [_world(grid[0].buyers, s) for s in run_seeds(seed, runs)]
         assert bandshare.engine._batched(grid, worlds[0][0])
-        batch = bandshare.engine._mc_batch(grid, worlds)
+        batch = bandshare.engine._mc_batch(checked(grid), worlds)
         assert batch.tobytes() == per_run(grid, worlds).tobytes()
 
     @pytest.mark.parametrize("name", sorted(BATCH_GRIDS))
@@ -2489,7 +2504,7 @@ class TestBatchedMonteCarlo:
         below the reserve) at 13 runs, whose bks runs fall in many groupings."""
         grid = BATCH_GRIDS[name]
         worlds = [_world(grid[0].buyers, s) for s in run_seeds(11, 13)]
-        batch = bandshare.engine._mc_batch(grid, worlds)
+        batch = bandshare.engine._mc_batch(checked(grid), worlds)
         assert batch.tobytes() == per_run(grid, worlds).tobytes()
 
     def test_tied_bids_and_a_reserve_above_some(self):
@@ -2512,7 +2527,7 @@ class TestBatchedMonteCarlo:
             for c, r in ((9.0, 0.0), (14.0, 1.5))
         ]
         worlds = [_world(buyers, s) for s in run_seeds(3, 17)]
-        batch = bandshare.engine._mc_batch(grid, worlds)
+        batch = bandshare.engine._mc_batch(checked(grid), worlds)
         assert batch.tobytes() == per_run(grid, worlds).tobytes()
 
     def test_a_grid_with_no_buyers(self):
@@ -2522,7 +2537,7 @@ class TestBatchedMonteCarlo:
             for mechanism in ("bks", "vmm", "fixed")
         ]
         worlds = [_world((), s) for s in run_seeds(2, 3)]
-        batch = bandshare.engine._mc_batch(grid, worlds)
+        batch = bandshare.engine._mc_batch(checked(grid), worlds)
         assert batch.shape == (9, 2, 3)
         assert batch.tobytes() == per_run(grid, worlds).tobytes()
 
@@ -2567,6 +2582,110 @@ class TestBatchedMonteCarlo:
             assert main(argv) == 0
             written.append((out / "welfare_capacity_sweep_capacity.csv").read_bytes())
         assert written[0] == written[1]
+
+
+def assert_probes_replay(probes, runs, seed):
+    """``run_probes``' utilities of each probe's named buyer equal those of
+    ``replay(scenario, seed)(bid_override, force_resample)`` bit for bit in
+    every run; its samples equal those of the per-run path."""
+    samples = run_probes(probes, runs, seed)
+    ids = [b.buyer_id for b in probes[0].scenario.buyers]
+    for k, run_seed in enumerate(run_seeds(seed, runs)):
+        for p, probe in enumerate(probes):
+            out = replay(probe.scenario, run_seed)(probe.bid_override, probe.force_resample)
+            for buyer in probe.bid_override:
+                batched = samples[p, 2 + 2 * len(ids) + ids.index(buyer), k]
+                assert batched.tobytes() == np.float64(out.utilities[buyer]).tobytes()
+    return samples
+
+
+@st.composite
+def probe_sets(draw):
+    """A grid that ``_batched`` admits and up to 8 probes on it, each naming
+    one buyer with a bid, often one that ties another's value, is below the
+    reserve or is -0.0, and a pinned coin."""
+    grid = draw(batch_grids())
+    buyers = grid[0].buyers
+    bids = st.one_of(st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0, 4.0] + [b.value for b in buyers]),
+                     st.floats(0.0, 10.0))
+    probes = []
+    for _ in range(draw(st.integers(1, 8))):
+        buyer = draw(st.sampled_from(buyers)).buyer_id
+        probes.append(Probe(draw(st.sampled_from(grid)), {buyer: draw(bids)},
+                            {buyer: draw(st.booleans())}))
+    return probes
+
+
+class TestProbes:
+    """``run_probes`` plays counterfactual bids and pinned coins on each run's
+    world as ``replay`` does, on the batch when ``_batched`` admits the
+    scenarios and run by run otherwise."""
+
+    @given(probes=probe_sets(), seed=st.integers(0, 2**32), runs=st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_batched_probes_equal_their_replays(self, probes, seed, runs):
+        buyers, checked = probes[0].scenario.buyers, [_checked(p) for p in probes]
+        worlds = [_world(buyers, s) for s in run_seeds(seed, runs)]
+        assert bandshare.engine._batched([p.scenario for p in probes], worlds[0][0])
+        samples = assert_probes_replay(probes, runs, seed)
+        per_run = np.stack([bandshare.engine._mc_worker(checked, w) for w in worlds], axis=-1)
+        assert samples.tobytes() == per_run.tobytes()
+
+    def scenario(self, **kwargs):
+        buyers = (
+            BuyerSpec("a", 2.0, DemandSpec.constant(6.0), 1, 30),
+            BuyerSpec("b", 2.0, DemandSpec.flow_trace(5.0, 30), 1, 30),
+            BuyerSpec("c", 1.0, DemandSpec.constant(4.0), 3, 25),
+        )
+        return Scenario(buyers, capacity=9.0, mechanism="bks", mu=0.3, horizon=30,
+                        **{"reserve": 1.5, **kwargs})
+
+    def test_a_probed_key_that_ties_a_competitor(self, monkeypatch):
+        """Pinning both coins unresampled makes a's probed bid tie b's key in
+        every run, a tie the batch groups as the replay does."""
+        sizes = batch_sizes(monkeypatch)
+        scenario = self.scenario()
+        probes = [Probe(scenario, {"a": 2.0}, {"a": False, "b": False}),
+                  Probe(scenario, {"c": 2.0}, {"c": False, "b": False})]
+        assert_probes_replay(probes, 5, seed=8)
+        assert sizes
+        for run_seed in run_seeds(8, 5):
+            out = replay(scenario, run_seed)({"a": 2.0}, {"a": False, "b": False})
+            assert out.perturbed_bids["a"] == out.perturbed_bids["b"] == 2.0
+
+    def test_a_bid_below_the_reserve_is_not_served(self, monkeypatch):
+        sizes = batch_sizes(monkeypatch)
+        scenario = self.scenario()
+        probes = [Probe(scenario, {"c": 1.0}, {"c": coin}) for coin in (False, True)]
+        samples = assert_probes_replay(probes, 4, seed=2)
+        assert sizes and not samples[:, 2 + 2].any()  # c's bytes
+
+    @pytest.mark.parametrize("kind", ["buffered", "pad", "hybrid"])
+    def test_a_refused_scenario_plays_run_by_run(self, monkeypatch, kind):
+        base = self.scenario(reserve=0.0)
+        a = base.buyers[0]
+        if kind == "hybrid":
+            scenario = replace(base, routing="hybrid", hybrid=HybridBoost("c", 40.0, 20))
+        else:
+            changed = (replace(a, demand=DemandSpec.buffered([6.0] * 30)) if kind == "buffered"
+                       else replace(a, strategy=Strategy("pad", pad=2.0)))
+            scenario = replace(base, buyers=(changed, *base.buyers[1:]))
+        monkeypatch.setattr(bandshare.engine, "_mc_batch", lambda *a: pytest.fail("batched"))
+        probes = [Probe(scenario, {buyer: bid}, {buyer: coin})
+                  for buyer in ("a", "c") for bid in (0.5, 2.0) for coin in (False, True)]
+        assert_probes_replay(probes, 3, seed=5)
+
+    @pytest.mark.parametrize(
+        "probe, message",
+        [({"bid_override": {"z": 1.0}}, "no buyer 'z'"),
+         ({"bid_override": {"a": -1.0}}, "must be >= 0"),
+         ({"bid_override": {"a": True}}, "must be >= 0"),
+         ({"force_resample": {"a": 1}}, "must be a bool")],
+    )
+    def test_each_probe_is_checked_before_any_run(self, monkeypatch, probe, message):
+        monkeypatch.setattr(bandshare.engine, "_world", lambda *a: pytest.fail("world drawn"))
+        with pytest.raises(ValueError, match=message):
+            run_probes([Probe(self.scenario()), Probe(self.scenario(), **probe)], 3, seed=1)
 
 
 class TestDeadline:

@@ -39,8 +39,12 @@ other path, and nothing in the package calls the loop, the tests' reference.
 
 A Monte Carlo grid is batched by what it plays and nothing else: one engine
 function, ``_batched``, decides it from ``_stateful`` and the scenarios'
-routing; only ``run_monte_carlo`` calls it, with no flag of its own, and the
-engine reads no environment variable.
+routing; only ``run_probes``, which plays ``run_monte_carlo``'s grids and the
+truthfulness suite's probes, calls it, neither takes a flag of its own, and
+the engine reads no environment variable.  A probe's overrides are checked
+once, by ``_checked``, which only ``run_probes`` and a replayed world's
+``_checking`` call, never the batch or a per-run session.  The suite's
+conditioned estimator calls ``run_probes`` and replays no world of its own.
 
 VCG charges come from one priority fill: ``payments.vmm_epoch_charges``
 calls ``spq`` once and never in a loop, so no per-buyer re-fill comes back.
@@ -399,25 +403,51 @@ def test_tracer_patches_and_restores_every_name():
     assert all(vars(owner)[attr] is fn for (owner, attr), fn in originals.items())
 
 
+def _callers(tree, name):
+    """The names of the functions under ``tree`` that call ``name`` themselves."""
+    return sorted(
+        func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        and any(isinstance(n, ast.Call) and ast.unparse(n.func) == name for n in _own_nodes(func))
+    )
+
+
 def test_batch_chosen_only_by_statefulness_and_routing():
     """``_batched`` reads buyers' statefulness through ``_stateful`` and the
-    scenarios' routing and nothing else; ``run_monte_carlo`` alone calls it
-    and takes no batching flag, and the engine reads no environment variable."""
+    scenarios' routing and nothing else; ``run_probes`` alone calls it, it and
+    ``run_monte_carlo`` take no batching flag, and the engine reads no
+    environment variable."""
     func = _engine_function("_batched")
     reads = {n.attr for n in ast.walk(func) if isinstance(n, ast.Attribute)}
     assert reads == {"buyers", "routing"}, reads
     called = {ast.unparse(n.func) for n in ast.walk(func) if isinstance(n, ast.Call)}
     assert called == {"map", "any", "all"}, called
     assert "_stateful" in {n.id for n in ast.walk(func) if isinstance(n, ast.Name)}
-    callers = [
-        f.name for f in ENGINE.body if isinstance(f, ast.FunctionDef)
-        and any(isinstance(n, ast.Call) and ast.unparse(n.func) == "_batched" for n in ast.walk(f))
-    ]
-    assert callers == ["run_monte_carlo"], callers
+    assert _callers(ENGINE, "_batched") == ["run_probes"]
     params = [a.arg for a in _engine_function("run_monte_carlo").args.args]
     assert params == ["scenarios", "n_runs", "seed", "jobs", "deadline"], params
+    params = [a.arg for a in _engine_function("run_probes").args.args]
+    assert params == ["probes", "n_runs", "seed", "jobs", "deadline"], params
     environ = [
         ast.unparse(n) for n in ast.walk(ENGINE)
         if isinstance(n, ast.Attribute) and n.attr in ("environ", "getenv", "environb")
     ]
     assert environ == [], environ
+
+
+def test_probes_checked_once_each():
+    """``run_probes`` checks each probe before it plays a run, and a replayed
+    world each call: the batch and the per-run sessions play checked bids."""
+    assert _callers(ENGINE, "_checked") == ["_checking", "run_probes"]
+
+
+def test_conditioned_utilities_play_on_run_probes():
+    """The truthfulness suite's estimator hands its probes to the engine's
+    Monte Carlo and replays no world itself."""
+    tree = ast.parse((SRC / "verify.py").read_text())
+    func = next(
+        f for f in tree.body
+        if isinstance(f, ast.FunctionDef) and f.name == "_conditioned_utilities"
+    )
+    called = {ast.unparse(n.func).split(".")[-1] for n in ast.walk(func) if isinstance(n, ast.Call)}
+    assert "run_probes" in called, called
+    assert not called & {"replay", "run_session", "run_seeds"}, called
