@@ -27,7 +27,9 @@ all probes, are filled by one sweep over the union of their runs' columns,
 since every kernel fills each epoch column from its own capacity.  So each
 pair gets its own session's numbers bit for bit, from its own world and
 streams.  A batch holds at most ``BATCH_BYTES`` of stacked demand, and at
-least one run, so that memory does not grow with the runs or the horizon.
+least one run, so that its working memory does not grow with the runs or
+the horizon; the samples returned take 8 x probes x (2 + 3n) bytes per run
+for n buyers (``buyer_rows`` gives their layout).
 Otherwise each run plays its probes one by one on ``_replays``' sessions
 (``_mc_worker``), the probes of one scenario on one session and its memo.
 A deadline, if given, is checked between batches.
@@ -98,6 +100,7 @@ __all__ = [
     "SessionOutcome",
     "Strategy",
     "build_ledger",
+    "buyer_rows",
     "replay",
     "run_monte_carlo",
     "run_probes",
@@ -335,25 +338,18 @@ def _keyed(
     bids: List[float],
     draws: Sequence[Sequence[float]],
     forced: Mapping[str, bool],
-    rows: Optional[Sequence[int]] = None,
-    base: Optional[Bids] = None,
 ) -> Bids:
     """The bids, routing keys and resampling flags of ``_checked`` bids: under
     bks a bid that meets the reserve is resampled by its (coin, gamma) draw,
     or as ``forced`` pins its coin.  ``_groups`` decides eligibility and
-    priority from them; no draw is made here.  Given ``rows`` and ``base``,
-    the records of the same world under bids and pins that differ from these
-    only at ``rows``, only the buyers at ``rows`` are keyed again."""
-    r, bks, buyers = scenario.reserve, scenario.mechanism == "bks", scenario.buyers
-    if base is None:
-        rows, keys, flags = range(len(bids)), [0.0] * len(bids), [False] * len(bids)
-    else:
-        keys, flags = base.perturbed_bid.copy(), base.resampled.copy()
-    for j in rows:
-        bid, (coin, gamma) = bids[j], draws[j]
-        force = forced.get(buyers[j].buyer_id) if bks and bid >= r else False
-        keys[j], flags[j] = resample_bid(bid, min(r, bid), scenario.mu, coin, gamma, force)
-    return Bids(bids, keys, flags)
+    priority from them; no draw is made here."""
+    r, bks = scenario.reserve, scenario.mechanism == "bks"
+    keyed = [
+        resample_bid(bid, min(r, bid), scenario.mu, coin, gamma,
+                     forced.get(buyer.buyer_id) if bks and bid >= r else False)
+        for buyer, bid, (coin, gamma) in zip(scenario.buyers, bids, draws)
+    ]
+    return Bids(bids, [key for key, _ in keyed], [flag for _, flag in keyed])
 
 
 def _groups(scenario: Scenario, bids: Bids) -> List[List[int]]:
@@ -846,19 +842,9 @@ def _mc_batch(probes: Sequence[Checked], worlds: Iterable[World]) -> np.ndarray:
     billed, charges = np.zeros((2, P, n, B))
     flags = []  # by probe, then run
     buckets: Dict[Tuple[int, str], Tuple[Scenario, List[List[int]], Dict[int, List[int]]]] = {}
-    unprobed: Dict[int, Tuple[List[float], List[Bids]]] = {}  # by scenario: bids, runs' records
     for p, (scenario, bids, forced) in enumerate(probes):
-        if id(scenario) not in unprobed:
-            submitted = [float(b.submitted_bid()) for b in scenario.buyers]
-            unprobed[id(scenario)] = submitted, [_keyed(scenario, submitted, d, {}) for d in draws]
-        submitted, bases = unprobed[id(scenario)]
-        # A buyer whose bid is her submitted one and whose coin is free keeps
-        # her unprobed key and flag: the same numbers, but that a bid of -0.0
-        # may keep a key of 0.0, which is grouped as -0.0 is.
-        rows = [j for j, b in enumerate(scenario.buyers)
-                if bids[j] != submitted[j] or b.buyer_id in forced]
         for k, drawn in enumerate(draws):
-            keyed = _keyed(scenario, bids, drawn, forced, rows, bases[k])
+            keyed = _keyed(scenario, bids, drawn, forced)
             flags.append(keyed.resampled)
             groups = _groups(scenario, keyed)
             bucket = buckets.setdefault((id(scenario), repr(groups)), (scenario, groups, {}))
@@ -916,6 +902,18 @@ def _expired(deadline: Optional[float]) -> bool:
     return deadline is not None and time.monotonic() > deadline
 
 
+# The metrics of ``run_probes``' samples past welfare and revenue, each by buyer.
+_PER_BUYER = ("bytes", "payments", "utilities")
+
+
+def buyer_rows(metric: str, n: int) -> slice:
+    """The rows of ``run_probes``' metric axis that hold ``metric`` ("bytes",
+    "payments", net, or "utilities") by buyer in scenario order, for n buyers;
+    rows 0 and 1 are welfare and revenue."""
+    k = 2 + _PER_BUYER.index(metric) * n
+    return slice(k, k + n)
+
+
 def run_probes(
     probes: Sequence[Probe],
     n_runs: int,
@@ -925,8 +923,8 @@ def run_probes(
 ) -> np.ndarray:
     """Per-run samples of each probe, as a (probe, metric, run) array whose
     metrics are welfare, revenue, then bytes, net payments and utilities by
-    buyer, each run's numbers those of ``replay(scenario, seed)(bid_override,
-    force_resample)`` bit for bit.
+    buyer (see ``buyer_rows``), each run's numbers those of
+    ``replay(scenario, seed)(bid_override, force_resample)`` bit for bit.
 
     The probes' scenarios must share their buyers and horizon: each run
     draws its world once and plays every probe on it.  Run seeds derive
@@ -1000,6 +998,6 @@ def run_monte_carlo(
     stats, summary = [], summarize(samples)
     for means, lows, highs in zip(summary.mean, summary.ci_low, summary.ci_high):
         cis = [MeanCI(*v) for v in zip(means, lows, highs)]
-        per_buyer = [dict(zip(ids, cis[k : k + n])) for k in (2, 2 + n, 2 + 2 * n)]
+        per_buyer = [dict(zip(ids, cis[buyer_rows(m, n)])) for m in _PER_BUYER]
         stats.append(MonteCarloStats(cis[0], cis[1], *per_buyer))
     return stats

@@ -40,6 +40,7 @@ from bandshare.engine import (
     Probe,
     Scenario,
     build_ledger,
+    buyer_rows,
     replay,
     run_probes,
     run_seeds,
@@ -248,12 +249,13 @@ def _conditioned_utilities(
     if scenario.mechanism != "bks":
         raise ValueError("the conditioned estimator only applies to bid resampling")
     cases = [(buyer, float(b)) for buyer, bids in probes.items() for b in bids]
+    if not cases or n_runs == 0:  # no probe or no run: empty results
+        return {buyer: {float(b): np.empty(0) for b in bids} for buyer, bids in probes.items()}
     played = [Probe(scenario, {buyer: b}, {buyer: coin}) for buyer, b in cases
               for coin in (False, True)]
     samples = run_probes(played, n_runs, seed, deadline=deadline)
-    # The utility rows of run_probes' metrics: welfare, revenue, bytes, payments, utilities.
     ids = [b.buyer_id for b in scenario.buyers]
-    utilities = samples[:, 2 + 2 * len(ids) :]
+    utilities = samples[:, buyer_rows("utilities", len(ids))]
     out: Dict[str, Dict[float, np.ndarray]] = {buyer: {} for buyer in probes}
     mu = scenario.mu
     for k, (buyer, b) in enumerate(cases):

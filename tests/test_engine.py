@@ -55,6 +55,7 @@ from bandshare.engine import (
     _stateful,
     _world,
     build_ledger,
+    buyer_rows,
     replay,
     run_monte_carlo,
     run_probes,
@@ -2594,7 +2595,7 @@ def assert_probes_replay(probes, runs, seed):
         for p, probe in enumerate(probes):
             out = replay(probe.scenario, run_seed)(probe.bid_override, probe.force_resample)
             for buyer in probe.bid_override:
-                batched = samples[p, 2 + 2 * len(ids) + ids.index(buyer), k]
+                batched = samples[p, buyer_rows("utilities", len(ids)), k][ids.index(buyer)]
                 assert batched.tobytes() == np.float64(out.utilities[buyer]).tobytes()
     return samples
 
@@ -2658,7 +2659,7 @@ class TestProbes:
         scenario = self.scenario()
         probes = [Probe(scenario, {"c": 1.0}, {"c": coin}) for coin in (False, True)]
         samples = assert_probes_replay(probes, 4, seed=2)
-        assert sizes and not samples[:, 2 + 2].any()  # c's bytes
+        assert sizes and not samples[:, buyer_rows("bytes", 3)][:, 2].any()  # c's bytes
 
     @pytest.mark.parametrize("kind", ["buffered", "pad", "hybrid"])
     def test_a_refused_scenario_plays_run_by_run(self, monkeypatch, kind):
@@ -2674,6 +2675,24 @@ class TestProbes:
         probes = [Probe(scenario, {buyer: bid}, {buyer: coin})
                   for buyer in ("a", "c") for bid in (0.5, 2.0) for coin in (False, True)]
         assert_probes_replay(probes, 3, seed=5)
+
+    def test_metric_rows_are_those_of_the_monte_carlo_statistics(self):
+        """``buyer_rows`` names the rows that ``run_monte_carlo`` reads its
+        per-buyer statistics from, and each run's session numbers sit there."""
+        scenario = self.scenario()
+        ids = [b.buyer_id for b in scenario.buyers]
+        samples = run_probes([Probe(scenario)], 4, seed=6)
+        stats = run_monte_carlo([scenario], 4, seed=6)[0]
+        assert samples.shape == (1, 2 + 3 * len(ids), 4)
+        for k, run_seed in enumerate(run_seeds(6, 4)):
+            out = run_session(scenario, run_seed)
+            assert list(samples[0, :2, k]) == [out.welfare, out.seller_revenue]
+            for metric, got in (("bytes", out.bytes), ("utilities", out.utilities),
+                                ("payments", {b: p.net for b, p in out.payments.items()})):
+                assert list(samples[0, buyer_rows(metric, len(ids)), k]) == [got[b] for b in ids]
+        for metric in ("bytes", "payments", "utilities"):
+            means = samples[0, buyer_rows(metric, len(ids))].mean(axis=-1)
+            assert [getattr(stats, metric)[b].mean for b in ids] == pytest.approx(means)
 
     @pytest.mark.parametrize(
         "probe, message",

@@ -442,12 +442,13 @@ def test_probes_checked_once_each():
 
 def test_conditioned_utilities_play_on_run_probes():
     """The truthfulness suite's estimator hands its probes to the engine's
-    Monte Carlo and replays no world itself."""
+    Monte Carlo, replays no world itself and finds the utilities by the
+    engine's ``buyer_rows``, not by an offset of its own."""
     tree = ast.parse((SRC / "verify.py").read_text())
     func = next(
         f for f in tree.body
         if isinstance(f, ast.FunctionDef) and f.name == "_conditioned_utilities"
     )
     called = {ast.unparse(n.func).split(".")[-1] for n in ast.walk(func) if isinstance(n, ast.Call)}
-    assert "run_probes" in called, called
+    assert {"run_probes", "buyer_rows"} <= called, called
     assert not called & {"replay", "run_session", "run_seeds"}, called

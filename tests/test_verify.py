@@ -123,6 +123,14 @@ class TestConditionedEstimator:
             for b in bids:
                 assert np.array_equal(together[buyer_id][b], alone[b])
 
+    def test_no_probe_or_no_run_gives_empty_results(self):
+        scenario = welfare_capacity_bks_scenario()
+        assert _conditioned_utilities(scenario, {"hi": [], "lo": []}, 5, seed=0) == {
+            "hi": {}, "lo": {}}
+        empty = _conditioned_utilities(scenario, {"mid": [1.0, 2]}, 0, seed=0)
+        assert list(empty) == ["mid"] and list(empty["mid"]) == [1.0, 2.0]
+        assert all(a.shape == (0,) for a in empty["mid"].values())
+
     def test_requires_resampling_mechanism(self):
         scenario = Scenario(
             buyers=(BuyerSpec("solo", 3.0, DemandSpec.constant(4.0), 1, 10),),
