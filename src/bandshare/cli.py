@@ -15,11 +15,11 @@ Subcommands:
 Outputs are deterministic: the same config and seed reproduce byte-identical
 files (numeric text fixed at 12 significant digits).  Exit codes: 0 success,
 1 validation error, 2 property-suite failure, 3 runtime budget exceeded.
-``--budget`` is a deadline: ``simulate``, ``sweep`` and ``verify --suite
-truthfulness`` hand it to the engine's Monte Carlo, which stops between
-batches of runs once it has passed, and then exit 3 having written no file
-and printed no verdict; ``pool`` and the other suites are held to it only
-when they have finished.
+``--budget`` is a deadline that every command checks as it goes: ``simulate``
+and ``sweep`` between batches of Monte Carlo runs, ``pool`` between sellers,
+and ``verify`` between the steps of its suite (batches of runs, pools,
+observed sessions and trials, scenarios or models).  At the first check past it the command stops
+and exits 3, having written no file and printed no verdict.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from bandshare.config import ConfigError, ExperimentConfig, SWEEP_VARIABLES, load_config
-from bandshare.engine import build_ledger, run_monte_carlo, run_seeds, run_session
+from bandshare.engine import build_ledger, deadline_passed, run_monte_carlo, run_seeds, run_session
 from bandshare.pooling import PoolSettlement, SellerLedger, settle_pool
 from bandshare.verify import SUITES, run_suite
 
@@ -177,8 +177,10 @@ class PoolRun(NamedTuple):
     settlement: PoolSettlement
 
 
-def run_pool(config: ExperimentConfig) -> PoolRun:
-    """Run every seller's sessions of ``config.pool`` for one accounting period and settle."""
+def run_pool(config: ExperimentConfig, deadline: Optional[float] = None) -> PoolRun:
+    """Run every seller's sessions of ``config.pool`` for one accounting period
+    and settle.  ``deadline``, a ``time.monotonic()`` reading, is checked after
+    each seller; once it has passed, a ``TimeoutError`` is raised."""
     rng = np.random.default_rng(config.seed)
     ledgers = []
     seller_rows = []
@@ -193,6 +195,8 @@ def run_pool(config: ExperimentConfig) -> PoolRun:
                 unpooled += outcome.seller_revenue
             ledgers.append(SellerLedger(seller_id, ptype.scenario.reserve, rows))
             seller_rows.append((seller_id, ptype.name, unpooled))
+            if deadline_passed(deadline):
+                raise TimeoutError(f"deadline passed after {len(ledgers)} sellers")
     settlement = settle_pool(ledgers, rng)
     return PoolRun(seller_rows, ledgers, settlement)
 
@@ -202,7 +206,7 @@ def cmd_pool(args) -> int:
     if config.pool is None:
         raise ConfigError(f"{args.config}: no pool block in config")
 
-    seller_rows, ledgers, settlement = run_pool(config)
+    seller_rows, ledgers, settlement = run_pool(config, args.deadline)
     eid = config.experiment_id
     _write(
         args.out_dir,
@@ -251,13 +255,12 @@ def cmd_pool(args) -> int:
 def cmd_verify(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"need --seed >= 0, got {args.seed}")
-    kwargs = {}
+    kwargs = {"deadline": args.deadline}
     if args.suite == "truthfulness":
         runs = 2000 if args.runs is None else args.runs
         if runs < 2:
             raise ConfigError(f"need --runs >= 2, got {runs}")
         kwargs["n_runs"] = runs
-        kwargs["deadline"] = args.deadline
     elif args.runs is not None:
         raise ConfigError(f"--runs applies to the truthfulness suite only, not {args.suite!r}")
     report = run_suite(args.suite, seed=args.seed, **kwargs)

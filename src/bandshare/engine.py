@@ -21,15 +21,20 @@ with neither, and the truthfulness suite's estimator is ``run_probes`` on
 its (buyer, bid, coin) probes.  A probe's overrides are checked once, before
 any run.  When no buyer is stateful (see below) and no scenario routes
 hybrid, the runs are played in batches (``_mc_batch``): the runs' demand
-matrices lie side by side on the epoch axis, every (probe, run) pair is
-keyed, and the pairs of one scenario that share a priority grouping, across
+matrices lie side by side on the epoch axis, and every (probe, run) pair is
+keyed at once on (probe, run, buyer) arrays by ``_batch_keys``, the batch's
+array twin of ``_keyed``, bit for bit.  ``_buckets`` sorts the pairs by the
+rank signature of their keys, and ``_groups`` groups one pair of each
+bucket; the pairs of one scenario that share a priority grouping, across
 all probes, are filled by one sweep over the union of their runs' columns,
 since every kernel fills each epoch column from its own capacity.  So each
 pair gets its own session's numbers bit for bit, from its own world and
-streams.  A batch holds at most ``BATCH_BYTES`` of stacked demand, and at
-least one run, so that its working memory does not grow with the runs or
-the horizon; the samples returned take 8 x probes x (2 + 3n) bytes per run
-for n buyers (``buyer_rows`` gives their layout).
+streams.  What the batch reads of the probes (``ProbeArrays``) is made
+once per call.  A batch holds at most ``BATCH_BYTES`` of stacked demand,
+and at least one run, so that its working memory does not grow with the
+runs or the horizon; the samples returned take 8 x probes x (2 + 3n) bytes
+per run for n buyers, or 8 x probes x n for one ``metric`` (``buyer_rows``
+gives their layout).
 Otherwise each run plays its probes one by one on ``_replays``' sessions
 (``_mc_worker``), the probes of one scenario on one session and its memo.
 A deadline, if given, is checked between batches.
@@ -101,6 +106,7 @@ __all__ = [
     "Strategy",
     "build_ledger",
     "buyer_rows",
+    "deadline_passed",
     "replay",
     "run_monte_carlo",
     "run_probes",
@@ -282,8 +288,9 @@ def _world(buyers: Sequence[BuyerSpec], seed: int) -> World:
     """Demand realizations of ``seed`` and each buyer's resampling (coin,
     gamma), drawn once for the world in buyer order whatever the bids; a
     world depends on nothing else."""
-    # The unused middle child keeps the resampling stream where it has always been.
-    demand_ss, _, resample_ss = np.random.SeedSequence(seed).spawn(3)
+    # The first and third children that SeedSequence(seed).spawn(3) would make,
+    # built directly: the resampling stream has always been the third.
+    demand_ss, resample_ss = (np.random.SeedSequence(seed, spawn_key=(k,)) for k in (0, 2))
     n = len(buyers)
     seeds = demand_ss.generate_state(n, dtype=np.uint64)
     realizations = [b.demand.realize(int(s)) for b, s in zip(buyers, seeds)]
@@ -819,18 +826,119 @@ def _batched(scenarios: Sequence[Scenario], realizations: Sequence[DemandRealiza
     return not any(stateful) and all(s.routing != "hybrid" for s in scenarios)
 
 
-def _mc_batch(probes: Sequence[Checked], worlds: Iterable[World]) -> np.ndarray:
+class ProbeArrays(NamedTuple):
+    """``_checked`` probes and what ``_mc_batch`` reads of them as arrays, made
+    once per ``run_probes`` call: (P, 1, n) by probe and buyer, or (P, 1, 1) by
+    probe, so that they broadcast over a batch's (P, B, n) (probe, run) pairs."""
+
+    checked: List[Checked]
+    bid: np.ndarray  # submitted
+    eligible: np.ndarray  # the bid meets the reserve
+    by_coin: np.ndarray  # resampled when her coin falls below mu
+    always: np.ndarray  # resampled by a pinned coin
+    reserve: np.ndarray
+    mu: np.ndarray
+    bks: np.ndarray
+    fixed: np.ndarray
+    tied: np.ndarray  # fq or fifo: every eligible key ties
+    scenario: np.ndarray  # the scenario's position among the distinct ones, by identity
+    exponent: np.ndarray  # (P,) the position of 1 / (1 - mu) in ``exponents``
+    exponents: List[float]
+    value: np.ndarray  # (n,)
+
+
+def _codes(values: Iterable) -> Tuple[List[int], list]:
+    """Each value's position among the distinct ``values``, and those in order."""
+    seen: Dict = {}
+    return [seen.setdefault(v, len(seen)) for v in values], list(seen)
+
+
+def _probe_arrays(checked: List[Checked]) -> ProbeArrays:
+    """The ``ProbeArrays`` of ``checked`` probes, which share their buyers."""
+    scenarios = [scenario for scenario, _, _ in checked]
+    buyers = scenarios[0].buyers
+    P, n = len(checked), len(buyers)
+
+    def rows(values: list, width: int = 1, dtype: type = float) -> np.ndarray:
+        return np.array(values, dtype=dtype).reshape(P, 1, width)
+
+    def mask(test: Callable[[Scenario], bool]) -> np.ndarray:
+        return rows([test(s) for s in scenarios], dtype=bool)
+
+    bid, reserve = rows([bids for _, bids, _ in checked], n), rows([s.reserve for s in scenarios])
+    bks = mask(lambda s: s.mechanism == "bks")
+    eligible = bid >= reserve
+    resamples = bks & eligible  # as _keyed lets them
+    pins = [[forced.get(b.buyer_id) for b in buyers] for _, _, forced in checked]
+    pinned = rows([[pin is not None for pin in row] for row in pins], n, bool)
+    pin = rows([[bool(pin) for pin in row] for row in pins], n, bool)
+    exponent, exponents = _codes(1.0 / (1.0 - s.mu) for s in scenarios)  # as resample_bid takes it
+    return ProbeArrays(
+        checked, bid, eligible, resamples & ~pinned, resamples & pinned & pin, reserve,
+        rows([s.mu for s in scenarios]), bks, mask(lambda s: s.mechanism == "fixed"),
+        mask(lambda s: s.routing in ("fq", "fifo")),
+        rows(_codes(map(id, scenarios))[0], dtype=int), np.array(exponent, dtype=int), exponents,
+        np.array([b.value for b in buyers]),
+    )
+
+
+def _batch_keys(probes: ProbeArrays, draws: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``_keyed``'s routing keys and resampling flags of every (probe, run)
+    pair, as (P, B, n) arrays, from the runs' (B, n, 2) (coin, gamma) draws,
+    bit for bit: gamma^(1/(1-mu)) is Python's ``**``, once per run, buyer
+    and distinct mu, as ``resample_bid`` takes it (numpy's ``power`` rounds
+    some otherwise), and r + (b - r) * g is numpy's, which rounds as Python's."""
+    coin, gamma = draws[..., 0], draws[..., 1].tolist()
+    g = np.array([[[x**e for x in run] for run in gamma] for e in probes.exponents])
+    g = g.reshape(len(probes.exponents), *coin.shape)[probes.exponent]
+    resampled = (probes.by_coin & (coin < probes.mu)) | probes.always
+    b, r = probes.bid, probes.reserve
+    return np.where(resampled, r + (b - r) * g, b), resampled
+
+
+def _buckets(
+    probes: ProbeArrays, keys: np.ndarray, flags: np.ndarray
+) -> List[Tuple[Scenario, List[List[int]], Dict[int, List[int]]]]:
+    """The (probe, run) pairs of ``_batch_keys``' keys and flags bucketed by
+    scenario and priority grouping: (scenario, groups, the probes of each
+    run) per bucket.  Pairs whose keys rank alike share their groups, so a
+    pair's rank signature (its scenario, a stable ``argsort`` of -key, the
+    ties between neighbours in that order and their eligibility) decides its
+    bucket, and ``_groups`` groups one pair of each."""
+    P, B, n = keys.shape
+    rank = np.where(probes.tied, probes.eligible, keys)
+    order = np.argsort(-rank, axis=-1, kind="stable")
+    ranked = np.take_along_axis(rank, order, -1)
+    eligible = np.take_along_axis(np.broadcast_to(probes.eligible, keys.shape), order, -1)
+    scenario = np.broadcast_to(probes.scenario, (P, B, 1))
+    signature = np.concatenate(
+        [scenario, order, ranked[..., 1:] == ranked[..., :-1], eligible], axis=-1
+    ).reshape(P * B, -1)
+    members: Dict[tuple, Dict[int, List[int]]] = {}  # by signature, the probes of each run
+    for pair, row in enumerate(signature.tolist()):
+        members.setdefault(tuple(row), {}).setdefault(pair % B, []).append(pair // B)
+    buckets = []
+    for runs in members.values():
+        k, (p, *_) = next(iter(runs.items()))
+        scenario, bids, _ = probes.checked[p]
+        groups = _groups(scenario, Bids(bids, keys[p, k].tolist(), flags[p, k].tolist()))
+        buckets.append((scenario, groups, runs))
+    return buckets
+
+
+def _mc_batch(probes: ProbeArrays, worlds: Iterable[World]) -> np.ndarray:
     """``_mc_worker``'s rows of every run of ``worlds`` as a (probe, metric,
     run) array, for probes whose scenarios ``_batched`` admits.
 
     The runs' demand matrices are stacked (n, B, T).  Every (probe, run) pair
-    is keyed and grouped, and the pairs are bucketed by scenario and priority
-    grouping across all probes: only bks keys and bid overrides vary the
-    grouping.  Each bucket is one ``_run_sweep`` of the (n, B' x T) view of
-    the union of its runs, since the kernels fill each column from its own
-    capacity, so each pair gets the grants of its own session.  The pairs then
-    settle as ``_finish`` settles them, on (probe, n, B) arrays."""
-    first = probes[0][0]
+    is keyed (``_batch_keys``) and the pairs are bucketed by scenario and
+    priority grouping across all probes (``_buckets``): only bks keys and bid
+    overrides vary the grouping.  Each bucket is one ``_run_sweep`` of the
+    (n, B' x T) view of the union of its runs, since the kernels fill each
+    column from its own capacity, so each pair gets the grants of its own
+    session.  The pairs then settle as ``_finish`` settles them, on (probe,
+    n, B) arrays."""
+    first = probes.checked[0][0]
     matrices, draws = [], []
     for realizations, drawn in worlds:  # each world's realizations go once its matrix is made
         matrices.append(_demand_matrix(first, realizations))
@@ -838,19 +946,11 @@ def _mc_batch(probes: Sequence[Checked], worlds: Iterable[World]) -> np.ndarray:
     demand = np.stack(matrices, axis=1)
     matrices.clear()
     n, B, T = demand.shape
-    P = len(probes)
+    P = len(probes.checked)
+    keys, flags = _batch_keys(probes, np.array(draws).reshape(B, n, 2))
     billed, charges = np.zeros((2, P, n, B))
-    flags = []  # by probe, then run
-    buckets: Dict[Tuple[int, str], Tuple[Scenario, List[List[int]], Dict[int, List[int]]]] = {}
-    for p, (scenario, bids, forced) in enumerate(probes):
-        for k, drawn in enumerate(draws):
-            keyed = _keyed(scenario, bids, drawn, forced)
-            flags.append(keyed.resampled)
-            groups = _groups(scenario, keyed)
-            bucket = buckets.setdefault((id(scenario), repr(groups)), (scenario, groups, {}))
-            bucket[2].setdefault(k, []).append(p)  # the probes of run k in the bucket
     plain = [False] * n  # no buyer is stateful
-    for scenario, groups, members in buckets.values():
+    for scenario, groups, members in _buckets(probes, keys, flags):
         ks = sorted(members)
         view = (demand if len(ks) == B else demand[:, ks]).reshape(n, len(ks) * T)
         grants, shown, _ = _run_sweep(scenario, (), view, groups, plain)
@@ -862,19 +962,15 @@ def _mc_batch(probes: Sequence[Checked], worlds: Iterable[World]) -> np.ndarray:
             shown = shown.reshape(n, len(ks), T)
             for p in dict.fromkeys(ps):
                 mine = [j for q, _, j in pairs if q == p]
-                own = vmm_epoch_charges(shown[:, mine], probes[p][1], scenario.capacity)
+                own = vmm_epoch_charges(shown[:, mine], probes.checked[p][1], scenario.capacity)
                 charges[p][:, [ks[j] for j in mine]] = own
-    scenarios = [scenario for scenario, _, _ in probes]
-    bid = np.array([bids for _, bids, _ in probes]).reshape(P, n, 1)
-    r, mu = np.array([[s.reserve, s.mu] for s in scenarios]).T.reshape(2, P, 1, 1)
-    mechanism = np.array([s.mechanism for s in scenarios]).reshape(P, 1, 1)
+    bid, r, mu = probes.bid.transpose(0, 2, 1), probes.reserve, probes.mu  # to (P, n, B)
     # As bks_settle, fixed_price_settle and vmm_epoch_charges settle one buyer.
-    gross = np.where(mechanism == "bks", bid * billed,
-                     np.where(mechanism == "fixed", r * billed, charges))
-    resampled = np.array(flags, dtype=bool).reshape(P, B, n).transpose(0, 2, 1)
+    gross = np.where(probes.bks, bid * billed, np.where(probes.fixed, r * billed, charges))
+    resampled = flags.transpose(0, 2, 1)
     rebate = np.where(resampled, billed * (bid - r) / mu, 0.0)  # only bks resamples
     net = gross - rebate
-    worth = np.array([b.value for b in first.buyers]).reshape(n, 1) * billed
+    worth = probes.value[:, None] * billed
     out = np.empty((P, 2 + 3 * n, B))
     # Summed over buyers as ``_finish`` sums them, by Python's ``sum``.
     out[:, 0], out[:, 1] = (
@@ -884,21 +980,26 @@ def _mc_batch(probes: Sequence[Checked], worlds: Iterable[World]) -> np.ndarray:
     return out
 
 
-def _mc_runs(probes: Sequence[Checked], batched: bool, worlds: Iterable[World]) -> np.ndarray:
-    """The (probe, metric, run) samples of the runs of ``worlds``: side by
-    side if ``batched``, else one ``_mc_worker`` call each."""
+def _mc_runs(
+    probes: ProbeArrays, batched: bool, rows: slice, worlds: Iterable[World]
+) -> np.ndarray:
+    """The (probe, metric, run) samples of the runs of ``worlds``, of the
+    metric ``rows`` only: side by side if ``batched``, else one
+    ``_mc_worker`` call each."""
     if batched:
-        return _mc_batch(probes, worlds)
-    return np.stack([_mc_worker(probes, world) for world in worlds], axis=-1)
+        return _mc_batch(probes, worlds)[:, rows]
+    return np.stack([_mc_worker(probes.checked, world) for world in worlds], axis=-1)[:, rows]
 
 
-def _mc_task(probes: Sequence[Checked], batched: bool, seeds: Sequence[int]) -> np.ndarray:
+def _mc_task(probes: ProbeArrays, batched: bool, rows: slice, seeds: Sequence[int]) -> np.ndarray:
     """One pool task: ``_mc_runs`` of the worlds of ``seeds``, drawn as played."""
-    buyers = probes[0][0].buyers
-    return _mc_runs(probes, batched, (_world(buyers, seed) for seed in seeds))
+    buyers = probes.checked[0][0].buyers
+    return _mc_runs(probes, batched, rows, (_world(buyers, seed) for seed in seeds))
 
 
-def _expired(deadline: Optional[float]) -> bool:
+def deadline_passed(deadline: Optional[float]) -> bool:
+    """Whether ``deadline``, a ``time.monotonic()`` reading or None for no
+    deadline, has passed."""
     return deadline is not None and time.monotonic() > deadline
 
 
@@ -920,11 +1021,15 @@ def run_probes(
     seed: int,
     jobs: int = 1,
     deadline: Optional[float] = None,
+    metric: Optional[str] = None,
 ) -> np.ndarray:
     """Per-run samples of each probe, as a (probe, metric, run) array whose
     metrics are welfare, revenue, then bytes, net payments and utilities by
     buyer (see ``buyer_rows``), each run's numbers those of
     ``replay(scenario, seed)(bid_override, force_resample)`` bit for bit.
+    A ``metric`` ("bytes", "payments" or "utilities") keeps only its
+    ``buyer_rows``, by buyer in scenario order, so that the samples kept
+    grow by 8 x probes x n bytes per run, not 8 x probes x (2 + 3n).
 
     The probes' scenarios must share their buyers and horizon: each run
     draws its world once and plays every probe on it.  Run seeds derive
@@ -946,6 +1051,7 @@ def run_probes(
     buyers, horizon = shared
     checked = [_checked(p) for p in probes]
     n = len(buyers)
+    rows = slice(0, 2 + 3 * n) if metric is None else buyer_rows(metric, n)
     seeds = run_seeds(seed, n_runs)
     first = _world(buyers, seeds[0])  # it decides the path, and plays run 0 when serial
     batched = _batched([p.scenario for p in probes], first[0])
@@ -960,21 +1066,23 @@ def run_probes(
     count = max(workers, -(-n_runs // size))  # batches of near-equal size
     bounds = [n_runs * k // count for k in range(count + 1)]
     spans = list(zip(bounds, bounds[1:]))
-    samples = np.empty((len(probes), 2 + 3 * n, n_runs))  # probe, metric, run
+    arrays = _probe_arrays(checked)
+    samples = np.empty((len(probes), rows.stop - rows.start, n_runs))  # probe, metric, run
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            task = partial(_mc_task, checked, batched)
+            task = partial(_mc_task, arrays, batched, rows)
             blocks = pool.map(task, [seeds[lo:hi] for lo, hi in spans])
             for (lo, hi), block in zip(spans, blocks):
                 samples[:, :, lo:hi] = block
-                if _expired(deadline):
+                if deadline_passed(deadline):
                     pool.shutdown(wait=False, cancel_futures=True)
                     raise TimeoutError(f"deadline passed after {hi} of {n_runs} runs")
     else:
         worlds = itertools.chain([first], (_world(buyers, s) for s in seeds[1:]))
         for lo, hi in spans:
-            samples[:, :, lo:hi] = _mc_runs(checked, batched, itertools.islice(worlds, hi - lo))
-            if _expired(deadline):
+            block = _mc_runs(arrays, batched, rows, itertools.islice(worlds, hi - lo))
+            samples[:, :, lo:hi] = block
+            if deadline_passed(deadline):
                 raise TimeoutError(f"deadline passed after {hi} of {n_runs} runs")
     return samples
 

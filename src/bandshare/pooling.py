@@ -15,8 +15,9 @@ sellers untaxed.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -169,23 +170,28 @@ def tax_admissibility_estimate(
     n_trials: int,
     rng: np.random.Generator,
     sessions_per_seller: int = 1,
+    deadline: Optional[float] = None,
 ) -> float:
     """Monte Carlo estimate of Pr(some tax rate > 1) for pools of 2m sellers.
 
     Each trial calls ``sampler(rng, 2 * m, sessions_per_seller)`` once for
     the 2m sellers' accounting periods: their above-reserve credits and
     above-reserve buyer payments, each the total of that many auctions.
+    ``deadline``, a ``time.monotonic()`` reading, is checked after each
+    trial; once it has passed, a ``TimeoutError`` is raised.
     """
     if m < 1:
         raise ValueError("need at least one seller per half")
     if n_trials < 1:
         raise ValueError("need at least one trial")
     exceed = 0
-    for _ in range(n_trials):
+    for trial in range(n_trials):
         credit, paid = sampler(rng, 2 * m, sessions_per_seller)
         _, (raw1, _), (raw2, _) = _split_taxes(credit, paid, rng)
         if max(raw1, raw2) > 1.0:
             exceed += 1
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError(f"deadline passed after {trial + 1} of {n_trials} trials")
     return exceed / n_trials
 
 

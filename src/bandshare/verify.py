@@ -40,7 +40,7 @@ from bandshare.engine import (
     Probe,
     Scenario,
     build_ledger,
-    buyer_rows,
+    deadline_passed,
     replay,
     run_probes,
     run_seeds,
@@ -98,7 +98,13 @@ def _natural_on_random_triples(
     return None
 
 
-def natural_suite(seed: int = 0) -> SuiteReport:
+def _check(deadline: Optional[float], done: str) -> None:
+    """A suite's deadline check: a ``TimeoutError`` once ``deadline`` has passed."""
+    if deadline_passed(deadline):
+        raise TimeoutError(f"deadline passed after {done}")
+
+
+def natural_suite(seed: int = 0, deadline: Optional[float] = None) -> SuiteReport:
     rng = np.random.default_rng(seed)
     lines = []
     passed = True
@@ -111,6 +117,7 @@ def natural_suite(seed: int = 0) -> SuiteReport:
         else:
             passed = False
             lines.append(f"  {d.model_id}: VIOLATION at (t, x, x', c) = {witness}")
+        _check(deadline, f"model {d.model_id}")
 
     # The quota-cliff fixture must fail, with a concrete witness.
     fixture = DemandSpec.cliff(10.0, 500.0).realize()
@@ -165,9 +172,10 @@ MONOTONE_MODEL_KINDS = (
 
 
 def monotonicity_suite(
-    seed: int = 0, n_scenarios: int = 20, n_pairs: int = 50
+    seed: int = 0, n_scenarios: int = 20, n_pairs: int = 50, deadline: Optional[float] = None
 ) -> SuiteReport:
-    """Bid-monotonicity of total bytes under SPQ + greedy, world replayed."""
+    """Bid-monotonicity of total bytes under SPQ + greedy, world replayed.
+    ``deadline`` is checked after each scenario."""
     if n_scenarios < 1 or n_pairs < 1:
         raise ValueError(f"need n_scenarios and n_pairs >= 1, got {n_scenarios} and {n_pairs}")
     rng = np.random.default_rng(seed)
@@ -209,6 +217,7 @@ def monotonicity_suite(
                         f"  VIOLATION {kind}: x({hi:.4f})={x_hi:.6f} < "
                         f"x({lo:.4f})={x_lo:.6f} (seed {world_seed})"
                     )
+            _check(deadline, f"{checked} bid pairs")
     lines.append(
         f"  checked {checked} bid pairs across {len(MONOTONE_MODEL_KINDS)} models "
         f"x {n_scenarios} scenarios: {violations} violations"
@@ -253,9 +262,8 @@ def _conditioned_utilities(
         return {buyer: {float(b): np.empty(0) for b in bids} for buyer, bids in probes.items()}
     played = [Probe(scenario, {buyer: b}, {buyer: coin}) for buyer, b in cases
               for coin in (False, True)]
-    samples = run_probes(played, n_runs, seed, deadline=deadline)
+    utilities = run_probes(played, n_runs, seed, deadline=deadline, metric="utilities")
     ids = [b.buyer_id for b in scenario.buyers]
-    utilities = samples[:, buyer_rows("utilities", len(ids))]
     out: Dict[str, Dict[float, np.ndarray]] = {buyer: {} for buyer in probes}
     mu = scenario.mu
     for k, (buyer, b) in enumerate(cases):
@@ -312,17 +320,20 @@ def _random_ledger(
     return SellerLedger(seller_id, reserve, rows)
 
 
-def balance_suite(seed: int = 0, n_pools: int = 500) -> SuiteReport:
+def balance_suite(
+    seed: int = 0, n_pools: int = 500, deadline: Optional[float] = None
+) -> SuiteReport:
     """Random pool settlements against ``center_residual = tax1 C1 + tax2 C2 -
     D1 - D2``, with half h's credit C_h and deficit D_h summed here from its
-    ledgers, and with a zero residual when no tax cap binds."""
+    ledgers, and with a zero residual when no tax cap binds.  ``deadline``
+    is checked after each pool."""
     if n_pools < 1:
         raise ValueError(f"need n_pools >= 1, got {n_pools}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_uncapped_residual = 0.0
     capped = 0
-    for _ in range(n_pools):
+    for done in range(1, n_pools + 1):
         reserve = float(rng.choice([0.0, 1.0, 2.0]))
         n = int(rng.integers(2, 16))
         pool = [_random_ledger(rng, f"s{i}", reserve) for i in range(n)]
@@ -342,6 +353,7 @@ def balance_suite(seed: int = 0, n_pools: int = 500) -> SuiteReport:
             )
         else:
             capped += 1
+        _check(deadline, f"{done} of {n_pools} pools")
     passed = worst < 1e-9 and worst_uncapped_residual < 1e-9
     lines = [
         f"  {n_pools} random pools: max relative settlement-identity error {worst:.3e}",
@@ -355,14 +367,15 @@ def balance_suite(seed: int = 0, n_pools: int = 500) -> SuiteReport:
 
 
 def pooling_seller_observations(
-    scenario: Scenario, n_sessions: int = 600, seed: int = 0
+    scenario: Scenario, n_sessions: int = 600, seed: int = 0, deadline: Optional[float] = None
 ) -> List[Tuple[float, float]]:
     """(above-reserve credit, above-reserve payments) per simulated auction of
-    one seller in ``scenario``."""
+    one seller in ``scenario``; ``deadline`` is checked after each session."""
     obs = []
     for s in run_seeds(seed, n_sessions):
         ledger = build_ledger("s", run_session(scenario, s))
         obs.append((ledger.credit_above_reserve(), ledger.payments_above_reserve()))
+        _check(deadline, f"{len(obs)} of {n_sessions} sessions")
     return obs
 
 
@@ -371,20 +384,25 @@ def admissibility_suite(
     n_sessions: int = 600,
     n_trials: int = 100,
     trend_trials: int = 2000,
+    deadline: Optional[float] = None,
 ) -> SuiteReport:
+    """Pooled tax rates stay below 1 in large pools, and exceed it less often
+    as pools grow; ``deadline`` is checked after each observed session and
+    each trial."""
     config = load_config(builtin_config_path("pooling_similar"))
     sellers, sessions = sum(t.count for t in config.pool.types), config.pool.sessions_per_seller
     rng = np.random.default_rng(seed)
-    sampler = bootstrap_sampler(pooling_seller_observations(config.scenario, n_sessions, seed))
+    observed = pooling_seller_observations(config.scenario, n_sessions, seed, deadline)
+    sampler = bootstrap_sampler(observed)
     lines = []
 
-    p_pool = tax_admissibility_estimate(sampler, sellers // 2, n_trials, rng, sessions)
+    p_pool = tax_admissibility_estimate(sampler, sellers // 2, n_trials, rng, sessions, deadline)
     lines.append(
         f"  {sellers}-seller pools: Pr(tax > 1) = {p_pool:.4f} over {n_trials} trials"
     )
 
     trend = [
-        tax_admissibility_estimate(sampler, m, trend_trials, rng, sessions)
+        tax_admissibility_estimate(sampler, m, trend_trials, rng, sessions, deadline)
         for m in (5, 20, 80)
     ]
     lines.append(

@@ -609,7 +609,7 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and "--runs" in err and suite in err
             assert self.run_cli("verify", "--suite", suite) == 0
-        assert calls == [{}, {}]
+        assert calls == [{"deadline": None}, {"deadline": None}]
 
     def test_verify_truthfulness_runs_default(self, monkeypatch):
         calls = []
@@ -822,9 +822,10 @@ class TestCli:
         assert not out.exists()
         assert len(readings) == 3  # main's start, after the one batch, main's end
 
-    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "pool"])
     def test_budget_not_reached_leaves_the_files_unchanged(self, tmp_path, monkeypatch, command):
-        doc = dict(MINI_DOC, runs=5, sweep={"variable": "capacity", "values": [8, 16]})
+        doc = dict(MINI_DOC, runs=5, sweep={"variable": "capacity", "values": [8, 16]},
+                   pool={"sellers": 4})
         config = write_config(tmp_path, doc)
         free, budgeted = tmp_path / "free", tmp_path / "budgeted"
         assert self.run_cli(command, "--config", config, "--out-dir", str(free)) == 0
@@ -863,14 +864,61 @@ class TestCli:
         assert self.run_cli(*argv, "--budget", "0.5") == 0
         assert capsys.readouterr() == free
 
-    def test_other_suites_are_held_to_the_budget_at_the_end(self, monkeypatch, capsys):
-        """``balance`` takes no deadline: it runs to the end, prints its
-        verdict, and then exits 3 for the time it took."""
-        clock = iter([100.0])
-        monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock, 110.0))
-        assert self.run_cli("verify", "--suite", "balance", "--budget", "0.5") == 3
+    @staticmethod
+    def expiring_clock(monkeypatch):
+        """``time.monotonic`` reads 100 when main starts and 110 after; returns
+        the list of its readings."""
+        readings = []
+
+        def clock():
+            readings.append(None)
+            return 100.0 if len(readings) == 1 else 110.0
+
+        monkeypatch.setattr(cli.time, "monotonic", clock)
+        return readings
+
+    @pytest.mark.parametrize("suite", ["natural", "monotonicity", "balance", "admissibility"])
+    def test_budget_stops_every_suite_and_prints_no_verdict(self, monkeypatch, capsys, suite):
+        """Each suite checks the deadline after its first model, scenario,
+        pool or observed session, stops there, and ``verify`` exits 3 with no
+        verdict line."""
+        readings = self.expiring_clock(monkeypatch)
+        assert self.run_cli("verify", "--suite", suite, "--budget", "0.5") == 3
         out, err = capsys.readouterr()
-        assert "[PASS] balance" in out and err == "runtime budget exceeded: 10s > 0.5s\n"
+        assert out == "" and err == "runtime budget exceeded: 10s > 0.5s\n"
+        assert len(readings) == 3  # main's start, the suite's first check, main's end
+
+    @pytest.mark.parametrize("suite", ["natural", "monotonicity", "balance", "admissibility"])
+    def test_budget_not_reached_leaves_every_verdict_unchanged(self, monkeypatch, capsys, suite):
+        assert self.run_cli("verify", "--suite", suite) == 0
+        free = capsys.readouterr()
+        monkeypatch.setattr(cli.time, "monotonic", lambda: 100.0)
+        assert self.run_cli("verify", "--suite", suite, "--budget", "0.5") == 0
+        assert capsys.readouterr() == free
+
+    def test_budget_stops_the_pool_and_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        """The pool checks the deadline after each seller: it stops after the
+        first of 4, and no file is written."""
+        readings = self.expiring_clock(monkeypatch)
+        config = write_config(tmp_path, dict(MINI_DOC, pool={"sellers": 4}))
+        out = tmp_path / "o"
+        assert self.run_cli("pool", "--config", config, "--out-dir", str(out), "--budget", "0.5") == 3
+        assert capsys.readouterr().err == "runtime budget exceeded: 10s > 0.5s\n"
+        assert not out.exists()
+        assert len(readings) == 3  # main's start, after the first seller, main's end
+
+    def test_a_command_that_ends_past_its_budget_exits_3_after_its_output(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The budget is also read when a command has finished: a pool whose
+        clock passes the deadline only after its last check still exits 3."""
+        clock = iter([100.0] * 5)  # main's start and the 4 sellers' checks
+        monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock, 110.0))
+        config = write_config(tmp_path, dict(MINI_DOC, pool={"sellers": 4}))
+        out = tmp_path / "o"
+        assert self.run_cli("pool", "--config", config, "--out-dir", str(out), "--budget", "0.5") == 3
+        assert capsys.readouterr().err == "runtime budget exceeded: 10s > 0.5s\n"
+        assert (out / "mini_settlement.json").exists()
 
     def test_console_entry_point(self, tmp_path):
         config = write_config(tmp_path, MINI_DOC)

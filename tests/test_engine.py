@@ -19,7 +19,9 @@ the reserve doubles every payment; doubling every KB quantity doubles traffic
 and payments; idle epochs in front shift the trace), settlement by buyer
 position against each mechanism's per-buyer definition, a process pool no
 larger than the runs, and world replay under counterfactual bids and pinned
-coins, each distinct priority grouping of a replayed world played once.
+coins, each distinct priority grouping of a replayed world played once, and
+the Monte Carlo batch's array keys, flags and buckets against ``_keyed`` and
+``_groups``.
 """
 
 import itertools
@@ -50,6 +52,7 @@ from bandshare.engine import (
     _finish,
     _groups,
     _keyed,
+    _probe_arrays,
     _run_loop,
     _run_sweep,
     _stateful,
@@ -2496,7 +2499,7 @@ class TestBatchedMonteCarlo:
     def test_batch_equals_one_run_at_a_time(self, grid, seed, runs):
         worlds = [_world(grid[0].buyers, s) for s in run_seeds(seed, runs)]
         assert bandshare.engine._batched(grid, worlds[0][0])
-        batch = bandshare.engine._mc_batch(checked(grid), worlds)
+        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)), worlds)
         assert batch.tobytes() == per_run(grid, worlds).tobytes()
 
     @pytest.mark.parametrize("name", sorted(BATCH_GRIDS))
@@ -2505,7 +2508,7 @@ class TestBatchedMonteCarlo:
         below the reserve) at 13 runs, whose bks runs fall in many groupings."""
         grid = BATCH_GRIDS[name]
         worlds = [_world(grid[0].buyers, s) for s in run_seeds(11, 13)]
-        batch = bandshare.engine._mc_batch(checked(grid), worlds)
+        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)), worlds)
         assert batch.tobytes() == per_run(grid, worlds).tobytes()
 
     def test_tied_bids_and_a_reserve_above_some(self):
@@ -2528,7 +2531,7 @@ class TestBatchedMonteCarlo:
             for c, r in ((9.0, 0.0), (14.0, 1.5))
         ]
         worlds = [_world(buyers, s) for s in run_seeds(3, 17)]
-        batch = bandshare.engine._mc_batch(checked(grid), worlds)
+        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)), worlds)
         assert batch.tobytes() == per_run(grid, worlds).tobytes()
 
     def test_a_grid_with_no_buyers(self):
@@ -2538,7 +2541,7 @@ class TestBatchedMonteCarlo:
             for mechanism in ("bks", "vmm", "fixed")
         ]
         worlds = [_world((), s) for s in run_seeds(2, 3)]
-        batch = bandshare.engine._mc_batch(checked(grid), worlds)
+        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)), worlds)
         assert batch.shape == (9, 2, 3)
         assert batch.tobytes() == per_run(grid, worlds).tobytes()
 
@@ -2583,6 +2586,59 @@ class TestBatchedMonteCarlo:
             assert main(argv) == 0
             written.append((out / "welfare_capacity_sweep_capacity.csv").read_bytes())
         assert written[0] == written[1]
+
+
+@st.composite
+def keyed_probes(draw):
+    """A grid that ``_batched`` admits, at several mu, and up to 10 checked
+    probes on it, each overriding and pinning any subset of the buyers: bids
+    tie a value or the reserve, fall below it, or are -0.0."""
+    grid = [replace(s, mu=draw(st.sampled_from([0.2, 0.5, 0.9]) | st.floats(0.01, 0.99)))
+            for s in draw(batch_grids())]
+    buyers = [b.buyer_id for b in grid[0].buyers]
+    bids = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0, 4.0] + [b.value for b in grid[0].buyers])
+    probes = []
+    for _ in range(draw(st.integers(1, 10))):
+        override = draw(st.dictionaries(st.sampled_from(buyers), bids | st.floats(0.0, 10.0)))
+        pins = draw(st.dictionaries(st.sampled_from(buyers), st.booleans()))
+        probes.append(_checked(Probe(draw(st.sampled_from(grid)), override, pins)))
+    return probes
+
+
+class TestBatchKeys:
+    """The batch keys, flags and groups every (probe, run) pair with arrays,
+    as ``_keyed`` and ``_groups`` key and group one replayed session."""
+
+    @staticmethod
+    def batch(probes, seed, runs):
+        worlds = [_world(probes[0][0].buyers, s) for s in run_seeds(seed, runs)]
+        arrays = _probe_arrays(probes)
+        draws = np.array([drawn for _, drawn in worlds]).reshape(runs, len(probes[0][1]), 2)
+        return worlds, arrays, *bandshare.engine._batch_keys(arrays, draws)
+
+    @given(probes=keyed_probes(), seed=st.integers(0, 2**32), runs=st.integers(1, 5))
+    @settings(max_examples=120, deadline=None)
+    def test_keys_and_flags_are_those_of_keyed_bit_for_bit(self, probes, seed, runs):
+        worlds, _, keys, flags = self.batch(probes, seed, runs)
+        assert keys.shape == flags.shape == (len(probes), runs, len(probes[0][1]))
+        for p, (scenario, bids, forced) in enumerate(probes):
+            for k, (_, drawn) in enumerate(worlds):
+                keyed = _keyed(scenario, bids, drawn, forced)
+                assert keys[p, k].tobytes() == np.array(keyed.perturbed_bid).tobytes()
+                assert flags[p, k].tolist() == keyed.resampled
+
+    @given(probes=keyed_probes(), seed=st.integers(0, 2**32), runs=st.integers(1, 5))
+    @settings(max_examples=120, deadline=None)
+    def test_every_pair_in_a_bucket_has_its_groups(self, probes, seed, runs):
+        worlds, arrays, keys, flags = self.batch(probes, seed, runs)
+        seen = []
+        for scenario, groups, members in bandshare.engine._buckets(arrays, keys, flags):
+            for k, p in ((k, p) for k, ps in members.items() for p in ps):
+                own, bids, forced = probes[p]
+                assert own is scenario
+                assert _groups(scenario, _keyed(scenario, bids, worlds[k][1], forced)) == groups
+                seen.append((p, k))
+        assert sorted(seen) == list(itertools.product(range(len(probes)), range(runs)))
 
 
 def assert_probes_replay(probes, runs, seed):
@@ -2675,6 +2731,20 @@ class TestProbes:
         probes = [Probe(scenario, {buyer: bid}, {buyer: coin})
                   for buyer in ("a", "c") for bid in (0.5, 2.0) for coin in (False, True)]
         assert_probes_replay(probes, 3, seed=5)
+
+    @pytest.mark.parametrize("metric", ["bytes", "payments", "utilities"])
+    @pytest.mark.parametrize("demand", ["constant", "buffered"])
+    def test_a_metric_keeps_only_its_rows(self, metric, demand):
+        """On the batch and, with a buffered buyer, run by run."""
+        scenario = self.scenario()
+        if demand == "buffered":
+            a = replace(scenario.buyers[0], demand=DemandSpec.buffered([6.0] * 30))
+            scenario = replace(scenario, buyers=(a, *scenario.buyers[1:]))
+        probes = [Probe(scenario), Probe(scenario, {"a": 1.0}, {"a": True})]
+        full = run_probes(probes, 5, seed=3)
+        kept = run_probes(probes, 5, seed=3, metric=metric)
+        assert kept.shape == (2, 3, 5)
+        assert kept.tobytes() == np.ascontiguousarray(full[:, buyer_rows(metric, 3)]).tobytes()
 
     def test_metric_rows_are_those_of_the_monte_carlo_statistics(self):
         """``buyer_rows`` names the rows that ``run_monte_carlo`` reads its

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bandshare import pooling
 from bandshare.pooling import (
     LedgerRow,
     _split_taxes,
@@ -232,6 +233,21 @@ class TestTaxAdmissibility:
             rng=np.random.default_rng(3),
         )
         assert p == 0.0
+
+    def test_deadline_stops_between_trials(self, monkeypatch):
+        """The clock passes the deadline at its third reading: the estimate
+        stops after the third of 50 trials, and with no deadline reached it
+        is the estimate with none."""
+        sampler = two_point_sampler(0.5, (30.0, -200.0), (50.0, 50.0))
+        free = tax_admissibility_estimate(sampler, 1, 50, np.random.default_rng(4))
+        readings = []
+        monkeypatch.setattr(
+            pooling.time, "monotonic", lambda: readings.append(None) or 10.0 * (len(readings) >= 3)
+        )
+        with pytest.raises(TimeoutError, match="after 3 of 50 trials"):
+            tax_admissibility_estimate(sampler, 1, 50, np.random.default_rng(4), deadline=5.0)
+        monkeypatch.setattr(pooling.time, "monotonic", lambda: 0.0)
+        assert tax_admissibility_estimate(sampler, 1, 50, np.random.default_rng(4), 1, 5.0) == free
 
     def test_bootstrap_sampler_cycles_observations(self):
         sampler = bootstrap_sampler([(1.0, 2.0), (3.0, 4.0)])

@@ -44,7 +44,8 @@ truthfulness suite's probes, calls it, neither takes a flag of its own, and
 the engine reads no environment variable.  A probe's overrides are checked
 once, by ``_checked``, which only ``run_probes`` and a replayed world's
 ``_checking`` call, never the batch or a per-run session.  The suite's
-conditioned estimator calls ``run_probes`` and replays no world of its own.
+conditioned estimator calls ``run_probes`` for the utility rows only and
+replays no world of its own.
 
 VCG charges come from one priority fill: ``payments.vmm_epoch_charges``
 calls ``spq`` once and never in a loop, so no per-buyer re-fill comes back.
@@ -426,7 +427,7 @@ def test_batch_chosen_only_by_statefulness_and_routing():
     params = [a.arg for a in _engine_function("run_monte_carlo").args.args]
     assert params == ["scenarios", "n_runs", "seed", "jobs", "deadline"], params
     params = [a.arg for a in _engine_function("run_probes").args.args]
-    assert params == ["probes", "n_runs", "seed", "jobs", "deadline"], params
+    assert params == ["probes", "n_runs", "seed", "jobs", "deadline", "metric"], params
     environ = [
         ast.unparse(n) for n in ast.walk(ENGINE)
         if isinstance(n, ast.Attribute) and n.attr in ("environ", "getenv", "environb")
@@ -442,13 +443,20 @@ def test_probes_checked_once_each():
 
 def test_conditioned_utilities_play_on_run_probes():
     """The truthfulness suite's estimator hands its probes to the engine's
-    Monte Carlo, replays no world itself and finds the utilities by the
-    engine's ``buyer_rows``, not by an offset of its own."""
+    Monte Carlo, replays no world itself and finds the utilities by naming
+    the metric to ``run_probes``, which lays them out by the engine's
+    ``buyer_rows``, not by an offset of its own."""
     tree = ast.parse((SRC / "verify.py").read_text())
     func = next(
         f for f in tree.body
         if isinstance(f, ast.FunctionDef) and f.name == "_conditioned_utilities"
     )
-    called = {ast.unparse(n.func).split(".")[-1] for n in ast.walk(func) if isinstance(n, ast.Call)}
-    assert {"run_probes", "buyer_rows"} <= called, called
+    calls = [n for n in ast.walk(func) if isinstance(n, ast.Call)]
+    called = {ast.unparse(n.func).split(".")[-1] for n in calls}
+    assert "run_probes" in called, called
     assert not called & {"replay", "run_session", "run_seeds"}, called
+    metrics = [
+        ast.unparse(k.value) for n in calls if ast.unparse(n.func).split(".")[-1] == "run_probes"
+        for k in n.keywords if k.arg == "metric"
+    ]
+    assert metrics == ["'utilities'"], metrics
