@@ -34,6 +34,7 @@ __all__ = [
     "PoolType",
     "SweepConfig",
     "builtin_config_path",
+    "check_runs",
     "load_config",
     "parse_config",
 ]
@@ -98,7 +99,8 @@ def _integer(value: Any, path: str, minimum: int) -> int:
 
 
 # A session holds four float64 (buyers, horizon) arrays: grants, shown and
-# presented demand, and the trace.  Their bytes are capped at 1 GiB.
+# presented demand, and the trace.  Their bytes are capped at 1 GiB, and so are
+# the samples that a Monte Carlo keeps of all its runs.
 _SESSION_BYTES_CAP = 2**30
 
 
@@ -110,6 +112,17 @@ def _check_session_size(buyers: Any, horizon: int, path: str) -> None:
     if need > _SESSION_BYTES_CAP:
         raise _err(path, f"{n} buyers over {horizon} epochs need {need} bytes of session "
                          f"arrays, over the cap of {_SESSION_BYTES_CAP} (1 GiB)")
+
+
+def check_runs(runs: int, per_run: int, path: str) -> int:
+    """``runs``, unless the ``per_run`` bytes of samples that a Monte Carlo
+    keeps of each run would pass the cap, which is a config error at ``path``,
+    raised before any run is played."""
+    need = runs * per_run
+    if need > _SESSION_BYTES_CAP:
+        raise _err(path, f"{runs} runs need {need} bytes of samples ({per_run} per run), "
+                         f"over the cap of {_SESSION_BYTES_CAP} (1 GiB)")
+    return runs
 
 
 def _tag(node: Any, key: str, tags: Mapping[str, Sequence[str]], what: str, path: str) -> str:
@@ -373,11 +386,16 @@ def parse_config(doc: Any, source: str = "<config>") -> ExperimentConfig:
     if doc.get("pool") is not None:
         pool = _parse_pool(doc["pool"], f"{source}.pool", base)
 
+    # The largest grid the config plays is every variant at every sweep point;
+    # a run keeps 8 bytes of welfare, revenue and bytes, payment and utility
+    # by buyer for each of its scenarios (see ``engine.run_probes``).
+    grid = len(variants) * (len(sweep.values) if sweep is not None else 1)
+    runs = _integer(doc.get("runs", 1), f"{source}.runs", 1)
     return ExperimentConfig(
         experiment_id=experiment,
         scenario=base,
         variants=tuple(variants),
-        runs=_integer(doc.get("runs", 1), f"{source}.runs", 1),
+        runs=check_runs(runs, 8 * grid * (2 + 3 * len(base.buyers)), f"{source}.runs"),
         seed=_integer(doc.get("seed", 0), f"{source}.seed", 0),
         sweep=sweep,
         pool=pool,

@@ -19,25 +19,25 @@ override and pinned coins, on one world and demand matrix per session seed
 ``run_monte_carlo`` is ``run_probes`` on a grid of scenarios, each a probe
 with neither, and the truthfulness suite's estimator is ``run_probes`` on
 its (buyer, bid, coin) probes.  A probe's overrides are checked once, before
-any run.  When no buyer is stateful (see below) and no scenario routes
-hybrid, the runs are played in batches (``_mc_batch``): the runs' demand
-matrices lie side by side on the epoch axis, and every (probe, run) pair is
-keyed at once on (probe, run, buyer) arrays by ``_batch_keys``, the batch's
-array twin of ``_keyed``, bit for bit.  ``_buckets`` sorts the pairs by the
-rank signature of their keys, and ``_groups`` groups one pair of each
-bucket; the pairs of one scenario that share a priority grouping, across
-all probes, are filled by one sweep over the union of their runs' columns,
-since every kernel fills each epoch column from its own capacity.  So each
-pair gets its own session's numbers bit for bit, from its own world and
-streams.  What the batch reads of the probes (``ProbeArrays``) is made
-once per call.  A batch holds at most ``BATCH_BYTES`` of stacked demand,
-and at least one run, so that its working memory does not grow with the
-runs or the horizon; the samples returned take 8 x probes x (2 + 3n) bytes
-per run for n buyers, or 8 x probes x n for one ``metric`` (``buyer_rows``
-gives their layout).
-Otherwise each run plays its probes one by one on ``_replays``' sessions
-(``_mc_worker``), the probes of one scenario on one session and its memo.
-A deadline, if given, is checked between batches.
+any run.  Every run is played in a batch (``_mc_batch``), the one Monte Carlo
+path: the runs' demand matrices lie side by side on the epoch axis, and
+every (probe, run) pair is keyed at once on (probe, run, buyer) arrays by
+``_batch_keys``, the batch's array twin of ``_keyed``, bit for bit.
+``_buckets`` sorts the pairs by the rank signature of their keys, and
+``_groups`` groups one pair of each bucket; the pairs of one scenario that
+share a priority grouping, across all probes, are filled by one sweep over
+the union of their runs' columns, since every kernel fills each epoch column
+from its own capacity.  When a buyer is stateful (see below) or the
+scenario routes hybrid, what a run presents or reserves depends on its own
+history and epochs, so the bucket is swept run by run instead, each run on
+its own realizations.  Either way each pair gets its own session's numbers
+bit for bit, from its own world and streams.  What the batch reads of the
+probes (``ProbeArrays``) is made once per call.  A batch holds at most
+``BATCH_BYTES`` of stacked demand, and at least one run, so that its
+working memory does not grow with the runs or the horizon; the samples
+returned take 8 x probes x (2 + 3n) bytes per run for n buyers, or 8 x
+probes x n for one ``metric`` (``buyer_rows`` gives their layout).  A
+deadline, if given, is checked between batches.
 
 One path, the priority sweep (``_run_sweep``), plays every session.  It visits
 the priority groups in descending key order and serves each from the capacity
@@ -76,10 +76,11 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -387,38 +388,16 @@ def replay(scenario: Scenario, seed: int) -> Callable[..., SessionOutcome]:
     call sees the same world, and an unknown id or a non-bool pin is a ``ValueError``.
     Each distinct priority grouping is played once and kept, up to 2n for n buyers.
     """
-    return partial(_checking, next(_replays([scenario], _world(scenario.buyers, seed))), scenario)
-
-
-def _checking(
-    session: Callable[[List[float], Mapping[str, bool]], SessionOutcome],
-    scenario: Scenario,
-    bid_override: Optional[Mapping[str, float]] = None,
-    force_resample: Optional[Mapping[str, bool]] = None,
-) -> SessionOutcome:
-    """One of ``_replays``' sessions under the ``_checked`` overrides."""
-    _, bids, forced = _checked(Probe(scenario, bid_override, force_resample))
-    return session(bids, forced)
-
-
-def _replays(
-    scenarios: Sequence[Scenario], world: World
-) -> Iterator[Callable[[List[float], Mapping[str, bool]], SessionOutcome]]:
-    """The session of each of ``scenarios``, which share their buyers and
-    horizon, on one world and demand matrix, each played on the priority sweep
-    under ``_checked`` bids and pins.  Made one at a time, so a Monte Carlo run
-    keeps no allocation past its session."""
-    first = scenarios[0]
-    realizations, draws = world
-    stateful = [_stateful(b, r) for b, r in zip(first.buyers, realizations)]
-    demand = _demand_matrix(first, realizations)
+    realizations, draws = _world(scenario.buyers, seed)
+    stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
+    demand = _demand_matrix(scenario, realizations)
+    memo: List[Tuple[List[List[int]], Played]] = []
 
     def session(
-        scenario: Scenario,
-        memo: List[Tuple[List[List[int]], Played]],
-        bids: List[float],
-        forced: Mapping[str, bool],
+        bid_override: Optional[Mapping[str, float]] = None,
+        force_resample: Optional[Mapping[str, bool]] = None,
     ) -> SessionOutcome:
+        _, bids, forced = _checked(Probe(scenario, bid_override, force_resample))
         keyed = _keyed(scenario, bids, draws, forced)
         groups = _groups(scenario, keyed)
         for seen, played in memo:  # _finish only reads what it is given
@@ -431,8 +410,7 @@ def _replays(
             memo.append((groups, played))
         return _finish(scenario, keyed, *played)
 
-    for s in scenarios:
-        yield partial(session, s, [])
+    return session
 
 
 def run_session(
@@ -630,8 +608,8 @@ def _run_sweep(
     the group's own history.  By increasing patience epoch p (equal p together,
     as zeroing after p leaves the columns up to p), an impatient buyer who has
     moved no more than m by p is zeroed after it.  ``demand`` may hold several
-    runs' epochs side by side when no buyer is stateful (see ``_mc_batch``):
-    each column is filled from its own capacity."""
+    runs' epochs side by side when no buyer is stateful and the routing is not
+    hybrid (see ``_mc_batch``): each column is filled from its own capacity."""
     buyers, share = scenario.buyers, proportional if scenario.routing == "fifo" else maxmin
     strict = scenario.routing in ("spq", "hybrid")  # a lone fq or fifo group plays as in the loop
     shown = _shown(demand, groups)
@@ -803,29 +781,6 @@ class MonteCarloStats:
 BATCH_BYTES = 2**15
 
 
-def _mc_worker(probes: Sequence[Checked], world: World) -> List[List[float]]:
-    """Per probe: welfare, revenue, then bytes, payments and utilities by
-    buyer.  Consecutive probes of one scenario share its session, and so the
-    groupings it has played."""
-    rows = []
-    spans = [list(same) for _, same in itertools.groupby(probes, key=lambda p: id(p[0]))]
-    for session, same in zip(_replays([same[0][0] for same in spans], world), spans):
-        for _, bids, forced in same:
-            out = session(bids, forced)
-            ids = out.buyer_ids
-            rows.append([out.welfare, out.seller_revenue, *(out.bytes[b] for b in ids),
-                         *(out.payments[b].net for b in ids), *(out.utilities[b] for b in ids)])
-    return rows
-
-
-def _batched(scenarios: Sequence[Scenario], realizations: Sequence[DemandRealization]) -> bool:
-    """Whether a grid's runs are played side by side by ``_mc_batch``: when no
-    buyer is stateful and no scenario routes hybrid, every session is column
-    fills of its world's demand matrix."""
-    stateful = map(_stateful, scenarios[0].buyers, realizations)
-    return not any(stateful) and all(s.routing != "hybrid" for s in scenarios)
-
-
 class ProbeArrays(NamedTuple):
     """``_checked`` probes and what ``_mc_batch`` reads of them as arrays, made
     once per ``run_probes`` call: (P, 1, n) by probe and buyer, or (P, 1, 1) by
@@ -926,9 +881,10 @@ def _buckets(
     return buckets
 
 
-def _mc_batch(probes: ProbeArrays, worlds: Iterable[World]) -> np.ndarray:
-    """``_mc_worker``'s rows of every run of ``worlds`` as a (probe, metric,
-    run) array, for probes whose scenarios ``_batched`` admits.
+def _mc_batch(probes: ProbeArrays, worlds: Sequence[World]) -> np.ndarray:
+    """Each probe's samples in every run of ``worlds``, as a (probe, metric,
+    run) array: welfare, revenue, then bytes, net payments and utilities by
+    buyer, those of the run's ``replay`` session bit for bit.
 
     The runs' demand matrices are stacked (n, B, T).  Every (probe, run) pair
     is keyed (``_batch_keys``) and the pairs are bucketed by scenario and
@@ -936,30 +892,36 @@ def _mc_batch(probes: ProbeArrays, worlds: Iterable[World]) -> np.ndarray:
     overrides vary the grouping.  Each bucket is one ``_run_sweep`` of the
     (n, B' x T) view of the union of its runs, since the kernels fill each
     column from its own capacity, so each pair gets the grants of its own
-    session.  The pairs then settle as ``_finish`` settles them, on (probe,
-    n, B) arrays."""
+    session; with a stateful buyer, or under hybrid routing, it is one
+    ``_run_sweep`` per run, on that run's realizations and (n, T) slice.  The
+    pairs then settle as ``_finish`` settles them, on (probe, n, B) arrays,
+    with ``_play``'s real traffic for the buyers who pad or delay."""
     first = probes.checked[0][0]
-    matrices, draws = [], []
-    for realizations, drawn in worlds:  # each world's realizations go once its matrix is made
-        matrices.append(_demand_matrix(first, realizations))
-        draws.append(drawn)
-    demand = np.stack(matrices, axis=1)
-    matrices.clear()
+    demand = np.stack([_demand_matrix(first, realizations) for realizations, _ in worlds], axis=1)
     n, B, T = demand.shape
     P = len(probes.checked)
-    keys, flags = _batch_keys(probes, np.array(draws).reshape(B, n, 2))
+    keys, flags = _batch_keys(probes, np.array([drawn for _, drawn in worlds]).reshape(B, n, 2))
+    # Whether a buyer is stateful depends on her model and strategy, not on the draw.
+    stateful = [_stateful(b, r) for b, r in zip(first.buyers, worlds[0][0])]
     billed, charges = np.zeros((2, P, n, B))
-    plain = [False] * n  # no buyer is stateful
+    kept = []  # (probes, buyer, run, real traffic) of the buyers who pad or delay
     for scenario, groups, members in _buckets(probes, keys, flags):
         ks = sorted(members)
-        view = (demand if len(ks) == B else demand[:, ks]).reshape(n, len(ks) * T)
-        grants, shown, _ = _run_sweep(scenario, (), view, groups, plain)
-        totals = grants.reshape(n, len(ks), T).sum(-1)
+        if any(stateful) or scenario.routing == "hybrid":
+            swept = [_run_sweep(scenario, worlds[k][0], demand[:, k], groups, stateful) for k in ks]
+            grants = np.stack([g for g, _, _ in swept], axis=1)
+            shown = np.stack([s for _, s, _ in swept], axis=1)
+            kept += [(members[k], i, k, x) for k, (_, _, played) in zip(ks, swept)
+                     for i, x in played.items()]
+        else:
+            view = (demand if len(ks) == B else demand[:, ks]).reshape(n, len(ks) * T)
+            grants, shown, _ = _run_sweep(scenario, (), view, groups, stateful)
+            grants, shown = grants.reshape(n, len(ks), T), shown.reshape(n, len(ks), T)
+        totals = grants.sum(-1)
         pairs = [(p, k, j) for j, k in enumerate(ks) for p in members[k]]
         ps, at, js = map(list, zip(*pairs))
         billed[ps, :, at] = totals[:, js].T
         if scenario.mechanism == "vmm":  # under each probe's own bids
-            shown = shown.reshape(n, len(ks), T)
             for p in dict.fromkeys(ps):
                 mine = [j for q, _, j in pairs if q == p]
                 own = vmm_epoch_charges(shown[:, mine], probes.checked[p][1], scenario.capacity)
@@ -970,31 +932,23 @@ def _mc_batch(probes: ProbeArrays, worlds: Iterable[World]) -> np.ndarray:
     resampled = flags.transpose(0, 2, 1)
     rebate = np.where(resampled, billed * (bid - r) / mu, 0.0)  # only bks resamples
     net = gross - rebate
-    worth = probes.value[:, None] * billed
+    real = billed.copy()
+    for ps, i, k, x in kept:
+        real[ps, i, k] = x
+    worth = probes.value[:, None] * real
     out = np.empty((P, 2 + 3 * n, B))
     # Summed over buyers as ``_finish`` sums them, by Python's ``sum``.
     out[:, 0], out[:, 1] = (
         [[sum(run) for run in runs] for runs in m.transpose(0, 2, 1).tolist()] for m in (worth, net)
     )
-    out[:, 2:] = np.concatenate([billed, net, worth - net], axis=1)
+    out[:, 2:] = np.concatenate([real, net, worth - net], axis=1)
     return out
 
 
-def _mc_runs(
-    probes: ProbeArrays, batched: bool, rows: slice, worlds: Iterable[World]
-) -> np.ndarray:
-    """The (probe, metric, run) samples of the runs of ``worlds``, of the
-    metric ``rows`` only: side by side if ``batched``, else one
-    ``_mc_worker`` call each."""
-    if batched:
-        return _mc_batch(probes, worlds)[:, rows]
-    return np.stack([_mc_worker(probes.checked, world) for world in worlds], axis=-1)[:, rows]
-
-
-def _mc_task(probes: ProbeArrays, batched: bool, rows: slice, seeds: Sequence[int]) -> np.ndarray:
-    """One pool task: ``_mc_runs`` of the worlds of ``seeds``, drawn as played."""
+def _mc_task(probes: ProbeArrays, rows: slice, seeds: Sequence[int]) -> np.ndarray:
+    """One batch: the metric ``rows`` of ``_mc_batch``'s samples of the worlds of ``seeds``."""
     buyers = probes.checked[0][0].buyers
-    return _mc_runs(probes, batched, rows, (_world(buyers, seed) for seed in seeds))
+    return _mc_batch(probes, [_world(buyers, seed) for seed in seeds])[:, rows]
 
 
 def deadline_passed(deadline: Optional[float]) -> bool:
@@ -1036,12 +990,11 @@ def run_probes(
     deterministically from ``seed``, and the samples do not depend on
     ``jobs``.  Each probe is checked once, before any world is drawn.
 
-    The runs are played in batches: of up to ``BATCH_BYTES`` of demand matrix
-    side by side when ``_batched`` admits the scenarios, else of one run (a
-    chunk of runs under the pool).  ``deadline``, a ``time.monotonic()``
-    reading, is checked after each batch, and under the pool after each
-    completed task, which then cancels the pending ones; once it has passed,
-    a ``TimeoutError`` is raised.
+    The runs are played in batches of up to ``BATCH_BYTES`` of demand matrix
+    (``_mc_batch``), serially or one batch per pool task.  ``deadline``, a
+    ``time.monotonic()`` reading, is checked after each batch, and under the
+    pool after each completed task, which then cancels the pending ones; once
+    it has passed, a ``TimeoutError`` is raised.
     """
     if n_runs < 1 or not probes:
         raise ValueError("need at least one run and one scenario")
@@ -1053,36 +1006,23 @@ def run_probes(
     n = len(buyers)
     rows = slice(0, 2 + 3 * n) if metric is None else buyer_rows(metric, n)
     seeds = run_seeds(seed, n_runs)
-    first = _world(buyers, seeds[0])  # it decides the path, and plays run 0 when serial
-    batched = _batched([p.scenario for p in probes], first[0])
     # The pool forks all its workers at the first submit: no more than the
     # runs, nor than the CPUs this process may use.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(jobs, n_runs, cpus or 1)
-    if batched:
-        size = max(1, BATCH_BYTES // (8 * max(1, n * horizon)))
-    else:
-        size = 1 if workers == 1 else max(1, n_runs // (workers * 8))
+    size = max(1, BATCH_BYTES // (8 * max(1, n * horizon)))
     count = max(workers, -(-n_runs // size))  # batches of near-equal size
     bounds = [n_runs * k // count for k in range(count + 1)]
     spans = list(zip(bounds, bounds[1:]))
-    arrays = _probe_arrays(checked)
+    task = partial(_mc_task, _probe_arrays(checked), rows)
+    batches = [seeds[lo:hi] for lo, hi in spans]
     samples = np.empty((len(probes), rows.stop - rows.start, n_runs))  # probe, metric, run
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            task = partial(_mc_task, arrays, batched, rows)
-            blocks = pool.map(task, [seeds[lo:hi] for lo, hi in spans])
-            for (lo, hi), block in zip(spans, blocks):
-                samples[:, :, lo:hi] = block
-                if deadline_passed(deadline):
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise TimeoutError(f"deadline passed after {hi} of {n_runs} runs")
-    else:
-        worlds = itertools.chain([first], (_world(buyers, s) for s in seeds[1:]))
-        for lo, hi in spans:
-            block = _mc_runs(arrays, batched, rows, itertools.islice(worlds, hi - lo))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for (lo, hi), block in zip(spans, (map if pool is None else pool.map)(task, batches)):
             samples[:, :, lo:hi] = block
             if deadline_passed(deadline):
+                if pool is not None:
+                    pool.shutdown(wait=False, cancel_futures=True)
                 raise TimeoutError(f"deadline passed after {hi} of {n_runs} runs")
     return samples
 

@@ -33,7 +33,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from bandshare.config import load_config, builtin_config_path
+from bandshare.config import builtin_config_path, check_runs, load_config
 from bandshare.demand import DemandRealization, DemandSpec, check_natural
 from bandshare.engine import (
     BuyerSpec,
@@ -288,6 +288,8 @@ def truthfulness_suite(
     lines = []
     passed = True
     probes = {b.buyer_id: [b.value] + [f * b.value for f in _DEVIATIONS] for b in scenario.buyers}
+    # A run keeps 8 bytes of utility by buyer for each of the (buyer, bid, coin) probes.
+    check_runs(n_runs, 8 * 2 * sum(map(len, probes.values())) * len(scenario.buyers), "--runs")
     probed = _conditioned_utilities(scenario, probes, n_runs, seed, deadline)
     for buyer in scenario.buyers:
         v, utilities = buyer.value, probed[buyer.buyer_id]

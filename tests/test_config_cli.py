@@ -204,6 +204,22 @@ class TestParsing:
         with pytest.raises(ConfigError, match=message):
             parse_config({**doc, "horizon": 2**24 + 1}, source="conf.yaml")
 
+    def test_runs_are_held_to_the_cap_on_their_samples(self):
+        """A run keeps 8 bytes for each of welfare, revenue and 3 rows per
+        buyer of every variant at every sweep point: welfare_capacity's 16
+        scenarios of 3 buyers keep 1408 bytes a run, so 762600 runs fit in
+        1 GiB and one more does not."""
+        config = builtin_config_path("welfare_capacity")
+        assert load_config(config, {"runs": 762600}).runs == 762600
+        for runs in (762601, 10**12):
+            message = rf"^{re.escape(config)}\.runs: {runs} runs need {1408 * runs} bytes"
+            with pytest.raises(ConfigError, match=message):
+                load_config(config, {"runs": runs})
+        doc = {**MINI_DOC, "runs": 2**30 // 64}  # 1 variant of 2 buyers: 64 bytes a run
+        assert parse_config(doc).runs == 2**24
+        with pytest.raises(ConfigError, match=r"^conf\.yaml\.runs: .* over the cap of 1073741824"):
+            parse_config({**doc, "runs": 2**24 + 1}, source="conf.yaml")
+
     def test_pool_type_buyers_are_held_to_the_session_size_cap(self):
         doc = {**MINI_DOC, "horizon": 2**20}
         doc["pool"] = {"types": [{"name": "big", "count": 2, "buyers": [{}] * 40}]}
@@ -598,6 +614,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("config error: ") and flags[0] in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["simulate", "--config", builtin_config_path("welfare_capacity")],
+          f"config error: {builtin_config_path('welfare_capacity')}.runs: 1000000000 runs"),
+         (["sweep", "--config", builtin_config_path("welfare_capacity")],
+          f"config error: {builtin_config_path('welfare_capacity')}.runs: 1000000000 runs"),
+         (["verify", "--suite", "truthfulness"],
+          "config error: --runs: 1000000000 runs need 720000000000 bytes of samples (720 per")],
+        ids=["simulate", "sweep", "truthfulness"],
+    )
+    def test_runs_past_the_sample_cap_are_a_config_error(
+        self, monkeypatch, tmp_path, capsys, argv, message
+    ):
+        """Rejected before any seed or world is drawn: no output is written."""
+        import bandshare.engine
+
+        for name in ("run_seeds", "_world"):
+            monkeypatch.setattr(bandshare.engine, name, lambda *a: pytest.fail("run started"))
+        out = ["--out-dir", str(tmp_path / "o")] if argv[0] != "verify" else []
+        assert self.run_cli(*argv, "--runs", "1000000000", *out) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message) and captured.out == ""
+        assert not (tmp_path / "o").exists()
 
     def test_verify_runs_rejected_outside_truthfulness(self, monkeypatch, capsys):
         calls = []

@@ -19,11 +19,13 @@ the reserve doubles every payment; doubling every KB quantity doubles traffic
 and payments; idle epochs in front shift the trace), settlement by buyer
 position against each mechanism's per-buyer definition, a process pool no
 larger than the runs, and world replay under counterfactual bids and pinned
-coins, each distinct priority grouping of a replayed world played once, and
-the Monte Carlo batch's array keys, flags and buckets against ``_keyed`` and
-``_groups``.
+coins, each distinct priority grouping of a replayed world played once, the
+Monte Carlo batch's array keys, flags and buckets against ``_keyed`` and
+``_groups``, and the batch's samples, on grids with stateful buyers and
+hybrid scenarios too, against each run's replayed sessions.
 """
 
+import inspect
 import itertools
 import os
 import pathlib
@@ -1507,38 +1509,43 @@ class TestPathChoice:
         assert self.loop_calls(monkeypatch, scenario, bid_override={"a": 3.0}) == 0
 
     @staticmethod
-    def monte_carlo_paths(monkeypatch, grid):
-        """The Monte Carlo paths that a 4-run ``grid`` takes: "batch" for each
-        ``_mc_batch`` call, "run" for each ``_mc_worker`` call."""
-        taken = []
-        for name, path in (("_mc_batch", "batch"), ("_mc_worker", "run")):
-            fn = getattr(bandshare.engine, name)
-            monkeypatch.setattr(
-                bandshare.engine, name, lambda *a, fn=fn, path=path: taken.append(path) or fn(*a)
-            )
+    def monte_carlo_sweeps(monkeypatch, grid):
+        """How a 4-run Monte Carlo of ``grid`` plays: its number of
+        ``_mc_batch`` calls, and the routing and the runs of each sweep."""
+        batches, spans = batch_sizes(monkeypatch), sweep_spans(monkeypatch)
         run_monte_carlo(grid, 4, seed=1)
-        return taken
+        return len(batches), spans
 
     @pytest.mark.parametrize("name", ["impatient_deviation", "packet_contest_vcg"])
     def test_stateful_or_hybrid_grids_play_run_by_run(self, monkeypatch, name):
         """impatient_deviation has an impatient buyer and a hybrid variant,
-        packet_contest_vcg a buffered buyer: each run is one ``_mc_worker``."""
+        packet_contest_vcg a buffered buyer: their runs play on the batch,
+        several to a batch, and each sweep plays one run."""
         cfg = load_config(builtin_config_path(name))
         grid = [v.scenario for v in cfg.variants]
-        assert self.monte_carlo_paths(monkeypatch, grid) == ["run"] * 4
+        batches, spans = self.monte_carlo_sweeps(monkeypatch, grid)
+        assert 0 < batches < 4
+        assert len(spans) >= 4 * len(grid) and {runs for _, runs in spans} == {1}
 
     def test_one_hybrid_scenario_or_stateful_buyer_unbatches_a_grid(self, monkeypatch):
+        """A plain grid's sweeps span several runs.  Beside a hybrid scenario
+        they still do, and each sweep of the hybrid scenario plays one run; a
+        buyer who pads or delays makes every sweep play one run."""
         plain = BATCH_GRIDS["welfare_capacity"][:4]
-        assert set(self.monte_carlo_paths(monkeypatch, plain)) == {"batch"}
+        _, spans = self.monte_carlo_sweeps(monkeypatch, plain)
+        assert max(runs for _, runs in spans) > 1
         hi = plain[0].buyers[0]
         hybrid = replace(plain[1], routing="hybrid", hybrid=HybridBoost(hi.buyer_id, 50.0, 30))
         monkeypatch.undo()
-        assert self.monte_carlo_paths(monkeypatch, plain + [hybrid]) == ["run"] * 4
+        _, spans = self.monte_carlo_sweeps(monkeypatch, plain + [hybrid])
+        assert {runs for routing, runs in spans if routing == "hybrid"} == {1}
+        assert max(runs for routing, runs in spans if routing != "hybrid") > 1
         for strategy in (Strategy("pad", pad=1.0), Strategy("delay", delay_epochs=2)):
             buyers = (replace(hi, strategy=strategy), *plain[0].buyers[1:])
             monkeypatch.undo()
             grid = [replace(s, buyers=buyers) for s in plain]
-            assert self.monte_carlo_paths(monkeypatch, grid) == ["run"] * 4
+            batches, spans = self.monte_carlo_sweeps(monkeypatch, grid)
+            assert batches and {runs for _, runs in spans} == {1}
 
 
 class TestEligibility:
@@ -2286,7 +2293,7 @@ def test_replay_plays_each_grouping_once(monkeypatch):
         ids = [b.buyer_id for b in scenario.buyers]
         draws = _world(scenario.buyers, seed)[1]
         session = replay(scenario, seed)
-        memo = session.args[0].args[1]
+        memo = inspect.getclosurevars(session).nonlocals["memo"]
         played, seen = [], []
         for k, bid, coin in calls:
             buyer = ids[(k if free else probe) % len(ids)]
@@ -2432,31 +2439,39 @@ class TestMonteCarlo:
 
 @st.composite
 def batch_grids(draw):
-    """Grids that ``_batched`` admits: n <= 4 memoryless buyers, greedy or
-    misreporting, with windows and often tied values, and up to 6 scenarios
-    on them under spq, fq or fifo and any mechanism, with reserves that
-    often exceed some bids."""
+    """Up to 6 scenarios on n <= 4 buyers with windows and often tied values,
+    under any policy and mechanism, with reserves that often exceed some
+    bids; a hybrid scenario boosts any buyer, often beside plain ones.  In
+    half the grids every buyer is memoryless and greedy or misreporting, so
+    that a plain scenario's runs share their sweeps; in the others a buyer
+    may pad or delay and draw any demand model (buffered, impatient, cliff,
+    increasing_*), and every run is swept on its own."""
     horizon = draw(st.integers(1, 25))
+    plain = draw(st.booleans())
     buyers = []
-    for k in range(draw(st.integers(1, 4))):
+    for k in range(n := draw(st.integers(1, 4))):
         value = draw(st.one_of(st.sampled_from([1.0, 2.0, 4.0]), st.floats(0.0, 10.0)))
         arrival = draw(st.integers(0, horizon + 2))
         departure = draw(st.integers(arrival, horizon + 5))
-        demand = draw(memoryless_models(horizon))
-        strategy = draw(MEMORYLESS_STRATEGIES)
+        demand = draw((memoryless_models if plain else demand_models)(horizon))
+        strategy = draw(MEMORYLESS_STRATEGIES if plain else STRATEGIES)
         buyers.append(BuyerSpec(f"b{k}", value, demand, arrival, departure, strategy))
-    return [
-        Scenario(
+    grid = []
+    for _ in range(draw(st.integers(1, 6))):
+        routing = draw(st.sampled_from(["spq", "fq", "fifo", "hybrid"]))
+        boost = HybridBoost(f"b{draw(st.integers(0, n - 1))}", draw(st.floats(0.0, 400.0)),
+                            draw(st.integers(1, horizon + 3)))
+        grid.append(Scenario(
             buyers=tuple(buyers),
             capacity=draw(st.floats(0.5, 60.0)),
-            routing=draw(st.sampled_from(["spq", "fq", "fifo"])),
+            routing=routing,
             mechanism=draw(st.sampled_from(["bks", "vmm", "fixed"])),
             mu=draw(st.sampled_from([0.2, 0.5, 0.9])),
             reserve=draw(st.sampled_from([0.0, 1.0, 2.0, 4.0])),
             horizon=horizon,
-        )
-        for _ in range(draw(st.integers(1, 6)))
-    ]
+            hybrid=boost if routing == "hybrid" else None,
+        ))
+    return grid
 
 
 BATCH_GRIDS = {
@@ -2466,15 +2481,41 @@ BATCH_GRIDS = {
 }
 
 
+def mixed_grids():
+    """welfare_capacity's first four scenarios beside a hybrid one, and the
+    same grid with a buyer who pads, one who delays and one whose demand is
+    buffered."""
+    plain = BATCH_GRIDS["welfare_capacity"][:4]
+    hi, mid, lo = plain[0].buyers
+    hybrid = replace(plain[1], routing="hybrid", hybrid=HybridBoost(mid.buyer_id, 300.0, 90))
+    buyers = (replace(hi, strategy=Strategy("pad", pad=2.0)),
+              replace(mid, strategy=Strategy("delay", delay_epochs=3)),
+              replace(lo, demand=DemandSpec.buffered([8.0] * 200)))
+    return [plain + [hybrid], [replace(s, buyers=buyers) for s in plain + [hybrid]]]
+
+
 def checked(scenarios):
     """Each of ``scenarios`` as a checked probe with no override or pin."""
     return [_checked(Probe(s)) for s in scenarios]
 
 
-def per_run(scenarios, worlds):
-    """The (scenario, metric, run) samples of ``_mc_worker``, one run at a time."""
-    probes = checked(scenarios)
-    return np.stack([bandshare.engine._mc_worker(probes, world) for world in worlds], axis=-1)
+def replayed(probes, seeds):
+    """The (probe, metric, run) samples of ``replay(scenario, seed)(bid_override,
+    force_resample)`` for each probe and each of ``seeds``: welfare, revenue,
+    then bytes, net payments and utilities by buyer, as ``run_probes`` lays
+    them out.  The probes of one scenario share its replayed session."""
+    sessions = {}
+
+    def row(probe, seed):
+        key = (id(probe.scenario), seed)
+        if key not in sessions:
+            sessions[key] = replay(probe.scenario, seed)
+        out = sessions[key](probe.bid_override, probe.force_resample)
+        ids = out.buyer_ids
+        return [out.welfare, out.seller_revenue, *(out.bytes[b] for b in ids),
+                *(out.payments[b].net for b in ids), *(out.utilities[b] for b in ids)]
+
+    return np.array([[row(p, s) for s in seeds] for p in probes], dtype=float).transpose(0, 2, 1)
 
 
 def batch_sizes(monkeypatch):
@@ -2490,26 +2531,43 @@ def batch_sizes(monkeypatch):
     return sizes
 
 
+def sweep_spans(monkeypatch):
+    """The routing and the number of runs of each ``_run_sweep`` call, as the
+    calls are made."""
+    spans, sweep = [], bandshare.engine._run_sweep
+
+    def counted(scenario, realizations, demand, *args):
+        spans.append((scenario.routing, demand.shape[1] // scenario.horizon))
+        return sweep(scenario, realizations, demand, *args)
+
+    monkeypatch.setattr(bandshare.engine, "_run_sweep", counted)
+    return spans
+
+
 class TestBatchedMonteCarlo:
-    """A batchable grid's runs, played side by side in one priority fill per
-    grouping, give bit for bit what one ``_mc_worker`` call per run gives."""
+    """A grid's runs, played side by side on the batch, one sweep per
+    grouping over the union of their runs or one per run, give bit for bit
+    what each scenario's ``replay`` session gives in each run."""
 
     @given(grid=batch_grids(), seed=st.integers(0, 2**32), runs=st.integers(1, 12))
+    @example(grid=mixed_grids()[0], seed=4, runs=3)
+    @example(grid=mixed_grids()[1], seed=4, runs=3)
     @settings(max_examples=150, deadline=None)
     def test_batch_equals_one_run_at_a_time(self, grid, seed, runs):
-        worlds = [_world(grid[0].buyers, s) for s in run_seeds(seed, runs)]
-        assert bandshare.engine._batched(grid, worlds[0][0])
-        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)), worlds)
-        assert batch.tobytes() == per_run(grid, worlds).tobytes()
+        seeds = run_seeds(seed, runs)
+        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)),
+                                           [_world(grid[0].buyers, s) for s in seeds])
+        assert batch.tobytes() == replayed([Probe(s) for s in grid], seeds).tobytes()
 
     @pytest.mark.parametrize("name", sorted(BATCH_GRIDS))
     def test_builtin_grids_batch_exactly(self, name):
         """welfare_capacity (vmm, bks, fq and fifo) and reserve_sweep (bids
         below the reserve) at 13 runs, whose bks runs fall in many groupings."""
         grid = BATCH_GRIDS[name]
-        worlds = [_world(grid[0].buyers, s) for s in run_seeds(11, 13)]
+        seeds = run_seeds(11, 13)
+        worlds = [_world(grid[0].buyers, s) for s in seeds]
         batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)), worlds)
-        assert batch.tobytes() == per_run(grid, worlds).tobytes()
+        assert batch.tobytes() == replayed([Probe(s) for s in grid], seeds).tobytes()
 
     def test_tied_bids_and_a_reserve_above_some(self):
         """Tied values, misreports tying with them, windows and a reserve
@@ -2530,9 +2588,10 @@ class TestBatchedMonteCarlo:
             for mechanism in ("bks", "vmm", "fixed")
             for c, r in ((9.0, 0.0), (14.0, 1.5))
         ]
-        worlds = [_world(buyers, s) for s in run_seeds(3, 17)]
-        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)), worlds)
-        assert batch.tobytes() == per_run(grid, worlds).tobytes()
+        seeds = run_seeds(3, 17)
+        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)),
+                                           [_world(buyers, s) for s in seeds])
+        assert batch.tobytes() == replayed([Probe(s) for s in grid], seeds).tobytes()
 
     def test_a_grid_with_no_buyers(self):
         grid = [
@@ -2540,23 +2599,24 @@ class TestBatchedMonteCarlo:
             for routing in ("spq", "fq", "fifo")
             for mechanism in ("bks", "vmm", "fixed")
         ]
-        worlds = [_world((), s) for s in run_seeds(2, 3)]
-        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)), worlds)
+        seeds = run_seeds(2, 3)
+        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)),
+                                           [_world((), s) for s in seeds])
         assert batch.shape == (9, 2, 3)
-        assert batch.tobytes() == per_run(grid, worlds).tobytes()
+        assert batch.tobytes() == replayed([Probe(s) for s in grid], seeds).tobytes()
 
     @pytest.mark.parametrize("runs, size", [(7, 3), (10, 4), (5, 1), (9, 9), (6, 20)])
     def test_batch_sizes_that_do_not_divide_the_runs(self, monkeypatch, runs, size):
         """``BATCH_BYTES`` caps a batch at ``size`` runs of welfare_capacity's
         3 x 600 matrix; the runs split into batches that differ by one at
-        most, and the statistics are those of the per-run path."""
+        most, and the statistics are those of one run per batch."""
         grid = BATCH_GRIDS["welfare_capacity"]
         monkeypatch.setattr(bandshare.engine, "BATCH_BYTES", size * 8 * 3 * 600 + 7)
         sizes = batch_sizes(monkeypatch)
         batched = run_monte_carlo(grid, runs, seed=5)
         count = -(-runs // size)
         assert sum(sizes) == runs and len(sizes) == count and max(sizes) - min(sizes) <= 1
-        monkeypatch.setattr(bandshare.engine, "_batched", lambda *args: False)
+        monkeypatch.setattr(bandshare.engine, "BATCH_BYTES", 1)
         assert batched == run_monte_carlo(grid, runs, seed=5)
 
     def test_batch_bytes_bound_the_batch_not_the_runs(self, monkeypatch):
@@ -2590,7 +2650,7 @@ class TestBatchedMonteCarlo:
 
 @st.composite
 def keyed_probes(draw):
-    """A grid that ``_batched`` admits, at several mu, and up to 10 checked
+    """A grid of ``batch_grids`` at several mu, and up to 10 checked
     probes on it, each overriding and pinning any subset of the buyers: bids
     tie a value or the reserve, fall below it, or are -0.0."""
     grid = [replace(s, mu=draw(st.sampled_from([0.2, 0.5, 0.9]) | st.floats(0.01, 0.99)))
@@ -2642,23 +2702,16 @@ class TestBatchKeys:
 
 
 def assert_probes_replay(probes, runs, seed):
-    """``run_probes``' utilities of each probe's named buyer equal those of
-    ``replay(scenario, seed)(bid_override, force_resample)`` bit for bit in
-    every run; its samples equal those of the per-run path."""
+    """``run_probes``' samples of each probe equal those of ``replay(scenario,
+    seed)(bid_override, force_resample)`` bit for bit in every run."""
     samples = run_probes(probes, runs, seed)
-    ids = [b.buyer_id for b in probes[0].scenario.buyers]
-    for k, run_seed in enumerate(run_seeds(seed, runs)):
-        for p, probe in enumerate(probes):
-            out = replay(probe.scenario, run_seed)(probe.bid_override, probe.force_resample)
-            for buyer in probe.bid_override:
-                batched = samples[p, buyer_rows("utilities", len(ids)), k][ids.index(buyer)]
-                assert batched.tobytes() == np.float64(out.utilities[buyer]).tobytes()
+    assert samples.tobytes() == replayed(probes, run_seeds(seed, runs)).tobytes()
     return samples
 
 
 @st.composite
 def probe_sets(draw):
-    """A grid that ``_batched`` admits and up to 8 probes on it, each naming
+    """A grid of ``batch_grids`` and up to 8 probes on it, each naming
     one buyer with a bid, often one that ties another's value, is below the
     reserve or is -0.0, and a pinned coin."""
     grid = draw(batch_grids())
@@ -2675,18 +2728,12 @@ def probe_sets(draw):
 
 class TestProbes:
     """``run_probes`` plays counterfactual bids and pinned coins on each run's
-    world as ``replay`` does, on the batch when ``_batched`` admits the
-    scenarios and run by run otherwise."""
+    world as ``replay`` does, on the batch, whatever the scenarios."""
 
     @given(probes=probe_sets(), seed=st.integers(0, 2**32), runs=st.integers(1, 6))
     @settings(max_examples=150, deadline=None)
     def test_batched_probes_equal_their_replays(self, probes, seed, runs):
-        buyers, checked = probes[0].scenario.buyers, [_checked(p) for p in probes]
-        worlds = [_world(buyers, s) for s in run_seeds(seed, runs)]
-        assert bandshare.engine._batched([p.scenario for p in probes], worlds[0][0])
-        samples = assert_probes_replay(probes, runs, seed)
-        per_run = np.stack([bandshare.engine._mc_worker(checked, w) for w in worlds], axis=-1)
-        assert samples.tobytes() == per_run.tobytes()
+        assert_probes_replay(probes, runs, seed)
 
     def scenario(self, **kwargs):
         buyers = (
@@ -2719,6 +2766,8 @@ class TestProbes:
 
     @pytest.mark.parametrize("kind", ["buffered", "pad", "hybrid"])
     def test_a_refused_scenario_plays_run_by_run(self, monkeypatch, kind):
+        """With a buffered buyer, a buyer who pads, or under hybrid routing,
+        the probes play on the batch and each sweep plays one run."""
         base = self.scenario(reserve=0.0)
         a = base.buyers[0]
         if kind == "hybrid":
@@ -2727,10 +2776,11 @@ class TestProbes:
             changed = (replace(a, demand=DemandSpec.buffered([6.0] * 30)) if kind == "buffered"
                        else replace(a, strategy=Strategy("pad", pad=2.0)))
             scenario = replace(base, buyers=(changed, *base.buyers[1:]))
-        monkeypatch.setattr(bandshare.engine, "_mc_batch", lambda *a: pytest.fail("batched"))
+        sizes, spans = batch_sizes(monkeypatch), sweep_spans(monkeypatch)
         probes = [Probe(scenario, {buyer: bid}, {buyer: coin})
                   for buyer in ("a", "c") for bid in (0.5, 2.0) for coin in (False, True)]
         assert_probes_replay(probes, 3, seed=5)
+        assert sum(sizes) == 3 and spans and {runs for _, runs in spans} == {1}
 
     @pytest.mark.parametrize("metric", ["bytes", "payments", "utilities"])
     @pytest.mark.parametrize("demand", ["constant", "buffered"])
@@ -2807,16 +2857,18 @@ class TestDeadline:
         assert len(batches) == 3 and len(readings) == 3
 
     def test_serial_runs_stop_at_the_deadline(self, monkeypatch):
-        """A grid with a stateful buyer plays one run per batch."""
+        """A grid with a stateful buyer stops on the batch as a plain one
+        does, here at one run per batch."""
         base = TestMonteCarlo().scenario("bks")
         scenario = replace(base, buyers=(
             replace(base.buyers[0], demand=DemandSpec.buffered([5.0] * 50)), *base.buyers[1:]
         ))
-        runs = self.counted(monkeypatch, "_mc_worker")
+        monkeypatch.setattr(bandshare.engine, "BATCH_BYTES", 8 * 3 * 100)
+        batches = self.counted(monkeypatch, "_mc_batch")
         self.clock(monkeypatch, expire_at=4)
         with pytest.raises(TimeoutError, match="after 4 of 9 runs"):
             run_monte_carlo([scenario], 9, seed=2, deadline=50.0)
-        assert len(runs) == 4
+        assert len(batches) == 4
 
     def test_no_deadline_hit_leaves_the_results_alone(self, monkeypatch):
         scenario = TestMonteCarlo().scenario("vmm")

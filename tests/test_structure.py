@@ -37,15 +37,16 @@ presented demand and the real traffic ``_play`` kept.  Every session plays
 the sweep: the replayed session and the batch call ``_run_sweep`` and no
 other path, and nothing in the package calls the loop, the tests' reference.
 
-A Monte Carlo grid is batched by what it plays and nothing else: one engine
-function, ``_batched``, decides it from ``_stateful`` and the scenarios'
-routing; only ``run_probes``, which plays ``run_monte_carlo``'s grids and the
-truthfulness suite's probes, calls it, neither takes a flag of its own, and
-the engine reads no environment variable.  A probe's overrides are checked
-once, by ``_checked``, which only ``run_probes`` and a replayed world's
-``_checking`` call, never the batch or a per-run session.  The suite's
-conditioned estimator calls ``run_probes`` for the utility rows only and
-replays no world of its own.
+A Monte Carlo has one path: ``run_probes``, which plays ``run_monte_carlo``'s
+grids and the truthfulness suite's probes, reaches its runs only through
+``_mc_batch``.  The batch sweeps a bucket run by run on one test, which reads
+the buyers' statefulness through ``_stateful`` and the scenario's routing and
+nothing else; neither ``run_probes`` nor ``run_monte_carlo`` takes a flag of
+its own, and the engine reads no environment variable.  A probe's overrides
+are checked once, by ``_checked``, which only ``run_probes`` and a replayed
+world's session call, never the batch.  The suite's conditioned estimator
+calls ``run_probes`` for the utility rows only and replays no world of its
+own.
 
 VCG charges come from one priority fill: ``payments.vmm_epoch_charges``
 calls ``spq`` once and never in a loop, so no per-buyer re-fill comes back.
@@ -314,7 +315,7 @@ def test_traffic_totals_formed_only_in_finish():
     }
     assert totals == {
         "_finish": ["grants.sum(axis=1)"],
-        "_mc_batch": ["grants.reshape(n, len(ks), T).sum(-1)"],
+        "_mc_batch": ["grants.sum(-1)"],
         "_run_sweep": [QUIT_TEST],
     }
 
@@ -329,9 +330,10 @@ def test_paths_return_three_tuples(name):
 
 
 def test_sessions_take_only_the_sweep():
-    """Every session call plays the priority sweep: ``_replays`` and the
-    Monte Carlo batch call ``_run_sweep`` and no other path, and nothing in
-    the package calls the loop, which only the tests hold the sweep to."""
+    """Every session call plays the priority sweep: ``replay``'s session and
+    the Monte Carlo batch (over the union of a bucket's runs, or run by run)
+    call ``_run_sweep`` and no other path, and nothing in the package calls
+    the loop, which only the tests hold the sweep to."""
     calls = [
         (func.name, ast.unparse(node.func))
         for path in SRC.glob("*.py")
@@ -340,9 +342,9 @@ def test_sessions_take_only_the_sweep():
         for node in _own_nodes(func)
         if isinstance(node, ast.Call) and ast.unparse(node.func).startswith("_run_")
     ]
-    assert sorted(calls) == [("_mc_batch", "_run_sweep"), ("session", "_run_sweep")], calls
-    replays = next(f for f in ENGINE.body if isinstance(f, ast.FunctionDef) and f.name == "_replays")
-    assert "session" in {f.name for f in ast.walk(replays) if isinstance(f, ast.FunctionDef)}
+    assert sorted(calls) == [("_mc_batch", "_run_sweep")] * 2 + [("session", "_run_sweep")], calls
+    replay = _engine_function("replay")
+    assert "session" in {f.name for f in ast.walk(replay) if isinstance(f, ast.FunctionDef)}
 
 
 def _public_names(tree):
@@ -412,18 +414,31 @@ def _callers(tree, name):
     )
 
 
-def test_batch_chosen_only_by_statefulness_and_routing():
-    """``_batched`` reads buyers' statefulness through ``_stateful`` and the
-    scenarios' routing and nothing else; ``run_probes`` alone calls it, it and
-    ``run_monte_carlo`` take no batching flag, and the engine reads no
+def test_runs_reach_only_the_batch():
+    """``run_probes`` hands every batch of runs to ``_mc_task``, which draws
+    its worlds and plays them with ``_mc_batch``, the batch's one caller; no
+    per-run worker or session is left beside it.  The batch chooses to sweep
+    run by run on one test, which reads the buyers' statefulness through
+    ``_stateful`` and the scenario's routing and nothing else.  ``run_probes``
+    and ``run_monte_carlo`` take no flag of their own, and the engine reads no
     environment variable."""
-    func = _engine_function("_batched")
-    reads = {n.attr for n in ast.walk(func) if isinstance(n, ast.Attribute)}
-    assert reads == {"buyers", "routing"}, reads
-    called = {ast.unparse(n.func) for n in ast.walk(func) if isinstance(n, ast.Call)}
-    assert called == {"map", "any", "all"}, called
-    assert "_stateful" in {n.id for n in ast.walk(func) if isinstance(n, ast.Name)}
-    assert _callers(ENGINE, "_batched") == ["run_probes"]
+    used = {n.id for n in ast.walk(_engine_function("run_probes")) if isinstance(n, ast.Name)}
+    assert "_mc_task" in used, used
+    assert not used & {"_mc_batch", "_run_sweep", "_finish", "replay", "run_session"}, used
+    task = {ast.unparse(n.func) for n in ast.walk(_engine_function("_mc_task"))
+            if isinstance(n, ast.Call)}
+    assert task == {"_mc_batch", "_world"}, task
+    assert _callers(ENGINE, "_mc_batch") == ["_mc_task"]
+    batch = _engine_function("_mc_batch")
+    choices = [
+        ast.unparse(n.test) for n in ast.walk(batch) if isinstance(n, ast.If)
+        and any(isinstance(c, ast.Call) and ast.unparse(c.func) == "_run_sweep"
+                for c in ast.walk(n))
+    ]
+    assert choices == ["any(stateful) or scenario.routing == 'hybrid'"], choices
+    stateful = [ast.unparse(n.value) for n in ast.walk(batch) if isinstance(n, ast.Assign)
+                and ast.unparse(n.targets[0]) == "stateful"]
+    assert len(stateful) == 1 and stateful[0].startswith("[_stateful("), stateful
     params = [a.arg for a in _engine_function("run_monte_carlo").args.args]
     assert params == ["scenarios", "n_runs", "seed", "jobs", "deadline"], params
     params = [a.arg for a in _engine_function("run_probes").args.args]
@@ -437,8 +452,8 @@ def test_batch_chosen_only_by_statefulness_and_routing():
 
 def test_probes_checked_once_each():
     """``run_probes`` checks each probe before it plays a run, and a replayed
-    world each call: the batch and the per-run sessions play checked bids."""
-    assert _callers(ENGINE, "_checked") == ["_checking", "run_probes"]
+    world's session each call: the batch plays checked bids."""
+    assert _callers(ENGINE, "_checked") == ["run_probes", "session"]
 
 
 def test_conditioned_utilities_play_on_run_probes():
