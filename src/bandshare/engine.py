@@ -8,7 +8,11 @@ This module owns the random-number layout.  A session seed spawns two live
 streams: demand (one realization seed per buyer, in scenario order) and bid
 resampling (a coin and a gamma uniform per buyer, in scenario order, drawn
 once per world whatever the bids), so a world depends only on the buyers and
-the seed.  ``replay(scenario, seed)`` materializes that world once and returns
+the seed.  ``_worlds`` draws the worlds of several seeds at once, stream for
+stream: each run's realization seeds and (coin, gamma) draws come from its own
+streams, and ``DemandSpec.realize_runs`` draws every run's realizations
+together and writes their demand straight into one stacked (n, runs, T)
+matrix.  ``replay(scenario, seed)`` materializes one world this way and returns
 ``session(bid_override=None, force_resample=None)``, which plays it under any
 counterfactual bids or pinned resampling coins; ``run_session`` is
 ``replay(scenario, seed)(bid_override, force_resample)``.
@@ -33,11 +37,11 @@ history and epochs, so the bucket is swept run by run instead, each run on
 its own realizations.  Either way each pair gets its own session's numbers
 bit for bit, from its own world and streams.  What the batch reads of the
 probes (``ProbeArrays``) is made once per call.  A batch holds at most
-``BATCH_BYTES`` of stacked demand, and at least one run, so that its
-working memory does not grow with the runs or the horizon; the samples
-returned take 8 x probes x (2 + 3n) bytes per run for n buyers, or 8 x
-probes x n for one ``metric`` (``buyer_rows`` gives their layout).  A
-deadline, if given, is checked between batches.
+``BATCH_BYTES`` of stacked demand (64 KiB, 4 runs of 3 buyers x 600 epochs),
+and at least one run, so that its working memory does not grow with the runs
+or the horizon; the samples returned take 8 x probes x (2 + 3n) bytes per run
+for n buyers, or 8 x probes x n for one ``metric`` (``buyer_rows`` gives their
+layout).  A deadline, if given, is checked between batches.
 
 One path, the priority sweep (``_run_sweep``), plays every session.  It visits
 the priority groups in descending key order and serves each from the capacity
@@ -120,7 +124,7 @@ MECHANISMS = ("bks", "vmm", "fixed")
 # The field that each strategy kind reads, if any; it leaves the others at their defaults.
 STRATEGY_FIELDS = {"greedy": None, "pad": "pad", "delay": "delay_epochs", "misreport": "bid_factor"}
 Played = Tuple[np.ndarray, np.ndarray, Dict[int, float]]  # see _finish
-World = Tuple[List[DemandRealization], List[List[float]]]  # see _world
+Worlds = Tuple[List[List[DemandRealization]], np.ndarray, np.ndarray]  # see _worlds
 
 
 def _numbers(spec, positive: Sequence[str] = ()) -> None:
@@ -285,17 +289,27 @@ def run_seeds(seed: Union[int, np.random.Generator], n: int) -> List[int]:
     return [int(s) for s in np.random.default_rng(seed).integers(0, 2**63 - 1, size=n)]
 
 
-def _world(buyers: Sequence[BuyerSpec], seed: int) -> World:
-    """Demand realizations of ``seed`` and each buyer's resampling (coin,
-    gamma), drawn once for the world in buyer order whatever the bids; a
-    world depends on nothing else."""
-    # The first and third children that SeedSequence(seed).spawn(3) would make,
-    # built directly: the resampling stream has always been the third.
-    demand_ss, resample_ss = (np.random.SeedSequence(seed, spawn_key=(k,)) for k in (0, 2))
-    n = len(buyers)
-    seeds = demand_ss.generate_state(n, dtype=np.uint64)
-    realizations = [b.demand.realize(int(s)) for b, s in zip(buyers, seeds)]
-    return realizations, np.random.default_rng(resample_ss).random((n, 2)).tolist()
+def _worlds(scenario: Scenario, seeds: Sequence[int]) -> Worlds:
+    """The worlds of session ``seeds``, B of them, drawn at once: each run's
+    demand realizations, its buyers' resampling (coin, gamma) as a (B, n, 2)
+    array, and the (n, B, T) demand matrix, masked to each buyer's active
+    window, with a row for every memoryless realization and zeros for the
+    others.  Each world's streams are its own, drawn in buyer order whatever
+    the bids, so a world depends only on the buyers and its seed."""
+    buyers = scenario.buyers
+    B, n = len(seeds), len(buyers)
+    streams = np.empty((B, n), dtype=np.uint64)  # each run's realization seeds
+    draws = np.empty((B, n, 2))
+    for k, seed in enumerate(seeds):
+        # The first and third children that SeedSequence(seed).spawn(3) would
+        # make, built directly: the resampling stream has always been the third.
+        demand_ss, resample_ss = (np.random.SeedSequence(seed, spawn_key=(j,)) for j in (0, 2))
+        streams[k] = demand_ss.generate_state(n, dtype=np.uint64)
+        np.random.default_rng(resample_ss).random(out=draws[k])
+    demand = np.zeros((n, B, scenario.horizon))
+    windows = [_window(scenario, b) for b in buyers]
+    realizations = DemandSpec.realize_runs([b.demand for b in buyers], streams, windows, demand)
+    return realizations, draws, demand
 
 
 class Bids(NamedTuple):
@@ -388,9 +402,9 @@ def replay(scenario: Scenario, seed: int) -> Callable[..., SessionOutcome]:
     call sees the same world, and an unknown id or a non-bool pin is a ``ValueError``.
     Each distinct priority grouping is played once and kept, up to 2n for n buyers.
     """
-    realizations, draws = _world(scenario.buyers, seed)
+    (realizations,), draws, demand = _worlds(scenario, [seed])
+    draws, demand = draws[0].tolist(), demand[:, 0]
     stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
-    demand = _demand_matrix(scenario, realizations)
     memo: List[Tuple[List[List[int]], Played]] = []
 
     def session(
@@ -565,20 +579,6 @@ def _prorate(rows: List[int], need: Sequence[float], c: float, grants: List[floa
     for i in rows:
         grants[i] += need[i] if total <= c else need[i] * (c / total)
     return max(0.0, c - total)
-
-
-def _demand_matrix(
-    scenario: Scenario, realizations: Sequence[DemandRealization]
-) -> np.ndarray:
-    """(n, T) demand matrix, masked to each buyer's active window, with a row
-    for every memoryless realization and zeros for the others."""
-    T = scenario.horizon
-    demand = np.zeros((len(scenario.buyers), T))
-    for i, (buyer, real) in enumerate(zip(scenario.buyers, realizations)):
-        lo, hi = _window(scenario, buyer)
-        if lo <= hi and real.memoryless:
-            demand[i, lo - 1 : hi] = real.query_epochs(lo, hi)
-    return demand
 
 
 def _window(scenario: Scenario, buyer: BuyerSpec) -> Tuple[int, int]:
@@ -776,9 +776,12 @@ class MonteCarloStats:
 # The byte size of one batch's stacked (n, runs, T) demand matrix, which holds
 # at least one run: a batch's other arrays are a few times it, so the memory a
 # Monte Carlo takes does not grow with its runs or its horizon.  welfare_capacity
-# (3 x 600) plays 2 runs per batch; 8 were about 20% faster but held 1.1 MB at
-# once against 0.3 MB.
-BATCH_BYTES = 2**15
+# (3 x 600) plays 4 runs per batch, whose worlds ``_worlds`` draws at once; the
+# truthfulness suite's 30 probes over 60 runs took 20 ms against 26 ms at 2 runs
+# per batch drawn run by run (2-vCPU Xeon).  8 runs were faster still, but the
+# bench's sweep_trace peak RSS, which grows with the blocks a run completes,
+# rose by up to 10%.
+BATCH_BYTES = 2**16
 
 
 class ProbeArrays(NamedTuple):
@@ -881,12 +884,17 @@ def _buckets(
     return buckets
 
 
-def _mc_batch(probes: ProbeArrays, worlds: Sequence[World]) -> np.ndarray:
-    """Each probe's samples in every run of ``worlds``, as a (probe, metric,
-    run) array: welfare, revenue, then bytes, net payments and utilities by
-    buyer, those of the run's ``replay`` session bit for bit.
+def _mc_batch(
+    probes: ProbeArrays,
+    realizations: Sequence[Sequence[DemandRealization]],
+    draws: np.ndarray,
+    demand: np.ndarray,
+) -> np.ndarray:
+    """Each probe's samples in every run of ``_worlds``' worlds, as a (probe,
+    metric, run) array: welfare, revenue, then bytes, net payments and
+    utilities by buyer, those of the run's ``replay`` session bit for bit.
 
-    The runs' demand matrices are stacked (n, B, T).  Every (probe, run) pair
+    The runs' demand matrices lie stacked (n, B, T).  Every (probe, run) pair
     is keyed (``_batch_keys``) and the pairs are bucketed by scenario and
     priority grouping across all probes (``_buckets``): only bks keys and bid
     overrides vary the grouping.  Each bucket is one ``_run_sweep`` of the
@@ -896,19 +904,18 @@ def _mc_batch(probes: ProbeArrays, worlds: Sequence[World]) -> np.ndarray:
     ``_run_sweep`` per run, on that run's realizations and (n, T) slice.  The
     pairs then settle as ``_finish`` settles them, on (probe, n, B) arrays,
     with ``_play``'s real traffic for the buyers who pad or delay."""
-    first = probes.checked[0][0]
-    demand = np.stack([_demand_matrix(first, realizations) for realizations, _ in worlds], axis=1)
     n, B, T = demand.shape
     P = len(probes.checked)
-    keys, flags = _batch_keys(probes, np.array([drawn for _, drawn in worlds]).reshape(B, n, 2))
+    keys, flags = _batch_keys(probes, draws)
     # Whether a buyer is stateful depends on her model and strategy, not on the draw.
-    stateful = [_stateful(b, r) for b, r in zip(first.buyers, worlds[0][0])]
+    stateful = [_stateful(b, r) for b, r in zip(probes.checked[0][0].buyers, realizations[0])]
     billed, charges = np.zeros((2, P, n, B))
     kept = []  # (probes, buyer, run, real traffic) of the buyers who pad or delay
     for scenario, groups, members in _buckets(probes, keys, flags):
         ks = sorted(members)
         if any(stateful) or scenario.routing == "hybrid":
-            swept = [_run_sweep(scenario, worlds[k][0], demand[:, k], groups, stateful) for k in ks]
+            swept = [_run_sweep(scenario, realizations[k], demand[:, k], groups, stateful)
+                     for k in ks]
             grants = np.stack([g for g, _, _ in swept], axis=1)
             shown = np.stack([s for _, s, _ in swept], axis=1)
             kept += [(members[k], i, k, x) for k, (_, _, played) in zip(ks, swept)
@@ -947,8 +954,7 @@ def _mc_batch(probes: ProbeArrays, worlds: Sequence[World]) -> np.ndarray:
 
 def _mc_task(probes: ProbeArrays, rows: slice, seeds: Sequence[int]) -> np.ndarray:
     """One batch: the metric ``rows`` of ``_mc_batch``'s samples of the worlds of ``seeds``."""
-    buyers = probes.checked[0][0].buyers
-    return _mc_batch(probes, [_world(buyers, seed) for seed in seeds])[:, rows]
+    return _mc_batch(probes, *_worlds(probes.checked[0][0], seeds))[:, rows]
 
 
 def deadline_passed(deadline: Optional[float]) -> bool:

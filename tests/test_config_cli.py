@@ -631,7 +631,7 @@ class TestCli:
         """Rejected before any seed or world is drawn: no output is written."""
         import bandshare.engine
 
-        for name in ("run_seeds", "_world"):
+        for name in ("run_seeds", "_worlds"):
             monkeypatch.setattr(bandshare.engine, name, lambda *a: pytest.fail("run started"))
         out = ["--out-dir", str(tmp_path / "o")] if argv[0] != "verify" else []
         assert self.run_cli(*argv, "--runs", "1000000000", *out) == 1

@@ -1,4 +1,5 @@
-"""Demand model tests: pointwise oracles, naturalness, trace statistics."""
+"""Demand model tests: pointwise oracles, naturalness, trace statistics, and a
+flow_trace realization against one row's own arithmetic."""
 
 import math
 import numbers
@@ -179,6 +180,40 @@ class TestFlowTrace:
     def test_a_wide_duration_spread_still_realizes(self):
         spec = DemandSpec.flow_trace(1.0, 10, mean_duration=1, stddev_duration=1e153)
         assert len(spec.realize(0).query_epochs(1, 10)) == 10
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        mean_rate=st.sampled_from([0.0, 0.5, 10.0]) | st.floats(0.0, 40.0),
+        horizon=st.integers(1, 120),
+        mean_duration=st.sampled_from([1.0, 30.0, 500.0]) | st.floats(0.5, 200.0),
+        stddev_duration=st.floats(0.0, 100.0),
+        mean_interarrival=st.sampled_from([0.5, 30.0, 1e9]) | st.floats(0.5, 1e4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_realize_is_the_per_row_law_bit_for_bit(self, seed, **params):
+        """A realization, the one-row case of the rows drawn together, is the
+        trace that one row's arithmetic gives on its own draws: with no
+        arrivals, with flows longer than the horizon, at any parameters."""
+        trace = DemandSpec.flow_trace(**params).realize(seed).query_epochs(1, params["horizon"])
+        assert trace.tobytes() == per_row_flow_trace(seed, **params).tobytes()
+
+
+def per_row_flow_trace(seed, mean_rate, horizon, mean_duration, stddev_duration,
+                       mean_interarrival):
+    """Reference arithmetic of one flow_trace row: its four draws from its own
+    generator, with the row's edges counted on their own."""
+    rng = np.random.default_rng(seed)
+    sigma2 = math.log(1.0 + (stddev_duration / mean_duration) ** 2)
+    mu = math.log(mean_duration) - sigma2 / 2.0
+    warmup = 20 * mean_duration
+    count = rng.poisson((horizon + warmup) / mean_interarrival)
+    arrived = np.floor(rng.uniform(-warmup, horizon, count))
+    duration = np.ceil(rng.lognormal(mu, math.sqrt(sigma2), count))
+    start = np.maximum(1.0, arrived + 1)
+    stop = np.maximum(np.minimum(horizon, arrived + duration) + 1, start)
+    edges = [np.bincount(e.astype(np.intp), minlength=horizon + 2) for e in (start, stop)]
+    active = np.cumsum(edges[0] - edges[1])[1 : horizon + 1]
+    return rng.poisson(mean_rate * active).astype(float)
 
 
 def loop_flow_trace(seed, mean_rate, horizon, mean_duration=30.0, stddev_duration=30.0,

@@ -21,7 +21,8 @@ position against each mechanism's per-buyer definition, a process pool no
 larger than the runs, and world replay under counterfactual bids and pinned
 coins, each distinct priority grouping of a replayed world played once, the
 Monte Carlo batch's array keys, flags and buckets against ``_keyed`` and
-``_groups``, and the batch's samples, on grids with stateful buyers and
+``_groups``, the batch's worlds, drawn at once, against each seed's world
+drawn alone, and the batch's samples, on grids with stateful buyers and
 hybrid scenarios too, against each run's replayed sessions.
 """
 
@@ -50,7 +51,6 @@ from bandshare.engine import (
     Strategy,
     _allocate_epoch,
     _checked,
-    _demand_matrix,
     _finish,
     _groups,
     _keyed,
@@ -58,7 +58,8 @@ from bandshare.engine import (
     _run_loop,
     _run_sweep,
     _stateful,
-    _world,
+    _window,
+    _worlds,
     build_ledger,
     buyer_rows,
     replay,
@@ -76,6 +77,30 @@ def _bid_records(scenario, draws, bid_override, force_resample):
     """What a replayed session keys its bids by: ``_checked`` bids, keyed."""
     _, bids, forced = _checked(Probe(scenario, bid_override, force_resample))
     return _keyed(scenario, bids, draws, forced)
+
+
+def world(buyers, seed):
+    """The world of one session seed, drawn buyer by buyer: the demand
+    realizations and each buyer's resampling (coin, gamma).  The reference
+    that ``_worlds``, which draws a batch's worlds at once, is held to."""
+    # The first and third children that SeedSequence(seed).spawn(3) would make.
+    demand_ss, resample_ss = (np.random.SeedSequence(seed, spawn_key=(k,)) for k in (0, 2))
+    n = len(buyers)
+    seeds = demand_ss.generate_state(n, dtype=np.uint64)
+    realizations = [b.demand.realize(int(s)) for b, s in zip(buyers, seeds)]
+    return realizations, np.random.default_rng(resample_ss).random((n, 2)).tolist()
+
+
+def demand_matrix(scenario, realizations):
+    """(n, T) demand matrix of one world, masked to each buyer's active
+    window, with a row for every memoryless realization and zeros for the
+    others: the per-seed reference of ``_worlds``' stacked matrix."""
+    demand = np.zeros((len(scenario.buyers), scenario.horizon))
+    for i, (buyer, real) in enumerate(zip(scenario.buyers, realizations)):
+        lo, hi = _window(scenario, buyer)
+        if lo <= hi and real.memoryless:
+            demand[i, lo - 1 : hi] = real.query_epochs(lo, hi)
+    return demand
 
 
 def example1_scenario(horizon=600):
@@ -757,9 +782,9 @@ def memoryless_optimum(scenario, seed):
     """Best total value for the memoryless world drawn from ``seed``: each
     epoch's capacity served in order of true value (exact, because demand
     does not depend on past service)."""
-    realizations = _world(scenario.buyers, seed)[0]
+    realizations = world(scenario.buyers, seed)[0]
     values = [b.value for b in scenario.buyers]
-    grants = spq(_demand_matrix(scenario, realizations), values, scenario.capacity)
+    grants = spq(demand_matrix(scenario, realizations), values, scenario.capacity)
     return float((np.array(values)[:, None] * grants).sum())
 
 
@@ -1235,7 +1260,7 @@ def certified_run(scenario, seed):
         )
         out = run_session(scenario, seed)
     ((_, bids, grants, shown, _),) = spied
-    assert_certified(scenario, _world(scenario.buyers, seed)[0], bids, out, grants, shown)
+    assert_certified(scenario, world(scenario.buyers, seed)[0], bids, out, grants, shown)
     return out
 
 
@@ -1268,12 +1293,12 @@ class TestPathEquivalence:
         """The sweep's column-wise fill of memoryless fq and fifo sessions
         reproduces the epoch loop, the reference semantics, on every field of
         the outcome, and both meet the policy's definition."""
-        realizations, draws = _world(scenario.buyers, seed)
+        realizations, draws = world(scenario.buyers, seed)
         records = _bid_records(scenario, draws, None, None)
         groups = _groups(scenario, records)
         assert path_reached(scenario, seed) == "vector"
         stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
-        demand = _demand_matrix(scenario, realizations)
+        demand = demand_matrix(scenario, realizations)
         fast = settled(scenario, records, _run_sweep, realizations, demand, groups, stateful)
         assert_close_outcome(fast, settled(scenario, records, _run_loop, realizations, groups))
 
@@ -1283,11 +1308,11 @@ class TestPathEquivalence:
         """The priority sweep reproduces the epoch loop on every field of the
         outcome, tied stateful groups included, and both meet the definition
         of strict priority."""
-        realizations, draws = _world(scenario.buyers, seed)
+        realizations, draws = world(scenario.buyers, seed)
         records = _bid_records(scenario, draws, None, None)
         groups = _groups(scenario, records)
         stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
-        demand = _demand_matrix(scenario, realizations)
+        demand = demand_matrix(scenario, realizations)
         fast = settled(scenario, records, _run_sweep, realizations, demand, groups, stateful)
         assert_close_outcome(fast, settled(scenario, records, _run_loop, realizations, groups))
 
@@ -1299,7 +1324,7 @@ class TestPathEquivalence:
         Half the examples set one
         impatient buyer's minimum service to exactly the traffic she has moved
         by her patience epoch, so she must quit: the test is strict."""
-        realizations, draws = _world(scenario.buyers, seed)
+        realizations, draws = world(scenario.buyers, seed)
         records = _bid_records(scenario, draws, None, None)
         groups = _groups(scenario, records)
         tested = [
@@ -1313,20 +1338,20 @@ class TestPathEquivalence:
             buyers = list(scenario.buyers)
             buyers[i] = replace(buyers[i], demand=DemandSpec.impatient(k, p, float(moved)))
             scenario = replace(scenario, buyers=tuple(buyers))
-            realizations = _world(scenario.buyers, seed)[0]
+            realizations = world(scenario.buyers, seed)[0]
         stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
         assert path_reached(scenario, seed) in ("vector", "vector-impatient")
-        demand = _demand_matrix(scenario, realizations)
+        demand = demand_matrix(scenario, realizations)
         fast = settled(scenario, records, _run_sweep, realizations, demand, groups, stateful)
         assert_close_outcome(fast, settled(scenario, records, _run_loop, realizations, groups))
 
     @staticmethod
     def vector_and_loop(scenario, seed=0):
-        realizations, draws = _world(scenario.buyers, seed)
+        realizations, draws = world(scenario.buyers, seed)
         records = _bid_records(scenario, draws, None, None)
         groups = _groups(scenario, records)
         stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
-        demand = _demand_matrix(scenario, realizations)
+        demand = demand_matrix(scenario, realizations)
         fast = settled(scenario, records, _run_sweep, realizations, demand, groups, stateful)
         return fast, settled(scenario, records, _run_loop, realizations, groups)
 
@@ -1365,11 +1390,11 @@ class TestPathEquivalence:
         """The priority sweep plays every hybrid session as the loop does, on
         every field of the outcome, ties with the boosted buyer and stateful
         buyers above, beside and below her included."""
-        realizations, draws = _world(scenario.buyers, seed)
+        realizations, draws = world(scenario.buyers, seed)
         records = _bid_records(scenario, draws, None, None)
         groups = _groups(scenario, records)
         stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
-        demand = _demand_matrix(scenario, realizations)
+        demand = demand_matrix(scenario, realizations)
         fast = settled(scenario, records, _run_sweep, realizations, demand, groups, stateful)
         assert_close_outcome(fast, settled(scenario, records, _run_loop, realizations, groups))
 
@@ -1383,7 +1408,7 @@ class TestPathEquivalence:
             first = scenario.buyers[0].buyer_id
             for seed in run_seeds(7, 40):
                 session = replay(scenario, seed)
-                realizations, draws = _world(scenario.buyers, seed)
+                realizations, draws = world(scenario.buyers, seed)
                 for override in (None, {first: 1.9}):
                     records = _bid_records(scenario, draws, override, None)
                     groups = _groups(scenario, records)
@@ -1488,7 +1513,7 @@ class TestPathChoice:
         for scenario in (stateful_above, buffered_fq, base):
             assert self.loop_calls(monkeypatch, scenario) == 0
         assert path_reached(buffered_fq, 0) == "loop"
-        realizations, draws = _world(buffered_fq.buyers, 0)
+        realizations, draws = world(buffered_fq.buyers, 0)
         records = _bid_records(buffered_fq, draws, None, None)
         groups = _groups(buffered_fq, records)
         loop = settled(buffered_fq, records, _run_loop, realizations, groups)
@@ -1679,7 +1704,7 @@ class TestBidBlindAllocation:
     @settings(max_examples=100, deadline=None)
     def test_same_groups_give_the_same_allocation(self, path, data, seed):
         scenario, first, second = data.draw(same_groups_bids(path))
-        realizations, draws = _world(scenario.buyers, seed)
+        realizations, draws = world(scenario.buyers, seed)
         forced = {b.buyer_id: False for b in scenario.buyers}
         assert path_reached(scenario, seed, first, forced) in REACHES[path]
         records = [_bid_records(scenario, draws, bids, forced) for bids in (first, second)]
@@ -1807,7 +1832,7 @@ def path_reached(scenario, seed, bid_override=None, force_resample=None):
     (``loop``).  Hybrid sessions are told apart by whether a buyer besides the
     boosted one is stateful."""
     buyers = scenario.buyers
-    realizations, draws = _world(buyers, seed)
+    realizations, draws = world(buyers, seed)
     bids = _bid_records(scenario, draws, bid_override, force_resample)
     held = [
         buyers[i] for rows in _groups(scenario, bids) for i in rows
@@ -1892,7 +1917,7 @@ def test_settlement_follows_the_per_buyer_definitions(monkeypatch):
         ((_, bids, grants, shown, played),) = spied
         np.testing.assert_array_equal(out.trace, grants.T)
         r, mu, mechanism = scenario.reserve, scenario.mu, scenario.mechanism
-        buyers, draws = scenario.buyers, _world(scenario.buyers, seed)[1]
+        buyers, draws = scenario.buyers, world(scenario.buyers, seed)[1]
         submitted = [float(override.get(i, b.submitted_bid())) for i, b in zip(ids, buyers)]
         charges = vmm_epoch_charges(shown, submitted, scenario.capacity)
         welfare = revenue = 0.0
@@ -2133,6 +2158,77 @@ REPLAY_SCENARIOS = {
 }
 
 
+@st.composite
+def world_buyers(draw):
+    """A scenario horizon and 1-4 buyers with arrival and departure windows
+    that may reach past it: flow_trace ones whose own horizon may differ from
+    the scenario's, with arrivals so rare that a trace often has none or
+    durations longer than the horizon, beside constant, buffered and
+    impatient ones."""
+    horizon = draw(st.integers(1, 60))
+    flow_trace = st.builds(
+        DemandSpec.flow_trace,
+        mean_rate=st.sampled_from([0.0, 0.5, 10.0]) | st.floats(0.0, 40.0),
+        horizon=st.integers(1, 80),
+        mean_duration=st.sampled_from([1.0, 30.0, 500.0]) | st.floats(0.5, 200.0),
+        stddev_duration=st.floats(0.0, 100.0),
+        mean_interarrival=st.sampled_from([0.5, 30.0, 1e9]) | st.floats(0.5, 1e4),
+    )
+    others = st.one_of(
+        st.builds(DemandSpec.constant, st.floats(0.0, 20.0)),
+        st.builds(DemandSpec.buffered, st.lists(st.floats(0.0, 20.0), min_size=1, max_size=70)),
+        st.builds(DemandSpec.impatient, st.floats(0.0, 20.0), st.integers(1, 70),
+                  st.floats(0.0, 100.0)),
+    )
+    buyers = []
+    for i in range(draw(st.integers(1, 4))):
+        arrival = draw(st.integers(0, horizon + 5))
+        departure = draw(st.integers(arrival, horizon + 10))
+        demand = draw(flow_trace | others)
+        buyers.append(BuyerSpec(f"b{i}", 1.0 + i, demand, arrival, departure))
+    return Scenario(tuple(buyers), capacity=10.0, horizon=horizon)
+
+
+def assert_same_realization(batched, reference, horizon):
+    """Same model and vector forms, and the same demand bit for bit: every
+    epoch of a memoryless one, and of a stateful one at several x."""
+    assert (batched.model_id, batched.memoryless, batched.serves) == (
+        reference.model_id, reference.memoryless, reference.serves)
+    epochs = range(1, horizon + 5)
+    if reference.memoryless:
+        assert batched.query_epochs(1, epochs[-1]).tobytes() == (
+            reference.query_epochs(1, epochs[-1]).tobytes())
+    for t, x in itertools.product(epochs, (0.0, 7.5, 1e3)):
+        assert batched.query(t, x) == reference.query(t, x)
+
+
+class TestWorlds:
+    """``_worlds`` draws a batch's worlds at once, stream for stream: each
+    run's realizations, (coin, gamma) draws and demand matrix are those of
+    its seed drawn alone (``world`` and ``demand_matrix``) bit for bit."""
+
+    @given(scenario=world_buyers(), seed=st.integers(0, 2**32), runs=st.sampled_from([1, 2, 5]))
+    @example(  # no arrivals, and a flow longer than the horizon, beside a constant buyer
+        scenario=Scenario(
+            (BuyerSpec("b0", 1.0, DemandSpec.flow_trace(5.0, 30, mean_interarrival=1e9), 0, 40),
+             BuyerSpec("b1", 2.0, DemandSpec.flow_trace(5.0, 50, 400.0, 10.0, 5.0), 3, 20),
+             BuyerSpec("b2", 3.0, DemandSpec.constant(4.0), 10, 12)),
+            capacity=10.0, horizon=40),
+        seed=3, runs=5)
+    @settings(max_examples=120, deadline=None)
+    def test_batched_worlds_are_the_per_seed_worlds(self, scenario, seed, runs):
+        seeds = run_seeds(seed, runs)
+        realizations, draws, demand = _worlds(scenario, seeds)
+        assert len(realizations) == runs and draws.shape == (runs, len(scenario.buyers), 2)
+        assert demand.shape == (len(scenario.buyers), runs, scenario.horizon)
+        for k, s in enumerate(seeds):
+            reference, drawn = world(scenario.buyers, s)
+            for batched, own in zip(realizations[k], reference, strict=True):
+                assert_same_realization(batched, own, scenario.horizon)
+            assert draws[k].tobytes() == np.array(drawn).reshape(-1, 2).tobytes()
+            assert demand[:, k].tobytes() == demand_matrix(scenario, reference).tobytes()
+
+
 class TestReplay:
     @pytest.mark.parametrize("name", sorted(REPLAY_SCENARIOS))
     def test_replay_equals_run_session_in_mixed_bid_order(self, name):
@@ -2156,14 +2252,15 @@ class TestReplay:
                 )
 
     def test_world_draws_each_coin_and_gamma_once(self):
-        """``_world`` draws buyer i's (coin, gamma) as uniforms 2i and 2i + 1 of
-        the resampling stream, the numbers two scalar draws per buyer give, so
-        every call of a replayed world sees the same coins."""
+        """``_worlds`` draws buyer i's (coin, gamma) in run k as uniforms 2i and
+        2i + 1 of run k's resampling stream, the numbers two scalar draws per
+        buyer give, so every call of a replayed world sees the same coins."""
         scenario = REPLAY_SCENARIOS["vector"]
-        for seed in (0, 4, 11):
+        seeds = (0, 4, 11)
+        for k, seed in enumerate(seeds):
             rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
             draws = [[rng.random(), rng.random()] for _ in range(3)]
-            assert _world(scenario.buyers, seed)[1] == draws
+            assert _worlds(scenario, seeds)[1][k].tolist() == draws
 
     @pytest.mark.parametrize(
         "overrides",
@@ -2204,25 +2301,27 @@ class TestReplay:
             run_session(scenario, 0, force_resample={"b1": True}),
         )
 
+    @staticmethod
+    def counted_worlds(monkeypatch):
+        """Patch ``_worlds``, which draws every world and its demand matrix,
+        to record the realizations each call draws."""
+        drawn, worlds = [], bandshare.engine._worlds
+
+        def counted(scenario, seeds):
+            out = worlds(scenario, seeds)
+            drawn.append(sum(map(len, out[0])))
+            return out
+
+        monkeypatch.setattr(bandshare.engine, "_worlds", counted)
+        return drawn
+
     def test_world_is_materialized_once(self, monkeypatch):
         scenario = REPLAY_SCENARIOS["vector"]
-        counts = {"realize": 0, "matrix": 0}
-        realize, matrix = DemandSpec.realize, bandshare.engine._demand_matrix
-
-        def counted_realize(spec, seed=None):
-            counts["realize"] += 1
-            return realize(spec, seed)
-
-        def counted_matrix(*args):
-            counts["matrix"] += 1
-            return matrix(*args)
-
-        monkeypatch.setattr(DemandSpec, "realize", counted_realize)
-        monkeypatch.setattr(bandshare.engine, "_demand_matrix", counted_matrix)
+        drawn = self.counted_worlds(monkeypatch)
         session = replay(scenario, 4)
         for bid in (0.5, 1.0, 2.5, 4.0, 0.5):
             session({"b1": bid}, {"b1": True})
-        assert counts == {"realize": 3, "matrix": 1}
+        assert {"realize": sum(drawn), "matrix": len(drawn)} == {"realize": 3, "matrix": 1}
 
     @pytest.mark.parametrize(
         "argv,realized",
@@ -2237,17 +2336,10 @@ class TestReplay:
         its 3 buyers, on one world of 3 realizations per run seed."""
         from bandshare.cli import OUT_DIR_ENV, main
 
-        calls = []
-        realize = DemandSpec.realize
-
-        def counted(spec, seed=None):
-            calls.append(seed)
-            return realize(spec, seed)
-
-        monkeypatch.setattr(DemandSpec, "realize", counted)
+        drawn = self.counted_worlds(monkeypatch)
         monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
         assert main(argv) in (0, 2)
-        assert len(calls) == realized
+        assert sum(drawn) == realized
 
     def test_run_seeds_are_the_monte_carlo_runs(self):
         scenario = REPLAY_SCENARIOS["vector"]
@@ -2291,7 +2383,7 @@ def test_replay_plays_each_grouping_once(monkeypatch):
     @settings(max_examples=100, deadline=None)
     def plays_once(scenario, seed, probe, free, calls):
         ids = [b.buyer_id for b in scenario.buyers]
-        draws = _world(scenario.buyers, seed)[1]
+        draws = world(scenario.buyers, seed)[1]
         session = replay(scenario, seed)
         memo = inspect.getclosurevars(session).nonlocals["memo"]
         played, seen = [], []
@@ -2522,10 +2614,9 @@ def batch_sizes(monkeypatch):
     """The number of runs of each ``_mc_batch`` call, as the calls are made."""
     sizes, batch = [], bandshare.engine._mc_batch
 
-    def counted(grid, worlds):
-        worlds = list(worlds)
-        sizes.append(len(worlds))
-        return batch(grid, worlds)
+    def counted(probes, realizations, *arrays):
+        sizes.append(len(realizations))
+        return batch(probes, realizations, *arrays)
 
     monkeypatch.setattr(bandshare.engine, "_mc_batch", counted)
     return sizes
@@ -2555,8 +2646,7 @@ class TestBatchedMonteCarlo:
     @settings(max_examples=150, deadline=None)
     def test_batch_equals_one_run_at_a_time(self, grid, seed, runs):
         seeds = run_seeds(seed, runs)
-        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)),
-                                           [_world(grid[0].buyers, s) for s in seeds])
+        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)), *_worlds(grid[0], seeds))
         assert batch.tobytes() == replayed([Probe(s) for s in grid], seeds).tobytes()
 
     @pytest.mark.parametrize("name", sorted(BATCH_GRIDS))
@@ -2565,8 +2655,7 @@ class TestBatchedMonteCarlo:
         below the reserve) at 13 runs, whose bks runs fall in many groupings."""
         grid = BATCH_GRIDS[name]
         seeds = run_seeds(11, 13)
-        worlds = [_world(grid[0].buyers, s) for s in seeds]
-        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)), worlds)
+        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)), *_worlds(grid[0], seeds))
         assert batch.tobytes() == replayed([Probe(s) for s in grid], seeds).tobytes()
 
     def test_tied_bids_and_a_reserve_above_some(self):
@@ -2589,8 +2678,7 @@ class TestBatchedMonteCarlo:
             for c, r in ((9.0, 0.0), (14.0, 1.5))
         ]
         seeds = run_seeds(3, 17)
-        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)),
-                                           [_world(buyers, s) for s in seeds])
+        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)), *_worlds(grid[0], seeds))
         assert batch.tobytes() == replayed([Probe(s) for s in grid], seeds).tobytes()
 
     def test_a_grid_with_no_buyers(self):
@@ -2600,8 +2688,7 @@ class TestBatchedMonteCarlo:
             for mechanism in ("bks", "vmm", "fixed")
         ]
         seeds = run_seeds(2, 3)
-        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)),
-                                           [_world((), s) for s in seeds])
+        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)), *_worlds(grid[0], seeds))
         assert batch.shape == (9, 2, 3)
         assert batch.tobytes() == replayed([Probe(s) for s in grid], seeds).tobytes()
 
@@ -2671,18 +2758,17 @@ class TestBatchKeys:
 
     @staticmethod
     def batch(probes, seed, runs):
-        worlds = [_world(probes[0][0].buyers, s) for s in run_seeds(seed, runs)]
+        _, draws, _ = _worlds(probes[0][0], run_seeds(seed, runs))
         arrays = _probe_arrays(probes)
-        draws = np.array([drawn for _, drawn in worlds]).reshape(runs, len(probes[0][1]), 2)
-        return worlds, arrays, *bandshare.engine._batch_keys(arrays, draws)
+        return draws.tolist(), arrays, *bandshare.engine._batch_keys(arrays, draws)
 
     @given(probes=keyed_probes(), seed=st.integers(0, 2**32), runs=st.integers(1, 5))
     @settings(max_examples=120, deadline=None)
     def test_keys_and_flags_are_those_of_keyed_bit_for_bit(self, probes, seed, runs):
-        worlds, _, keys, flags = self.batch(probes, seed, runs)
+        draws, _, keys, flags = self.batch(probes, seed, runs)
         assert keys.shape == flags.shape == (len(probes), runs, len(probes[0][1]))
         for p, (scenario, bids, forced) in enumerate(probes):
-            for k, (_, drawn) in enumerate(worlds):
+            for k, drawn in enumerate(draws):
                 keyed = _keyed(scenario, bids, drawn, forced)
                 assert keys[p, k].tobytes() == np.array(keyed.perturbed_bid).tobytes()
                 assert flags[p, k].tolist() == keyed.resampled
@@ -2690,13 +2776,13 @@ class TestBatchKeys:
     @given(probes=keyed_probes(), seed=st.integers(0, 2**32), runs=st.integers(1, 5))
     @settings(max_examples=120, deadline=None)
     def test_every_pair_in_a_bucket_has_its_groups(self, probes, seed, runs):
-        worlds, arrays, keys, flags = self.batch(probes, seed, runs)
+        draws, arrays, keys, flags = self.batch(probes, seed, runs)
         seen = []
         for scenario, groups, members in bandshare.engine._buckets(arrays, keys, flags):
             for k, p in ((k, p) for k, ps in members.items() for p in ps):
                 own, bids, forced = probes[p]
                 assert own is scenario
-                assert _groups(scenario, _keyed(scenario, bids, worlds[k][1], forced)) == groups
+                assert _groups(scenario, _keyed(scenario, bids, draws[k], forced)) == groups
                 seen.append((p, k))
         assert sorted(seen) == list(itertools.product(range(len(probes)), range(runs)))
 
@@ -2822,7 +2908,7 @@ class TestProbes:
          ({"force_resample": {"a": 1}}, "must be a bool")],
     )
     def test_each_probe_is_checked_before_any_run(self, monkeypatch, probe, message):
-        monkeypatch.setattr(bandshare.engine, "_world", lambda *a: pytest.fail("world drawn"))
+        monkeypatch.setattr(bandshare.engine, "_worlds", lambda *a: pytest.fail("world drawn"))
         with pytest.raises(ValueError, match=message):
             run_probes([Probe(self.scenario()), Probe(self.scenario(), **probe)], 3, seed=1)
 

@@ -4,15 +4,17 @@ The session RNG layout lives in ``bandshare.engine``: no other module may
 reach into the engine's private names, and only the engine may write the
 session-seed bound ``2**63 - 1`` (the range that ``run_seeds`` draws session
 seeds from), however the draw is spelled.  Within the engine, only the
-functions that lay out the streams (``run_seeds`` and ``_world``, which draws
-every resampling coin and gamma of a world) name ``np.random`` or draw from a
-``Generator``, so bid records and the allocation code cannot grow a stream of
-their own; ``payments.py`` draws nothing at all.
+functions that lay out the streams (``run_seeds`` and ``_worlds``, which
+draws every resampling coin and gamma of a batch's worlds) name ``np.random``
+or draw from a ``Generator``, so bid records and the allocation code cannot
+grow a stream of their own; ``payments.py`` draws nothing at all.
 
 Demand models live in ``bandshare.demand``: no other module may reach into
 its private names (the model table and the per-model functions) or construct
 a ``DemandRealization``, so every realization comes from
-``DemandSpec.realize``.
+``DemandSpec.realize`` or ``DemandSpec.realize_runs``, and the engine makes
+no demand draw (``poisson``, ``uniform`` or ``lognormal``), so the
+flow_trace law lives only in ``demand.py``.
 
 Every name in a module's ``__all__`` is used by the package itself or by the
 benchmark, not only by tests: the package re-exports in ``__init__.py`` do
@@ -150,7 +152,7 @@ def test_engine_has_the_seed_bound_once():
     assert list(_seed_bounds(tree)) == ["2 ** 63 - 1"]
 
 
-RNG_OWNERS = {"run_seeds", "_world"}
+RNG_OWNERS = {"run_seeds", "_worlds"}
 GENERATOR_DRAWS = {name for name in dir(np.random.Generator) if not name.startswith("_")}
 
 
@@ -183,6 +185,25 @@ def test_random_streams_only_in_rng_owners():
     assert "run_seeds" in users  # the guard sees the streams that exist
     strays = {name: uses for name, uses in users.items() if name not in RNG_OWNERS}
     assert strays == {}, f"random streams outside {sorted(RNG_OWNERS)}: {strays}"
+
+
+DEMAND_DRAWS = {"poisson", "uniform", "lognormal"}
+
+
+def test_engine_makes_no_demand_draw():
+    """The flow_trace law lives only in ``demand.py``: the engine names none
+    of its draws, however reached, and hands a batch's realization seeds to
+    ``DemandSpec.realize_runs``."""
+    tree = ast.parse((SRC / "engine.py").read_text())
+    names = {n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(tree)
+             if isinstance(n, (ast.Attribute, ast.Name))}
+    assert not names & DEMAND_DRAWS, sorted(names & DEMAND_DRAWS)
+    calls = {ast.unparse(n.func) for n in ast.walk(_engine_function("_worlds"))
+             if isinstance(n, ast.Call)}
+    assert "DemandSpec.realize_runs" in calls, calls
+    demand = {n.attr for n in ast.walk(ast.parse((SRC / "demand.py").read_text()))
+              if isinstance(n, ast.Attribute)}
+    assert DEMAND_DRAWS <= demand  # the guard names the draws that exist
 
 
 def test_payments_draw_nothing():
@@ -416,18 +437,18 @@ def _callers(tree, name):
 
 def test_runs_reach_only_the_batch():
     """``run_probes`` hands every batch of runs to ``_mc_task``, which draws
-    its worlds and plays them with ``_mc_batch``, the batch's one caller; no
-    per-run worker or session is left beside it.  The batch chooses to sweep
-    run by run on one test, which reads the buyers' statefulness through
-    ``_stateful`` and the scenario's routing and nothing else.  ``run_probes``
-    and ``run_monte_carlo`` take no flag of their own, and the engine reads no
-    environment variable."""
+    its worlds at once with ``_worlds`` and plays them with ``_mc_batch``,
+    the batch's one caller; no per-run worker or session is left beside it.
+    The batch chooses to sweep run by run on one test, which reads the
+    buyers' statefulness through ``_stateful`` and the scenario's routing and
+    nothing else.  ``run_probes`` and ``run_monte_carlo`` take no flag of
+    their own, and the engine reads no environment variable."""
     used = {n.id for n in ast.walk(_engine_function("run_probes")) if isinstance(n, ast.Name)}
     assert "_mc_task" in used, used
     assert not used & {"_mc_batch", "_run_sweep", "_finish", "replay", "run_session"}, used
     task = {ast.unparse(n.func) for n in ast.walk(_engine_function("_mc_task"))
             if isinstance(n, ast.Call)}
-    assert task == {"_mc_batch", "_world"}, task
+    assert task == {"_mc_batch", "_worlds"}, task
     assert _callers(ENGINE, "_mc_batch") == ["_mc_task"]
     batch = _engine_function("_mc_batch")
     choices = [
