@@ -8,8 +8,7 @@ fixed :class:`DemandRealization` whose randomness (if any) is drawn once from
 the seed, so repeated queries are deterministic and a realization can be
 replayed across counterfactual simulations.  ``DemandSpec.realize_runs``
 draws the realizations of several buyers in several runs at once, each bit
-for bit as ``realize`` draws it from its own seed, and writes their demand
-into one array.
+for bit as ``realize`` draws it from its own seed.
 
 Units: one epoch is one second; demand and rates are KB per epoch.
 """
@@ -262,28 +261,43 @@ def _cliff(k: float, m: float) -> DemandRealization:
     return DemandRealization("cliff", _fn=lambda t, x: k if x < m else 0.0)
 
 
-def _flow_traces(seeds: Sequence[int], params: Sequence[Mapping[str, float]]) -> np.ndarray:
-    """The flow_trace demand of each row, a seed and a spec's parameters, as
-    an (R, longest horizon) array whose row r holds its trace in its first
-    ``horizon`` epochs.  Each row's own ``default_rng(seed)`` makes its four
-    draws in order (the arrival count, the arrival times, the durations,
-    then the per-epoch demand); the arithmetic between them is done once
-    for all the rows, elementwise or on integer counts, so that each row is
-    the one-row trace bit for bit."""
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    counts, arrivals, durations = [], [], []
-    for rng, p in zip(rngs, params):
+def _flow_traces(seeds: Sequence[int], params: Sequence[Mapping[str, float]]) -> List[np.ndarray]:
+    """The flow_trace demand of each row, a seed and a spec's parameters, over
+    the row's own ``horizon``.  Each row's own ``default_rng(seed)`` makes its
+    four draws in order (the arrival count, the arrival times, the durations,
+    then the per-epoch demand); the arithmetic between them is done for
+    several rows at once (``_chunk_traces``), so that each row is the one-row
+    trace bit for bit.  Rows go together while their flows and their padded
+    epochs come to at most ``_MAX_FLOWS``, or one row alone, so the working
+    memory is at most what the largest valid row takes by itself, however
+    many rows there are."""
+    traces: List[np.ndarray] = []
+    chunk: list = []  # (generator, parameters, arrival times, durations) by row
+    flows = longest = 0
+    for seed, p in zip(seeds, params):
+        rng = np.random.default_rng(seed)
         # Underlying normal parameters for a lognormal with the given moments.
         sigma2 = math.log(1.0 + (p["stddev_duration"] / p["mean_duration"]) ** 2)
         mu = math.log(p["mean_duration"]) - sigma2 / 2.0
         # A Poisson process of arrivals on (-warmup, horizon]: a Poisson count, each uniform.
         warmup = _WARMUP_DURATIONS * p["mean_duration"]
-        counts.append(rng.poisson((p["horizon"] + warmup) / p["mean_interarrival"]))
-        arrivals.append(rng.uniform(-warmup, p["horizon"], counts[-1]))
-        durations.append(rng.lognormal(mu, math.sqrt(sigma2), counts[-1]))
-    rows, longest = len(rngs), max(p["horizon"] for p in params)
-    arrived = np.floor(np.concatenate(arrivals))
-    duration = np.ceil(np.concatenate(durations))  # whole epochs, >= 1
+        count = rng.poisson((p["horizon"] + warmup) / p["mean_interarrival"])
+        flows, longest = flows + count, max(longest, p["horizon"])
+        if chunk and flows + (len(chunk) + 1) * (longest + 2) > _MAX_FLOWS:
+            traces += _chunk_traces(chunk)
+            chunk, flows, longest = [], count, p["horizon"]
+        arrivals = rng.uniform(-warmup, p["horizon"], count)
+        chunk.append((rng, p, arrivals, rng.lognormal(mu, math.sqrt(sigma2), count)))
+    return traces + _chunk_traces(chunk) if chunk else traces
+
+
+def _chunk_traces(chunk: Sequence[tuple]) -> List[np.ndarray]:
+    """The traces of ``_flow_traces``' rows whose flows are drawn: the active
+    flows of every row, elementwise and on integer counts, then each row's
+    per-epoch draw from its own generator."""
+    rows, longest = len(chunk), max(p["horizon"] for _, p, _, _ in chunk)
+    arrived = np.floor(np.concatenate([a for _, _, a, _ in chunk]))
+    duration = np.ceil(np.concatenate([d for _, _, _, d in chunk]))  # whole epochs, >= 1
     # A flow is active from the first whole epoch after its arrival for
     # ``duration`` epochs, clipped to [1, horizon]; ``stop`` is one past its
     # last.  Clipped to the longest horizon instead, a stop past a row's own
@@ -292,15 +306,13 @@ def _flow_traces(seeds: Sequence[int], params: Sequence[Mapping[str, float]]) ->
     stop = np.maximum(np.minimum(longest, arrived + duration) + 1, start)
     # Row r counts its flows' edges in its own stretch of one bincount.
     width = longest + 2
-    offset = np.repeat(np.arange(0, rows * width, width), counts)
+    offset = np.repeat(np.arange(0, rows * width, width), [len(a) for _, _, a, _ in chunk])
     edges = [np.bincount(e.astype(np.intp) + offset, minlength=rows * width) for e in (start, stop)]
     active = np.cumsum((edges[0] - edges[1]).reshape(rows, width), axis=1)
-    demand = np.zeros((rows, longest))
-    for row, rng, p, flows in zip(demand, rngs, params, active):
-        # Each active flow sends Poisson(mean_rate) KB per epoch, independently:
-        # one Poisson(mean_rate x active) draw per epoch has the same law.
-        row[: p["horizon"]] = rng.poisson(p["mean_rate"] * flows[1 : p["horizon"] + 1])
-    return demand
+    # Each active flow sends Poisson(mean_rate) KB per epoch, independently:
+    # one Poisson(mean_rate x active) draw per epoch has the same law.
+    return [rng.poisson(p["mean_rate"] * flows[1 : p["horizon"] + 1]).astype(float)
+            for (rng, p, _, _), flows in zip(chunk, active)]
 
 
 def _flow_trace(
@@ -313,7 +325,7 @@ def _flow_trace(
 ) -> DemandRealization:
     params = dict(mean_rate=mean_rate, horizon=horizon, mean_duration=mean_duration,
                   stddev_duration=stddev_duration, mean_interarrival=mean_interarrival)
-    demand = _flow_traces([seed], [params])[0]
+    (demand,) = _flow_traces([seed], [params])
     return _series("flow_trace", demand, demand)  # no list copy: most reads are bulk
 
 
@@ -433,37 +445,20 @@ class DemandSpec:
         return _MODELS[self.kind](**params)
 
     @staticmethod
-    def realize_runs(
-        specs: Sequence[DemandSpec],
-        seeds: np.ndarray,
-        windows: Sequence[Tuple[int, int]],
-        out: np.ndarray,
-    ) -> List[List[DemandRealization]]:
+    def realize_runs(specs: Sequence[DemandSpec], seeds: np.ndarray) -> List[List[DemandRealization]]:
         """Each run's realizations of ``specs``, one run per row of the (B, n)
         realization ``seeds``: ``specs[i].realize(seeds[k, i])`` bit for bit, with
         every flow_trace row of every run drawn together (``_flow_traces``).  A
-        realization that ignores its seed is made once and shared by the runs.
-
-        Each memoryless realization's demand in its buyer's epochs [lo, hi] of
-        ``windows`` is written to ``out[i, k, lo - 1 : hi]`` for buyer i and run
-        k; the rest of ``out`` is left as it is."""
+        realization that ignores its seed is made once and shared by the runs."""
         B = len(seeds)
         traced = [i for i, spec in enumerate(specs) if spec.kind == "flow_trace"]
-        if traced:
-            traces = _flow_traces(seeds[:, traced].T.ravel().tolist(),
-                                  [specs[i].params for i in traced for _ in range(B)])
-        columns = []  # by buyer, her realization in each run
-        for i, (spec, (lo, hi)) in enumerate(zip(specs, windows)):
-            if spec.kind == "flow_trace":
-                j, h = traced.index(i) * B, spec.params["horizon"]
-                block = traces[j : j + B, :h]
-                columns.append([_series("flow_trace", d, d) for d in block])
-                out[i, :, lo - 1 : min(hi, h)] = block[:, lo - 1 : hi]
-            else:
-                realization = spec.realize()
-                columns.append([realization] * B)
-                if lo <= hi and realization.memoryless:
-                    out[i, :, lo - 1 : hi] = realization.query_epochs(lo, hi)
+        traces = iter(_flow_traces(seeds[:, traced].T.ravel().tolist(),
+                                   [specs[i].params for i in traced for _ in range(B)]))
+        columns = [  # by buyer, her realization in each run
+            [_series("flow_trace", d, d) for d in itertools.islice(traces, B)]
+            if spec.kind == "flow_trace" else [spec.realize()] * B
+            for spec in specs
+        ]
         return [[column[k] for column in columns] for k in range(B)]
 
     @staticmethod

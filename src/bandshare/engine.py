@@ -10,8 +10,8 @@ resampling (a coin and a gamma uniform per buyer, in scenario order, drawn
 once per world whatever the bids), so a world depends only on the buyers and
 the seed.  ``_worlds`` draws the worlds of several seeds at once, stream for
 stream: each run's realization seeds and (coin, gamma) draws come from its own
-streams, and ``DemandSpec.realize_runs`` draws every run's realizations
-together and writes their demand straight into one stacked (n, runs, T)
+streams, ``DemandSpec.realize_runs`` draws every run's realizations
+together, and their demand is written straight into one stacked (n, runs, T)
 matrix.  ``replay(scenario, seed)`` materializes one world this way and returns
 ``session(bid_override=None, force_resample=None)``, which plays it under any
 counterfactual bids or pinned resampling coins; ``run_session`` is
@@ -306,9 +306,13 @@ def _worlds(scenario: Scenario, seeds: Sequence[int]) -> Worlds:
         demand_ss, resample_ss = (np.random.SeedSequence(seed, spawn_key=(j,)) for j in (0, 2))
         streams[k] = demand_ss.generate_state(n, dtype=np.uint64)
         np.random.default_rng(resample_ss).random(out=draws[k])
+    realizations = DemandSpec.realize_runs([b.demand for b in buyers], streams)
     demand = np.zeros((n, B, scenario.horizon))
-    windows = [_window(scenario, b) for b in buyers]
-    realizations = DemandSpec.realize_runs([b.demand for b in buyers], streams, windows, demand)
+    for i, buyer in enumerate(buyers):
+        lo, hi = _window(scenario, buyer)
+        for k, run in enumerate(realizations):
+            if lo <= hi and run[i].memoryless:
+                demand[i, k, lo - 1 : hi] = run[i].query_epochs(lo, hi)
     return realizations, draws, demand
 
 
@@ -777,7 +781,7 @@ class MonteCarloStats:
 # at least one run: a batch's other arrays are a few times it, so the memory a
 # Monte Carlo takes does not grow with its runs or its horizon.  welfare_capacity
 # (3 x 600) plays 4 runs per batch, whose worlds ``_worlds`` draws at once; the
-# truthfulness suite's 30 probes over 60 runs took 20 ms against 26 ms at 2 runs
+# truthfulness suite's 30 probes over 60 runs took 21 ms against 27 ms at 2 runs
 # per batch drawn run by run (2-vCPU Xeon).  8 runs were faster still, but the
 # bench's sweep_trace peak RSS, which grows with the blocks a run completes,
 # rose by up to 10%.

@@ -31,6 +31,7 @@ import itertools
 import os
 import pathlib
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -39,6 +40,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import bandshare.demand
 import bandshare.engine
 from bandshare.cli import main
 from bandshare.config import builtin_config_path, load_config
@@ -2229,6 +2231,24 @@ class TestWorlds:
             assert demand[:, k].tobytes() == demand_matrix(scenario, reference).tobytes()
 
 
+    def test_a_batch_of_long_flows_draws_them_a_row_at_a_time(self):
+        """A batch's flow_trace rows are traced together only while their flows
+        stay within the cap that a spec's own expected flows are held to: here
+        every row expects 800 000 flows, so four runs take no more memory at
+        their peak than one.  (At a horizon of 10 a batch holds 819 runs.)"""
+        spec = DemandSpec.flow_trace(1.0, 10, mean_duration=1e4, mean_interarrival=0.25)
+        scenario = Scenario((BuyerSpec("b1", 1.0, spec, 1, 10),), capacity=1.0, horizon=10)
+        peaks = []
+        for runs in (1, 4):
+            tracemalloc.start()
+            try:
+                _worlds(scenario, run_seeds(0, runs))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
+
+
 class TestReplay:
     @pytest.mark.parametrize("name", sorted(REPLAY_SCENARIOS))
     def test_replay_equals_run_session_in_mixed_bid_order(self, name):
@@ -2303,25 +2323,36 @@ class TestReplay:
 
     @staticmethod
     def counted_worlds(monkeypatch):
-        """Patch ``_worlds``, which draws every world and its demand matrix,
-        to record the realizations each call draws."""
-        drawn, worlds = [], bandshare.engine._worlds
+        """Patch ``_worlds``, which draws every world and its demand matrix, to
+        record the realizations each call draws, and ``demand._flow_traces``,
+        which every flow_trace realization is drawn by, wherever it is drawn,
+        to record its rows."""
+        drawn, traced = [], []
+        worlds, flow_traces = bandshare.engine._worlds, bandshare.demand._flow_traces
 
         def counted(scenario, seeds):
             out = worlds(scenario, seeds)
             drawn.append(sum(map(len, out[0])))
             return out
 
+        def counted_traces(seeds, params):
+            traced.append(len(seeds))
+            return flow_traces(seeds, params)
+
         monkeypatch.setattr(bandshare.engine, "_worlds", counted)
-        return drawn
+        monkeypatch.setattr(bandshare.demand, "_flow_traces", counted_traces)
+        return drawn, traced
 
     def test_world_is_materialized_once(self, monkeypatch):
+        """The vector scenario's world, 2 flow_trace buyers and a constant one,
+        is drawn once however often it is played."""
         scenario = REPLAY_SCENARIOS["vector"]
-        drawn = self.counted_worlds(monkeypatch)
+        drawn, traced = self.counted_worlds(monkeypatch)
         session = replay(scenario, 4)
         for bid in (0.5, 1.0, 2.5, 4.0, 0.5):
             session({"b1": bid}, {"b1": True})
-        assert {"realize": sum(drawn), "matrix": len(drawn)} == {"realize": 3, "matrix": 1}
+        counts = {"realize": sum(drawn), "flow_trace": sum(traced), "matrix": len(drawn)}
+        assert counts == {"realize": 3, "flow_trace": 2, "matrix": 1}
 
     @pytest.mark.parametrize(
         "argv,realized",
@@ -2333,13 +2364,13 @@ class TestReplay:
     )
     def test_cli_draws_each_world_once(self, argv, realized, monkeypatch, tmp_path):
         """A sweep plays its 16 scenarios, and the truthfulness suite probes
-        its 3 buyers, on one world of 3 realizations per run seed."""
+        its 3 buyers, on one world of 3 flow_trace realizations per run seed."""
         from bandshare.cli import OUT_DIR_ENV, main
 
-        drawn = self.counted_worlds(monkeypatch)
+        drawn, traced = self.counted_worlds(monkeypatch)
         monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
         assert main(argv) in (0, 2)
-        assert sum(drawn) == realized
+        assert (sum(drawn), sum(traced)) == (realized, realized)
 
     def test_run_seeds_are_the_monte_carlo_runs(self):
         scenario = REPLAY_SCENARIOS["vector"]
