@@ -16,10 +16,11 @@ Outputs are deterministic: the same config and seed reproduce byte-identical
 files (numeric text fixed at 12 significant digits).  Exit codes: 0 success,
 1 validation error, 2 property-suite failure, 3 runtime budget exceeded.
 ``--budget`` is a deadline that every command checks as it goes: ``simulate``
-and ``sweep`` between batches of Monte Carlo runs, ``pool`` between sellers,
-and ``verify`` between the steps of its suite (batches of runs, pools,
-observed sessions and trials, scenarios or models).  At the first check past it the command stops
-and exits 3, having written no file and printed no verdict.
+and ``sweep`` between batches of Monte Carlo runs, ``pool`` between batches
+of sessions, and ``verify`` between the steps of its suite (batches of runs,
+pools, batches of observed sessions and trials, scenarios or models).  At
+the first check past it the command stops and exits 3, having written no
+file and printed no verdict.
 """
 
 from __future__ import annotations
@@ -37,7 +38,11 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from bandshare.config import ConfigError, ExperimentConfig, SWEEP_VARIABLES, load_config
-from bandshare.engine import build_ledger, deadline_passed, run_monte_carlo, run_seeds, run_session
+from bandshare.engine import (Probe, ledger_rows, run_monte_carlo, run_probes, run_seeds,
+                              run_session)
+# Unused here: the bench's tracer patches it on this module (ROADMAP item 11),
+# so it stays importable from it until the tracer moves into the package.
+from bandshare.engine import build_ledger  # noqa: F401
 from bandshare.pooling import PoolSettlement, SellerLedger, settle_pool
 from bandshare.verify import SUITES, run_suite
 
@@ -179,24 +184,29 @@ class PoolRun(NamedTuple):
 
 def run_pool(config: ExperimentConfig, deadline: Optional[float] = None) -> PoolRun:
     """Run every seller's sessions of ``config.pool`` for one accounting period
-    and settle.  ``deadline``, a ``time.monotonic()`` reading, is checked after
-    each seller; once it has passed, a ``TimeoutError`` is raised."""
+    and settle.  Each pool type's sessions are the runs of one ``run_probes``
+    call, seller by seller, whose seeds it draws from the generator that the
+    pool split draws from next; a seller's unpooled revenue is what her
+    sessions' buyers paid, added up in session order.  ``deadline``, a
+    ``time.monotonic()`` reading, is checked after each batch of sessions;
+    once it has passed, a ``TimeoutError`` is raised."""
     rng = np.random.default_rng(config.seed)
     ledgers = []
     seller_rows = []
+    per_seller = config.pool.sessions_per_seller
     for ptype in config.pool.types:
+        scenario = ptype.scenario
+        samples = run_probes([Probe(scenario)], ptype.count * per_seller, rng,
+                             deadline=deadline, metric="ledger")
+        sessions = ledger_rows(scenario, samples[0])
         for k in range(ptype.count):
             seller_id = f"{ptype.name}-{k:03d}"
-            rows = []
-            unpooled = 0.0
-            for _ in range(config.pool.sessions_per_seller):
-                outcome = run_session(ptype.scenario, run_seeds(rng, 1)[0])
-                rows.extend(build_ledger(seller_id, outcome).rows)
-                unpooled += outcome.seller_revenue
-            ledgers.append(SellerLedger(seller_id, ptype.scenario.reserve, rows))
+            rows, unpooled = [], 0.0
+            for session in sessions[k * per_seller:(k + 1) * per_seller]:
+                rows += session
+                unpooled += SellerLedger(seller_id, scenario.reserve, session).buyer_payments()
+            ledgers.append(SellerLedger(seller_id, scenario.reserve, rows))
             seller_rows.append((seller_id, ptype.name, unpooled))
-            if deadline_passed(deadline):
-                raise TimeoutError(f"deadline passed after {len(ledgers)} sellers")
     settlement = settle_pool(ledgers, rng)
     return PoolRun(seller_rows, ledgers, settlement)
 

@@ -41,7 +41,9 @@ probes (``ProbeArrays``) is made once per call.  A batch holds at most
 and at least one run, so that its working memory does not grow with the runs
 or the horizon; the samples returned take 8 x probes x (2 + 3n) bytes per run
 for n buyers, or 8 x probes x n for one ``metric`` (``buyer_rows`` gives their
-layout).  A deadline, if given, is checked between batches.
+layout), or 8 x probes x 4n for the ledger rows that ``ledger_rows`` reads
+(the pools and the admissibility suite play their sessions so).  A deadline,
+if given, is checked between batches.
 
 One path, the priority sweep (``_run_sweep``), plays every session.  It visits
 the priority groups in descending key order and serves each from the capacity
@@ -112,6 +114,7 @@ __all__ = [
     "build_ledger",
     "buyer_rows",
     "deadline_passed",
+    "ledger_rows",
     "replay",
     "run_monte_carlo",
     "run_probes",
@@ -763,6 +766,16 @@ def build_ledger(seller_id: str, outcome: SessionOutcome) -> SellerLedger:
     return SellerLedger(seller_id, outcome.reserve, rows)
 
 
+def ledger_rows(scenario: Scenario, samples: np.ndarray) -> List[List[LedgerRow]]:
+    """Each run's ledger rows, by buyer in scenario order, from one probe's
+    (4n, run) samples of ``run_probes(..., metric="ledger")`` on
+    ``scenario``: those ``build_ledger`` builds from the run's session, bit
+    for bit."""
+    ids = [b.buyer_id for b in scenario.buyers]
+    runs = samples.reshape(4, len(ids), samples.shape[-1]).transpose(2, 1, 0)
+    return [[LedgerRow(i, *row) for i, row in zip(ids, run.tolist())] for run in runs]
+
+
 # -- Monte Carlo -------------------------------------------------------------
 
 
@@ -893,10 +906,12 @@ def _mc_batch(
     realizations: Sequence[Sequence[DemandRealization]],
     draws: np.ndarray,
     demand: np.ndarray,
+    metric: Optional[str] = None,
 ) -> np.ndarray:
     """Each probe's samples in every run of ``_worlds``' worlds, as a (probe,
     metric, run) array: welfare, revenue, then bytes, net payments and
-    utilities by buyer, those of the run's ``replay`` session bit for bit.
+    utilities by buyer, those of the run's ``replay`` session bit for bit,
+    or the rows of ``run_probes``' ``metric``.
 
     The runs' demand matrices lie stacked (n, B, T).  Every (probe, run) pair
     is keyed (``_batch_keys``) and the pairs are bucketed by scenario and
@@ -942,6 +957,9 @@ def _mc_batch(
     gross = np.where(probes.bks, bid * billed, np.where(probes.fixed, r * billed, charges))
     resampled = flags.transpose(0, 2, 1)
     rebate = np.where(resampled, billed * (bid - r) / mu, 0.0)  # only bks resamples
+    if metric == "ledger":  # as ``build_ledger`` reads them from the session
+        bids = np.broadcast_to(bid, billed.shape)
+        return np.concatenate([billed, bids, keys.transpose(0, 2, 1), rebate], axis=1)
     net = gross - rebate
     real = billed.copy()
     for ps, i, k, x in kept:
@@ -953,12 +971,12 @@ def _mc_batch(
         [[sum(run) for run in runs] for runs in m.transpose(0, 2, 1).tolist()] for m in (worth, net)
     )
     out[:, 2:] = np.concatenate([real, net, worth - net], axis=1)
-    return out
+    return out if metric is None else out[:, buyer_rows(metric, n)]
 
 
-def _mc_task(probes: ProbeArrays, rows: slice, seeds: Sequence[int]) -> np.ndarray:
-    """One batch: the metric ``rows`` of ``_mc_batch``'s samples of the worlds of ``seeds``."""
-    return _mc_batch(probes, *_worlds(probes.checked[0][0], seeds))[:, rows]
+def _mc_task(probes: ProbeArrays, metric: Optional[str], seeds: Sequence[int]) -> np.ndarray:
+    """One batch: ``_mc_batch``'s samples of ``metric`` in the worlds of ``seeds``."""
+    return _mc_batch(probes, *_worlds(probes.checked[0][0], seeds), metric)
 
 
 def deadline_passed(deadline: Optional[float]) -> bool:
@@ -982,7 +1000,7 @@ def buyer_rows(metric: str, n: int) -> slice:
 def run_probes(
     probes: Sequence[Probe],
     n_runs: int,
-    seed: int,
+    seed: Union[int, "np.random.Generator"],
     jobs: int = 1,
     deadline: Optional[float] = None,
     metric: Optional[str] = None,
@@ -994,11 +1012,17 @@ def run_probes(
     A ``metric`` ("bytes", "payments" or "utilities") keeps only its
     ``buyer_rows``, by buyer in scenario order, so that the samples kept
     grow by 8 x probes x n bytes per run, not 8 x probes x (2 + 3n).
+    ``metric="ledger"`` keeps instead what each buyer's ``build_ledger``
+    row holds past her id: billed bytes, submitted bid, routing key and
+    rebate, each by buyer (8 x probes x 4n bytes per run), which
+    ``ledger_rows`` turns into ``LedgerRow``s.
 
     The probes' scenarios must share their buyers and horizon: each run
-    draws its world once and plays every probe on it.  Run seeds derive
-    deterministically from ``seed``, and the samples do not depend on
-    ``jobs``.  Each probe is checked once, before any world is drawn.
+    draws its world once and plays every probe on it.  Run seeds are
+    ``run_seeds(seed, n_runs)``: a ``Generator`` ``seed`` is drawn from in
+    place, as ``n_runs`` draws of one seed each would draw from it.  The
+    samples do not depend on ``jobs``.  Each probe is checked once, before
+    any world is drawn.
 
     The runs are played in batches of up to ``BATCH_BYTES`` of demand matrix
     (``_mc_batch``), serially or one batch per pool task.  ``deadline``, a
@@ -1014,7 +1038,11 @@ def run_probes(
     buyers, horizon = shared
     checked = [_checked(p) for p in probes]
     n = len(buyers)
-    rows = slice(0, 2 + 3 * n) if metric is None else buyer_rows(metric, n)
+    if metric == "ledger":
+        width = 4 * n
+    else:
+        rows = slice(0, 2 + 3 * n) if metric is None else buyer_rows(metric, n)
+        width = rows.stop - rows.start
     seeds = run_seeds(seed, n_runs)
     # The pool forks all its workers at the first submit: no more than the
     # runs, nor than the CPUs this process may use.
@@ -1024,9 +1052,9 @@ def run_probes(
     count = max(workers, -(-n_runs // size))  # batches of near-equal size
     bounds = [n_runs * k // count for k in range(count + 1)]
     spans = list(zip(bounds, bounds[1:]))
-    task = partial(_mc_task, _probe_arrays(checked), rows)
+    task = partial(_mc_task, _probe_arrays(checked), metric)
     batches = [seeds[lo:hi] for lo, hi in spans]
-    samples = np.empty((len(probes), rows.stop - rows.start, n_runs))  # probe, metric, run
+    samples = np.empty((len(probes), width, n_runs))  # probe, metric, run
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for (lo, hi), block in zip(spans, (map if pool is None else pool.map)(task, batches)):
             samples[:, :, lo:hi] = block

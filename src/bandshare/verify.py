@@ -39,13 +39,14 @@ from bandshare.engine import (
     BuyerSpec,
     Probe,
     Scenario,
-    build_ledger,
     deadline_passed,
+    ledger_rows,
     replay,
     run_probes,
-    run_seeds,
-    run_session,
 )
+# Unused here: the bench's tracer patches both names on this module (ROADMAP
+# item 11), so they stay importable from it until the tracer moves into the package.
+from bandshare.engine import build_ledger, run_session  # noqa: F401
 from bandshare.payments import bks_settle, resample_bid
 from bandshare.pooling import (
     LedgerRow,
@@ -312,11 +313,13 @@ def truthfulness_suite(
 def _random_ledger(
     rng: np.random.Generator, seller_id: str, reserve: float, mu: float = 0.2
 ) -> SellerLedger:
+    # Each row's bid above the reserve, coin, gamma and bytes, drawn in that
+    # order: uniform(0, h) is h times the next double, as these products are.
+    draws = rng.random((int(rng.integers(0, 6)), 4)) * (9.0, 1.0, 1.0, 400.0)
     rows = []
-    for j in range(int(rng.integers(0, 6))):
-        bid = reserve + float(rng.uniform(0, 9))
-        key, resampled = resample_bid(bid, reserve, mu, rng.random(), rng.random())
-        x = float(rng.uniform(0, 400))
+    for j, (above, coin, gamma, x) in enumerate(draws.tolist()):
+        bid = reserve + above
+        key, resampled = resample_bid(bid, reserve, mu, coin, gamma)
         rebate = bks_settle(x, bid, reserve, mu, resampled)[1]
         rows.append(LedgerRow(f"{seller_id}-b{j}", x, bid, key, rebate))
     return SellerLedger(seller_id, reserve, rows)
@@ -372,13 +375,13 @@ def pooling_seller_observations(
     scenario: Scenario, n_sessions: int = 600, seed: int = 0, deadline: Optional[float] = None
 ) -> List[Tuple[float, float]]:
     """(above-reserve credit, above-reserve payments) per simulated auction of
-    one seller in ``scenario``; ``deadline`` is checked after each session."""
-    obs = []
-    for s in run_seeds(seed, n_sessions):
-        ledger = build_ledger("s", run_session(scenario, s))
-        obs.append((ledger.credit_above_reserve(), ledger.payments_above_reserve()))
-        _check(deadline, f"{len(obs)} of {n_sessions} sessions")
-    return obs
+    one seller in ``scenario``, from the ledger of each of the ``n_sessions``
+    runs of one ``run_probes`` call; ``deadline`` is checked after each of
+    its batches."""
+    samples = run_probes([Probe(scenario)], n_sessions, seed, deadline=deadline, metric="ledger")
+    ledgers = (SellerLedger("s", scenario.reserve, rows)
+               for rows in ledger_rows(scenario, samples[0]))
+    return [(led.credit_above_reserve(), led.payments_above_reserve()) for led in ledgers]
 
 
 def admissibility_suite(
@@ -389,8 +392,8 @@ def admissibility_suite(
     deadline: Optional[float] = None,
 ) -> SuiteReport:
     """Pooled tax rates stay below 1 in large pools, and exceed it less often
-    as pools grow; ``deadline`` is checked after each observed session and
-    each trial."""
+    as pools grow; ``deadline`` is checked after each batch of observed
+    sessions and each trial."""
     config = load_config(builtin_config_path("pooling_similar"))
     sellers, sessions = sum(t.count for t in config.pool.types), config.pool.sessions_per_seller
     rng = np.random.default_rng(seed)

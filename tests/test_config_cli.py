@@ -1,6 +1,7 @@
 """Config validation and CLI behavior: schema errors, determinism, exit codes."""
 
 import copy
+import csv
 import json
 import math
 import os
@@ -23,7 +24,9 @@ from bandshare.config import (
     parse_config,
 )
 from bandshare.demand import DemandSpec, FieldError
-from bandshare.engine import BuyerSpec, HybridBoost, Scenario, Strategy, run_session
+from bandshare.engine import (BuyerSpec, HybridBoost, Scenario, Strategy, build_ledger, run_seeds,
+                              run_session)
+from bandshare.pooling import SellerLedger, settle_pool
 from bandshare.verify import SuiteReport
 
 MINI_DOC = {
@@ -937,22 +940,31 @@ class TestCli:
         assert capsys.readouterr() == free
 
     def test_budget_stops_the_pool_and_writes_no_file(self, tmp_path, monkeypatch, capsys):
-        """The pool checks the deadline after each seller: it stops after the
-        first of 4, and no file is written."""
+        """The pool checks the deadline after each batch of sessions: its first
+        type's 300 sessions fill 3 batches of 100 (102 runs of 2 buyers x 40
+        epochs fit in one), it stops after the first, its second type plays
+        none, and no file is written."""
+        import bandshare.engine
+
+        batches, task = [], bandshare.engine._mc_task
+        monkeypatch.setattr(bandshare.engine, "_mc_task",
+                            lambda *a: batches.append(len(a[-1])) or task(*a))
         readings = self.expiring_clock(monkeypatch)
-        config = write_config(tmp_path, dict(MINI_DOC, pool={"sellers": 4}))
+        pool = {"types": [{"name": "t1", "count": 30}, {"name": "t2", "count": 2}]}
+        config = write_config(tmp_path, dict(MINI_DOC, pool=pool))
         out = tmp_path / "o"
         assert self.run_cli("pool", "--config", config, "--out-dir", str(out), "--budget", "0.5") == 3
         assert capsys.readouterr().err == "runtime budget exceeded: 10s > 0.5s\n"
         assert not out.exists()
-        assert len(readings) == 3  # main's start, after the first seller, main's end
+        assert batches == [100]
+        assert len(readings) == 3  # main's start, after the first batch, main's end
 
     def test_a_command_that_ends_past_its_budget_exits_3_after_its_output(
         self, tmp_path, monkeypatch, capsys
     ):
         """The budget is also read when a command has finished: a pool whose
         clock passes the deadline only after its last check still exits 3."""
-        clock = iter([100.0] * 5)  # main's start and the 4 sellers' checks
+        clock = iter([100.0] * 2)  # main's start and the check after the one batch of 40 sessions
         monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock, 110.0))
         config = write_config(tmp_path, dict(MINI_DOC, pool={"sellers": 4}))
         out = tmp_path / "o"
@@ -972,3 +984,84 @@ class TestCli:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
+
+
+def pool_one_session_at_a_time(config):
+    """The reference ``run_pool``: every seller's sessions played one
+    ``run_session`` at a time, each on the next session seed drawn from the
+    generator the pool split then draws from, its ledger rows built by
+    ``build_ledger`` and its unpooled revenue a running sum of the sessions'
+    seller revenue."""
+    rng = np.random.default_rng(config.seed)
+    ledgers, seller_rows = [], []
+    for ptype in config.pool.types:
+        for k in range(ptype.count):
+            seller_id = f"{ptype.name}-{k:03d}"
+            rows, unpooled = [], 0.0
+            for _ in range(config.pool.sessions_per_seller):
+                outcome = run_session(ptype.scenario, run_seeds(rng, 1)[0])
+                rows.extend(build_ledger(seller_id, outcome).rows)
+                unpooled += outcome.seller_revenue
+            ledgers.append(SellerLedger(seller_id, ptype.scenario.reserve, rows))
+            seller_rows.append((seller_id, ptype.name, unpooled))
+    return cli.PoolRun(seller_rows, ledgers, settle_pool(ledgers, rng))
+
+
+def assert_same_pool(got, want):
+    """Bit for bit, by ``repr``: each seller's row and ledger, then the
+    settlement, so that a failure shows the first seller that differs."""
+    assert len(got.seller_rows) == len(want.seller_rows)
+    for mine, theirs in zip([*got.seller_rows, *got.ledgers], [*want.seller_rows, *want.ledgers]):
+        assert repr(mine) == repr(theirs)
+    assert repr(got.settlement) == repr(want.settlement)
+
+
+MINI_POOL_DOC = dict(MINI_DOC, reserve=1.0, pool={"types": [
+    {"name": "plain", "count": 3},
+    {"name": "wide", "count": 2, "capacity": 20},
+    {"name": "stateful", "count": 2, "buyers": [
+        {"id": "a", "value": 5, "demand": {"model": "buffered", "rate": 6},
+         "strategy": {"kind": "pad", "rate": 2}},
+        {"id": "c", "value": 3, "demand": {"model": "flow_trace", "mean_rate": 9}},
+        {"id": "d", "value": 0.5, "demand": {"model": "constant", "rate": 4}},
+    ]},
+]})
+
+
+class TestRunPool:
+    """``run_pool`` plays each pool type's sessions as the runs of one
+    ``run_probes`` call and gives, bit for bit, what one ``run_session`` per
+    session gives, RNG stream included: the split that follows draws the same."""
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    @pytest.mark.parametrize("name", ["pooling_similar", "pooling_varied"])
+    def test_builtin_pools_equal_one_session_at_a_time(self, name, seed):
+        overrides = {} if seed is None else {"seed": seed}
+        config = load_config(builtin_config_path(name), overrides)
+        assert_same_pool(cli.run_pool(config), pool_one_session_at_a_time(config))
+
+    @pytest.mark.parametrize("sessions", [1, 3])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_a_multi_type_pool_equals_one_session_at_a_time(self, seed, sessions):
+        """Three types, one of them with a padding buffered buyer and one
+        buyer below the reserve, at 1 and 3 sessions per seller."""
+        doc = copy.deepcopy(MINI_POOL_DOC)
+        doc["pool"]["sessions_per_seller"] = sessions
+        config = parse_config(dict(doc, seed=seed))
+        pooled = cli.run_pool(config)
+        assert len(pooled.ledgers) == 7 and len(pooled.ledgers[-1].rows) == 3 * sessions
+        assert_same_pool(pooled, pool_one_session_at_a_time(config))
+
+    @pytest.mark.parametrize("name", ["pooling_similar", "pooling_varied"])
+    def test_builtin_pools_balance_their_engine_ledgers(self, tmp_path, name):
+        """The ``balance_error`` that ``pool`` writes, what the buyers paid
+        less the transfers and the center's residual, is within 1e-12 of what
+        the buyers paid, which is the sellers' unpooled revenue summed."""
+        out = tmp_path / "o"
+        assert main(["pool", "--config", builtin_config_path(name), "--out-dir", str(out)]) == 0
+        with open(out / f"{name}_pool.csv") as fh:
+            metrics = {row["metric"]: float(row["mean"]) for row in csv.DictReader(fh)}
+        with open(out / f"{name}_sellers.csv") as fh:
+            paid = sum(float(row["unpooled_revenue"]) for row in csv.DictReader(fh))
+        assert paid > 1e7
+        assert abs(metrics["balance_error"]) <= 1e-12 * paid

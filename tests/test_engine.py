@@ -22,8 +22,8 @@ larger than the runs, and world replay under counterfactual bids and pinned
 coins, each distinct priority grouping of a replayed world played once, the
 Monte Carlo batch's array keys, flags and buckets against ``_keyed`` and
 ``_groups``, the batch's worlds, drawn at once, against each seed's world
-drawn alone, and the batch's samples, on grids with stateful buyers and
-hybrid scenarios too, against each run's replayed sessions.
+drawn alone, and the batch's samples and ledger rows, on grids with stateful
+buyers and hybrid scenarios too, against each run's replayed sessions.
 """
 
 import inspect
@@ -64,6 +64,7 @@ from bandshare.engine import (
     _worlds,
     build_ledger,
     buyer_rows,
+    ledger_rows,
     replay,
     run_monte_carlo,
     run_probes,
@@ -2942,6 +2943,48 @@ class TestProbes:
         monkeypatch.setattr(bandshare.engine, "_worlds", lambda *a: pytest.fail("world drawn"))
         with pytest.raises(ValueError, match=message):
             run_probes([Probe(self.scenario()), Probe(self.scenario(), **probe)], 3, seed=1)
+
+
+class TestLedgerRows:
+    """``run_probes(metric="ledger")`` keeps what ``build_ledger`` reads of
+    each run's session, and ``ledger_rows`` makes its rows from them, bit for
+    bit: under bid overrides and pinned coins, buyers who pad or delay,
+    stateful models, hybrid routing and every mechanism."""
+
+    @given(probes=probe_sets(), seed=st.integers(0, 2**32), runs=st.integers(1, 6))
+    @example(probes=[Probe(s) for s in mixed_grids()[1]], seed=4, runs=3)
+    @example(probes=[Probe(s, {"hi": 1.0}, {"hi": True}) for s in mixed_grids()[1]],
+             seed=5, runs=2)
+    @settings(max_examples=150, deadline=None)
+    def test_ledger_rows_are_those_of_build_ledger(self, probes, seed, runs):
+        samples = run_probes(probes, runs, seed, metric="ledger")
+        assert samples.shape == (len(probes), 4 * len(probes[0].scenario.buyers), runs)
+        for probe, sample in zip(probes, samples):
+            sessions = [replay(probe.scenario, s)(probe.bid_override, probe.force_resample)
+                        for s in run_seeds(seed, runs)]
+            expected = [list(build_ledger("s", out).rows) for out in sessions]
+            assert repr(ledger_rows(probe.scenario, sample)) == repr(expected)
+
+    def test_ledger_rows_leave_the_default_samples_alone(self):
+        """Asking for the ledger rows changes no other call's samples, and a
+        scenario with no buyers has none."""
+        scenario = TestProbes().scenario()
+        before = run_probes([Probe(scenario)], 5, seed=3)
+        assert run_probes([Probe(scenario)], 5, seed=3, metric="ledger").shape == (1, 12, 5)
+        assert run_probes([Probe(scenario)], 5, seed=3).tobytes() == before.tobytes()
+        empty = Scenario((), capacity=5.0, horizon=10)
+        samples = run_probes([Probe(empty)], 3, seed=1, metric="ledger")
+        assert samples.shape == (1, 0, 3) and ledger_rows(empty, samples[0]) == [[], [], []]
+
+    def test_a_generator_seed_draws_the_runs_from_it_in_place(self):
+        """A ``Generator`` seed gives the runs of the seeds it would give k
+        draws of one seed each, and is left where they leave it."""
+        scenario = TestProbes().scenario()
+        rng, single = np.random.default_rng(42), np.random.default_rng(42)
+        samples = run_probes([Probe(scenario)], 7, rng)
+        seeds = [run_seeds(single, 1)[0] for _ in range(7)]
+        assert samples.tobytes() == replayed([Probe(scenario)], seeds).tobytes()
+        assert rng.bit_generator.state == single.bit_generator.state
 
 
 class TestDeadline:

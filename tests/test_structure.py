@@ -496,3 +496,26 @@ def test_conditioned_utilities_play_on_run_probes():
         for k in n.keywords if k.arg == "metric"
     ]
     assert metrics == ["'utilities'"], metrics
+
+
+def test_pools_and_admissibility_play_sessions_on_run_probes():
+    """``verify.pooling_seller_observations`` and ``cli.run_pool`` reach
+    sessions only through ``run_probes``, asking it for its ledger rows,
+    and replay or settle no session of their own.  The two modules still
+    import ``run_session`` and ``build_ledger`` for the bench's tracer, but
+    only ``simulate``'s trace run calls either."""
+    for module, name in (("verify", "pooling_seller_observations"), ("cli", "run_pool")):
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        func = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == name)
+        calls = [n for n in ast.walk(func) if isinstance(n, ast.Call)]
+        called = {ast.unparse(n.func).split(".")[-1] for n in calls}
+        assert {"run_probes", "ledger_rows"} <= called, (name, called)
+        sessions = {"replay", "run_session", "build_ledger", "run_seeds", "run_monte_carlo"}
+        assert not called & sessions, (name, called)
+        metrics = [
+            ast.unparse(k.value) for n in calls if ast.unparse(n.func) == "run_probes"
+            for k in n.keywords if k.arg == "metric"
+        ]
+        assert metrics == ["'ledger'"], (name, metrics)
+        assert _callers(tree, "build_ledger") == []
+        assert _callers(tree, "run_session") == ([] if module == "verify" else ["cmd_simulate"])

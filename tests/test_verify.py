@@ -4,14 +4,20 @@ acceptance module)."""
 import numpy as np
 import pytest
 
+from bandshare.config import builtin_config_path, load_config
 from bandshare.demand import DemandSpec
-from bandshare.engine import BuyerSpec, Scenario, Strategy, run_seeds, run_session
+from bandshare.engine import (BuyerSpec, Scenario, Strategy, build_ledger, run_seeds,
+                              run_session)
+from bandshare.payments import bks_settle, resample_bid
+from bandshare.pooling import LedgerRow, SellerLedger
 from bandshare.verify import (
     _conditioned_utilities,
+    _random_ledger,
     balance_suite,
     expected_utilities_rb,
     monotonicity_suite,
     natural_suite,
+    pooling_seller_observations,
     run_suite,
     welfare_capacity_bks_scenario,
 )
@@ -33,10 +39,76 @@ class TestMonotonicitySuite:
         assert "0 violations" in report.lines[-1]
 
 
+def random_ledger_draw_by_draw(rng, seller_id, reserve, mu=0.2):
+    """The reference ``_random_ledger``: each row's bid above the reserve,
+    coin, gamma and bytes are four scalar draws, in that order."""
+    rows = []
+    for j in range(int(rng.integers(0, 6))):
+        bid = reserve + float(rng.uniform(0, 9))
+        key, resampled = resample_bid(bid, reserve, mu, rng.random(), rng.random())
+        x = float(rng.uniform(0, 400))
+        rebate = bks_settle(x, bid, reserve, mu, resampled)[1]
+        rows.append(LedgerRow(f"{seller_id}-b{j}", x, bid, key, rebate))
+    return SellerLedger(seller_id, reserve, rows)
+
+
 class TestBalanceSuite:
     def test_small_run_passes(self):
         report = balance_suite(seed=4, n_pools=60)
         assert report.passed
+
+    def test_random_ledgers_are_those_of_one_draw_per_value(self):
+        """A ledger's rows come from one (rows, 4) draw scaled by (9, 1, 1,
+        400), which gives the reference's rows bit for bit and leaves the
+        generator where its scalar draws leave it: 1500 ledgers over 50 seeds."""
+        for seed in range(50):
+            batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            for i in range(30):
+                reserve = (0.0, 1.0, 2.0)[i % 3]
+                got = _random_ledger(batched, f"s{i}", reserve)
+                assert repr(got) == repr(random_ledger_draw_by_draw(scalar, f"s{i}", reserve))
+            assert batched.bit_generator.state == scalar.bit_generator.state
+            assert batched.random() == scalar.random()
+
+
+def observations_one_session_at_a_time(scenario, n_sessions, seed):
+    """The reference ``pooling_seller_observations``: one ``run_session`` and
+    one ``build_ledger`` per session seed."""
+    obs = []
+    for s in run_seeds(seed, n_sessions):
+        ledger = build_ledger("s", run_session(scenario, s))
+        obs.append((ledger.credit_above_reserve(), ledger.payments_above_reserve()))
+    return obs
+
+
+def pool_scenarios():
+    """pooling_similar's scenario, pooling_varied's heaviest type, and a
+    small one with a reserve above one buyer's bid and a padding buffered
+    buyer, whose runs the batch sweeps one at a time."""
+    similar = load_config(builtin_config_path("pooling_similar")).scenario
+    varied = load_config(builtin_config_path("pooling_varied")).pool.types[-1].scenario
+    small = Scenario(
+        buyers=(
+            BuyerSpec("a", 5.0, DemandSpec.buffered([6.0] * 40), 1, 40, Strategy("pad", pad=2.0)),
+            BuyerSpec("b", 2.0, DemandSpec.flow_trace(6.0, 40), 1, 40),
+            BuyerSpec("c", 0.5, DemandSpec.constant(4.0), 3, 30),
+        ),
+        capacity=12.0, mechanism="bks", mu=0.2, reserve=1.0, horizon=40,
+    )
+    return {"similar": (similar, 600), "varied": (varied, 200), "small": (small, 50)}
+
+
+class TestPoolingObservations:
+    """The admissibility suite's observations come from one ``run_probes``
+    call's ledger rows, bit for bit those of one session at a time."""
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("name", sorted(pool_scenarios()))
+    def test_observations_equal_one_session_at_a_time(self, name, seed):
+        scenario, n_sessions = pool_scenarios()[name]
+        observed = pooling_seller_observations(scenario, n_sessions, seed)
+        assert len(observed) == n_sessions
+        assert repr(observed) == repr(observations_one_session_at_a_time(scenario, n_sessions, seed))
 
 
 class TestSuitesThatCheckNothing:
