@@ -69,9 +69,7 @@ routing keys and resampling flags, and ``_groups`` groups the eligible
 buyers by key.  The sweep and the loop see only those groups, never a bid,
 and return grants, presented demand and the real traffic of buyers who pad
 or delay; ``_finish`` settles each buyer on her grants' pairwise row total,
-which is her real traffic if she does neither.  So a replayed world plays
-each distinct grouping once; it keeps at most 2n allocations for n buyers,
-one per rank and tie of one probed buyer.
+which is her real traffic if she does neither.
 """
 
 from __future__ import annotations
@@ -407,12 +405,10 @@ def replay(scenario: Scenario, seed: int) -> Callable[..., SessionOutcome]:
     products with the session's traffic stay finite, and ``force_resample``
     pins buyers' resampling coins with bools (keeping their gamma draws); every
     call sees the same world, and an unknown id or a non-bool pin is a ``ValueError``.
-    Each distinct priority grouping is played once and kept, up to 2n for n buyers.
     """
     (realizations,), draws, demand = _worlds(scenario, [seed])
     draws, demand = draws[0].tolist(), demand[:, 0]
     stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
-    memo: List[Tuple[List[List[int]], Played]] = []
 
     def session(
         bid_override: Optional[Mapping[str, float]] = None,
@@ -420,15 +416,7 @@ def replay(scenario: Scenario, seed: int) -> Callable[..., SessionOutcome]:
     ) -> SessionOutcome:
         _, bids, forced = _checked(Probe(scenario, bid_override, force_resample))
         keyed = _keyed(scenario, bids, draws, forced)
-        groups = _groups(scenario, keyed)
-        for seen, played in memo:  # _finish only reads what it is given
-            if seen == groups:
-                break
-        else:
-            if len(memo) == 2 * len(stateful):
-                memo.clear()
-            played = _run_sweep(scenario, realizations, demand, groups, stateful)
-            memo.append((groups, played))
+        played = _run_sweep(scenario, realizations, demand, _groups(scenario, keyed), stateful)
         return _finish(scenario, keyed, *played)
 
     return session
@@ -746,7 +734,7 @@ def _finish(
         utilities={i: w - (g - rb) for i, w, (g, rb) in zip(ids, worth, settled)},
         welfare=sum(worth),
         seller_revenue=sum([g - rb for g, rb in settled]),
-        trace=grants.T.copy(),
+        trace=grants.T,
         reserve=r,
     )
 

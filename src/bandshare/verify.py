@@ -8,7 +8,8 @@ and reports human-readable evidence:
                    fixture fails it with a witness.
 * monotonicity  -- under strict-priority routing with greedy buyers and
                    natural demand, total bytes weakly increase in own bid for
-                   every fixed world (replayed seed) and competitor profile.
+                   every fixed world (one run of the engine's Monte Carlo) and
+                   competitor profile.
 * truthfulness  -- under bid resampling, the truthful bid maximizes expected
                    utility against the probed deviations, per buyer, within
                    Monte Carlo confidence.
@@ -41,7 +42,6 @@ from bandshare.engine import (
     Scenario,
     deadline_passed,
     ledger_rows,
-    replay,
     run_probes,
 )
 # Unused here: the bench's tracer patches both names on this module (ROADMAP
@@ -175,8 +175,9 @@ MONOTONE_MODEL_KINDS = (
 def monotonicity_suite(
     seed: int = 0, n_scenarios: int = 20, n_pairs: int = 50, deadline: Optional[float] = None
 ) -> SuiteReport:
-    """Bid-monotonicity of total bytes under SPQ + greedy, world replayed.
-    ``deadline`` is checked after each scenario."""
+    """Bid-monotonicity of total bytes under SPQ + greedy, per fixed world:
+    a scenario's bid pairs are probes of one ``run_probes`` run from its
+    printed seed.  ``deadline`` is checked after each scenario."""
     if n_scenarios < 1 or n_pairs < 1:
         raise ValueError(f"need n_scenarios and n_pairs >= 1, got {n_scenarios} and {n_pairs}")
     rng = np.random.default_rng(seed)
@@ -207,10 +208,10 @@ def monotonicity_suite(
                 horizon=40,
             )
             world_seed = int(rng.integers(2**31))
-            session = replay(scenario, world_seed)
-            for _ in range(n_pairs):
-                lo, hi = sorted(rng.uniform(0.2, 12, size=2))
-                x_lo, x_hi = (session({"probe": b}).bytes["probe"] for b in (lo, hi))
+            pairs = [sorted(rng.uniform(0.2, 12, size=2)) for _ in range(n_pairs)]
+            probes = [Probe(scenario, {"probe": b}) for pair in pairs for b in pair]
+            x = run_probes(probes, 1, world_seed, metric="bytes")[:, 0, 0].tolist()
+            for (lo, hi), x_lo, x_hi in zip(pairs, x[::2], x[1::2]):
                 checked += 1
                 if x_hi < x_lo - 1e-9:
                     violations += 1

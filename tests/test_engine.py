@@ -19,14 +19,13 @@ the reserve doubles every payment; doubling every KB quantity doubles traffic
 and payments; idle epochs in front shift the trace), settlement by buyer
 position against each mechanism's per-buyer definition, a process pool no
 larger than the runs, and world replay under counterfactual bids and pinned
-coins, each distinct priority grouping of a replayed world played once, the
+coins, any sequence of calls on a replayed world equal to fresh sessions, the
 Monte Carlo batch's array keys, flags and buckets against ``_keyed`` and
 ``_groups``, the batch's worlds, drawn at once, against each seed's world
 drawn alone, and the batch's samples and ledger rows, on grids with stateful
 buyers and hybrid scenarios too, against each run's replayed sessions.
 """
 
-import inspect
 import itertools
 import os
 import pathlib
@@ -639,6 +638,21 @@ TIED_HYBRID_WORLD = (
     ),
     {"probe": False, "c0": False, "c1": False},
 )
+# A natural probe against a cliff competitor, boosted to 1 KB by epoch 1.  At
+# the tie the probe shares each epoch with her, so the competitor moves 1 KB an
+# epoch instead of 2 and still demands 2 KB when 0.5 KB short of her cliff:
+# the probe moves 10, 10, 9.5 and 19 KB at bids 0, 0.5, 1 (the tie) and 1.5.
+CLIFF_COMPETITOR_WORLD = (
+    Scenario(
+        buyers=(
+            BuyerSpec("probe", 5.0, DemandSpec.constant(2.0), 1, 10),
+            BuyerSpec("c0", 1.0, DemandSpec.cliff(2.0, 10.0), 1, 10),
+        ),
+        capacity=2.0, routing="hybrid", mu=0.5, horizon=10,
+        hybrid=HybridBoost("c0", 1.0, 1),
+    ),
+    {"probe": False, "c0": False},
+)
 MEMORYLESS_KINDS = {"constant", "time_varying", "flow_trace"}
 
 
@@ -647,14 +661,17 @@ def test_bytes_monotone_in_own_bid_exactly_per_world():
     the reserve or a competitor's key, so evaluating her at 0, at the
     reserve, at each eligible competitor key (a tie) and at one bid in each
     gap above them (at most 2m + 3 sessions for m competitors) checks
-    monotonicity in her own bid exactly.  Every natural probe is monotone, and
-    the cliff, which is not natural, is not monotone in some world.  Bytes may
-    differ by rounding where a tie moves a stateful probe from her vector form
-    to the epoch stepper, so a drop of 1e-9 relative is allowed."""
-    reached, cliff_violations = set(), []
+    monotonicity in her own bid exactly.  A natural probe is monotone
+    whenever every competitor is natural too.  The cliff, which is not
+    natural, is not monotone in some world as the probe, nor always harmless
+    as a competitor (``CLIFF_COMPETITOR_WORLD``).  Bytes may differ by
+    rounding where a tie moves a stateful probe from her vector form to the
+    epoch stepper, so a drop of 1e-9 relative is allowed."""
+    reached, cliff_violations, cliff_competitor_violations = set(), [], []
 
     @example(world=CLIFF_WORLD, seed=0)
     @example(world=TIED_HYBRID_WORLD, seed=0)
+    @example(world=CLIFF_COMPETITOR_WORLD, seed=0)
     @given(world=probe_worlds(), seed=st.integers(0, 2**32))
     @settings(max_examples=150, deadline=None)
     def monotone(world, seed):
@@ -675,6 +692,8 @@ def test_bytes_monotone_in_own_bid_exactly_per_world():
         kind = scenario.buyers[0].demand.kind
         if kind == "cliff":
             cliff_violations.append(not ok)
+        elif any(b.demand.kind == "cliff" for b in scenario.buyers[1:]):
+            cliff_competitor_violations.append(not ok)
         else:
             assert ok, (kind, bids, x)
         reached.add(scenario.routing)
@@ -684,7 +703,7 @@ def test_bytes_monotone_in_own_bid_exactly_per_world():
             reached.add("stateful competitor")
 
     monotone()
-    assert any(cliff_violations)
+    assert any(cliff_violations) and any(cliff_competitor_violations)
     assert reached == {"spq", "hybrid", "tie", "stateful competitor"}
 
 
@@ -1698,9 +1717,7 @@ class TestBidBlindAllocation:
     on one world, two bid overrides that give the same groups give the same
     trace and the same real and billed bytes on every path; only payments and
     utilities may differ.  Under bks every resampling coin is forced off, so
-    the routing keys are the bids.  Each override is played on a fresh replay,
-    because one replay plays a grouping once and settles every later call
-    with the same groups on that allocation."""
+    the routing keys are the bids, and both overrides play on one replay."""
 
     @pytest.mark.parametrize("path", ["sweep", "boost", "vector", "loop"])
     @given(data=st.data(), seed=st.integers(0, 2**32))
@@ -1712,7 +1729,8 @@ class TestBidBlindAllocation:
         assert path_reached(scenario, seed, first, forced) in REACHES[path]
         records = [_bid_records(scenario, draws, bids, forced) for bids in (first, second)]
         assert _groups(scenario, records[0]) == _groups(scenario, records[1])
-        one, two = (replay(scenario, seed)(bids, forced) for bids in (first, second))
+        session = replay(scenario, seed)
+        one, two = (session(bids, forced) for bids in (first, second))
         np.testing.assert_array_equal(one.trace, two.trace)
         assert one.bytes == two.bytes
         assert {b: p.bytes for b, p in one.payments.items()} == {
@@ -2387,23 +2405,16 @@ PROBE_CALLS = [(0, None, None), (0, 0.0, True), (0, 9.0, False), (0, None, None)
 # More groupings than buyers, each played again: b1 ineligible, first, between
 # b2 and b3, last, tied with b2 (see REPLAY_SCENARIOS["vector"]), then again.
 RANK_CALLS = [(0, bid, False) for bid in (1.0, 2.5, 1.9, 1.7, 2.0, 1.0, 2.5, 1.9, 1.7, 2.0)]
-# Eight groupings, more than the memo holds: b2 and b3 move too.
+# Eight groupings: b2 and b3 move too.
 FREE_CALLS = RANK_CALLS[:5] + [(1, 1.0, False), (1, 1.7, False), (2, 1.0, False)]
 
 
-def test_replay_plays_each_grouping_once(monkeypatch):
-    """A replayed world plays each distinct priority grouping once and settles
-    every call on that allocation.  Any sequence of bid overrides and pinned
-    coins gives what a fresh ``run_session`` gives, on every path and with
-    buyers who pad or delay, whose real traffic is kept with the grants, and
-    a write into a returned trace reaches no later call.  The memo holds at
-    most 2n allocations, one per rank and tie of one probed buyer against
-    fixed competitor keys; when any buyer's bid may move it may replay a
-    grouping, one sweep per call at most."""
-    sweeps, sweep = [], bandshare.engine._run_sweep
-    monkeypatch.setattr(
-        bandshare.engine, "_run_sweep", lambda *args: sweeps.append(args[3]) or sweep(*args)
-    )
+def test_replay_calls_equal_fresh_sessions():
+    """Any sequence of bid overrides and pinned coins on a replayed world gives
+    what a fresh ``run_session`` gives, on every path and with buyers who pad
+    or delay, whose real traffic is kept with the grants, also when a call
+    repeats an earlier call's priority grouping, and a write into a returned
+    trace reaches no later call."""
     reached = set()
 
     @on_every_path(probe=1, free=False, calls=PROBE_CALLS)
@@ -2413,20 +2424,16 @@ def test_replay_plays_each_grouping_once(monkeypatch):
     @given(scenario=money_scenarios(), seed=st.integers(0, 2**32), probe=st.integers(0, 4),
            free=st.booleans(), calls=st.lists(CALL, min_size=1, max_size=10))
     @settings(max_examples=100, deadline=None)
-    def plays_once(scenario, seed, probe, free, calls):
+    def fresh_each_call(scenario, seed, probe, free, calls):
         ids = [b.buyer_id for b in scenario.buyers]
         draws = world(scenario.buyers, seed)[1]
         session = replay(scenario, seed)
-        memo = inspect.getclosurevars(session).nonlocals["memo"]
-        played, seen = [], []
+        seen = []
         for k, bid, coin in calls:
             buyer = ids[(k if free else probe) % len(ids)]
             override = {} if bid is None else {buyer: bid}
             forced = {} if coin is None else {buyer: coin}
-            sweeps.clear()
             out = session(override, forced)
-            played += sweeps
-            assert len(sweeps) <= 1 and len(memo) <= 2 * len(ids)
             assert_same_outcome(out, run_session(scenario, seed, bid_override=override,
                                                  force_resample=forced))
             out.trace[:] = np.nan
@@ -2437,9 +2444,8 @@ def test_replay_plays_each_grouping_once(monkeypatch):
                 reached.update(kinds & {"pad", "delay"})
             else:
                 seen.append(groups)
-        assert played == seen if not free else all(g in seen for g in played)
 
-    plays_once()
+    fresh_each_call()
     assert PATHS | {"sweep-hybrid", "pad", "delay"} <= reached
 
 

@@ -48,7 +48,9 @@ its own, and the engine reads no environment variable.  A probe's overrides
 are checked once, by ``_checked``, which only ``run_probes`` and a replayed
 world's session call, never the batch.  The suite's conditioned estimator
 calls ``run_probes`` for the utility rows only and replays no world of its
-own.
+own.  The monotonicity suite plays each world's bids as the probes of one
+``run_probes`` call, no module but the engine calls ``replay``, and
+``replay``'s session keeps nothing of one call for the next.
 
 VCG charges come from one priority fill: ``payments.vmm_epoch_charges``
 calls ``spq`` once and never in a loop, so no per-buyer re-fill comes back.
@@ -519,3 +521,27 @@ def test_pools_and_admissibility_play_sessions_on_run_probes():
         assert metrics == ["'ledger'"], (name, metrics)
         assert _callers(tree, "build_ledger") == []
         assert _callers(tree, "run_session") == ([] if module == "verify" else ["cmd_simulate"])
+
+
+def test_monotonicity_suite_plays_its_worlds_on_run_probes():
+    """``verify.monotonicity_suite`` plays each world's bids as the probes of
+    one ``run_probes`` call and replays no session itself; no module but the
+    engine calls ``replay``, and ``replay``'s session closes over its scenario
+    and world alone, so it keeps nothing of one call for the next."""
+    tree = ast.parse((SRC / "verify.py").read_text())
+    func = next(
+        f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "monotonicity_suite"
+    )
+    called = [ast.unparse(n.func).split(".")[-1] for n in ast.walk(func) if isinstance(n, ast.Call)]
+    assert called.count("run_probes") == 1, called
+    assert not {"replay", "run_session"} & set(called), called
+    callers = {
+        path.name for path in SRC.glob("*.py") for n in ast.walk(ast.parse(path.read_text()))
+        if isinstance(n, ast.Call) and ast.unparse(n.func).split(".")[-1] == "replay"
+    }
+    assert callers == {"engine.py"}, callers
+    replay = _engine_function("replay")
+    session = next(f for f in replay.body if isinstance(f, ast.FunctionDef))
+    outer = {n.id for n in _own_nodes(replay) if isinstance(n, ast.Name)}
+    closed = {n.id for n in ast.walk(session) if isinstance(n, ast.Name)} & outer
+    assert closed == {"scenario", "draws", "demand", "realizations", "stateful"}, closed

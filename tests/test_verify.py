@@ -4,10 +4,11 @@ acceptance module)."""
 import numpy as np
 import pytest
 
+import bandshare.verify
 from bandshare.config import builtin_config_path, load_config
 from bandshare.demand import DemandSpec
-from bandshare.engine import (BuyerSpec, Scenario, Strategy, build_ledger, run_seeds,
-                              run_session)
+from bandshare.engine import (BuyerSpec, Scenario, Strategy, build_ledger, replay,
+                              run_probes, run_seeds, run_session)
 from bandshare.payments import bks_settle, resample_bid
 from bandshare.pooling import LedgerRow, SellerLedger
 from bandshare.verify import (
@@ -37,6 +38,30 @@ class TestMonotonicitySuite:
         report = monotonicity_suite(seed=5, n_scenarios=2, n_pairs=6)
         assert report.passed
         assert "0 violations" in report.lines[-1]
+
+    @pytest.mark.parametrize("seed", [5, 2025])
+    def test_bytes_are_those_of_each_replayed_world(self, seed, monkeypatch):
+        """Each world's bid pairs are the probes of one one-run ``run_probes``
+        call, and every (world, bid) gets the probe's bytes of ``replay`` on
+        that run's seed, bit for bit."""
+        calls = []
+
+        def spy(probes, n_runs, world_seed, **kwargs):
+            samples = run_probes(probes, n_runs, world_seed, **kwargs)
+            calls.append((probes, n_runs, world_seed, kwargs, samples))
+            return samples
+
+        monkeypatch.setattr(bandshare.verify, "run_probes", spy)
+        report = monotonicity_suite(seed=seed, n_scenarios=2, n_pairs=10)
+        assert report.passed and len(calls) == 6 * 2
+        for probes, n_runs, world_seed, kwargs, samples in calls:
+            assert (len(probes), n_runs, kwargs) == (20, 1, {"metric": "bytes"})
+            session = replay(probes[0].scenario, run_seeds(world_seed, 1)[0])
+            bids = [p.bid_override["probe"] for p in probes]
+            assert all(lo <= hi for lo, hi in zip(bids[::2], bids[1::2]))
+            for probe, x in zip(probes, samples[:, 0, 0].tolist()):  # the probe is buyer 0
+                assert probe.scenario is probes[0].scenario
+                assert x == session(probe.bid_override).bytes["probe"]
 
 
 def random_ledger_draw_by_draw(rng, seller_id, reserve, mu=0.2):
