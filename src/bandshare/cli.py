@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -73,13 +74,15 @@ def _fmt(x: float) -> str:
 def _write(out_dir: str, name: str, content) -> None:
     """Write one output file and report it as ``wrote <path>``.
 
-    A ``.csv`` name takes a list of text rows, header first; a ``.json`` name
-    takes any JSON value.
+    A ``.csv`` name takes a list of text rows, header first, or the file's
+    text as one string; a ``.json`` name takes any JSON value.
     """
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", newline="") as fh:
-        if name.endswith(".csv"):
+        if isinstance(content, str):
+            fh.write(content)
+        elif name.endswith(".csv"):
             csv.writer(fh).writerows(content)
         else:
             json.dump(content, fh, indent=2, sort_keys=True)
@@ -139,22 +142,18 @@ def cmd_simulate(args) -> int:
 
     # Per-epoch trace of the first run under the first variant.
     outcome = run_session(variants[0].scenario, run_seeds(config.seed, 1)[0])
-    _write(
-        args.out_dir,
-        f"{config.experiment_id}_trace.csv",
-        [["epoch"] + [f"consumed:{b}" for b in outcome.buyer_ids]] + _trace_rows(outcome.trace),
-    )
+    _write(args.out_dir, f"{config.experiment_id}_trace.csv",
+           _trace_csv(outcome.buyer_ids, outcome.trace))
     return EXIT_OK
 
 
-def _trace_rows(trace: np.ndarray) -> List[List[str]]:
-    """One row per epoch of an (epochs, buyers) trace: the epoch number from 1,
-    then each value in ``_fmt``'s text.  ``tolist`` gives Python floats, which
-    format with no numpy scalar conversion per value."""
-    return [
-        [str(t)] + [format(v, ".12g") for v in row]
-        for t, row in enumerate(trace.tolist(), 1)
-    ]
+def _trace_csv(buyer_ids: List[str], trace: np.ndarray) -> str:
+    """The trace CSV as ``csv.writer`` writes it: the header, then each epoch from
+    1 and its values in ``_fmt``'s text, which ``'%.12g' % v`` equals for any float."""
+    head = io.StringIO()
+    csv.writer(head).writerow(["epoch"] + [f"consumed:{b}" for b in buyer_ids])
+    line = "%d" + ",%.12g" * len(buyer_ids) + "\r\n"
+    return head.getvalue() + "".join([line % (t, *row) for t, row in enumerate(trace.tolist(), 1)])
 
 
 def cmd_sweep(args) -> int:

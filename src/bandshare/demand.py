@@ -102,8 +102,8 @@ class DemandRealization:
 
         The same numbers as presenting ``query(t, x)``, with x the running sum
         ``x0 + g_lo + ...`` of her grants, and taking the smaller of it and
-        the residual in each epoch, up to rounding.  None for a model without
-        this vector form.
+        the residual in each epoch, up to rounding; each row of a (runs,
+        epochs) ``residual`` bit for bit as one run.  None without this form.
         """
         return None if self._serve is None else self._serve(residual, lo, x0)
 
@@ -211,14 +211,14 @@ def _buffered(g: Sequence[float]) -> DemandRealization:
         # B_t = max(0, B_{t-1} + g_t - r_t), from the data B_{lo-1} generated
         # before epoch lo and not yet moved.  Its closed form is
         # W_t - min(0, min_{s<=t} W_s) with W_t = B_{lo-1} + sum_{s=lo..t} (g_s - r_s).
-        presented = np.zeros(len(residual))
-        part = generated[lo - 1 : lo - 1 + len(residual)]
-        presented[: len(part)] = part
+        presented = np.zeros(residual.shape)
+        part = generated[lo - 1 : lo - 1 + residual.shape[-1]]
+        presented[..., : len(part)] = part
         before = max(0.0, cum[min(lo - 1, last)] - x0)
-        walk = before + np.cumsum(presented - residual)
-        backlog = walk - np.minimum(0.0, np.minimum.accumulate(walk))
-        presented[0] += before
-        presented[1:] += backlog[:-1]  # B_{t-1} + g_t
+        walk = before + np.cumsum(presented - residual, axis=-1)
+        backlog = walk - np.minimum(0.0, np.minimum.accumulate(walk, axis=-1))
+        presented[..., 0] += before
+        presented[..., 1:] += backlog[..., :-1]  # B_{t-1} + g_t
         return presented, np.minimum(presented, residual)
 
     return DemandRealization(
@@ -237,13 +237,13 @@ def _impatient(k: float, p: int, m: float) -> DemandRealization:
     def serve(residual: np.ndarray, lo: int, x0: float) -> Tuple[np.ndarray, np.ndarray]:
         # Rate k up to the patience epoch p; after it, rate k on if the
         # traffic moved by then (x0 first, then the grants in epoch order)
-        # exceeds m, else 0.
-        presented = np.full(len(residual), float(k))
+        # exceeds m, else 0.  ``quit`` is 0-d on one run's epochs.
+        presented = np.full(residual.shape, float(k))
         grants = np.minimum(presented, residual)
         patient = max(0, p - lo + 1)
-        if not np.cumsum(np.concatenate(([x0], grants[:patient])))[-1] > m:
-            presented[patient:] = 0.0
-            grants[patient:] = 0.0
+        moved = np.concatenate((np.full((*residual.shape[:-1], 1), x0), grants[..., :patient]), -1)
+        quit = ~(np.cumsum(moved, axis=-1)[..., -1] > m)
+        presented[quit, patient:] = grants[quit, patient:] = 0.0
         return presented, grants
 
     return DemandRealization("impatient", _fn=fn, _serve=serve)

@@ -5,14 +5,14 @@ arrive and depart, query their demand realizations, push traffic through the
 configured routing policy, and settle payments under the configured mechanism.
 
 This module owns the random-number layout.  A session seed spawns two live
-streams: demand (one realization seed per buyer, in scenario order) and bid
-resampling (a coin and a gamma uniform per buyer, in scenario order, drawn
-once per world whatever the bids), so a world depends only on the buyers and
-the seed.  ``_worlds`` draws the worlds of several seeds at once, stream for
-stream: each run's realization seeds and (coin, gamma) draws come from its own
-streams, ``DemandSpec.realize_runs`` draws every run's realizations
-together, and their demand is written straight into one stacked (n, runs, T)
-matrix.  ``replay(scenario, seed)`` materializes one world this way and returns
+streams: demand (one realization seed per buyer, in scenario order, built
+only when a flow_trace buyer reads it) and bid resampling (a coin and a gamma
+uniform per buyer, in scenario order, drawn once per world whatever the
+bids), so a world depends only on the buyers and the seed.  ``_worlds``
+draws the worlds of several seeds at once, stream for stream:
+``DemandSpec.realize_runs`` draws every run's realizations together, and
+their demand is written straight into one stacked (n, runs, T) matrix.
+``replay(scenario, seed)`` materializes one world this way and returns
 ``session(bid_override=None, force_resample=None)``, which plays it under any
 counterfactual bids or pinned resampling coins; ``run_session`` is
 ``replay(scenario, seed)(bid_override, force_resample)``.
@@ -30,32 +30,33 @@ every (probe, run) pair is keyed at once on (probe, run, buyer) arrays by
 ``_buckets`` sorts the pairs by the rank signature of their keys, and
 ``_groups`` groups one pair of each bucket; the pairs of one scenario that
 share a priority grouping, across all probes, are filled by one sweep over
-the union of their runs' columns, since every kernel fills each epoch column
-from its own capacity.  When a buyer is stateful (see below) or the
-scenario routes hybrid, what a run presents or reserves depends on its own
-history and epochs, so the bucket is swept run by run instead, each run on
-its own realizations.  Either way each pair gets its own session's numbers
-bit for bit, from its own world and streams.  What the batch reads of the
-probes (``ProbeArrays``) is made once per call.  A batch holds at most
-``BATCH_BYTES`` of stacked demand (64 KiB, 4 runs of 3 buyers x 600 epochs),
-and at least one run, so that its working memory does not grow with the runs
-or the horizon; the samples returned take 8 x probes x (2 + 3n) bytes per run
-for n buyers, or 8 x probes x n for one ``metric`` (``buyer_rows`` gives their
-layout), or 8 x probes x 4n for the ledger rows that ``ledger_rows`` reads
-(the pools and the admissibility suite play their sessions so).  A deadline,
-if given, is checked between batches.
+the union of their runs' columns, since every kernel and vector form (below)
+serves each run's epoch columns on their own.  A bucket with a group that
+``_play`` steps, or under hybrid routing, is swept run by run instead.
+Either way each pair gets its own session's numbers bit for bit, from its
+own world and streams.  What the batch reads of the probes (``ProbeArrays``)
+is made once per call.  A batch holds at most ``BATCH_BYTES`` of stacked
+demand (64 KiB, 4 runs of 3 buyers x 600 epochs), and at least one run, so
+that its working memory does not grow with the runs or the horizon; the
+samples returned take 8 x probes x (2 + 3n) bytes per run for n buyers, or
+8 x probes x n for one ``metric`` (``buyer_rows`` gives their layout), or
+8 x probes x 4n for the ledger rows that ``ledger_rows`` reads (the pools
+and the admissibility suite play their sessions so).  A deadline, if given,
+is checked between batches.
 
 One path, the priority sweep (``_run_sweep``), plays every session.  It visits
 the priority groups in descending key order and serves each from the capacity
 the groups above it left; under fq and fifo every key ties, so the eligible
 buyers are one group, shared max-min fairly or in proportion to demand.  A
 buyer is stateful when she pads or delays or her demand model is not memoryless
-(buffered, impatient, increasing_*, cliff).  A group whose stateful buyers, if
-any, are greedy impatient ones is filled column-wise by ``routing.fill_group``,
-and again after each patience epoch at which one of them quits.  Under spq and
-hybrid a lone greedy buffered or impatient buyer is served through her model's
-vector form (``DemandRealization.serve``).  Any other group is played epoch by
-epoch by ``_play``, which allocates each epoch with ``_allocate_epoch``, the
+(buffered, impatient, increasing_*, cliff).  ``_forms`` decides how a group is
+served.  One whose stateful buyers, if any, are greedy impatient ones is
+filled column-wise by ``routing.fill_group``, and again, in the runs where one
+of them quits, after her patience epoch.  Under spq and hybrid a lone greedy
+buffered or impatient buyer is served through her model's vector form
+(``DemandRealization.serve``), one realization for every run, as neither
+model reads its seed.  Any other group is played epoch by epoch, one run at
+a time, by ``_play``, which allocates each epoch with ``_allocate_epoch``, the
 scalar form of ``fill_group``.  Under hybrid routing ``_boost`` first serves
 the groups down to the boosted buyer's: it scans her reserved epochs in scalar,
 after which hybrid is strict priority, or plays them all with ``_play`` when
@@ -299,14 +300,15 @@ def _worlds(scenario: Scenario, seeds: Sequence[int]) -> Worlds:
     the bids, so a world depends only on the buyers and its seed."""
     buyers = scenario.buyers
     B, n = len(seeds), len(buyers)
-    streams = np.empty((B, n), dtype=np.uint64)  # each run's realization seeds
+    streams = np.zeros((B, n), dtype=np.uint64)  # each run's realization seeds
     draws = np.empty((B, n, 2))
+    traced = any(b.demand.kind == "flow_trace" for b in buyers)  # the one model that reads it
     for k, seed in enumerate(seeds):
-        # The first and third children that SeedSequence(seed).spawn(3) would
-        # make, built directly: the resampling stream has always been the third.
-        demand_ss, resample_ss = (np.random.SeedSequence(seed, spawn_key=(j,)) for j in (0, 2))
-        streams[k] = demand_ss.generate_state(n, dtype=np.uint64)
-        np.random.default_rng(resample_ss).random(out=draws[k])
+        # The first (demand, built only if traced) and third (resampling)
+        # children that SeedSequence(seed).spawn(3) would make, built directly.
+        if traced:
+            streams[k] = np.random.SeedSequence(seed, spawn_key=(0,)).generate_state(n, np.uint64)
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,))).random(out=draws[k])
     realizations = DemandSpec.realize_runs([b.demand for b in buyers], streams)
     demand = np.zeros((n, B, scenario.horizon))
     for i, buyer in enumerate(buyers):
@@ -581,15 +583,6 @@ def _window(scenario: Scenario, buyer: BuyerSpec) -> Tuple[int, int]:
     return max(1, buyer.arrival), min(scenario.horizon, buyer.departure)
 
 
-def _shown(demand: np.ndarray, groups: List[List[int]]) -> np.ndarray:
-    """A copy of the world's ``demand`` with the rows in no group zeroed; the
-    world's matrix is left unchanged, so counterfactual replays share it."""
-    shown = demand.copy()
-    for i in set(range(len(shown))).difference(*groups):
-        shown[i] = 0.0
-    return shown
-
-
 def _run_sweep(
     scenario: Scenario,
     realizations: Sequence[DemandRealization],
@@ -597,57 +590,81 @@ def _run_sweep(
     groups: List[List[int]],
     stateful: Sequence[bool],
 ) -> Played:
-    """Priority played one of ``groups`` at a time, highest key first, as the
-    module docstring sets out.  ``residual`` holds the capacity that the groups
-    above have left in each epoch, and a group's grants depend only on it and
-    the group's own history.  By increasing patience epoch p (equal p together,
-    as zeroing after p leaves the columns up to p), an impatient buyer who has
-    moved no more than m by p is zeroed after it.  ``demand`` may hold several
-    runs' epochs side by side when no buyer is stateful and the routing is not
-    hybrid (see ``_mc_batch``): each column is filled from its own capacity."""
+    """Priority played one of ``groups`` at a time, highest key first, each as
+    ``_forms`` says, as the module docstring sets out.  ``residual`` holds the
+    capacity that the groups above have left in each epoch, and a group's
+    grants depend only on it and the group's own history.  By increasing
+    patience epoch p (equal p together, as zeroing after p leaves the columns
+    up to p), an impatient buyer who has moved no more than m by p is zeroed
+    after it, and her run is refilled after p.  ``demand`` may hold several
+    runs' epochs side by side when no group plays and the routing is not hybrid."""
     buyers, share = scenario.buyers, proportional if scenario.routing == "fifo" else maxmin
-    strict = scenario.routing in ("spq", "hybrid")  # a lone fq or fifo group plays as in the loop
-    shown = _shown(demand, groups)
-    grants = np.zeros(shown.shape)
-    residual = np.full(shown.shape[1], float(scenario.capacity))
+    shown = demand.copy()  # the world's matrix, which counterfactual replays share, is kept
+    for i in set(range(len(shown))).difference(*groups):  # the rows in no group
+        shown[i] = 0.0
+    grants, residual = np.zeros(shown.shape), np.full(shown.shape[1], float(scenario.capacity))
+    forms = _forms(scenario, realizations, groups, stateful)
+    if any(stateful):  # (n, runs, T) views of the columns by run, for the vector forms
+        shown_r, grants_r = (a.reshape(len(a), -1, scenario.horizon) for a in (shown, grants))
     top, played = -1, {}  # played: real traffic of the buyers who pad or delay
     if scenario.routing == "hybrid":
         top, played = _boost(scenario, realizations, groups, stateful, residual, grants, shown)
-    for rows in groups[top + 1 :]:
-        held = [i for i in rows if stateful[i]]
-        if not held:
+    for rows, form in zip(groups[top + 1 :], forms[top + 1 :]):
+        if form == "fill":
             fill_group(shown, rows, residual, grants, share)
-            continue
-        i = rows[0]
-        lo, hi = _window(scenario, buyers[i])
-        if len(rows) == 1 and strict and _greedy(buyers[i]) and realizations[i].serves:
-            if lo <= hi:
-                served = realizations[i].serve(residual[lo - 1 : hi], lo)
-                shown[i, lo - 1 : hi], grants[i, lo - 1 : hi] = served
-                residual[lo - 1 : hi] -= served[1]
-            continue
-        if any(buyers[i].demand.kind != "impatient" or not _greedy(buyers[i]) for i in held):
+        elif form == "play":
             played.update(_play(scenario, realizations, [rows], residual, grants, shown))
-            continue
-        tests = []  # (p, buyer, m) of the impatient buyers present after p
-        for i in held:
-            params, (lo, hi) = buyers[i].demand.params, _window(scenario, buyers[i])
-            shown[i, lo - 1 : hi] = params["k"]
-            if params["p"] < hi:
-                tests.append((params["p"], i, params["m"]))
-        above = residual.copy()
-        fill_group(shown, rows, residual, grants, share)
-        for p, batch in itertools.groupby(sorted(tests), key=lambda test: test[0]):
-            quit = [i for _, i, m in batch if not np.cumsum(grants[i, :p])[-1] > m]
-            if quit:
-                shown[quit, p:] = 0.0
-                residual[p:] = above[p:]
-                fill_group(shown[:, p:], rows, residual[p:], grants[:, p:], share)
+        elif form == "serve":
+            (i,) = rows
+            lo, hi = _window(scenario, buyers[i])
+            if lo <= hi:
+                left = residual.reshape(-1, scenario.horizon)[:, lo - 1 : hi]  # a view by run
+                served = realizations[i].serve(left, lo)
+                shown_r[i, :, lo - 1 : hi], grants_r[i, :, lo - 1 : hi] = served
+                left -= served[1]
+        else:
+            tests = []  # (p, buyer, m) of the impatient buyers present after p
+            for i in (i for i in rows if stateful[i]):
+                params, (lo, hi) = buyers[i].demand.params, _window(scenario, buyers[i])
+                shown_r[i, :, lo - 1 : hi] = params["k"]
+                if params["p"] < hi:
+                    tests.append((params["p"], i, params["m"]))
+            above = residual.copy()
+            fill_group(shown, rows, residual, grants, share)
+            for p, batch in itertools.groupby(sorted(tests), key=lambda test: test[0]):
+                quits = [(i, ~(np.cumsum(grants_r[i, :, :p], -1)[:, -1] > m)) for _, i, m in batch]
+                hit = np.logical_or.reduce([quit for _, quit in quits])  # runs with a quitter
+                if hit.any():
+                    for i, quit in quits:
+                        shown_r[i, quit, p:] = 0.0
+                    cols = np.arange(len(residual)).reshape(-1, scenario.horizon)[hit, p:].ravel()
+                    after, refilled = above[cols], grants[:, cols]
+                    fill_group(shown[:, cols], rows, after, refilled, share)
+                    grants[:, cols], residual[cols] = refilled, after
     return grants, shown, played
 
 
-def _greedy(buyer: BuyerSpec) -> bool:
-    return buyer.strategy.kind in ("greedy", "misreport")
+def _forms(scenario: Scenario, realizations: Sequence[DemandRealization],
+           groups: List[List[int]], stateful: Sequence[bool]) -> List[str]:
+    """How ``_run_sweep`` serves each of ``groups``: "fill" one column-wise
+    when none of its buyers is stateful; under spq and hybrid "serve" a lone
+    greedy buyer by her model's vector form; "impatient" when its stateful
+    buyers are greedy impatient ones; else "play" it epoch by epoch.  Every
+    form but "play" serves many runs' columns at once."""
+    if not any(stateful):
+        return ["fill"] * len(groups)
+    buyers, strict, forms = scenario.buyers, scenario.routing in ("spq", "hybrid"), []
+    for rows in groups:
+        held = [i for i in rows if stateful[i]]
+        greedy = all(buyers[i].strategy.kind in ("greedy", "misreport") for i in held)
+        if not held:
+            forms.append("fill")
+        elif len(rows) == 1 and strict and greedy and realizations[rows[0]].serves:
+            forms.append("serve")
+        else:
+            impatient = greedy and all(buyers[i].demand.kind == "impatient" for i in held)
+            forms.append("impatient" if impatient else "play")
+    return forms
 
 
 def _boost(
@@ -676,8 +693,8 @@ def _boost(
     if top < 0:
         return -1, {}
     upper = groups[: top + 1]
-    vector = len(upper[-1]) == 1 and _greedy(buyers[b]) and realizations[b].serves
-    if any(stateful[j] and not (j == b and vector) for rows in upper for j in rows):
+    forms = _forms(scenario, realizations, upper, stateful)
+    if set(forms[:-1]) - {"fill"} or forms[-1] not in ("fill", "serve"):
         return top, _play(scenario, realizations, upper, residual, grants, shown)
     for rows in upper:
         fill_group(shown, rows, residual, grants)
@@ -906,21 +923,23 @@ def _mc_batch(
     priority grouping across all probes (``_buckets``): only bks keys and bid
     overrides vary the grouping.  Each bucket is one ``_run_sweep`` of the
     (n, B' x T) view of the union of its runs, since the kernels fill each
-    column from its own capacity, so each pair gets the grants of its own
-    session; with a stateful buyer, or under hybrid routing, it is one
-    ``_run_sweep`` per run, on that run's realizations and (n, T) slice.  The
-    pairs then settle as ``_finish`` settles them, on (probe, n, B) arrays,
-    with ``_play``'s real traffic for the buyers who pad or delay."""
+    column from its own capacity and the vector forms serve each run's own,
+    so each pair gets the grants of its own session; when a group plays
+    (``_forms``), or under hybrid routing, it is one ``_run_sweep`` per run, on
+    that run's realizations and (n, T) slice.  The pairs then settle as
+    ``_finish`` settles them, on (probe, n, B) arrays, with ``_play``'s real
+    traffic for the buyers who pad or delay; only ``metric``'s rows are formed."""
     n, B, T = demand.shape
     P = len(probes.checked)
     keys, flags = _batch_keys(probes, draws)
-    # Whether a buyer is stateful depends on her model and strategy, not on the draw.
+    # A buyer's statefulness and vector form depend on her model and strategy, not the draw.
     stateful = [_stateful(b, r) for b, r in zip(probes.checked[0][0].buyers, realizations[0])]
     billed, charges = np.zeros((2, P, n, B))
     kept = []  # (probes, buyer, run, real traffic) of the buyers who pad or delay
     for scenario, groups, members in _buckets(probes, keys, flags):
         ks = sorted(members)
-        if any(stateful) or scenario.routing == "hybrid":
+        forms = _forms(scenario, realizations[0], groups, stateful)
+        if scenario.routing == "hybrid" or "play" in forms:
             swept = [_run_sweep(scenario, realizations[k], demand[:, k], groups, stateful)
                      for k in ks]
             grants = np.stack([g for g, _, _ in swept], axis=1)
@@ -929,7 +948,7 @@ def _mc_batch(
                      for i, x in played.items()]
         else:
             view = (demand if len(ks) == B else demand[:, ks]).reshape(n, len(ks) * T)
-            grants, shown, _ = _run_sweep(scenario, (), view, groups, stateful)
+            grants, shown, _ = _run_sweep(scenario, realizations[ks[0]], view, groups, stateful)
             grants, shown = grants.reshape(n, len(ks), T), shown.reshape(n, len(ks), T)
         totals = grants.sum(-1)
         pairs = [(p, k, j) for j, k in enumerate(ks) for p in members[k]]
@@ -953,13 +972,15 @@ def _mc_batch(
     for ps, i, k, x in kept:
         real[ps, i, k] = x
     worth = probes.value[:, None] * real
+    if metric is not None:
+        return {"bytes": real, "payments": net, "utilities": worth - net}[metric]
     out = np.empty((P, 2 + 3 * n, B))
     # Summed over buyers as ``_finish`` sums them, by Python's ``sum``.
     out[:, 0], out[:, 1] = (
         [[sum(run) for run in runs] for runs in m.transpose(0, 2, 1).tolist()] for m in (worth, net)
     )
     out[:, 2:] = np.concatenate([real, net, worth - net], axis=1)
-    return out if metric is None else out[:, buyer_rows(metric, n)]
+    return out
 
 
 def _mc_task(probes: ProbeArrays, metric: Optional[str], seeds: Sequence[int]) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import io
 import json
 import math
 import os
@@ -704,13 +705,31 @@ class TestCli:
             assert sorted(os.listdir(tmp_path / name)) == ["mini_results.csv", "mini_trace.csv"]
         assert cli.build_parser() is cli.build_parser()
 
+    @staticmethod
+    def csv_writer_text(ids, trace):
+        """What ``csv.writer`` writes of the trace's header and of its rows,
+        each value in ``_fmt``'s text."""
+        rows = [["epoch"] + [f"consumed:{b}" for b in ids]]
+        rows += [[str(t)] + [cli._fmt(v) for v in row] for t, row in enumerate(trace, 1)]
+        out = io.StringIO()
+        csv.writer(out).writerows(rows)
+        return out.getvalue()
+
     def test_trace_rows_read_as_fmt_writes_each_value(self):
         values = [-0.0, 5e-324, 1e300, 0.1 + 0.2, 600.0, math.inf, -math.inf, math.nan,
                   -1 / 3, 123456789012.5, 2.0 ** 53 + 2]
         trace = np.array([values, values[::-1], [0.0] * len(values)])
-        assert cli._trace_rows(trace) == [
-            [str(t)] + [cli._fmt(v) for v in row] for t, row in enumerate(trace, 1)
-        ]
+        ids = [f"b{j}" for j in range(len(values))]
+        assert cli._trace_csv(ids, trace) == self.csv_writer_text(ids, trace)
+
+    @pytest.mark.parametrize("ids", [["a,b", 'q"x', "c"], []])
+    def test_trace_header_is_quoted_as_csv_writer_quotes_it(self, ids):
+        """Buyer ids that need quoting, and a session with no buyers."""
+        trace = np.arange(2.0 * len(ids)).reshape(2, len(ids)) / 3
+        text = cli._trace_csv(ids, trace)
+        assert text == self.csv_writer_text(ids, trace)
+        if ids:
+            assert text.startswith('epoch,"consumed:a,b","consumed:q""x",consumed:c\r\n')
 
     def test_missing_config_file(self, tmp_path):
         code = self.run_cli(

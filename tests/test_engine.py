@@ -23,7 +23,8 @@ coins, any sequence of calls on a replayed world equal to fresh sessions, the
 Monte Carlo batch's array keys, flags and buckets against ``_keyed`` and
 ``_groups``, the batch's worlds, drawn at once, against each seed's world
 drawn alone, and the batch's samples and ledger rows, on grids with stateful
-buyers and hybrid scenarios too, against each run's replayed sessions.
+buyers and hybrid scenarios too, and on buckets of buffered or impatient buyers
+swept across their runs, against each run's replayed sessions.
 """
 
 import itertools
@@ -1567,12 +1568,19 @@ class TestPathChoice:
     def test_stateful_or_hybrid_grids_play_run_by_run(self, monkeypatch, name):
         """impatient_deviation has an impatient buyer and a hybrid variant,
         packet_contest_vcg a buffered buyer: their runs play on the batch,
-        several to a batch, and each sweep plays one run."""
+        several to a batch.  Each sweep of the hybrid variant plays one run;
+        the impatient and buffered buyers have vector forms, so the spq and fq
+        sweeps span their buckets' runs, each scenario's covering its 4 runs."""
         cfg = load_config(builtin_config_path(name))
         grid = [v.scenario for v in cfg.variants]
         batches, spans = self.monte_carlo_sweeps(monkeypatch, grid)
         assert 0 < batches < 4
-        assert len(spans) >= 4 * len(grid) and {runs for _, runs in spans} == {1}
+        by_routing = {}
+        for routing, runs in spans:
+            by_routing.setdefault(routing, []).append(runs)
+        assert {r: sum(runs) for r, runs in by_routing.items()} == {s.routing: 4 for s in grid}
+        assert by_routing.pop("hybrid", [1] * 4) == [1] * 4
+        assert all(max(runs) > 1 for runs in by_routing.values())
 
     def test_one_hybrid_scenario_or_stateful_buyer_unbatches_a_grid(self, monkeypatch):
         """A plain grid's sweeps span several runs.  Beside a hybrid scenario
@@ -2250,6 +2258,34 @@ class TestWorlds:
             assert demand[:, k].tobytes() == demand_matrix(scenario, reference).tobytes()
 
 
+    @pytest.mark.parametrize("name", ["packet_contest_resampling", "impatient_deviation"])
+    def test_only_a_world_with_a_flow_trace_buyer_builds_its_demand_stream(
+        self, monkeypatch, name
+    ):
+        """packet_contest_resampling has no flow_trace buyer, so no run builds
+        the ``spawn_key=(0,)`` demand stream, which nothing would read; each
+        run builds only its resampling stream, and its world, (coin, gamma)
+        draws included, is ``world``'s over 200 seeds.  impatient_deviation's
+        flow_trace buyers read theirs (20 seeds)."""
+        scenario = contest_scenarios()[name]
+        traced = name == "impatient_deviation"
+        seeds = run_seeds(3, 20 if traced else 200)
+        keys, sequence = [], np.random.SeedSequence
+
+        def spied(*args, **kwargs):
+            keys.append(kwargs.get("spawn_key"))
+            return sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", spied)
+        realizations, draws, _ = _worlds(scenario, seeds)
+        monkeypatch.undo()
+        assert keys == ([(0,), (2,)] if traced else [(2,)]) * len(seeds)
+        for k, seed in enumerate(seeds):
+            reference, drawn = world(scenario.buyers, seed)
+            assert draws[k].tolist() == drawn
+            for batched, own in zip(realizations[k], reference, strict=True):
+                assert_same_realization(batched, own, scenario.horizon)
+
     def test_a_batch_of_long_flows_draws_them_a_row_at_a_time(self):
         """A batch's flow_trace rows are traced together only while their flows
         stay within the cap that a spec's own expected flows are held to: here
@@ -2890,8 +2926,9 @@ class TestProbes:
 
     @pytest.mark.parametrize("kind", ["buffered", "pad", "hybrid"])
     def test_a_refused_scenario_plays_run_by_run(self, monkeypatch, kind):
-        """With a buffered buyer, a buyer who pads, or under hybrid routing,
-        the probes play on the batch and each sweep plays one run."""
+        """With a buyer who pads, or under hybrid routing, the probes play on
+        the batch and each sweep plays one run.  A lone greedy buffered buyer
+        has a vector form: her buckets are swept over their runs at once."""
         base = self.scenario(reserve=0.0)
         a = base.buyers[0]
         if kind == "hybrid":
@@ -2904,7 +2941,11 @@ class TestProbes:
         probes = [Probe(scenario, {buyer: bid}, {buyer: coin})
                   for buyer in ("a", "c") for bid in (0.5, 2.0) for coin in (False, True)]
         assert_probes_replay(probes, 3, seed=5)
-        assert sum(sizes) == 3 and spans and {runs for _, runs in spans} == {1}
+        assert sum(sizes) == 3 and spans
+        if kind == "buffered":
+            assert max(runs for _, runs in spans) > 1
+        else:
+            assert {runs for _, runs in spans} == {1}
 
     @pytest.mark.parametrize("metric", ["bytes", "payments", "utilities"])
     @pytest.mark.parametrize("demand", ["constant", "buffered"])
@@ -2949,6 +2990,62 @@ class TestProbes:
         monkeypatch.setattr(bandshare.engine, "_worlds", lambda *a: pytest.fail("world drawn"))
         with pytest.raises(ValueError, match=message):
             run_probes([Probe(self.scenario()), Probe(self.scenario(), **probe)], 3, seed=1)
+
+
+class TestStatefulBucketsSpanTheirRuns:
+    """A bucket whose stateful buyers the sweep serves in vector form is swept
+    once over the union of its runs, at 6 runs to a batch, and each (probe,
+    run) pair still gets its replayed session's numbers bit for bit: a lone
+    greedy buffered or impatient buyer under spq, and under fq and fifo a tied
+    group of greedy impatient buyers whose quit epochs differ.  The impatient
+    buyers quit in some runs and not in others."""
+
+    @staticmethod
+    def scenario(models, routing, reserve=0.0):
+        """A flow_trace buyer above the stateful ones (keyed apart under spq)
+        and a constant one below them."""
+        stateful = tuple(BuyerSpec(f"s{j}", 2.0 - 0.5 * j, model, 2 + j, 38)
+                         for j, model in enumerate(models))
+        buyers = (BuyerSpec("a", 3.0, DemandSpec.flow_trace(6.0, 40), 1, 40), *stateful,
+                  BuyerSpec("c", 0.5, DemandSpec.constant(5.0), 1, 40))
+        return Scenario(buyers, capacity=9.0, routing=routing, mechanism="bks", mu=0.5,
+                        reserve=reserve, horizon=40)
+
+    @staticmethod
+    def quits(scenario):
+        """The distinct patterns, over 6 runs, of which stateful buyers move
+        nothing after epoch 20 (those who quit)."""
+        return {tuple(not run_session(scenario, s).trace[20:, j].any()
+                      for j in range(1, len(scenario.buyers) - 1))
+                for s in run_seeds(7, 6)}
+
+    @staticmethod
+    def assert_spans(monkeypatch, probes):
+        """``probes`` replay bit for bit at 6 runs in one batch, and a sweep
+        spans several runs."""
+        sizes, spans = batch_sizes(monkeypatch), sweep_spans(monkeypatch)
+        assert_probes_replay(probes, 6, seed=7)
+        assert sizes == [6] and max(runs for _, runs in spans) > 1
+
+    @pytest.mark.parametrize("model", [DemandSpec.buffered([4.0, 0.0, 6.0] * 10),
+                                       DemandSpec.impatient(5.0, 10, 25.0)],
+                             ids=["buffered", "impatient"])
+    @pytest.mark.parametrize("reserve", [0.0, 1.0])
+    def test_a_lone_stateful_buyer_under_spq(self, monkeypatch, model, reserve):
+        scenario = self.scenario([model], "spq", reserve)
+        if model.kind == "impatient":
+            assert self.quits(scenario) == {(True,), (False,)}
+        probes = [Probe(scenario), Probe(scenario, {"s0": 3.5}), Probe(scenario, {"s0": 0.5}),
+                  Probe(scenario, {"a": 1.5, "c": 2.5}, {"a": False, "c": True})]
+        self.assert_spans(monkeypatch, probes)
+
+    @pytest.mark.parametrize("routing", ["fq", "fifo"])
+    def test_a_tied_impatient_group_under_fq_and_fifo(self, monkeypatch, routing):
+        models = [DemandSpec.impatient(4.0, 8, 20.0), DemandSpec.impatient(6.0, 15, 50.0)]
+        scenario = self.scenario(models, routing)
+        assert len(self.quits(scenario)) > 1
+        probes = [Probe(scenario), Probe(replace(scenario, reserve=1.0), {"s0": 0.5})]
+        self.assert_spans(monkeypatch, probes)
 
 
 class TestLedgerRows:

@@ -316,7 +316,7 @@ def test_allocation_is_bid_blind(name):
     assert not reads, f"{name} reads {sorted(reads)}"
 
 
-QUIT_TEST = "np.cumsum(grants[i, :p])"  # in _run_sweep
+QUIT_TEST = "np.cumsum(grants_r[i, :, :p], -1)"  # in _run_sweep, run by run
 
 
 def _grant_totals(func):
@@ -442,9 +442,11 @@ def test_runs_reach_only_the_batch():
     its worlds at once with ``_worlds`` and plays them with ``_mc_batch``,
     the batch's one caller; no per-run worker or session is left beside it.
     The batch chooses to sweep run by run on one test, which reads the
-    buyers' statefulness through ``_stateful`` and the scenario's routing and
-    nothing else.  ``run_probes`` and ``run_monte_carlo`` take no flag of
-    their own, and the engine reads no environment variable."""
+    buyers' statefulness through ``_stateful``, the groups' forms through
+    ``_forms``, the predicate ``_run_sweep`` and ``_boost`` serve the groups
+    by, and the scenario's routing, and nothing else.  ``run_probes`` and
+    ``run_monte_carlo`` take no flag of their own, and the engine reads no
+    environment variable."""
     used = {n.id for n in ast.walk(_engine_function("run_probes")) if isinstance(n, ast.Name)}
     assert "_mc_task" in used, used
     assert not used & {"_mc_batch", "_run_sweep", "_finish", "replay", "run_session"}, used
@@ -458,10 +460,12 @@ def test_runs_reach_only_the_batch():
         and any(isinstance(c, ast.Call) and ast.unparse(c.func) == "_run_sweep"
                 for c in ast.walk(n))
     ]
-    assert choices == ["any(stateful) or scenario.routing == 'hybrid'"], choices
-    stateful = [ast.unparse(n.value) for n in ast.walk(batch) if isinstance(n, ast.Assign)
-                and ast.unparse(n.targets[0]) == "stateful"]
-    assert len(stateful) == 1 and stateful[0].startswith("[_stateful("), stateful
+    assert choices == ["scenario.routing == 'hybrid' or 'play' in forms"], choices
+    assigned = {name: [ast.unparse(n.value) for n in ast.walk(batch) if isinstance(n, ast.Assign)
+                       and ast.unparse(n.targets[0]) == name] for name in ("stateful", "forms")}
+    assert len(assigned["stateful"]) == 1 and assigned["stateful"][0].startswith("[_stateful(")
+    assert assigned["forms"] == ["_forms(scenario, realizations[0], groups, stateful)"], assigned
+    assert _callers(ENGINE, "_forms") == ["_boost", "_mc_batch", "_run_sweep"]
     params = [a.arg for a in _engine_function("run_monte_carlo").args.args]
     assert params == ["scenarios", "n_runs", "seed", "jobs", "deadline"], params
     params = [a.arg for a in _engine_function("run_probes").args.args]
