@@ -10,6 +10,11 @@ replayed across counterfactual simulations.  ``DemandSpec.realize_runs``
 draws the realizations of several buyers in several runs at once, each bit
 for bit as ``realize`` draws it from its own seed.
 
+``seed_words`` is numpy's ``SeedSequence`` hash as one array program over
+many seeds, and ``generator`` builds the generator that ``default_rng``
+would build from such a SeedSequence, so that a Monte Carlo seeds all its
+streams at once, bit for bit.
+
 Units: one epoch is one second; demand and rates are KB per epoch.
 """
 
@@ -19,11 +24,13 @@ import inspect
 import itertools
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "DemandRealization",
@@ -31,6 +38,8 @@ __all__ = [
     "FieldError",
     "NaturalCheck",
     "check_natural",
+    "generator",
+    "seed_words",
 ]
 
 # Probe grid used to spot-check monotonicity of user-supplied rate functions.
@@ -261,21 +270,162 @@ def _cliff(k: float, m: float) -> DemandRealization:
     return DemandRealization("cliff", _fn=lambda t, x: k if x < m else 0.0)
 
 
-def _flow_traces(seeds: Sequence[int], params: Sequence[Mapping[str, float]]) -> List[np.ndarray]:
-    """The flow_trace demand of each row, a seed and a spec's parameters, over
-    the row's own ``horizon``.  Each row's own ``default_rng(seed)`` makes its
-    four draws in order (the arrival count, the arrival times, the durations,
-    then the per-epoch demand); the arithmetic between them is done for
-    several rows at once (``_chunk_traces``), so that each row is the one-row
-    trace bit for bit.  Rows go together while their flows and their padded
-    epochs come to at most ``_MAX_FLOWS``, or one row alone, so the working
-    memory is at most what the largest valid row takes by itself, however
-    many rows there are."""
+# -- seeding: numpy's SeedSequence hash over many seeds at once --------------
+
+# The constants of O'Neill's seed_seq hash as numpy's SeedSequence uses it, on
+# 32-bit words: the entropy is hashed into a pool of 4 words with INIT_A and
+# MULT_A, each pool word is mixed into the 3 others, and the state words are
+# hashed out of the pool with INIT_B and MULT_B.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+
+
+def _powers(init: int, mult: int, count: int) -> np.ndarray:
+    """init x mult^j mod 2^32 for j = 0..count, as a (count + 1, 1) column:
+    the hash constant of each step, which XORs a word with its own and
+    multiplies it by the next."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+_HASH_A, _HASH_B = _powers(_INIT_A, _MULT_A, 64), _powers(_INIT_B, _MULT_B, 64)
+
+
+def _cross(s: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The (4, 1) constants that pool word s is hashed with, from step 4 + 3s
+    on, one for each other pool word, which it is mixed into; its own row's
+    are unused."""
+    steps = np.zeros((2, _POOL, 1), dtype=np.uint32)
+    for r, d in enumerate(d for d in range(_POOL) if d != s):
+        steps[:, d] = _HASH_A[4 + 3 * s + r : 6 + 3 * s + r]
+    return steps[0], steps[1]
+
+
+_CROSS = [_cross(s) for s in range(_POOL)]
+
+
+def _digits(seed: int) -> List[int]:
+    """The 32-bit words of an int >= 0, least significant first, at least one."""
+    words = [seed & 0xFFFFFFFF]
+    while seed >> 32 * len(words):
+        words.append(seed >> 32 * len(words) & 0xFFFFFFFF)
+    return words
+
+
+def _entropy(seeds: Sequence[int], keys: Sequence[int]) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The entropy words that ``SeedSequence(seed, spawn_key=(key,))`` hashes,
+    for each key (no key when ``keys`` is empty) and then each seed, as a
+    (words, rows) uint32 array, and each row's count of words, or None when
+    every row counts them all.  A seed's words are its digits (``_digits``);
+    a key follows them, after zeros up to the pool's 4 words.  Fewer than 4
+    words hash as if padded with zeros.  A seed that is not an int >= 0
+    raises as ``SeedSequence`` raises."""
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
+        seeds = [operator.index(seed) for seed in seeds]  # a float is a TypeError
+        _check(min(seeds, default=0) >= 0, "expected non-negative integer")
+        if max(seeds, default=0) >> 64:  # rows of different lengths
+            rows = [_digits(seed) for seed in seeds]
+            if keys:
+                rows = [[*row, *[0] * (_POOL - len(row)), key] for key in keys for row in rows]
+            lengths = np.array([max(_POOL, len(row)) for row in rows])
+            words = np.zeros((lengths.max(), len(rows)), dtype=np.uint32)
+            for k, row in enumerate(rows):
+                words[: len(row), k] = row
+            return words, lengths
+        seeds = np.array(seeds, dtype=np.uint64)
+    words = np.zeros((_POOL + bool(keys), max(1, len(keys)), len(seeds)), dtype=np.uint32)
+    words[0] = seeds  # the low word: an assignment keeps the low 32 bits
+    words[1] = seeds >> np.uint64(32)
+    if keys:
+        words[_POOL] = np.array(keys, dtype=np.uint32)[:, None]
+    return words.reshape(len(words), -1), None
+
+
+def seed_words(seeds: Sequence[int], words: int, spawn_keys: Sequence[int] = ()) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(words, np.uint64)`` for each of
+    ``seeds`` (ints >= 0, or a uint64 array), bit for bit, as an (m, words)
+    uint64 array; with ``spawn_keys``, a (keys, m, words) array whose [j, k]
+    row is that of ``SeedSequence(seeds[k], spawn_key=(spawn_keys[j],))``.
+
+    numpy's SeedSequence hashes one seed at a time in 32-bit integer steps
+    whose constants do not depend on the data, so each step here runs on
+    every row at once: the entropy is hashed into the 4 pool words, each
+    pool word in turn is hashed with three constants and mixed into the
+    other three, any words past the pool are mixed into all four, and the
+    state words are hashed out of the pool, word i from pool word i mod 4."""
+    entropy, lengths = _entropy(seeds, spawn_keys)
+    steps = 4 * len(entropy) + 1  # hash constants used on the pool, one past the last
+    a = _HASH_A if steps <= len(_HASH_A) else _powers(_INIT_A, _MULT_A, steps)
+    pool = entropy[:_POOL] ^ a[:_POOL]
+    pool *= a[1 : _POOL + 1]
+    pool ^= pool >> _SHIFT
+    for src, (xor, mult) in enumerate(_CROSS):  # word src into the other three
+        h = pool[src] ^ xor
+        h *= mult
+        h ^= h >> _SHIFT
+        x = pool * _MIX_L - h * _MIX_R
+        x ^= x >> _SHIFT
+        x[src] = pool[src]
+        pool = x
+    for t in range(_POOL, len(entropy)):  # from step 4t, one constant per pool word
+        h = entropy[t] ^ a[4 * t : 4 * t + 4]
+        h *= a[4 * t + 1 : 4 * t + 5]
+        h ^= h >> _SHIFT
+        x = pool * _MIX_L - h * _MIX_R
+        x ^= x >> _SHIFT
+        pool = x if lengths is None else np.where(t < lengths, x, pool)
+    n = 2 * words
+    b = _HASH_B if n < len(_HASH_B) else _powers(_INIT_B, _MULT_B, n)
+    state = pool[np.arange(n) % _POOL] ^ b[:n]  # word i from pool word i mod 4
+    state *= b[1 : n + 1]
+    state ^= state >> _SHIFT
+    out = (state[1::2].astype(np.uint64) << np.uint64(32) | state[0::2]).T.copy()
+    return out.reshape(len(spawn_keys), -1, words) if spawn_keys else out
+
+
+class _Words(ISeedSequence):
+    """A SeedSequence's ``generate_state(4, np.uint64)`` words in its place:
+    a PCG64 seeds itself from them (numpy's ``pcg64_set_seed``) as it
+    would from the SeedSequence, which it asks for exactly these."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype: type = np.uint32) -> np.ndarray:
+        # PCG64 reads the 4 words through a pointer to the array's data.
+        words = np.ascontiguousarray(self.words, dtype=np.uint64)
+        ok = n_words == 4 and np.dtype(dtype) == np.uint64 and words.shape == (4,)
+        _check(ok, "PCG64 seeds from 4 uint64 words")
+        return words
+
+
+def generator(words: np.ndarray) -> np.random.Generator:
+    """``default_rng(s)`` for the SeedSequence s whose ``seed_words`` are
+    ``words`` (4 of them), bit for bit, without building s."""
+    return np.random.Generator(np.random.PCG64(_Words(words)))
+
+
+def _flow_traces(streams: np.ndarray, params: Sequence[Mapping[str, float]]) -> List[np.ndarray]:
+    """The flow_trace demand of each row, the 4 ``seed_words`` of a seed
+    and a spec's parameters, over the row's own ``horizon``.  Each row's own
+    generator, ``default_rng(seed)`` bit for bit (``generator``), makes its
+    four draws in order (the arrival count, the arrival times, the
+    durations, then the per-epoch demand); the arithmetic between them is
+    done for several rows at once (``_chunk_traces``), so that each row is
+    the one-row trace bit for bit.  Rows go together while their flows and
+    their padded epochs come to at most ``_MAX_FLOWS``, or one row alone, so
+    the working memory is at most what the largest valid row takes by
+    itself, however many rows there are."""
     traces: List[np.ndarray] = []
     chunk: list = []  # (generator, parameters, arrival times, durations) by row
     flows = longest = 0
-    for seed, p in zip(seeds, params):
-        rng = np.random.default_rng(seed)
+    for words, p in zip(streams, params):
+        rng = generator(words)
         # Underlying normal parameters for a lognormal with the given moments.
         sigma2 = math.log(1.0 + (p["stddev_duration"] / p["mean_duration"]) ** 2)
         mu = math.log(p["mean_duration"]) - sigma2 / 2.0
@@ -294,19 +444,25 @@ def _flow_traces(seeds: Sequence[int], params: Sequence[Mapping[str, float]]) ->
 def _chunk_traces(chunk: Sequence[tuple]) -> List[np.ndarray]:
     """The traces of ``_flow_traces``' rows whose flows are drawn: the active
     flows of every row, elementwise and on integer counts, then each row's
-    per-epoch draw from its own generator."""
+    per-epoch draw from its own generator.  A lone row is its own stretch."""
     rows, longest = len(chunk), max(p["horizon"] for _, p, _, _ in chunk)
-    arrived = np.floor(np.concatenate([a for _, _, a, _ in chunk]))
-    duration = np.ceil(np.concatenate([d for _, _, _, d in chunk]))  # whole epochs, >= 1
+    if rows == 1:
+        ((_, _, arrived, duration),) = chunk
+        offset = 0
+    else:
+        arrived = np.concatenate([a for _, _, a, _ in chunk])
+        duration = np.concatenate([d for _, _, _, d in chunk])
     # A flow is active from the first whole epoch after its arrival for
-    # ``duration`` epochs, clipped to [1, horizon]; ``stop`` is one past its
-    # last.  Clipped to the longest horizon instead, a stop past a row's own
-    # horizon falls after every epoch that the row reads.
+    # ``duration`` epochs (whole epochs, >= 1), clipped to [1, horizon];
+    # ``stop`` is one past its last.  Clipped to the longest horizon instead,
+    # a stop past a row's own horizon falls after every epoch that the row reads.
+    arrived, duration = np.floor(arrived), np.ceil(duration)
     start = np.maximum(1.0, arrived + 1)
     stop = np.maximum(np.minimum(longest, arrived + duration) + 1, start)
     # Row r counts its flows' edges in its own stretch of one bincount.
     width = longest + 2
-    offset = np.repeat(np.arange(0, rows * width, width), [len(a) for _, _, a, _ in chunk])
+    if rows > 1:
+        offset = np.repeat(np.arange(0, rows * width, width), [len(a) for _, _, a, _ in chunk])
     edges = [np.bincount(e.astype(np.intp) + offset, minlength=rows * width) for e in (start, stop)]
     active = np.cumsum((edges[0] - edges[1]).reshape(rows, width), axis=1)
     # Each active flow sends Poisson(mean_rate) KB per epoch, independently:
@@ -325,7 +481,7 @@ def _flow_trace(
 ) -> DemandRealization:
     params = dict(mean_rate=mean_rate, horizon=horizon, mean_duration=mean_duration,
                   stddev_duration=stddev_duration, mean_interarrival=mean_interarrival)
-    (demand,) = _flow_traces([seed], [params])
+    (demand,) = _flow_traces(seed_words([seed], 4), [params])
     return _series("flow_trace", demand, demand)  # no list copy: most reads are bulk
 
 
@@ -445,15 +601,18 @@ class DemandSpec:
         return _MODELS[self.kind](**params)
 
     @staticmethod
-    def realize_runs(specs: Sequence[DemandSpec], seeds: np.ndarray) -> List[List[DemandRealization]]:
-        """Each run's realizations of ``specs``, one run per row of the (B, n)
-        realization ``seeds``: ``specs[i].realize(seeds[k, i])`` bit for bit, with
-        every flow_trace row of every run drawn together (``_flow_traces``).  A
-        realization that ignores its seed is made once and shared by the runs."""
-        B = len(seeds)
-        traced = [i for i, spec in enumerate(specs) if spec.kind == "flow_trace"]
-        traces = iter(_flow_traces(seeds[:, traced].T.ravel().tolist(),
-                                   [specs[i].params for i in traced for _ in range(B)]))
+    def realize_runs(
+        specs: Sequence[DemandSpec], streams: np.ndarray
+    ) -> List[List[DemandRealization]]:
+        """Each run's realizations of ``specs``, one run per row of the (B, f, 4)
+        ``streams``, the ``seed_words`` of each run's realization seed of each
+        of the f flow_trace specs in order: ``specs[i].realize(seed)`` bit for
+        bit, with every flow_trace row of every run drawn together
+        (``_flow_traces``).  A realization that ignores its seed is made once
+        and shared by the runs."""
+        B = len(streams)
+        params = [spec.params for spec in specs if spec.kind == "flow_trace" for _ in range(B)]
+        traces = iter(_flow_traces(streams.transpose(1, 0, 2).reshape(-1, 4), params))
         columns = [  # by buyer, her realization in each run
             [_series("flow_trace", d, d) for d in itertools.islice(traces, B)]
             if spec.kind == "flow_trace" else [spec.realize()] * B

@@ -5,14 +5,18 @@ arrive and depart, query their demand realizations, push traffic through the
 configured routing policy, and settle payments under the configured mechanism.
 
 This module owns the random-number layout.  A session seed spawns two live
-streams: demand (one realization seed per buyer, in scenario order, built
-only when a flow_trace buyer reads it) and bid resampling (a coin and a gamma
-uniform per buyer, in scenario order, drawn once per world whatever the
-bids), so a world depends only on the buyers and the seed.  ``_worlds``
-draws the worlds of several seeds at once, stream for stream:
-``DemandSpec.realize_runs`` draws every run's realizations together, and
-their demand is written straight into one stacked (n, runs, T) matrix.
-``replay(scenario, seed)`` materializes one world this way and returns
+streams, the first and third children of ``SeedSequence(seed)``: demand
+(one realization seed per buyer, in scenario order, hashed only when a
+flow_trace buyer reads it) and bid resampling (a coin and a gamma uniform
+per buyer, in scenario order, drawn once per world whatever the bids), so a
+world depends only on the buyers and the seed.  ``_streams`` hashes the
+words that seed every stream of many runs at once with ``seed_words``,
+numpy's SeedSequence hash as an array program, bit for bit; ``_worlds``
+draws those runs' worlds from them, each stream from a generator of its own
+(``generator``, as ``default_rng``): ``DemandSpec.realize_runs`` draws every
+run's realizations together, and their demand is written straight into one
+stacked (n, runs, T) matrix.  ``replay(scenario, seed)`` materializes one
+world this way and returns
 ``session(bid_override=None, force_resample=None)``, which plays it under any
 counterfactual bids or pinned resampling coins; ``run_session`` is
 ``replay(scenario, seed)(bid_override, force_resample)``.
@@ -23,7 +27,8 @@ override and pinned coins, on one world and demand matrix per session seed
 ``run_monte_carlo`` is ``run_probes`` on a grid of scenarios, each a probe
 with neither, and the truthfulness suite's estimator is ``run_probes`` on
 its (buyer, bid, coin) probes.  A probe's overrides are checked once, before
-any run.  Every run is played in a batch (``_mc_batch``), the one Monte Carlo
+any run, and the stream words of up to ``STREAM_BYTES`` of runs are hashed
+at once.  Every run is played in a batch (``_mc_batch``), the one Monte Carlo
 path: the runs' demand matrices lie side by side on the epoch axis, and
 every (probe, run) pair is keyed at once on (probe, run, buyer) arrays by
 ``_batch_keys``, the batch's array twin of ``_keyed``, bit for bit.
@@ -89,7 +94,7 @@ from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple, Optiona
 
 import numpy as np
 
-from bandshare.demand import DemandRealization, DemandSpec, FieldError
+from bandshare.demand import DemandRealization, DemandSpec, FieldError, generator, seed_words
 from bandshare.payments import (
     MeanCI,
     PaymentOutcome,
@@ -291,25 +296,40 @@ def run_seeds(seed: Union[int, np.random.Generator], n: int) -> List[int]:
     return [int(s) for s in np.random.default_rng(seed).integers(0, 2**63 - 1, size=n)]
 
 
-def _worlds(scenario: Scenario, seeds: Sequence[int]) -> Worlds:
-    """The worlds of session ``seeds``, B of them, drawn at once: each run's
-    demand realizations, its buyers' resampling (coin, gamma) as a (B, n, 2)
-    array, and the (n, B, T) demand matrix, masked to each buyer's active
-    window, with a row for every memoryless realization and zeros for the
-    others.  Each world's streams are its own, drawn in buyer order whatever
-    the bids, so a world depends only on the buyers and its seed."""
+def _streams(scenario: Scenario, seeds: Sequence[int]) -> np.ndarray:
+    """The ``seed_words`` that seed the streams of session ``seeds``, B of
+    them, as a (B, 1 + f, 4) uint64 array for f flow_trace buyers: each
+    run's resampling stream, ``SeedSequence(seed, spawn_key=(2,))``, then
+    each flow_trace buyer's realization stream, in buyer order, seeded by
+    her word of the run's demand stream, ``SeedSequence(seed,
+    spawn_key=(0,))``; these are the third and first children that
+    ``SeedSequence(seed).spawn(3)`` would make.  The demand stream is hashed
+    only when a flow_trace buyer reads it, in the same ``seed_words`` call
+    as the resampling stream, and the realization streams in one more."""
+    traced = [i for i, b in enumerate(scenario.buyers) if b.demand.kind == "flow_trace"]
+    B, f = len(seeds), len(traced)
+    spawned = seed_words(seeds, max(4, traced[-1] + 1) if traced else 4, (2, 0) if traced else (2,))
+    streams = np.empty((B, 1 + f, 4), dtype=np.uint64)
+    streams[:, 0] = spawned[0, :, :4]
+    if traced:
+        streams[:, 1:] = seed_words(spawned[1][:, traced].ravel(), 4).reshape(B, f, 4)
+    return streams
+
+
+def _worlds(scenario: Scenario, streams: np.ndarray) -> Worlds:
+    """The worlds of B runs drawn at once from their ``_streams``: each
+    run's demand realizations, its buyers' resampling (coin, gamma) as a
+    (B, n, 2) array, and the (n, B, T) demand matrix, masked to each buyer's
+    active window, with a row for every memoryless realization and zeros for
+    the others.  Each stream is a generator of its own, built from its words
+    (``generator``) and drawn in buyer order whatever the bids, so a world
+    depends only on the buyers and its seed."""
     buyers = scenario.buyers
-    B, n = len(seeds), len(buyers)
-    streams = np.zeros((B, n), dtype=np.uint64)  # each run's realization seeds
+    B, n = len(streams), len(buyers)
     draws = np.empty((B, n, 2))
-    traced = any(b.demand.kind == "flow_trace" for b in buyers)  # the one model that reads it
-    for k, seed in enumerate(seeds):
-        # The first (demand, built only if traced) and third (resampling)
-        # children that SeedSequence(seed).spawn(3) would make, built directly.
-        if traced:
-            streams[k] = np.random.SeedSequence(seed, spawn_key=(0,)).generate_state(n, np.uint64)
-        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,))).random(out=draws[k])
-    realizations = DemandSpec.realize_runs([b.demand for b in buyers], streams)
+    for k, words in enumerate(streams[:, 0]):
+        generator(words).random(out=draws[k])
+    realizations = DemandSpec.realize_runs([b.demand for b in buyers], streams[:, 1:])
     demand = np.zeros((n, B, scenario.horizon))
     for i, buyer in enumerate(buyers):
         lo, hi = _window(scenario, buyer)
@@ -407,8 +427,9 @@ def replay(scenario: Scenario, seed: int) -> Callable[..., SessionOutcome]:
     products with the session's traffic stay finite, and ``force_resample``
     pins buyers' resampling coins with bools (keeping their gamma draws); every
     call sees the same world, and an unknown id or a non-bool pin is a ``ValueError``.
+    ``seed`` is an int >= 0 of any size, as ``SeedSequence`` takes it.
     """
-    (realizations,), draws, demand = _worlds(scenario, [seed])
+    (realizations,), draws, demand = _worlds(scenario, _streams(scenario, [seed]))
     draws, demand = draws[0].tolist(), demand[:, 0]
     stateful = [_stateful(b, r) for b, r in zip(scenario.buyers, realizations)]
 
@@ -589,6 +610,7 @@ def _run_sweep(
     demand: np.ndarray,
     groups: List[List[int]],
     stateful: Sequence[bool],
+    own: bool = False,
 ) -> Played:
     """Priority played one of ``groups`` at a time, highest key first, each as
     ``_forms`` says, as the module docstring sets out.  ``residual`` holds the
@@ -597,9 +619,12 @@ def _run_sweep(
     patience epoch p (equal p together, as zeroing after p leaves the columns
     up to p), an impatient buyer who has moved no more than m by p is zeroed
     after it, and her run is refilled after p.  ``demand`` may hold several
-    runs' epochs side by side when no group plays and the routing is not hybrid."""
+    runs' epochs side by side when no group plays and the routing is not hybrid.
+    The presented demand is written over a copy of ``demand``, which
+    counterfactual replays and other buckets share, or over ``demand``
+    itself when it is ``own``, a copy made for this sweep."""
     buyers, share = scenario.buyers, proportional if scenario.routing == "fifo" else maxmin
-    shown = demand.copy()  # the world's matrix, which counterfactual replays share, is kept
+    shown = demand if own else demand.copy()
     for i in set(range(len(shown))).difference(*groups):  # the rows in no group
         shown[i] = 0.0
     grants, residual = np.zeros(shown.shape), np.full(shown.shape[1], float(scenario.capacity))
@@ -804,6 +829,9 @@ class MonteCarloStats:
 # bench's sweep_trace peak RSS, which grows with the blocks a run completes,
 # rose by up to 10%.
 BATCH_BYTES = 2**16
+# The byte size of the stream words (``_streams``) that ``run_probes`` holds
+# at once, for whole batches, at least one: 8192 runs of 3 flow_trace buyers.
+STREAM_BYTES = 2**20
 
 
 class ProbeArrays(NamedTuple):
@@ -947,8 +975,11 @@ def _mc_batch(
             kept += [(members[k], i, k, x) for k, (_, _, played) in zip(ks, swept)
                      for i, x in played.items()]
         else:
-            view = (demand if len(ks) == B else demand[:, ks]).reshape(n, len(ks) * T)
-            grants, shown, _ = _run_sweep(scenario, realizations[ks[0]], view, groups, stateful)
+            own = len(ks) < B  # a gather of some runs is a copy of its own
+            view = (demand[:, ks] if own else demand).reshape(n, len(ks) * T)
+            grants, shown, _ = _run_sweep(
+                scenario, realizations[ks[0]], view, groups, stateful, own
+            )
             grants, shown = grants.reshape(n, len(ks), T), shown.reshape(n, len(ks), T)
         totals = grants.sum(-1)
         pairs = [(p, k, j) for j, k in enumerate(ks) for p in members[k]]
@@ -983,9 +1014,10 @@ def _mc_batch(
     return out
 
 
-def _mc_task(probes: ProbeArrays, metric: Optional[str], seeds: Sequence[int]) -> np.ndarray:
-    """One batch: ``_mc_batch``'s samples of ``metric`` in the worlds of ``seeds``."""
-    return _mc_batch(probes, *_worlds(probes.checked[0][0], seeds), metric)
+def _mc_task(probes: ProbeArrays, metric: Optional[str], streams: np.ndarray) -> np.ndarray:
+    """One batch: ``_mc_batch``'s samples of ``metric`` in the worlds of
+    ``streams``, its runs' rows of ``_streams``."""
+    return _mc_batch(probes, *_worlds(probes.checked[0][0], streams), metric)
 
 
 def deadline_passed(deadline: Optional[float]) -> bool:
@@ -1034,7 +1066,11 @@ def run_probes(
     any world is drawn.
 
     The runs are played in batches of up to ``BATCH_BYTES`` of demand matrix
-    (``_mc_batch``), serially or one batch per pool task.  ``deadline``, a
+    (``_mc_batch``), serially or one batch per pool task, each drawing its
+    worlds from its runs' rows of ``_streams``.  Those are hashed for as
+    many whole batches at once as take at most ``STREAM_BYTES`` (32 x (1 +
+    f) bytes per run for f flow_trace buyers), or for one batch, so that
+    they do not grow with the runs either.  ``deadline``, a
     ``time.monotonic()`` reading, is checked after each batch, and under the
     pool after each completed task, which then cancels the pending ones; once
     it has passed, a ``TimeoutError`` is raised.
@@ -1061,16 +1097,22 @@ def run_probes(
     count = max(workers, -(-n_runs // size))  # batches of near-equal size
     bounds = [n_runs * k // count for k in range(count + 1)]
     spans = list(zip(bounds, bounds[1:]))
+    # The batches whose stream words are held at once: (1 + f) x 4 words per run.
+    flows = sum(b.demand.kind == "flow_trace" for b in buyers)
+    held = max(1, STREAM_BYTES // (32 * (1 + flows) * -(-n_runs // count)))
     task = partial(_mc_task, _probe_arrays(checked), metric)
-    batches = [seeds[lo:hi] for lo, hi in spans]
     samples = np.empty((len(probes), width, n_runs))  # probe, metric, run
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for (lo, hi), block in zip(spans, (map if pool is None else pool.map)(task, batches)):
-            samples[:, :, lo:hi] = block
-            if deadline_passed(deadline):
-                if pool is not None:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                raise TimeoutError(f"deadline passed after {hi} of {n_runs} runs")
+        for group in (spans[g : g + held] for g in range(0, count, held)):
+            start = group[0][0]
+            streams = _streams(probes[0].scenario, np.array(seeds[start : group[-1][1]], np.uint64))
+            batches = [streams[lo - start : hi - start] for lo, hi in group]
+            for (lo, hi), block in zip(group, (map if pool is None else pool.map)(task, batches)):
+                samples[:, :, lo:hi] = block
+                if deadline_passed(deadline):
+                    if pool is not None:
+                        pool.shutdown(wait=False, cancel_futures=True)
+                    raise TimeoutError(f"deadline passed after {hi} of {n_runs} runs")
     return samples
 
 

@@ -8,12 +8,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 import bandshare.demand
-from bandshare.demand import DemandSpec, FieldError, check_natural
+from bandshare.demand import DemandSpec, FieldError, check_natural, generator, seed_words
 
 
 class TestConstant:
@@ -498,7 +498,8 @@ class TestDemandSpec:
 
     def test_public_names(self):
         assert sorted(bandshare.demand.__all__) == [
-            "DemandRealization", "DemandSpec", "FieldError", "NaturalCheck", "check_natural"
+            "DemandRealization", "DemandSpec", "FieldError", "NaturalCheck", "check_natural",
+            "generator", "seed_words",
         ]
 
     def test_query_validation(self):
@@ -507,3 +508,112 @@ class TestDemandSpec:
             d.query(0, 0)
         with pytest.raises(ValueError):
             d.query(1, -1)
+
+
+# Seeds at the edges of one and two 32-bit words, and past two.
+SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63 - 2, 2**64 - 1]
+LONG_SEEDS = [2**64, 2**96 + 7, 2**128 - 1, 2**128, 2**200 + 12345, 3**150]
+SPAWN_KEYS = [(), (0,), (2,)]
+
+
+def numpy_words(seed, key, words):
+    return np.random.SeedSequence(seed, spawn_key=key).generate_state(words, np.uint64)
+
+
+class TestSeedWords:
+    """``seed_words`` is numpy's SeedSequence hash on many seeds at once,
+    and ``generator`` the ``default_rng`` that its words seed, bit for bit."""
+
+    @given(
+        seeds=st.lists(st.integers(0, 2**64 - 1) | st.sampled_from(SEED_EDGES),
+                       min_size=1, max_size=12),
+        key=st.sampled_from(SPAWN_KEYS),
+        words=st.integers(1, 8),
+        as_array=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_words_are_numpys(self, seeds, key, words, as_array):
+        got = seed_words(np.array(seeds, dtype=np.uint64) if as_array else seeds, words, key)
+        assert got.dtype == np.uint64 and got.shape == (*[1] * len(key), len(seeds), words)
+        want = np.array([numpy_words(seed, key, words) for seed in seeds])
+        assert got.reshape(want.shape).tobytes() == want.tobytes()
+
+    @given(
+        seeds=st.lists(st.integers(0, 2**300) | st.sampled_from(SEED_EDGES + LONG_SEEDS),
+                       min_size=1, max_size=8),
+        key=st.sampled_from(SPAWN_KEYS),
+        words=st.integers(1, 8),
+    )
+    @example(seeds=SEED_EDGES + LONG_SEEDS, key=(2,), words=8)
+    @example(seeds=SEED_EDGES + LONG_SEEDS, key=(), words=4)
+    @settings(max_examples=150, deadline=None)
+    def test_seeds_of_more_than_two_words_are_numpys(self, seeds, key, words):
+        """Seeds of 2**64 and up are several words of entropy, as
+        ``run_session`` and ``DemandSpec.realize`` accept them; in one call
+        with shorter seeds, each row hashes its own count of words."""
+        want = np.array([numpy_words(seed, key, words) for seed in seeds])
+        assert seed_words(seeds, words, key).reshape(want.shape).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seeds, words", [([2**700 + 3, 9], 4), ([5, 2**70], 40)])
+    def test_hash_constants_past_the_tables(self, seeds, words):
+        """A seed of 22 words and 40 state words use more hash constants than
+        the tables the module keeps."""
+        for key in SPAWN_KEYS:
+            want = np.array([numpy_words(seed, key, words) for seed in seeds])
+            assert seed_words(seeds, words, key).reshape(want.shape).tobytes() == want.tobytes()
+
+    def test_several_spawn_keys_at_once(self):
+        seeds = SEED_EDGES + [12345, 2**62 + 3]
+        got = seed_words(seeds, 5, (2, 0, 7))
+        assert got.shape == (3, len(seeds), 5)
+        for j, key in enumerate((2, 0, 7)):
+            want = np.array([numpy_words(seed, (key,), 5) for seed in seeds])
+            assert got[j].tobytes() == want.tobytes()
+
+    @given(seed=st.integers(0, 2**64 - 1) | st.sampled_from(SEED_EDGES + LONG_SEEDS),
+           key=st.sampled_from(SPAWN_KEYS))
+    @settings(max_examples=150, deadline=None)
+    def test_generator_is_default_rngs(self, seed, key):
+        """A generator set from the words has PCG64's state and draws what
+        ``default_rng`` draws, draw for draw."""
+        (words,) = seed_words([seed], 4, key).reshape(1, 4)
+        rng = generator(words)
+        reference = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+        state = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).state
+        assert rng.bit_generator.state == state
+        draws = [lambda g: g.random(3), lambda g: g.poisson(4.5, 3), lambda g: g.poisson(3e3),
+                 lambda g: g.uniform(-2.0, 7.0, 3), lambda g: g.lognormal(0.3, 1.2, 3)]
+        for draw in draws:
+            assert np.asarray(draw(rng)).tobytes() == np.asarray(draw(reference)).tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("words", [np.zeros(3, np.uint64), np.zeros((2, 4), np.uint64)])
+    def test_a_generator_takes_four_words(self, words):
+        """PCG64 reads its 4 words through a pointer, so no other count reaches it."""
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            generator(words)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**64), np.int64(-3)])
+    def test_a_negative_seed_raises_as_numpy_does(self, seed):
+        with pytest.raises(ValueError) as numpy_error:
+            np.random.SeedSequence(seed)
+        for key in SPAWN_KEYS:
+            with pytest.raises(ValueError) as ours:
+                seed_words([5, seed], 4, key)
+            assert str(ours.value) == str(numpy_error.value)
+
+    def test_a_seed_that_is_not_an_integer_raises_as_numpy_does(self):
+        for seed in (1.5, "3", np.float64(2.0)):
+            with pytest.raises(TypeError):
+                np.random.SeedSequence(seed)
+            with pytest.raises(TypeError):
+                seed_words([seed], 4)
+
+    def test_a_flow_trace_realization_draws_from_its_seeds_generator(self):
+        """``DemandSpec.realize`` seeds a flow_trace row through the kernel:
+        the one-row trace is the reference arithmetic on ``default_rng``."""
+        params = dict(mean_rate=3.0, horizon=50, mean_duration=8.0, stddev_duration=5.0,
+                      mean_interarrival=2.0)
+        for seed in SEED_EDGES + LONG_SEEDS:
+            trace = DemandSpec.flow_trace(**params).realize(seed).query_epochs(1, 50)
+            assert trace.tobytes() == per_row_flow_trace(seed, **params).tobytes()

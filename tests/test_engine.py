@@ -31,6 +31,7 @@ import itertools
 import os
 import pathlib
 import random
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -43,7 +44,7 @@ from hypothesis import strategies as st
 import bandshare.demand
 import bandshare.engine
 from bandshare.cli import main
-from bandshare.config import builtin_config_path, load_config
+from bandshare.config import ConfigError, builtin_config_path, check_runs, load_config
 from bandshare.demand import DemandSpec, FieldError
 from bandshare.engine import (
     BuyerSpec,
@@ -60,6 +61,7 @@ from bandshare.engine import (
     _run_loop,
     _run_sweep,
     _stateful,
+    _streams,
     _window,
     _worlds,
     build_ledger,
@@ -92,6 +94,11 @@ def world(buyers, seed):
     seeds = demand_ss.generate_state(n, dtype=np.uint64)
     realizations = [b.demand.realize(int(s)) for b, s in zip(buyers, seeds)]
     return realizations, np.random.default_rng(resample_ss).random((n, 2)).tolist()
+
+
+def seeded_worlds(scenario, seeds):
+    """``_worlds`` of session ``seeds``, their streams computed for them alone."""
+    return _worlds(scenario, _streams(scenario, seeds))
 
 
 def demand_matrix(scenario, realizations):
@@ -2236,55 +2243,81 @@ class TestWorlds:
     run's realizations, (coin, gamma) draws and demand matrix are those of
     its seed drawn alone (``world`` and ``demand_matrix``) bit for bit."""
 
-    @given(scenario=world_buyers(), seed=st.integers(0, 2**32), runs=st.sampled_from([1, 2, 5]))
+    @given(scenario=world_buyers(), seed=st.integers(0, 2**32), runs=st.sampled_from([1, 2, 5]),
+           batch=st.sampled_from([1, 2, 5]))
     @example(  # no arrivals, and a flow longer than the horizon, beside a constant buyer
         scenario=Scenario(
             (BuyerSpec("b0", 1.0, DemandSpec.flow_trace(5.0, 30, mean_interarrival=1e9), 0, 40),
              BuyerSpec("b1", 2.0, DemandSpec.flow_trace(5.0, 50, 400.0, 10.0, 5.0), 3, 20),
              BuyerSpec("b2", 3.0, DemandSpec.constant(4.0), 10, 12)),
             capacity=10.0, horizon=40),
-        seed=3, runs=5)
+        seed=3, runs=5, batch=2)
     @settings(max_examples=120, deadline=None)
-    def test_batched_worlds_are_the_per_seed_worlds(self, scenario, seed, runs):
+    def test_batched_worlds_are_the_per_seed_worlds(self, scenario, seed, runs, batch):
+        """On streams computed for all the runs at once and sliced into
+        batches of ``batch`` runs, as ``run_probes`` slices them."""
         seeds = run_seeds(seed, runs)
-        realizations, draws, demand = _worlds(scenario, seeds)
-        assert len(realizations) == runs and draws.shape == (runs, len(scenario.buyers), 2)
-        assert demand.shape == (len(scenario.buyers), runs, scenario.horizon)
-        for k, s in enumerate(seeds):
-            reference, drawn = world(scenario.buyers, s)
-            for batched, own in zip(realizations[k], reference, strict=True):
-                assert_same_realization(batched, own, scenario.horizon)
-            assert draws[k].tobytes() == np.array(drawn).reshape(-1, 2).tobytes()
-            assert demand[:, k].tobytes() == demand_matrix(scenario, reference).tobytes()
-
+        streams = _streams(scenario, seeds)
+        flows = sum(b.demand.kind == "flow_trace" for b in scenario.buyers)
+        assert streams.shape == (runs, 1 + flows, 4) and streams.dtype == np.uint64
+        for lo in range(0, runs, batch):
+            part = seeds[lo : lo + batch]
+            realizations, draws, demand = _worlds(scenario, streams[lo : lo + batch])
+            assert len(realizations) == len(part)
+            assert draws.shape == (len(part), len(scenario.buyers), 2)
+            assert demand.shape == (len(scenario.buyers), len(part), scenario.horizon)
+            for k, s in enumerate(part):
+                reference, drawn = world(scenario.buyers, s)
+                for batched, own in zip(realizations[k], reference, strict=True):
+                    assert_same_realization(batched, own, scenario.horizon)
+                assert draws[k].tobytes() == np.array(drawn).reshape(-1, 2).tobytes()
+                assert demand[:, k].tobytes() == demand_matrix(scenario, reference).tobytes()
 
     @pytest.mark.parametrize("name", ["packet_contest_resampling", "impatient_deviation"])
     def test_only_a_world_with_a_flow_trace_buyer_builds_its_demand_stream(
         self, monkeypatch, name
     ):
-        """packet_contest_resampling has no flow_trace buyer, so no run builds
-        the ``spawn_key=(0,)`` demand stream, which nothing would read; each
-        run builds only its resampling stream, and its world, (coin, gamma)
-        draws included, is ``world``'s over 200 seeds.  impatient_deviation's
-        flow_trace buyers read theirs (20 seeds)."""
+        """packet_contest_resampling has no flow_trace buyer, so its streams
+        hash no ``spawn_key=(0,)`` demand stream, which nothing would read:
+        the one ``seed_words`` call hashes only the resampling stream, and
+        each world, (coin, gamma) draws included, is ``world``'s over 200
+        seeds.  impatient_deviation's flow_trace buyers read theirs (20
+        seeds): keys 2 and 0 in one call, then the realization streams."""
         scenario = contest_scenarios()[name]
-        traced = name == "impatient_deviation"
-        seeds = run_seeds(3, 20 if traced else 200)
-        keys, sequence = [], np.random.SeedSequence
+        flows = sum(b.demand.kind == "flow_trace" for b in scenario.buyers)
+        assert (flows > 0) == (name == "impatient_deviation")
+        seeds = run_seeds(3, 20 if flows else 200)
+        calls, kernel = [], bandshare.engine.seed_words
 
-        def spied(*args, **kwargs):
-            keys.append(kwargs.get("spawn_key"))
-            return sequence(*args, **kwargs)
+        def spied(seeds, words, spawn_keys=()):
+            calls.append((tuple(spawn_keys), len(seeds)))
+            return kernel(seeds, words, spawn_keys)
 
-        monkeypatch.setattr(np.random, "SeedSequence", spied)
-        realizations, draws, _ = _worlds(scenario, seeds)
+        monkeypatch.setattr(bandshare.engine, "seed_words", spied)
+        realizations, draws, _ = _worlds(scenario, _streams(scenario, seeds))
         monkeypatch.undo()
-        assert keys == ([(0,), (2,)] if traced else [(2,)]) * len(seeds)
+        B = len(seeds)
+        assert calls == ([((2, 0), B), ((), flows * B)] if flows else [((2,), B)])
         for k, seed in enumerate(seeds):
             reference, drawn = world(scenario.buyers, seed)
             assert draws[k].tolist() == drawn
             for batched, own in zip(realizations[k], reference, strict=True):
                 assert_same_realization(batched, own, scenario.horizon)
+
+    def test_any_int_seed_draws_numpys_world(self):
+        """Session seeds past 64 bits are several words of entropy, as
+        ``SeedSequence`` hashes them, and a negative one raises as it does."""
+        scenario = REPLAY_SCENARIOS["vector"]
+        seeds = [0, 2**63 - 2, 2**64 - 1, 2**64, 2**200 + 5]
+        realizations, draws, demand = seeded_worlds(scenario, seeds)
+        for k, seed in enumerate(seeds):
+            reference, drawn = world(scenario.buyers, seed)
+            for batched, own in zip(realizations[k], reference, strict=True):
+                assert_same_realization(batched, own, scenario.horizon)
+            assert draws[k].tolist() == drawn
+            assert demand[:, k].tobytes() == demand_matrix(scenario, reference).tobytes()
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            run_session(scenario, -1)
 
     def test_a_batch_of_long_flows_draws_them_a_row_at_a_time(self):
         """A batch's flow_trace rows are traced together only while their flows
@@ -2297,7 +2330,7 @@ class TestWorlds:
         for runs in (1, 4):
             tracemalloc.start()
             try:
-                _worlds(scenario, run_seeds(0, runs))
+                seeded_worlds(scenario, run_seeds(0, runs))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -2335,7 +2368,7 @@ class TestReplay:
         for k, seed in enumerate(seeds):
             rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
             draws = [[rng.random(), rng.random()] for _ in range(3)]
-            assert _worlds(scenario, seeds)[1][k].tolist() == draws
+            assert seeded_worlds(scenario, seeds)[1][k].tolist() == draws
 
     @pytest.mark.parametrize(
         "overrides",
@@ -2385,14 +2418,14 @@ class TestReplay:
         drawn, traced = [], []
         worlds, flow_traces = bandshare.engine._worlds, bandshare.demand._flow_traces
 
-        def counted(scenario, seeds):
-            out = worlds(scenario, seeds)
+        def counted(scenario, streams):
+            out = worlds(scenario, streams)
             drawn.append(sum(map(len, out[0])))
             return out
 
-        def counted_traces(seeds, params):
-            traced.append(len(seeds))
-            return flow_traces(seeds, params)
+        def counted_traces(streams, params):
+            traced.append(len(streams))
+            return flow_traces(streams, params)
 
         monkeypatch.setattr(bandshare.engine, "_worlds", counted)
         monkeypatch.setattr(bandshare.demand, "_flow_traces", counted_traces)
@@ -2709,6 +2742,20 @@ def sweep_spans(monkeypatch):
     return spans
 
 
+def stream_bytes(monkeypatch):
+    """The bytes of stream words that each ``_streams`` call returns, as the
+    calls are made."""
+    held, streams = [], bandshare.engine._streams
+
+    def counted(scenario, seeds):
+        out = streams(scenario, seeds)
+        held.append(out.nbytes)
+        return out
+
+    monkeypatch.setattr(bandshare.engine, "_streams", counted)
+    return held
+
+
 class TestBatchedMonteCarlo:
     """A grid's runs, played side by side on the batch, one sweep per
     grouping over the union of their runs or one per run, give bit for bit
@@ -2720,7 +2767,8 @@ class TestBatchedMonteCarlo:
     @settings(max_examples=150, deadline=None)
     def test_batch_equals_one_run_at_a_time(self, grid, seed, runs):
         seeds = run_seeds(seed, runs)
-        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)), *_worlds(grid[0], seeds))
+        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)),
+                                           *seeded_worlds(grid[0], seeds))
         assert batch.tobytes() == replayed([Probe(s) for s in grid], seeds).tobytes()
 
     @pytest.mark.parametrize("name", sorted(BATCH_GRIDS))
@@ -2729,7 +2777,8 @@ class TestBatchedMonteCarlo:
         below the reserve) at 13 runs, whose bks runs fall in many groupings."""
         grid = BATCH_GRIDS[name]
         seeds = run_seeds(11, 13)
-        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)), *_worlds(grid[0], seeds))
+        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)),
+                                           *seeded_worlds(grid[0], seeds))
         assert batch.tobytes() == replayed([Probe(s) for s in grid], seeds).tobytes()
 
     def test_tied_bids_and_a_reserve_above_some(self):
@@ -2752,7 +2801,8 @@ class TestBatchedMonteCarlo:
             for c, r in ((9.0, 0.0), (14.0, 1.5))
         ]
         seeds = run_seeds(3, 17)
-        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)), *_worlds(grid[0], seeds))
+        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)),
+                                           *seeded_worlds(grid[0], seeds))
         assert batch.tobytes() == replayed([Probe(s) for s in grid], seeds).tobytes()
 
     def test_a_grid_with_no_buyers(self):
@@ -2762,7 +2812,8 @@ class TestBatchedMonteCarlo:
             for mechanism in ("bks", "vmm", "fixed")
         ]
         seeds = run_seeds(2, 3)
-        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)), *_worlds(grid[0], seeds))
+        batch = bandshare.engine._mc_batch(_probe_arrays(checked(grid)),
+                                           *seeded_worlds(grid[0], seeds))
         assert batch.shape == (9, 2, 3)
         assert batch.tobytes() == replayed([Probe(s) for s in grid], seeds).tobytes()
 
@@ -2792,6 +2843,62 @@ class TestBatchedMonteCarlo:
         monkeypatch.setattr(bandshare.engine, "BATCH_BYTES", 8 * 3 * 100 * 4)
         run_monte_carlo([scenario], 41, seed=1)
         assert len(sizes) == 11 and max(sizes) <= 4
+
+    def test_a_bucket_of_some_runs_leaves_the_batch_demand_intact(self, monkeypatch):
+        """A bucket that holds only some of a batch's runs sweeps its own
+        gather of their demand in place (no second copy); the batch's matrix,
+        which the other buckets read, is left as ``_worlds`` drew it.  Here
+        welfare_capacity's bks runs fall in buckets of some runs, and its
+        scenario at fixed prices above some values in buckets of all of
+        them, whose sweeps zero the rows of the bids below the price."""
+        base, seeds = BATCH_GRIDS["welfare_capacity"], run_seeds(11, 13)
+        grid = base + [replace(base[0], mechanism="fixed", reserve=b.value)
+                       for b in base[0].buyers]
+        realizations, draws, demand = seeded_worlds(grid[0], seeds)
+        drawn = demand.copy()
+        spans = sweep_spans(monkeypatch)
+        arrays = _probe_arrays(checked(grid))
+        batch = bandshare.engine._mc_batch(arrays, realizations, draws, demand)
+        assert {runs < len(seeds) for _, runs in spans} == {True, False}, spans
+        assert demand.tobytes() == drawn.tobytes()
+        assert batch.tobytes() == replayed([Probe(s) for s in grid], seeds).tobytes()
+
+    def test_stream_words_are_held_a_bounded_span_of_batches_at_a_time(self, monkeypatch):
+        """``run_probes`` computes the stream words (``_streams``) of whole
+        batches whose words take at most ``STREAM_BYTES``, or of one batch,
+        and the samples do not depend on how the runs are spanned."""
+        grid = BATCH_GRIDS["welfare_capacity"]
+        per_run = 32 * (1 + sum(b.demand.kind == "flow_trace" for b in grid[0].buyers))
+        probes = [Probe(s) for s in grid]
+        whole = run_probes(probes, 17, seed=5)
+        # 6 batches of at most 3 runs each
+        monkeypatch.setattr(bandshare.engine, "BATCH_BYTES", 8 * 3 * 600 * 3)
+        held = stream_bytes(monkeypatch)
+        for bound, most in ((6 * per_run, 6), (1, 3), (2**20, 17)):
+            held.clear()
+            monkeypatch.setattr(bandshare.engine, "STREAM_BYTES", bound)
+            assert run_probes(probes, 17, seed=5).tobytes() == whole.tobytes()
+            assert sum(held) == 17 * per_run and max(held) <= most * per_run, held
+
+    def test_at_the_sample_cap_the_stream_words_stay_bounded(self, monkeypatch):
+        """One flow_trace buyer over one epoch with her utilities kept: 8
+        bytes of samples per run, so the 1 GiB cap allows 2**27 runs, whose
+        stream words, 64 bytes per run, would take 8 GiB at once.  The first
+        span holds ``STREAM_BYTES`` of them, two batches of 8192 runs, and a
+        deadline that has passed stops the call after one batch.  The session
+        seeds are a ``range`` here, since the list ``run_seeds`` returns is
+        not held to the cap."""
+        spec = DemandSpec.flow_trace(2.0, 1)
+        scenario = Scenario((BuyerSpec("a", 1.0, spec, 1, 1),), capacity=1.0, horizon=1)
+        runs = check_runs(2**27, 8, "runs")
+        with pytest.raises(ConfigError):
+            check_runs(runs + 1, 8, "runs")
+        monkeypatch.setattr(bandshare.engine, "run_seeds", lambda seed, n: range(n))
+        held = stream_bytes(monkeypatch)
+        with pytest.raises(TimeoutError, match=f"after 8192 of {runs} runs"):
+            run_probes([Probe(scenario)], runs, 0, deadline=time.monotonic() - 1,
+                       metric="utilities")
+        assert held == [bandshare.engine.STREAM_BYTES]
 
     def test_jobs_give_identical_csv_across_batches(self, monkeypatch, tmp_path):
         """A sweep split into several batches writes the same bytes serially
@@ -2832,7 +2939,7 @@ class TestBatchKeys:
 
     @staticmethod
     def batch(probes, seed, runs):
-        _, draws, _ = _worlds(probes[0][0], run_seeds(seed, runs))
+        _, draws, _ = seeded_worlds(probes[0][0], run_seeds(seed, runs))
         arrays = _probe_arrays(probes)
         return draws.tolist(), arrays, *bandshare.engine._batch_keys(arrays, draws)
 
