@@ -33,17 +33,21 @@ path: the runs' demand matrices lie side by side on the epoch axis, and
 every (probe, run) pair is keyed at once on (probe, run, buyer) arrays by
 ``_batch_keys``, the batch's array twin of ``_keyed``, bit for bit.
 ``_buckets`` sorts the pairs by the rank signature of their keys, and
-``_groups`` groups one pair of each bucket; the pairs of one scenario that
-share a priority grouping, across all probes, are filled by one sweep over
-the union of their runs' columns, since every kernel and vector form (below)
-serves each run's epoch columns on their own.  A bucket with a group that
+``_groups`` groups one pair of each bucket; the pairs that share an
+allocation (the routing, capacity and boost, all that a sweep reads of a
+scenario) and a priority grouping, across all probes and scenarios, are
+filled by one sweep over the union of their runs' columns, since every
+kernel and vector form (below) serves each run's epoch columns on their own.
+A bucket with a group that
 ``_play`` steps, or under hybrid routing, is swept run by run instead.
 Either way each pair gets its own session's numbers bit for bit, from its
 own world and streams.  What the batch reads of the probes (``ProbeArrays``)
 is made once per call.  A batch holds at most ``BATCH_BYTES`` of stacked
-demand (64 KiB, 4 runs of 3 buyers x 600 epochs), and at least one run, so
-that its working memory does not grow with the runs or the horizon; the
-samples returned take 8 x probes x (2 + 3n) bytes per run for n buyers, or
+demand (120 KiB, 8 runs of 3 buyers x 600 epochs, below glibc malloc's 128
+KiB trim and mmap thresholds), and at least one run, so that its working
+memory does not grow with the runs or the horizon; no sample depends on the
+width.  The samples returned take 8 x probes x (2 + 3n) bytes per run for n
+buyers, or
 8 x probes x n for one ``metric`` (``buyer_rows`` gives their layout), or
 8 x probes x 4n for the ledger rows that ``ledger_rows`` reads (the pools
 and the admissibility suite play their sessions so).  A deadline, if given,
@@ -89,8 +93,8 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -293,7 +297,19 @@ def run_seeds(seed: Union[int, np.random.Generator], n: int) -> List[int]:
     A ``Generator`` is drawn from in place, so callers that share one stream
     with other draws take their session seeds from it in turn.
     """
-    return [int(s) for s in np.random.default_rng(seed).integers(0, 2**63 - 1, size=n)]
+    return next(_seed_spans(seed, [n])).tolist()
+
+
+def _seed_spans(
+    seed: Union[int, np.random.Generator], sizes: Iterable[int]
+) -> Iterator[np.ndarray]:
+    """``run_seeds(seed, sum(sizes))`` as consecutive uint64 arrays of
+    ``sizes``, each drawn when it is asked for from one generator: its 64-bit
+    draws concatenate, so a span's seeds and the generator's final state do
+    not depend on how the runs are spanned."""
+    rng = np.random.default_rng(seed)
+    for size in sizes:
+        yield rng.integers(0, 2**63 - 1, size=size, dtype=np.uint64)
 
 
 def _streams(scenario: Scenario, seeds: Sequence[int]) -> np.ndarray:
@@ -822,13 +838,16 @@ class MonteCarloStats:
 
 # The byte size of one batch's stacked (n, runs, T) demand matrix, which holds
 # at least one run: a batch's other arrays are a few times it, so the memory a
-# Monte Carlo takes does not grow with its runs or its horizon.  welfare_capacity
-# (3 x 600) plays 4 runs per batch, whose worlds ``_worlds`` draws at once; the
-# truthfulness suite's 30 probes over 60 runs took 21 ms against 27 ms at 2 runs
-# per batch drawn run by run (2-vCPU Xeon).  8 runs were faster still, but the
-# bench's sweep_trace peak RSS, which grows with the blocks a run completes,
-# rose by up to 10%.
-BATCH_BYTES = 2**16
+# Monte Carlo takes does not grow with its runs or its horizon, and no sample
+# depends on it.  welfare_capacity (3 x 600) plays 8 runs per batch.  The
+# width stays below glibc malloc's 128 KiB trim and mmap thresholds
+# (mallopt(3)), so that the batch's largest arrays (the demand, each bucket's
+# gather, presented demand and grants, and a flow_trace batch's edge counts)
+# are reused when freed, not mapped afresh: a fresh process running
+# welfare_capacity's 1000-run grid took 1,350 minor page faults at 112 and
+# 120 KiB, 1,430 at 64 KiB, 11,242 at 128 KiB and 138,517 at 256 KiB, and
+# ran slower at 128 and 256 KiB than at 120 KiB (2-vCPU host).
+BATCH_BYTES = 15 * 2**13
 # The byte size of the stream words (``_streams``) that ``run_probes`` holds
 # at once, for whole batches, at least one: 8192 runs of 3 flow_trace buyers.
 STREAM_BYTES = 2**20
@@ -849,7 +868,7 @@ class ProbeArrays(NamedTuple):
     bks: np.ndarray
     fixed: np.ndarray
     tied: np.ndarray  # fq or fifo: every eligible key ties
-    scenario: np.ndarray  # the scenario's position among the distinct ones, by identity
+    allocation: np.ndarray  # the position of what a sweep reads among the distinct ones
     exponent: np.ndarray  # (P,) the position of 1 / (1 - mu) in ``exponents``
     exponents: List[float]
     value: np.ndarray  # (n,)
@@ -859,6 +878,13 @@ def _codes(values: Iterable) -> Tuple[List[int], list]:
     """Each value's position among the distinct ``values``, and those in order."""
     seen: Dict = {}
     return [seen.setdefault(v, len(seen)) for v in values], list(seen)
+
+
+def _allocation(scenario: Scenario) -> tuple:
+    """What a sweep reads of a scenario past the buyers and horizon, which
+    one call's probes share: the routing, the capacity and a hybrid boost."""
+    boost = scenario.hybrid if scenario.routing == "hybrid" else None
+    return scenario.routing, scenario.capacity, boost
 
 
 def _probe_arrays(checked: List[Checked]) -> ProbeArrays:
@@ -885,7 +911,8 @@ def _probe_arrays(checked: List[Checked]) -> ProbeArrays:
         checked, bid, eligible, resamples & ~pinned, resamples & pinned & pin, reserve,
         rows([s.mu for s in scenarios]), bks, mask(lambda s: s.mechanism == "fixed"),
         mask(lambda s: s.routing in ("fq", "fifo")),
-        rows(_codes(map(id, scenarios))[0], dtype=int), np.array(exponent, dtype=int), exponents,
+        rows(_codes(map(_allocation, scenarios))[0], dtype=int),
+        np.array(exponent, dtype=int), exponents,
         np.array([b.value for b in buyers]),
     )
 
@@ -908,19 +935,21 @@ def _buckets(
     probes: ProbeArrays, keys: np.ndarray, flags: np.ndarray
 ) -> List[Tuple[Scenario, List[List[int]], Dict[int, List[int]]]]:
     """The (probe, run) pairs of ``_batch_keys``' keys and flags bucketed by
-    scenario and priority grouping: (scenario, groups, the probes of each
-    run) per bucket.  Pairs whose keys rank alike share their groups, so a
-    pair's rank signature (its scenario, a stable ``argsort`` of -key, the
-    ties between neighbours in that order and their eligibility) decides its
-    bucket, and ``_groups`` groups one pair of each."""
+    allocation and priority grouping: (the scenario of one pair, groups, the
+    probes of each run) per bucket.  Pairs whose keys rank alike share their
+    groups, so a pair's rank signature (its ``_allocation``, a stable
+    ``argsort`` of -key, the ties between neighbours in that order and their
+    eligibility) decides its bucket, and ``_groups`` groups one pair of each.
+    A sweep reads no more of a scenario than its allocation, so the scenarios
+    of one bucket, which may differ in mechanism, mu or reserve, share it."""
     P, B, n = keys.shape
     rank = np.where(probes.tied, probes.eligible, keys)
     order = np.argsort(-rank, axis=-1, kind="stable")
     ranked = np.take_along_axis(rank, order, -1)
     eligible = np.take_along_axis(np.broadcast_to(probes.eligible, keys.shape), order, -1)
-    scenario = np.broadcast_to(probes.scenario, (P, B, 1))
+    allocation = np.broadcast_to(probes.allocation, (P, B, 1))
     signature = np.concatenate(
-        [scenario, order, ranked[..., 1:] == ranked[..., :-1], eligible], axis=-1
+        [allocation, order, ranked[..., 1:] == ranked[..., :-1], eligible], axis=-1
     ).reshape(P * B, -1)
     members: Dict[tuple, Dict[int, List[int]]] = {}  # by signature, the probes of each run
     for pair, row in enumerate(signature.tolist()):
@@ -947,9 +976,10 @@ def _mc_batch(
     or the rows of ``run_probes``' ``metric``.
 
     The runs' demand matrices lie stacked (n, B, T).  Every (probe, run) pair
-    is keyed (``_batch_keys``) and the pairs are bucketed by scenario and
-    priority grouping across all probes (``_buckets``): only bks keys and bid
-    overrides vary the grouping.  Each bucket is one ``_run_sweep`` of the
+    is keyed (``_batch_keys``) and the pairs are bucketed by allocation and
+    priority grouping across all probes (``_buckets``): only bks keys, bid
+    overrides and reserves vary the grouping.  Each bucket is one
+    ``_run_sweep`` of the
     (n, B' x T) view of the union of its runs, since the kernels fill each
     column from its own capacity and the vector forms serve each run's own,
     so each pair gets the grants of its own session; when a group plays
@@ -985,8 +1015,8 @@ def _mc_batch(
         pairs = [(p, k, j) for j, k in enumerate(ks) for p in members[k]]
         ps, at, js = map(list, zip(*pairs))
         billed[ps, :, at] = totals[:, js].T
-        if scenario.mechanism == "vmm":  # under each probe's own bids
-            for p in dict.fromkeys(ps):
+        for p in dict.fromkeys(ps):
+            if probes.checked[p][0].mechanism == "vmm":  # under the probe's own bids
                 mine = [j for q, _, j in pairs if q == p]
                 own = vmm_epoch_charges(shown[:, mine], probes.checked[p][1], scenario.capacity)
                 charges[p][:, [ks[j] for j in mine]] = own
@@ -1060,17 +1090,19 @@ def run_probes(
 
     The probes' scenarios must share their buyers and horizon: each run
     draws its world once and plays every probe on it.  Run seeds are
-    ``run_seeds(seed, n_runs)``: a ``Generator`` ``seed`` is drawn from in
-    place, as ``n_runs`` draws of one seed each would draw from it.  The
-    samples do not depend on ``jobs``.  Each probe is checked once, before
-    any world is drawn.
+    ``run_seeds(seed, n_runs)``, drawn span by span (``_seed_spans``): a
+    ``Generator`` ``seed`` is drawn from in place, as ``n_runs`` draws of
+    one seed each would draw from it.  The samples depend on neither
+    ``jobs``, ``BATCH_BYTES`` nor ``STREAM_BYTES``.  Each probe is checked
+    once, before any world is drawn.
 
     The runs are played in batches of up to ``BATCH_BYTES`` of demand matrix
     (``_mc_batch``), serially or one batch per pool task, each drawing its
-    worlds from its runs' rows of ``_streams``.  Those are hashed for as
-    many whole batches at once as take at most ``STREAM_BYTES`` (32 x (1 +
-    f) bytes per run for f flow_trace buyers), or for one batch, so that
-    they do not grow with the runs either.  ``deadline``, a
+    worlds from its runs' rows of ``_streams``.  Those, and the session
+    seeds they are hashed from, are made for as many whole batches at once
+    as take at most ``STREAM_BYTES`` (32 x (1 + f) bytes per run for f
+    flow_trace buyers), or for one batch, so that they do not grow with the
+    runs either.  ``deadline``, a
     ``time.monotonic()`` reading, is checked after each batch, and under the
     pool after each completed task, which then cancels the pending ones; once
     it has passed, a ``TimeoutError`` is raised.
@@ -1088,7 +1120,6 @@ def run_probes(
     else:
         rows = slice(0, 2 + 3 * n) if metric is None else buyer_rows(metric, n)
         width = rows.stop - rows.start
-    seeds = run_seeds(seed, n_runs)
     # The pool forks all its workers at the first submit: no more than the
     # runs, nor than the CPUs this process may use.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -1100,12 +1131,14 @@ def run_probes(
     # The batches whose stream words are held at once: (1 + f) x 4 words per run.
     flows = sum(b.demand.kind == "flow_trace" for b in buyers)
     held = max(1, STREAM_BYTES // (32 * (1 + flows) * -(-n_runs // count)))
+    groups = [spans[g : g + held] for g in range(0, count, held)]
+    seeds = _seed_spans(seed, (group[-1][1] - group[0][0] for group in groups))
     task = partial(_mc_task, _probe_arrays(checked), metric)
     samples = np.empty((len(probes), width, n_runs))  # probe, metric, run
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for group in (spans[g : g + held] for g in range(0, count, held)):
+        for group, span_seeds in zip(groups, seeds):
             start = group[0][0]
-            streams = _streams(probes[0].scenario, np.array(seeds[start : group[-1][1]], np.uint64))
+            streams = _streams(probes[0].scenario, span_seeds)
             batches = [streams[lo - start : hi - start] for lo, hi in group]
             for (lo, hi), block in zip(group, (map if pool is None else pool.map)(task, batches)):
                 samples[:, :, lo:hi] = block

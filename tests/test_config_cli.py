@@ -635,7 +635,7 @@ class TestCli:
         """Rejected before any seed or world is drawn: no output is written."""
         import bandshare.engine
 
-        for name in ("run_seeds", "_worlds"):
+        for name in ("run_seeds", "_seed_spans", "_worlds"):
             monkeypatch.setattr(bandshare.engine, name, lambda *a: pytest.fail("run started"))
         out = ["--out-dir", str(tmp_path / "o")] if argv[0] != "verify" else []
         assert self.run_cli(*argv, "--runs", "1000000000", *out) == 1
@@ -960,10 +960,14 @@ class TestCli:
 
     def test_budget_stops_the_pool_and_writes_no_file(self, tmp_path, monkeypatch, capsys):
         """The pool checks the deadline after each batch of sessions: its first
-        type's 300 sessions fill 3 batches of 100 (102 runs of 2 buyers x 40
-        epochs fit in one), it stops after the first, its second type plays
-        none, and no file is written."""
+        type's 300 sessions fill batches of near-equal size (``BATCH_BYTES``
+        of 2 buyers x 40 epochs), it stops after the first, its second type
+        plays none, and no file is written."""
         import bandshare.engine
+
+        per_batch = bandshare.engine.BATCH_BYTES // (8 * 2 * 40)
+        first = 300 // -(-300 // per_batch)
+        assert first < 300  # the first type plays more than one batch
 
         batches, task = [], bandshare.engine._mc_task
         monkeypatch.setattr(bandshare.engine, "_mc_task",
@@ -975,7 +979,7 @@ class TestCli:
         assert self.run_cli("pool", "--config", config, "--out-dir", str(out), "--budget", "0.5") == 3
         assert capsys.readouterr().err == "runtime budget exceeded: 10s > 0.5s\n"
         assert not out.exists()
-        assert batches == [100]
+        assert batches == [first]
         assert len(readings) == 3  # main's start, after the first batch, main's end
 
     def test_a_command_that_ends_past_its_budget_exits_3_after_its_output(

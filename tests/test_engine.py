@@ -30,6 +30,7 @@ swept across their runs, against each run's replayed sessions.
 import itertools
 import os
 import pathlib
+import pickle
 import random
 import time
 import tracemalloc
@@ -53,6 +54,7 @@ from bandshare.engine import (
     Scenario,
     Strategy,
     _allocate_epoch,
+    _allocation,
     _checked,
     _finish,
     _groups,
@@ -2863,6 +2865,28 @@ class TestBatchedMonteCarlo:
         assert demand.tobytes() == drawn.tobytes()
         assert batch.tobytes() == replayed([Probe(s) for s in grid], seeds).tobytes()
 
+    def test_scenarios_that_share_an_allocation_share_its_sweeps(self, monkeypatch):
+        """reserve_sweep's 28 scenarios differ in reserve and mechanism at one
+        capacity: a batch sweeps once per distinct (allocation, grouping) of
+        its (probe, run) pairs, fewer than one per (scenario, grouping), and
+        every pair still gets its replayed session's numbers."""
+        grid, runs = BATCH_GRIDS["reserve_sweep"], 24
+        probes = [Probe(s) for s in grid]
+        sizes, spans = batch_sizes(monkeypatch), sweep_spans(monkeypatch)
+        samples, sweeps = run_probes(probes, runs, seed=3), len(spans)
+        seeds = run_seeds(3, runs)
+        assert samples.tobytes() == replayed(probes, seeds).tobytes()
+        grouped = [[(s, _groups(s, _keyed(s, bids, drawn, forced)))
+                    for s, bids, forced in checked(grid)]
+                   for drawn in seeded_worlds(grid[0], seeds)[1].tolist()]
+        starts = np.cumsum([0] + sizes)
+        by_allocation = by_scenario = 0
+        for lo, hi in zip(starts, starts[1:]):
+            pairs = [pair for run in grouped[lo:hi] for pair in run]
+            by_allocation += len({(_allocation(s), str(g)) for s, g in pairs})
+            by_scenario += len({(id(s), str(g)) for s, g in pairs})
+        assert len(sizes) > 1 and sweeps == by_allocation < by_scenario
+
     def test_stream_words_are_held_a_bounded_span_of_batches_at_a_time(self, monkeypatch):
         """``run_probes`` computes the stream words (``_streams``) of whole
         batches whose words take at most ``STREAM_BYTES``, or of one batch,
@@ -2883,22 +2907,25 @@ class TestBatchedMonteCarlo:
     def test_at_the_sample_cap_the_stream_words_stay_bounded(self, monkeypatch):
         """One flow_trace buyer over one epoch with her utilities kept: 8
         bytes of samples per run, so the 1 GiB cap allows 2**27 runs, whose
-        stream words, 64 bytes per run, would take 8 GiB at once.  The first
-        span holds ``STREAM_BYTES`` of them, two batches of 8192 runs, and a
-        deadline that has passed stops the call after one batch.  The session
-        seeds are a ``range`` here, since the list ``run_seeds`` returns is
-        not held to the cap."""
+        stream words, 64 bytes per run, would take 8 GiB at once.  The runs
+        fall in batches of near-equal size, ``BATCH_BYTES`` of 8-byte runs;
+        the first span holds the whole batches whose words take at most
+        ``STREAM_BYTES``, or one batch, and a deadline that has passed stops
+        the call after one batch."""
         spec = DemandSpec.flow_trace(2.0, 1)
         scenario = Scenario((BuyerSpec("a", 1.0, spec, 1, 1),), capacity=1.0, horizon=1)
         runs = check_runs(2**27, 8, "runs")
         with pytest.raises(ConfigError):
             check_runs(runs + 1, 8, "runs")
-        monkeypatch.setattr(bandshare.engine, "run_seeds", lambda seed, n: range(n))
+        count = -(-runs // (bandshare.engine.BATCH_BYTES // 8))
+        largest = -(-runs // count)
+        spanned = max(1, bandshare.engine.STREAM_BYTES // (64 * largest))  # batches per span
         held = stream_bytes(monkeypatch)
-        with pytest.raises(TimeoutError, match=f"after 8192 of {runs} runs"):
+        with pytest.raises(TimeoutError, match=f"after {runs // count} of {runs} runs"):
             run_probes([Probe(scenario)], runs, 0, deadline=time.monotonic() - 1,
                        metric="utilities")
-        assert held == [bandshare.engine.STREAM_BYTES]
+        assert held == [64 * (runs * spanned // count)]
+        assert held[0] <= max(bandshare.engine.STREAM_BYTES, 64 * largest)
 
     def test_jobs_give_identical_csv_across_batches(self, monkeypatch, tmp_path):
         """A sweep split into several batches writes the same bytes serially
@@ -2962,8 +2989,8 @@ class TestBatchKeys:
         for scenario, groups, members in bandshare.engine._buckets(arrays, keys, flags):
             for k, p in ((k, p) for k, ps in members.items() for p in ps):
                 own, bids, forced = probes[p]
-                assert own is scenario
-                assert _groups(scenario, _keyed(scenario, bids, draws[k], forced)) == groups
+                assert _allocation(own) == _allocation(scenario)
+                assert _groups(own, _keyed(own, bids, draws[k], forced)) == groups
                 seen.append((p, k))
         assert sorted(seen) == list(itertools.product(range(len(probes)), range(runs)))
 
@@ -3097,6 +3124,51 @@ class TestProbes:
         monkeypatch.setattr(bandshare.engine, "_worlds", lambda *a: pytest.fail("world drawn"))
         with pytest.raises(ValueError, match=message):
             run_probes([Probe(self.scenario()), Probe(self.scenario(), **probe)], 3, seed=1)
+
+
+WIDTHS = ("1", "one run", "default", "4 x default")
+
+
+def batch_bytes(width, scenario):
+    """The ``BATCH_BYTES`` that ``WIDTHS`` names for ``scenario``'s runs."""
+    default, run = bandshare.engine.BATCH_BYTES, 8 * len(scenario.buyers) * scenario.horizon
+    return {"1": 1, "one run": run, "default": default, "4 x default": 4 * default}[width]
+
+
+class TestSamplesDoNotDependOnTheWidth:
+    """``run_probes`` returns the same samples bit for bit whatever the batch
+    width (``BATCH_BYTES``), the stream words held at once (``STREAM_BYTES``)
+    and the pool's ``jobs``: memoryless and stateful buyers, pad and delay,
+    every routing and mechanism, bid overrides and pinned coins."""
+
+    @given(probes=probe_sets(), seed=st.integers(0, 2**32), runs=st.integers(1, 9))
+    @settings(max_examples=120, deadline=None)
+    def test_any_width_and_stream_span(self, probes, seed, runs):
+        engine, scenario = bandshare.engine, probes[0].scenario
+        reference = run_probes(probes, runs, seed)
+        for width, streams in itertools.product(WIDTHS, (1, engine.STREAM_BYTES)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine, "BATCH_BYTES", batch_bytes(width, scenario))
+                patch.setattr(engine, "STREAM_BYTES", streams)
+                assert run_probes(probes, runs, seed).tobytes() == reference.tobytes(), width
+
+    @given(probes=probe_sets(), seed=st.integers(0, 2**32), runs=st.integers(2, 9),
+           width=st.sampled_from(WIDTHS), streams=st.sampled_from([1, None]))
+    @settings(max_examples=5, deadline=None)
+    def test_a_pool_of_two_workers(self, probes, seed, runs, width, streams):
+        """One pooled call per example, so that no example starts more than 2
+        workers.  The pool's tasks are pickled, which a generated increasing
+        model's rate function (a lambda) is not."""
+        engine = bandshare.engine
+        try:
+            pickle.dumps(probes)
+        except (AttributeError, pickle.PicklingError):
+            assume(False)
+        reference = run_probes(probes, runs, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "BATCH_BYTES", batch_bytes(width, probes[0].scenario))
+            patch.setattr(engine, "STREAM_BYTES", streams or engine.STREAM_BYTES)
+            assert run_probes(probes, runs, seed, jobs=2).tobytes() == reference.tobytes()
 
 
 class TestStatefulBucketsSpanTheirRuns:

@@ -154,7 +154,7 @@ def test_engine_has_the_seed_bound_once():
     assert list(_seed_bounds(tree)) == ["2 ** 63 - 1"]
 
 
-RNG_OWNERS = {"run_seeds", "_worlds"}
+RNG_OWNERS = {"run_seeds", "_seed_spans", "_worlds"}
 GENERATOR_DRAWS = {name for name in dir(np.random.Generator) if not name.startswith("_")}
 
 
