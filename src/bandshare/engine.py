@@ -38,16 +38,14 @@ allocation (the routing, capacity and boost, all that a sweep reads of a
 scenario) and a priority grouping, across all probes and scenarios, are
 filled by one sweep over the union of their runs' columns, since every
 kernel and vector form (below) serves each run's epoch columns on their own.
-A bucket with a group that
-``_play`` steps, or under hybrid routing, is swept run by run instead.
-Either way each pair gets its own session's numbers bit for bit, from its
-own world and streams.  What the batch reads of the probes (``ProbeArrays``)
-is made once per call.  A batch holds at most ``BATCH_BYTES`` of stacked
-demand (120 KiB, 8 runs of 3 buyers x 600 epochs, below glibc malloc's 128
-KiB trim and mmap thresholds), and at least one run, so that its working
-memory does not grow with the runs or the horizon; no sample depends on the
-width.  The samples returned take 8 x probes x (2 + 3n) bytes per run for n
-buyers, or
+A bucket with a group that ``_play`` steps, or under hybrid routing, is
+swept run by run instead.  Either way each pair gets its own session's
+numbers bit for bit, from its own world and streams.  What the batch reads
+of the probes (``ProbeArrays``) is made once per call.  A batch holds at
+most ``BATCH_BYTES`` of stacked demand (120 KiB, 8 runs of 3 buyers x 600
+epochs), and at least one run, so that its working memory does not grow
+with the runs or the horizon; no sample depends on the width.  The samples
+returned take 8 x probes x (2 + 3n) bytes per run for n buyers, or
 8 x probes x n for one ``metric`` (``buyer_rows`` gives their layout), or
 8 x probes x 4n for the ledger rows that ``ledger_rows`` reads (the pools
 and the admissibility suite play their sessions so).  A deadline, if given,
@@ -839,14 +837,15 @@ class MonteCarloStats:
 # The byte size of one batch's stacked (n, runs, T) demand matrix, which holds
 # at least one run: a batch's other arrays are a few times it, so the memory a
 # Monte Carlo takes does not grow with its runs or its horizon, and no sample
-# depends on it.  welfare_capacity (3 x 600) plays 8 runs per batch.  The
-# width stays below glibc malloc's 128 KiB trim and mmap thresholds
-# (mallopt(3)), so that the batch's largest arrays (the demand, each bucket's
-# gather, presented demand and grants, and a flow_trace batch's edge counts)
-# are reused when freed, not mapped afresh: a fresh process running
-# welfare_capacity's 1000-run grid took 1,350 minor page faults at 112 and
-# 120 KiB, 1,430 at 64 KiB, 11,242 at 128 KiB and 138,517 at 256 KiB, and
-# ran slower at 128 and 256 KiB than at 120 KiB (2-vCPU host).
+# depends on it.  welfare_capacity (3 x 600) plays 8 runs per batch.  Every
+# batch pays the same fixed work (world chunking, keys, buckets, settlement),
+# so wider batches run faster until glibc malloc stops reusing what a batch
+# frees: on a 2-vCPU host the bench ran alike at 112, 120 and 128 KiB and
+# faster than at 64 KiB, and at 256 KiB welfare_capacity's 1000-run grid took
+# about 128,500 minor page faults in a fresh process against 1,350 to 1,440
+# at 64 to 120 KiB, and sweep_trace fell below its speed at 64 KiB.  Those
+# faults went away only with both the trim and the mmap threshold
+# (mallopt(3)) raised.
 BATCH_BYTES = 15 * 2**13
 # The byte size of the stream words (``_streams``) that ``run_probes`` holds
 # at once, for whole batches, at least one: 8192 runs of 3 flow_trace buyers.
@@ -979,14 +978,14 @@ def _mc_batch(
     is keyed (``_batch_keys``) and the pairs are bucketed by allocation and
     priority grouping across all probes (``_buckets``): only bks keys, bid
     overrides and reserves vary the grouping.  Each bucket is one
-    ``_run_sweep`` of the
-    (n, B' x T) view of the union of its runs, since the kernels fill each
-    column from its own capacity and the vector forms serve each run's own,
-    so each pair gets the grants of its own session; when a group plays
-    (``_forms``), or under hybrid routing, it is one ``_run_sweep`` per run, on
-    that run's realizations and (n, T) slice.  The pairs then settle as
-    ``_finish`` settles them, on (probe, n, B) arrays, with ``_play``'s real
-    traffic for the buyers who pad or delay; only ``metric``'s rows are formed."""
+    ``_run_sweep`` of the (n, B' x T) view of the union of its runs, since
+    the kernels fill each column from its own capacity and the vector forms
+    serve each run's own, so each pair gets the grants of its own session;
+    when a group plays (``_forms``), or under hybrid routing, it is one
+    ``_run_sweep`` per run, on that run's realizations and (n, T) slice.
+    The pairs then settle as ``_finish`` settles them, on (probe, n, B)
+    arrays, with ``_play``'s real traffic for the buyers who pad or delay;
+    only ``metric``'s rows are formed."""
     n, B, T = demand.shape
     P = len(probes.checked)
     keys, flags = _batch_keys(probes, draws)
@@ -1102,10 +1101,10 @@ def run_probes(
     seeds they are hashed from, are made for as many whole batches at once
     as take at most ``STREAM_BYTES`` (32 x (1 + f) bytes per run for f
     flow_trace buyers), or for one batch, so that they do not grow with the
-    runs either.  ``deadline``, a
-    ``time.monotonic()`` reading, is checked after each batch, and under the
-    pool after each completed task, which then cancels the pending ones; once
-    it has passed, a ``TimeoutError`` is raised.
+    runs either.  ``deadline``, a ``time.monotonic()`` reading, is checked
+    after each batch, and under the pool after each completed task, which
+    then cancels the pending ones; once it has passed, a ``TimeoutError`` is
+    raised.
     """
     if n_runs < 1 or not probes:
         raise ValueError("need at least one run and one scenario")
