@@ -17,7 +17,6 @@ from bandshare.engine import (
     replay,
     run_monte_carlo,
     run_probes,
-    run_seeds,
     run_session,
 )
 from bandshare.payments import (

@@ -39,11 +39,10 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from bandshare.config import ConfigError, ExperimentConfig, SWEEP_VARIABLES, load_config
-from bandshare.engine import (Probe, ledger_rows, run_monte_carlo, run_probes, run_seeds,
-                              run_session)
-# Unused here: the bench's tracer patches it on this module (ROADMAP item 11),
-# so it stays importable from it until the tracer moves into the package.
-from bandshare.engine import build_ledger  # noqa: F401
+from bandshare.engine import Probe, ledger_rows, run_monte_carlo, run_probes
+# Unused here: the bench's tracer patches both names on this module (ROADMAP
+# item 11), so they stay importable from it until the tracer moves into the package.
+from bandshare.engine import build_ledger, run_session  # noqa: F401
 from bandshare.pooling import PoolSettlement, SellerLedger, settle_pool
 from bandshare.verify import SUITES, run_suite
 
@@ -136,24 +135,27 @@ def cmd_simulate(args) -> int:
     config = _load(args)
     variants = config.variants
     scenarios = [v.scenario for v in variants]
-    grid = run_monte_carlo(scenarios, config.runs, config.seed, args.jobs, args.deadline)
+    # With the per-epoch trace of the first run under the first variant.
+    grid, trace = run_monte_carlo(
+        scenarios, config.runs, config.seed, args.jobs, args.deadline, trace=True
+    )
     rows = [r for v, stats in zip(variants, grid) for r in _stat_rows(v.name, "none", "", stats)]
     _write_rows(config, rows, args.out_dir, f"{config.experiment_id}_results", args.format)
-
-    # Per-epoch trace of the first run under the first variant.
-    outcome = run_session(variants[0].scenario, run_seeds(config.seed, 1)[0])
-    _write(args.out_dir, f"{config.experiment_id}_trace.csv",
-           _trace_csv(outcome.buyer_ids, outcome.trace))
+    ids = [b.buyer_id for b in scenarios[0].buyers]
+    _write(args.out_dir, f"{config.experiment_id}_trace.csv", _trace_csv(ids, trace))
     return EXIT_OK
 
 
 def _trace_csv(buyer_ids: List[str], trace: np.ndarray) -> str:
     """The trace CSV as ``csv.writer`` writes it: the header, then each epoch from
-    1 and its values in ``_fmt``'s text, which ``'%.12g' % v`` equals for any float."""
+    1 and its values in ``_fmt``'s text, which ``'%.12g' % v`` equals for any float.
+    Each distinct value, by its bits (so -0.0 is not 0.0), is formatted once."""
     head = io.StringIO()
     csv.writer(head).writerow(["epoch"] + [f"consumed:{b}" for b in buyer_ids])
-    line = "%d" + ",%.12g" * len(buyer_ids) + "\r\n"
-    return head.getvalue() + "".join([line % (t, *row) for t, row in enumerate(trace.tolist(), 1)])
+    bits, at = np.unique(np.asarray(trace, dtype=float).view(np.uint64), return_inverse=True)
+    text = np.array([",%.12g" % v for v in bits.view(float).tolist()], dtype=object)
+    rows = text[at.reshape(np.shape(trace))].tolist()  # each cell's text, comma first
+    return head.getvalue() + "".join([f"{t}{''.join(row)}\r\n" for t, row in enumerate(rows, 1)])
 
 
 def cmd_sweep(args) -> int:

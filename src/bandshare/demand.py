@@ -20,6 +20,7 @@ Units: one epoch is one second; demand and rates are KB per epoch.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import math
@@ -410,18 +411,21 @@ def generator(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_Words(words)))
 
 
-def _flow_traces(streams: np.ndarray, params: Sequence[Mapping[str, float]]) -> List[np.ndarray]:
-    """The flow_trace demand of each row, the 4 ``seed_words`` of a seed
-    and a spec's parameters, over the row's own ``horizon``.  Each row's own
-    generator, ``default_rng(seed)`` bit for bit (``generator``), makes its
-    four draws in order (the arrival count, the arrival times, the
-    durations, then the per-epoch demand); the arithmetic between them is
-    done for several rows at once (``_chunk_traces``), so that each row is
-    the one-row trace bit for bit.  Rows go together while their flows and
-    their padded epochs come to at most ``_MAX_FLOWS``, or one row alone, so
-    the working memory is at most what the largest valid row takes by
-    itself, however many rows there are."""
-    traces: List[np.ndarray] = []
+def _flow_traces(
+    streams: np.ndarray, params: Sequence[Mapping[str, float]]
+) -> List[DemandRealization]:
+    """The flow_trace realization of each row, the 4 ``seed_words`` of a
+    seed and a spec's parameters with the last epoch that the row's caller
+    reads, its ``end``.  Each row's own generator, ``default_rng(seed)`` bit
+    for bit (``generator``), makes its four draws in order (the arrival
+    count, the arrival times, the durations, then the per-epoch demand,
+    which ``_drawn`` draws through the end first); the arithmetic between
+    them is done for several rows at once (``_chunk_traces``), so that each
+    row is the one-row trace bit for bit.  Rows go together while their
+    flows and their padded epochs come to at most ``_MAX_FLOWS``, or one row
+    alone, so the working memory is at most what the largest valid row
+    takes by itself, however many rows there are."""
+    traces: List[DemandRealization] = []
     chunk: list = []  # (generator, parameters, arrival times, durations) by row
     flows = longest = 0
     for words, p in zip(streams, params):
@@ -441,10 +445,11 @@ def _flow_traces(streams: np.ndarray, params: Sequence[Mapping[str, float]]) -> 
     return traces + _chunk_traces(chunk) if chunk else traces
 
 
-def _chunk_traces(chunk: Sequence[tuple]) -> List[np.ndarray]:
-    """The traces of ``_flow_traces``' rows whose flows are drawn: the active
-    flows of every row, elementwise and on integer counts, then each row's
-    per-epoch draw from its own generator.  A lone row is its own stretch."""
+def _chunk_traces(chunk: Sequence[tuple]) -> List[DemandRealization]:
+    """The realizations of ``_flow_traces``' rows whose flows are drawn: the
+    active flows of every row, elementwise and on integer counts, then each
+    row's per-epoch draw from its own generator (``_drawn``).  A lone row is
+    its own stretch."""
     rows, longest = len(chunk), max(p["horizon"] for _, p, _, _ in chunk)
     if rows == 1:
         ((_, _, arrived, duration),) = chunk
@@ -467,8 +472,35 @@ def _chunk_traces(chunk: Sequence[tuple]) -> List[np.ndarray]:
     active = np.cumsum((edges[0] - edges[1]).reshape(rows, width), axis=1)
     # Each active flow sends Poisson(mean_rate) KB per epoch, independently:
     # one Poisson(mean_rate x active) draw per epoch has the same law.
-    return [rng.poisson(p["mean_rate"] * flows[1 : p["horizon"] + 1]).astype(float)
-            for (rng, p, _, _), flows in zip(chunk, active)]
+    return [
+        _drawn(rng, p["mean_rate"], flows[1 : p["horizon"] + 1], min(p["horizon"], p["end"]))
+        for (rng, p, _, _), flows in zip(chunk, active)
+    ]
+
+
+def _drawn(
+    rng: np.random.Generator, rate: float, flows: np.ndarray, end: int
+) -> DemandRealization:
+    """The flow_trace realization of ``flows`` active flows in epochs 1, 2,
+    ..., whose per-epoch Poisson demand, the last draw of ``rng``, is drawn
+    through epoch ``end`` at once and after it only when an epoch past it is
+    first read: a draw continues its generator, so the two draws make the
+    numbers of one draw over every epoch."""
+    head = rng.poisson(rate * flows[:end]).astype(float)
+    cut = _series("flow_trace", head, head)  # no list copy: most reads are bulk
+    if end >= len(flows):
+        return cut
+
+    @functools.cache
+    def whole() -> DemandRealization:
+        d = np.concatenate([head, rng.poisson(rate * flows[end:]).astype(float)])
+        return _series("flow_trace", d, d)
+
+    return DemandRealization(
+        "flow_trace",
+        _fn=lambda t, x: cut._fn(t, x) if t <= end else whole()._fn(t, x),
+        _bulk=lambda lo, hi: cut._bulk(lo, hi) if hi <= end else whole()._bulk(lo, hi),
+    )
 
 
 def _flow_trace(
@@ -480,9 +512,10 @@ def _flow_trace(
     mean_interarrival: float,
 ) -> DemandRealization:
     params = dict(mean_rate=mean_rate, horizon=horizon, mean_duration=mean_duration,
-                  stddev_duration=stddev_duration, mean_interarrival=mean_interarrival)
-    (demand,) = _flow_traces(seed_words([seed], 4), [params])
-    return _series("flow_trace", demand, demand)  # no list copy: most reads are bulk
+                  stddev_duration=stddev_duration, mean_interarrival=mean_interarrival,
+                  end=horizon)
+    (realization,) = _flow_traces(seed_words([seed], 4), [params])
+    return realization
 
 
 # A spec's parameters are the parameters of its model's function (except the
@@ -602,20 +635,26 @@ class DemandSpec:
 
     @staticmethod
     def realize_runs(
-        specs: Sequence[DemandSpec], streams: np.ndarray
+        specs: Sequence[DemandSpec], streams: np.ndarray, ends: Sequence[int]
     ) -> List[List[DemandRealization]]:
         """Each run's realizations of ``specs``, one run per row of the (B, f, 4)
         ``streams``, the ``seed_words`` of each run's realization seed of each
         of the f flow_trace specs in order: ``specs[i].realize(seed)`` bit for
         bit, with every flow_trace row of every run drawn together
-        (``_flow_traces``).  A realization that ignores its seed is made once
-        and shared by the runs."""
+        (``_flow_traces``).  ``ends[i]`` (>= 0) is the last epoch of
+        ``specs[i]`` that the caller reads: a flow_trace row draws its
+        per-epoch demand that far, and the rest only if an epoch past it is
+        read.  A realization that ignores its seed is made once and shared
+        by the runs."""
         B = len(streams)
-        params = [spec.params for spec in specs if spec.kind == "flow_trace" for _ in range(B)]
+        params = [
+            p for spec, end in zip(specs, ends) if spec.kind == "flow_trace"
+            for p in [{**spec.params, "end": end}] * B
+        ]
         traces = iter(_flow_traces(streams.transpose(1, 0, 2).reshape(-1, 4), params))
         columns = [  # by buyer, her realization in each run
-            [_series("flow_trace", d, d) for d in itertools.islice(traces, B)]
-            if spec.kind == "flow_trace" else [spec.realize()] * B
+            list(itertools.islice(traces, B)) if spec.kind == "flow_trace"
+            else [spec.realize()] * B
             for spec in specs
         ]
         return [[column[k] for column in columns] for k in range(B)]

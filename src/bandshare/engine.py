@@ -14,9 +14,10 @@ words that seed every stream of many runs at once with ``seed_words``,
 numpy's SeedSequence hash as an array program, bit for bit; ``_worlds``
 draws those runs' worlds from them, each stream from a generator of its own
 (``generator``, as ``default_rng``): ``DemandSpec.realize_runs`` draws every
-run's realizations together, and their demand is written straight into one
-stacked (n, runs, T) matrix.  ``replay(scenario, seed)`` materializes one
-world this way and returns
+run's realizations together, a flow_trace buyer's per-epoch demand only
+through the last epoch of her window (the rest only if it is read), and their
+demand is written straight into one stacked (n, runs, T) matrix.
+``replay(scenario, seed)`` materializes one world this way and returns
 ``session(bid_override=None, force_resample=None)``, which plays it under any
 counterfactual bids or pinned resampling coins; ``run_session`` is
 ``replay(scenario, seed)(bid_override, force_resample)``.
@@ -48,8 +49,10 @@ with the runs or the horizon; no sample depends on the width.  The samples
 returned take 8 x probes x (2 + 3n) bytes per run for n buyers, or
 8 x probes x n for one ``metric`` (``buyer_rows`` gives their layout), or
 8 x probes x 4n for the ledger rows that ``ledger_rows`` reads (the pools
-and the admissibility suite play their sessions so).  A deadline, if given,
-is checked between batches.
+and the admissibility suite play their sessions so).  With ``trace``, the
+batch that holds run 0 also returns the grants of the first probe in it,
+that session's trace, which ``simulate`` writes.  A deadline, if given, is
+checked between batches.
 
 One path, the priority sweep (``_run_sweep``), plays every session.  It visits
 the priority groups in descending key order and serves each from the capacity
@@ -124,7 +127,6 @@ __all__ = [
     "replay",
     "run_monte_carlo",
     "run_probes",
-    "run_seeds",
     "run_session",
 ]
 
@@ -337,19 +339,27 @@ def _worlds(scenario: Scenario, streams: np.ndarray) -> Worlds:
     active window, with a row for every memoryless realization and zeros for
     the others.  Each stream is a generator of its own, built from its words
     (``generator``) and drawn in buyer order whatever the bids, so a world
-    depends only on the buyers and its seed."""
+    depends only on the buyers and its seed.  A flow_trace realization draws
+    its per-epoch demand through the last epoch of its buyer's window, and
+    the rest only if an epoch past it is read, which no session does."""
     buyers = scenario.buyers
     B, n = len(streams), len(buyers)
     draws = np.empty((B, n, 2))
     for k, words in enumerate(streams[:, 0]):
         generator(words).random(out=draws[k])
-    realizations = DemandSpec.realize_runs([b.demand for b in buyers], streams[:, 1:])
+    windows = [_window(scenario, b) for b in buyers]
+    realizations = DemandSpec.realize_runs(
+        [b.demand for b in buyers], streams[:, 1:], [max(0, hi) for _, hi in windows]
+    )
     demand = np.zeros((n, B, scenario.horizon))
-    for i, buyer in enumerate(buyers):
-        lo, hi = _window(scenario, buyer)
-        for k, run in enumerate(realizations):
-            if lo <= hi and run[i].memoryless:
+    for i, (buyer, (lo, hi)) in enumerate(zip(buyers, windows)):
+        if lo > hi or not realizations[0][i].memoryless:
+            continue
+        if buyer.demand.kind == "flow_trace":
+            for k, run in enumerate(realizations):
                 demand[i, k, lo - 1 : hi] = run[i].query_epochs(lo, hi)
+        else:  # seedless: one realization, shared by every run
+            demand[i, :, lo - 1 : hi] = realizations[0][i].query_epochs(lo, hi)
     return realizations, draws, demand
 
 
@@ -968,11 +978,14 @@ def _mc_batch(
     draws: np.ndarray,
     demand: np.ndarray,
     metric: Optional[str] = None,
-) -> np.ndarray:
+    trace: bool = False,
+) -> Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
     """Each probe's samples in every run of ``_worlds``' worlds, as a (probe,
     metric, run) array: welfare, revenue, then bytes, net payments and
     utilities by buyer, those of the run's ``replay`` session bit for bit,
-    or the rows of ``run_probes``' ``metric``.
+    or the rows of ``run_probes``' ``metric``.  With ``trace``, they come
+    with the (T, n) grants of the first probe in the first run, its
+    session's trace, taken from the bucket that swept that pair.
 
     The runs' demand matrices lie stacked (n, B, T).  Every (probe, run) pair
     is keyed (``_batch_keys``) and the pairs are bucketed by allocation and
@@ -993,6 +1006,7 @@ def _mc_batch(
     stateful = [_stateful(b, r) for b, r in zip(probes.checked[0][0].buyers, realizations[0])]
     billed, charges = np.zeros((2, P, n, B))
     kept = []  # (probes, buyer, run, real traffic) of the buyers who pad or delay
+    first = None
     for scenario, groups, members in _buckets(probes, keys, flags):
         ks = sorted(members)
         forms = _forms(scenario, realizations[0], groups, stateful)
@@ -1010,6 +1024,8 @@ def _mc_batch(
                 scenario, realizations[ks[0]], view, groups, stateful, own
             )
             grants, shown = grants.reshape(n, len(ks), T), shown.reshape(n, len(ks), T)
+        if trace and 0 in members.get(0, ()):  # ks[0] is run 0
+            first = grants[:, 0].T
         totals = grants.sum(-1)
         pairs = [(p, k, j) for j, k in enumerate(ks) for p in members[k]]
         ps, at, js = map(list, zip(*pairs))
@@ -1024,29 +1040,34 @@ def _mc_batch(
     gross = np.where(probes.bks, bid * billed, np.where(probes.fixed, r * billed, charges))
     resampled = flags.transpose(0, 2, 1)
     rebate = np.where(resampled, billed * (bid - r) / mu, 0.0)  # only bks resamples
-    if metric == "ledger":  # as ``build_ledger`` reads them from the session
-        bids = np.broadcast_to(bid, billed.shape)
-        return np.concatenate([billed, bids, keys.transpose(0, 2, 1), rebate], axis=1)
     net = gross - rebate
     real = billed.copy()
     for ps, i, k, x in kept:
         real[ps, i, k] = x
     worth = probes.value[:, None] * real
-    if metric is not None:
-        return {"bytes": real, "payments": net, "utilities": worth - net}[metric]
-    out = np.empty((P, 2 + 3 * n, B))
-    # Summed over buyers as ``_finish`` sums them, by Python's ``sum``.
-    out[:, 0], out[:, 1] = (
-        [[sum(run) for run in runs] for runs in m.transpose(0, 2, 1).tolist()] for m in (worth, net)
-    )
-    out[:, 2:] = np.concatenate([real, net, worth - net], axis=1)
-    return out
+    if metric == "ledger":  # as ``build_ledger`` reads them from the session
+        bids = np.broadcast_to(bid, billed.shape)
+        out = np.concatenate([billed, bids, keys.transpose(0, 2, 1), rebate], axis=1)
+    elif metric is not None:
+        out = {"bytes": real, "payments": net, "utilities": worth - net}[metric]
+    else:
+        out = np.empty((P, 2 + 3 * n, B))
+        # Summed over buyers as ``_finish`` sums them, by Python's ``sum``.
+        out[:, 0], out[:, 1] = (
+            [[sum(run) for run in runs] for runs in m.transpose(0, 2, 1).tolist()]
+            for m in (worth, net)
+        )
+        out[:, 2:] = np.concatenate([real, net, worth - net], axis=1)
+    return (out, first) if trace else out
 
 
-def _mc_task(probes: ProbeArrays, metric: Optional[str], streams: np.ndarray) -> np.ndarray:
+def _mc_task(
+    probes: ProbeArrays, metric: Optional[str], trace: bool, streams: np.ndarray
+) -> Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
     """One batch: ``_mc_batch``'s samples of ``metric`` in the worlds of
-    ``streams``, its runs' rows of ``_streams``."""
-    return _mc_batch(probes, *_worlds(probes.checked[0][0], streams), metric)
+    ``streams``, its runs' rows of ``_streams``, with its first run's trace
+    if ``trace``."""
+    return _mc_batch(probes, *_worlds(probes.checked[0][0], streams), metric, trace)
 
 
 def deadline_passed(deadline: Optional[float]) -> bool:
@@ -1074,7 +1095,8 @@ def run_probes(
     jobs: int = 1,
     deadline: Optional[float] = None,
     metric: Optional[str] = None,
-) -> np.ndarray:
+    trace: bool = False,
+) -> Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
     """Per-run samples of each probe, as a (probe, metric, run) array whose
     metrics are welfare, revenue, then bytes, net payments and utilities by
     buyer (see ``buyer_rows``), each run's numbers those of
@@ -1085,7 +1107,9 @@ def run_probes(
     ``metric="ledger"`` keeps instead what each buyer's ``build_ledger``
     row holds past her id: billed bytes, submitted bid, routing key and
     rebate, each by buyer (8 x probes x 4n bytes per run), which
-    ``ledger_rows`` turns into ``LedgerRow``s.
+    ``ledger_rows`` turns into ``LedgerRow``s.  With ``trace``, the samples
+    come with the (horizon, n) grants of the first probe in run 0, the
+    ``trace`` of that run's session, from the batch that played it.
 
     The probes' scenarios must share their buyers and horizon: each run
     draws its world once and plays every probe on it.  Run seeds are
@@ -1132,20 +1156,27 @@ def run_probes(
     held = max(1, STREAM_BYTES // (32 * (1 + flows) * -(-n_runs // count)))
     groups = [spans[g : g + held] for g in range(0, count, held)]
     seeds = _seed_spans(seed, (group[-1][1] - group[0][0] for group in groups))
-    task = partial(_mc_task, _probe_arrays(checked), metric)
+    arrays = _probe_arrays(checked)
+    task, traced = (partial(_mc_task, arrays, metric, t) for t in (False, True))
     samples = np.empty((len(probes), width, n_runs))  # probe, metric, run
+    first = None  # run 0's trace, from the batch that holds it
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        mapped = map if pool is None else pool.map
         for group, span_seeds in zip(groups, seeds):
             start = group[0][0]
             streams = _streams(probes[0].scenario, span_seeds)
             batches = [streams[lo - start : hi - start] for lo, hi in group]
-            for (lo, hi), block in zip(group, (map if pool is None else pool.map)(task, batches)):
+            head = int(trace and start == 0)  # the batch that holds run 0 traces it
+            played = itertools.chain(mapped(traced, batches[:head]), mapped(task, batches[head:]))
+            for (lo, hi), block in zip(group, played):
+                if trace and lo == 0:
+                    block, first = block
                 samples[:, :, lo:hi] = block
                 if deadline_passed(deadline):
                     if pool is not None:
                         pool.shutdown(wait=False, cancel_futures=True)
                     raise TimeoutError(f"deadline passed after {hi} of {n_runs} runs")
-    return samples
+    return (samples, first) if trace else samples
 
 
 def run_monte_carlo(
@@ -1154,14 +1185,18 @@ def run_monte_carlo(
     seed: int,
     jobs: int = 1,
     deadline: Optional[float] = None,
-) -> List[MonteCarloStats]:
+    trace: bool = False,
+) -> Union[List[MonteCarloStats], Tuple[List[MonteCarloStats], np.ndarray]]:
     """Mean and 95% CI of welfare, revenue, and per-buyer outcomes, per scenario.
 
     The samples are those of ``run_probes`` with each scenario a probe, under
     the same seed, ``jobs`` and ``deadline``; the aggregation folds in
-    run-index order, so results are identical for any ``jobs``.
+    run-index order, so results are identical for any ``jobs``.  With
+    ``trace``, the stats come with ``run_probes``' trace: the (horizon, n)
+    grants of the first scenario's session in run 0.
     """
-    samples = run_probes([Probe(s) for s in scenarios], n_runs, seed, jobs, deadline)
+    played = run_probes([Probe(s) for s in scenarios], n_runs, seed, jobs, deadline, trace=trace)
+    samples, first = played if trace else (played, None)
     ids = [b.buyer_id for b in scenarios[0].buyers]
     n = len(ids)
     stats, summary = [], summarize(samples)
@@ -1169,4 +1204,4 @@ def run_monte_carlo(
         cis = [MeanCI(*v) for v in zip(means, lows, highs)]
         per_buyer = [dict(zip(ids, cis[buyer_rows(m, n)])) for m in _PER_BUYER]
         stats.append(MonteCarloStats(cis[0], cis[1], *per_buyer))
-    return stats
+    return (stats, first) if trace else stats

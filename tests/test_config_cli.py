@@ -716,11 +716,17 @@ class TestCli:
         return out.getvalue()
 
     def test_trace_rows_read_as_fmt_writes_each_value(self):
-        values = [-0.0, 5e-324, 1e300, 0.1 + 0.2, 600.0, math.inf, -math.inf, math.nan,
-                  -1 / 3, 123456789012.5, 2.0 ** 53 + 2]
-        trace = np.array([values, values[::-1], [0.0] * len(values)])
+        """Each distinct value is formatted once: -0.0 apart from 0.0, values
+        that repeat within and across rows, and values on either side of the
+        12-digit rounding boundary, which format apart or alike."""
+        values = [-0.0, 5e-324, 1e-300, 1e300, 0.1 + 0.2, 600.0, math.inf, -math.inf, math.nan,
+                  -1 / 3, 123456789012.5, 2.0 ** 53 + 2, 0.0, -0.0, 600.0, 1e-300,
+                  1.000000000005, 1.0000000000049998, 1.0000000000050002, 999999999999.5,
+                  999999999999.49, 123456789012.49998, 123456789012.50002]
+        trace = np.array([values, values[::-1], [0.0] * len(values), [-0.0] * len(values)])
         ids = [f"b{j}" for j in range(len(values))]
         assert cli._trace_csv(ids, trace) == self.csv_writer_text(ids, trace)
+        assert cli._trace_csv(ids, trace.T.copy().T) == self.csv_writer_text(ids, trace)
 
     @pytest.mark.parametrize("ids", [["a,b", 'q"x', "c"], []])
     def test_trace_header_is_quoted_as_csv_writer_quotes_it(self, ids):
@@ -730,6 +736,43 @@ class TestCli:
         assert text == self.csv_writer_text(ids, trace)
         if ids:
             assert text.startswith('epoch,"consumed:a,b","consumed:q""x",consumed:c\r\n')
+
+    FIRST_HYBRID = dict(
+        MINI_DOC, experiment="first_hybrid", horizon=200, routing="hybrid",
+        hybrid={"buyer": "b", "bytes": 300, "deadline": 120},
+        buyers=[dict(MINI_DOC["buyers"][0], strategy={"kind": "pad", "rate": 2}),
+                MINI_DOC["buyers"][1]],
+        mechanisms=[{"name": "hybrid", "mechanism": "bks", "routing": "hybrid"},
+                    {"name": "fq", "mechanism": "vmm", "routing": "fq"}],
+    )
+
+    @pytest.mark.parametrize("name", [
+        *sorted(p.stem for p in (pathlib.Path(bandshare.config.__file__).parent / "configs")
+                .glob("*.yaml")),
+        "first_hybrid",
+    ])
+    def test_simulate_trace_is_its_first_runs_session(self, name, tmp_path):
+        """``simulate`` takes its trace from its Monte Carlo: the grants of
+        the first variant in run 0, which are that run's own session's trace,
+        at ``--jobs`` 1 and 2, over runs that take two batches.
+        ``first_hybrid``'s first variant routes hybrid with a padding buyer,
+        so the batch sweeps its run 0 on its own."""
+        from bandshare.engine import BATCH_BYTES
+
+        path = (write_config(tmp_path, self.FIRST_HYBRID) if name == "first_hybrid"
+                else builtin_config_path(name))
+        config = load_config(path)
+        scenario = config.variants[0].scenario
+        assert (scenario.routing == "hybrid") == (name == "first_hybrid")
+        runs = max(1, BATCH_BYTES // (8 * len(scenario.buyers) * scenario.horizon)) + 1
+        session = run_session(scenario, run_seeds(config.seed, 1)[0])
+        want = cli._trace_csv(session.buyer_ids, session.trace)
+        for jobs in (1, 2):
+            out = tmp_path / f"j{jobs}"
+            argv = ["simulate", "--config", path, "--runs", str(runs), "--jobs", str(jobs),
+                    "--out-dir", str(out)]
+            assert self.run_cli(*argv) == 0
+            assert (out / f"{config.experiment_id}_trace.csv").read_bytes() == want.encode()
 
     def test_missing_config_file(self, tmp_path):
         code = self.run_cli(

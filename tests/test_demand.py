@@ -617,3 +617,125 @@ class TestSeedWords:
         for seed in SEED_EDGES + LONG_SEEDS:
             trace = DemandSpec.flow_trace(**params).realize(seed).query_epochs(1, 50)
             assert trace.tobytes() == per_row_flow_trace(seed, **params).tobytes()
+
+
+
+class Recorded:
+    """A generator that records the size of each array it draws Poisson
+    values for: a flow_trace row's per-epoch demand draws."""
+
+    def __init__(self, rng, sizes):
+        self.rng, self.sizes = rng, sizes
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def poisson(self, lam, size=None):
+        if np.ndim(lam):
+            self.sizes.append(np.size(lam))
+        return self.rng.poisson(lam, size)
+
+
+class TestDrawnToTheLastEpochRead:
+    """A flow_trace row of a Monte Carlo world draws its per-epoch demand only
+    through the last epoch its caller reads, and the rest only when an epoch
+    past it is read: every value is the one-row trace's, bit for bit, since
+    that draw is the row's last and a second draw continues it."""
+
+    @staticmethod
+    def recorded_rows(mp):
+        """Patch ``demand.generator``; return the per-epoch draw sizes of
+        each flow_trace row, in the order the rows are drawn."""
+        rows, make = [], bandshare.demand.generator
+        mp.setattr(bandshare.demand, "generator",
+                   lambda words: Recorded(make(words), rows.append([]) or rows[-1]))
+        return rows
+
+    @staticmethod
+    def assert_drawn_to(realization, sizes, want, end, epochs):
+        """Drawn through ``end`` alone, read so without a further draw; then
+        read past it, the rest drawn at once, every epoch as ``want``."""
+        end = min(end, len(want))
+        assert sizes == [end]
+        if end:
+            assert realization.query_epochs(1, end).tobytes() == want[:end].tobytes()
+            assert realization.query(end, 0.0) == want[end - 1]
+        assert sizes == [end]
+        padded = np.zeros(epochs)
+        padded[: len(want)] = want
+        if end < len(want) and want[end:].any():  # a scalar read past the end draws it too
+            t = end + 1 + int(np.flatnonzero(want[end:])[0])
+            assert realization.query(t, 0.0) == want[t - 1]
+        assert realization.query_epochs(1, epochs).tobytes() == padded.tobytes()
+        assert sizes == ([end] if end == len(want) else [end, len(want) - end])
+
+    @given(
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+        rows=st.lists(st.tuples(st.integers(1, 60), st.integers(0, 80), st.floats(0.0, 20.0),
+                                st.sampled_from([1.0, 6.0, 40.0])), min_size=1, max_size=3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_realize_runs_draws_each_row_to_its_end(self, seeds, rows):
+        """Ends before, within and past a spec's horizon, next to a seedless
+        spec, which no end cuts."""
+        specs = [DemandSpec.flow_trace(rate, horizon, mean_duration=duration,
+                                       mean_interarrival=2.0)
+                 for horizon, _, rate, duration in rows]
+        row_seeds = [[(seed + j) % 2**64 for j in range(len(rows))] for seed in seeds]
+        streams = seed_words(np.array(row_seeds, dtype=np.uint64).ravel(), 4)
+        with pytest.MonkeyPatch.context() as mp:
+            drawn = self.recorded_rows(mp)
+            realized = DemandSpec.realize_runs(
+                specs + [DemandSpec.constant(3.0)],
+                streams.reshape(len(seeds), len(rows), 4),
+                [end for _, end, _, _ in rows] + [0],
+            )
+        drawn = iter(drawn)  # spec by spec, run by run
+        for j, (horizon, end, rate, duration) in enumerate(rows):
+            for run, seeds_of_run in zip(realized, row_seeds):
+                want = per_row_flow_trace(seeds_of_run[j], rate, horizon, duration, 30.0, 2.0)
+                self.assert_drawn_to(run[j], next(drawn), want, end, 90)
+        for run in realized:
+            assert run[-1].query_epochs(1, 5).tolist() == [3.0] * 5
+
+    @given(
+        seeds=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=3),
+        horizon=st.integers(1, 60),
+        spec_horizon=st.integers(1, 60),
+        windows=st.lists(st.tuples(st.integers(1, 70), st.integers(1, 70)),
+                         min_size=1, max_size=3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_worlds_draw_each_buyer_to_her_departure(self, seeds, horizon, spec_horizon,
+                                                     windows):
+        """Buyers arriving and departing anywhere, past the scenario's horizon
+        too, under a spec horizon shorter or longer than the scenario's: the
+        demand matrix is the one-row trace in each buyer's window.  A buyer
+        cannot depart before she arrives, so an empty window is one that
+        opens after the horizon; its row is then drawn through the horizon."""
+        from bandshare.engine import BuyerSpec, Scenario, _streams, _worlds
+
+        buyers = tuple(
+            BuyerSpec(f"b{i}", 1.0, DemandSpec.flow_trace(5.0, spec_horizon, mean_duration=4.0,
+                                                          mean_interarrival=2.0),
+                      min(a, d), max(a, d))
+            for i, (a, d) in enumerate(windows)
+        )
+        scenario = Scenario(buyers, capacity=10.0, horizon=horizon)
+        with pytest.MonkeyPatch.context() as mp:
+            drawn = self.recorded_rows(mp)
+            realizations, _, demand = _worlds(scenario, _streams(scenario, seeds))
+        epochs = max(horizon, spec_horizon)
+        for i, buyer in enumerate(buyers):
+            for k, seed in enumerate(seeds):
+                words = np.random.SeedSequence(seed, spawn_key=(0,)).generate_state(
+                    max(4, len(buyers)), np.uint64)
+                want = per_row_flow_trace(int(words[i]), 5.0, spec_horizon, 4.0, 30.0, 2.0)
+                lo, hi = max(1, buyer.arrival), min(horizon, buyer.departure)
+                row = np.zeros(epochs)
+                row[: len(want)] = want
+                expected = np.zeros(horizon)
+                expected[lo - 1 : hi] = row[lo - 1 : hi]
+                assert demand[i, k].tobytes() == expected.tobytes()
+                self.assert_drawn_to(realizations[k][i], drawn[i * len(seeds) + k], want, hi,
+                                     epochs)

@@ -43,8 +43,8 @@ A Monte Carlo has one path: ``run_probes``, which plays ``run_monte_carlo``'s
 grids and the truthfulness suite's probes, reaches its runs only through
 ``_mc_batch``.  The batch sweeps a bucket run by run on one test, which reads
 the buyers' statefulness through ``_stateful`` and the scenario's routing and
-nothing else; neither ``run_probes`` nor ``run_monte_carlo`` takes a flag of
-its own, and the engine reads no environment variable.  A probe's overrides
+nothing else; neither ``run_probes`` nor ``run_monte_carlo`` takes a flag
+that chooses a path, and the engine reads no environment variable.  A probe's overrides
 are checked once, by ``_checked``, which only ``run_probes`` and a replayed
 world's session call, never the batch.  The suite's conditioned estimator
 calls ``run_probes`` for the utility rows only and replays no world of its
@@ -445,7 +445,7 @@ def test_runs_reach_only_the_batch():
     buyers' statefulness through ``_stateful``, the groups' forms through
     ``_forms``, the predicate ``_run_sweep`` and ``_boost`` serve the groups
     by, and the scenario's routing, and nothing else.  ``run_probes`` and
-    ``run_monte_carlo`` take no flag of their own, and the engine reads no
+    ``run_monte_carlo`` take no flag that chooses a path, and the engine reads no
     environment variable."""
     used = {n.id for n in ast.walk(_engine_function("run_probes")) if isinstance(n, ast.Name)}
     assert "_mc_task" in used, used
@@ -467,9 +467,9 @@ def test_runs_reach_only_the_batch():
     assert assigned["forms"] == ["_forms(scenario, realizations[0], groups, stateful)"], assigned
     assert _callers(ENGINE, "_forms") == ["_boost", "_mc_batch", "_run_sweep"]
     params = [a.arg for a in _engine_function("run_monte_carlo").args.args]
-    assert params == ["scenarios", "n_runs", "seed", "jobs", "deadline"], params
+    assert params == ["scenarios", "n_runs", "seed", "jobs", "deadline", "trace"], params
     params = [a.arg for a in _engine_function("run_probes").args.args]
-    assert params == ["probes", "n_runs", "seed", "jobs", "deadline", "metric"], params
+    assert params == ["probes", "n_runs", "seed", "jobs", "deadline", "metric", "trace"], params
     environ = [
         ast.unparse(n) for n in ast.walk(ENGINE)
         if isinstance(n, ast.Attribute) and n.attr in ("environ", "getenv", "environb")
@@ -509,7 +509,7 @@ def test_pools_and_admissibility_play_sessions_on_run_probes():
     sessions only through ``run_probes``, asking it for its ledger rows,
     and replay or settle no session of their own.  The two modules still
     import ``run_session`` and ``build_ledger`` for the bench's tracer, but
-    only ``simulate``'s trace run calls either."""
+    neither calls either: ``simulate`` takes its trace from its Monte Carlo."""
     for module, name in (("verify", "pooling_seller_observations"), ("cli", "run_pool")):
         tree = ast.parse((SRC / f"{module}.py").read_text())
         func = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == name)
@@ -524,7 +524,7 @@ def test_pools_and_admissibility_play_sessions_on_run_probes():
         ]
         assert metrics == ["'ledger'"], (name, metrics)
         assert _callers(tree, "build_ledger") == []
-        assert _callers(tree, "run_session") == ([] if module == "verify" else ["cmd_simulate"])
+        assert _callers(tree, "run_session") == []
 
 
 def test_monotonicity_suite_plays_its_worlds_on_run_probes():
