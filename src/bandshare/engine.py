@@ -340,8 +340,9 @@ def _worlds(scenario: Scenario, streams: np.ndarray) -> Worlds:
     the others.  Each stream is a generator of its own, built from its words
     (``generator``) and drawn in buyer order whatever the bids, so a world
     depends only on the buyers and its seed.  A flow_trace realization draws
-    its per-epoch demand through the last epoch of its buyer's window, and
-    the rest only if an epoch past it is read, which no session does."""
+    its per-epoch demand through the last epoch of its buyer's window (none
+    when it is empty), and the rest only if an epoch past it is read, which
+    no session does."""
     buyers = scenario.buyers
     B, n = len(streams), len(buyers)
     draws = np.empty((B, n, 2))
@@ -349,7 +350,7 @@ def _worlds(scenario: Scenario, streams: np.ndarray) -> Worlds:
         generator(words).random(out=draws[k])
     windows = [_window(scenario, b) for b in buyers]
     realizations = DemandSpec.realize_runs(
-        [b.demand for b in buyers], streams[:, 1:], [max(0, hi) for _, hi in windows]
+        [b.demand for b in buyers], streams[:, 1:], [hi if lo <= hi else 0 for lo, hi in windows]
     )
     demand = np.zeros((n, B, scenario.horizon))
     for i, (buyer, (lo, hi)) in enumerate(zip(buyers, windows)):

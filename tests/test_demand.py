@@ -712,7 +712,7 @@ class TestDrawnToTheLastEpochRead:
         too, under a spec horizon shorter or longer than the scenario's: the
         demand matrix is the one-row trace in each buyer's window.  A buyer
         cannot depart before she arrives, so an empty window is one that
-        opens after the horizon; its row is then drawn through the horizon."""
+        opens after the horizon; its row then draws no epoch until one is read."""
         from bandshare.engine import BuyerSpec, Scenario, _streams, _worlds
 
         buyers = tuple(
@@ -737,5 +737,5 @@ class TestDrawnToTheLastEpochRead:
                 expected = np.zeros(horizon)
                 expected[lo - 1 : hi] = row[lo - 1 : hi]
                 assert demand[i, k].tobytes() == expected.tobytes()
-                self.assert_drawn_to(realizations[k][i], drawn[i * len(seeds) + k], want, hi,
-                                     epochs)
+                self.assert_drawn_to(realizations[k][i], drawn[i * len(seeds) + k], want,
+                                     hi if lo <= hi else 0, epochs)
